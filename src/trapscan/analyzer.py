@@ -18,6 +18,8 @@ from .simulator import BundleKind, SimulationResult
 
 DEFAULT_THRESHOLD = Fraction(1, 2)
 VERDICT_SCHEMA = "trapscan-verdict/1"
+# CannotSell needs sell reverts in this many distinct blocks.
+MIN_REVERT_BLOCKS = 2
 
 
 class AnalyzerError(Exception):
@@ -195,7 +197,7 @@ def _amounts_agree(delta: int, expected: int, num: int, den: int) -> bool:
 
 
 def check_cannot_sell(
-    results: list[SimulationResult], min_distinct_blocks: int = 2
+    results: list[SimulationResult], min_distinct_blocks: int = MIN_REVERT_BLOCKS
 ) -> Finding | None:
     """Sell attempts revert in multiple distinct blocks with no successful
     sell between them."""

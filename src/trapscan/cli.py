@@ -6,7 +6,8 @@
     trapscan scan --mode live --rpc-url URL --from-block A --to-block B [...]
 
 Exit codes: 0 success (simulate: all verdicts match ground truth),
-1 runtime failure or mismatch, 2 malformed input file.
+1 runtime failure, mismatch, or (scan) any pool whose scan failed,
+2 malformed input file.
 
 Environment: TRAPSCAN_RPC_URL overrides the endpoint, TRAPSCAN_CHECKPOINT
 the checkpoint path.
@@ -64,12 +65,19 @@ def _scenario_paths(source: Path) -> list[Path]:
     return [source]
 
 
-def _simulate_one(path: Path, settings: ScanSettings) -> tuple[dict, bool]:
+def _run_scenario(path: Path, settings: ScanSettings):
+    """Load a scenario, replay its script on a fresh mock chain and scan its
+    pool over the whole replay; returns (scenario, trace, verdict)."""
     scenario = load_scenario(path)
     trace = run_attack_script(scenario.script, scenario.seed)
     verdict = scan_pool(
         trace.chain, trace.pool, trace.trap_token, 1, trace.final_block, settings
     )
+    return scenario, trace, verdict
+
+
+def _simulate_one(path: Path, settings: ScanSettings) -> tuple[dict, bool]:
+    scenario, trace, verdict = _run_scenario(path, settings)
     truth = sorted(t.value for t in trace.ground_truth)
     got = sorted(t.value for t in verdict.traps)
     match = truth == got
@@ -152,6 +160,16 @@ def _emit_verdicts(lines: list[str], args) -> None:
         sys.stdout.write(payload)
 
 
+def _report(lines: list[str], summary: ScanSummary, args) -> int:
+    """Emit the verdicts and the summary table; exit 1 if any pool failed."""
+    _emit_verdicts(lines, args)
+    print(summary.table())
+    if summary.failures:
+        print(f"failed: {summary.failures}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
+
+
 def cmd_scan(args) -> int:
     if args.mode == "sim":
         return _scan_sim(args)
@@ -176,11 +194,7 @@ def _scan_sim(args) -> int:
     lines: list[str] = []
     for path in paths:
         try:
-            scenario = load_scenario(path)
-            trace = run_attack_script(scenario.script, scenario.seed)
-            verdict = scan_pool(
-                trace.chain, trace.pool, trace.trap_token, 1, trace.final_block, settings
-            )
+            _, _, verdict = _run_scenario(path, settings)
         except (json.JSONDecodeError, ScenarioFormatError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_SCHEMA
@@ -190,9 +204,7 @@ def _scan_sim(args) -> int:
             continue
         lines.append(verdict_to_json_line(verdict))
         summary.add(verdict)
-    _emit_verdicts(lines, args)
-    print(summary.table())
-    return EXIT_OK
+    return _report(lines, summary, args)
 
 
 def _scan_live(args) -> int:
@@ -240,9 +252,7 @@ def _scan_live(args) -> int:
     lines, summary = scan_pools_resumable(
         chain, targets, args.from_block, args.to_block, settings, checkpoint
     )
-    _emit_verdicts(lines, args)
-    print(summary.table())
-    return EXIT_OK
+    return _report(lines, summary, args)
 
 
 def _parse_pool_list(spec: str) -> list[Address]:

@@ -152,9 +152,3 @@ class DelayedSellTax:
 
 
 TokenBehavior = Honest | HiddenTax | OwnerDrain | ListGate | LimitedSell | DelayedSellTax
-
-SWITCHABLE = (DelayedSellTax, ListGate)
-
-
-def behavior_name(behavior: TokenBehavior) -> str:
-    return type(behavior).__name__

@@ -259,9 +259,6 @@ class MockChain(ChainView):
             raise UnknownPool(f"unknown pool: {pool}")
         return info
 
-    def token_owner(self, token: Address) -> Address:
-        return self._require_token(token).owner
-
     def token_behavior(self, token: Address) -> TokenBehavior:
         return self._require_token(token).behavior
 

@@ -9,7 +9,6 @@ logic consumes these ledgers, never the chain directly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .chainview import (
@@ -17,19 +16,12 @@ from .chainview import (
     BalanceSnapshot,
     ChainView,
     LiquidityEvent,
-    LiquidityKind,
     SwapRecord,
     TransferRecord,
     UnknownPool,
     UnknownToken,
 )
-from .core import Address, BlockIndex, PoolInfo
-
-CHECKPOINT_SCHEMA = "trapscan-poolwatch/1"
-
-# Pools pair a trap candidate with one of these by default; the live
-# config can extend the set (wrapped-native, major stables).
-DEFAULT_BASE_TOKEN_TAGS = ("base:wrapped-native",)
+from .core import Address, PoolInfo
 
 
 class MonitorError(Exception):
@@ -66,12 +58,6 @@ class BuyerLedger:
         if not self.snapshots:
             raise MissingSnapshot(f"no snapshots for {self.buyer}")
         return self.snapshots[-1]
-
-    def outgoing_logged(self) -> list[TransferRecord]:
-        return [t for t in self.transfers if t.sender == self.buyer]
-
-    def incoming_logged(self) -> list[TransferRecord]:
-        return [t for t in self.transfers if t.recipient == self.buyer]
 
 
 @dataclass
@@ -190,176 +176,3 @@ def buyer_delta(
 
 def swaps_in_window(ledger: BuyerLedger, from_block: int, to_block: int) -> list[SwapRecord]:
     return [s for s in ledger.buys if from_block < s.block.number <= to_block]
-
-
-# ----------------------------------------------------------------------
-# checkpoint serialization
-
-def _block_to_json(block: BlockIndex) -> dict:
-    return {"number": block.number, "tx_index": block.tx_index}
-
-
-def _block_from_json(data: dict) -> BlockIndex:
-    return BlockIndex(data["number"], data.get("tx_index"))
-
-
-def watch_to_json(watch: PoolWatch) -> str:
-    """Serialize a PoolWatch so long scans can checkpoint and resume."""
-    doc = {
-        "schema": CHECKPOINT_SCHEMA,
-        "pool": {
-            "pool": watch.pool.pool.hex,
-            "token_x": watch.pool.token_x.hex,
-            "token_y": watch.pool.token_y.hex,
-            "dex_version": watch.pool.dex_version.value,
-            "fee_num": watch.pool.fee_num,
-            "fee_den": watch.pool.fee_den,
-        },
-        "trap_token": watch.trap_token.hex,
-        "base_token": watch.base_token.hex,
-        "last_ingested": watch.last_ingested,
-        "has_liquidity": {str(k): v for k, v in watch.has_liquidity.items()},
-        "liquidity": [
-            {
-                "block": _block_to_json(ev.block),
-                "kind": ev.kind.value,
-                "amount_x": str(ev.amount_x),
-                "amount_y": str(ev.amount_y),
-                "provider": ev.provider.hex,
-            }
-            for ev in watch.liquidity
-        ],
-        "buyers": [
-            {
-                "buyer": led.buyer.hex,
-                "buys": [
-                    {
-                        "tx_hash": s.tx_hash.hex(),
-                        "block": _block_to_json(s.block),
-                        "sender": s.sender.hex,
-                        "token_in": s.token_in.hex,
-                        "amount_in": str(s.amount_in),
-                        "token_out": s.token_out.hex,
-                        "amount_out": str(s.amount_out),
-                        "recipient": s.recipient.hex,
-                    }
-                    for s in led.buys
-                ],
-                "snapshots": [
-                    {
-                        "block": _block_to_json(s.block),
-                        "balance": str(s.balance),
-                        "failed": s.failed,
-                    }
-                    for s in led.snapshots
-                ],
-                "transfers": [
-                    {
-                        "block": _block_to_json(t.block),
-                        "sender": t.sender.hex,
-                        "recipient": t.recipient.hex,
-                        "value": str(t.value),
-                        "logged": t.logged,
-                        "tx_sender": t.tx_sender.hex if t.tx_sender else None,
-                    }
-                    for t in led.transfers
-                ],
-                "approvals": [
-                    {
-                        "block": _block_to_json(a.block),
-                        "spender": a.spender.hex,
-                        "value": str(a.value),
-                    }
-                    for a in led.approvals
-                ],
-            }
-            for led in watch.buyers.values()
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def watch_from_json(text: str) -> PoolWatch:
-    doc = json.loads(text)
-    if doc.get("schema") != CHECKPOINT_SCHEMA:
-        raise MonitorError(f"unsupported checkpoint schema: {doc.get('schema')}")
-    from .core import DexVersion  # local to avoid widening the module surface
-
-    p = doc["pool"]
-    pool = PoolInfo(
-        pool=Address.from_hex(p["pool"]),
-        token_x=Address.from_hex(p["token_x"]),
-        token_y=Address.from_hex(p["token_y"]),
-        dex_version=DexVersion(p["dex_version"]),
-        fee_num=p["fee_num"],
-        fee_den=p["fee_den"],
-    )
-    trap = Address.from_hex(doc["trap_token"])
-    watch = PoolWatch(
-        pool=pool,
-        trap_token=trap,
-        base_token=Address.from_hex(doc["base_token"]),
-        last_ingested=doc["last_ingested"],
-        has_liquidity={int(k): v for k, v in doc["has_liquidity"].items()},
-    )
-    for ev in doc["liquidity"]:
-        watch.liquidity.append(
-            LiquidityEvent(
-                pool=pool.pool,
-                block=_block_from_json(ev["block"]),
-                kind=LiquidityKind(ev["kind"]),
-                amount_x=int(ev["amount_x"]),
-                amount_y=int(ev["amount_y"]),
-                provider=Address.from_hex(ev["provider"]),
-            )
-        )
-    for b in doc["buyers"]:
-        buyer = Address.from_hex(b["buyer"])
-        led = BuyerLedger(buyer=buyer, pool=pool.pool, trap_token=trap)
-        for s in b["buys"]:
-            led.buys.append(
-                SwapRecord(
-                    tx_hash=bytes.fromhex(s["tx_hash"]),
-                    block=_block_from_json(s["block"]),
-                    sender=Address.from_hex(s["sender"]),
-                    token_in=Address.from_hex(s["token_in"]),
-                    amount_in=int(s["amount_in"]),
-                    token_out=Address.from_hex(s["token_out"]),
-                    amount_out=int(s["amount_out"]),
-                    recipient=Address.from_hex(s["recipient"]),
-                )
-            )
-        for s in b["snapshots"]:
-            led.snapshots.append(
-                BalanceSnapshot(
-                    token=trap,
-                    holder=buyer,
-                    block=_block_from_json(s["block"]),
-                    balance=int(s["balance"]),
-                    failed=s["failed"],
-                )
-            )
-        for t in b["transfers"]:
-            led.transfers.append(
-                TransferRecord(
-                    token=trap,
-                    block=_block_from_json(t["block"]),
-                    sender=Address.from_hex(t["sender"]),
-                    recipient=Address.from_hex(t["recipient"]),
-                    value=int(t["value"]),
-                    logged=t["logged"],
-                    tx_sender=Address.from_hex(t["tx_sender"]) if t["tx_sender"] else None,
-                )
-            )
-        for a in b["approvals"]:
-            led.approvals.append(
-                ApproveRecord(
-                    token=trap,
-                    block=_block_from_json(a["block"]),
-                    approver=buyer,
-                    spender=Address.from_hex(a["spender"]),
-                    value=int(a["value"]),
-                )
-            )
-        watch.buyers[buyer] = led
-    return watch

@@ -10,12 +10,19 @@ detection round (each `interval` blocks, provided liquidity is present):
   * reconciles each buyer's balance movement against the logged evidence.
 
 Findings accumulate into one verdict per pool. Distinct pools are
-independent and may scan on parallel workers.
+independent, so a multi-pool scan runs them through one executor,
+`_scan_each`: in the calling thread when `workers <= 1`, otherwise on one
+thread pool. It yields each pool's verdict, or the exception its scan
+raised, in target order. `scan_pools` and `scan_pools_resumable` both
+consume it, so a failing pool is counted in `ScanSummary.failures` and
+never stops the scan, whatever the worker count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,6 +54,9 @@ from .simulator import (
 )
 
 PROBE_FUNDING = 10**30
+# Buy probes spend PROBE_NUM/PROBE_DEN of the pool's base-token reserve.
+PROBE_NUM = 1
+PROBE_DEN = 1000
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,6 @@ class ScanSettings:
 
     interval: int = 1  # blocks between detection rounds
     threshold: Fraction = DEFAULT_THRESHOLD
-    probe_num: int = 1  # probe size as probe_num/probe_den of base reserve
-    probe_den: int = 1000
-    min_revert_blocks: int = 2
     known_token_allowlist: frozenset[Address] = frozenset()
     workers: int = 1
 
@@ -92,10 +99,10 @@ def probe_account_for(pool: PoolInfo) -> Address:
     return Address.derive(f"probe:{pool.pool.hex}")
 
 
-def _probe_size(chain: ChainView, watch: PoolWatch, block: int, settings: ScanSettings) -> int:
+def _probe_size(chain: ChainView, watch: PoolWatch, block: int) -> int:
     rx, ry = chain.get_reserves(watch.pool.pool, block)
     base_reserve = rx if watch.base_token == watch.pool.token_x else ry
-    return max(1, (base_reserve * settings.probe_num) // settings.probe_den)
+    return max(1, (base_reserve * PROBE_NUM) // PROBE_DEN)
 
 
 def run_detection_round(
@@ -132,9 +139,7 @@ def run_detection_round(
                     if not result.sell_reverted:
                         state.add_finding(check_invalid_sell(result, settings.threshold))
         if history:
-            state.add_finding(
-                check_cannot_sell(history, settings.min_revert_blocks)
-            )
+            state.add_finding(check_cannot_sell(history))
         try:
             state.add_finding(
                 check_unauthorized_transfer(
@@ -146,7 +151,7 @@ def run_detection_round(
 
     probe = probe_account_for(watch.pool)
     overrides = {(watch.base_token, probe): PROBE_FUNDING}
-    buy_amount = _probe_size(chain, watch, block, settings)
+    buy_amount = _probe_size(chain, watch, block)
     try:
         probe_bundle = build_buy_probe(
             chain, probe, watch.pool, watch.trap_token, buy_amount, block
@@ -173,7 +178,7 @@ def run_detection_round(
     probe_history.append(rt_result)
     if not rt_result.sell_reverted:
         state.add_finding(check_invalid_sell(rt_result, settings.threshold))
-    state.add_finding(check_cannot_sell(probe_history, settings.min_revert_blocks))
+    state.add_finding(check_cannot_sell(probe_history))
 
 
 def _first_snapshot(ledger) -> int:
@@ -248,12 +253,30 @@ class ScanSummary:
         sep = "-" * (width + max(len(r[1]) for r in rows))
         return "\n".join([lines[0], sep, *lines[1:]])
 
-    def to_csv(self) -> str:
-        lines = ["trap,count"]
-        for trap in TrapType:
-            lines.append(f"{trap.value},{self.per_trap.get(trap.value, 0)}")
-        lines.append(f"total,{self.total_line()}")
-        return "\n".join(lines) + "\n"
+
+def _scan_each(
+    chain: ChainView,
+    targets: list[tuple[PoolInfo, Address]],
+    indices: Iterable[int],
+    from_block: int,
+    to_block: int,
+    settings: ScanSettings,
+) -> Iterator[tuple[int, PoolVerdict | Exception]]:
+    """Scan `targets[i]` for each i in `indices`, yielding `(i, verdict)`,
+    or `(i, exception)` when that pool's scan raised, in `indices` order."""
+
+    def attempt(idx: int) -> tuple[int, PoolVerdict | Exception]:
+        pool, trap = targets[idx]
+        try:
+            return idx, scan_pool(chain, pool, trap, from_block, to_block, settings)
+        except Exception as exc:
+            return idx, exc
+
+    if settings.workers <= 1:
+        yield from map(attempt, indices)
+        return
+    with ThreadPoolExecutor(max_workers=settings.workers) as executor:
+        yield from executor.map(attempt, indices)
 
 
 def scan_pools(
@@ -262,64 +285,79 @@ def scan_pools(
     from_block: int,
     to_block: int,
     settings: ScanSettings | None = None,
-    on_verdict=None,
 ) -> tuple[list[PoolVerdict], ScanSummary]:
-    """Scan many (pool, trap_token) orientations on a bounded worker pool.
-
-    Per-pool failures are counted, never abort the scan. Verdict callbacks
-    fire in completion order; the returned list preserves target order.
-    """
+    """Scan many (pool, trap_token) orientations; the returned verdicts keep
+    target order, and a pool whose scan raised is counted as a failure."""
     settings = settings or ScanSettings()
     summary = ScanSummary()
-    results: list[PoolVerdict | None] = [None] * len(targets)
-
-    def work(idx: int) -> tuple[int, PoolVerdict]:
-        pool, trap = targets[idx]
-        return idx, scan_pool(chain, pool, trap, from_block, to_block, settings)
-
-    if settings.workers <= 1:
-        completed = map(work, range(len(targets)))
-        for idx, verdict in completed:
-            results[idx] = verdict
-            summary.add(verdict)
-            if on_verdict:
-                on_verdict(verdict)
-    else:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool_exec:
-            futures = [pool_exec.submit(work, i) for i in range(len(targets))]
-            for fut in futures:
-                try:
-                    idx, verdict = fut.result()
-                except Exception:
-                    summary.failures += 1
-                    continue
-                results[idx] = verdict
-                summary.add(verdict)
-                if on_verdict:
-                    on_verdict(verdict)
-    return [v for v in results if v is not None], summary
+    verdicts: list[PoolVerdict] = []
+    for _, result in _scan_each(
+        chain, targets, range(len(targets)), from_block, to_block, settings
+    ):
+        if isinstance(result, Exception):
+            summary.failures += 1
+            continue
+        verdicts.append(result)
+        summary.add(result)
+    return verdicts, summary
 
 
 # ----------------------------------------------------------------------
 # scan checkpointing (pool-level granularity)
+#
+# A checkpoint is JSONL: a header line {"schema": CHECKPOINT_SCHEMA}, then
+# one {"key": ..., "line": ...} record per finished pool, appended and
+# fsync'd as the pool finishes. A crash can only tear the last line, which
+# the next read cuts off.
 
-CHECKPOINT_SCHEMA = "trapscan-scan-checkpoint/1"
+CHECKPOINT_SCHEMA = "trapscan-scan-checkpoint/2"
 
 
-def write_checkpoint(path: str | Path, done: dict[str, str]) -> None:
-    """Persist completed pools: pool address hex -> verdict JSON line."""
-    doc = {"schema": CHECKPOINT_SCHEMA, "done": done}
-    Path(path).write_text(json.dumps(doc))
+def write_checkpoint(path: str | Path, key: str, line: str) -> None:
+    """Append one finished pool (key -> verdict JSON line) and fsync it."""
+    with open(path, "a", encoding="utf-8") as fh:
+        if fh.tell() == 0:
+            fh.write(json.dumps({"schema": CHECKPOINT_SCHEMA}) + "\n")
+        fh.write(json.dumps({"key": key, "line": line}) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _require_schema(header: bytes) -> None:
+    doc = json.loads(header)
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != CHECKPOINT_SCHEMA:
+        raise ValueError(f"unsupported checkpoint schema: {schema!r}")
 
 
 def read_checkpoint(path: str | Path) -> dict[str, str]:
+    """Key -> verdict JSON line of every pool recorded in the checkpoint.
+
+    A torn last line is cut off the file, so the next append starts on a
+    clean line. Any schema but CHECKPOINT_SCHEMA raises ValueError.
+    """
     p = Path(path)
     if not p.exists():
         return {}
-    doc = json.loads(p.read_text())
-    if doc.get("schema") != CHECKPOINT_SCHEMA:
-        raise ValueError(f"unsupported checkpoint schema: {doc.get('schema')}")
-    return dict(doc["done"])
+    data = p.read_bytes()
+    *complete, torn = data.split(b"\n")
+    if complete:
+        _require_schema(complete[0])
+    elif torn:
+        # One line without a newline: either a torn header (nothing was
+        # recorded yet) or a one-document checkpoint of another schema.
+        try:
+            _require_schema(torn)
+        except json.JSONDecodeError:
+            pass
+    if torn:
+        with open(p, "r+b") as fh:
+            fh.truncate(len(data) - len(torn))
+    done: dict[str, str] = {}
+    for raw in complete[1:]:
+        record = json.loads(raw)
+        done[record["key"]] = record["line"]
+    return done
 
 
 def scan_pools_resumable(
@@ -330,61 +368,27 @@ def scan_pools_resumable(
     settings: ScanSettings | None = None,
     checkpoint_path: str | Path | None = None,
 ) -> tuple[list[str], ScanSummary]:
-    """Like scan_pools but skips pools already present in the checkpoint
-    and records each finished pool into it; returns verdict JSON lines.
+    """Like scan_pools but returns verdict JSON lines, skips pools already
+    in the checkpoint and appends each newly finished pool to it.
 
-    Scanning runs on the configured worker width; checkpoint writes stay
-    serialized on the collecting thread.
+    Checkpoint writes stay on the calling thread, in target order.
     """
     settings = settings or ScanSettings()
     done = read_checkpoint(checkpoint_path) if checkpoint_path else {}
     summary = ScanSummary()
-    lines: list[str | None] = [None] * len(targets)
-
-    pending: list[int] = []
-    for idx, (pool, trap) in enumerate(targets):
-        key = f"{pool.pool.hex}:{trap.hex}"
-        if key in done:
-            lines[idx] = done[key]
-            summary.add_line(done[key])
-        else:
-            pending.append(idx)
-
-    def work(idx: int) -> tuple[int, PoolVerdict]:
-        pool, trap = targets[idx]
-        return idx, scan_pool(chain, pool, trap, from_block, to_block, settings)
-
-    def collect(result_iter) -> None:
-        for item in result_iter:
-            if isinstance(item, Exception):
-                summary.failures += 1
-                continue
-            idx, verdict = item
-            pool, trap = targets[idx]
-            line = verdict_to_json_line(verdict)
-            lines[idx] = line
-            summary.add(verdict)
-            done[f"{pool.pool.hex}:{trap.hex}"] = line
-            if checkpoint_path:
-                write_checkpoint(checkpoint_path, done)
-
-    if settings.workers <= 1:
-        def results():
-            for idx in pending:
-                try:
-                    yield work(idx)
-                except Exception as exc:
-                    yield exc
-        collect(results())
-    else:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool_exec:
-            futures = [pool_exec.submit(work, i) for i in pending]
-
-            def results():
-                for fut in futures:
-                    try:
-                        yield fut.result()
-                    except Exception as exc:
-                        yield exc
-            collect(results())
+    keys = [f"{pool.pool.hex}:{trap.hex}" for pool, trap in targets]
+    lines: list[str | None] = [done.get(key) for key in keys]
+    for line in lines:
+        if line is not None:
+            summary.add_line(line)
+    pending = [idx for idx, line in enumerate(lines) if line is None]
+    for idx, result in _scan_each(chain, targets, pending, from_block, to_block, settings):
+        if isinstance(result, Exception):
+            summary.failures += 1
+            continue
+        line = verdict_to_json_line(result)
+        lines[idx] = line
+        summary.add(result)
+        if checkpoint_path:
+            write_checkpoint(checkpoint_path, keys[idx], line)
     return [line for line in lines if line is not None], summary

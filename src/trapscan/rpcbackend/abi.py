@@ -18,10 +18,6 @@ class DecodeError(ValueError):
     """Log or return payload does not match the expected layout."""
 
 
-def to_hex(value: int) -> str:
-    return hex(value)
-
-
 def hex_to_int(text: str) -> int:
     if not isinstance(text, str) or not text.startswith("0x"):
         raise DecodeError(f"expected 0x hex quantity, got {text!r}")
@@ -148,7 +144,6 @@ SEL_FEE = selector("fee()")
 SEL_SWAP_EXACT_TOKENS = selector(
     "swapExactTokensForTokens(uint256,uint256,address[],address,uint256)"
 )
-SEL_GET_AMOUNTS_OUT = selector("getAmountsOut(uint256,address[])")
 SEL_QUOTE_EXACT_INPUT_SINGLE = selector(
     "quoteExactInputSingle(address,address,uint24,uint256,uint160)"
 )
@@ -194,12 +189,6 @@ def encode_swap_exact_tokens(
     )
     tail = enc_uint(len(path)) + b"".join(enc_address(a) for a in path)
     return SEL_SWAP_EXACT_TOKENS + head + tail
-
-
-def encode_get_amounts_out(amount_in: int, path: list[Address]) -> bytes:
-    head = enc_uint(amount_in) + enc_uint(2 * 32)
-    tail = enc_uint(len(path)) + b"".join(enc_address(a) for a in path)
-    return SEL_GET_AMOUNTS_OUT + head + tail
 
 
 def encode_quote_exact_input_single(

@@ -41,7 +41,6 @@ from ..chainview import (
     SwapRecord,
     TransferRecord,
     UnknownPool,
-    UnknownToken,
     check_range,
 )
 from ..core import Address, BlockIndex, DexVersion, PoolInfo, TokenAmount
@@ -173,21 +172,6 @@ class RpcChainView(ChainView):
         if sender is not None:
             tx["from"] = sender.hex
         return self.client.call("eth_call", [tx, hex(block)])
-
-    def _tx_sender(self, tx_hash: bytes) -> Address | None:
-        with self._lock:
-            if tx_hash in self._tx_sender_cache:
-                return self._tx_sender_cache[tx_hash]
-        sender: Address | None = None
-        try:
-            obj = self.client.call("eth_getTransactionByHash", [abi.bytes_to_hex(tx_hash)])
-            if obj and obj.get("from"):
-                sender = Address.from_hex(obj["from"])
-        except (RpcError, TransportError, ValueError):
-            sender = None
-        with self._lock:
-            self._tx_sender_cache[tx_hash] = sender
-        return sender
 
     def _resolve_tx_senders(self, hashes: list[bytes]) -> None:
         missing = []

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,16 @@ from trapscan.corpus import gen_corpus, generate_scenario
 from trapscan.mockchain.scenario_io import dump_scenario
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args):
+    # The child needs src/ on its path just as this process has it.
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "trapscan.cli", *args],
         capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -155,16 +162,16 @@ class TestScan:
         assert proc.returncode == 1
         assert "endpoint" in proc.stderr
 
-    def test_live_scan_over_replay_node(self, tmp_path, monkeypatch, capsys):
-        """Full live-mode path (discovery, scan, checkpoint, summary) against
-        the in-process replay node."""
+    def _live_scan(self, tmp_path, monkeypatch, wrap_node=lambda node: node):
+        """Run `trapscan scan --mode live` in-process against the replay
+        node, seen through `wrap_node`; returns the exit code and out path."""
         import trapscan.rpcbackend as rpcbackend
         from fake_node import FakeNode
         from trapscan.mockchain import run_attack_script, wash_and_drain_script
 
         script, seed = wash_and_drain_script()
         trace = run_attack_script(script, seed)
-        node = FakeNode(chain=trace.chain)
+        node = wrap_node(FakeNode(chain=trace.chain))
         real_cls = rpcbackend.RpcChainView
 
         def patched(config, transport=None):
@@ -180,14 +187,39 @@ class TestScan:
         code = main([
             "scan", "--mode", "live", "--config", str(config),
             "--from-block", "1", "--to-block", str(trace.final_block),
-            "--checkpoint", str(tmp_path / "ck.json"), "--out", str(out),
+            "--checkpoint", str(tmp_path / "ck.jsonl"), "--out", str(out),
         ])
+        return code, out
+
+    def test_live_scan_over_replay_node(self, tmp_path, monkeypatch, capsys):
+        """Full live-mode path (discovery, scan, checkpoint, summary) against
+        the in-process replay node."""
+        code, out = self._live_scan(tmp_path, monkeypatch)
         stdout = capsys.readouterr().out
         assert code == 0
         assert "1/1" in stdout
         obj = json.loads(out.read_text().splitlines()[0])
         assert obj["traps"] == ["UnauthorizedTransfer"]
         assert validate_verdict_obj(obj) == []
+
+    def test_live_scan_reports_failed_pools(self, tmp_path, monkeypatch, capsys):
+        """A node that errors on every eth_callMany fails every pool: the
+        scan still finishes, prints the count and exits 1."""
+
+        def failing_call_many(node):
+            def transport(payload):
+                if isinstance(payload, dict) and payload["method"] == "eth_callMany":
+                    return {"jsonrpc": "2.0", "id": payload["id"],
+                            "error": {"code": -32000, "message": "internal error"}}
+                return node(payload)
+            return transport
+
+        code, out = self._live_scan(tmp_path, monkeypatch, failing_call_many)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "failed: 1" in captured.err
+        assert "0/0" in captured.out
+        assert out.read_text() == ""
 
 
 class TestInProcess:

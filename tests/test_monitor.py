@@ -1,17 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from conftest import run_simple
-from trapscan.core import Address
-from trapscan.mockchain import (
-    Drain,
-    HiddenTax,
-    Honest,
-    OwnerDrain,
-    run_attack_script,
-    wash_and_drain_script,
-)
+from trapscan.mockchain import run_attack_script, wash_and_drain_script
 from trapscan.monitor import (
     IngestGap,
     MissingSnapshot,
@@ -20,8 +9,6 @@ from trapscan.monitor import (
     discover_pools,
     ingest_block,
     pick_orientations,
-    watch_from_json,
-    watch_to_json,
 )
 
 
@@ -105,7 +92,7 @@ class TestIngest:
         two = PoolWatch.create(drain_trace.pool, drain_trace.trap_token)
         for block in range(1, head + 1):
             ingest_block(two, drain_trace.chain, block)
-        assert watch_to_json(one) == watch_to_json(two)
+        assert one == two
 
     def test_liquidity_flags(self, drain_trace):
         watch = build_watch(drain_trace)
@@ -159,26 +146,3 @@ class TestBuyerDelta:
         with pytest.raises(MissingSnapshot):
             buyer_delta(ledger, 0, drain_trace.chain.head())
 
-
-class TestCheckpoint:
-    def test_roundtrip_preserves_watch(self, drain_trace):
-        watch = build_watch(drain_trace)
-        restored = watch_from_json(watch_to_json(watch))
-        assert watch_to_json(restored) == watch_to_json(watch)
-        assert set(restored.buyers) == set(watch.buyers)
-        assert restored.last_ingested == watch.last_ingested
-
-    def test_resume_continues_ingestion(self, drain_trace):
-        head = drain_trace.chain.head()
-        half = head // 2
-        watch = build_watch(drain_trace, upto=half)
-        restored = watch_from_json(watch_to_json(watch))
-        for block in range(half + 1, head + 1):
-            ingest_block(restored, drain_trace.chain, block)
-        assert watch_to_json(restored) == watch_to_json(build_watch(drain_trace))
-
-    def test_schema_id_checked(self, drain_trace):
-        watch = build_watch(drain_trace)
-        doc = watch_to_json(watch).replace("trapscan-poolwatch/1", "other/9")
-        with pytest.raises(Exception):
-            watch_from_json(doc)

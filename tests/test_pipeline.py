@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import run_simple, simple_script
+from conftest import run_simple
 from fake_node import FakeNode
-from trapscan.core import TrapType
+from trapscan import pipeline
+from trapscan.core import Address, TrapType
 from trapscan.mockchain import (
     DelayedSellTax,
     Drain,
@@ -14,15 +16,16 @@ from trapscan.mockchain import (
     Honest,
     LimitedSell,
     ListGate,
+    MockChain,
     OwnerDrain,
     SwitchTrigger,
     Wait,
     derive_actors,
-    run_attack_script,
 )
 from trapscan.pipeline import (
     ScanSettings,
     ScanSummary,
+    read_checkpoint,
     scan_pool,
     scan_pools,
     scan_pools_resumable,
@@ -165,8 +168,6 @@ class TestMultiPool:
         assert summary.per_trap == {"InvalidSell": 2}
         table = summary.table()
         assert "2/3" in table and "InvalidSell" in table
-        csv = summary.to_csv()
-        assert "InvalidSell,2" in csv and "total,2/3" in csv
 
 
 class TestResume:
@@ -186,3 +187,107 @@ class TestResume:
         )
         assert first == full_lines == resumed
         assert summary.scanned == 1
+
+
+def three_pool_chain():
+    """One mock chain with three honest pools, each bought once."""
+    owner, buyer = Address.derive("owner"), Address.derive("buyer")
+    chain = MockChain()
+    base = chain.deploy_token(Honest(Fraction(0)), 10**24, owner)
+    assert chain.token_transfer(base, owner, buyer, 10**8).ok
+    targets = []
+    for _ in range(3):
+        token = chain.deploy_token(Honest(Fraction(0)), 10**24, owner)
+        pool = chain.create_pool(base, token)
+        assert chain.add_liquidity(pool, owner, 10**9, 10**9).ok
+        targets.append((chain.pool_info(pool), token))
+    chain.advance_block()
+    for info, _token in targets:
+        assert chain.swap(info.pool, buyer, base, 10**6, buyer).ok
+    chain.advance_block(3)
+    return chain, targets
+
+
+class FailingView:
+    """Delegates to a chain but raises on every swap query for one pool."""
+
+    def __init__(self, chain, bad_pool):
+        self._chain = chain
+        self._bad_pool = bad_pool
+
+    def get_swaps(self, pool, block_range):
+        if pool == self._bad_pool:
+            raise RuntimeError("node fell over")
+        return self._chain.get_swaps(pool, block_range)
+
+    def __getattr__(self, name):
+        return getattr(self._chain, name)
+
+
+class TestFailureParity:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_pools_counts_a_failing_pool(self, workers):
+        chain, targets = three_pool_chain()
+        view = FailingView(chain, targets[1][0].pool)
+        verdicts, summary = scan_pools(
+            view, targets, 1, chain.head(), ScanSettings(workers=workers)
+        )
+        assert summary.failures == 1
+        assert summary.scanned == 2
+        assert [v.pool.pool for v in verdicts] == [targets[0][0].pool, targets[2][0].pool]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumable_counts_a_failing_pool(self, workers, tmp_path):
+        chain, targets = three_pool_chain()
+        view = FailingView(chain, targets[1][0].pool)
+        path = tmp_path / "scan.ckpt"
+        lines, summary = scan_pools_resumable(
+            view, targets, 1, chain.head(), ScanSettings(workers=workers), path
+        )
+        assert summary.failures == 1
+        kept = [targets[0], targets[2]]
+        assert [json.loads(line)["pool"] for line in lines] == [p.pool.hex for p, _ in kept]
+        assert read_checkpoint(path) == {
+            f"{p.pool.hex}:{t.hex}": line for (p, t), line in zip(kept, lines)
+        }
+
+
+class TestCrashSafeResume:
+    def test_torn_last_record_rescans_only_that_pool(self, tmp_path, monkeypatch):
+        chain, targets = three_pool_chain()
+        one_pass, _ = scan_pools_resumable(chain, targets, 1, chain.head())
+        path = tmp_path / "scan.ckpt"
+        scan_pools_resumable(chain, targets, 1, chain.head(), checkpoint_path=path)
+        text = path.read_text()
+        last_start = text.rstrip("\n").rfind("\n") + 1
+        path.write_text(text[: last_start + (len(text) - last_start) // 2])
+
+        scanned = []
+        real_scan_pool = pipeline.scan_pool
+
+        def counting_scan_pool(chain, pool, *args, **kwargs):
+            scanned.append(pool.pool)
+            return real_scan_pool(chain, pool, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "scan_pool", counting_scan_pool)
+        lines, summary = scan_pools_resumable(
+            chain, targets, 1, chain.head(), checkpoint_path=path
+        )
+        assert scanned == [targets[2][0].pool]
+        assert lines == one_pass
+        assert summary.scanned == 3 and summary.failures == 0
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records[0] == {"schema": "trapscan-scan-checkpoint/2"}
+        assert [r["line"] for r in records[1:]] == one_pass
+
+    def test_torn_header_starts_afresh(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        path.write_text('{"schema": "trapscan-sc')
+        assert read_checkpoint(path) == {}
+        assert path.read_text() == ""
+
+    def test_version_one_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        path.write_text(json.dumps({"schema": "trapscan-scan-checkpoint/1", "done": {}}))
+        with pytest.raises(ValueError, match="trapscan-scan-checkpoint/1"):
+            read_checkpoint(path)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from conftest import run_simple
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
 from trapscan.core import Address
-from trapscan.mockchain import GateMode, HiddenTax, Honest, ListGate, MockChain
-from trapscan.monitor import watch_to_json  # noqa: F401  (import sanity)
+from trapscan.mockchain import GateMode, Honest, ListGate, MockChain
 from trapscan.simulator import (
-    Bundle,
     BundleKind,
     NoLiquidity,
     ProbeFailed,
