@@ -20,7 +20,7 @@ from .analyzer import (
 from .chainview import ChainView
 from .core import Address, BlockIndex, DexVersion, PoolInfo, TokenAmount, TrapType
 from .mockchain import MockChain, run_attack_script
-from .monitor import PoolWatch, discover_pools, ingest_block
+from .monitor import PoolWatch, ingest_block
 from .pipeline import ScanSettings, ScanSummary, scan_pool, scan_pools
 from .simulator import (
     Bundle,
@@ -59,7 +59,6 @@ __all__ = [
     "check_invalid_sell",
     "check_unauthorized_transfer",
     "classify_pool",
-    "discover_pools",
     "estimate_output",
     "ingest_block",
     "recompute_finding",

@@ -166,15 +166,14 @@ class CallOutcome:
     """Result of one bundle call.
 
     Revert outcomes carry no state change; success outcomes report every
-    record the call emitted. `degraded` marks outcomes produced by a
-    fallback simulation path that cannot chain state between calls.
+    record the call emitted. Every outcome comes from a bundle whose calls
+    ran in order on one fork; a backend that cannot do that raises instead.
     """
 
     status: CallStatus
     revert_reason: str | None = None
     return_value: TokenAmount | None = None
     emitted: tuple[TransferRecord | SwapRecord, ...] = ()
-    degraded: bool = False
 
     @property
     def ok(self) -> bool:

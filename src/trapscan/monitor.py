@@ -1,4 +1,4 @@
-"""Per-pool evidence ledger: buyers, balances, transfers, liquidity.
+"""Per-pool evidence ledger: buyers, balances, transfers, liquidity flags.
 
 A `PoolWatch` is fed strictly one block at a time. Every recipient of the
 watched trap token in a swap becomes a tracked buyer; from then on the
@@ -15,7 +15,6 @@ from .chainview import (
     ApproveRecord,
     BalanceSnapshot,
     ChainView,
-    LiquidityEvent,
     SwapRecord,
     TransferRecord,
     UnknownPool,
@@ -68,7 +67,6 @@ class PoolWatch:
     trap_token: Address
     base_token: Address
     buyers: dict[Address, BuyerLedger] = field(default_factory=dict)
-    liquidity: list[LiquidityEvent] = field(default_factory=list)
     has_liquidity: dict[int, bool] = field(default_factory=dict)
     last_ingested: int | None = None
 
@@ -78,14 +76,6 @@ class PoolWatch:
 
     def liquid_at(self, block: int) -> bool:
         return self.has_liquidity.get(block, False)
-
-
-def discover_pools(chain: ChainView, block_range: tuple[int, int]) -> list[PoolInfo]:
-    """Validated pass-through of the backend's pool-creation query."""
-    lo, hi = block_range
-    if hi < lo or lo < 0:
-        raise ValueError(f"invalid block range: {block_range}")
-    return chain.get_pool_created(block_range)
 
 
 def pick_orientations(
@@ -151,7 +141,6 @@ def ingest_block(watch: PoolWatch, chain: ChainView, block: int) -> PoolWatch:
         snap = chain.balance_of(watch.trap_token, ledger.buyer, block)
         ledger.snapshots.append(snap)
 
-    watch.liquidity.extend(chain.get_liquidity_events(watch.pool.pool, one))
     try:
         rx, ry = chain.get_reserves(watch.pool.pool, block)
         watch.has_liquidity[block] = rx > 0 and ry > 0

@@ -4,9 +4,9 @@ Implements the chainview contract: pool discovery and event queries via
 eth_getLogs (with automatic range splitting when the node refuses large
 result sets), state reads via eth_call at historical blocks, and bundle
 simulation via the node's callMany interface with state overrides funding
-the probe account. When callMany is unavailable the backend degrades to
-independent eth_call simulations and flags the outcomes, since later
-calls then cannot see earlier calls' effects.
+the probe account. callMany is the only simulation path: on a node that
+lacks it, `simulate_bundle` raises `MethodNotSupported` and the pool gets
+no verdict, since independent eth_calls cannot see each other's effects.
 
 Pinned callMany request shape (positional):
 
@@ -15,8 +15,7 @@ Pinned callMany request shape (positional):
                   {<address>: {"balance"|"stateDiff": ...}, ...}]
 
 and the response is one list of {"value": hex} | {"error": {...}} per
-bundle. A capability probe runs on first use and its result is kept on
-`capabilities`.
+bundle.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .abi import DecodeError
 from .client import (
     EndpointConfig,
     JsonRpcClient,
-    MethodNotSupported,
     NodeLimitError,
     RpcError,
     TransportError,
@@ -116,7 +114,6 @@ class RpcChainView(ChainView):
         self._tx_sender_cache: dict[bytes, Address | None] = {}
         self._lock = threading.Lock()
         self.decode_skipped = 0
-        self.capabilities: dict[str, bool] = {}
 
     # ------------------------------------------------------------------
     # plumbing
@@ -520,26 +517,6 @@ class RpcChainView(ChainView):
                 )
         return overrides
 
-    def probe_capabilities(self) -> dict[str, bool]:
-        """Check once whether the node offers bundle simulation."""
-        if "eth_callMany" in self.capabilities:
-            return dict(self.capabilities)
-        head = self.head()
-        probe = [
-            [{"transactions": [], "blockOverride": {}}],
-            {"blockNumber": hex(head), "transactionIndex": -1},
-            {},
-        ]
-        try:
-            self.client.call("eth_callMany", probe)
-            self.capabilities["eth_callMany"] = True
-        except MethodNotSupported:
-            self.capabilities["eth_callMany"] = False
-        except (RpcError, TransportError):
-            # Method exists but disliked the empty probe.
-            self.capabilities["eth_callMany"] = True
-        return dict(self.capabilities)
-
     def simulate_bundle(
         self,
         block: int,
@@ -548,12 +525,7 @@ class RpcChainView(ChainView):
     ) -> list[CallOutcome]:
         if not calls:
             raise EmptyBundle("bundle must contain at least one call")
-        if self.probe_capabilities().get("eth_callMany"):
-            try:
-                return self._simulate_call_many(block, calls, balance_overrides)
-            except MethodNotSupported:
-                self.capabilities["eth_callMany"] = False
-        return self._simulate_degraded(block, calls, balance_overrides)
+        return self._simulate_call_many(block, calls, balance_overrides)
 
     def _simulate_call_many(self, block, calls, balance_overrides) -> list[CallOutcome]:
         txs: list[dict] = []
@@ -615,40 +587,6 @@ class RpcChainView(ChainView):
             except DecodeError:
                 return _revert(f"bad swap payload: {value!r}")
         return _success(None)
-
-    def _simulate_degraded(self, block, calls, balance_overrides) -> list[CallOutcome]:
-        """Per-call eth_call fallback: no state chaining between calls."""
-        outcomes = []
-        for call in calls:
-            call_txs, kind = self._compile_call(call)
-            tx = call_txs[-1]
-            try:
-                value = self.client.call("eth_call", [tx, hex(block)])
-            except RpcError as exc:
-                outcomes.append(
-                    CallOutcome(status=CallStatus.REVERT, revert_reason=exc.message,
-                                degraded=True)
-                )
-                continue
-            except TransportError as exc:
-                raise BackendUnavailable(str(exc)) from exc
-            if kind == "balance":
-                try:
-                    ret = abi.dec_uint(abi.hex_to_bytes(value))
-                except DecodeError:
-                    ret = None
-            elif kind == "swap":
-                try:
-                    arr = abi.decode_uint_array(abi.hex_to_bytes(value))
-                    ret = arr[-1] if arr else 0
-                except DecodeError:
-                    ret = None
-            else:
-                ret = None
-            outcomes.append(
-                CallOutcome(status=CallStatus.SUCCESS, return_value=ret, degraded=True)
-            )
-        return outcomes
 
 
 def _addr(hex_or_none, default: Address | None) -> Address:

@@ -4,8 +4,8 @@ Serves eth_getLogs / eth_call / eth_callMany / eth_getTransactionByHash
 with real Ethereum wire encodings (topics, ABI words, hex quantities), so
 the RPC backend's encoders and decoders are exercised end to end with
 zero network access. Fault injection knobs cover the node-limit split
-path, the missing-callMany degraded path, and transient transport
-failures.
+path, a node without callMany (which must fail the simulation), and
+transient transport failures.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ Runs twice: once against the mock chain directly, once against the RPC
 backend driven by the in-process fake node (scripted replay, no network).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from trapscan.mockchain import (
     run_attack_script,
     wash_and_drain_script,
 )
+from trapscan.pipeline import scan_pool
 from trapscan.rpcbackend import EndpointConfig, RpcChainView
 
 
@@ -92,6 +94,11 @@ class TestQueries:
         assert [p.pool for p in pools] == [late]
         both = chain.get_pool_created((0, 10))
         assert [p.pool for p in both] == [early, late]
+
+    def test_invalid_creation_range_rejected(self, drain_world):
+        _, chain = drain_world
+        with pytest.raises(ValueError):
+            chain.get_pool_created((5, 1))
 
     def test_swaps_complete_and_ordered(self, drain_world):
         trace, chain = drain_world
@@ -278,3 +285,15 @@ class TestLogVisibility:
         assert delivered
         actual = chain.balance_of(trace.trap_token, victim, head).balance
         assert delivered[0].value > actual * 2  # event claims far more than arrived
+
+
+class TestFalsePositiveGuard:
+    def test_honest_taxed_pools_clean(self, backend_factory):
+        """Honest pools taxed 0-49% give zero findings on every backend."""
+        rng = random.Random(20)
+        for i in range(20):
+            tax = Fraction(49 * i // 19, 100)  # 0% up to 49%
+            trace = run_simple(Honest(tax), seed=rng.randrange(2**31), victims=2)
+            chain = backend_factory(trace)
+            verdict = scan_pool(chain, trace.pool, trace.trap_token, 1, trace.final_block)
+            assert verdict.findings == [], f"pool {i} (tax={tax}): {verdict.findings}"

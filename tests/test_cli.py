@@ -10,6 +10,7 @@ from trapscan.analyzer import validate_verdict_obj
 from trapscan.cli import main
 from trapscan.corpus import gen_corpus, generate_scenario
 from trapscan.mockchain.scenario_io import dump_scenario
+from trapscan.pipeline import read_checkpoint
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -202,24 +203,31 @@ class TestScan:
         assert obj["traps"] == ["UnauthorizedTransfer"]
         assert validate_verdict_obj(obj) == []
 
-    def test_live_scan_reports_failed_pools(self, tmp_path, monkeypatch, capsys):
-        """A node that errors on every eth_callMany fails every pool: the
-        scan still finishes, prints the count and exits 1."""
+    @pytest.mark.parametrize("code, message", [
+        (-32000, "internal error"),
+        (-32601, "the method eth_callMany does not exist"),
+    ], ids=["-32000", "-32601"])
+    def test_live_scan_reports_failed_pools(self, tmp_path, monkeypatch, capsys,
+                                            code, message):
+        """A node that errors on every eth_callMany, or does not serve it,
+        fails every pool: the scan still finishes, prints the count, writes
+        no verdict and exits 1."""
 
         def failing_call_many(node):
             def transport(payload):
                 if isinstance(payload, dict) and payload["method"] == "eth_callMany":
                     return {"jsonrpc": "2.0", "id": payload["id"],
-                            "error": {"code": -32000, "message": "internal error"}}
+                            "error": {"code": code, "message": message}}
                 return node(payload)
             return transport
 
-        code, out = self._live_scan(tmp_path, monkeypatch, failing_call_many)
+        exit_code, out = self._live_scan(tmp_path, monkeypatch, failing_call_many)
         captured = capsys.readouterr()
-        assert code == 1
+        assert exit_code == 1
         assert "failed: 1" in captured.err
         assert "0/0" in captured.out
         assert out.read_text() == ""
+        assert read_checkpoint(tmp_path / "ck.jsonl") == {}  # a rerun scans it
 
 
 class TestInProcess:

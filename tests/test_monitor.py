@@ -6,7 +6,6 @@ from trapscan.monitor import (
     MissingSnapshot,
     PoolWatch,
     buyer_delta,
-    discover_pools,
     ingest_block,
     pick_orientations,
 )
@@ -23,16 +22,6 @@ def build_watch(trace, upto=None):
 def drain_trace():
     script, seed = wash_and_drain_script()
     return run_attack_script(script, seed)
-
-
-class TestDiscovery:
-    def test_pass_through(self, drain_trace):
-        pools = discover_pools(drain_trace.chain, (0, drain_trace.chain.head()))
-        assert [p.pool for p in pools] == [drain_trace.pool.pool]
-
-    def test_invalid_range(self, drain_trace):
-        with pytest.raises(ValueError):
-            discover_pools(drain_trace.chain, (5, 1))
 
 
 class TestOrientations:

@@ -11,6 +11,7 @@ from trapscan.mockchain import Honest
 from trapscan.rpcbackend import (
     EndpointConfig,
     JsonRpcClient,
+    MethodNotSupported,
     RpcChainView,
     TransportError,
     erc20_balance_slot,
@@ -269,7 +270,6 @@ class TestSimulateBundle:
         assert outcomes[0].return_value == 10**12
         assert outcomes[1].ok and outcomes[1].return_value > 0
         assert outcomes[2].return_value == outcomes[1].return_value
-        assert not any(o.degraded for o in outcomes)
 
     def test_revert_reason_preserved(self, backend):
         trace, _, rpc = backend
@@ -283,19 +283,19 @@ class TestSimulateBundle:
         with pytest.raises(Exception):
             rpc.simulate_bundle(1, [])
 
-    def test_degraded_fallback_without_call_many(self, backend):
+    def test_missing_call_many_raises(self, backend):
+        """No eth_call fallback: one eth_callMany request, then the error."""
         trace, _, _ = backend
         node = FakeNode(chain=trace.chain, support_call_many=False)
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
         probe = Address.derive("probe")
-        victim = trace.actors.victims[0]
-        outcomes = rpc.simulate_bundle(
-            trace.chain.head(),
-            [BalanceOfCall(caller=probe, token=trace.trap_token, holder=victim)],
-        )
-        assert rpc.capabilities["eth_callMany"] is False
-        assert all(o.degraded for o in outcomes)
-        assert outcomes[0].ok and outcomes[0].return_value > 0
+        rpc.pool_info(trace.pool.pool)  # metadata reads are not simulation
+        node.requests.clear()
+        with pytest.raises(MethodNotSupported):
+            rpc.simulate_bundle(trace.chain.head(), self._calls(trace, probe),
+                                {(trace.base_token, probe): 10**12})
+        assert node.requests.count_method("eth_callMany") == 1
+        assert node.requests.count_method("eth_call") == 0
 
 
 class TestBackendQueries:
