@@ -65,9 +65,12 @@ class PoolVerdict:
 
 
 def _threshold_parts(threshold: Fraction) -> tuple[int, int]:
-    if not (0 < threshold < 1):
+    # A Fraction keeps its denominator positive, so 0 < threshold < 1 is
+    # 0 < num < den: two int comparisons instead of two Fraction ones.
+    num, den = threshold.numerator, threshold.denominator
+    if not 0 < num < den:
         raise ValueError("threshold must be in (0, 1)")
-    return threshold.numerator, threshold.denominator
+    return num, den
 
 
 def check_invalid_buy(
@@ -197,37 +200,42 @@ def _amounts_agree(delta: int, expected: int, num: int, den: int) -> bool:
 
 
 def check_cannot_sell(
-    results: list[SimulationResult], min_distinct_blocks: int = MIN_REVERT_BLOCKS
+    result: SimulationResult,
+    streak: list[int],
+    min_distinct_blocks: int = MIN_REVERT_BLOCKS,
 ) -> Finding | None:
-    """Sell attempts revert in multiple distinct blocks with no successful
-    sell between them."""
-    if not results:
-        raise AnalyzerError("need at least one sell simulation")
-    sellish = [r for r in results if r.bundle.kind in (BundleKind.SELL, BundleKind.BUY_SELL)]
-    if any(r.bundle.kind is BundleKind.BUY_PROBE for r in results):
-        raise WrongBundleKind("buy probes carry no sell attempt")
-    ordered = sorted(sellish, key=lambda r: r.bundle.block)
-    streak: list[int] = []
-    for r in ordered:
-        if r.sell_reverted:
-            if not streak or streak[-1] != r.bundle.block:
-                streak.append(r.bundle.block)
-            if len(streak) >= min_distinct_blocks:
-                return Finding(
-                    trap=TrapType.CANNOT_SELL,
-                    pool=r.bundle.pool.pool,
-                    subject=r.bundle.actor,
-                    block=streak[-1],
-                    evidence={
-                        "kind": "cannot_sell",
-                        "revert_blocks": list(streak),
-                        "min_distinct_blocks": min_distinct_blocks,
-                        "revert_reason": _sell_reason(r),
-                    },
-                )
-        else:
-            streak = []
-    return None
+    """Fold one sell attempt into a subject's running revert streak.
+
+    `streak` holds the distinct blocks of the subject's consecutive
+    reverted sells and is updated in place: a sell that goes through
+    clears it, a revert in a block already on it does not count twice.
+    Results are folded in block order. The finding is returned once the
+    streak spans `min_distinct_blocks` blocks with no successful sell
+    between them; callers stop folding a subject once it has its finding.
+    """
+    if result.bundle.kind not in (BundleKind.SELL, BundleKind.BUY_SELL):
+        raise WrongBundleKind(f"need a sell-carrying bundle, got {result.bundle.kind}")
+    if not result.sell_reverted:
+        streak.clear()
+        return None
+    block = result.bundle.block
+    if streak and streak[-1] == block:
+        return None
+    streak.append(block)
+    if len(streak) < min_distinct_blocks:
+        return None
+    return Finding(
+        trap=TrapType.CANNOT_SELL,
+        pool=result.bundle.pool.pool,
+        subject=result.bundle.actor,
+        block=block,
+        evidence={
+            "kind": "cannot_sell",
+            "revert_blocks": list(streak),
+            "min_distinct_blocks": min_distinct_blocks,
+            "revert_reason": _sell_reason(result),
+        },
+    )
 
 
 def _sell_reason(result: SimulationResult) -> str | None:

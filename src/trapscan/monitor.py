@@ -9,6 +9,7 @@ logic consumes these ledgers, never the chain directly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .chainview import (
@@ -37,7 +38,11 @@ class MissingSnapshot(MonitorError):
 
 @dataclass
 class BuyerLedger:
-    """Everything observed about one buyer of the trap token."""
+    """Everything observed about one buyer of the trap token.
+
+    Ingestion appends to every list in block order; the block lookups
+    below bisect on that order.
+    """
 
     buyer: Address
     pool: Address
@@ -48,9 +53,9 @@ class BuyerLedger:
     approvals: list[ApproveRecord] = field(default_factory=list)
 
     def snapshot_at(self, block: int) -> BalanceSnapshot:
-        for snap in self.snapshots:
-            if snap.block.number == block:
-                return snap
+        i = bisect_left(self.snapshots, block, key=_block_number)
+        if i < len(self.snapshots) and self.snapshots[i].block.number == block:
+            return self.snapshots[i]
         raise MissingSnapshot(f"no snapshot for {self.buyer} at block {block}")
 
     def latest_snapshot(self) -> BalanceSnapshot:
@@ -157,11 +162,20 @@ def buyer_delta(
     logged transfers touching the buyer in (from_block, to_block]."""
     start = ledger.snapshot_at(from_block)
     end = ledger.snapshot_at(to_block)
-    moved = [
-        t for t in ledger.transfers if from_block < t.block.number <= to_block
-    ]
-    return end.balance - start.balance, moved
+    return end.balance - start.balance, _in_window(ledger.transfers, from_block, to_block)
 
 
 def swaps_in_window(ledger: BuyerLedger, from_block: int, to_block: int) -> list[SwapRecord]:
-    return [s for s in ledger.buys if from_block < s.block.number <= to_block]
+    return _in_window(ledger.buys, from_block, to_block)
+
+
+def _block_number(record: SwapRecord | TransferRecord | BalanceSnapshot) -> int:
+    return record.block.number
+
+
+def _in_window(records: list, from_block: int, to_block: int) -> list:
+    """The records in (from_block, to_block] of a list kept in block order,
+    found by bisection so a window costs the same however long the list."""
+    lo = bisect_right(records, from_block, key=_block_number)
+    hi = bisect_right(records, to_block, lo=lo, key=_block_number)
+    return records[lo:hi]

@@ -9,6 +9,12 @@ detection round (each `interval` blocks, provided liquidity is present):
     buy-and-sell round trip when the probe delivered,
   * reconciles each buyer's balance movement against the logged evidence.
 
+No step of a round reads the scan's whole history. Each sell result is
+folded into its subject's running CannotSell revert streak and then
+dropped (see `PoolScanState`), and the ledger reads find their window of
+blocks by bisection, so a round late in a long scan costs what an early
+one does.
+
 Findings accumulate into one verdict per pool. Distinct pools are
 independent, so a multi-pool scan runs them through one executor,
 `_scan_each`: in the calling thread when `workers <= 1`, otherwise on one
@@ -30,6 +36,7 @@ from pathlib import Path
 
 from .analyzer import (
     DEFAULT_THRESHOLD,
+    MIN_REVERT_BLOCKS,
     Finding,
     PoolVerdict,
     check_cannot_sell,
@@ -77,11 +84,17 @@ class ScanSettings:
 
 @dataclass
 class PoolScanState:
-    """Mutable per-pool scan progress; owned by a single worker."""
+    """Mutable per-pool scan progress; owned by a single worker.
+
+    Simulation results are not kept. Each subject's sell results are
+    folded into its CannotSell revert streak as they arrive. A streak of
+    `MIN_REVERT_BLOCKS` blocks has produced the subject's finding and is
+    not folded again, so no streak grows however long the scan runs.
+    """
 
     watch: PoolWatch
     findings: list[Finding] = field(default_factory=list)
-    sell_history: dict[Address, list[SimulationResult]] = field(default_factory=dict)
+    revert_streaks: dict[Address, list[int]] = field(default_factory=dict)
     skipped_rounds: list[dict] = field(default_factory=list)
     finding_keys: set[tuple[TrapType, Address, int]] = field(default_factory=set)
 
@@ -93,6 +106,12 @@ class PoolScanState:
             return
         self.finding_keys.add(key)
         self.findings.append(finding)
+
+    def fold_sell(self, result: SimulationResult) -> None:
+        """Fold a subject's newest sell result into its revert streak."""
+        streak = self.revert_streaks.setdefault(result.bundle.actor, [])
+        if len(streak) < MIN_REVERT_BLOCKS:
+            self.add_finding(check_cannot_sell(result, streak))
 
 
 def probe_account_for(pool: PoolInfo) -> Address:
@@ -119,7 +138,6 @@ def run_detection_round(
 
     prev_round = block - settings.interval
     for buyer, ledger in watch.buyers.items():
-        history = state.sell_history.setdefault(buyer, [])
         balance = ledger.latest_snapshot().balance
         if balance > 0:
             try:
@@ -135,11 +153,9 @@ def run_detection_round(
                         {"block": block, "reason": "estimate=0", "subject": buyer.hex}
                     )
                 else:
-                    history.append(result)
                     if not result.sell_reverted:
                         state.add_finding(check_invalid_sell(result, settings.threshold))
-        if history:
-            state.add_finding(check_cannot_sell(history))
+                    state.fold_sell(result)
         try:
             state.add_finding(
                 check_unauthorized_transfer(
@@ -164,7 +180,6 @@ def run_detection_round(
         return
     state.add_finding(check_invalid_buy(probe_result, settings.threshold))
 
-    probe_history = state.sell_history.setdefault(probe, [])
     try:
         roundtrip = build_buy_sell_bundle(
             chain, probe, watch.pool, watch.trap_token, buy_amount, probe_result, block
@@ -175,10 +190,9 @@ def run_detection_round(
     if rt_result.estimate == 0:
         state.skipped_rounds.append({"block": block, "reason": "estimate=0", "subject": probe.hex})
         return
-    probe_history.append(rt_result)
     if not rt_result.sell_reverted:
         state.add_finding(check_invalid_sell(rt_result, settings.threshold))
-    state.add_finding(check_cannot_sell(probe_history))
+    state.fold_sell(rt_result)
 
 
 def _first_snapshot(ledger) -> int:

@@ -2,9 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_simple
 from trapscan.analyzer import (
+    MIN_REVERT_BLOCKS,
+    AnalyzerError,
     Finding,
     WrongBundleKind,
     _amounts_agree,
@@ -47,7 +51,7 @@ SPENDER = Address.derive("spender")
 POOL_INFO = PoolInfo(pool=POOL, token_x=TOKEN_X, token_y=TOKEN_Y)
 
 
-def fake_result(kind, pre, post, estimate, block=10, sell_reverted=False):
+def fake_result(kind, pre, post, estimate, block=10, sell_reverted=False, reason="no"):
     """Hand-built SimulationResult carrying only what the predicates read."""
     positions = {BundleKind.SELL: 3, BundleKind.BUY_PROBE: 3, BundleKind.BUY_SELL: 4}
     n = positions[kind]
@@ -57,7 +61,7 @@ def fake_result(kind, pre, post, estimate, block=10, sell_reverted=False):
     if sell_reverted:
         pos = 1 if kind is BundleKind.SELL else 2
         outcomes = tuple(
-            CallOutcome(status=CallStatus.REVERT, revert_reason="no") if i == pos else o
+            CallOutcome(status=CallStatus.REVERT, revert_reason=reason) if i == pos else o
             for i, o in enumerate(outcomes)
         )
     token = TOKEN_Y if kind is BundleKind.BUY_PROBE else TOKEN_X
@@ -120,45 +124,118 @@ class TestInvalidSell:
             check_invalid_sell(fake_result(BundleKind.BUY_PROBE, 0, 90, 90))
 
 
+def fold_cannot_sell(results, min_distinct_blocks=MIN_REVERT_BLOCKS):
+    """Fold results in order into one streak; the first finding, or None."""
+    streak = []
+    for r in results:
+        finding = check_cannot_sell(r, streak, min_distinct_blocks)
+        if finding is not None:
+            return finding
+    return None
+
+
+def whole_history_cannot_sell(results, min_distinct_blocks=MIN_REVERT_BLOCKS):
+    """The whole-history CannotSell predicate the fold replaced, kept as
+    the reference the fold must agree with."""
+    if not results:
+        raise AnalyzerError("need at least one sell simulation")
+    sellish = [r for r in results if r.bundle.kind in (BundleKind.SELL, BundleKind.BUY_SELL)]
+    if any(r.bundle.kind is BundleKind.BUY_PROBE for r in results):
+        raise WrongBundleKind("buy probes carry no sell attempt")
+    ordered = sorted(sellish, key=lambda r: r.bundle.block)
+    streak = []
+    for r in ordered:
+        if r.sell_reverted:
+            if not streak or streak[-1] != r.bundle.block:
+                streak.append(r.bundle.block)
+            if len(streak) >= min_distinct_blocks:
+                pos = 1 if r.bundle.kind is BundleKind.SELL else 2
+                return Finding(
+                    trap=TrapType.CANNOT_SELL,
+                    pool=r.bundle.pool.pool,
+                    subject=r.bundle.actor,
+                    block=streak[-1],
+                    evidence={
+                        "kind": "cannot_sell",
+                        "revert_blocks": list(streak),
+                        "min_distinct_blocks": min_distinct_blocks,
+                        "revert_reason": r.outcomes[pos].revert_reason,
+                    },
+                )
+        else:
+            streak = []
+    return None
+
+
+def reverted_sell(block, kind=BundleKind.SELL):
+    return fake_result(kind, 0, 0, 90, block=block, sell_reverted=True)
+
+
 class TestCannotSell:
     def test_two_distinct_revert_blocks(self):
-        results = [
-            fake_result(BundleKind.SELL, 0, 0, 90, block=10, sell_reverted=True),
-            fake_result(BundleKind.SELL, 0, 0, 90, block=13, sell_reverted=True),
-        ]
-        finding = check_cannot_sell(results)
+        streak = []
+        assert check_cannot_sell(reverted_sell(10), streak) is None
+        finding = check_cannot_sell(reverted_sell(13), streak)
         assert finding is not None and finding.trap is TrapType.CANNOT_SELL
         assert finding.evidence["revert_blocks"] == [10, 13]
+        assert finding.block == 13 and finding.evidence["revert_reason"] == "no"
 
     def test_intervening_success_clears(self):
+        streak = []
         results = [
-            fake_result(BundleKind.SELL, 0, 0, 90, block=10, sell_reverted=True),
+            reverted_sell(10),
             fake_result(BundleKind.SELL, 0, 90, 90, block=11),
-            fake_result(BundleKind.SELL, 0, 0, 90, block=12, sell_reverted=True),
+            reverted_sell(12),
         ]
-        assert check_cannot_sell(results) is None
+        assert [check_cannot_sell(r, streak) for r in results] == [None, None, None]
+        assert streak == [12]
 
     def test_all_success(self):
         results = [fake_result(BundleKind.SELL, 0, 90, 90, block=b) for b in (5, 6)]
-        assert check_cannot_sell(results) is None
+        assert fold_cannot_sell(results) is None
 
     def test_same_block_repeats_do_not_count_twice(self):
-        results = [
-            fake_result(BundleKind.SELL, 0, 0, 90, block=10, sell_reverted=True),
-            fake_result(BundleKind.SELL, 0, 0, 90, block=10, sell_reverted=True),
-        ]
-        assert check_cannot_sell(results) is None
+        streak = []
+        for _ in range(2):
+            assert check_cannot_sell(reverted_sell(10), streak) is None
+        assert streak == [10]
 
     def test_roundtrip_bundles_count(self):
-        results = [
-            fake_result(BundleKind.BUY_SELL, 0, 0, 90, block=7, sell_reverted=True),
-            fake_result(BundleKind.BUY_SELL, 0, 0, 90, block=9, sell_reverted=True),
-        ]
-        assert check_cannot_sell(results) is not None
+        results = [reverted_sell(7, BundleKind.BUY_SELL), reverted_sell(9, BundleKind.BUY_SELL)]
+        assert fold_cannot_sell(results) is not None
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(Exception):
-            check_cannot_sell([])
+    def test_buy_probe_rejected(self):
+        streak = [10]
+        with pytest.raises(WrongBundleKind):
+            check_cannot_sell(fake_result(BundleKind.BUY_PROBE, 0, 90, 90), streak)
+        assert streak == [10]
+
+
+@st.composite
+def sell_sequences(draw):
+    """Block-ordered SELL/BUY_SELL results: non-decreasing blocks with
+    same-block repeats, random reverts and revert reasons."""
+    block = draw(st.integers(min_value=1, max_value=5))
+    results = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        block += draw(st.integers(min_value=0, max_value=2))
+        kind = draw(st.sampled_from([BundleKind.SELL, BundleKind.BUY_SELL]))
+        reverted = draw(st.booleans())
+        reason = draw(st.sampled_from(["no", "paused", None]))
+        results.append(fake_result(kind, 0, 0 if reverted else 90, 90, block=block,
+                                   sell_reverted=reverted, reason=reason))
+    return results
+
+
+class TestCannotSellFoldEquivalence:
+    @given(results=sell_sequences(), min_distinct_blocks=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_gives_the_whole_history_first_finding(self, results, min_distinct_blocks):
+        # Findings compare by trap, pool, subject, block and the whole
+        # evidence: revert_blocks and revert_reason included.
+        assert fold_cannot_sell(results, min_distinct_blocks) == whole_history_cannot_sell(
+            results, min_distinct_blocks
+        )
 
 
 def make_ledger(snapshots, transfers=(), approvals=(), buys=()):
@@ -297,10 +374,7 @@ class TestRecompute:
         findings = [
             check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 9, 90)),
             check_invalid_sell(fake_result(BundleKind.SELL, 0, 0, 90)),
-            check_cannot_sell([
-                fake_result(BundleKind.SELL, 0, 0, 90, block=5, sell_reverted=True),
-                fake_result(BundleKind.SELL, 0, 0, 90, block=6, sell_reverted=True),
-            ]),
+            fold_cannot_sell([reverted_sell(5), reverted_sell(6)]),
             check_unauthorized_transfer(
                 make_ledger([(10, 500), (11, 0)],
                             transfers=[xfer(11, BUYER, ZERO_ADDRESS, 500, drainer)]),
@@ -322,6 +396,19 @@ class TestRecompute:
 
 
 class TestThresholdParameter:
+    @pytest.mark.parametrize("threshold", [Fraction(0), Fraction(1), Fraction(-1, 2),
+                                           Fraction(3, 2), 1],
+                             ids=["0", "1", "-1/2", "3/2", "int-1"])
+    def test_out_of_range_threshold_rejected(self, threshold):
+        ledger = make_ledger([(10, 500), (11, 500)])
+        for call in (
+            lambda: check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 90, 90), threshold),
+            lambda: check_invalid_sell(fake_result(BundleKind.SELL, 0, 90, 90), threshold),
+            lambda: check_unauthorized_transfer(ledger, 10, 11, threshold),
+        ):
+            with pytest.raises(ValueError, match="threshold"):
+                call()
+
     def test_custom_threshold_changes_boundary(self):
         res = fake_result(BundleKind.BUY_PROBE, 0, 20, 90)
         assert check_invalid_buy(res, Fraction(1, 2)) is not None

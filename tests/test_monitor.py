@@ -1,14 +1,44 @@
 import pytest
 
+from trapscan.chainview import BalanceSnapshot, SwapRecord, TransferRecord
+from trapscan.core import Address, BlockIndex
 from trapscan.mockchain import run_attack_script, wash_and_drain_script
 from trapscan.monitor import (
+    BuyerLedger,
     IngestGap,
     MissingSnapshot,
     PoolWatch,
     buyer_delta,
     ingest_block,
     pick_orientations,
+    swaps_in_window,
 )
+
+BUYER = Address.derive("buyer")
+OTHER = Address.derive("other")
+POOL = Address.derive("pool")
+TOKEN = Address.derive("token")
+BASE = Address.derive("base")
+
+
+def synthetic_ledger(snapshot_blocks, record_blocks=()):
+    """A ledger with a snapshot at each of `snapshot_blocks` and one buy
+    and one transfer at each of `record_blocks` (repeats allowed)."""
+    ledger = BuyerLedger(buyer=BUYER, pool=POOL, trap_token=TOKEN)
+    for block in snapshot_blocks:
+        ledger.snapshots.append(BalanceSnapshot(token=TOKEN, holder=BUYER,
+                                                block=BlockIndex(block), balance=block))
+    for i, block in enumerate(record_blocks):
+        at = BlockIndex(block)
+        ledger.buys.append(SwapRecord(
+            tx_hash=i.to_bytes(32, "big"), block=at, sender=BUYER, token_in=BASE,
+            amount_in=1, token_out=TOKEN, amount_out=i, recipient=BUYER,
+        ))
+        ledger.transfers.append(TransferRecord(
+            token=TOKEN, block=at, sender=OTHER, recipient=BUYER, value=i,
+            logged=True, tx_sender=OTHER,
+        ))
+    return ledger
 
 
 def build_watch(trace, upto=None):
@@ -135,3 +165,33 @@ class TestBuyerDelta:
         with pytest.raises(MissingSnapshot):
             buyer_delta(ledger, 0, drain_trace.chain.head())
 
+
+class TestSnapshotAt:
+    def test_exact_hits_across_a_gap(self):
+        blocks = [5, 6, 9, 10]
+        ledger = synthetic_ledger(blocks)
+        for i, block in enumerate(blocks):
+            assert ledger.snapshot_at(block) is ledger.snapshots[i]
+
+    @pytest.mark.parametrize("block", [4, 7, 8, 11])
+    def test_before_inside_gap_and_after_missing(self, block):
+        ledger = synthetic_ledger([5, 6, 9, 10])
+        with pytest.raises(MissingSnapshot):
+            ledger.snapshot_at(block)
+
+    def test_empty_ledger_missing(self):
+        with pytest.raises(MissingSnapshot):
+            synthetic_ledger([]).snapshot_at(1)
+
+
+class TestWindows:
+    def test_windows_match_a_linear_filter(self):
+        record_blocks = [2, 3, 3, 3, 5, 8, 8, 9]
+        ledger = synthetic_ledger(range(1, 11), record_blocks)
+        for lo in range(1, 11):
+            for hi in range(lo, 11):
+                _, moved = buyer_delta(ledger, lo, hi)
+                assert moved == [t for t in ledger.transfers if lo < t.block.number <= hi]
+                assert swaps_in_window(ledger, lo, hi) == [
+                    s for s in ledger.buys if lo < s.block.number <= hi
+                ]

@@ -6,6 +6,7 @@ import pytest
 from conftest import run_simple
 from fake_node import FakeNode
 from trapscan import pipeline
+from trapscan.analyzer import MIN_REVERT_BLOCKS
 from trapscan.core import Address, TrapType
 from trapscan.mockchain import (
     DelayedSellTax,
@@ -22,7 +23,9 @@ from trapscan.mockchain import (
     Wait,
     derive_actors,
 )
+from trapscan.monitor import PoolWatch
 from trapscan.pipeline import (
+    PoolScanState,
     ScanSettings,
     ScanSummary,
     read_checkpoint,
@@ -31,6 +34,7 @@ from trapscan.pipeline import (
     scan_pools_resumable,
 )
 from trapscan.rpcbackend import EndpointConfig, RpcChainView
+from trapscan.simulator import SimulationResult
 
 CREATOR = derive_actors(42, 0).creator
 VICTIM0 = derive_actors(42, 1).victims[0]
@@ -133,6 +137,33 @@ class TestMonotonicity:
             verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1, upto)
             assert traps_seen <= verdict.traps
             traps_seen = verdict.traps
+
+
+def _held_values(obj):
+    """Every value reachable through the containers in `obj`."""
+    yield obj
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _held_values(key)
+            yield from _held_values(value)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for value in obj:
+            yield from _held_values(value)
+
+
+class TestBoundedState:
+    @pytest.mark.parametrize("behavior", [Honest(Fraction(0)), ListGate(mode=GateMode.ALLOW)],
+                             ids=["honest", "list_gate_allow"])
+    def test_long_scan_keeps_no_results_and_short_streaks(self, behavior):
+        trace = run_simple(behavior, victims=2, extra=(Wait(300),))
+        state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
+                            trace.final_block, state=state)
+        assert verdict.traps == trace.ground_truth
+        assert trace.final_block > 300 and len(state.watch.buyers) == 3
+        held = [value for name, value in vars(state).items() if name != "watch"]
+        assert not any(isinstance(v, SimulationResult) for v in _held_values(held))
+        assert all(len(streak) <= MIN_REVERT_BLOCKS for streak in state.revert_streaks.values())
 
 
 class TestMultiPool:
