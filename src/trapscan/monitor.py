@@ -1,10 +1,12 @@
 """Per-pool evidence ledger: buyers, balances, transfers, liquidity flags.
 
-A `PoolWatch` is fed strictly one block at a time. Every recipient of the
-watched trap token in a swap becomes a tracked buyer; from then on the
-buyer gets a balance snapshot at every ingested block, plus all logged
-transfers and approvals of the trap token that touch them. Detection
-logic consumes these ledgers, never the chain directly.
+A `PoolWatch` is fed one window of consecutive blocks at a time, one query
+of each kind per window. Every recipient of the watched trap token in a
+swap becomes a tracked buyer; from the block it was first seen the buyer
+collects all logged transfers and approvals of the trap token that touch
+it, and it gets a balance snapshot at that block and at the end of every
+window. Detection logic consumes these ledgers, never the chain directly,
+and reads snapshots only at those blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class MonitorError(Exception):
 
 
 class IngestGap(MonitorError):
-    """Blocks must be ingested consecutively."""
+    """A window must start right after the last ingested block."""
 
 
 class MissingSnapshot(MonitorError):
@@ -100,19 +102,30 @@ def pick_orientations(
     return [(pool.token_y, pool.token_x), (pool.token_x, pool.token_y)]
 
 
-def ingest_block(watch: PoolWatch, chain: ChainView, block: int) -> PoolWatch:
-    """Advance the watch by exactly one block; mutates and returns `watch`."""
-    if watch.last_ingested is not None and block != watch.last_ingested + 1:
-        raise IngestGap(f"expected block {watch.last_ingested + 1}, got {block}")
+def ingest_block(
+    watch: PoolWatch, chain: ChainView, block: int, start: int | None = None
+) -> PoolWatch:
+    """Advance the watch over the window [start, block]; mutates and
+    returns `watch`.
 
-    one = (block, block)
+    `start` defaults to the block after `last_ingested`, or to `block` for
+    a watch that has ingested nothing. A window that does not start right
+    after `last_ingested`, or that is empty, raises `IngestGap`.
+    """
+    expected = None if watch.last_ingested is None else watch.last_ingested + 1
+    lo = start if start is not None else (block if expected is None else expected)
+    if (expected is not None and lo != expected) or lo > block:
+        raise IngestGap(f"window [{lo}, {block}] does not follow block {watch.last_ingested}")
+
+    window = (lo, block)
     try:
-        swaps = chain.get_swaps(watch.pool.pool, one)
+        swaps = chain.get_swaps(watch.pool.pool, window)
     except UnknownPool:
         # Scan range may start before the pool (or its tokens) exist.
         watch.has_liquidity[block] = False
         watch.last_ingested = block
         return watch
+    first_seen: dict[Address, int] = {}  # buyers new in this window
     for swap in swaps:
         if swap.token_out != watch.trap_token:
             continue
@@ -124,27 +137,32 @@ def ingest_block(watch: PoolWatch, chain: ChainView, block: int) -> PoolWatch:
                 buyer=swap.recipient, pool=watch.pool.pool, trap_token=watch.trap_token
             )
             watch.buyers[swap.recipient] = ledger
+            first_seen[swap.recipient] = swap.block.number
         ledger.buys.append(swap)
 
     buyer_set = set(watch.buyers)
     if buyer_set:
         try:
-            transfers = chain.get_transfers(watch.trap_token, one)
-            approvals = chain.get_approvals(watch.trap_token, one)
+            transfers = chain.get_transfers(watch.trap_token, window)
+            approvals = chain.get_approvals(watch.trap_token, window)
         except UnknownToken:
             transfers, approvals = [], []
+        # A buyer collects evidence from the block it was first seen.
         for rec in transfers:
             if rec.sender == watch.pool.pool:
                 continue  # pool deliveries are already evidenced by SwapRecords
             for buyer in {rec.sender, rec.recipient} & buyer_set:
-                watch.buyers[buyer].transfers.append(rec)
+                if first_seen.get(buyer, lo) <= rec.block.number:
+                    watch.buyers[buyer].transfers.append(rec)
         for rec in approvals:
-            if rec.approver in buyer_set:
+            if rec.approver in buyer_set and first_seen.get(rec.approver, lo) <= rec.block.number:
                 watch.buyers[rec.approver].approvals.append(rec)
 
     for ledger in watch.buyers.values():
-        snap = chain.balance_of(watch.trap_token, ledger.buyer, block)
-        ledger.snapshots.append(snap)
+        seen = first_seen.get(ledger.buyer, block)
+        if seen < block:
+            ledger.snapshots.append(chain.balance_of(watch.trap_token, ledger.buyer, seen))
+        ledger.snapshots.append(chain.balance_of(watch.trap_token, ledger.buyer, block))
 
     try:
         rx, ry = chain.get_reserves(watch.pool.pool, block)

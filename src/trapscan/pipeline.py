@@ -1,13 +1,16 @@
 """Per-pool detection pipeline and multi-pool scan orchestration.
 
-For each pool the pipeline ingests blocks one at a time and, at every
-detection round (each `interval` blocks, provided liquidity is present):
+A pool is scanned in detection rounds, one every `interval` blocks and
+one at the last block. Each round first ingests its window of blocks,
+those since the previous round, in one step (see `monitor.ingest_block`),
+then, provided liquidity is present at the round's block:
 
   * rebuilds a sell simulation for every tracked buyer at their full
     balance and checks the sell-side predicates,
   * runs a buy probe with a funded synthetic account, and a follow-up
     buy-and-sell round trip when the probe delivered,
-  * reconciles each buyer's balance movement against the logged evidence.
+  * reconciles each buyer's balance movement since the previous round, or
+    since it was first seen, against the logged evidence.
 
 No step of a round reads the scan's whole history. Each sell result is
 folded into its subject's running CannotSell revert streak and then
@@ -48,7 +51,7 @@ from .analyzer import (
 )
 from .chainview import ChainView
 from .core import Address, PoolInfo, TrapType
-from .monitor import MissingSnapshot, PoolWatch, ingest_block
+from .monitor import PoolWatch, ingest_block
 from .simulator import (
     NoLiquidity,
     ProbeFailed,
@@ -90,6 +93,8 @@ class PoolScanState:
     folded into its CannotSell revert streak as they arrive. A streak of
     `MIN_REVERT_BLOCKS` blocks has produced the subject's finding and is
     not folded again, so no streak grows however long the scan runs.
+    `last_round` is the block of the latest detection round, where every
+    buyer seen by then has a balance snapshot.
     """
 
     watch: PoolWatch
@@ -97,6 +102,7 @@ class PoolScanState:
     revert_streaks: dict[Address, list[int]] = field(default_factory=dict)
     skipped_rounds: list[dict] = field(default_factory=list)
     finding_keys: set[tuple[TrapType, Address, int]] = field(default_factory=set)
+    last_round: int | None = None
 
     def add_finding(self, finding: Finding | None) -> None:
         if finding is None:
@@ -130,13 +136,14 @@ def run_detection_round(
     block: int,
     settings: ScanSettings,
 ) -> None:
-    """One simulation-and-analysis pass at a sealed block."""
+    """One simulation-and-analysis pass at a sealed block, the last one
+    the watch has ingested."""
     watch = state.watch
+    prev_round, state.last_round = state.last_round, block
     if not watch.liquid_at(block):
         state.skipped_rounds.append({"block": block, "reason": "no liquidity"})
         return
 
-    prev_round = block - settings.interval
     for buyer, ledger in watch.buyers.items():
         balance = ledger.latest_snapshot().balance
         if balance > 0:
@@ -156,14 +163,10 @@ def run_detection_round(
                     if not result.sell_reverted:
                         state.add_finding(check_invalid_sell(result, settings.threshold))
                     state.fold_sell(result)
-        try:
-            state.add_finding(
-                check_unauthorized_transfer(
-                    ledger, max(prev_round, _first_snapshot(ledger)), block, settings.threshold
-                )
-            )
-        except MissingSnapshot:
-            pass  # buyer registered inside this window; next round covers it
+        since = ledger.snapshots[0].block.number  # the block it was first seen
+        if prev_round is not None:
+            since = max(since, prev_round)
+        state.add_finding(check_unauthorized_transfer(ledger, since, block, settings.threshold))
 
     probe = probe_account_for(watch.pool)
     overrides = {(watch.base_token, probe): PROBE_FUNDING}
@@ -195,8 +198,15 @@ def run_detection_round(
     state.fold_sell(rt_result)
 
 
-def _first_snapshot(ledger) -> int:
-    return ledger.snapshots[0].block.number
+def _round_blocks(start: int, from_block: int, to_block: int, interval: int) -> Iterator[int]:
+    """The detection rounds in [start, to_block] of a scan of
+    [from_block, to_block]: every `interval`-th block, and the last one."""
+    block = start + (from_block - 1 - start) % interval
+    while block < to_block:
+        yield block
+        block += interval
+    if start <= to_block:
+        yield to_block
 
 
 def scan_pool(
@@ -214,11 +224,10 @@ def scan_pool(
         state = PoolScanState(watch=PoolWatch.create(pool, trap_token))
     watch = state.watch
     start = from_block if watch.last_ingested is None else watch.last_ingested + 1
-    for block in range(start, to_block + 1):
-        ingest_block(watch, chain, block)
-        is_round = (block - from_block + 1) % settings.interval == 0 or block == to_block
-        if is_round:
-            run_detection_round(chain, state, block, settings)
+    for block in _round_blocks(start, from_block, to_block, settings.interval):
+        ingest_block(watch, chain, block, start)
+        run_detection_round(chain, state, block, settings)
+        start = block + 1
     return classify_pool(
         watch,
         state.findings,

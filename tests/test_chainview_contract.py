@@ -26,10 +26,12 @@ from trapscan.mockchain import (
     ListGate,
     OwnerDrain,
     HiddenTax,
+    Wait,
+    derive_actors,
     run_attack_script,
     wash_and_drain_script,
 )
-from trapscan.pipeline import scan_pool
+from trapscan.pipeline import ScanSettings, scan_pool
 from trapscan.rpcbackend import EndpointConfig, RpcChainView
 
 
@@ -297,3 +299,43 @@ class TestFalsePositiveGuard:
             chain = backend_factory(trace)
             verdict = scan_pool(chain, trace.pool, trace.trap_token, 1, trace.final_block)
             assert verdict.findings == [], f"pool {i} (tax={tax}): {verdict.findings}"
+
+
+CREATOR = derive_actors(42, 0).creator
+
+# Scanned 1..final_block at interval 10: rounds at 10, 20, ... and a final
+# partial round. The drains land at block 22, inside that last window.
+WINDOWED_CASES = {
+    "owner_drain": (OwnerDrain(owner=CREATOR, emits_event=True), (Wait(12), Drain(victim=0))),
+    "owner_drain_silent": (OwnerDrain(owner=CREATOR, emits_event=False),
+                           (Wait(12), Drain(victim=0))),
+    "list_gate": (ListGate(mode=GateMode.ALLOW), (Wait(20),)),
+    "hidden_tax": (HiddenTax(Fraction(1, 10), exempt=frozenset({CREATOR})), (Wait(15),)),
+    "honest": (Honest(Fraction(0)), (Wait(15),)),
+}
+
+
+def _verdict_key(verdict):
+    # Revert reasons are worded by each backend, so evidence is left out.
+    return verdict.traps, [(f.trap, f.subject, f.block) for f in verdict.findings]
+
+
+class TestWindowedScanAgreement:
+    @pytest.mark.parametrize("name", sorted(WINDOWED_CASES))
+    def test_backends_agree_at_interval_ten(self, name):
+        behavior, extra = WINDOWED_CASES[name]
+        trace = run_simple(behavior, extra=extra)
+        assert trace.final_block % 10 != 0
+        settings = ScanSettings(interval=10)
+        nodes = [FakeNode(chain=trace.chain)]
+        if name == "honest":
+            nodes.append(FakeNode(chain=trace.chain, log_limit=1))
+        mock = scan_pool(trace.chain, trace.pool, trace.trap_token, 1, trace.final_block, settings)
+        assert mock.traps == trace.ground_truth
+        for node in nodes:
+            rpc = RpcChainView(EndpointConfig(url="fake://node", retries=1), transport=node)
+            verdict = scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block, settings)
+            assert _verdict_key(verdict) == _verdict_key(mock)
+        if len(nodes) == 2:  # the windowed fetches were split to fit the limit
+            plain, limited = (node.requests.count_method("eth_getLogs") for node in nodes)
+            assert limited > plain

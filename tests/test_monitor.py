@@ -1,8 +1,14 @@
+from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapscan.chainview import BalanceSnapshot, SwapRecord, TransferRecord
 from trapscan.core import Address, BlockIndex
-from trapscan.mockchain import run_attack_script, wash_and_drain_script
+from trapscan.mockchain import Honest, MockChain, run_attack_script, wash_and_drain_script
 from trapscan.monitor import (
     BuyerLedger,
     IngestGap,
@@ -80,10 +86,17 @@ class TestIngest:
             assert got == list(range(first, head + 1))
 
     def test_gap_rejected(self, drain_trace):
+        chain = drain_trace.chain
         watch = PoolWatch.create(drain_trace.pool, drain_trace.trap_token)
-        ingest_block(watch, drain_trace.chain, 1)
+        ingest_block(watch, chain, 3)
+        for block in (2, 3):  # at or before the last ingested block
+            with pytest.raises(IngestGap):
+                ingest_block(watch, chain, block)
         with pytest.raises(IngestGap):
-            ingest_block(watch, drain_trace.chain, 3)
+            ingest_block(watch, chain, 8, start=6)  # would leave 4 and 5 out
+        ingest_block(watch, chain, 7)  # skipping ahead ingests the window [4, 7]
+        assert watch.last_ingested == 7
+        assert list(watch.has_liquidity) == [3, 7]
 
     def test_empty_block_adds_only_snapshots(self, drain_trace):
         victim_buy_block = max(
@@ -195,3 +208,77 @@ class TestWindows:
                 assert swaps_in_window(ledger, lo, hi) == [
                     s for s in ledger.buys if lo < s.block.number <= hi
                 ]
+
+
+def gift_trace():
+    """A pool whose second buyer is sent trap tokens, and approves a
+    spender, three blocks before its first buy and again in that block."""
+    chain = MockChain()
+    creator, wash, gifted = (Address.derive(f"gift:{n}") for n in ("creator", "wash", "gifted"))
+    base = chain.deploy_token(Honest(Fraction(0)), 10**24, creator)
+    trap = chain.deploy_token(Honest(Fraction(0)), 10**24, creator)
+    pool = chain.create_pool(base, trap)
+    chain.advance_block()
+    chain.add_liquidity(pool, creator, 10**9, 10**9)
+    chain.advance_block()
+    chain.token_transfer(base, creator, wash, 10**7)
+    chain.token_transfer(base, creator, gifted, 10**7)
+    chain.token_transfer(trap, creator, gifted, 500)
+    chain.approve(trap, gifted, OTHER, 300)
+    chain.advance_block()
+    chain.swap(pool, wash, base, 10**6, wash)
+    chain.advance_block(2)
+    chain.token_transfer(trap, creator, gifted, 700)
+    chain.swap(pool, gifted, base, 10**6, gifted)
+    chain.advance_block()
+    chain.token_transfer(trap, gifted, wash, 200)
+    chain.approve(trap, gifted, OTHER, 100)
+    chain.advance_block(3)
+    return SimpleNamespace(chain=chain, pool=chain.pool_info(pool), trap_token=trap)
+
+
+@cache
+def per_block_watches(name):
+    """A trace and its watch ingested one block at a time."""
+    if name == "gift":
+        trace = gift_trace()
+    else:
+        script, seed = wash_and_drain_script(emits_event=name == "logged_drain")
+        trace = run_attack_script(script, seed)
+    return trace, build_watch(trace)
+
+
+@st.composite
+def window_splits(draw):
+    """A trace, its per-block watch, and the last block of each window in
+    a random split of [1, head] into windows."""
+    name = draw(st.sampled_from(["logged_drain", "silent_drain", "gift"]))
+    trace, per_block = per_block_watches(name)
+    head = trace.chain.head()
+    cuts = draw(st.sets(st.integers(min_value=1, max_value=head - 1)))
+    return trace, per_block, [*sorted(cuts), head]
+
+
+class TestWindowedIngest:
+    @given(split=window_splits())
+    @settings(max_examples=100, deadline=None)
+    def test_windows_equal_per_block_ingestion(self, split):
+        trace, per_block, ends = split
+        watch = PoolWatch.create(trace.pool, trace.trap_token)
+        ingest_block(watch, trace.chain, ends[0], start=1)
+        for end in ends[1:]:
+            ingest_block(watch, trace.chain, end)
+
+        assert list(watch.buyers) == list(per_block.buyers)
+        for buyer, ledger in watch.buyers.items():
+            expected = per_block.buyers[buyer]
+            assert ledger.buys == expected.buys
+            assert ledger.transfers == expected.transfers
+            assert ledger.approvals == expected.approvals
+            first_seen = expected.snapshots[0].block.number
+            assert ledger.snapshots == [
+                snap for snap in expected.snapshots
+                if snap.block.number in ends or snap.block.number == first_seen
+            ]
+        assert watch.has_liquidity == {end: per_block.has_liquidity[end] for end in ends}
+        assert watch.last_ingested == per_block.last_ingested

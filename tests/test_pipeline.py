@@ -6,7 +6,7 @@ import pytest
 from conftest import run_simple
 from fake_node import FakeNode
 from trapscan import pipeline
-from trapscan.analyzer import MIN_REVERT_BLOCKS
+from trapscan.analyzer import MIN_REVERT_BLOCKS, check_unauthorized_transfer
 from trapscan.core import Address, TrapType
 from trapscan.mockchain import (
     DelayedSellTax,
@@ -129,6 +129,22 @@ class TestIntervals:
         assert verdict.traps == trace.ground_truth
 
 
+class TestFinalPartialRound:
+    def test_mismatch_window_starts_at_previous_round(self):
+        trace = run_simple(OwnerDrain(owner=CREATOR, emits_event=False),
+                           extra=(Wait(12), Drain(victim=0)))
+        drain_block = next(ev["block"] for ev in trace.events if ev["event"] == "drain")
+        # Rounds at 10 and 20, then a partial one at the last block.
+        assert 20 < drain_block <= trace.final_block < 30
+        verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
+                            trace.final_block, ScanSettings(interval=10))
+        finding = next(
+            f for f in verdict.findings if f.evidence["kind"] == "unauthorized_transfer_mismatch"
+        )
+        assert finding.block == trace.final_block
+        assert finding.evidence["from_block"] == 20
+
+
 class TestMonotonicity:
     def test_extending_range_never_removes_traps(self):
         trace = run_simple(HiddenTax(Fraction(1, 10), exempt=frozenset({CREATOR})))
@@ -154,16 +170,34 @@ def _held_values(obj):
 class TestBoundedState:
     @pytest.mark.parametrize("behavior", [Honest(Fraction(0)), ListGate(mode=GateMode.ALLOW)],
                              ids=["honest", "list_gate_allow"])
-    def test_long_scan_keeps_no_results_and_short_streaks(self, behavior):
+    def test_long_scan_keeps_no_results_and_short_streaks(self, behavior, monkeypatch):
+        windows = {}  # buyer -> the (from, to] windows it was reconciled over
+
+        def recording(ledger, from_block, to_block, threshold):
+            windows.setdefault(ledger.buyer, []).append((from_block, to_block))
+            return check_unauthorized_transfer(ledger, from_block, to_block, threshold)
+
+        monkeypatch.setattr(pipeline, "check_unauthorized_transfer", recording)
         trace = run_simple(behavior, victims=2, extra=(Wait(300),))
-        state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
-        verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
-                            trace.final_block, state=state)
-        assert verdict.traps == trace.ground_truth
-        assert trace.final_block > 300 and len(state.watch.buyers) == 3
-        held = [value for name, value in vars(state).items() if name != "watch"]
-        assert not any(isinstance(v, SimulationResult) for v in _held_values(held))
-        assert all(len(streak) <= MIN_REVERT_BLOCKS for streak in state.revert_streaks.values())
+        assert trace.final_block > 300 and trace.final_block % 7 != 0
+        for interval in (1, 7):
+            windows.clear()
+            state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+            verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
+                                trace.final_block, ScanSettings(interval=interval), state)
+            assert verdict.traps == trace.ground_truth
+            assert len(state.watch.buyers) == 3
+            held = [value for name, value in vars(state).items() if name != "watch"]
+            assert not any(isinstance(v, SimulationResult) for v in _held_values(held))
+            assert all(len(s) <= MIN_REVERT_BLOCKS for s in state.revert_streaks.values())
+            # No round skipped a buyer for want of a snapshot: each buyer's
+            # windows run without a hole from the block it was first seen
+            # to the end of the scan.
+            assert set(windows) == set(state.watch.buyers)
+            for buyer, spans in windows.items():
+                assert spans[0][0] == state.watch.buyers[buyer].buys[0].block.number
+                assert all(prev[1] == nxt[0] for prev, nxt in zip(spans, spans[1:]))
+                assert spans[-1][1] == trace.final_block
 
 
 class TestMultiPool:

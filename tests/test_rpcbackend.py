@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ from conftest import run_simple
 from fake_node import FakeNode
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
 from trapscan.core import Address, DexVersion
-from trapscan.mockchain import Honest
+from trapscan.mockchain import Honest, Wait
+from trapscan.pipeline import ScanSettings, scan_pool
 from trapscan.rpcbackend import (
     EndpointConfig,
     JsonRpcClient,
@@ -312,6 +315,32 @@ class TestBackendQueries:
         assert rpc.get_reserves(trace.pool.pool, head) == \
             trace.chain.get_reserves(trace.pool.pool, head)
 
+    def test_reserves_read_once_per_block(self, backend):
+        trace, node, rpc = backend
+        pool, head = trace.pool.pool, trace.chain.head()
+        rpc.pool_info(pool)
+        before = node.requests.count_method("eth_call")
+        first = rpc.get_reserves(pool, head)
+        assert rpc.get_reserves(pool, head) == first
+        assert node.requests.count_method("eth_call") == before + 1
+        assert rpc.get_reserves(pool, head - 1) == trace.chain.get_reserves(pool, head - 1)
+        assert node.requests.count_method("eth_call") == before + 2
+
+    def test_reserves_memo_under_threads(self, backend):
+        trace, _, rpc = backend
+        pool, head = trace.pool.pool, trace.chain.head()
+        blocks = [head - i % 4 for i in range(200)]
+        expected = {b: trace.chain.get_reserves(pool, b) for b in set(blocks)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool_exec:
+                got = list(pool_exec.map(lambda b: (b, rpc.get_reserves(pool, b)), blocks,
+                                          timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(reserves == expected[b] for b, reserves in got)
+
     def test_failed_snapshot_not_exception(self, backend):
         trace, _, rpc = backend
         snap = rpc.balance_of(Address.derive("not-a-token"), OWNER, trace.chain.head())
@@ -322,6 +351,20 @@ class TestBackendQueries:
         swaps = rpc.get_swaps(trace.pool.pool, (0, trace.chain.head()))
         mock_swaps = trace.chain.get_swaps(trace.pool.pool, (0, trace.chain.head()))
         assert [s.sender for s in swaps] == [s.sender for s in mock_swaps]
+
+
+class TestWindowedScanCost:
+    def test_interval_ten_scan_cost(self):
+        trace = run_simple(Honest(Fraction(0)), victims=2, extra=(Wait(80),))
+        node = FakeNode(chain=trace.chain)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
+        blocks = trace.final_block
+        assert blocks % 10 != 0  # the last round is a partial one
+        verdict = scan_pool(rpc, trace.pool, trace.trap_token, 1, blocks, ScanSettings(interval=10))
+        assert verdict.traps == set()
+        rounds = blocks // 10 + 1
+        assert node.requests.count_method("eth_getLogs") <= 3 * rounds
+        assert len(node.requests) < 2 * blocks
 
 
 class TestConfig:
