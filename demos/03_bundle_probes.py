@@ -49,10 +49,10 @@ def probe_pool(title, trace):
     head = chain.head()
     victim = trace.actors.victims[0]
 
-    held = chain.balance_of(trace.trap_token, victim, head).balance
+    held = chain.balance_of(trace.trap_token, victim, head)
     bundle = build_sell_bundle(chain, victim, pool, trace.trap_token, held, head)
     result = run(chain, bundle)
-    print(f"victim sell of {held} units at block {head}:")
+    print(f"victim sell of {held.balance} units at block {head}:")
     print(f"  estimator predicts {result.estimate} base units")
     print(f"  fork delivered     {result.balance_delta}"
           f"  (reverted: {result.sell_reverted})")

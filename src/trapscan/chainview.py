@@ -145,15 +145,7 @@ class SwapExactInCall:
     min_out: TokenAmount = 0
 
 
-@dataclass(frozen=True, slots=True)
-class ApproveCall:
-    caller: Address
-    token: Address
-    spender: Address
-    amount: TokenAmount
-
-
-Call = BalanceOfCall | SwapExactInCall | ApproveCall
+Call = BalanceOfCall | SwapExactInCall
 
 
 class CallStatus(Enum):

@@ -14,7 +14,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..chainview import (
-    ApproveCall,
     ApproveRecord,
     BalanceOfCall,
     BalanceSnapshot,
@@ -695,8 +694,6 @@ class MockChain(ChainView):
             if call.token not in self._tokens:
                 raise _Revert(f"unknown token: {call.token}")
             return state.balance(call.token, call.holder)
-        if isinstance(call, ApproveCall):
-            return None
         if isinstance(call, SwapExactInCall):
             out = self._exec_swap(
                 state, sink, call.pool, call.caller, call.token_in,

@@ -145,11 +145,11 @@ def run_detection_round(
         return
 
     for buyer, ledger in watch.buyers.items():
-        balance = ledger.latest_snapshot().balance
-        if balance > 0:
+        held = ledger.latest_snapshot()  # ingestion took it at this block
+        if held.balance > 0:
             try:
                 bundle = build_sell_bundle(
-                    chain, buyer, watch.pool, watch.trap_token, balance, block
+                    chain, buyer, watch.pool, watch.trap_token, held, block
                 )
             except SimulatorError:
                 bundle = None

@@ -7,9 +7,10 @@ import time; nothing here trusts a hard-coded hash.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..core import Address
-from .keccak import keccak256_text
+from .keccak import keccak256, keccak256_text
 
 UINT256_MAX = 2**256 - 1
 
@@ -214,8 +215,16 @@ def decode_uint_array(data: bytes) -> list[int]:
     return [dec_uint(data, base + 1 + i) for i in range(length)]
 
 
-def erc20_balance_slot(holder: Address, slot_index: int) -> bytes:
-    """Storage slot of `balances[holder]` for a mapping at `slot_index`."""
-    from .keccak import keccak256
+# Probe accounts are few and reused every round, so the memo stays small;
+# the bound keeps it flat however many pools a scan covers.
+BALANCE_SLOT_CACHE_SIZE = 4096
 
+
+@lru_cache(maxsize=BALANCE_SLOT_CACHE_SIZE)
+def erc20_balance_slot(holder: Address, slot_index: int) -> bytes:
+    """Storage slot of `balances[holder]` for a mapping at `slot_index`.
+
+    Memoised: every funded simulation needs the slot of the same probe
+    account, and the pure-Python Keccak is slow.
+    """
     return keccak256(pad32(holder.raw) + enc_uint(slot_index))

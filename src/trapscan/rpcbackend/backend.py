@@ -24,7 +24,6 @@ import threading
 from dataclasses import dataclass
 
 from ..chainview import (
-    ApproveCall,
     ApproveRecord,
     BalanceOfCall,
     BalanceSnapshot,
@@ -483,12 +482,6 @@ class RpcChainView(ChainView):
                   "data": abi.bytes_to_hex(abi.encode_balance_of(call.holder))}],
                 "balance",
             )
-        if isinstance(call, ApproveCall):
-            return (
-                [{"from": call.caller.hex, "to": call.token.hex, "gas": hex(GAS_LIMIT),
-                  "data": abi.bytes_to_hex(abi.encode_approve(call.spender, call.amount))}],
-                "approve",
-            )
         if isinstance(call, SwapExactInCall):
             info = self.pool_info(call.pool)
             router = self._router_for(info)
@@ -593,13 +586,11 @@ class RpcChainView(ChainView):
                 return _success(abi.dec_uint(abi.hex_to_bytes(value)))
             except DecodeError:
                 return _revert(f"bad balance payload: {value!r}")
-        if kind == "swap":
-            try:
-                amounts = abi.decode_uint_array(abi.hex_to_bytes(value))
-                return _success(amounts[-1] if amounts else 0)
-            except DecodeError:
-                return _revert(f"bad swap payload: {value!r}")
-        return _success(None)
+        try:
+            amounts = abi.decode_uint_array(abi.hex_to_bytes(value))
+            return _success(amounts[-1] if amounts else 0)
+        except DecodeError:
+            return _revert(f"bad swap payload: {value!r}")
 
 
 def _addr(hex_or_none, default: Address | None) -> Address:

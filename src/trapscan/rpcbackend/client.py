@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-import requests
-
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -115,6 +113,8 @@ class _RateGate:
 
 
 def http_transport(config: EndpointConfig) -> Callable[[Any], Any]:
+    import requests  # deferred: slow to import, and only this transport needs it
+
     session = requests.Session()
 
     def send(payload: Any) -> Any:
@@ -152,7 +152,7 @@ class JsonRpcClient:
             self._gate.wait()
             try:
                 return self._transport(payload)
-            except (requests.RequestException, OSError, ValueError) as exc:
+            except (OSError, ValueError) as exc:  # requests' errors are OSErrors
                 last_exc = exc
                 if attempt < self.config.retries:
                     time.sleep(min(2.0, 0.1 * 2**attempt))

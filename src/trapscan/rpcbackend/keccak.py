@@ -3,8 +3,11 @@
 This is the pre-standardization Keccak with multi-rate padding 0x01, the
 variant Ethereum uses; hashlib's sha3_256 (padding 0x06) produces
 different digests and cannot be substituted. Pure Python keeps the
-dependency surface flat; hashing here is a few short inputs per run, so
-speed is irrelevant.
+dependency surface flat but hashes slowly. Topics and selectors are
+hashed once at import. The one hash on the scan path, the
+storage slot that funds a probe account in each simulation, is memoised
+in `abi.erc20_balance_slot`, because a scan re-funds the same few probe
+accounts in every round.
 """
 
 from __future__ import annotations

@@ -128,20 +128,27 @@ def build_sell_bundle(
     buyer: Address,
     pool: PoolInfo,
     trap_token: Address,
-    amount: TokenAmount,
+    held: BalanceSnapshot,
     block: int,
 ) -> Bundle:
-    """Sell bundle for a tracked buyer: can they cash out what they hold?"""
+    """Sell bundle for a tracked buyer: can they cash out what they hold?
+
+    The sell is sized from `held`, the buyer's trap-token balance snapshot
+    at `block` (the monitor takes one at every round's block), so building
+    the bundle reads nothing from the chain but the reserves. A snapshot
+    of another token, holder or block raises ValueError; a failed or empty
+    one raises ZeroBalance.
+    """
     trap, base = pool_sides(pool, trap_token)
-    _require_liquidity(chain, pool, block)
-    check_amount(amount, "amount")
-    if amount == 0:
-        raise ZeroBalance("buyer holds nothing to sell")
-    held = chain.balance_of(trap, buyer, block)
-    if held.failed or held.balance < amount:
-        raise ZeroBalance(
-            f"buyer {buyer} holds {held.balance}, cannot sell {amount}"
+    if (held.token, held.holder, held.block.number) != (trap, buyer, block):
+        raise ValueError(
+            f"snapshot of {held.holder} in {held.token} at block {held.block.number}"
+            f" does not size a sell by {buyer} in {trap} at block {block}"
         )
+    _require_liquidity(chain, pool, block)
+    if held.failed or held.balance == 0:
+        raise ZeroBalance(f"buyer {buyer} holds nothing to sell at block {block}")
+    amount = held.balance
     calls: tuple[Call, ...] = (
         BalanceOfCall(caller=buyer, token=base, holder=buyer),
         SwapExactInCall(

@@ -37,7 +37,6 @@ from trapscan.rpcbackend.abi import (
 )
 from trapscan.rpcbackend.backend import V2_FACTORY
 from trapscan.chainview import (
-    ApproveCall,
     BalanceOfCall,
     Call,
     SwapExactInCall,

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -10,7 +13,8 @@ from fake_node import FakeNode
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
 from trapscan.core import Address, DexVersion
 from trapscan.mockchain import Honest, Wait
-from trapscan.pipeline import ScanSettings, scan_pool
+from trapscan.monitor import PoolWatch
+from trapscan.pipeline import PoolScanState, ScanSettings, scan_pool
 from trapscan.rpcbackend import (
     EndpointConfig,
     JsonRpcClient,
@@ -23,7 +27,7 @@ from trapscan.rpcbackend import (
     load_backend_config,
     selector,
 )
-from trapscan.rpcbackend import abi
+from trapscan.rpcbackend import abi, keccak
 from trapscan.rpcbackend.abi import DecodeError
 from trapscan.rpcbackend.backend import _RawLog
 
@@ -96,6 +100,50 @@ def backend():
     node = FakeNode(chain=trace.chain)
     rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
     return trace, node, rpc
+
+
+class TestBalanceSlotMemo:
+    def test_equals_keccak_of_preimage(self):
+        erc20_balance_slot.cache_clear()
+        holders = [OWNER, Address.derive("probe"), Address.derive("victim-0")]
+        for holder in holders:
+            for slot in (0, 1, 3, 51):
+                want = keccak256(abi.pad32(holder.raw) + abi.enc_uint(slot))
+                assert erc20_balance_slot(holder, slot) == want
+                assert erc20_balance_slot(holder, slot) == want  # from the memo
+
+    def test_scan_hashes_each_slot_once(self, monkeypatch):
+        trace = run_simple(Honest(Fraction(0)), victims=2, extra=(Wait(80),))
+        node = FakeNode(chain=trace.chain)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
+        preimages = Counter()
+        real = keccak.keccak256
+
+        def counting(data):
+            preimages[bytes(data)] += 1
+            return real(data)
+
+        monkeypatch.setattr(keccak, "keccak256", counting)
+        monkeypatch.setattr(abi, "keccak256", counting, raising=False)
+        erc20_balance_slot.cache_clear()
+        scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block,
+                  ScanSettings(interval=10))
+        assert node.requests.count_method("eth_callMany") > len(preimages) > 0
+        assert set(preimages.values()) == {1}
+
+
+class TestLazyImport:
+    def test_rpcbackend_does_not_import_requests(self):
+        import trapscan
+
+        src = os.path.dirname(os.path.dirname(trapscan.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, trapscan.rpcbackend; print('requests' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestDecoders:
@@ -365,6 +413,22 @@ class TestWindowedScanCost:
         rounds = blocks // 10 + 1
         assert node.requests.count_method("eth_getLogs") <= 3 * rounds
         assert len(node.requests) < 2 * blocks
+
+    def test_balance_reads_are_the_snapshots(self):
+        """A sell is sized from the round's snapshot: the scan's only
+        balanceOf reads are the ones the ledgers hold."""
+        trace = run_simple(Honest(Fraction(0)), victims=2, extra=(Wait(80),))
+        node = FakeNode(chain=trace.chain)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
+        state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block,
+                  ScanSettings(interval=10), state)
+        balance_of = abi.bytes_to_hex(abi.SEL_BALANCE_OF)
+        reads = sum(1 for method, params in node.requests
+                    if method == "eth_call" and params[0]["data"].startswith(balance_of))
+        snapshots = sum(len(ledger.snapshots) for ledger in state.watch.buyers.values())
+        assert snapshots > 0
+        assert reads == snapshots
 
 
 class TestConfig:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import run_simple
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
-from trapscan.core import Address
+from trapscan.core import Address, BlockIndex
 from trapscan.mockchain import GateMode, Honest, ListGate, MockChain
 from trapscan.simulator import (
     BundleKind,
@@ -81,14 +82,14 @@ class TestBundleTemplates:
         t = honest_world
         victim = t.actors.victims[0]
         head = t.chain.head()
-        held = t.chain.balance_of(t.trap_token, victim, head).balance
+        held = t.chain.balance_of(t.trap_token, victim, head)
         bundle = build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
         assert bundle.kind is BundleKind.SELL
         first, mid, last = bundle.calls
         assert isinstance(first, BalanceOfCall) and first.token == t.base_token
         assert isinstance(mid, SwapExactInCall)
         assert mid.token_in == t.trap_token and mid.token_out == t.base_token
-        assert mid.amount_in == held and mid.min_out == 0
+        assert mid.amount_in == held.balance > 0 and mid.min_out == 0
         assert isinstance(last, BalanceOfCall) and last.token == t.base_token
         assert first.holder == last.holder == victim
 
@@ -123,8 +124,36 @@ class TestBundleTemplates:
     def test_zero_balance_rejected(self, honest_world):
         t = honest_world
         stranger = Address.derive("stranger")
+        head = t.chain.head()
+        held = t.chain.balance_of(t.trap_token, stranger, head)
+        assert held.balance == 0 and not held.failed
         with pytest.raises(ZeroBalance):
-            build_sell_bundle(t.chain, stranger, t.pool, t.trap_token, 10, t.chain.head())
+            build_sell_bundle(t.chain, stranger, t.pool, t.trap_token, held, head)
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_empty_or_failed_snapshot_rejected(self, honest_world, failed):
+        t = honest_world
+        victim = t.actors.victims[0]
+        head = t.chain.head()
+        held = replace(t.chain.balance_of(t.trap_token, victim, head), balance=0, failed=failed)
+        with pytest.raises(ZeroBalance):
+            build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
+
+    @pytest.mark.parametrize("field", ["block", "token", "holder"])
+    def test_mismatched_snapshot_rejected(self, honest_world, field):
+        t = honest_world
+        victim = t.actors.victims[0]
+        head = t.chain.head()
+        held = t.chain.balance_of(t.trap_token, victim, head)
+        wrong = {
+            "block": BlockIndex(head - 1),
+            "token": t.base_token,
+            "holder": Address.derive("stranger"),
+        }[field]
+        with pytest.raises(ValueError):
+            build_sell_bundle(
+                t.chain, victim, t.pool, t.trap_token, replace(held, **{field: wrong}), head
+            )
 
     def test_drained_pool_rejected(self, honest_world):
         t = honest_world
@@ -132,7 +161,7 @@ class TestBundleTemplates:
         t.chain.advance_block()
         victim = t.actors.victims[0]
         head = t.chain.head()
-        held = t.chain.balance_of(t.trap_token, victim, head).balance
+        held = t.chain.balance_of(t.trap_token, victim, head)
         with pytest.raises(NoLiquidity):
             build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
 
@@ -155,7 +184,7 @@ class TestRun:
         t = honest_world
         victim = t.actors.victims[0]
         head = t.chain.head()
-        held = t.chain.balance_of(t.trap_token, victim, head).balance
+        held = t.chain.balance_of(t.trap_token, victim, head)
         bundle = build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
         result = run(t.chain, bundle)
         assert not result.sell_reverted
@@ -165,7 +194,7 @@ class TestRun:
         trace = run_simple(ListGate(mode=GateMode.ALLOW, members=frozenset()))
         victim = trace.actors.victims[0]
         head = trace.chain.head()
-        held = trace.chain.balance_of(trace.trap_token, victim, head).balance
+        held = trace.chain.balance_of(trace.trap_token, victim, head)
         bundle = build_sell_bundle(trace.chain, victim, trace.pool,
                                    trace.trap_token, held, head)
         result = run(trace.chain, bundle)
@@ -176,7 +205,7 @@ class TestRun:
         t = honest_world
         head = t.chain.head()
         victim = t.actors.victims[0]
-        held = t.chain.balance_of(t.trap_token, victim, head).balance
+        held = t.chain.balance_of(t.trap_token, victim, head)
         snapshot = (
             t.chain.get_reserves(t.pool.pool, head),
             len(t.chain.get_swaps(t.pool.pool, (0, head))),
