@@ -47,7 +47,6 @@ class Honest:
     """
 
     tax: Fraction = Fraction(0)
-    event_reports_net: bool = True
 
     def __post_init__(self) -> None:
         if not (0 <= self.tax <= 1):
@@ -62,7 +61,6 @@ class HiddenTax:
 
     keep_fraction: Fraction
     exempt: frozenset[Address] = frozenset()
-    event_reports_full: bool = True
 
     def __post_init__(self) -> None:
         if not (0 < self.keep_fraction <= 1):

@@ -1,17 +1,28 @@
 """In-memory deterministic blockchain with a constant-product AMM.
 
-Transactions execute against a pending block (head + 1); `advance_block`
-seals the pending state, making it immutable and addressable by height.
-Every balance movement routes through the token's behavior model, so the
-ledger of emitted events can diverge from actual balances exactly the way
-scam tokens make it diverge. Sealed states also back `simulate_bundle`,
-which runs call bundles on a private fork without touching public state.
+World state is one per-key history. A key is a balance `(token, holder)`
+or a `(field, address)` pair such as a pool's reserves; it holds the
+values it took and the blocks that wrote them. Transactions write at the
+pending block (head + 1), a sealed read bisects the key's history, and
+`advance_block` only moves the head, so sealing costs nothing and a
+sealed block never changes.
+
+Every execution runs on an `_Overlay` that buffers its writes and records
+over a read function. A revert drops the overlay; a success commits it:
+a public transaction into the history at the pending block, a bundle call
+into its bundle's fork, which itself overlays a sealed block and is
+dropped when the bundle ends. Every balance movement routes through the
+token's behavior model, so the ledger of emitted events can diverge from
+actual balances exactly the way scam tokens make it diverge.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from ..chainview import (
     ApproveRecord,
@@ -69,52 +80,75 @@ class _Revert(Exception):
         self.reason = reason
 
 
-@dataclass
-class _ChainState:
-    """Mutable world state; sealed blocks hold immutable copies."""
-
-    balances: dict[Address, dict[Address, int]] = field(default_factory=dict)
-    reserves: dict[Address, tuple[int, int]] = field(default_factory=dict)
-    gate_members: dict[Address, set[Address]] = field(default_factory=dict)
-    gate_active_from: dict[Address, int] = field(default_factory=dict)
-    switched_at: dict[Address, int | None] = field(default_factory=dict)
-    buyers_seen: dict[Address, set[Address]] = field(default_factory=dict)
-    pool_provider: dict[Address, Address | None] = field(default_factory=dict)
-
-    def copy(self) -> "_ChainState":
-        return _ChainState(
-            balances={t: dict(h) for t, h in self.balances.items()},
-            reserves=dict(self.reserves),
-            gate_members={t: set(m) for t, m in self.gate_members.items()},
-            gate_active_from=dict(self.gate_active_from),
-            switched_at=dict(self.switched_at),
-            buyers_seen={t: set(b) for t, b in self.buyers_seen.items()},
-            pool_provider=dict(self.pool_provider),
-        )
-
-    def balance(self, token: Address, holder: Address) -> int:
-        return self.balances.get(token, {}).get(holder, 0)
-
-    def set_balance(self, token: Address, holder: Address, value: int) -> None:
-        self.balances.setdefault(token, {})[holder] = value
-
-
 @dataclass(frozen=True, slots=True)
 class _TokenMeta:
     behavior: TokenBehavior
     owner: Address
-    supply: TokenAmount
 
 
-class _Sink:
-    """Collects records emitted by executing transactions."""
+_UNSET = object()
 
-    def __init__(self) -> None:
-        self.transfers: list[TransferRecord] = []
-        self.swaps: list[tuple[Address, SwapRecord]] = []
+# State keys hold raw address bytes, not `Address` objects: bytes cache
+# their hash, and a read through a bundle call hashes its key once per
+# layer (call, fork, history).
 
-    def emitted(self) -> tuple[TransferRecord | SwapRecord, ...]:
-        return tuple(self.transfers) + tuple(rec for _, rec in self.swaps)
+
+def _bal(token: Address, holder: Address) -> tuple[bytes, bytes]:
+    """State key of a token balance."""
+    return token.raw, holder.raw
+
+
+def _key(name: str, address: Address) -> tuple[str, bytes]:
+    """State key of any other per-address field, such as a pool's reserves."""
+    return name, address.raw
+
+
+class _Overlay:
+    """One execution's writes and records over `read(key, default)`.
+
+    Keys this execution has not written fall through to `read`. Nothing
+    reaches the base until the owner commits `writes` and files `records`,
+    so a reverted execution is simply dropped.
+    """
+
+    __slots__ = ("read", "writes", "records", "emitted")
+
+    def __init__(self, read: Callable[[tuple, object], object]) -> None:
+        self.read = read
+        self.writes: dict[tuple, object] = {}
+        self.records: list[tuple[list, object]] = []
+        self.emitted: list[TransferRecord | SwapRecord] = []
+
+    def get(self, key: tuple, default=0):
+        value = self.writes.get(key, _UNSET)
+        return self.read(key, default) if value is _UNSET else value
+
+    def set(self, key: tuple, value) -> None:
+        self.writes[key] = value
+
+    def log(self, store: list, record, emit: bool) -> None:
+        """Queue `record` for `store`; `emit` puts it in the outcome too."""
+        self.records.append((store, record))
+        if emit:
+            self.emitted.append(record)
+
+    def run(self, fn, tx: BlockIndex) -> CallOutcome:
+        """Execute `fn(self, tx)`; a revert becomes a REVERT outcome."""
+        try:
+            value = fn(self, tx)
+        except _Revert as exc:
+            return CallOutcome(status=CallStatus.REVERT, revert_reason=exc.reason)
+        return CallOutcome(
+            status=CallStatus.SUCCESS, return_value=value, emitted=tuple(self.emitted)
+        )
+
+
+def _move(
+    ov: _Overlay, token: Address, sender: Address, recipient: Address,
+    debit: TokenAmount, credit: TokenAmount,
+) -> None:
+    ov.set(_bal(token, sender), ov.get(_bal(token, sender)) - debit)
+    ov.set(_bal(token, recipient), ov.get(_bal(token, recipient)) + credit)
 
 
 def _tx_hash(block: int, index: int) -> bytes:
@@ -123,12 +157,11 @@ def _tx_hash(block: int, index: int) -> bytes:
 
 class MockChain(ChainView):
     """Deterministic single-writer chain; sealed blocks are safe to read
-    concurrently."""
+    concurrently, because a commit only adds history at the pending block."""
 
     def __init__(self) -> None:
         self._head = 0
-        self._state = _ChainState()
-        self._sealed: dict[int, _ChainState] = {0: self._state.copy()}
+        self._history: dict[tuple, tuple[list[int], list]] = {}
         self._tokens: dict[Address, _TokenMeta] = {}
         self._pools: dict[Address, PoolInfo] = {}
         self._pool_created: list[tuple[int, PoolInfo]] = []
@@ -141,7 +174,7 @@ class MockChain(ChainView):
         self._pool_counter = 0
 
     # ------------------------------------------------------------------
-    # block clock
+    # block clock and state history
 
     def head(self) -> int:
         return self._head
@@ -153,28 +186,40 @@ class MockChain(ChainView):
     def advance_block(self, n: int = 1) -> int:
         if n < 1:
             raise ValueError("advance_block needs n >= 1")
-        for _ in range(n):
-            self._auto_switch_at_block(self.pending_block)
-            self._head += 1
-            self._sealed[self._head] = self._state.copy()
-            self._pending_tx = 0
+        self._head += n
+        self._pending_tx = 0
         return self._head
-
-    def _auto_switch_at_block(self, block: int) -> None:
-        for token, meta in self._tokens.items():
-            beh = meta.behavior
-            if (
-                isinstance(beh, DelayedSellTax)
-                and beh.trigger.kind is TriggerKind.AT_BLOCK
-                and block >= beh.trigger.value
-                and self._state.switched_at.get(token) is None
-            ):
-                self._state.switched_at[token] = beh.trigger.value
 
     def _next_tx(self) -> BlockIndex:
         idx = BlockIndex(self.pending_block, self._pending_tx)
         self._pending_tx += 1
         return idx
+
+    def _read_pending(self, key: tuple, default):
+        entry = self._history.get(key)
+        return entry[1][-1] if entry else default
+
+    def _read_at(self, block: int, key: tuple, default):
+        entry = self._history.get(key)
+        if entry is None:
+            return default
+        i = bisect_right(entry[0], block)
+        return entry[1][i - 1] if i else default
+
+    def _write(self, key: tuple, value) -> None:
+        block = self.pending_block
+        entry = self._history.get(key)
+        if entry is None:
+            self._history[key] = ([block], [value])
+        elif entry[0][-1] == block:
+            entry[1][-1] = value
+        else:
+            entry[0].append(block)
+            entry[1].append(value)
+
+    def _check_sealed(self, block: int) -> None:
+        if block < 0 or block > self._head:
+            raise BlockOutOfRange(f"block {block} not sealed (head={self._head})")
 
     # ------------------------------------------------------------------
     # registry
@@ -187,30 +232,15 @@ class MockChain(ChainView):
             raise ValueError("supply must be positive")
         self._token_counter += 1
         token = Address.derive(f"mock-token:{self._token_counter}")
-        self._tokens[token] = _TokenMeta(behavior, owner, supply)
+        self._tokens[token] = _TokenMeta(behavior, owner)
         self._transfers[token] = []
         self._approvals[token] = []
-        self._state.set_balance(token, owner, supply)
-        self._state.switched_at[token] = None
-        self._state.buyers_seen[token] = set()
-        if isinstance(behavior, ListGate):
-            members = set(behavior.members)
-            if behavior.mode is GateMode.ALLOW:
-                members.add(owner)
-            self._state.gate_members[token] = members
-            self._state.gate_active_from[token] = behavior.active_from
-        tx = self._next_tx()
-        self._transfers[token].append(
-            TransferRecord(
-                token=token,
-                block=tx,
-                sender=ZERO_ADDRESS,
-                recipient=owner,
-                value=supply,
-                logged=True,
-                tx_sender=owner,
-            )
-        )
+
+        def run(ov, tx):
+            ov.set(_bal(token, owner), supply)
+            self._log_transfer(ov, token, tx, ZERO_ADDRESS, owner, supply, owner)
+
+        self._run_tx(run)
         return token
 
     def create_pool(
@@ -236,14 +266,7 @@ class MockChain(ChainView):
         self._pool_created.append((self.pending_block, info))
         self._swaps[pool] = []
         self._liquidity[pool] = []
-        self._state.reserves[pool] = (0, 0)
-        self._state.pool_provider[pool] = None
-        # Deployed allow-list traps whitelist the pair contract so that buys
-        # keep working; mirror that here.
-        for token in (token_x, token_y):
-            beh = self._tokens[token].behavior
-            if isinstance(beh, ListGate) and beh.mode is GateMode.ALLOW:
-                self._state.gate_members[token].add(pool)
+        self._write(_key("reserves", pool), (0, 0))
         return pool
 
     def _require_token(self, token: Address) -> _TokenMeta:
@@ -263,41 +286,75 @@ class MockChain(ChainView):
 
     def switched_at(self, token: Address) -> int | None:
         """Block from which a delayed trap is active, if it ever switched."""
-        self._require_token(token)
-        return self._state.switched_at.get(token)
+        beh = self._require_token(token).behavior
+        flipped = self._read_pending(_key("switched", token), None)
+        if (
+            isinstance(beh, DelayedSellTax)
+            and beh.trigger.kind is TriggerKind.AT_BLOCK
+            and self._head >= beh.trigger.value
+        ):
+            return beh.trigger.value if flipped is None else min(flipped, beh.trigger.value)
+        return flipped
 
     # ------------------------------------------------------------------
     # transfer engine
 
-    def _transfer_allowed(
-        self, state: _ChainState, token: Address, sender: Address, block: int
-    ) -> None:
-        beh = self._tokens[token].behavior
+    def _transfer_allowed(self, ov: _Overlay, token: Address, sender: Address, block: int) -> None:
+        meta = self._tokens[token]
+        beh = meta.behavior
         if not isinstance(beh, ListGate):
             return
-        if block < state.gate_active_from.get(token, beh.active_from):
+        if block < ov.get(_key("active_from", token), beh.active_from):
             return
-        members = state.gate_members.get(token, set(beh.members))
-        if beh.mode is GateMode.ALLOW:
-            if not beh.global_open and sender not in members:
+        if beh.mode is GateMode.DENY:
+            if sender in beh.members:
                 raise _Revert(REASON_GATE)
-        else:
-            if sender in members:
-                raise _Revert(REASON_GATE)
+            return
+        # Deployed allow-list traps also list their owner and every pair
+        # contract of the token, so that buys keep working.
+        pool = self._pools.get(sender)
+        listed = (
+            sender in beh.members
+            or sender == meta.owner
+            or (pool is not None and pool.has_token(token))
+        )
+        if not beh.global_open and not listed:
+            raise _Revert(REASON_GATE)
 
-    def _sell_tax_active(self, state: _ChainState, token: Address, block: int) -> bool:
+    def _sell_tax_active(self, ov: _Overlay, token: Address, block: int) -> bool:
         beh = self._tokens[token].behavior
         if not isinstance(beh, DelayedSellTax):
             return False
         if beh.trigger.kind is TriggerKind.AT_BLOCK and block >= beh.trigger.value:
             return True
-        switched = state.switched_at.get(token)
+        switched = ov.get(_key("switched", token), None)
         return switched is not None and switched <= block
+
+    def _log_transfer(
+        self,
+        ov: _Overlay,
+        token: Address,
+        tx: BlockIndex,
+        sender: Address,
+        recipient: Address,
+        value: TokenAmount,
+        tx_sender: Address,
+        logged: bool = True,
+    ) -> None:
+        record = TransferRecord(
+            token=token,
+            block=tx,
+            sender=sender,
+            recipient=recipient,
+            value=value,
+            logged=logged,
+            tx_sender=tx_sender,
+        )
+        ov.log(self._transfers[token], record, emit=logged)
 
     def _exec_transfer(
         self,
-        state: _ChainState,
-        sink: _Sink,
+        ov: _Overlay,
         token: Address,
         sender: Address,
         recipient: Address,
@@ -307,16 +364,15 @@ class MockChain(ChainView):
         tx_sender: Address,
     ) -> TokenAmount:
         """Move balances per the token's behavior; returns the amount the
-        recipient was actually credited. Raises _Revert; never mutates on
-        failure (callers checkpoint state)."""
+        recipient was actually credited. Raises _Revert."""
         check_amount(amount, "amount")
         meta = self._tokens[token]
         beh = meta.behavior
-        balance = state.balance(token, sender)
+        balance = ov.get(_bal(token, sender))
         if amount > balance:
             reason = REASON_BALANCE_LIMITED if isinstance(beh, LimitedSell) else REASON_BALANCE
             raise _Revert(reason)
-        self._transfer_allowed(state, token, sender, tx.number)
+        self._transfer_allowed(ov, token, sender, tx.number)
 
         debit = amount
         credit = amount
@@ -337,31 +393,19 @@ class MockChain(ChainView):
                 debit = credit = logged_value = moved
         elif isinstance(beh, DelayedSellTax):
             if context is TransferContext.POOL_IN and self._sell_tax_active(
-                state, token, tx.number
+                ov, token, tx.number
             ):
                 credit = amount - apply_rate(amount, beh.final_sell_tax)
                 logged_value = credit
         # OwnerDrain and ListGate (past the gate) move honestly.
 
-        state.set_balance(token, sender, balance - debit)
-        state.set_balance(token, recipient, state.balance(token, recipient) + credit)
-        sink.transfers.append(
-            TransferRecord(
-                token=token,
-                block=tx,
-                sender=sender,
-                recipient=recipient,
-                value=logged_value,
-                logged=True,
-                tx_sender=tx_sender,
-            )
-        )
+        _move(ov, token, sender, recipient, debit, credit)
+        self._log_transfer(ov, token, tx, sender, recipient, logged_value, tx_sender)
         return credit
 
     def _exec_swap(
         self,
-        state: _ChainState,
-        sink: _Sink,
+        ov: _Overlay,
         pool: Address,
         trader: Address,
         token_in: Address,
@@ -377,13 +421,13 @@ class MockChain(ChainView):
         if amount_in == 0:
             raise _Revert("swap: zero input")
         token_out = info.other_token(token_in)
-        rx, ry = state.reserves[pool]
+        rx, ry = ov.get(_key("reserves", pool), (0, 0))
         reserve_in, reserve_out = (rx, ry) if token_in == info.token_x else (ry, rx)
         if reserve_in == 0 or reserve_out == 0:
             raise _Revert("swap: no liquidity")
 
         delivered_in = self._exec_transfer(
-            state, sink, token_in, trader, pool, amount_in, TransferContext.POOL_IN, tx, trader
+            ov, token_in, trader, pool, amount_in, TransferContext.POOL_IN, tx, trader
         )
         if delivered_in > 0:
             amount_out = estimate_output(
@@ -393,66 +437,55 @@ class MockChain(ChainView):
             amount_out = 0
         reserve_in += delivered_in
         reserve_out -= amount_out
-        state.reserves[pool] = (
-            (reserve_in, reserve_out) if token_in == info.token_x else (reserve_out, reserve_in)
+        ov.set(
+            _key("reserves", pool),
+            (reserve_in, reserve_out) if token_in == info.token_x else (reserve_out, reserve_in),
         )
         self._exec_transfer(
-            state, sink, token_out, pool, recipient, amount_out, TransferContext.POOL_OUT, tx, trader
+            ov, token_out, pool, recipient, amount_out, TransferContext.POOL_OUT, tx, trader
         )
-        self._track_buyer(state, token_out, recipient, tx.number)
-        sink.swaps.append(
-            (
-                pool,
-                SwapRecord(
-                    tx_hash=_tx_hash(tx.number, tx.tx_index or 0),
-                    block=tx,
-                    sender=trader,
-                    token_in=token_in,
-                    amount_in=delivered_in,
-                    token_out=token_out,
-                    amount_out=amount_out,
-                    recipient=recipient,
-                ),
-            )
+        self._track_buyer(ov, token_out, recipient, tx.number)
+        record = SwapRecord(
+            tx_hash=_tx_hash(tx.number, tx.tx_index or 0),
+            block=tx,
+            sender=trader,
+            token_in=token_in,
+            amount_in=delivered_in,
+            token_out=token_out,
+            amount_out=amount_out,
+            recipient=recipient,
         )
+        ov.log(self._swaps[pool], record, emit=True)
         return amount_out
 
-    def _track_buyer(
-        self, state: _ChainState, token: Address, buyer: Address, block: int
-    ) -> None:
-        meta = self._tokens.get(token)
-        if meta is None:
-            return
-        seen = state.buyers_seen.setdefault(token, set())
-        seen.add(buyer)
-        beh = meta.behavior
-        if (
+    def _track_buyer(self, ov: _Overlay, token: Address, buyer: Address, block: int) -> None:
+        """Count distinct buyers of an after-buyers token until it switches."""
+        beh = self._tokens[token].behavior
+        if not (
             isinstance(beh, DelayedSellTax)
             and beh.trigger.kind is TriggerKind.AFTER_BUYERS
-            and len(seen) >= beh.trigger.value
-            and state.switched_at.get(token) is None
+            and ov.get(_key("switched", token), None) is None
         ):
-            state.switched_at[token] = block
+            return
+        seen = ov.get(_key("buyers", token), frozenset()) | {buyer}
+        ov.set(_key("buyers", token), seen)
+        if len(seen) >= beh.trigger.value:
+            ov.set(_key("switched", token), block)
 
     # ------------------------------------------------------------------
     # public transactions (pending block)
 
     def _run_tx(self, fn) -> CallOutcome:
-        tx = self._next_tx()
-        sink = _Sink()
-        backup = self._state.copy()
-        try:
-            value = fn(self._state, sink, tx)
-        except _Revert as exc:
-            self._state = backup
-            return CallOutcome(status=CallStatus.REVERT, revert_reason=exc.reason)
-        for rec in sink.transfers:
-            self._transfers.setdefault(rec.token, []).append(rec)
-        for pool, rec in sink.swaps:
-            self._swaps.setdefault(pool, []).append(rec)
-        return CallOutcome(
-            status=CallStatus.SUCCESS, return_value=value, emitted=sink.emitted()
-        )
+        """Run `fn(overlay, tx)` as the next transaction of the pending
+        block; only a success reaches the history and the record stores."""
+        ov = _Overlay(self._read_pending)
+        outcome = ov.run(fn, self._next_tx())
+        if outcome.ok:
+            for key, value in ov.writes.items():
+                self._write(key, value)
+            for store, record in ov.records:
+                store.append(record)
+        return outcome
 
     def token_transfer(
         self,
@@ -464,10 +497,8 @@ class MockChain(ChainView):
     ) -> CallOutcome:
         self._require_token(token)
 
-        def run(state, sink, tx):
-            return self._exec_transfer(
-                state, sink, token, sender, recipient, amount, context, tx, sender
-            )
+        def run(ov, tx):
+            return self._exec_transfer(ov, token, sender, recipient, amount, context, tx, sender)
 
         return self._run_tx(run)
 
@@ -476,54 +507,49 @@ class MockChain(ChainView):
     ) -> CallOutcome:
         self._require_token(token)
         check_amount(amount, "amount")
-        tx = self._next_tx()
-        self._approvals.setdefault(token, []).append(
-            ApproveRecord(token=token, block=tx, approver=approver, spender=spender, value=amount)
-        )
-        return CallOutcome(status=CallStatus.SUCCESS)
+
+        def run(ov, tx):
+            record = ApproveRecord(
+                token=token, block=tx, approver=approver, spender=spender, value=amount
+            )
+            ov.log(self._approvals[token], record, emit=False)
+
+        return self._run_tx(run)
 
     def owner_drain(self, token: Address, victim: Address, caller: Address) -> CallOutcome:
-        meta = self._require_token(token)
-        beh = meta.behavior
-        tx = self._next_tx()
-        if not isinstance(beh, OwnerDrain):
-            return CallOutcome(status=CallStatus.REVERT, revert_reason="drain not supported")
-        if caller != beh.owner:
-            return CallOutcome(status=CallStatus.REVERT, revert_reason=REASON_DRAIN_AUTH)
-        amount = self._state.balance(token, victim)
-        if amount == 0:
-            return CallOutcome(status=CallStatus.SUCCESS, return_value=0)
-        self._state.set_balance(token, victim, 0)
-        record = TransferRecord(
-            token=token,
-            block=tx,
-            sender=victim,
-            recipient=ZERO_ADDRESS,
-            value=amount,
-            logged=beh.emits_event,
-            tx_sender=caller,
-        )
-        self._transfers.setdefault(token, []).append(record)
-        emitted = (record,) if beh.emits_event else ()
-        return CallOutcome(status=CallStatus.SUCCESS, return_value=amount, emitted=emitted)
+        beh = self._require_token(token).behavior
+
+        def run(ov, tx):
+            if not isinstance(beh, OwnerDrain):
+                raise _Revert("drain not supported")
+            if caller != beh.owner:
+                raise _Revert(REASON_DRAIN_AUTH)
+            amount = ov.get(_bal(token, victim))
+            if amount:
+                ov.set(_bal(token, victim), 0)
+                self._log_transfer(
+                    ov, token, tx, victim, ZERO_ADDRESS, amount, caller, beh.emits_event
+                )
+            return amount
+
+        return self._run_tx(run)
 
     def flip_switch(self, token: Address, caller: Address) -> CallOutcome:
         meta = self._require_token(token)
         beh = meta.behavior
-        self._next_tx()
-        if caller != meta.owner:
-            return CallOutcome(status=CallStatus.REVERT, revert_reason="caller is not the owner")
-        if isinstance(beh, DelayedSellTax):
-            if self._state.switched_at.get(token) is None:
-                self._state.switched_at[token] = self.pending_block
-            return CallOutcome(status=CallStatus.SUCCESS)
-        if isinstance(beh, ListGate):
-            current = self._state.gate_active_from.get(token, beh.active_from)
-            self._state.gate_active_from[token] = min(current, self.pending_block)
-            if self._state.switched_at.get(token) is None:
-                self._state.switched_at[token] = self.pending_block
-            return CallOutcome(status=CallStatus.SUCCESS)
-        return CallOutcome(status=CallStatus.REVERT, revert_reason="behavior has no switch")
+
+        def run(ov, tx):
+            if caller != meta.owner:
+                raise _Revert("caller is not the owner")
+            if not isinstance(beh, (DelayedSellTax, ListGate)):
+                raise _Revert("behavior has no switch")
+            if isinstance(beh, ListGate):
+                current = ov.get(_key("active_from", token), beh.active_from)
+                ov.set(_key("active_from", token), min(current, tx.number))
+            if ov.get(_key("switched", token), None) is None:
+                ov.set(_key("switched", token), tx.number)
+
+        return self._run_tx(run)
 
     def swap(
         self,
@@ -535,8 +561,8 @@ class MockChain(ChainView):
     ) -> CallOutcome:
         self._require_pool(pool)
 
-        def run(state, sink, tx):
-            return self._exec_swap(state, sink, pool, trader, token_in, amount_in, recipient, tx)
+        def run(ov, tx):
+            return self._exec_swap(ov, pool, trader, token_in, amount_in, recipient, tx)
 
         return self._run_tx(run)
 
@@ -546,70 +572,50 @@ class MockChain(ChainView):
         info = self._require_pool(pool)
         check_amount(x, "x")
         check_amount(y, "y")
-        tx = self._next_tx()
-        if x == 0 and y == 0:
-            return CallOutcome(status=CallStatus.REVERT, revert_reason="nothing to deposit")
-        state = self._state
-        if state.balance(info.token_x, provider) < x or state.balance(info.token_y, provider) < y:
-            return CallOutcome(status=CallStatus.REVERT, revert_reason=REASON_BALANCE)
-        records = []
-        for token, amount in ((info.token_x, x), (info.token_y, y)):
-            if amount == 0:
-                continue
-            state.set_balance(token, provider, state.balance(token, provider) - amount)
-            state.set_balance(token, pool, state.balance(token, pool) + amount)
-            rec = TransferRecord(
-                token=token, block=tx, sender=provider, recipient=pool,
-                value=amount, logged=True, tx_sender=provider,
-            )
-            self._transfers.setdefault(token, []).append(rec)
-            records.append(rec)
-        rx, ry = state.reserves[pool]
-        state.reserves[pool] = (rx + x, ry + y)
-        state.pool_provider[pool] = provider
-        self._liquidity[pool].append(
-            LiquidityEvent(pool=pool, block=tx, kind=LiquidityKind.ADD,
-                           amount_x=x, amount_y=y, provider=provider)
-        )
-        return CallOutcome(status=CallStatus.SUCCESS, emitted=tuple(records))
+
+        def run(ov, tx):
+            if x == 0 and y == 0:
+                raise _Revert("nothing to deposit")
+            short_x = ov.get(_bal(info.token_x, provider)) < x
+            if short_x or ov.get(_bal(info.token_y, provider)) < y:
+                raise _Revert(REASON_BALANCE)
+            for token, amount in ((info.token_x, x), (info.token_y, y)):
+                if amount:
+                    _move(ov, token, provider, pool, amount, amount)
+                    self._log_transfer(ov, token, tx, provider, pool, amount, provider)
+            rx, ry = ov.get(_key("reserves", pool), (0, 0))
+            ov.set(_key("reserves", pool), (rx + x, ry + y))
+            ov.set(_key("provider", pool), provider)
+            event = LiquidityEvent(pool=pool, block=tx, kind=LiquidityKind.ADD,
+                                   amount_x=x, amount_y=y, provider=provider)
+            ov.log(self._liquidity[pool], event, emit=False)
+
+        return self._run_tx(run)
 
     def remove_liquidity(self, pool: Address, provider: Address) -> CallOutcome:
         info = self._require_pool(pool)
-        tx = self._next_tx()
-        state = self._state
-        if state.pool_provider.get(pool) != provider:
-            return CallOutcome(status=CallStatus.REVERT, revert_reason="not the liquidity provider")
-        rx, ry = state.reserves[pool]
-        if rx == 0 and ry == 0:
-            return CallOutcome(status=CallStatus.REVERT, revert_reason="pool is empty")
-        records = []
-        for token, amount in ((info.token_x, rx), (info.token_y, ry)):
-            if amount == 0:
-                continue
-            moved = min(amount, state.balance(token, pool))
-            state.set_balance(token, pool, state.balance(token, pool) - moved)
-            state.set_balance(token, provider, state.balance(token, provider) + moved)
-            rec = TransferRecord(
-                token=token, block=tx, sender=pool, recipient=provider,
-                value=moved, logged=True, tx_sender=provider,
-            )
-            self._transfers.setdefault(token, []).append(rec)
-            records.append(rec)
-        state.reserves[pool] = (0, 0)
-        state.pool_provider[pool] = None
-        self._liquidity[pool].append(
-            LiquidityEvent(pool=pool, block=tx, kind=LiquidityKind.REMOVE,
-                           amount_x=rx, amount_y=ry, provider=provider)
-        )
-        return CallOutcome(status=CallStatus.SUCCESS, emitted=tuple(records))
+
+        def run(ov, tx):
+            if ov.get(_key("provider", pool), None) != provider:
+                raise _Revert("not the liquidity provider")
+            rx, ry = ov.get(_key("reserves", pool), (0, 0))
+            if rx == 0 and ry == 0:
+                raise _Revert("pool is empty")
+            for token, amount in ((info.token_x, rx), (info.token_y, ry)):
+                if amount:
+                    moved = min(amount, ov.get(_bal(token, pool)))
+                    _move(ov, token, pool, provider, moved, moved)
+                    self._log_transfer(ov, token, tx, pool, provider, moved, provider)
+            ov.set(_key("reserves", pool), (0, 0))
+            ov.set(_key("provider", pool), None)
+            event = LiquidityEvent(pool=pool, block=tx, kind=LiquidityKind.REMOVE,
+                                   amount_x=rx, amount_y=ry, provider=provider)
+            ov.log(self._liquidity[pool], event, emit=False)
+
+        return self._run_tx(run)
 
     # ------------------------------------------------------------------
     # ChainView queries (sealed state only)
-
-    def _sealed_state(self, block: int) -> _ChainState:
-        if block < 0 or block > self._head:
-            raise BlockOutOfRange(f"block {block} not sealed (head={self._head})")
-        return self._sealed[block]
 
     def get_pool_created(self, block_range: tuple[int, int]) -> list[PoolInfo]:
         lo, hi = check_range(block_range)
@@ -639,18 +645,19 @@ class MockChain(ChainView):
 
     def balance_of(self, token: Address, holder: Address, block: int) -> BalanceSnapshot:
         self._require_token(token)
-        state = self._sealed_state(block)
+        self._check_sealed(block)
         return BalanceSnapshot(
             token=token, holder=holder, block=BlockIndex(block),
-            balance=state.balance(token, holder),
+            balance=self._read_at(block, _bal(token, holder), 0),
         )
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         self._require_pool(pool)
-        state = self._sealed_state(block)
-        if pool not in state.reserves:
+        self._check_sealed(block)
+        reserves = self._read_at(block, _key("reserves", pool), None)
+        if reserves is None:
             raise UnknownPool(f"pool {pool} does not exist at block {block}")
-        return state.reserves[pool]
+        return reserves
 
     def pool_info(self, pool: Address) -> PoolInfo:
         return self._require_pool(pool)
@@ -666,37 +673,27 @@ class MockChain(ChainView):
     ) -> list[CallOutcome]:
         if not calls:
             raise EmptyBundle("bundle must contain at least one call")
-        fork = self._sealed_state(block).copy()
-        if balance_overrides:
-            for (token, holder), amount in balance_overrides.items():
-                self._require_token(token)
-                fork.set_balance(token, holder, check_amount(amount))
+        self._check_sealed(block)
+        fork = _Overlay(partial(self._read_at, block))
+        for (token, holder), amount in (balance_overrides or {}).items():
+            self._require_token(token)
+            fork.set(_bal(token, holder), check_amount(amount))
         outcomes: list[CallOutcome] = []
         for i, call in enumerate(calls):
-            tx = BlockIndex(block, i)
-            sink = _Sink()
-            backup = fork.copy()
-            try:
-                value = self._exec_call(fork, sink, call, tx)
-            except _Revert as exc:
-                fork = backup
-                outcomes.append(CallOutcome(status=CallStatus.REVERT, revert_reason=exc.reason))
-                continue
-            outcomes.append(
-                CallOutcome(status=CallStatus.SUCCESS, return_value=value, emitted=sink.emitted())
-            )
+            ov = _Overlay(fork.get)
+            outcomes.append(ov.run(partial(self._exec_call, call), BlockIndex(block, i)))
+            if outcomes[-1].ok:
+                fork.writes.update(ov.writes)
         return outcomes
 
-    def _exec_call(
-        self, state: _ChainState, sink: _Sink, call: Call, tx: BlockIndex
-    ) -> TokenAmount | None:
+    def _exec_call(self, call: Call, ov: _Overlay, tx: BlockIndex) -> TokenAmount | None:
         if isinstance(call, BalanceOfCall):
             if call.token not in self._tokens:
                 raise _Revert(f"unknown token: {call.token}")
-            return state.balance(call.token, call.holder)
+            return ov.get(_bal(call.token, call.holder))
         if isinstance(call, SwapExactInCall):
             out = self._exec_swap(
-                state, sink, call.pool, call.caller, call.token_in,
+                ov, call.pool, call.caller, call.token_in,
                 call.amount_in, call.recipient, tx,
             )
             if out < call.min_out:

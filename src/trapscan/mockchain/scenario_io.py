@@ -79,6 +79,8 @@ class Scenario:
 
 
 def _need(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError(where, "must be an object")
     if key not in doc:
         raise ScenarioFormatError(where, f"missing required field {key!r}")
     return doc[key]
@@ -97,6 +99,18 @@ def _amount(value, where: str) -> int:
     if n < 0:
         raise ScenarioFormatError(where, "amount must be non-negative")
     return n
+
+
+def _integer(value, where: str, minimum: int = 0) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ScenarioFormatError(where, f"must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioFormatError(where, f"must be true or false, got {value!r}")
+    return value
 
 
 def _rate(value, where: str) -> Fraction:
@@ -122,7 +136,10 @@ def _actor(tag, actors: ScenarioActors, where: str) -> Address:
     if tag == "wash":
         return actors.wash_trader
     if tag.startswith("victim:"):
-        idx = int(tag.split(":", 1)[1])
+        digits = tag.split(":", 1)[1]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ScenarioFormatError(where, f"victim index must be a decimal number: {tag}")
+        idx = int(digits)
         if idx >= len(actors.victims):
             raise ScenarioFormatError(where, f"victim index out of range: {tag}")
         return actors.victims[idx]
@@ -151,7 +168,7 @@ def _behavior(doc: dict, actors: ScenarioActors, where: str) -> TokenBehavior:
     if kind == "owner_drain":
         return OwnerDrain(
             owner=actors.creator,
-            emits_event=bool(params.get("emits_event", True)),
+            emits_event=_flag(params.get("emits_event", True), f"{p}.emits_event"),
         )
     if kind == "list_gate":
         mode = params.get("mode", "allow")
@@ -160,8 +177,8 @@ def _behavior(doc: dict, actors: ScenarioActors, where: str) -> TokenBehavior:
         return ListGate(
             mode=GateMode(mode),
             members=_actor_set(params.get("members", []), actors, f"{p}.members"),
-            global_open=bool(params.get("global_open", False)),
-            active_from=int(params.get("active_from", 0)),
+            global_open=_flag(params.get("global_open", False), f"{p}.global_open"),
+            active_from=_integer(params.get("active_from", 0), f"{p}.active_from"),
         )
     if kind == "limited_sell":
         return LimitedSell(
@@ -174,7 +191,8 @@ def _behavior(doc: dict, actors: ScenarioActors, where: str) -> TokenBehavior:
             "manual", "at_block", "after_buyers",
         ):
             raise ScenarioFormatError(f"{p}.trigger", f"bad trigger: {trig!r}")
-        trigger = SwitchTrigger(TriggerKind(trig["kind"]), int(trig.get("value", 0)))
+        value = _integer(trig.get("value", 0), f"{p}.trigger.value")
+        trigger = SwitchTrigger(TriggerKind(trig["kind"]), value)
         return DelayedSellTax(
             final_sell_tax=_rate(_need(params, "final_sell_tax", p), f"{p}.final_sell_tax"),
             trigger=trigger,
@@ -200,26 +218,21 @@ def _step(doc: dict, behavior: TokenBehavior, supply: int, fee: tuple[int, int],
             y=_amount(_need(doc, "y", where), f"{where}.y"),
         )
     if op == "wash_buy":
-        times = int(doc.get("times", 1))
-        if times < 1:
-            raise ScenarioFormatError(f"{where}.times", "must be >= 1")
+        times = _integer(doc.get("times", 1), f"{where}.times", 1)
         return WashBuy(amount=_amount(_need(doc, "amount", where), f"{where}.amount"), times=times)
     if op == "victim_buy":
         return VictimBuy(
-            victim=int(_need(doc, "victim", where)),
+            victim=_integer(_need(doc, "victim", where), f"{where}.victim"),
             amount=_amount(_need(doc, "amount", where), f"{where}.amount"),
         )
     if op == "flip_switch":
         return FlipSwitch()
     if op == "drain":
-        return Drain(victim=int(_need(doc, "victim", where)))
+        return Drain(victim=_integer(_need(doc, "victim", where), f"{where}.victim"))
     if op == "remove_liquidity":
         return RemoveLiquidity()
     if op == "wait":
-        blocks = int(doc.get("blocks", 1))
-        if blocks < 1:
-            raise ScenarioFormatError(f"{where}.blocks", "must be >= 1")
-        return Wait(blocks=blocks)
+        return Wait(blocks=_integer(doc.get("blocks", 1), f"{where}.blocks", 1))
     raise ScenarioFormatError(where, f"unknown op {op!r}, expected one of {sorted(_STEP_OPS)}")
 
 
@@ -246,13 +259,19 @@ def parse_scenario(doc: dict) -> Scenario:
     victim_count = 0
     for i, s in enumerate(steps_doc):
         if isinstance(s, dict) and s.get("op") in ("victim_buy", "drain"):
-            victim_count = max(victim_count, int(s.get("victim", 0)) + 1)
+            victim = _integer(s.get("victim", 0), f"$.steps[{i}].victim")
+            victim_count = max(victim_count, victim + 1)
     actors = derive_actors(seed, victim_count)
 
     behavior = _behavior(tokens[0], actors, "$.tokens[0]")
     supply = _amount(tokens[0].get("supply", 10**27), "$.tokens[0].supply")
     pool_doc = pools[0]
-    fee = (int(pool_doc.get("fee_num", 3)), int(pool_doc.get("fee_den", 1000)))
+    if not isinstance(pool_doc, dict):
+        raise ScenarioFormatError("$.pools[0]", "must be an object")
+    fee = (
+        _integer(pool_doc.get("fee_num", 3), "$.pools[0].fee_num"),
+        _integer(pool_doc.get("fee_den", 1000), "$.pools[0].fee_den", 1),
+    )
     if not (0 <= fee[0] < fee[1]):
         raise ScenarioFormatError("$.pools[0]", f"fee must be in [0,1): {fee}")
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 from trapscan.chainview import LiquidityKind
 from trapscan.core import Address, ZERO_ADDRESS
-from trapscan.mockchain import MockChain, TransferContext
-from trapscan.mockchain.chain import _Revert  # noqa: SLF001 - test harness
+from trapscan.mockchain import MockChain
 from trapscan.rpcbackend import abi
 from trapscan.rpcbackend.abi import (
     SIG_APPROVAL,

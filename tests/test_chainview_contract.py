@@ -5,6 +5,7 @@ backend driven by the in-process fake node (scripted replay, no network).
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,31 @@ class TestSimulation:
         outcomes = chain.simulate_bundle(head, calls)
         assert outcomes[0].return_value == held
         assert outcomes[2].return_value == 0  # sold everything inside the fork
+
+    def test_reverted_swap_leaves_fork_as_before(self, live_world):
+        trace, chain = live_world
+        victim = trace.actors.victims[0]
+        head = chain.head()
+        held = chain.balance_of(trace.trap_token, victim, head).balance
+        sell = SwapExactInCall(
+            caller=victim, pool=trace.pool.pool, token_in=trace.trap_token,
+            token_out=trace.base_token, amount_in=held, recipient=victim,
+        )
+        (alone,) = chain.simulate_bundle(head, [sell])
+        assert alone.ok
+        calls = [
+            # Its transfers run before the min_out check reverts the call.
+            replace(sell, min_out=alone.return_value + 1),
+            BalanceOfCall(caller=victim, token=trace.trap_token, holder=victim),
+            BalanceOfCall(caller=victim, token=trace.base_token, holder=victim),
+            sell,
+        ]
+        outcomes = chain.simulate_bundle(head, calls)
+        assert outcomes[0].reverted
+        assert outcomes[1].return_value == held
+        assert outcomes[2].return_value == chain.balance_of(trace.base_token, victim, head).balance
+        assert outcomes[3].ok
+        assert outcomes[3].return_value == alone.return_value  # reserves unmoved
 
     def test_revert_isolates_single_call(self, backend_factory):
         trace = run_simple(ListGate(mode=GateMode.ALLOW, members=frozenset()))

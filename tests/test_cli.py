@@ -34,6 +34,30 @@ def small_corpus(tmp_path_factory):
     return out
 
 
+def _params(doc):
+    return doc["tokens"][0]["params"]
+
+
+# (family, corruption of its generated document, JSON path the error names)
+BAD_SCENARIOS = [
+    ("hidden_tax", lambda d: _params(d).update(exempt=["victim:-1"]),
+     "$.tokens[0].params.exempt"),
+    ("hidden_tax", lambda d: _params(d).update(exempt=["victim:x"]),
+     "$.tokens[0].params.exempt"),
+    ("owner_drain", lambda d: _params(d).update(emits_event="false"),
+     "$.tokens[0].params.emits_event"),
+    ("list_gate", lambda d: _params(d).update(global_open="false"),
+     "$.tokens[0].params.global_open"),
+    ("honest", lambda d: d["steps"][4].update(victim=-1), "$.steps[4].victim"),
+    ("honest", lambda d: d["steps"][3].update(times="two"), "$.steps[3].times"),
+    ("honest", lambda d: d["pools"][0].update(fee_num="x"), "$.pools[0].fee_num"),
+    ("list_gate", lambda d: _params(d).update(active_from="x"),
+     "$.tokens[0].params.active_from"),
+    ("delayed_sell_tax", lambda d: _params(d).update(trigger={"kind": "at_block", "value": "x"}),
+     "$.tokens[0].params.trigger.value"),
+]
+
+
 class TestSimulate:
     def test_drain_scenario_matches_and_exits_zero(self, tmp_path):
         doc = generate_scenario("owner_drain", seed=5, index=0)
@@ -63,7 +87,7 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "line 2" in proc.stderr and "column" in proc.stderr
 
-    def test_schema_violation_exits_2_with_path(self, tmp_path):
+    def test_schema_violation_exits_2_with_path(self, tmp_path, capsys):
         doc = generate_scenario("honest", seed=5, index=2)
         doc["tokens"][0]["behavior"] = "nonsense"
         path = tmp_path / "bad.json"
@@ -71,6 +95,15 @@ class TestSimulate:
         proc = run_cli("simulate", str(path))
         assert proc.returncode == 2
         assert "$.tokens[0]" in proc.stderr
+        for family, corrupt, where in BAD_SCENARIOS:
+            doc = generate_scenario(family, seed=5, index=2)
+            corrupt(doc)
+            path.write_text(dump_scenario(doc))
+            for argv in (["simulate", str(path)],
+                         ["scan", "--mode", "sim", "--scenario", str(path)]):
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert (code, where in err) == (2, True), (argv[0], where, err)
 
     def test_missing_file_exits_1(self, tmp_path):
         proc = run_cli("simulate", str(tmp_path / "nope.json"))

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_simple, simple_script
-from trapscan.chainview import CallStatus, LiquidityKind, UnknownPool
+from trapscan.chainview import (
+    BalanceOfCall,
+    CallStatus,
+    LiquidityKind,
+    SwapExactInCall,
+    UnknownPool,
+)
 from trapscan.core import Address, ZERO_ADDRESS
 from trapscan.mockchain import (
     AmbiguousParameters,
@@ -198,6 +205,31 @@ class TestSwap:
         assert chain.swap(pool, OWNER, base, 0, OWNER).reverted
         assert chain.swap(pool, OWNER, base, 100, OWNER).reverted  # no liquidity
 
+    def test_revert_after_first_write_leaves_no_trace(self, chain):
+        base, trap, pool = fresh_pool(chain, OwnerDrain(owner=OWNER))
+        chain.token_transfer(base, OWNER, ALICE, 1000)
+        assert chain.owner_drain(trap, pool, OWNER).ok  # the pool cannot pay out
+        chain.advance_block()
+
+        def observed():
+            head = chain.head()
+            return (
+                [chain.balance_of(t, h, head).balance
+                 for t in (base, trap) for h in (ALICE, pool)],
+                chain.get_reserves(pool, head),
+                chain.get_transfers(base, (0, head)),
+                chain.get_transfers(trap, (0, head)),
+                chain.get_swaps(pool, (0, head)),
+            )
+
+        before = observed()
+        # Pays base into the pool and moves the reserves, then reverts on
+        # the pool's empty trap balance.
+        out = chain.swap(pool, ALICE, base, 100, ALICE)
+        assert out.reverted and "exceeds balance" in out.revert_reason
+        chain.advance_block()
+        assert observed() == before
+
     def test_emitted_records_on_success(self, chain):
         base, trap, pool = fresh_pool(chain, Honest(Fraction(0)))
         chain.token_transfer(base, OWNER, ALICE, 1000)
@@ -267,6 +299,21 @@ class TestFlipSwitch:
         chain.advance_block(5)
         assert chain.switched_at(token) == 5
 
+    def test_at_block_flipped_by_hand(self, chain):
+        early = chain.deploy_token(
+            DelayedSellTax(Fraction(1), trigger=SwitchTrigger.at_block(10)), 10**24, OWNER
+        )
+        late = chain.deploy_token(
+            DelayedSellTax(Fraction(1), trigger=SwitchTrigger.at_block(3)), 10**24, OWNER
+        )
+        chain.advance_block(3)
+        flip_block = chain.pending_block
+        assert chain.flip_switch(early, OWNER).ok
+        assert chain.flip_switch(late, OWNER).ok  # already on since block 3
+        chain.advance_block(20)
+        assert chain.switched_at(early) == flip_block
+        assert chain.switched_at(late) == 3
+
 
 class TestBlocks:
     def test_advance(self, chain):
@@ -283,6 +330,31 @@ class TestBlocks:
         chain.advance_block()
         assert chain.balance_of(token, ALICE, snapshot_block).balance == 100
         assert chain.balance_of(token, ALICE, chain.head()).balance == 1000
+
+    def test_sealing_and_bundles_copy_no_state(self, chain):
+        base, trap, pool = fresh_pool(chain, Honest(Fraction(0)))
+        for i in range(200):
+            chain.token_transfer(base, OWNER, Address.derive(f"holder:{i}"), 1000 + i)
+        chain.token_transfer(base, OWNER, ALICE, 10**6)
+        chain.advance_block()
+        calls = [
+            BalanceOfCall(caller=ALICE, token=trap, holder=ALICE),
+            SwapExactInCall(caller=ALICE, pool=pool, token_in=base, token_out=trap,
+                            amount_in=100, recipient=ALICE),
+            BalanceOfCall(caller=ALICE, token=trap, holder=ALICE),
+        ]
+        chain.simulate_bundle(chain.head(), calls)  # warm up lazy imports and caches
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(lambda: chain.advance_block(1000)) < 64 * 1024
+        assert peak_bytes(lambda: chain.simulate_bundle(chain.head(), calls)) < 8 * 1024
 
 
 class TestScripts:
