@@ -48,9 +48,11 @@ def probe_pool(title, trace):
     chain, pool = trace.chain, trace.pool
     head = chain.head()
     victim = trace.actors.victims[0]
+    # One reserves read, as a scan's ingestion makes it, prices all three bundles.
+    reserves = chain.get_reserves(pool.pool, head)
 
     held = chain.balance_of(trace.trap_token, victim, head)
-    bundle = build_sell_bundle(chain, victim, pool, trace.trap_token, held, head)
+    bundle = build_sell_bundle(reserves, victim, pool, trace.trap_token, held, head)
     result = run(chain, bundle)
     print(f"victim sell of {held.balance} units at block {head}:")
     print(f"  estimator predicts {result.estimate} base units")
@@ -59,14 +61,14 @@ def probe_pool(title, trace):
 
     probe = probe_account_for(pool)
     funding = {(trace.base_token, probe): PROBE_FUNDING}
-    probe_bundle = build_buy_probe(chain, probe, pool, trace.trap_token, 10**6, head)
+    probe_bundle = build_buy_probe(reserves, probe, pool, trace.trap_token, 10**6, head)
     probe_result = run(chain, probe_bundle, funding)
     print(f"buy probe of 10^6 base units:")
     print(f"  estimator predicts {probe_result.estimate} trap units")
     print(f"  fork delivered     {probe_result.balance_delta}")
 
     roundtrip = build_buy_sell_bundle(
-        chain, probe, pool, trace.trap_token, 10**6, probe_result, head
+        reserves, probe, pool, trace.trap_token, 10**6, probe_result, head
     )
     rt = run(chain, roundtrip, funding)
     print(f"buy-and-sell round trip (sell sized by the probe: {roundtrip.swap_amount}):")

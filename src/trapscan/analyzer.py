@@ -76,12 +76,21 @@ def _threshold_parts(threshold: Fraction) -> tuple[int, int]:
 def check_invalid_buy(
     result: SimulationResult, threshold: Fraction = DEFAULT_THRESHOLD
 ) -> Finding | None:
-    """Buy delivered at most `threshold` of the estimated output."""
+    """Buy delivered at most `threshold` of the estimated output.
+
+    A reverting buy alone is not a trap signal; the pool may be paused.
+    """
     if result.bundle.kind is not BundleKind.BUY_PROBE:
         raise WrongBundleKind(f"need a buy probe, got {result.bundle.kind}")
-    buy_outcome = result.outcomes[1]
-    if buy_outcome.reverted:
-        # A reverting buy alone is not a trap signal; the pool may be paused.
+    return _check_delivery(result, threshold, TrapType.INVALID_BUY, "invalid_buy")
+
+
+def _check_delivery(
+    result: SimulationResult, threshold: Fraction, trap: TrapType, kind: str
+) -> Finding | None:
+    """Flag a swap of interest that went through but moved the actor's
+    balance by at most `threshold` of the estimate."""
+    if result.swap_outcome.reverted:
         return None
     num, den = _threshold_parts(threshold)
     if result.estimate == 0:
@@ -91,12 +100,12 @@ def check_invalid_buy(
     if delta > bound:
         return None
     return Finding(
-        trap=TrapType.INVALID_BUY,
+        trap=trap,
         pool=result.bundle.pool.pool,
         subject=result.bundle.actor,
         block=result.bundle.block,
         evidence={
-            "kind": "invalid_buy",
+            "kind": kind,
             "pre_balance": str(result.pre_balance.balance),
             "post_balance": str(result.post_balance.balance),
             "estimate": str(result.estimate),
@@ -233,45 +242,21 @@ def check_cannot_sell(
             "kind": "cannot_sell",
             "revert_blocks": list(streak),
             "min_distinct_blocks": min_distinct_blocks,
-            "revert_reason": _sell_reason(result),
+            "revert_reason": result.swap_outcome.revert_reason,
         },
     )
-
-
-def _sell_reason(result: SimulationResult) -> str | None:
-    pos = 1 if result.bundle.kind is BundleKind.SELL else 2
-    return result.outcomes[pos].revert_reason
 
 
 def check_invalid_sell(
     result: SimulationResult, threshold: Fraction = DEFAULT_THRESHOLD
 ) -> Finding | None:
-    """Sell executed but returned at most `threshold` of the estimate."""
+    """Sell executed but returned at most `threshold` of the estimate.
+
+    A reverted sell is CannotSell evidence, not this predicate's.
+    """
     if result.bundle.kind not in (BundleKind.SELL, BundleKind.BUY_SELL):
         raise WrongBundleKind(f"need a sell-carrying bundle, got {result.bundle.kind}")
-    if result.sell_reverted:
-        return None
-    num, den = _threshold_parts(threshold)
-    if result.estimate == 0:
-        return None
-    delta = result.balance_delta
-    bound = amount_mul_div(result.estimate, num, den)
-    if delta > bound:
-        return None
-    return Finding(
-        trap=TrapType.INVALID_SELL,
-        pool=result.bundle.pool.pool,
-        subject=result.bundle.actor,
-        block=result.bundle.block,
-        evidence={
-            "kind": "invalid_sell",
-            "pre_balance": str(result.pre_balance.balance),
-            "post_balance": str(result.post_balance.balance),
-            "estimate": str(result.estimate),
-            "threshold_num": num,
-            "threshold_den": den,
-        },
-    )
+    return _check_delivery(result, threshold, TrapType.INVALID_SELL, "invalid_sell")
 
 
 def recompute_finding(finding: Finding) -> bool:

@@ -250,12 +250,9 @@ class ChainView(ABC):
         mint, the live backend as a state override).
         """
 
+    @abstractmethod
     def pool_info(self, pool: Address) -> PoolInfo:
-        """Metadata for a known pool. Default: scan creation events."""
-        for info in self.get_pool_created((0, self.head())):
-            if info.pool == pool:
-                return info
-        raise UnknownPool(f"pool not found: {pool}")
+        """Metadata for a known pool; UnknownPool if there is none."""
 
     def quote_exact_in(
         self, pool: PoolInfo, token_in: Address, amount_in: TokenAmount, block: int

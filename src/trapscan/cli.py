@@ -53,7 +53,7 @@ def _settings_from_args(args) -> ScanSettings:
     return ScanSettings(
         interval=args.interval,
         threshold=args.threshold,
-        workers=getattr(args, "workers", 1),
+        workers=getattr(args, "workers", None) or 1,
     )
 
 
@@ -180,6 +180,10 @@ def _scan_sim(args) -> int:
     if not args.scenario:
         print("error: --scenario is required for sim scans", file=sys.stderr)
         return EXIT_RUNTIME
+    for flag in ("workers", "checkpoint"):
+        if getattr(args, flag) is not None:
+            print(f"error: --{flag} applies to live scans only", file=sys.stderr)
+            return EXIT_RUNTIME
     settings = _settings_from_args(args)
     try:
         paths = _scenario_paths(Path(args.scenario))
@@ -302,8 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_scan.add_argument("--out", help="verdict stream output path")
     p_scan.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
-    p_scan.add_argument("--checkpoint", help="checkpoint path for resumable scans")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--checkpoint",
+                        help="checkpoint path for resumable scans (live mode)")
+    p_scan.add_argument("--workers", type=int,
+                        help="pools scanned in parallel (live mode, default 1)")
     p_scan.set_defaults(func=cmd_scan)
     return parser
 

@@ -29,23 +29,6 @@ def check_amount(value: int, what: str = "amount") -> int:
     return value
 
 
-def amount_add(a: TokenAmount, b: TokenAmount) -> TokenAmount:
-    check_amount(a, "a")
-    check_amount(b, "b")
-    result = a + b
-    if result > MAX_UINT256:
-        raise AmountRangeError(f"addition overflows uint256: {a} + {b}")
-    return result
-
-
-def amount_sub(a: TokenAmount, b: TokenAmount) -> TokenAmount:
-    check_amount(a, "a")
-    check_amount(b, "b")
-    if b > a:
-        raise AmountRangeError(f"subtraction underflows: {a} - {b}")
-    return a - b
-
-
 def amount_mul_div(a: TokenAmount, b: TokenAmount, d: TokenAmount) -> TokenAmount:
     """floor(a*b / d) with a full-width intermediate product.
 
@@ -61,12 +44,6 @@ def amount_mul_div(a: TokenAmount, b: TokenAmount, d: TokenAmount) -> TokenAmoun
     if result > MAX_UINT256:
         raise AmountRangeError(f"mul_div quotient overflows uint256: {a}*{b}//{d}")
     return result
-
-
-def threshold_half(x: TokenAmount) -> TokenAmount:
-    """floor(x / 2), the comparison bound shared by the threshold predicates."""
-    check_amount(x, "x")
-    return x // 2
 
 
 @dataclass(frozen=True, slots=True, order=True)

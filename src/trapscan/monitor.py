@@ -1,12 +1,14 @@
-"""Per-pool evidence ledger: buyers, balances, transfers, liquidity flags.
+"""Per-pool evidence ledger: buyers, balances, transfers, reserves.
 
 A `PoolWatch` is fed one window of consecutive blocks at a time, one query
 of each kind per window. Every recipient of the watched trap token in a
 swap becomes a tracked buyer; from the block it was first seen the buyer
 collects all logged transfers and approvals of the trap token that touch
 it, and it gets a balance snapshot at that block and at the end of every
-window. Detection logic consumes these ledgers, never the chain directly,
-and reads snapshots only at those blocks.
+window. The pool's reserves are read once per window, at its last block;
+they decide whether a round has liquidity and price every bundle the
+round simulates. Detection logic consumes these ledgers, never the chain
+directly, and reads snapshots only at those blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .chainview import (
     UnknownPool,
     UnknownToken,
 )
-from .core import Address, PoolInfo
+from .core import Address, PoolInfo, TokenAmount
 
 
 class MonitorError(Exception):
@@ -68,21 +70,26 @@ class BuyerLedger:
 
 @dataclass
 class PoolWatch:
-    """Monitor state for one pool, oriented at one trap-token side."""
+    """Monitor state for one pool, oriented at one trap-token side.
+
+    `reserves` is the pool's (token_x, token_y) reserves at
+    `last_ingested`, or (0, 0) while the pool is unknown there.
+    """
 
     pool: PoolInfo
     trap_token: Address
     base_token: Address
     buyers: dict[Address, BuyerLedger] = field(default_factory=dict)
-    has_liquidity: dict[int, bool] = field(default_factory=dict)
+    reserves: tuple[TokenAmount, TokenAmount] = (0, 0)
     last_ingested: int | None = None
 
     @classmethod
     def create(cls, pool: PoolInfo, trap_token: Address) -> "PoolWatch":
         return cls(pool=pool, trap_token=trap_token, base_token=pool.other_token(trap_token))
 
-    def liquid_at(self, block: int) -> bool:
-        return self.has_liquidity.get(block, False)
+    @property
+    def liquid(self) -> bool:
+        return 0 not in self.reserves
 
 
 def pick_orientations(
@@ -106,7 +113,7 @@ def ingest_block(
     watch: PoolWatch, chain: ChainView, block: int, start: int | None = None
 ) -> PoolWatch:
     """Advance the watch over the window [start, block]; mutates and
-    returns `watch`.
+    returns `watch`. The reserves are read at `block` only.
 
     `start` defaults to the block after `last_ingested`, or to `block` for
     a watch that has ingested nothing. A window that does not start right
@@ -122,7 +129,7 @@ def ingest_block(
         swaps = chain.get_swaps(watch.pool.pool, window)
     except UnknownPool:
         # Scan range may start before the pool (or its tokens) exist.
-        watch.has_liquidity[block] = False
+        watch.reserves = (0, 0)
         watch.last_ingested = block
         return watch
     first_seen: dict[Address, int] = {}  # buyers new in this window
@@ -165,10 +172,9 @@ def ingest_block(
         ledger.snapshots.append(chain.balance_of(watch.trap_token, ledger.buyer, block))
 
     try:
-        rx, ry = chain.get_reserves(watch.pool.pool, block)
-        watch.has_liquidity[block] = rx > 0 and ry > 0
+        watch.reserves = chain.get_reserves(watch.pool.pool, block)
     except UnknownPool:
-        watch.has_liquidity[block] = False
+        watch.reserves = (0, 0)
     watch.last_ingested = block
     return watch
 

@@ -3,7 +3,9 @@
 A pool is scanned in detection rounds, one every `interval` blocks and
 one at the last block. Each round first ingests its window of blocks,
 those since the previous round, in one step (see `monitor.ingest_block`),
-then, provided liquidity is present at the round's block:
+which also reads the pool's reserves at the round's block; every bundle
+of the round is priced from that one read. Then, provided both reserves
+are non-zero, the round:
 
   * rebuilds a sell simulation for every tracked buyer at their full
     balance and checks the sell-side predicates,
@@ -124,8 +126,8 @@ def probe_account_for(pool: PoolInfo) -> Address:
     return Address.derive(f"probe:{pool.pool.hex}")
 
 
-def _probe_size(chain: ChainView, watch: PoolWatch, block: int) -> int:
-    rx, ry = chain.get_reserves(watch.pool.pool, block)
+def _probe_size(watch: PoolWatch) -> int:
+    rx, ry = watch.reserves
     base_reserve = rx if watch.base_token == watch.pool.token_x else ry
     return max(1, (base_reserve * PROBE_NUM) // PROBE_DEN)
 
@@ -137,10 +139,11 @@ def run_detection_round(
     settings: ScanSettings,
 ) -> None:
     """One simulation-and-analysis pass at a sealed block, the last one
-    the watch has ingested."""
+    the watch has ingested. Every bundle is priced from the reserves the
+    watch read at that block; the round reads no reserves of its own."""
     watch = state.watch
     prev_round, state.last_round = state.last_round, block
-    if not watch.liquid_at(block):
+    if not watch.liquid:
         state.skipped_rounds.append({"block": block, "reason": "no liquidity"})
         return
 
@@ -149,7 +152,7 @@ def run_detection_round(
         if held.balance > 0:
             try:
                 bundle = build_sell_bundle(
-                    chain, buyer, watch.pool, watch.trap_token, held, block
+                    watch.reserves, buyer, watch.pool, watch.trap_token, held, block
                 )
             except SimulatorError:
                 bundle = None
@@ -170,10 +173,10 @@ def run_detection_round(
 
     probe = probe_account_for(watch.pool)
     overrides = {(watch.base_token, probe): PROBE_FUNDING}
-    buy_amount = _probe_size(chain, watch, block)
+    buy_amount = _probe_size(watch)
     try:
         probe_bundle = build_buy_probe(
-            chain, probe, watch.pool, watch.trap_token, buy_amount, block
+            watch.reserves, probe, watch.pool, watch.trap_token, buy_amount, block
         )
     except SimulatorError:
         return
@@ -185,7 +188,7 @@ def run_detection_round(
 
     try:
         roundtrip = build_buy_sell_bundle(
-            chain, probe, watch.pool, watch.trap_token, buy_amount, probe_result, block
+            watch.reserves, probe, watch.pool, watch.trap_token, buy_amount, probe_result, block
         )
     except (ProbeFailed, NoLiquidity):
         return

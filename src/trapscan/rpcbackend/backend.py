@@ -110,9 +110,6 @@ class RpcChainView(ChainView):
             extra.get("default_balance_slot", DEFAULT_BALANCE_SLOT)
         )
         self._pool_cache: dict[Address, PoolInfo] = {}
-        # The last (block, reserves) read per pool: a round reads one
-        # sealed block's reserves many times, and that state never changes.
-        self._reserves_cache: dict[Address, tuple[int, tuple[TokenAmount, TokenAmount]]] = {}
         self._tx_sender_cache: dict[bytes, Address | None] = {}
         self._lock = threading.Lock()
         self.decode_skipped = 0
@@ -430,16 +427,6 @@ class RpcChainView(ChainView):
         return BalanceSnapshot(token=token, holder=holder, block=BlockIndex(block), balance=balance)
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
-        with self._lock:
-            cached = self._reserves_cache.get(pool)
-        if cached is not None and cached[0] == block:
-            return cached[1]
-        reserves = self._read_reserves(pool, block)
-        with self._lock:
-            self._reserves_cache[pool] = (block, reserves)
-        return reserves
-
-    def _read_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         info = self.pool_info(pool)
         if info.dex_version is DexVersion.V2:
             try:

@@ -8,7 +8,10 @@ Three bundle shapes probe a pool without publishing anything:
 
 X is the pool's base token, Y the trap-token side being examined. The
 balance reads bracket the swap whose effect the analyzer compares against
-the estimator's prediction.
+the estimator's prediction. Builders take the pool's reserves at the
+bundle's block, as the monitor read them, and the bundle carries them to
+`run`, which prices the swap from them: building and pricing a bundle
+read nothing from the chain.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ class Bundle:
     trap_token: Address
     base_token: Address
     swap_amount: TokenAmount  # input amount of the sell (or buy for probes)
+    reserves: tuple[TokenAmount, TokenAmount]  # pool's (token_x, token_y) at `block`
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +98,6 @@ class SimulationResult:
     pre_balance: BalanceSnapshot
     post_balance: BalanceSnapshot
     estimate: TokenAmount
-    sell_reverted: bool
 
     @property
     def balance_delta(self) -> int:
@@ -102,17 +105,21 @@ class SimulationResult:
         bundle somehow cost the actor balance."""
         return self.post_balance.balance - self.pre_balance.balance
 
+    @property
+    def swap_outcome(self) -> CallOutcome:
+        """Outcome of the swap of interest: the buy of a probe, the sell
+        of any other bundle."""
+        return self.outcomes[_POSITIONS[self.bundle.kind][1]]
 
-def _reserves_oriented(
-    chain: ChainView, pool: PoolInfo, token_in: Address, block: int
-) -> tuple[TokenAmount, TokenAmount]:
-    rx, ry = chain.get_reserves(pool.pool, block)
-    return (rx, ry) if token_in == pool.token_x else (ry, rx)
+    @property
+    def sell_reverted(self) -> bool:
+        return self.bundle.kind is not BundleKind.BUY_PROBE and self.swap_outcome.reverted
 
 
-def _require_liquidity(chain: ChainView, pool: PoolInfo, block: int) -> None:
-    rx, ry = chain.get_reserves(pool.pool, block)
-    if rx == 0 or ry == 0:
+def _require_liquidity(
+    reserves: tuple[TokenAmount, TokenAmount], pool: PoolInfo, block: int
+) -> None:
+    if 0 in reserves:
         raise NoLiquidity(f"pool {pool.pool} has no liquidity at block {block}")
 
 
@@ -124,7 +131,7 @@ def pool_sides(pool: PoolInfo, trap_token: Address) -> tuple[Address, Address]:
 
 
 def build_sell_bundle(
-    chain: ChainView,
+    reserves: tuple[TokenAmount, TokenAmount],
     buyer: Address,
     pool: PoolInfo,
     trap_token: Address,
@@ -134,10 +141,11 @@ def build_sell_bundle(
     """Sell bundle for a tracked buyer: can they cash out what they hold?
 
     The sell is sized from `held`, the buyer's trap-token balance snapshot
-    at `block` (the monitor takes one at every round's block), so building
-    the bundle reads nothing from the chain but the reserves. A snapshot
-    of another token, holder or block raises ValueError; a failed or empty
-    one raises ZeroBalance.
+    at `block` (the monitor takes one at every round's block), and priced
+    from `reserves`, the pool's reserves at `block`, so building the
+    bundle reads nothing from the chain. A snapshot of another token,
+    holder or block raises ValueError; a failed or empty one raises
+    ZeroBalance, and an empty reserve NoLiquidity.
     """
     trap, base = pool_sides(pool, trap_token)
     if (held.token, held.holder, held.block.number) != (trap, buyer, block):
@@ -145,7 +153,7 @@ def build_sell_bundle(
             f"snapshot of {held.holder} in {held.token} at block {held.block.number}"
             f" does not size a sell by {buyer} in {trap} at block {block}"
         )
-    _require_liquidity(chain, pool, block)
+    _require_liquidity(reserves, pool, block)
     if held.failed or held.balance == 0:
         raise ZeroBalance(f"buyer {buyer} holds nothing to sell at block {block}")
     amount = held.balance
@@ -159,21 +167,25 @@ def build_sell_bundle(
     )
     return Bundle(
         kind=BundleKind.SELL, actor=buyer, pool=pool, calls=calls, block=block,
-        trap_token=trap, base_token=base, swap_amount=amount,
+        trap_token=trap, base_token=base, swap_amount=amount, reserves=reserves,
     )
 
 
 def build_buy_probe(
-    chain: ChainView,
+    reserves: tuple[TokenAmount, TokenAmount],
     account: Address,
     pool: PoolInfo,
     trap_token: Address,
     buy_amount: TokenAmount,
     block: int,
 ) -> Bundle:
-    """Buy probe with a funded synthetic account: does buying deliver?"""
+    """Buy probe with a funded synthetic account: does buying deliver?
+
+    `reserves` are the pool's reserves at `block`; an empty one raises
+    NoLiquidity.
+    """
     trap, base = pool_sides(pool, trap_token)
-    _require_liquidity(chain, pool, block)
+    _require_liquidity(reserves, pool, block)
     check_amount(buy_amount, "buy_amount")
     if buy_amount == 0:
         raise ValueError("buy_amount must be positive")
@@ -187,30 +199,31 @@ def build_buy_probe(
     )
     return Bundle(
         kind=BundleKind.BUY_PROBE, actor=account, pool=pool, calls=calls, block=block,
-        trap_token=trap, base_token=base, swap_amount=buy_amount,
+        trap_token=trap, base_token=base, swap_amount=buy_amount, reserves=reserves,
     )
 
 
 def build_buy_sell_bundle(
-    chain: ChainView,
+    reserves: tuple[TokenAmount, TokenAmount],
     account: Address,
     pool: PoolInfo,
     trap_token: Address,
     buy_amount: TokenAmount,
-    probe_result: "SimulationResult",
+    probe_result: SimulationResult,
     block: int,
 ) -> Bundle:
     """Buy-then-sell round trip; the sell amount is exactly what the probe
-    observed arriving, not what any log claimed."""
+    observed arriving, not what any log claimed. `reserves` are the pool's
+    reserves at `block`; an empty one raises NoLiquidity."""
     trap, base = pool_sides(pool, trap_token)
     if probe_result.bundle.kind is not BundleKind.BUY_PROBE:
         raise ProbeFailed("need a buy-probe result to size the sell")
-    if probe_result.outcomes[1].reverted:
+    if probe_result.swap_outcome.reverted:
         raise ProbeFailed("buy probe reverted")
     received = probe_result.balance_delta
     if received <= 0:
         raise ProbeFailed("buy probe delivered nothing")
-    _require_liquidity(chain, pool, block)
+    _require_liquidity(reserves, pool, block)
     calls: tuple[Call, ...] = (
         SwapExactInCall(
             caller=account, pool=pool.pool, token_in=base, token_out=trap,
@@ -225,7 +238,7 @@ def build_buy_sell_bundle(
     )
     return Bundle(
         kind=BundleKind.BUY_SELL, actor=account, pool=pool, calls=calls, block=block,
-        trap_token=trap, base_token=base, swap_amount=received,
+        trap_token=trap, base_token=base, swap_amount=received, reserves=reserves,
     )
 
 
@@ -233,7 +246,8 @@ def _estimate_for(chain: ChainView, bundle: Bundle) -> TokenAmount:
     """Expected swap output under the bundle's block state.
 
     The backend may supply its own quote (live V3-style pools); otherwise
-    the local constant-product formula prices it from the reserves.
+    the local constant-product formula prices it from the reserves the
+    bundle carries.
     """
     if bundle.kind is BundleKind.BUY_PROBE:
         token_in = bundle.base_token
@@ -242,19 +256,20 @@ def _estimate_for(chain: ChainView, bundle: Bundle) -> TokenAmount:
     quoted = chain.quote_exact_in(bundle.pool, token_in, bundle.swap_amount, bundle.block)
     if quoted is not None:
         return quoted
-    reserve_in, reserve_out = _reserves_oriented(chain, bundle.pool, token_in, bundle.block)
-    if reserve_in == 0 or reserve_out == 0 or bundle.swap_amount == 0:
-        return 0
+    rx, ry = bundle.reserves
+    reserve_in, reserve_out = (rx, ry) if token_in == bundle.pool.token_x else (ry, rx)
     return estimate_output(
         reserve_in, reserve_out, bundle.swap_amount, bundle.pool.fee_num, bundle.pool.fee_den
     )
 
 
-_SELL_CALL_POS = {BundleKind.SELL: 1, BundleKind.BUY_SELL: 2}
-_BALANCE_POSITIONS = {
-    BundleKind.SELL: (0, 2),
-    BundleKind.BUY_PROBE: (0, 2),
-    BundleKind.BUY_SELL: (1, 3),
+# Call positions of (balance read before, swap of interest, balance read
+# after) in each bundle shape; the swap of interest is a probe's buy and
+# any other bundle's sell.
+_POSITIONS = {
+    BundleKind.SELL: (0, 1, 2),
+    BundleKind.BUY_PROBE: (0, 1, 2),
+    BundleKind.BUY_SELL: (1, 2, 3),
 }
 
 
@@ -263,21 +278,22 @@ def run(
     bundle: Bundle,
     balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
 ) -> SimulationResult:
-    """Execute the bundle on a private fork and package the evidence."""
+    """Execute the bundle on a private fork and package the evidence.
+
+    The estimate is the backend's quote when it gives one, otherwise the
+    constant-product output from the reserves the bundle was built with.
+    """
     estimate = _estimate_for(chain, bundle)
     outcomes = chain.simulate_bundle(bundle.block, list(bundle.calls), balance_overrides)
-    pre_pos, post_pos = _BALANCE_POSITIONS[bundle.kind]
+    pre_pos, _, post_pos = _POSITIONS[bundle.kind]
     pre = _snapshot_from(bundle, outcomes[pre_pos], pre_pos)
     post = _snapshot_from(bundle, outcomes[post_pos], post_pos)
-    sell_pos = _SELL_CALL_POS.get(bundle.kind)
-    sell_reverted = outcomes[sell_pos].reverted if sell_pos is not None else False
     return SimulationResult(
         bundle=bundle,
         outcomes=tuple(outcomes),
         pre_balance=pre,
         post_balance=post,
         estimate=estimate,
-        sell_reverted=sell_reverted,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -70,13 +71,13 @@ def fake_result(kind, pre, post, estimate, block=10, sell_reverted=False, reason
     )
     bundle = Bundle(
         kind=kind, actor=BUYER, pool=POOL_INFO, calls=calls, block=block,
-        trap_token=TOKEN_Y, base_token=TOKEN_X, swap_amount=100,
+        trap_token=TOKEN_Y, base_token=TOKEN_X, swap_amount=100, reserves=(10**9, 10**9),
     )
     snap = lambda bal: BalanceSnapshot(token=token, holder=BUYER,
                                        block=BlockIndex(block), balance=bal)
     return SimulationResult(
         bundle=bundle, outcomes=outcomes, pre_balance=snap(pre),
-        post_balance=snap(post), estimate=estimate, sell_reverted=sell_reverted,
+        post_balance=snap(post), estimate=estimate,
     )
 
 
@@ -101,6 +102,31 @@ class TestInvalidBuy:
 
     def test_zero_estimate_skipped(self):
         assert check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 0, 0)) is None
+
+    def test_reverted_buy_not_this_predicate(self):
+        res = fake_result(BundleKind.BUY_PROBE, 0, 0, 90)
+        outcomes = list(res.outcomes)
+        outcomes[1] = CallOutcome(status=CallStatus.REVERT, revert_reason="paused")
+        assert check_invalid_buy(replace(res, outcomes=tuple(outcomes))) is None
+
+
+@pytest.mark.parametrize("check, kind, evidence_kind", [
+    (check_invalid_buy, BundleKind.BUY_PROBE, "invalid_buy"),
+    (check_invalid_sell, BundleKind.SELL, "invalid_sell"),
+    (check_invalid_sell, BundleKind.BUY_SELL, "invalid_sell"),
+])
+def test_delivery_evidence(check, kind, evidence_kind):
+    finding = check(fake_result(kind, 7, 40, 90), Fraction(1, 2))
+    assert finding.block == 10 and finding.subject == BUYER and finding.pool == POOL
+    assert finding.evidence == {
+        "kind": evidence_kind,
+        "pre_balance": "7",
+        "post_balance": "40",
+        "estimate": "90",
+        "threshold_num": 1,
+        "threshold_den": 2,
+    }
+    assert recompute_finding(finding)
 
 
 class TestInvalidSell:

@@ -190,6 +190,27 @@ class TestScan:
                     "--sample", "3", "--seed", "1")
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "8"), ("--workers", "1"), ("--checkpoint", "ck.jsonl"),
+    ])
+    def test_live_only_flag_rejected_in_sim_mode(self, small_corpus, tmp_path, capsys,
+                                                 flag, value):
+        if flag == "--checkpoint":
+            value = str(tmp_path / value)
+        out = tmp_path / "verdicts.jsonl"
+        code = main(["scan", "--mode", "sim", "--scenario", str(small_corpus),
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "ck.jsonl").exists()
+
+    def test_live_only_flags_marked_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["scan", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--checkpoint CHECKPOINT checkpoint path for resumable scans (live mode)" in help_text
+        assert "--workers WORKERS pools scanned in parallel (live mode" in help_text
+
     def test_live_requires_endpoint(self):
         proc = run_cli("scan", "--mode", "live", "--from-block", "0",
                        "--to-block", "1")

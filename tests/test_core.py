@@ -12,10 +12,7 @@ from trapscan.core import (
     PoolInfo,
     TrapType,
     ZERO_ADDRESS,
-    amount_add,
     amount_mul_div,
-    amount_sub,
-    threshold_half,
 )
 
 amounts = st.integers(min_value=0, max_value=MAX_UINT256)
@@ -40,6 +37,11 @@ class TestAmountMulDiv:
         with pytest.raises(AmountRangeError):
             amount_mul_div(MAX_UINT256, MAX_UINT256, 1)
 
+    def test_negative_rejected(self):
+        for args in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+            with pytest.raises(AmountRangeError):
+                amount_mul_div(*args)
+
     @given(a=amounts, b=amounts, d=st.integers(min_value=1, max_value=MAX_UINT256))
     def test_floor_division_law(self, a, b, d):
         q = amount_mul_div(a, b, d) if (a * b) // d <= MAX_UINT256 else None
@@ -48,36 +50,6 @@ class TestAmountMulDiv:
         assert q * d <= a * b < (q + 1) * d
         # arbitrary-precision oracle
         assert q == (Fraction(a) * b / d).__floor__()
-
-
-class TestThresholdHalf:
-    def test_examples(self):
-        assert threshold_half(90) == 45
-        assert threshold_half(0) == 0
-        assert threshold_half(2**255) == 2**254
-
-    @given(x=amounts)
-    def test_equals_mul_div(self, x):
-        assert threshold_half(x) == amount_mul_div(x, 1, 2)
-
-
-class TestCheckedArithmetic:
-    def test_add_overflow(self):
-        with pytest.raises(AmountRangeError):
-            amount_add(MAX_UINT256, 1)
-
-    def test_sub_underflow(self):
-        with pytest.raises(AmountRangeError):
-            amount_sub(0, 1)
-
-    @given(a=amounts, b=amounts)
-    def test_add_sub_roundtrip(self, a, b):
-        if a + b <= MAX_UINT256:
-            assert amount_sub(amount_add(a, b), b) == a
-
-    def test_negative_rejected(self):
-        with pytest.raises(AmountRangeError):
-            amount_add(-1, 0)
 
 
 class TestAddress:

@@ -96,7 +96,7 @@ class TestIngest:
             ingest_block(watch, chain, 8, start=6)  # would leave 4 and 5 out
         ingest_block(watch, chain, 7)  # skipping ahead ingests the window [4, 7]
         assert watch.last_ingested == 7
-        assert list(watch.has_liquidity) == [3, 7]
+        assert watch.reserves == chain.get_reserves(drain_trace.pool.pool, 7)
 
     def test_empty_block_adds_only_snapshots(self, drain_trace):
         victim_buy_block = max(
@@ -127,11 +127,17 @@ class TestIngest:
         assert one == two
 
     def test_liquidity_flags(self, drain_trace):
-        watch = build_watch(drain_trace)
-        flags = watch.has_liquidity
+        chain, pool = drain_trace.chain, drain_trace.pool.pool
+        watch = PoolWatch.create(drain_trace.pool, drain_trace.trap_token)
+        assert watch.reserves == (0, 0) and not watch.liquid
+        flags = {}
+        for block in range(1, chain.head() + 1):
+            ingest_block(watch, chain, block)
+            flags[block] = watch.liquid
         assert flags[1] is False  # pool not created yet
         assert any(flags.values())  # liquid mid-scan
-        assert flags[drain_trace.chain.head()] is False  # rug pulled
+        assert flags[chain.head()] is False  # rug pulled
+        assert watch.reserves == chain.get_reserves(pool, chain.head())
 
     def test_drain_round_collects_evidence(self, drain_trace):
         watch = build_watch(drain_trace)
@@ -239,35 +245,43 @@ def gift_trace():
 
 @cache
 def per_block_watches(name):
-    """A trace and its watch ingested one block at a time."""
+    """A trace, its watch ingested one block at a time, and the watch's
+    reserves after each block."""
     if name == "gift":
         trace = gift_trace()
     else:
         script, seed = wash_and_drain_script(emits_event=name == "logged_drain")
         trace = run_attack_script(script, seed)
-    return trace, build_watch(trace)
+    watch = PoolWatch.create(trace.pool, trace.trap_token)
+    reserves = {}
+    for block in range(1, trace.chain.head() + 1):
+        ingest_block(watch, trace.chain, block)
+        reserves[block] = watch.reserves
+    return trace, watch, reserves
 
 
 @st.composite
 def window_splits(draw):
-    """A trace, its per-block watch, and the last block of each window in
-    a random split of [1, head] into windows."""
+    """A trace, its per-block watch and reserves, and the last block of
+    each window in a random split of [1, head] into windows."""
     name = draw(st.sampled_from(["logged_drain", "silent_drain", "gift"]))
-    trace, per_block = per_block_watches(name)
+    trace, per_block, reserves = per_block_watches(name)
     head = trace.chain.head()
     cuts = draw(st.sets(st.integers(min_value=1, max_value=head - 1)))
-    return trace, per_block, [*sorted(cuts), head]
+    return trace, per_block, reserves, [*sorted(cuts), head]
 
 
 class TestWindowedIngest:
     @given(split=window_splits())
     @settings(max_examples=100, deadline=None)
     def test_windows_equal_per_block_ingestion(self, split):
-        trace, per_block, ends = split
+        trace, per_block, reserves, ends = split
         watch = PoolWatch.create(trace.pool, trace.trap_token)
-        ingest_block(watch, trace.chain, ends[0], start=1)
-        for end in ends[1:]:
-            ingest_block(watch, trace.chain, end)
+        start = 1
+        for end in ends:
+            ingest_block(watch, trace.chain, end, start)
+            assert watch.reserves == reserves[end]
+            start = end + 1
 
         assert list(watch.buyers) == list(per_block.buyers)
         for buyer, ledger in watch.buyers.items():
@@ -280,5 +294,4 @@ class TestWindowedIngest:
                 snap for snap in expected.snapshots
                 if snap.block.number in ends or snap.block.number == first_seen
             ]
-        assert watch.has_liquidity == {end: per_block.has_liquidity[end] for end in ends}
         assert watch.last_ingested == per_block.last_ingested

@@ -8,6 +8,7 @@ from fake_node import FakeNode
 from trapscan import pipeline
 from trapscan.analyzer import MIN_REVERT_BLOCKS, check_unauthorized_transfer
 from trapscan.core import Address, TrapType
+from trapscan.corpus import TRAP_FAMILIES, generate_scenario
 from trapscan.mockchain import (
     DelayedSellTax,
     Drain,
@@ -22,6 +23,8 @@ from trapscan.mockchain import (
     SwitchTrigger,
     Wait,
     derive_actors,
+    parse_scenario,
+    run_attack_script,
 )
 from trapscan.monitor import PoolWatch
 from trapscan.pipeline import (
@@ -143,6 +146,35 @@ class TestFinalPartialRound:
         )
         assert finding.block == trace.final_block
         assert finding.evidence["from_block"] == 20
+
+
+class TestOneReservesReadPerRound:
+    @pytest.mark.parametrize("interval", [1, 7])
+    @pytest.mark.parametrize("family", ["honest", *TRAP_FAMILIES])
+    def test_mock_reads_reserves_once_per_round(self, monkeypatch, family, interval):
+        """Ingestion reads the reserves at each round's block, and nothing
+        else in the round reads them again."""
+        scenario = parse_scenario(generate_scenario(family, seed=3, index=1))
+        trace = run_attack_script(scenario.script, scenario.seed)
+        reads, rounds = [], []
+        real_get_reserves = MockChain.get_reserves
+        real_round = pipeline.run_detection_round
+
+        def counting_get_reserves(chain, pool, block):
+            reads.append(block)
+            return real_get_reserves(chain, pool, block)
+
+        def counting_round(chain, state, block, settings):
+            rounds.append(block)
+            return real_round(chain, state, block, settings)
+
+        monkeypatch.setattr(MockChain, "get_reserves", counting_get_reserves)
+        monkeypatch.setattr(pipeline, "run_detection_round", counting_round)
+        verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
+                            trace.final_block, ScanSettings(interval=interval))
+        assert verdict.traps == scenario.expected_traps
+        assert len(rounds) > 1
+        assert reads == rounds
 
 
 class TestMonotonicity:

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import run_simple
 from fake_node import FakeNode
+from trapscan import pipeline
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
 from trapscan.core import Address, DexVersion
 from trapscan.mockchain import Honest, Wait
@@ -363,18 +364,9 @@ class TestBackendQueries:
         assert rpc.get_reserves(trace.pool.pool, head) == \
             trace.chain.get_reserves(trace.pool.pool, head)
 
-    def test_reserves_read_once_per_block(self, backend):
-        trace, node, rpc = backend
-        pool, head = trace.pool.pool, trace.chain.head()
-        rpc.pool_info(pool)
-        before = node.requests.count_method("eth_call")
-        first = rpc.get_reserves(pool, head)
-        assert rpc.get_reserves(pool, head) == first
-        assert node.requests.count_method("eth_call") == before + 1
-        assert rpc.get_reserves(pool, head - 1) == trace.chain.get_reserves(pool, head - 1)
-        assert node.requests.count_method("eth_call") == before + 2
-
     def test_reserves_memo_under_threads(self, backend):
+        """Concurrent reads of several blocks each get their own block's
+        reserves."""
         trace, _, rpc = backend
         pool, head = trace.pool.pool, trace.chain.head()
         blocks = [head - i % 4 for i in range(200)]
@@ -413,6 +405,28 @@ class TestWindowedScanCost:
         rounds = blocks // 10 + 1
         assert node.requests.count_method("eth_getLogs") <= 3 * rounds
         assert len(node.requests) < 2 * blocks
+
+    def test_reserves_read_once_per_round(self, monkeypatch):
+        """Ingestion's getReserves call at each round's block is the only
+        one: bundles are priced from it and nothing memoises it."""
+        trace = run_simple(Honest(Fraction(0)), victims=2, extra=(Wait(80),))
+        node = FakeNode(chain=trace.chain)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
+        rounds = []
+        real_round = pipeline.run_detection_round
+
+        def counting_round(chain, state, block, settings):
+            rounds.append(block)
+            return real_round(chain, state, block, settings)
+
+        monkeypatch.setattr(pipeline, "run_detection_round", counting_round)
+        scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block,
+                  ScanSettings(interval=10))
+        get_reserves = abi.bytes_to_hex(abi.SEL_GET_RESERVES)
+        reads = [int(params[1], 16) for method, params in node.requests
+                 if method == "eth_call" and params[0]["data"].startswith(get_reserves)]
+        assert len(rounds) > 1
+        assert reads == rounds
 
     def test_balance_reads_are_the_snapshots(self):
         """A sell is sized from the round's snapshot: the scan's only

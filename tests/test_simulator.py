@@ -77,13 +77,18 @@ def honest_world():
     return trace
 
 
+def reserves_at(trace, block):
+    """The pool's reserves at `block`, as the monitor reads them."""
+    return trace.chain.get_reserves(trace.pool.pool, block)
+
+
 class TestBundleTemplates:
     def test_sell_bundle_shape(self, honest_world):
         t = honest_world
         victim = t.actors.victims[0]
         head = t.chain.head()
         held = t.chain.balance_of(t.trap_token, victim, head)
-        bundle = build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
+        bundle = build_sell_bundle(reserves_at(t, head), victim, t.pool, t.trap_token, held, head)
         assert bundle.kind is BundleKind.SELL
         first, mid, last = bundle.calls
         assert isinstance(first, BalanceOfCall) and first.token == t.base_token
@@ -96,7 +101,9 @@ class TestBundleTemplates:
     def test_buy_probe_shape(self, honest_world):
         t = honest_world
         probe = Address.derive("probe")
-        bundle = build_buy_probe(t.chain, probe, t.pool, t.trap_token, 1000, t.chain.head())
+        bundle = build_buy_probe(
+            reserves_at(t, t.chain.head()), probe, t.pool, t.trap_token, 1000, t.chain.head()
+        )
         assert bundle.kind is BundleKind.BUY_PROBE
         first, mid, last = bundle.calls
         assert isinstance(first, BalanceOfCall) and first.token == t.trap_token
@@ -108,10 +115,12 @@ class TestBundleTemplates:
         probe = Address.derive("probe")
         head = t.chain.head()
         overrides = {(t.base_token, probe): 10**12}
-        probe_bundle = build_buy_probe(t.chain, probe, t.pool, t.trap_token, 10**5, head)
+        probe_bundle = build_buy_probe(
+            reserves_at(t, head), probe, t.pool, t.trap_token, 10**5, head
+        )
         probe_result = run(t.chain, probe_bundle, overrides)
         rt = build_buy_sell_bundle(
-            t.chain, probe, t.pool, t.trap_token, 10**5, probe_result, head
+            reserves_at(t, head), probe, t.pool, t.trap_token, 10**5, probe_result, head
         )
         assert rt.kind is BundleKind.BUY_SELL
         buy, bal1, sell, bal2 = rt.calls
@@ -128,7 +137,7 @@ class TestBundleTemplates:
         held = t.chain.balance_of(t.trap_token, stranger, head)
         assert held.balance == 0 and not held.failed
         with pytest.raises(ZeroBalance):
-            build_sell_bundle(t.chain, stranger, t.pool, t.trap_token, held, head)
+            build_sell_bundle(reserves_at(t, head), stranger, t.pool, t.trap_token, held, head)
 
     @pytest.mark.parametrize("failed", [False, True])
     def test_empty_or_failed_snapshot_rejected(self, honest_world, failed):
@@ -137,7 +146,7 @@ class TestBundleTemplates:
         head = t.chain.head()
         held = replace(t.chain.balance_of(t.trap_token, victim, head), balance=0, failed=failed)
         with pytest.raises(ZeroBalance):
-            build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
+            build_sell_bundle(reserves_at(t, head), victim, t.pool, t.trap_token, held, head)
 
     @pytest.mark.parametrize("field", ["block", "token", "holder"])
     def test_mismatched_snapshot_rejected(self, honest_world, field):
@@ -152,7 +161,8 @@ class TestBundleTemplates:
         }[field]
         with pytest.raises(ValueError):
             build_sell_bundle(
-                t.chain, victim, t.pool, t.trap_token, replace(held, **{field: wrong}), head
+                reserves_at(t, head), victim, t.pool, t.trap_token,
+                replace(held, **{field: wrong}), head,
             )
 
     def test_drained_pool_rejected(self, honest_world):
@@ -163,19 +173,40 @@ class TestBundleTemplates:
         head = t.chain.head()
         held = t.chain.balance_of(t.trap_token, victim, head)
         with pytest.raises(NoLiquidity):
-            build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
+            build_sell_bundle(reserves_at(t, head), victim, t.pool, t.trap_token, held, head)
+
+    @pytest.mark.parametrize("reserves", [(0, 10**9), (10**9, 0), (0, 0)])
+    def test_empty_reserve_rejected_by_every_builder(self, honest_world, reserves):
+        t = honest_world
+        victim, probe = t.actors.victims[0], Address.derive("probe")
+        head = t.chain.head()
+        held = t.chain.balance_of(t.trap_token, victim, head)
+        overrides = {(t.base_token, probe): 10**12}
+        probe_result = run(
+            t.chain,
+            build_buy_probe(reserves_at(t, head), probe, t.pool, t.trap_token, 10**5, head),
+            overrides,
+        )
+        with pytest.raises(NoLiquidity):
+            build_sell_bundle(reserves, victim, t.pool, t.trap_token, held, head)
+        with pytest.raises(NoLiquidity):
+            build_buy_probe(reserves, probe, t.pool, t.trap_token, 10**5, head)
+        with pytest.raises(NoLiquidity):
+            build_buy_sell_bundle(
+                reserves, probe, t.pool, t.trap_token, 10**5, probe_result, head
+            )
 
     def test_failed_probe_blocks_roundtrip(self):
         trace = run_simple(Honest(Fraction(1)))  # 100% buy tax delivers nothing
         probe = Address.derive("probe")
         head = trace.chain.head()
         overrides = {(trace.base_token, probe): 10**12}
-        probe_bundle = build_buy_probe(trace.chain, probe, trace.pool,
+        probe_bundle = build_buy_probe(reserves_at(trace, head), probe, trace.pool,
                                        trace.trap_token, 10**5, head)
         result = run(trace.chain, probe_bundle, overrides)
         assert result.balance_delta == 0
         with pytest.raises(ProbeFailed):
-            build_buy_sell_bundle(trace.chain, probe, trace.pool, trace.trap_token,
+            build_buy_sell_bundle(reserves_at(trace, head), probe, trace.pool, trace.trap_token,
                                   10**5, result, head)
 
 
@@ -185,17 +216,59 @@ class TestRun:
         victim = t.actors.victims[0]
         head = t.chain.head()
         held = t.chain.balance_of(t.trap_token, victim, head)
-        bundle = build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
+        bundle = build_sell_bundle(reserves_at(t, head), victim, t.pool, t.trap_token, held, head)
         result = run(t.chain, bundle)
         assert not result.sell_reverted
         assert result.balance_delta == result.estimate > 0
+
+    def test_priced_from_the_bundles_reserves(self, honest_world, monkeypatch):
+        t = honest_world
+        victim = t.actors.victims[0]
+        head = t.chain.head()
+        held = t.chain.balance_of(t.trap_token, victim, head)
+        rx, ry = reserves_at(t, head)
+        bundle = build_sell_bundle((rx, ry), victim, t.pool, t.trap_token, held, head)
+
+        def no_reads(*args):
+            raise AssertionError("run read the reserves from the chain")
+
+        monkeypatch.setattr(t.chain, "get_reserves", no_reads)
+        trap_in = (ry, rx) if t.trap_token == t.pool.token_y else (rx, ry)
+        assert run(t.chain, bundle).estimate == estimate_output(*trap_in, held.balance)
+        halved = replace(bundle, reserves=(rx // 2, ry // 2))
+        half_in = (trap_in[0] // 2, trap_in[1] // 2)
+        assert run(t.chain, halved).estimate == estimate_output(*half_in, held.balance)
+
+    def test_swap_outcome_is_the_swap_of_interest(self, honest_world):
+        t = honest_world
+        probe = Address.derive("probe")
+        head = t.chain.head()
+        overrides = {(t.base_token, probe): 10**12}
+        reserves = reserves_at(t, head)
+        probe_result = run(
+            t.chain,
+            build_buy_probe(reserves, probe, t.pool, t.trap_token, 10**5, head),
+            overrides,
+        )
+        rt_result = run(
+            t.chain,
+            build_buy_sell_bundle(
+                reserves, probe, t.pool, t.trap_token, 10**5, probe_result, head
+            ),
+            overrides,
+        )
+        for result, token_in in ((probe_result, t.base_token), (rt_result, t.trap_token)):
+            pos = next(i for i, o in enumerate(result.outcomes) if o is result.swap_outcome)
+            swap = result.bundle.calls[pos]
+            assert isinstance(swap, SwapExactInCall) and swap.token_in == token_in
+            assert result.swap_outcome.ok
 
     def test_gated_seller_reverts_cleanly(self):
         trace = run_simple(ListGate(mode=GateMode.ALLOW, members=frozenset()))
         victim = trace.actors.victims[0]
         head = trace.chain.head()
         held = trace.chain.balance_of(trace.trap_token, victim, head)
-        bundle = build_sell_bundle(trace.chain, victim, trace.pool,
+        bundle = build_sell_bundle(reserves_at(trace, head), victim, trace.pool,
                                    trace.trap_token, held, head)
         result = run(trace.chain, bundle)
         assert result.sell_reverted
@@ -211,7 +284,7 @@ class TestRun:
             len(t.chain.get_swaps(t.pool.pool, (0, head))),
             len(t.chain.get_transfers(t.trap_token, (0, head))),
         )
-        bundle = build_sell_bundle(t.chain, victim, t.pool, t.trap_token, held, head)
+        bundle = build_sell_bundle(reserves_at(t, head), victim, t.pool, t.trap_token, held, head)
         for _ in range(3):
             run(t.chain, bundle)
         assert snapshot == (
