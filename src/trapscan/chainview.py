@@ -155,17 +155,18 @@ class CallStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class CallOutcome:
-    """Result of one bundle call.
+    """Result of one bundle call: its status, and the revert reason or the
+    value it returned.
 
-    Revert outcomes carry no state change; success outcomes report every
-    record the call emitted. Every outcome comes from a bundle whose calls
-    ran in order on one fork; a backend that cannot do that raises instead.
+    A reverted call leaves no state change behind for the calls after it.
+    Every outcome comes from a bundle whose calls ran in order on one fork;
+    a backend that cannot do that raises instead. Event records are never
+    reported here: what a bundle did shows in its calls' return values.
     """
 
     status: CallStatus
     revert_reason: str | None = None
     return_value: TokenAmount | None = None
-    emitted: tuple[TransferRecord | SwapRecord, ...] = ()
 
     @property
     def ok(self) -> bool:

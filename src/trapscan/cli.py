@@ -7,7 +7,7 @@
 
 Exit codes: 0 success (simulate: all verdicts match ground truth),
 1 runtime failure, mismatch, or (scan) any pool whose scan failed,
-2 malformed input file.
+2 malformed input file or bad command-line value (usage error).
 
 Environment: TRAPSCAN_RPC_URL overrides the endpoint, TRAPSCAN_CHECKPOINT
 the checkpoint path.
@@ -42,11 +42,19 @@ def _parse_threshold(text: str) -> Fraction:
     return frac
 
 
-def _parse_sample(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("sample size must be >= 1")
-    return n
+def _positive_int(what: str):
+    """An argparse type: an int of at least 1, else a usage error naming `what`."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer: {text!r}") from None
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 1")
+        return n
+
+    return parse
 
 
 def _settings_from_args(args) -> ScanSettings:
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--interval", type=int, default=1,
+    common.add_argument("--interval", type=_positive_int("interval"), default=1,
                         help="blocks between detection rounds (default 1)")
     common.add_argument("--threshold", type=_parse_threshold, default=Fraction(1, 2),
                         help="detection threshold ratio (default 1/2)")
@@ -301,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--from-block", type=int)
     p_scan.add_argument("--to-block", type=int)
     p_scan.add_argument("--pools", help="pool addresses: file or comma-separated list")
-    p_scan.add_argument("--sample", type=_parse_sample,
+    p_scan.add_argument("--sample", type=_positive_int("sample size"),
                         help="random sample size over discovered pools")
     p_scan.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_scan.add_argument("--out", help="verdict stream output path")
     p_scan.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_scan.add_argument("--checkpoint",
                         help="checkpoint path for resumable scans (live mode)")
-    p_scan.add_argument("--workers", type=int,
+    p_scan.add_argument("--workers", type=_positive_int("workers"),
                         help="pools scanned in parallel (live mode, default 1)")
     p_scan.set_defaults(func=cmd_scan)
     return parser

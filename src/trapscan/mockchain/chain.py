@@ -7,10 +7,14 @@ pending block (head + 1), a sealed read bisects the key's history, and
 `advance_block` only moves the head, so sealing costs nothing and a
 sealed block never changes.
 
-Every execution runs on an `_Overlay` that buffers its writes and records
-over a read function. A revert drops the overlay; a success commits it:
-a public transaction into the history at the pending block, a bundle call
-into its bundle's fork, which itself overlays a sealed block and is
+Every execution runs on an `_Overlay` that buffers its writes over a
+read function. A public transaction gets its own overlay over the pending
+block and queues its event records there; a revert drops the overlay, a
+success commits its writes into the history and files its records. A
+bundle runs all its calls on one overlay over a sealed block, its fork.
+Before each call the fork's few writes are copied, and a revert restores
+that copy, so a reverted call leaves the fork as it found it. A bundle
+builds no event records at all: nothing reads them, and the fork is
 dropped when the bundle ends. Every balance movement routes through the
 token's behavior model, so the ledger of emitted events can diverge from
 actual balances exactly the way scam tokens make it diverge.
@@ -89,8 +93,7 @@ class _TokenMeta:
 _UNSET = object()
 
 # State keys hold raw address bytes, not `Address` objects: bytes cache
-# their hash, and a read through a bundle call hashes its key once per
-# layer (call, fork, history).
+# their hash, and a read hashes its key once per layer (overlay, history).
 
 
 def _bal(token: Address, holder: Address) -> tuple[bytes, bytes]:
@@ -104,20 +107,24 @@ def _key(name: str, address: Address) -> tuple[str, bytes]:
 
 
 class _Overlay:
-    """One execution's writes and records over `read(key, default)`.
+    """Writes at `block` over `read(key, default)`.
 
-    Keys this execution has not written fall through to `read`. Nothing
-    reaches the base until the owner commits `writes` and files `records`,
-    so a reverted execution is simply dropped.
+    Keys not written here fall through to `read`. `tx` is the position of
+    a public transaction, whose event records queue in `records` until the
+    owner files them; a bundle's fork has no `tx` and queues nothing.
     """
 
-    __slots__ = ("read", "writes", "records", "emitted")
+    __slots__ = ("read", "writes", "block", "tx", "records")
 
-    def __init__(self, read: Callable[[tuple, object], object]) -> None:
+    def __init__(
+        self, read: Callable[[tuple, object], object], block: int,
+        tx: BlockIndex | None = None,
+    ) -> None:
         self.read = read
         self.writes: dict[tuple, object] = {}
+        self.block = block
+        self.tx = tx
         self.records: list[tuple[list, object]] = []
-        self.emitted: list[TransferRecord | SwapRecord] = []
 
     def get(self, key: tuple, default=0):
         value = self.writes.get(key, _UNSET)
@@ -125,22 +132,6 @@ class _Overlay:
 
     def set(self, key: tuple, value) -> None:
         self.writes[key] = value
-
-    def log(self, store: list, record, emit: bool) -> None:
-        """Queue `record` for `store`; `emit` puts it in the outcome too."""
-        self.records.append((store, record))
-        if emit:
-            self.emitted.append(record)
-
-    def run(self, fn, tx: BlockIndex) -> CallOutcome:
-        """Execute `fn(self, tx)`; a revert becomes a REVERT outcome."""
-        try:
-            value = fn(self, tx)
-        except _Revert as exc:
-            return CallOutcome(status=CallStatus.REVERT, revert_reason=exc.reason)
-        return CallOutcome(
-            status=CallStatus.SUCCESS, return_value=value, emitted=tuple(self.emitted)
-        )
 
 
 def _move(
@@ -236,9 +227,9 @@ class MockChain(ChainView):
         self._transfers[token] = []
         self._approvals[token] = []
 
-        def run(ov, tx):
+        def run(ov):
             ov.set(_bal(token, owner), supply)
-            self._log_transfer(ov, token, tx, ZERO_ADDRESS, owner, supply, owner)
+            self._log_transfer(ov, token, ZERO_ADDRESS, owner, supply, owner)
 
         self._run_tx(run)
         return token
@@ -299,12 +290,12 @@ class MockChain(ChainView):
     # ------------------------------------------------------------------
     # transfer engine
 
-    def _transfer_allowed(self, ov: _Overlay, token: Address, sender: Address, block: int) -> None:
+    def _transfer_allowed(self, ov: _Overlay, token: Address, sender: Address) -> None:
         meta = self._tokens[token]
         beh = meta.behavior
         if not isinstance(beh, ListGate):
             return
-        if block < ov.get(_key("active_from", token), beh.active_from):
+        if ov.block < ov.get(_key("active_from", token), beh.active_from):
             return
         if beh.mode is GateMode.DENY:
             if sender in beh.members:
@@ -321,36 +312,37 @@ class MockChain(ChainView):
         if not beh.global_open and not listed:
             raise _Revert(REASON_GATE)
 
-    def _sell_tax_active(self, ov: _Overlay, token: Address, block: int) -> bool:
+    def _sell_tax_active(self, ov: _Overlay, token: Address) -> bool:
         beh = self._tokens[token].behavior
         if not isinstance(beh, DelayedSellTax):
             return False
-        if beh.trigger.kind is TriggerKind.AT_BLOCK and block >= beh.trigger.value:
+        if beh.trigger.kind is TriggerKind.AT_BLOCK and ov.block >= beh.trigger.value:
             return True
         switched = ov.get(_key("switched", token), None)
-        return switched is not None and switched <= block
+        return switched is not None and switched <= ov.block
 
     def _log_transfer(
         self,
         ov: _Overlay,
         token: Address,
-        tx: BlockIndex,
         sender: Address,
         recipient: Address,
         value: TokenAmount,
         tx_sender: Address,
         logged: bool = True,
     ) -> None:
+        if ov.tx is None:  # a bundle's fork files nothing
+            return
         record = TransferRecord(
             token=token,
-            block=tx,
+            block=ov.tx,
             sender=sender,
             recipient=recipient,
             value=value,
             logged=logged,
             tx_sender=tx_sender,
         )
-        ov.log(self._transfers[token], record, emit=logged)
+        ov.records.append((self._transfers[token], record))
 
     def _exec_transfer(
         self,
@@ -360,7 +352,6 @@ class MockChain(ChainView):
         recipient: Address,
         amount: TokenAmount,
         context: TransferContext,
-        tx: BlockIndex,
         tx_sender: Address,
     ) -> TokenAmount:
         """Move balances per the token's behavior; returns the amount the
@@ -372,7 +363,7 @@ class MockChain(ChainView):
         if amount > balance:
             reason = REASON_BALANCE_LIMITED if isinstance(beh, LimitedSell) else REASON_BALANCE
             raise _Revert(reason)
-        self._transfer_allowed(ov, token, sender, tx.number)
+        self._transfer_allowed(ov, token, sender)
 
         debit = amount
         credit = amount
@@ -392,15 +383,13 @@ class MockChain(ChainView):
                 moved = min(amount, cap)
                 debit = credit = logged_value = moved
         elif isinstance(beh, DelayedSellTax):
-            if context is TransferContext.POOL_IN and self._sell_tax_active(
-                ov, token, tx.number
-            ):
+            if context is TransferContext.POOL_IN and self._sell_tax_active(ov, token):
                 credit = amount - apply_rate(amount, beh.final_sell_tax)
                 logged_value = credit
         # OwnerDrain and ListGate (past the gate) move honestly.
 
         _move(ov, token, sender, recipient, debit, credit)
-        self._log_transfer(ov, token, tx, sender, recipient, logged_value, tx_sender)
+        self._log_transfer(ov, token, sender, recipient, logged_value, tx_sender)
         return credit
 
     def _exec_swap(
@@ -411,7 +400,6 @@ class MockChain(ChainView):
         token_in: Address,
         amount_in: TokenAmount,
         recipient: Address,
-        tx: BlockIndex,
     ) -> TokenAmount:
         info = self._pools.get(pool)
         if info is None:
@@ -427,7 +415,7 @@ class MockChain(ChainView):
             raise _Revert("swap: no liquidity")
 
         delivered_in = self._exec_transfer(
-            ov, token_in, trader, pool, amount_in, TransferContext.POOL_IN, tx, trader
+            ov, token_in, trader, pool, amount_in, TransferContext.POOL_IN, trader
         )
         if delivered_in > 0:
             amount_out = estimate_output(
@@ -442,12 +430,14 @@ class MockChain(ChainView):
             (reserve_in, reserve_out) if token_in == info.token_x else (reserve_out, reserve_in),
         )
         self._exec_transfer(
-            ov, token_out, pool, recipient, amount_out, TransferContext.POOL_OUT, tx, trader
+            ov, token_out, pool, recipient, amount_out, TransferContext.POOL_OUT, trader
         )
-        self._track_buyer(ov, token_out, recipient, tx.number)
+        self._track_buyer(ov, token_out, recipient)
+        if ov.tx is None:
+            return amount_out
         record = SwapRecord(
-            tx_hash=_tx_hash(tx.number, tx.tx_index or 0),
-            block=tx,
+            tx_hash=_tx_hash(ov.tx.number, ov.tx.tx_index or 0),
+            block=ov.tx,
             sender=trader,
             token_in=token_in,
             amount_in=delivered_in,
@@ -455,10 +445,10 @@ class MockChain(ChainView):
             amount_out=amount_out,
             recipient=recipient,
         )
-        ov.log(self._swaps[pool], record, emit=True)
+        ov.records.append((self._swaps[pool], record))
         return amount_out
 
-    def _track_buyer(self, ov: _Overlay, token: Address, buyer: Address, block: int) -> None:
+    def _track_buyer(self, ov: _Overlay, token: Address, buyer: Address) -> None:
         """Count distinct buyers of an after-buyers token until it switches."""
         beh = self._tokens[token].behavior
         if not (
@@ -470,22 +460,25 @@ class MockChain(ChainView):
         seen = ov.get(_key("buyers", token), frozenset()) | {buyer}
         ov.set(_key("buyers", token), seen)
         if len(seen) >= beh.trigger.value:
-            ov.set(_key("switched", token), block)
+            ov.set(_key("switched", token), ov.block)
 
     # ------------------------------------------------------------------
     # public transactions (pending block)
 
     def _run_tx(self, fn) -> CallOutcome:
-        """Run `fn(overlay, tx)` as the next transaction of the pending
-        block; only a success reaches the history and the record stores."""
-        ov = _Overlay(self._read_pending)
-        outcome = ov.run(fn, self._next_tx())
-        if outcome.ok:
-            for key, value in ov.writes.items():
-                self._write(key, value)
-            for store, record in ov.records:
-                store.append(record)
-        return outcome
+        """Run `fn(overlay)` as the next transaction of the pending block;
+        only a success reaches the history and the record stores."""
+        tx = self._next_tx()
+        ov = _Overlay(self._read_pending, tx.number, tx)
+        try:
+            value = fn(ov)
+        except _Revert as exc:
+            return CallOutcome(status=CallStatus.REVERT, revert_reason=exc.reason)
+        for key, written in ov.writes.items():
+            self._write(key, written)
+        for store, record in ov.records:
+            store.append(record)
+        return CallOutcome(status=CallStatus.SUCCESS, return_value=value)
 
     def token_transfer(
         self,
@@ -497,8 +490,8 @@ class MockChain(ChainView):
     ) -> CallOutcome:
         self._require_token(token)
 
-        def run(ov, tx):
-            return self._exec_transfer(ov, token, sender, recipient, amount, context, tx, sender)
+        def run(ov):
+            return self._exec_transfer(ov, token, sender, recipient, amount, context, sender)
 
         return self._run_tx(run)
 
@@ -508,18 +501,18 @@ class MockChain(ChainView):
         self._require_token(token)
         check_amount(amount, "amount")
 
-        def run(ov, tx):
+        def run(ov):
             record = ApproveRecord(
-                token=token, block=tx, approver=approver, spender=spender, value=amount
+                token=token, block=ov.tx, approver=approver, spender=spender, value=amount
             )
-            ov.log(self._approvals[token], record, emit=False)
+            ov.records.append((self._approvals[token], record))
 
         return self._run_tx(run)
 
     def owner_drain(self, token: Address, victim: Address, caller: Address) -> CallOutcome:
         beh = self._require_token(token).behavior
 
-        def run(ov, tx):
+        def run(ov):
             if not isinstance(beh, OwnerDrain):
                 raise _Revert("drain not supported")
             if caller != beh.owner:
@@ -528,7 +521,7 @@ class MockChain(ChainView):
             if amount:
                 ov.set(_bal(token, victim), 0)
                 self._log_transfer(
-                    ov, token, tx, victim, ZERO_ADDRESS, amount, caller, beh.emits_event
+                    ov, token, victim, ZERO_ADDRESS, amount, caller, beh.emits_event
                 )
             return amount
 
@@ -538,16 +531,16 @@ class MockChain(ChainView):
         meta = self._require_token(token)
         beh = meta.behavior
 
-        def run(ov, tx):
+        def run(ov):
             if caller != meta.owner:
                 raise _Revert("caller is not the owner")
             if not isinstance(beh, (DelayedSellTax, ListGate)):
                 raise _Revert("behavior has no switch")
             if isinstance(beh, ListGate):
                 current = ov.get(_key("active_from", token), beh.active_from)
-                ov.set(_key("active_from", token), min(current, tx.number))
+                ov.set(_key("active_from", token), min(current, ov.block))
             if ov.get(_key("switched", token), None) is None:
-                ov.set(_key("switched", token), tx.number)
+                ov.set(_key("switched", token), ov.block)
 
         return self._run_tx(run)
 
@@ -561,8 +554,8 @@ class MockChain(ChainView):
     ) -> CallOutcome:
         self._require_pool(pool)
 
-        def run(ov, tx):
-            return self._exec_swap(ov, pool, trader, token_in, amount_in, recipient, tx)
+        def run(ov):
+            return self._exec_swap(ov, pool, trader, token_in, amount_in, recipient)
 
         return self._run_tx(run)
 
@@ -573,7 +566,7 @@ class MockChain(ChainView):
         check_amount(x, "x")
         check_amount(y, "y")
 
-        def run(ov, tx):
+        def run(ov):
             if x == 0 and y == 0:
                 raise _Revert("nothing to deposit")
             short_x = ov.get(_bal(info.token_x, provider)) < x
@@ -582,20 +575,20 @@ class MockChain(ChainView):
             for token, amount in ((info.token_x, x), (info.token_y, y)):
                 if amount:
                     _move(ov, token, provider, pool, amount, amount)
-                    self._log_transfer(ov, token, tx, provider, pool, amount, provider)
+                    self._log_transfer(ov, token, provider, pool, amount, provider)
             rx, ry = ov.get(_key("reserves", pool), (0, 0))
             ov.set(_key("reserves", pool), (rx + x, ry + y))
             ov.set(_key("provider", pool), provider)
-            event = LiquidityEvent(pool=pool, block=tx, kind=LiquidityKind.ADD,
+            event = LiquidityEvent(pool=pool, block=ov.tx, kind=LiquidityKind.ADD,
                                    amount_x=x, amount_y=y, provider=provider)
-            ov.log(self._liquidity[pool], event, emit=False)
+            ov.records.append((self._liquidity[pool], event))
 
         return self._run_tx(run)
 
     def remove_liquidity(self, pool: Address, provider: Address) -> CallOutcome:
         info = self._require_pool(pool)
 
-        def run(ov, tx):
+        def run(ov):
             if ov.get(_key("provider", pool), None) != provider:
                 raise _Revert("not the liquidity provider")
             rx, ry = ov.get(_key("reserves", pool), (0, 0))
@@ -605,12 +598,12 @@ class MockChain(ChainView):
                 if amount:
                     moved = min(amount, ov.get(_bal(token, pool)))
                     _move(ov, token, pool, provider, moved, moved)
-                    self._log_transfer(ov, token, tx, pool, provider, moved, provider)
+                    self._log_transfer(ov, token, pool, provider, moved, provider)
             ov.set(_key("reserves", pool), (0, 0))
             ov.set(_key("provider", pool), None)
-            event = LiquidityEvent(pool=pool, block=tx, kind=LiquidityKind.REMOVE,
+            event = LiquidityEvent(pool=pool, block=ov.tx, kind=LiquidityKind.REMOVE,
                                    amount_x=rx, amount_y=ry, provider=provider)
-            ov.log(self._liquidity[pool], event, emit=False)
+            ov.records.append((self._liquidity[pool], event))
 
         return self._run_tx(run)
 
@@ -674,27 +667,30 @@ class MockChain(ChainView):
         if not calls:
             raise EmptyBundle("bundle must contain at least one call")
         self._check_sealed(block)
-        fork = _Overlay(partial(self._read_at, block))
+        fork = _Overlay(partial(self._read_at, block), block)
         for (token, holder), amount in (balance_overrides or {}).items():
             self._require_token(token)
             fork.set(_bal(token, holder), check_amount(amount))
         outcomes: list[CallOutcome] = []
-        for i, call in enumerate(calls):
-            ov = _Overlay(fork.get)
-            outcomes.append(ov.run(partial(self._exec_call, call), BlockIndex(block, i)))
-            if outcomes[-1].ok:
-                fork.writes.update(ov.writes)
+        for call in calls:
+            undo = fork.writes.copy()
+            try:
+                value = self._exec_call(call, fork)
+            except _Revert as exc:
+                fork.writes = undo
+                outcomes.append(CallOutcome(status=CallStatus.REVERT, revert_reason=exc.reason))
+            else:
+                outcomes.append(CallOutcome(status=CallStatus.SUCCESS, return_value=value))
         return outcomes
 
-    def _exec_call(self, call: Call, ov: _Overlay, tx: BlockIndex) -> TokenAmount | None:
+    def _exec_call(self, call: Call, ov: _Overlay) -> TokenAmount | None:
         if isinstance(call, BalanceOfCall):
             if call.token not in self._tokens:
                 raise _Revert(f"unknown token: {call.token}")
             return ov.get(_bal(call.token, call.holder))
         if isinstance(call, SwapExactInCall):
             out = self._exec_swap(
-                ov, call.pool, call.caller, call.token_in,
-                call.amount_in, call.recipient, tx,
+                ov, call.pool, call.caller, call.token_in, call.amount_in, call.recipient
             )
             if out < call.min_out:
                 raise _Revert("swap: insufficient output")

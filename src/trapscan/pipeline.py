@@ -85,6 +85,8 @@ class ScanSettings:
             raise ValueError("interval must be >= 1")
         if not (0 < self.threshold < 1):
             raise ValueError("threshold must be in (0, 1)")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass

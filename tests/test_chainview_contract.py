@@ -281,6 +281,44 @@ class TestSimulation:
         assert funded[1].ok
         assert funded[2].return_value > 0
 
+    def test_bundle_leaves_chain_unchanged(self, live_world):
+        trace, chain = live_world
+        victim = trace.actors.victims[0]
+        probe = Address.derive("contract-probe")
+        pool, base, trap = trace.pool.pool, trace.base_token, trace.trap_token
+        head = chain.head()
+
+        def observed():
+            return (
+                chain.head(),
+                [chain.balance_of(t, h, head).balance
+                 for t in (base, trap) for h in (victim, probe, pool)],
+                chain.get_reserves(pool, head),
+                [chain.get_transfers(t, (0, head)) for t in (base, trap)],
+                chain.get_swaps(pool, (0, head)),
+                [chain.get_approvals(t, (0, head)) for t in (base, trap)],
+            )
+
+        buy = SwapExactInCall(
+            caller=probe, pool=pool, token_in=base, token_out=trap,
+            amount_in=10**6, recipient=probe,
+        )
+        calls = [
+            buy,
+            # Pays into the pool before its min_out check reverts it.
+            replace(buy, min_out=10**30),
+            BalanceOfCall(caller=probe, token=trap, holder=probe),
+        ]
+        before = observed()
+        outcomes = chain.simulate_bundle(
+            head, calls, balance_overrides={(base, probe): 10**12}
+        )
+        assert [o.status for o in outcomes] == [
+            CallStatus.SUCCESS, CallStatus.REVERT, CallStatus.SUCCESS,
+        ]
+        assert outcomes[2].return_value > 0
+        assert observed() == before
+
     def test_empty_bundle_rejected(self, live_world):
         _, chain = live_world
         with pytest.raises(EmptyBundle):

@@ -211,6 +211,23 @@ class TestScan:
         assert "--checkpoint CHECKPOINT checkpoint path for resumable scans (live mode)" in help_text
         assert "--workers WORKERS pools scanned in parallel (live mode" in help_text
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--mode", "sim", "--scenario", "CORPUS", "--interval", "0"],
+        ["simulate", "CORPUS", "--interval", "-2"],
+        ["scan", "--mode", "sim", "--scenario", "CORPUS", "--interval", "two"],
+        ["scan", "--mode", "live", "--from-block", "0", "--to-block", "1", "--workers", "0"],
+        ["scan", "--mode", "live", "--from-block", "0", "--to-block", "1", "--workers", "-3"],
+    ])
+    def test_nonpositive_count_is_a_usage_error(self, small_corpus, capsys, monkeypatch,
+                                                argv):
+        monkeypatch.delenv("TRAPSCAN_RPC_URL", raising=False)
+        argv = [str(small_corpus) if arg == "CORPUS" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trapscan") and f"argument {argv[-2]}:" in err
+
     def test_live_requires_endpoint(self):
         proc = run_cli("scan", "--mode", "live", "--from-block", "0",
                        "--to-block", "1")

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from trapscan.mockchain import (
     wash_and_drain_script,
 )
 from trapscan.core import TrapType
+from trapscan.mockchain.chain import _bal, _Overlay, _Revert
 
 OWNER = Address.derive("owner")
 ALICE = Address.derive("alice")
@@ -233,9 +235,17 @@ class TestSwap:
     def test_emitted_records_on_success(self, chain):
         base, trap, pool = fresh_pool(chain, Honest(Fraction(0)))
         chain.token_transfer(base, OWNER, ALICE, 1000)
-        out = chain.swap(pool, ALICE, base, 100, ALICE)
-        kinds = [type(r).__name__ for r in out.emitted]
-        assert kinds == ["TransferRecord", "TransferRecord", "SwapRecord"]
+        chain.advance_block()
+        assert chain.swap(pool, ALICE, base, 100, ALICE).ok
+        chain.advance_block()
+        block = (chain.head(), chain.head())
+        transfers = chain.get_transfers(base, block) + chain.get_transfers(trap, block)
+        assert [(r.token, r.sender, r.recipient, r.value) for r in transfers] == [
+            (base, ALICE, pool, 100), (trap, pool, ALICE, 90),
+        ]
+        (swap,) = chain.get_swaps(pool, block)
+        assert (swap.sender, swap.amount_in, swap.amount_out) == (ALICE, 100, 90)
+        assert {r.block for r in transfers} == {swap.block}
 
 
 class TestLiquidity:
@@ -477,3 +487,119 @@ class TestInvariants:
                 and r.sender == honest_trace.pool.pool
             ]
             assert delivered and delivered[0].value == swap.amount_out
+
+
+# --------------------------------------------------------------------------
+# Bundle engine against a reference: each call on an overlay of its own.
+
+PROBE = Address.derive("bundle-probe")
+BUNDLE_ACTORS = (ALICE, BOB, PROBE)
+UNMEETABLE = 10**30  # a min_out no swap here can deliver
+OVER_BALANCE = 10**20  # more than any actor holds
+
+# Trap-side behaviours of the differential worlds: taxes that net or lie,
+# a sell cap, sender gates that stop BOB, and a switch that the bundle's
+# own buys can flip (ALICE is buyer 1 at the world's head).
+BUNDLE_BEHAVIORS = (
+    Honest(Fraction(1, 10)),
+    HiddenTax(Fraction(1, 10)),
+    LimitedSell(Fraction(1, 100)),
+    ListGate(mode=GateMode.ALLOW, members=frozenset({ALICE})),
+    ListGate(mode=GateMode.DENY, members=frozenset({BOB})),
+    DelayedSellTax(Fraction(9, 10), trigger=SwitchTrigger.after_buyers(3)),
+)
+
+
+@cache
+def bundle_world(index):
+    """A sealed pool whose actors hold both tokens; bundles never change it."""
+    chain = MockChain()
+    base, trap, pool = fresh_pool(chain, BUNDLE_BEHAVIORS[index], 10**9, 10**9)
+    for who in (ALICE, BOB):
+        assert chain.token_transfer(base, OWNER, who, 10**8).ok
+    assert chain.swap(pool, ALICE, base, 10**7, ALICE).ok
+    assert chain.token_transfer(trap, OWNER, BOB, 10**6).ok
+    chain.advance_block()
+    return chain, base, trap, pool
+
+
+def reference_bundle(chain, block, calls, overrides):
+    """The bundle engine with one overlay per call over the fork: a call's
+    writes reach the fork only if it succeeds. Returns the outcomes and the
+    fork's writes before each call and after the last."""
+    fork = _Overlay(partial(chain._read_at, block), block)
+    for (token, holder), amount in overrides.items():
+        fork.set(_bal(token, holder), amount)
+    outcomes, states = [], []
+    for call in calls:
+        states.append(dict(fork.writes))
+        ov = _Overlay(fork.get, block)
+        try:
+            value = chain._exec_call(call, ov)
+        except _Revert as exc:
+            outcomes.append((CallStatus.REVERT, exc.reason, None))
+        else:
+            fork.writes.update(ov.writes)
+            outcomes.append((CallStatus.SUCCESS, None, value))
+    states.append(dict(fork.writes))
+    return outcomes, states
+
+
+def engine_bundle(chain, block, calls, overrides):
+    """`simulate_bundle`, with the fork's writes seen before each call and
+    after the last, in the shape `reference_bundle` returns."""
+    states, forks = [], []
+
+    def spy(call, fork):
+        states.append(dict(fork.writes))
+        forks.append(fork)
+        return MockChain._exec_call(chain, call, fork)
+
+    chain._exec_call = spy
+    try:
+        outs = chain.simulate_bundle(block, calls, overrides)
+    finally:
+        del chain._exec_call
+    states.append(dict(forks[-1].writes))
+    return [(o.status, o.revert_reason, o.return_value) for o in outs], states
+
+
+BUNDLE_CALL = st.tuples(
+    st.sampled_from(("read", "buy", "sell")),
+    st.sampled_from(BUNDLE_ACTORS),
+    st.one_of(st.integers(0, 2 * 10**6), st.just(OVER_BALANCE)),
+    st.booleans(),  # read: the trap token; swap: an unmeetable min_out
+)
+
+
+class TestBundleEngine:
+    @given(
+        world=st.integers(0, len(BUNDLE_BEHAVIORS) - 1),
+        earlier=st.booleans(),
+        funded=st.tuples(st.booleans(), st.booleans()),
+        drawn=st.lists(BUNDLE_CALL, min_size=1, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_overlay_per_call(self, world, earlier, funded, drawn):
+        chain, base, trap, pool = bundle_world(world)
+        block = chain.head() - earlier  # one block earlier ALICE holds no trap
+        overrides = {
+            key: amount
+            for key, amount, on in (((base, PROBE), 10**8, funded[0]),
+                                    ((trap, PROBE), 10**6, funded[1]))
+            if on
+        }
+        calls = []
+        for kind, actor, amount, flag in drawn:
+            if kind == "read":
+                calls.append(BalanceOfCall(caller=actor, token=trap if flag else base,
+                                           holder=actor))
+                continue
+            token_in, token_out = (base, trap) if kind == "buy" else (trap, base)
+            calls.append(SwapExactInCall(
+                caller=actor, pool=pool, token_in=token_in, token_out=token_out,
+                amount_in=amount, recipient=actor, min_out=UNMEETABLE if flag else 0,
+            ))
+        assert engine_bundle(chain, block, calls, overrides) == reference_bundle(
+            chain, block, calls, overrides
+        )

@@ -84,6 +84,14 @@ def test_classification_through_rpc_backend():
     assert verdict.traps == trace.ground_truth
 
 
+@pytest.mark.parametrize("field, value", [
+    ("interval", 0), ("interval", -2), ("workers", 0), ("workers", -1),
+])
+def test_settings_reject_nonpositive_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScanSettings(**{field: value})
+
+
 class TestDelayedBoundary:
     def test_no_finding_before_activation(self):
         trace = run_simple(DelayedSellTax(Fraction(9, 10)), extra=(FlipSwitch(), Wait(2)))
