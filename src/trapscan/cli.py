@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_gen = sub.add_parser("gen-corpus", help="generate a labeled scenario corpus")
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--n", type=_positive_int("n"), required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-dir", required=True)
     p_gen.set_defaults(func=cmd_gen_corpus)

@@ -217,6 +217,7 @@ class TestScan:
         ["scan", "--mode", "sim", "--scenario", "CORPUS", "--interval", "two"],
         ["scan", "--mode", "live", "--from-block", "0", "--to-block", "1", "--workers", "0"],
         ["scan", "--mode", "live", "--from-block", "0", "--to-block", "1", "--workers", "-3"],
+        ["gen-corpus", "--out-dir", "CORPUS", "--n", "0"],
     ])
     def test_nonpositive_count_is_a_usage_error(self, small_corpus, capsys, monkeypatch,
                                                 argv):
