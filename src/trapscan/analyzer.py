@@ -9,11 +9,12 @@ integer-exact: x <= floor(estimate * num / den), inclusive.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Address, PoolInfo, TrapType, amount_mul_div
-from .monitor import BuyerLedger, PoolWatch, buyer_delta, swaps_in_window
+from .monitor import BuyerLedger, PoolWatch
 from .simulator import BundleKind, SimulationResult
 
 DEFAULT_THRESHOLD = Fraction(1, 2)
@@ -116,35 +117,30 @@ def _check_delivery(
 
 
 def check_unauthorized_transfer(
-    ledger: BuyerLedger,
-    from_block: int,
-    to_block: int,
-    threshold: Fraction = DEFAULT_THRESHOLD,
+    ledger: BuyerLedger, threshold: Fraction = DEFAULT_THRESHOLD
 ) -> Finding | None:
-    """Token left the buyer without the buyer's doing.
+    """Token left the buyer without the buyer's doing, over the ledger's
+    window: from its first snapshot's block (exclusive) to its last one's.
 
     Case 1 (logged): an outgoing transfer initiated by someone else whose
     cumulative approval from the buyer does not cover the amount.
 
-    Case 2 (accounting mismatch): between two snapshots with no swap by
-    the buyer, the balance change and the logged-transfer sum disagree by
+    Case 2 (accounting mismatch): over a window with no swap by the
+    buyer, the balance change and the logged-transfer sum disagree by
     more than a factor of 1/threshold in either direction. This covers
     silent drains (movement with no log) and overstated logs (log with no
     movement); the slack absorbs benign rebasing drift.
     """
     num, den = _threshold_parts(threshold)
-    delta, moved = buyer_delta(ledger, from_block, to_block)
+    start, end = ledger.snapshots[0], ledger.snapshots[-1]
+    delta = end.balance - start.balance
 
-    approvals_by_spender: dict[Address, int] = {}
-    for a in ledger.approvals:
-        if a.block.number <= to_block:
-            approvals_by_spender[a.spender] = approvals_by_spender.get(a.spender, 0) + a.value
-    for t in moved:
+    for t in ledger.transfers:
         if t.sender != ledger.buyer:
             continue
         if t.tx_sender is None or t.tx_sender == ledger.buyer:
             continue
-        approved = approvals_by_spender.get(t.tx_sender, 0)
+        approved = ledger.approved.get(t.tx_sender, 0)
         if approved < t.value:
             return Finding(
                 trap=TrapType.UNAUTHORIZED_TRANSFER,
@@ -160,12 +156,12 @@ def check_unauthorized_transfer(
                 },
             )
 
-    if swaps_in_window(ledger, from_block, to_block):
+    if ledger.buys:
         # Swap windows are owned by the buy/sell predicates; reconciling
         # them against logs would re-flag taxed-but-honest deliveries.
         return None
     expected = 0
-    for t in moved:
+    for t in ledger.transfers:
         if t.recipient == ledger.buyer:
             expected += t.value
         if t.sender == ledger.buyer:
@@ -176,7 +172,7 @@ def check_unauthorized_transfer(
         trap=TrapType.UNAUTHORIZED_TRANSFER,
         pool=ledger.pool,
         subject=ledger.buyer,
-        block=to_block,
+        block=end.block.number,
         evidence={
             "kind": "unauthorized_transfer_mismatch",
             "balance_delta": str(delta),
@@ -184,8 +180,8 @@ def check_unauthorized_transfer(
             "direction": "silent_movement" if abs(delta) > abs(expected) else "overstated_logs",
             "threshold_num": num,
             "threshold_den": den,
-            "from_block": from_block,
-            "to_block": to_block,
+            "from_block": start.block.number,
+            "to_block": end.block.number,
         },
     )
 
@@ -286,27 +282,21 @@ def recompute_finding(finding: Finding) -> bool:
 
 def classify_pool(
     watch: PoolWatch,
-    findings: list[Finding],
+    findings: Iterable[Finding],
     scanned_range: tuple[int, int],
     known_token_allowlist: set[Address] | None = None,
 ) -> PoolVerdict:
-    """Aggregate all findings over buyers, probes and rounds into one
-    verdict; several trap types may coexist."""
-    deduped: list[Finding] = []
-    seen: set[tuple[TrapType, Address]] = set()
-    for f in sorted(findings, key=lambda f: f.block):
-        key = (f.trap, f.subject)
-        if key in seen:
-            continue
-        seen.add(key)
-        deduped.append(f)
-    traps = {f.trap for f in deduped}
-    first = min((f.block for f in deduped), default=None)
+    """Aggregate the findings over buyers, probes and rounds, at most one
+    per (trap, subject), into one verdict ordered by block; several trap
+    types may coexist."""
+    ordered = sorted(findings, key=lambda f: f.block)
+    traps = {f.trap for f in ordered}
+    first = ordered[0].block if ordered else None
     review = bool(known_token_allowlist) and watch.trap_token in (known_token_allowlist or set())
     verdict = PoolVerdict(
         pool=watch.pool,
         traps=traps,
-        findings=deduped,
+        findings=ordered,
         first_flagged_block=first,
         scanned_range=scanned_range,
         requires_manual_review=review,

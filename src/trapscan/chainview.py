@@ -41,7 +41,11 @@ class EmptyBundle(ChainViewError):
 
 @dataclass(frozen=True, slots=True)
 class SwapRecord:
-    """One call of a pool's swap function, as logged by the pool itself."""
+    """One call of a pool's swap function, as logged by the pool itself.
+
+    `sender` is the sender the pool logged (for a routed swap, the
+    router), not the account that sent the transaction.
+    """
 
     tx_hash: bytes
     block: BlockIndex

@@ -42,16 +42,17 @@ def _parse_threshold(text: str) -> Fraction:
     return frac
 
 
-def _positive_int(what: str):
-    """An argparse type: an int of at least 1, else a usage error naming `what`."""
+def _int_at_least(what: str, least: int):
+    """An argparse type: an int of at least `least`, else a usage error
+    naming `what`."""
 
     def parse(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{what} must be an integer: {text!r}") from None
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be >= 1")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {least}")
         return n
 
     return parse
@@ -222,16 +223,20 @@ def _scan_sim(args) -> int:
 def _scan_live(args) -> int:
     from .rpcbackend import EndpointConfig, RpcChainView, load_backend_config
 
+    if args.from_block is None or args.to_block is None:
+        print("error: --from-block and --to-block are required for live scans",
+              file=sys.stderr)
+        return EXIT_RUNTIME
+    if args.from_block > args.to_block:
+        print("error: --from-block must not exceed --to-block", file=sys.stderr)
+        return EXIT_SCHEMA
+
     url = args.rpc_url or os.environ.get("TRAPSCAN_RPC_URL")
     config_doc = load_backend_config(args.config) if args.config else {}
     if not url:
         url = config_doc.get("url")
     if not url:
         print("error: no endpoint: use --rpc-url, --config or TRAPSCAN_RPC_URL",
-              file=sys.stderr)
-        return EXIT_RUNTIME
-    if args.from_block is None or args.to_block is None:
-        print("error: --from-block and --to-block are required for live scans",
               file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -261,9 +266,13 @@ def _scan_live(args) -> int:
     for info in pools:
         targets.extend((info, trap) for trap, _base in pick_orientations(info, base_tokens))
 
-    lines, summary = scan_pools_resumable(
-        chain, targets, args.from_block, args.to_block, settings, checkpoint
-    )
+    try:
+        lines, summary = scan_pools_resumable(
+            chain, targets, args.from_block, args.to_block, settings, checkpoint
+        )
+    except ValueError as exc:  # a pool's own failure is counted, not raised
+        print(f"error: checkpoint: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     return _report(lines, summary, args)
 
 
@@ -284,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--interval", type=_positive_int("interval"), default=1,
+    common.add_argument("--interval", type=_int_at_least("interval", 1), default=1,
                         help="blocks between detection rounds (default 1)")
     common.add_argument("--threshold", type=_parse_threshold, default=Fraction(1, 2),
                         help="detection threshold ratio (default 1/2)")
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_gen = sub.add_parser("gen-corpus", help="generate a labeled scenario corpus")
-    p_gen.add_argument("--n", type=_positive_int("n"), required=True)
+    p_gen.add_argument("--n", type=_int_at_least("n", 1), required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-dir", required=True)
     p_gen.set_defaults(func=cmd_gen_corpus)
@@ -306,17 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--scenario", help="scenario file or directory (sim mode)")
     p_scan.add_argument("--rpc-url", help="JSON-RPC endpoint (live mode)")
     p_scan.add_argument("--config", help="backend config file (live mode)")
-    p_scan.add_argument("--from-block", type=int)
-    p_scan.add_argument("--to-block", type=int)
+    p_scan.add_argument("--from-block", type=_int_at_least("from-block", 0))
+    p_scan.add_argument("--to-block", type=_int_at_least("to-block", 0))
     p_scan.add_argument("--pools", help="pool addresses: file or comma-separated list")
-    p_scan.add_argument("--sample", type=_positive_int("sample size"),
+    p_scan.add_argument("--sample", type=_int_at_least("sample size", 1),
                         help="random sample size over discovered pools")
     p_scan.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_scan.add_argument("--out", help="verdict stream output path")
     p_scan.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     p_scan.add_argument("--checkpoint",
                         help="checkpoint path for resumable scans (live mode)")
-    p_scan.add_argument("--workers", type=_positive_int("workers"),
+    p_scan.add_argument("--workers", type=_int_at_least("workers", 1),
                         help="pools scanned in parallel (live mode, default 1)")
     p_scan.set_defaults(func=cmd_scan)
     return parser

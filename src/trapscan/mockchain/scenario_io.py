@@ -69,11 +69,6 @@ class ScenarioFormatError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     seed: int
-    name: str
-    behavior: TokenBehavior
-    supply: int
-    fee_num: int
-    fee_den: int
     script: AttackScript
     expected_traps: frozenset[TrapType] | None
 
@@ -293,16 +288,7 @@ def parse_scenario(doc: dict) -> Scenario:
             expected = frozenset(TrapType(t) for t in raw)
         except ValueError as exc:
             raise ScenarioFormatError("$.expected_traps", str(exc)) from exc
-    return Scenario(
-        seed=seed,
-        name=str(doc.get("name", "scenario")),
-        behavior=behavior,
-        supply=supply,
-        fee_num=fee[0],
-        fee_den=fee[1],
-        script=script,
-        expected_traps=expected,
-    )
+    return Scenario(seed=seed, script=script, expected_traps=expected)
 
 
 def load_scenario(path: str | Path) -> Scenario:

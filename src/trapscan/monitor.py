@@ -1,23 +1,23 @@
 """Per-pool evidence ledger: buyers, balances, transfers, reserves.
 
 A `PoolWatch` is fed one window of consecutive blocks at a time, one query
-of each kind per window. Every recipient of the watched trap token in a
-swap becomes a tracked buyer; from the block it was first seen the buyer
-collects all logged transfers and approvals of the trap token that touch
-it, and it gets a balance snapshot at that block and at the end of every
-window. The pool's reserves are read once per window, at its last block;
-they decide whether a round has liquidity and price every bundle the
-round simulates. Detection logic consumes these ledgers, never the chain
-directly, and reads snapshots only at those blocks.
+of each kind per window, and holds that window's evidence only. Every
+recipient of the watched trap token in a swap becomes a tracked buyer.
+Its ledger holds a balance snapshot at the window's start (the previous
+window's last block, or the block the buyer was first seen) and at its
+end, the buyer's buys and the logged trap-token transfers touching it
+after that start, and the running sum of its approvals per spender. The
+pool's reserves are read once per window, at its last block; they decide
+whether a round has liquidity and price every bundle the round
+simulates. Detection logic consumes these ledgers, never the chain
+directly, so no round's cost grows with the length of the scan.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .chainview import (
-    ApproveRecord,
     BalanceSnapshot,
     ChainView,
     SwapRecord,
@@ -36,16 +36,14 @@ class IngestGap(MonitorError):
     """A window must start right after the last ingested block."""
 
 
-class MissingSnapshot(MonitorError):
-    pass
-
-
 @dataclass
 class BuyerLedger:
-    """Everything observed about one buyer of the trap token.
+    """What one buyer of the trap token did in the latest window.
 
-    Ingestion appends to every list in block order; the block lookups
-    below bisect on that order.
+    `snapshots` holds the window's start and end balances, one snapshot
+    when both are the same block; `buys` and `transfers` hold the records
+    after the start, in block order. `approved` maps each spender to the
+    sum the buyer approved it from the block it was first seen on.
     """
 
     buyer: Address
@@ -54,18 +52,7 @@ class BuyerLedger:
     buys: list[SwapRecord] = field(default_factory=list)
     snapshots: list[BalanceSnapshot] = field(default_factory=list)
     transfers: list[TransferRecord] = field(default_factory=list)
-    approvals: list[ApproveRecord] = field(default_factory=list)
-
-    def snapshot_at(self, block: int) -> BalanceSnapshot:
-        i = bisect_left(self.snapshots, block, key=_block_number)
-        if i < len(self.snapshots) and self.snapshots[i].block.number == block:
-            return self.snapshots[i]
-        raise MissingSnapshot(f"no snapshot for {self.buyer} at block {block}")
-
-    def latest_snapshot(self) -> BalanceSnapshot:
-        if not self.snapshots:
-            raise MissingSnapshot(f"no snapshots for {self.buyer}")
-        return self.snapshots[-1]
+    approved: dict[Address, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -113,7 +100,9 @@ def ingest_block(
     watch: PoolWatch, chain: ChainView, block: int, start: int | None = None
 ) -> PoolWatch:
     """Advance the watch over the window [start, block]; mutates and
-    returns `watch`. The reserves are read at `block` only.
+    returns `watch`. The previous window's evidence is dropped, all but
+    each buyer's last snapshot, which starts the new window. The reserves
+    are read at `block` only.
 
     `start` defaults to the block after `last_ingested`, or to `block` for
     a watch that has ingested nothing. A window that does not start right
@@ -123,6 +112,10 @@ def ingest_block(
     lo = start if start is not None else (block if expected is None else expected)
     if (expected is not None and lo != expected) or lo > block:
         raise IngestGap(f"window [{lo}, {block}] does not follow block {watch.last_ingested}")
+    for ledger in watch.buyers.values():
+        del ledger.snapshots[:-1]
+        ledger.buys.clear()
+        ledger.transfers.clear()
 
     window = (lo, block)
     try:
@@ -132,7 +125,9 @@ def ingest_block(
         watch.reserves = (0, 0)
         watch.last_ingested = block
         return watch
-    first_seen: dict[Address, int] = {}  # buyers new in this window
+    # A buyer new in this window starts it at the block it was first seen:
+    # its records count after that block, its approvals from it on.
+    first_seen: dict[Address, int] = {}
     for swap in swaps:
         if swap.token_out != watch.trap_token:
             continue
@@ -145,7 +140,8 @@ def ingest_block(
             )
             watch.buyers[swap.recipient] = ledger
             first_seen[swap.recipient] = swap.block.number
-        ledger.buys.append(swap)
+        elif first_seen.get(swap.recipient, lo - 1) < swap.block.number:
+            ledger.buys.append(swap)
 
     buyer_set = set(watch.buyers)
     if buyer_set:
@@ -154,16 +150,16 @@ def ingest_block(
             approvals = chain.get_approvals(watch.trap_token, window)
         except UnknownToken:
             transfers, approvals = [], []
-        # A buyer collects evidence from the block it was first seen.
         for rec in transfers:
             if rec.sender == watch.pool.pool:
                 continue  # pool deliveries are already evidenced by SwapRecords
             for buyer in {rec.sender, rec.recipient} & buyer_set:
-                if first_seen.get(buyer, lo) <= rec.block.number:
+                if first_seen.get(buyer, lo - 1) < rec.block.number:
                     watch.buyers[buyer].transfers.append(rec)
         for rec in approvals:
             if rec.approver in buyer_set and first_seen.get(rec.approver, lo) <= rec.block.number:
-                watch.buyers[rec.approver].approvals.append(rec)
+                approved = watch.buyers[rec.approver].approved
+                approved[rec.spender] = approved.get(rec.spender, 0) + rec.value
 
     for ledger in watch.buyers.values():
         seen = first_seen.get(ledger.buyer, block)
@@ -177,29 +173,3 @@ def ingest_block(
         watch.reserves = (0, 0)
     watch.last_ingested = block
     return watch
-
-
-def buyer_delta(
-    ledger: BuyerLedger, from_block: int, to_block: int
-) -> tuple[int, list[TransferRecord]]:
-    """Signed balance change between two snapshotted blocks, plus the
-    logged transfers touching the buyer in (from_block, to_block]."""
-    start = ledger.snapshot_at(from_block)
-    end = ledger.snapshot_at(to_block)
-    return end.balance - start.balance, _in_window(ledger.transfers, from_block, to_block)
-
-
-def swaps_in_window(ledger: BuyerLedger, from_block: int, to_block: int) -> list[SwapRecord]:
-    return _in_window(ledger.buys, from_block, to_block)
-
-
-def _block_number(record: SwapRecord | TransferRecord | BalanceSnapshot) -> int:
-    return record.block.number
-
-
-def _in_window(records: list, from_block: int, to_block: int) -> list:
-    """The records in (from_block, to_block] of a list kept in block order,
-    found by bisection so a window costs the same however long the list."""
-    lo = bisect_right(records, from_block, key=_block_number)
-    hi = bisect_right(records, to_block, lo=lo, key=_block_number)
-    return records[lo:hi]

@@ -14,11 +14,12 @@ are non-zero, the round:
   * reconciles each buyer's balance movement since the previous round, or
     since it was first seen, against the logged evidence.
 
-No step of a round reads the scan's whole history. Each sell result is
-folded into its subject's running CannotSell revert streak and then
-dropped (see `PoolScanState`), and the ledger reads find their window of
-blocks by bisection, so a round late in a long scan costs what an early
-one does.
+The scan state holds one round's window and no history. The watch keeps
+only the window's evidence, which the round reads whole, with no
+bisection; each sell result is folded into its subject's running
+CannotSell revert streak and then dropped; and only the first finding
+per (trap, subject) is kept (see `PoolScanState`). So a round late in a
+long scan costs what an early one does.
 
 Findings accumulate into one verdict per pool. Distinct pools are
 independent, so a multi-pool scan runs them through one executor,
@@ -51,7 +52,7 @@ from .analyzer import (
     classify_pool,
     verdict_to_json_line,
 )
-from .chainview import ChainView
+from .chainview import ChainView, check_range
 from .core import Address, PoolInfo, TrapType
 from .monitor import PoolWatch, ingest_block
 from .simulator import (
@@ -97,25 +98,18 @@ class PoolScanState:
     folded into its CannotSell revert streak as they arrive. A streak of
     `MIN_REVERT_BLOCKS` blocks has produced the subject's finding and is
     not folded again, so no streak grows however long the scan runs.
-    `last_round` is the block of the latest detection round, where every
-    buyer seen by then has a balance snapshot.
+    `findings` keeps the first finding per (trap, subject); rounds add
+    them in block order, so that is the earliest.
     """
 
     watch: PoolWatch
-    findings: list[Finding] = field(default_factory=list)
+    findings: dict[tuple[TrapType, Address], Finding] = field(default_factory=dict)
     revert_streaks: dict[Address, list[int]] = field(default_factory=dict)
     skipped_rounds: list[dict] = field(default_factory=list)
-    finding_keys: set[tuple[TrapType, Address, int]] = field(default_factory=set)
-    last_round: int | None = None
 
     def add_finding(self, finding: Finding | None) -> None:
-        if finding is None:
-            return
-        key = (finding.trap, finding.subject, finding.block)
-        if key in self.finding_keys:
-            return
-        self.finding_keys.add(key)
-        self.findings.append(finding)
+        if finding is not None:
+            self.findings.setdefault((finding.trap, finding.subject), finding)
 
     def fold_sell(self, result: SimulationResult) -> None:
         """Fold a subject's newest sell result into its revert streak."""
@@ -144,13 +138,12 @@ def run_detection_round(
     the watch has ingested. Every bundle is priced from the reserves the
     watch read at that block; the round reads no reserves of its own."""
     watch = state.watch
-    prev_round, state.last_round = state.last_round, block
     if not watch.liquid:
         state.skipped_rounds.append({"block": block, "reason": "no liquidity"})
         return
 
     for buyer, ledger in watch.buyers.items():
-        held = ledger.latest_snapshot()  # ingestion took it at this block
+        held = ledger.snapshots[-1]  # ingestion took it at this block
         if held.balance > 0:
             try:
                 bundle = build_sell_bundle(
@@ -168,10 +161,7 @@ def run_detection_round(
                     if not result.sell_reverted:
                         state.add_finding(check_invalid_sell(result, settings.threshold))
                     state.fold_sell(result)
-        since = ledger.snapshots[0].block.number  # the block it was first seen
-        if prev_round is not None:
-            since = max(since, prev_round)
-        state.add_finding(check_unauthorized_transfer(ledger, since, block, settings.threshold))
+        state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
 
     probe = probe_account_for(watch.pool)
     overrides = {(watch.base_token, probe): PROBE_FUNDING}
@@ -223,7 +213,9 @@ def scan_pool(
     settings: ScanSettings | None = None,
     state: PoolScanState | None = None,
 ) -> PoolVerdict:
-    """Scan one pool orientation over an inclusive block range."""
+    """Scan one pool orientation over an inclusive block range; a range
+    that is not one raises ValueError."""
+    check_range((from_block, to_block))
     settings = settings or ScanSettings()
     if state is None:
         state = PoolScanState(watch=PoolWatch.create(pool, trap_token))
@@ -235,7 +227,7 @@ def scan_pool(
         start = block + 1
     return classify_pool(
         watch,
-        state.findings,
+        state.findings.values(),
         (from_block, to_block),
         set(settings.known_token_allowlist) or None,
     )
@@ -399,10 +391,18 @@ def scan_pools_resumable(
     """Like scan_pools but returns verdict JSON lines, skips pools already
     in the checkpoint and appends each newly finished pool to it.
 
-    Checkpoint writes stay on the calling thread, in target order.
+    A checkpoint holding a verdict over another block range raises
+    ValueError. Checkpoint writes stay on the calling thread, in target
+    order.
     """
     settings = settings or ScanSettings()
     done = read_checkpoint(checkpoint_path) if checkpoint_path else {}
+    for key, line in done.items():
+        scanned = json.loads(line)["scanned_range"]
+        if scanned != [from_block, to_block]:
+            raise ValueError(
+                f"{key} was scanned over {scanned}, not [{from_block}, {to_block}]"
+            )
     summary = ScanSummary()
     keys = [f"{pool.pool.hex}:{trap.hex}" for pool, trap in targets]
     lines: list[str | None] = [done.get(key) for key in keys]

@@ -357,24 +357,12 @@ class RpcChainView(ChainView):
     def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
         info = self.pool_info(pool)
         sig = abi.SIG_V2_SWAP if info.dex_version is DexVersion.V2 else abi.SIG_V3_SWAP
-        logs = self.fetch_logs(pool, sig.topic0_hex, block_range)
-        self._resolve_tx_senders([lg.tx_hash for lg in logs])
         records = []
-        for log in logs:
+        for log in self.fetch_logs(pool, sig.topic0_hex, block_range):
             try:
-                rec = self.decode_swap(log, info)
+                records.append(self.decode_swap(log, info))
             except DecodeError:
                 self.decode_skipped += 1
-                continue
-            sender = self._tx_sender_cache.get(log.tx_hash)
-            if sender is not None:
-                rec = SwapRecord(
-                    tx_hash=rec.tx_hash, block=rec.block, sender=sender,
-                    token_in=rec.token_in, amount_in=rec.amount_in,
-                    token_out=rec.token_out, amount_out=rec.amount_out,
-                    recipient=rec.recipient,
-                )
-            records.append(rec)
         return records
 
     def get_liquidity_events(

@@ -23,7 +23,6 @@ from trapscan.analyzer import (
     verdict_to_json_line,
 )
 from trapscan.chainview import (
-    ApproveRecord,
     BalanceSnapshot,
     BalanceOfCall,
     CallOutcome,
@@ -40,7 +39,7 @@ from trapscan.mockchain import (
     Wait,
 )
 from trapscan.monitor import BuyerLedger, PoolWatch
-from trapscan.pipeline import ScanSettings, scan_pool
+from trapscan.pipeline import PoolScanState, ScanSettings, scan_pool
 from trapscan.simulator import Bundle, BundleKind, SimulationResult
 
 BUYER = Address.derive("buyer")
@@ -264,15 +263,15 @@ class TestCannotSellFoldEquivalence:
         )
 
 
-def make_ledger(snapshots, transfers=(), approvals=(), buys=()):
-    ledger = BuyerLedger(buyer=BUYER, pool=POOL, trap_token=TOKEN_Y)
+def make_ledger(snapshots, transfers=(), approved=(), buys=()):
+    """A window ledger: `snapshots` are (block, balance) at its edges."""
+    ledger = BuyerLedger(buyer=BUYER, pool=POOL, trap_token=TOKEN_Y, approved=dict(approved))
     for block, balance in snapshots:
         ledger.snapshots.append(
             BalanceSnapshot(token=TOKEN_Y, holder=BUYER, block=BlockIndex(block),
                             balance=balance)
         )
     ledger.transfers.extend(transfers)
-    ledger.approvals.extend(approvals)
     ledger.buys.extend(buys)
     return ledger
 
@@ -290,7 +289,7 @@ class TestUnauthorizedTransfer:
             [(10, 500), (11, 0)],
             transfers=[xfer(11, BUYER, ZERO_ADDRESS, 500, drainer)],
         )
-        finding = check_unauthorized_transfer(ledger, 10, 11)
+        finding = check_unauthorized_transfer(ledger)
         assert finding is not None
         assert finding.evidence["kind"] == "unauthorized_transfer_logged"
 
@@ -298,14 +297,13 @@ class TestUnauthorizedTransfer:
         ledger = make_ledger(
             [(10, 500), (11, 0)],
             transfers=[xfer(11, BUYER, SPENDER, 500, SPENDER)],
-            approvals=[ApproveRecord(token=TOKEN_Y, block=BlockIndex(9),
-                                     approver=BUYER, spender=SPENDER, value=500)],
+            approved={SPENDER: 500},
         )
-        assert check_unauthorized_transfer(ledger, 10, 11) is None
+        assert check_unauthorized_transfer(ledger) is None
 
     def test_silent_drain_mismatch(self):
         ledger = make_ledger([(10, 500), (11, 0)])
-        finding = check_unauthorized_transfer(ledger, 10, 11)
+        finding = check_unauthorized_transfer(ledger)
         assert finding is not None
         assert finding.evidence["kind"] == "unauthorized_transfer_mismatch"
         assert finding.evidence["direction"] == "silent_movement"
@@ -315,7 +313,7 @@ class TestUnauthorizedTransfer:
             [(10, 1000), (11, 990)],
             transfers=[xfer(11, BUYER, SPENDER, 800, BUYER)],
         )
-        finding = check_unauthorized_transfer(ledger, 10, 11)
+        finding = check_unauthorized_transfer(ledger)
         assert finding is not None
         assert finding.evidence["direction"] == "overstated_logs"
 
@@ -324,7 +322,7 @@ class TestUnauthorizedTransfer:
             [(10, 500), (11, 200)],
             transfers=[xfer(11, BUYER, SPENDER, 300, BUYER)],
         )
-        assert check_unauthorized_transfer(ledger, 10, 11) is None
+        assert check_unauthorized_transfer(ledger) is None
 
     def test_buy_window_excluded_from_mismatch(self):
         swap = SwapRecord(
@@ -335,7 +333,7 @@ class TestUnauthorizedTransfer:
         # balance moved +9 on a logged claim of +90: swap windows belong to
         # the buy predicates, not this one
         ledger = make_ledger([(10, 0), (11, 9)], buys=[swap])
-        assert check_unauthorized_transfer(ledger, 10, 11) is None
+        assert check_unauthorized_transfer(ledger) is None
 
 
 class TestAmountsAgree:
@@ -365,9 +363,13 @@ class TestClassifyAndExport:
         f1 = check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 9, 90, block=5))
         f2 = check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 9, 90, block=8))
         f3 = check_invalid_sell(fake_result(BundleKind.SELL, 0, 0, 90, block=9))
-        verdict = classify_pool(self._watch(), [f1, f2, f3], (1, 10))
+        state = PoolScanState(watch=self._watch())
+        for finding in (f1, None, f2, f3):
+            state.add_finding(finding)
+        assert list(state.findings.values()) == [f1, f3]  # per (trap, subject), first kept
+        verdict = classify_pool(state.watch, state.findings.values(), (1, 10))
         assert verdict.traps == {TrapType.INVALID_BUY, TrapType.INVALID_SELL}
-        assert len(verdict.findings) == 2  # per (trap, subject), earliest kept
+        assert verdict.findings == [f1, f3]
         assert verdict.first_flagged_block == 5
 
     def test_clean_verdict(self):
@@ -404,9 +406,8 @@ class TestRecompute:
             check_unauthorized_transfer(
                 make_ledger([(10, 500), (11, 0)],
                             transfers=[xfer(11, BUYER, ZERO_ADDRESS, 500, drainer)]),
-                10, 11,
             ),
-            check_unauthorized_transfer(make_ledger([(10, 500), (11, 0)]), 10, 11),
+            check_unauthorized_transfer(make_ledger([(10, 500), (11, 0)])),
         ]
         assert all(f is not None for f in findings)
         for f in findings:
@@ -430,7 +431,7 @@ class TestThresholdParameter:
         for call in (
             lambda: check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 90, 90), threshold),
             lambda: check_invalid_sell(fake_result(BundleKind.SELL, 0, 90, 90), threshold),
-            lambda: check_unauthorized_transfer(ledger, 10, 11, threshold),
+            lambda: check_unauthorized_transfer(ledger, threshold),
         ):
             with pytest.raises(ValueError, match="threshold"):
                 call()

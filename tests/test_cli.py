@@ -217,6 +217,8 @@ class TestScan:
         ["scan", "--mode", "sim", "--scenario", "CORPUS", "--interval", "two"],
         ["scan", "--mode", "live", "--from-block", "0", "--to-block", "1", "--workers", "0"],
         ["scan", "--mode", "live", "--from-block", "0", "--to-block", "1", "--workers", "-3"],
+        ["scan", "--mode", "live", "--to-block", "1", "--from-block", "-1"],
+        ["scan", "--mode", "live", "--from-block", "0", "--to-block", "-1"],
         ["gen-corpus", "--out-dir", "CORPUS", "--n", "0"],
     ])
     def test_nonpositive_count_is_a_usage_error(self, small_corpus, capsys, monkeypatch,
@@ -235,7 +237,7 @@ class TestScan:
         assert proc.returncode == 1
         assert "endpoint" in proc.stderr
 
-    def _live_scan(self, tmp_path, monkeypatch, wrap_node=lambda node: node):
+    def _live_scan(self, tmp_path, monkeypatch, wrap_node=lambda node: node, from_block=1):
         """Run `trapscan scan --mode live` in-process against the replay
         node, seen through `wrap_node`; returns the exit code and out path."""
         import trapscan.rpcbackend as rpcbackend
@@ -259,7 +261,7 @@ class TestScan:
         out = tmp_path / "verdicts.jsonl"
         code = main([
             "scan", "--mode", "live", "--config", str(config),
-            "--from-block", "1", "--to-block", str(trace.final_block),
+            "--from-block", str(from_block), "--to-block", str(trace.final_block),
             "--checkpoint", str(tmp_path / "ck.jsonl"), "--out", str(out),
         ])
         return code, out
@@ -300,6 +302,29 @@ class TestScan:
         assert "0/0" in captured.out
         assert out.read_text() == ""
         assert read_checkpoint(tmp_path / "ck.jsonl") == {}  # a rerun scans it
+
+    def test_inverted_range_is_a_usage_error(self, capsys):
+        code = main(["scan", "--mode", "live", "--rpc-url", "http://node.invalid",
+                     "--from-block", "16", "--to-block", "1"])
+        assert code == 2
+        assert "--from-block must not exceed --to-block" in capsys.readouterr().err
+
+    def test_checkpoint_of_another_range_is_an_error(self, tmp_path, monkeypatch, capsys):
+        assert self._live_scan(tmp_path, monkeypatch)[0] == 0
+        kept = (tmp_path / "ck.jsonl").read_text()
+        capsys.readouterr()
+        code, _ = self._live_scan(tmp_path, monkeypatch, from_block=2)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: checkpoint: ") and "[1, " in err and "[2, " in err
+        assert (tmp_path / "ck.jsonl").read_text() == kept
+
+    def test_checkpoint_of_another_schema_is_an_error(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "ck.jsonl").write_text('{"schema": "trapscan-scan-checkpoint/1"}\n')
+        code, _ = self._live_scan(tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: checkpoint: unsupported checkpoint schema")
 
 
 class TestInProcess:

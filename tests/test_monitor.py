@@ -1,3 +1,5 @@
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
@@ -6,19 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapscan.chainview import BalanceSnapshot, SwapRecord, TransferRecord
+from trapscan.chainview import (
+    ApproveRecord,
+    BalanceSnapshot,
+    SwapRecord,
+    TransferRecord,
+    UnknownPool,
+    UnknownToken,
+)
 from trapscan.core import Address, BlockIndex
 from trapscan.mockchain import Honest, MockChain, run_attack_script, wash_and_drain_script
-from trapscan.monitor import (
-    BuyerLedger,
-    IngestGap,
-    MissingSnapshot,
-    PoolWatch,
-    buyer_delta,
-    ingest_block,
-    pick_orientations,
-    swaps_in_window,
-)
+from trapscan.monitor import IngestGap, PoolWatch, ingest_block, pick_orientations
 
 BUYER = Address.derive("buyer")
 OTHER = Address.derive("other")
@@ -27,10 +27,77 @@ TOKEN = Address.derive("token")
 BASE = Address.derive("base")
 
 
+# ----------------------------------------------------------------------
+# whole-history reference: every record and snapshot from the block a
+# buyer was first seen, found by bisection; the window ledger must equal
+# it filtered to each window
+
+
+class MissingSnapshot(Exception):
+    pass
+
+
+def _block_number(record) -> int:
+    return record.block.number
+
+
+def _in_window(records: list, from_block: int, to_block: int) -> list:
+    """The records in (from_block, to_block] of a list kept in block order."""
+    lo = bisect_right(records, from_block, key=_block_number)
+    hi = bisect_right(records, to_block, lo=lo, key=_block_number)
+    return records[lo:hi]
+
+
+@dataclass
+class HistoryLedger:
+    buyer: Address
+    buys: list[SwapRecord] = field(default_factory=list)
+    snapshots: list[BalanceSnapshot] = field(default_factory=list)
+    transfers: list[TransferRecord] = field(default_factory=list)
+    approvals: list[ApproveRecord] = field(default_factory=list)
+
+    def snapshot_at(self, block: int) -> BalanceSnapshot:
+        i = bisect_left(self.snapshots, block, key=_block_number)
+        if i < len(self.snapshots) and self.snapshots[i].block.number == block:
+            return self.snapshots[i]
+        raise MissingSnapshot(f"no snapshot for {self.buyer} at block {block}")
+
+
+def history(trace) -> dict[Address, HistoryLedger]:
+    """Every buyer's whole history, ingested one block at a time, with a
+    snapshot at each block from the one it was first seen."""
+    chain, pool, trap = trace.chain, trace.pool.pool, trace.trap_token
+    ledgers: dict[Address, HistoryLedger] = {}
+    for block in range(1, chain.head() + 1):
+        try:
+            swaps = chain.get_swaps(pool, (block, block))
+        except UnknownPool:
+            continue
+        for swap in swaps:
+            if swap.token_out == trap and swap.recipient != pool:
+                ledgers.setdefault(swap.recipient, HistoryLedger(swap.recipient)).buys.append(swap)
+        if ledgers:
+            try:
+                transfers = chain.get_transfers(trap, (block, block))
+                approvals = chain.get_approvals(trap, (block, block))
+            except UnknownToken:
+                transfers, approvals = [], []
+            for rec in transfers:
+                if rec.sender != pool:
+                    for buyer in {rec.sender, rec.recipient} & set(ledgers):
+                        ledgers[buyer].transfers.append(rec)
+            for rec in approvals:
+                if rec.approver in ledgers:
+                    ledgers[rec.approver].approvals.append(rec)
+        for ledger in ledgers.values():
+            ledger.snapshots.append(chain.balance_of(trap, ledger.buyer, block))
+    return ledgers
+
+
 def synthetic_ledger(snapshot_blocks, record_blocks=()):
-    """A ledger with a snapshot at each of `snapshot_blocks` and one buy
+    """A history with a snapshot at each of `snapshot_blocks` and one buy
     and one transfer at each of `record_blocks` (repeats allowed)."""
-    ledger = BuyerLedger(buyer=BUYER, pool=POOL, trap_token=TOKEN)
+    ledger = HistoryLedger(buyer=BUYER)
     for block in snapshot_blocks:
         ledger.snapshots.append(BalanceSnapshot(token=TOKEN, holder=BUYER,
                                                 block=BlockIndex(block), balance=block))
@@ -47,11 +114,25 @@ def synthetic_ledger(snapshot_blocks, record_blocks=()):
     return ledger
 
 
+def ingest_windows(trace, ends):
+    """A watch fed the windows ending at each of `ends`, from block 1."""
+    watch = PoolWatch.create(trace.pool, trace.trap_token)
+    start = 1
+    for end in ends:
+        ingest_block(watch, trace.chain, end, start)
+        start = end + 1
+    return watch
+
+
 def build_watch(trace, upto=None):
     watch = PoolWatch.create(trace.pool, trace.trap_token)
     for block in range(1, (upto or trace.chain.head()) + 1):
         ingest_block(watch, trace.chain, block)
     return watch
+
+
+def window_delta(ledger) -> int:
+    return ledger.snapshots[-1].balance - ledger.snapshots[0].balance
 
 
 @pytest.fixture
@@ -78,12 +159,17 @@ class TestIngest:
         assert set(watch.buyers) == expected
 
     def test_every_buyer_snapshotted_each_block(self, drain_trace):
-        watch = build_watch(drain_trace)
-        head = drain_trace.chain.head()
-        for ledger in watch.buyers.values():
-            first = ledger.snapshots[0].block.number
-            got = [s.block.number for s in ledger.snapshots]
-            assert got == list(range(first, head + 1))
+        """One-block windows: a buyer holds the previous block's snapshot
+        and this one's, or this one's alone in the block it is first seen."""
+        watch = PoolWatch.create(drain_trace.pool, drain_trace.trap_token)
+        seen = set()
+        for block in range(1, drain_trace.chain.head() + 1):
+            ingest_block(watch, drain_trace.chain, block)
+            for buyer, ledger in watch.buyers.items():
+                got = [s.block.number for s in ledger.snapshots]
+                assert got == ([block - 1, block] if buyer in seen else [block])
+            seen |= set(watch.buyers)
+        assert seen
 
     def test_gap_rejected(self, drain_trace):
         chain = drain_trace.chain
@@ -107,16 +193,11 @@ class TestIngest:
         )
         quiet = victim_buy_block + 2  # the drain lands at +1; +2 is idle
         watch = build_watch(drain_trace, upto=quiet - 1)
-        before = {
-            buyer: (len(led.buys), len(led.transfers), len(led.snapshots))
-            for buyer, led in watch.buyers.items()
-        }
+        assert watch.buyers
         ingest_block(watch, drain_trace.chain, quiet)
-        for buyer, led in watch.buyers.items():
-            buys, transfers, snaps = before[buyer]
-            assert len(led.buys) == buys
-            assert len(led.transfers) == transfers
-            assert len(led.snapshots) == snaps + 1
+        for led in watch.buyers.values():
+            assert led.buys == [] and led.transfers == []
+            assert [s.block.number for s in led.snapshots] == [quiet - 1, quiet]
 
     def test_incremental_equals_batch(self, drain_trace):
         head = drain_trace.chain.head()
@@ -140,52 +221,62 @@ class TestIngest:
         assert watch.reserves == chain.get_reserves(pool, chain.head())
 
     def test_drain_round_collects_evidence(self, drain_trace):
-        watch = build_watch(drain_trace)
         victim = drain_trace.actors.victims[0]
-        ledger = watch.buyers[victim]
-        drains = [t for t in ledger.transfers if t.sender == victim]
+        watch = PoolWatch.create(drain_trace.pool, drain_trace.trap_token)
+        drains = []
+        for block in range(1, drain_trace.chain.head() + 1):
+            ingest_block(watch, drain_trace.chain, block)
+            if victim in watch.buyers:
+                drains += [t for t in watch.buyers[victim].transfers if t.sender == victim]
         assert len(drains) == 1 and drains[0].tx_sender == drain_trace.actors.creator
-        assert ledger.snapshots[-1].balance == 0
+        assert watch.buyers[victim].snapshots[-1].balance == 0
 
 
 class TestBuyerDelta:
+    """A window's balance change and the logged transfers in it."""
+
     def test_drain_with_event(self, drain_trace):
-        watch = build_watch(drain_trace)
         victim = drain_trace.actors.victims[0]
-        ledger = watch.buyers[victim]
-        drain_block = next(t.block.number for t in ledger.transfers if t.sender == victim)
-        delta, moved = buyer_delta(ledger, drain_block - 1, drain_block)
-        assert delta < 0 and sum(t.value for t in moved) == -delta
+        drain_block = next(
+            t.block.number for t in history(drain_trace)[victim].transfers if t.sender == victim
+        )
+        ledger = ingest_windows(drain_trace, [drain_block - 1, drain_block]).buyers[victim]
+        delta = window_delta(ledger)
+        assert delta < 0 and sum(t.value for t in ledger.transfers) == -delta
 
     def test_silent_drain(self):
         script, seed = wash_and_drain_script(emits_event=False)
         trace = run_attack_script(script, seed)
-        watch = build_watch(trace)
         victim = trace.actors.victims[0]
-        ledger = watch.buyers[victim]
-        bought = max(s.balance for s in ledger.snapshots)
+        whole = history(trace)[victim]
+        bought = max(s.balance for s in whole.snapshots)
         drop = next(
-            s.block.number for s in ledger.snapshots if s.balance == 0
-            and s.block.number > ledger.buys[0].block.number
+            s.block.number for s in whole.snapshots if s.balance == 0
+            and s.block.number > whole.buys[0].block.number
         )
-        delta, moved = buyer_delta(ledger, drop - 1, drop)
-        assert delta == -bought and moved == []
+        ledger = ingest_windows(trace, [drop - 1, drop]).buyers[victim]
+        assert window_delta(ledger) == -bought and ledger.transfers == []
 
     def test_quiet_window(self, drain_trace):
-        watch = build_watch(drain_trace)
-        wash = watch.buyers[drain_trace.actors.wash_trader]
         head = drain_trace.chain.head()
-        delta, moved = buyer_delta(wash, head - 1, head)
-        assert delta == 0 and moved == []
+        wash = ingest_windows(drain_trace, [head - 1, head]).buyers[drain_trace.actors.wash_trader]
+        assert window_delta(wash) == 0 and wash.transfers == []
 
     def test_missing_snapshot(self, drain_trace):
-        watch = build_watch(drain_trace)
-        ledger = watch.buyers[drain_trace.actors.victims[0]]
-        with pytest.raises(MissingSnapshot):
-            buyer_delta(ledger, 0, drain_trace.chain.head())
+        """A window holds no snapshot from before its buyer was first seen:
+        a buyer new in the window starts it at its first-seen block."""
+        victim = drain_trace.actors.victims[0]
+        first = history(drain_trace)[victim].snapshots[0].block.number
+        assert first > 1
+        ledger = ingest_windows(drain_trace, [drain_trace.chain.head()]).buyers[victim]
+        assert ledger.snapshots[0].block.number == first
+        assert all(s.block.number > first for s in ledger.buys)
 
 
 class TestSnapshotAt:
+    """The whole-history reference's snapshot lookup, which the windowed
+    differential test below reads its expected edges through."""
+
     def test_exact_hits_across_a_gap(self):
         blocks = [5, 6, 9, 10]
         ledger = synthetic_ledger(blocks)
@@ -205,20 +296,23 @@ class TestSnapshotAt:
 
 class TestWindows:
     def test_windows_match_a_linear_filter(self):
+        """The reference's bisected window equals a linear filter."""
         record_blocks = [2, 3, 3, 3, 5, 8, 8, 9]
         ledger = synthetic_ledger(range(1, 11), record_blocks)
         for lo in range(1, 11):
             for hi in range(lo, 11):
-                _, moved = buyer_delta(ledger, lo, hi)
-                assert moved == [t for t in ledger.transfers if lo < t.block.number <= hi]
-                assert swaps_in_window(ledger, lo, hi) == [
+                assert _in_window(ledger.transfers, lo, hi) == [
+                    t for t in ledger.transfers if lo < t.block.number <= hi
+                ]
+                assert _in_window(ledger.buys, lo, hi) == [
                     s for s in ledger.buys if lo < s.block.number <= hi
                 ]
 
 
 def gift_trace():
-    """A pool whose second buyer is sent trap tokens, and approves a
-    spender, three blocks before its first buy and again in that block."""
+    """A pool whose second buyer is sent trap tokens and approves a
+    spender three blocks before it first buys, is sent more in the block
+    where it buys twice, then sends some and approves again."""
     chain = MockChain()
     creator, wash, gifted = (Address.derive(f"gift:{n}") for n in ("creator", "wash", "gifted"))
     base = chain.deploy_token(Honest(Fraction(0)), 10**24, creator)
@@ -236,6 +330,7 @@ def gift_trace():
     chain.advance_block(2)
     chain.token_transfer(trap, creator, gifted, 700)
     chain.swap(pool, gifted, base, 10**6, gifted)
+    chain.swap(pool, gifted, base, 10**6, gifted)
     chain.advance_block()
     chain.token_transfer(trap, gifted, wash, 200)
     chain.approve(trap, gifted, OTHER, 100)
@@ -244,54 +339,60 @@ def gift_trace():
 
 
 @cache
-def per_block_watches(name):
-    """A trace, its watch ingested one block at a time, and the watch's
-    reserves after each block."""
+def reference(name):
+    """A trace, its buyers' whole histories, and the pool's reserves at
+    each block ((0, 0) before the pool exists)."""
     if name == "gift":
         trace = gift_trace()
     else:
         script, seed = wash_and_drain_script(emits_event=name == "logged_drain")
         trace = run_attack_script(script, seed)
-    watch = PoolWatch.create(trace.pool, trace.trap_token)
     reserves = {}
     for block in range(1, trace.chain.head() + 1):
-        ingest_block(watch, trace.chain, block)
-        reserves[block] = watch.reserves
-    return trace, watch, reserves
+        try:
+            reserves[block] = trace.chain.get_reserves(trace.pool.pool, block)
+        except UnknownPool:
+            reserves[block] = (0, 0)
+    return trace, history(trace), reserves
 
 
 @st.composite
 def window_splits(draw):
-    """A trace, its per-block watch and reserves, and the last block of
-    each window in a random split of [1, head] into windows."""
+    """A trace, its reference, and the last block of each window in a
+    random split of [1, head] into windows."""
     name = draw(st.sampled_from(["logged_drain", "silent_drain", "gift"]))
-    trace, per_block, reserves = per_block_watches(name)
+    trace, whole, reserves = reference(name)
     head = trace.chain.head()
     cuts = draw(st.sets(st.integers(min_value=1, max_value=head - 1)))
-    return trace, per_block, reserves, [*sorted(cuts), head]
+    return trace, whole, reserves, [*sorted(cuts), head]
 
 
 class TestWindowedIngest:
     @given(split=window_splits())
     @settings(max_examples=100, deadline=None)
     def test_windows_equal_per_block_ingestion(self, split):
-        trace, per_block, reserves, ends = split
+        """After each window, every ledger equals its whole history
+        ingested one block at a time, filtered to the window."""
+        trace, whole, reserves, ends = split
         watch = PoolWatch.create(trace.pool, trace.trap_token)
         start = 1
         for end in ends:
             ingest_block(watch, trace.chain, end, start)
             assert watch.reserves == reserves[end]
-            start = end + 1
-
-        assert list(watch.buyers) == list(per_block.buyers)
-        for buyer, ledger in watch.buyers.items():
-            expected = per_block.buyers[buyer]
-            assert ledger.buys == expected.buys
-            assert ledger.transfers == expected.transfers
-            assert ledger.approvals == expected.approvals
-            first_seen = expected.snapshots[0].block.number
-            assert ledger.snapshots == [
-                snap for snap in expected.snapshots
-                if snap.block.number in ends or snap.block.number == first_seen
+            assert watch.last_ingested == end
+            assert list(watch.buyers) == [
+                buyer for buyer, led in whole.items() if led.snapshots[0].block.number <= end
             ]
-        assert watch.last_ingested == per_block.last_ingested
+            for buyer, ledger in watch.buyers.items():
+                full = whole[buyer]
+                lo = max(full.snapshots[0].block.number, start - 1)
+                edges = sorted({lo, end})
+                assert ledger.snapshots == [full.snapshot_at(b) for b in edges]
+                assert ledger.buys == _in_window(full.buys, lo, end)
+                assert ledger.transfers == _in_window(full.transfers, lo, end)
+                approved = {}
+                for rec in full.approvals:
+                    if rec.block.number <= end:
+                        approved[rec.spender] = approved.get(rec.spender, 0) + rec.value
+                assert ledger.approved == approved
+            start = end + 1

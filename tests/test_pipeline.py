@@ -25,6 +25,7 @@ from trapscan.mockchain import (
     derive_actors,
     parse_scenario,
     run_attack_script,
+    wash_and_drain_script,
 )
 from trapscan.monitor import PoolWatch
 from trapscan.pipeline import (
@@ -213,13 +214,18 @@ class TestBoundedState:
     def test_long_scan_keeps_no_results_and_short_streaks(self, behavior, monkeypatch):
         windows = {}  # buyer -> the (from, to] windows it was reconciled over
 
-        def recording(ledger, from_block, to_block, threshold):
-            windows.setdefault(ledger.buyer, []).append((from_block, to_block))
-            return check_unauthorized_transfer(ledger, from_block, to_block, threshold)
+        def recording(ledger, threshold):
+            edges = (ledger.snapshots[0].block.number, ledger.snapshots[-1].block.number)
+            windows.setdefault(ledger.buyer, []).append(edges)
+            return check_unauthorized_transfer(ledger, threshold)
 
         monkeypatch.setattr(pipeline, "check_unauthorized_transfer", recording)
         trace = run_simple(behavior, victims=2, extra=(Wait(300),))
         assert trace.final_block > 300 and trace.final_block % 7 != 0
+        first_seen = {}
+        for swap in trace.chain.get_swaps(trace.pool.pool, (0, trace.final_block)):
+            if swap.token_out == trace.trap_token:
+                first_seen.setdefault(swap.recipient, swap.block.number)
         for interval in (1, 7):
             windows.clear()
             state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
@@ -230,14 +236,38 @@ class TestBoundedState:
             held = [value for name, value in vars(state).items() if name != "watch"]
             assert not any(isinstance(v, SimulationResult) for v in _held_values(held))
             assert all(len(s) <= MIN_REVERT_BLOCKS for s in state.revert_streaks.values())
-            # No round skipped a buyer for want of a snapshot: each buyer's
-            # windows run without a hole from the block it was first seen
-            # to the end of the scan.
+            # No round skipped a buyer: each buyer's windows run without a
+            # hole from the block it was first seen to the end of the scan.
             assert set(windows) == set(state.watch.buyers)
             for buyer, spans in windows.items():
-                assert spans[0][0] == state.watch.buyers[buyer].buys[0].block.number
+                assert spans[0][0] == first_seen[buyer]
                 assert all(prev[1] == nxt[0] for prev, nxt in zip(spans, spans[1:]))
                 assert spans[-1][1] == trace.final_block
+
+    def test_long_trap_scan_holds_one_window_and_first_findings(self, monkeypatch):
+        """A 314-block trap scan holds at most two snapshots per buyer in
+        every round, and one finding per (trap, subject) at its end."""
+        held = []
+
+        def recording(ledger, threshold):
+            held.append(len(ledger.snapshots))
+            return check_unauthorized_transfer(ledger, threshold)
+
+        monkeypatch.setattr(pipeline, "check_unauthorized_transfer", recording)
+        trace = run_simple(LimitedSell(Fraction(1, 100)), victims=3, extra=(Wait(300),))
+        assert trace.final_block > 300
+        for interval in (1, 7):
+            held.clear()
+            state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+            verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
+                                trace.final_block, ScanSettings(interval=interval), state)
+            assert verdict.traps == trace.ground_truth
+            assert len(held) >= trace.final_block // interval
+            assert max(held) <= 2
+            assert all(len(led.snapshots) <= 2 for led in state.watch.buyers.values())
+            assert len(state.findings) == len(verdict.findings)
+            kept = {(f.trap, f.subject) for f in verdict.findings}
+            assert len(kept) == len(verdict.findings)
 
 
 class TestMultiPool:
@@ -292,6 +322,32 @@ class TestResume:
         )
         assert first == full_lines == resumed
         assert summary.scanned == 1
+
+    def test_checkpoint_of_another_range_rejected(self, tmp_path):
+        trace = run_simple(LimitedSell(Fraction(1, 100)), seed=300)
+        path = tmp_path / "checkpoint.json"
+        targets = [(trace.pool, trace.trap_token)]
+        scan_pools_resumable(trace.chain, targets, 1, trace.final_block, checkpoint_path=path)
+        kept = path.read_text()
+        with pytest.raises(ValueError, match=rf"\[1, {trace.final_block}\].*\[2, "):
+            scan_pools_resumable(trace.chain, targets, 2, trace.final_block,
+                                 checkpoint_path=path)
+        assert path.read_text() == kept
+
+
+class TestBlockRange:
+    def test_scan_pool_rejects_an_inverted_range(self):
+        script, seed = wash_and_drain_script()
+        trace = run_attack_script(script, seed)
+        with pytest.raises(ValueError, match="invalid block range"):
+            scan_pool(trace.chain, trace.pool, trace.trap_token, 16, 1)
+
+    def test_resumable_fails_and_checkpoints_no_pool_over_a_bad_range(self, tmp_path):
+        chain, targets = three_pool_chain()
+        path = tmp_path / "scan.ckpt"
+        lines, summary = scan_pools_resumable(chain, targets, 3, 1, checkpoint_path=path)
+        assert lines == [] and summary.failures == 3 and summary.scanned == 0
+        assert read_checkpoint(path) == {}
 
 
 def three_pool_chain():

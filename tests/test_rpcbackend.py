@@ -14,8 +14,7 @@ from trapscan import pipeline
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
 from trapscan.core import Address, DexVersion
 from trapscan.mockchain import Honest, Wait
-from trapscan.monitor import PoolWatch
-from trapscan.pipeline import PoolScanState, ScanSettings, scan_pool
+from trapscan.pipeline import ScanSettings, scan_pool
 from trapscan.rpcbackend import (
     EndpointConfig,
     JsonRpcClient,
@@ -386,11 +385,16 @@ class TestBackendQueries:
         snap = rpc.balance_of(Address.derive("not-a-token"), OWNER, trace.chain.head())
         assert snap.failed
 
-    def test_swap_records_carry_tx_sender(self, backend):
+    def test_swap_records_match_the_mock(self, backend):
         trace, _, rpc = backend
         swaps = rpc.get_swaps(trace.pool.pool, (0, trace.chain.head()))
         mock_swaps = trace.chain.get_swaps(trace.pool.pool, (0, trace.chain.head()))
-        assert [s.sender for s in swaps] == [s.sender for s in mock_swaps]
+        # Every field but tx_hash, which the node derives on its own.
+        def fields(s):
+            return (s.block, s.sender, s.token_in, s.amount_in, s.token_out, s.amount_out,
+                    s.recipient)
+
+        assert swaps and list(map(fields, swaps)) == list(map(fields, mock_swaps))
 
 
 class TestWindowedScanCost:
@@ -428,21 +432,31 @@ class TestWindowedScanCost:
         assert len(rounds) > 1
         assert reads == rounds
 
-    def test_balance_reads_are_the_snapshots(self):
+    def test_balance_reads_are_the_snapshots(self, monkeypatch):
         """A sell is sized from the round's snapshot: the scan's only
-        balanceOf reads are the ones the ledgers hold."""
+        balanceOf reads are the snapshots ingestion takes."""
         trace = run_simple(Honest(Fraction(0)), victims=2, extra=(Wait(80),))
         node = FakeNode(chain=trace.chain)
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
-        state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        taken = []
+        real_ingest = pipeline.ingest_block
+
+        def recording_ingest(watch, chain, block, start=None):
+            carried = {id(ledger.snapshots[-1]) for ledger in watch.buyers.values()}
+            real_ingest(watch, chain, block, start)
+            for ledger in watch.buyers.values():
+                taken.extend(s for s in ledger.snapshots if id(s) not in carried)
+            return watch
+
+        monkeypatch.setattr(pipeline, "ingest_block", recording_ingest)
         scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block,
-                  ScanSettings(interval=10), state)
+                  ScanSettings(interval=10))
         balance_of = abi.bytes_to_hex(abi.SEL_BALANCE_OF)
-        reads = sum(1 for method, params in node.requests
-                    if method == "eth_call" and params[0]["data"].startswith(balance_of))
-        snapshots = sum(len(ledger.snapshots) for ledger in state.watch.buyers.values())
-        assert snapshots > 0
-        assert reads == snapshots
+        reads = [(Address.from_hex("0x" + params[0]["data"][-40:]), int(params[1], 16))
+                 for method, params in node.requests
+                 if method == "eth_call" and params[0]["data"].startswith(balance_of)]
+        assert len(taken) > 3
+        assert sorted(reads) == sorted((s.holder, s.block.number) for s in taken)
 
 
 class TestConfig:
