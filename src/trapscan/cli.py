@@ -7,7 +7,7 @@
 
 Exit codes: 0 success (simulate: all verdicts match ground truth),
 1 runtime failure, mismatch, or (scan) any pool whose scan failed,
-2 malformed input file or bad command-line value (usage error).
+2 malformed input file, or a bad or missing command-line value (usage error).
 
 Environment: TRAPSCAN_RPC_URL overrides the endpoint, TRAPSCAN_CHECKPOINT
 the checkpoint path.
@@ -188,7 +188,7 @@ def cmd_scan(args) -> int:
 def _scan_sim(args) -> int:
     if not args.scenario:
         print("error: --scenario is required for sim scans", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_SCHEMA
     for flag in ("workers", "checkpoint"):
         if getattr(args, flag) is not None:
             print(f"error: --{flag} applies to live scans only", file=sys.stderr)
@@ -226,7 +226,7 @@ def _scan_live(args) -> int:
     if args.from_block is None or args.to_block is None:
         print("error: --from-block and --to-block are required for live scans",
               file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_SCHEMA
     if args.from_block > args.to_block:
         print("error: --from-block must not exceed --to-block", file=sys.stderr)
         return EXIT_SCHEMA

@@ -56,6 +56,10 @@ class Address:
         if not isinstance(self.raw, bytes) or len(self.raw) != 20:
             raise ValueError(f"address must be exactly 20 bytes, got {self.raw!r}")
 
+    def __hash__(self) -> int:
+        # bytes cache their own hash; the generated one rebuilds a tuple per call
+        return hash(self.raw)
+
     @classmethod
     def from_hex(cls, text: str) -> "Address":
         s = text.lower()

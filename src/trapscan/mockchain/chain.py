@@ -18,12 +18,25 @@ builds no event records at all: nothing reads them, and the fork is
 dropped when the bundle ends. Every balance movement routes through the
 token's behavior model, so the ledger of emitted events can diverge from
 actual balances exactly the way scam tokens make it diverge.
+
+A bundle's outcomes depend only on the sealed state at its block, the
+token and pool registries, and how its block compares with the blocks at
+which a behavior rule switches. So the chain keeps the sorted blocks at
+which a quiet stretch starts: every block a write lands at, and every
+switch block of every deployed token's rule. Within one stretch, an
+identical bundle (same calls, same balance overrides) has identical
+outcomes, and `simulate_bundle` reuses them. Invariant: a behavior rule
+that reads the block number must register its switch blocks in
+`deploy_token`, or that reuse is unsound. The registries are not kept by
+block, so `deploy_token` and `create_pool` bump a version that ends every
+stretch. The memo holds one stretch of one chain at a time, process-wide.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -146,6 +159,15 @@ def _tx_hash(block: int, index: int) -> bytes:
     return hashlib.sha256(f"mocktx:{block}:{index}".encode()).digest()
 
 
+_chain_serials = itertools.count()
+
+# Bundle outcomes of one quiet stretch: (scope, {(calls, overrides):
+# outcomes}). A move to another scope swaps the whole pair in one
+# assignment, so a thread never reads entries of a scope it did not look
+# up, and no chain or stretch keeps entries after another one is used.
+_memo: tuple[tuple, dict] = ((), {})
+
+
 class MockChain(ChainView):
     """Deterministic single-writer chain; sealed blocks are safe to read
     concurrently, because a commit only adds history at the pending block."""
@@ -163,6 +185,9 @@ class MockChain(ChainView):
         self._pending_tx = 0
         self._token_counter = 0
         self._pool_counter = 0
+        self._serial = next(_chain_serials)
+        self._version = 0  # bumped when a registry changes
+        self._bounds: list[int] = []  # sorted blocks at which a quiet stretch starts
 
     # ------------------------------------------------------------------
     # block clock and state history
@@ -197,8 +222,15 @@ class MockChain(ChainView):
         i = bisect_right(entry[0], block)
         return entry[1][i - 1] if i else default
 
+    def _add_bound(self, block: int) -> None:
+        bounds = self._bounds
+        i = bisect_left(bounds, block)
+        if i == len(bounds) or bounds[i] != block:
+            bounds.insert(i, block)
+
     def _write(self, key: tuple, value) -> None:
         block = self.pending_block
+        self._add_bound(block)
         entry = self._history.get(key)
         if entry is None:
             self._history[key] = ([block], [value])
@@ -232,6 +264,12 @@ class MockChain(ChainView):
             self._log_transfer(ov, token, ZERO_ADDRESS, owner, supply, owner)
 
         self._run_tx(run)
+        # The rule's switch block starts a stretch, even at or below the head.
+        if isinstance(behavior, ListGate):
+            self._add_bound(behavior.active_from)
+        elif isinstance(behavior, DelayedSellTax) and behavior.trigger.kind is TriggerKind.AT_BLOCK:
+            self._add_bound(behavior.trigger.value)
+        self._version += 1
         return token
 
     def create_pool(
@@ -258,6 +296,7 @@ class MockChain(ChainView):
         self._swaps[pool] = []
         self._liquidity[pool] = []
         self._write(_key("reserves", pool), (0, 0))
+        self._version += 1
         return pool
 
     def _require_token(self, token: Address) -> _TokenMeta:
@@ -664,13 +703,33 @@ class MockChain(ChainView):
         calls: list[Call],
         balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
     ) -> list[CallOutcome]:
+        global _memo
         if not calls:
             raise EmptyBundle("bundle must contain at least one call")
         self._check_sealed(block)
-        fork = _Overlay(partial(self._read_at, block), block)
-        for (token, holder), amount in (balance_overrides or {}).items():
+        overrides = tuple((balance_overrides or {}).items())
+        for (token, _), amount in overrides:
             self._require_token(token)
-            fork.set(_bal(token, holder), check_amount(amount))
+            check_amount(amount)
+        bounds = self._bounds
+        i = bisect_right(bounds, block)
+        scope = (
+            self._serial, self._version,
+            bounds[i - 1] if i else None, bounds[i] if i < len(bounds) else None,
+        )
+        memo_scope, entries = _memo
+        if memo_scope != scope:
+            entries = {}
+            _memo = (scope, entries)
+        key = (tuple(calls), overrides)
+        # A new scope has nothing to reuse; a lookup would only hash the key.
+        reused = entries.get(key) if entries else None
+        if reused is not None:
+            return list(reused)
+
+        fork = _Overlay(partial(self._read_at, block), block)
+        for (token, holder), amount in overrides:
+            fork.set(_bal(token, holder), amount)
         outcomes: list[CallOutcome] = []
         for call in calls:
             undo = fork.writes.copy()
@@ -681,6 +740,7 @@ class MockChain(ChainView):
                 outcomes.append(CallOutcome(status=CallStatus.REVERT, revert_reason=exc.reason))
             else:
                 outcomes.append(CallOutcome(status=CallStatus.SUCCESS, return_value=value))
+        entries[key] = tuple(outcomes)
         return outcomes
 
     def _exec_call(self, call: Call, ov: _Overlay) -> TokenAmount | None:

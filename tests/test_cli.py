@@ -309,6 +309,17 @@ class TestScan:
         assert code == 2
         assert "--from-block must not exceed --to-block" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--mode", "live", "--rpc-url", "http://node.invalid", "--to-block", "1"],
+         "--from-block and --to-block are required"),
+        (["--mode", "live", "--rpc-url", "http://node.invalid", "--from-block", "0"],
+         "--from-block and --to-block are required"),
+        (["--mode", "sim"], "--scenario is required"),
+    ])
+    def test_missing_mode_flag_is_a_usage_error(self, capsys, argv, message):
+        assert main(["scan", *argv]) == 2
+        assert message in capsys.readouterr().err
+
     def test_checkpoint_of_another_range_is_an_error(self, tmp_path, monkeypatch, capsys):
         assert self._live_scan(tmp_path, monkeypatch)[0] == 0
         kept = (tmp_path / "ck.jsonl").read_text()

@@ -71,6 +71,19 @@ class TestAddress:
         assert Address.derive("x") == Address.derive("x")
         assert Address.derive("x") != Address.derive("y")
 
+    def test_equal_address_finds_the_same_entry(self):
+        a = Address.from_hex("0x7a250d5630B4cF539739dF2C5dAcb4c659F2488D")
+        table = {a: "router", (a, ZERO_ADDRESS): "pair"}
+        fresh = Address(bytes.fromhex("7a250d5630b4cf539739df2c5dacb4c659f2488d"))
+        assert fresh is not a and hash(fresh) == hash(a)
+        assert table[fresh] == "router" and table[fresh, Address(b"\x00" * 20)] == "pair"
+        assert fresh in {a} and Address.derive("x") not in table
+
+    def test_equality_order_and_repr_unchanged(self):
+        lo, hi = Address(b"\x01" * 20), Address(b"\x02" * 20)
+        assert lo < hi and sorted([hi, lo]) == [lo, hi] and lo != hi
+        assert repr(lo) == "Address(0x" + "01" * 20 + ")"
+
 
 class TestBlockIndex:
     def test_ordering(self):

@@ -1,20 +1,25 @@
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from functools import cache, partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_simple, simple_script
 from trapscan.chainview import (
     BalanceOfCall,
+    BlockOutOfRange,
     CallStatus,
+    EmptyBundle,
     LiquidityKind,
     SwapExactInCall,
     UnknownPool,
+    UnknownToken,
 )
-from trapscan.core import Address, ZERO_ADDRESS
+from trapscan.core import Address, AmountRangeError, ZERO_ADDRESS
 from trapscan.mockchain import (
     AmbiguousParameters,
     AttackScript,
@@ -363,8 +368,12 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
 
+        def simulate_afresh():
+            chain._version += 1  # no reuse: the engine runs
+            chain.simulate_bundle(chain.head(), calls)
+
         assert peak_bytes(lambda: chain.advance_block(1000)) < 64 * 1024
-        assert peak_bytes(lambda: chain.simulate_bundle(chain.head(), calls)) < 8 * 1024
+        assert peak_bytes(simulate_afresh) < 8 * 1024
 
 
 class TestScripts:
@@ -547,8 +556,11 @@ def reference_bundle(chain, block, calls, overrides):
 
 def engine_bundle(chain, block, calls, overrides):
     """`simulate_bundle`, with the fork's writes seen before each call and
-    after the last, in the shape `reference_bundle` returns."""
+    after the last, in the shape `reference_bundle` returns. The version
+    bump ends the chain's memo scope, so the engine runs even for a bundle
+    simulated before."""
     states, forks = [], []
+    chain._version += 1
 
     def spy(call, fork):
         states.append(dict(fork.writes))
@@ -603,3 +615,300 @@ class TestBundleEngine:
         assert engine_bundle(chain, block, calls, overrides) == reference_bundle(
             chain, block, calls, overrides
         )
+
+
+# --------------------------------------------------------------------------
+# Bundle reuse within a quiet stretch, against memo-free runs.
+
+
+def outcomes_of(chain, block, calls, overrides=None):
+    """`simulate_bundle`, in the outcome shape `reference_bundle` returns."""
+    return [(o.status, o.revert_reason, o.return_value)
+            for o in chain.simulate_bundle(block, calls, overrides)]
+
+
+def memo_free(chain, block, calls, overrides=None):
+    """The same bundle run afresh on its own fork, never through the memo."""
+    return reference_bundle(chain, block, calls, overrides or {})[0]
+
+
+def count_engine_runs(chain):
+    """Spy on `_exec_call`; returns the list each engine call appends to."""
+    seen = []
+
+    def spy(call, fork):
+        seen.append(call)
+        return MockChain._exec_call(chain, call, fork)
+
+    chain._exec_call = spy
+    return seen
+
+
+def delayed_world(switch=5):
+    """A pool, sealed at block 1, of a 9/10 sell tax that turns on at block
+    `switch`, then a quiet chain up to two blocks past the switch."""
+    chain = MockChain()
+    base, trap, pool = fresh_pool(
+        chain, DelayedSellTax(Fraction(9, 10), SwitchTrigger.at_block(switch)),
+        10**9, 10**9,
+    )
+    chain.advance_block(switch + 1)
+    sell = [SwapExactInCall(caller=PROBE, pool=pool, token_in=trap, token_out=base,
+                            amount_in=10**6, recipient=PROBE)]
+    return chain, base, trap, pool, sell, {(trap, PROBE): 10**6}
+
+
+class TestBundleReuse:
+    def test_identical_bundle_runs_once_per_quiet_stretch(self):
+        switch = 5
+        chain, base, trap, pool, sell, funded = delayed_world(switch)
+        runs = count_engine_runs(chain)
+        untaxed = chain.simulate_bundle(switch - 2, sell, funded)
+        assert len(runs) == 1
+        again = chain.simulate_bundle(switch - 1, sell, funded)
+        assert again == untaxed and again is not untaxed and len(runs) == 1
+        again.clear()  # a reused result is a fresh list
+        assert chain.simulate_bundle(switch - 2, sell, funded) == untaxed
+        taxed = chain.simulate_bundle(switch, sell, funded)
+        assert len(runs) == 2 and taxed[0].return_value < untaxed[0].return_value
+        assert chain.simulate_bundle(switch + 1, sell, funded) == taxed and len(runs) == 2
+        chain.simulate_bundle(switch + 1, sell, {(trap, PROBE): 10**5})
+        assert len(runs) == 3  # other overrides: another bundle
+        assert chain.token_transfer(base, OWNER, ALICE, 1).ok  # a write ends the stretch
+        chain.advance_block()
+        assert chain.simulate_bundle(chain.head(), sell, funded) == taxed
+        assert len(runs) == 4
+
+    def test_every_call_is_validated(self):
+        chain, base, trap, pool, sell, funded = delayed_world()
+        head = chain.head()
+        chain.simulate_bundle(head, sell, funded)
+        with pytest.raises(EmptyBundle):
+            chain.simulate_bundle(head, [], funded)
+        with pytest.raises(BlockOutOfRange):
+            chain.simulate_bundle(head + 1, sell, funded)
+        with pytest.raises(UnknownToken):
+            chain.simulate_bundle(head, sell, {**funded, (Address.derive("nope"), PROBE): 1})
+        with pytest.raises(AmountRangeError):
+            chain.simulate_bundle(head, sell, {(trap, PROBE): -1})
+        with pytest.raises(TypeError):
+            chain.simulate_bundle(head, sell, {(trap, PROBE): True})
+
+    def test_registry_change_ends_reuse(self):
+        chain, base, trap, pool, sell, funded = delayed_world()
+        later_token = memo_token(chain._token_counter + 1)
+        read = [BalanceOfCall(caller=ALICE, token=later_token, holder=ALICE)]
+        early = 2  # in the closed stretch [1, 5): no later write ends it
+        assert memo_free(chain, early, read)[0][1] == f"unknown token: {later_token}"
+        assert outcomes_of(chain, early, read) == memo_free(chain, early, read)
+        assert chain.deploy_token(Honest(), 10**24, OWNER) == later_token
+        assert outcomes_of(chain, early, read) == [(CallStatus.SUCCESS, None, 0)]
+
+    def test_threads_in_two_stretches_get_their_own_outcomes(self):
+        chain, base, trap, pool, sell, funded = delayed_world()
+        blocks = (4, 6)  # before and after the switch at block 5
+        expected = {b: memo_free(chain, b, sell, funded) for b in blocks}
+        assert expected[4] != expected[6]
+        results = {b: [] for b in blocks}
+
+        def worker(block):
+            for _ in range(300):
+                results[block].append(outcomes_of(chain, block, sell, funded))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(b,)) for b in blocks]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for b in blocks:
+            assert len(results[b]) == 300
+            assert all(got == expected[b] for got in results[b])
+
+
+# A random public history interleaved with bundles at random sealed blocks.
+# Bundles name tokens and pools by the chain's own counters, so a bundle can
+# name one that a later op creates: token 1 is the base token, token k + 1
+# the k-th trap, and pool k pairs the base token with trap k.
+MEMO_KINDS = ("honest", "hidden", "limited", "drain", "allow", "deny",
+              "at_block", "manual", "after_buyers")
+
+
+def memo_behavior(kind, switch):
+    return {
+        "honest": Honest(Fraction(1, 10)),
+        "hidden": HiddenTax(Fraction(1, 2)),
+        "limited": LimitedSell(Fraction(1, 100)),
+        "drain": OwnerDrain(OWNER, emits_event=False),
+        "allow": ListGate(GateMode.ALLOW, frozenset({ALICE}), active_from=switch),
+        "deny": ListGate(GateMode.DENY, frozenset({BOB}), active_from=switch),
+        "at_block": DelayedSellTax(Fraction(9, 10), SwitchTrigger.at_block(switch)),
+        "manual": DelayedSellTax(Fraction(9, 10)),
+        "after_buyers": DelayedSellTax(Fraction(9, 10), SwitchTrigger.after_buyers(2)),
+    }[kind]
+
+
+def memo_token(k):
+    return Address.derive(f"mock-token:{k}")
+
+
+def memo_pool(k):
+    return Address.derive(f"mock-pool:{k}")
+
+
+MEMO_INDEX = st.integers(1, 3)
+MEMO_AMOUNT = st.sampled_from((0, 10**4, 10**6, OVER_BALANCE))
+MEMO_BACKS = st.lists(st.integers(0, 6), min_size=1, max_size=3)
+MEMO_DEPLOY = st.tuples(st.just("deploy"), st.sampled_from(MEMO_KINDS), st.integers(-3, 4))
+MEMO_CALL = st.tuples(
+    st.sampled_from(("read", "buy", "sell")), st.sampled_from(BUNDLE_ACTORS),
+    MEMO_INDEX, MEMO_AMOUNT, st.booleans(),  # swap: an unmeetable min_out
+)
+MEMO_WRITE = st.one_of(
+    st.tuples(st.just("swap"), MEMO_INDEX, st.sampled_from((ALICE, BOB)), st.booleans(),
+              MEMO_AMOUNT),
+    st.tuples(st.just("transfer"), MEMO_INDEX, st.sampled_from((OWNER, ALICE, BOB)),
+              st.sampled_from(BUNDLE_ACTORS), MEMO_AMOUNT),
+    st.tuples(st.just("flip"), MEMO_INDEX),
+    st.tuples(st.just("drain"), MEMO_INDEX, st.sampled_from(BUNDLE_ACTORS)),
+    MEMO_DEPLOY,
+    st.tuples(st.just("pool")),
+)
+# Public transactions are one op kind in six, so that quiet stretches,
+# and bundles repeated across them, are common.
+MEMO_OP = st.sampled_from((
+    MEMO_WRITE,
+    st.tuples(st.just("advance"), st.integers(1, 4)),
+    # the simulator's bundle shapes, so that the same bundle recurs
+    st.tuples(st.just("shape"), st.sampled_from(("read", "sell", "buy_sell", "held_sell")),
+              MEMO_INDEX, MEMO_BACKS),
+    st.tuples(st.just("calls"), st.lists(MEMO_CALL, min_size=1, max_size=3),
+              st.booleans(), MEMO_BACKS),
+    # the last bundle again, after the ops since: at its last block, or at others
+    st.tuples(st.just("again")),
+    st.tuples(st.just("again"), MEMO_BACKS),
+)).flatmap(lambda kind: kind)
+
+
+class MemoWorld:
+    """A chain driven by `MEMO_OP`s; a bundle op returns the bundles it
+    asks for, as (block, calls, overrides)."""
+
+    def __init__(self):
+        self.chain = MockChain()
+        assert self.chain.deploy_token(Honest(), 10**24, OWNER) == memo_token(1)
+        self.base = memo_token(1)
+        self.tokens = 1
+        self.pools = 0
+        self.last = None  # the last bundle asked for, and its last block
+        for who in (ALICE, BOB):
+            assert self.chain.token_transfer(self.base, OWNER, who, 10**9).ok
+        self.chain.advance_block()
+
+    def swap(self, actor, k, buy, amount, min_out=0):
+        token_in, token_out = (self.base, memo_token(k + 1))[::1 if buy else -1]
+        return SwapExactInCall(caller=actor, pool=memo_pool(k), token_in=token_in,
+                               token_out=token_out, amount_in=amount, recipient=actor,
+                               min_out=min_out)
+
+    def funded(self, k):
+        """PROBE's overrides: the base token and trap k, if it exists yet."""
+        overrides = {(self.base, PROBE): 10**8}
+        if k < self.tokens:
+            overrides[memo_token(k + 1), PROBE] = 10**6
+        return overrides
+
+    def apply(self, op):
+        chain, kind = self.chain, op[0]
+        if kind == "swap" and op[1] <= self.pools:
+            _, k, actor, buy, amount = op
+            chain.swap(memo_pool(k), actor, self.base if buy else memo_token(k + 1),
+                       amount, actor)
+        elif kind == "transfer" and op[1] <= self.tokens:
+            chain.token_transfer(memo_token(op[1]), *op[2:])
+        elif kind == "flip" and op[1] <= self.tokens:
+            chain.flip_switch(memo_token(op[1]), OWNER)
+        elif kind == "drain" and op[1] <= self.tokens:
+            chain.owner_drain(memo_token(op[1]), op[2], OWNER)
+        elif kind == "deploy":
+            switch = max(0, chain.head() + op[2])
+            self.tokens += 1
+            token = chain.deploy_token(memo_behavior(op[1], switch), 10**24, OWNER)
+            assert token == memo_token(self.tokens)
+        elif kind == "pool" and self.pools + 1 < self.tokens:
+            self.pools += 1
+            pool = chain.create_pool(self.base, memo_token(self.pools + 1))
+            assert pool == memo_pool(self.pools)
+            assert chain.add_liquidity(pool, OWNER, 10**9, 10**9).ok
+        elif kind == "advance":
+            chain.advance_block(op[1])
+        elif kind in ("shape", "calls") or (kind == "again" and self.last):
+            if kind != "again":
+                self.last = (*self.bundle(*op[1:-1]), None)
+            calls, overrides, block = self.last
+            blocks = [max(0, chain.head() - back) for back in op[-1]] if op[1:] else [block]
+            self.last = (calls, overrides, blocks[-1])
+            return [(b, calls, overrides) for b in blocks]
+        return []
+
+    def bundle(self, *spec):
+        if spec[0] == "read":
+            return [BalanceOfCall(caller=ALICE, token=memo_token(spec[1] + 1), holder=ALICE)], {}
+        if spec[0] == "sell":
+            return [self.swap(PROBE, spec[1], False, 10**5)], self.funded(spec[1])
+        if spec[0] == "buy_sell":
+            k = spec[1]
+            calls = [self.swap(PROBE, k, True, 10**5),
+                     BalanceOfCall(caller=PROBE, token=memo_token(k + 1), holder=PROBE),
+                     self.swap(PROBE, k, False, 10**4)]
+            return calls, {(self.base, PROBE): 10**8}
+        if spec[0] == "held_sell":
+            return [self.swap(BOB, spec[1], False, 10**4)], {}
+        drawn, funding = spec
+        calls = []
+        for kind, actor, k, amount, flag in drawn:
+            if kind == "read":
+                calls.append(BalanceOfCall(caller=actor, token=memo_token(k), holder=actor))
+            else:
+                calls.append(self.swap(actor, k, kind == "buy", amount,
+                                       UNMEETABLE if flag else 0))
+        return calls, self.funded(drawn[0][2]) if funding else {}
+
+
+# Each op sequence below makes a stale reuse visible: a sell before and
+# after a switch block in one write-free stretch (tax, then gate), and a
+# bundle naming a token or pool re-run at its closed stretch once that
+# token or pool exists.
+SEAL_A_WRITE = [("advance", 1), ("transfer", 1, OWNER, ALICE, 10**4), ("advance", 1)]
+
+
+class TestBundleReuseDifferential:
+    @example(traps=[(("deploy", "at_block", 3), True)],
+             ops=[("advance", 4), ("shape", "sell", 1, [3, 0])])
+    @example(traps=[(("deploy", "allow", 3), True)],
+             ops=[("advance", 4), ("shape", "sell", 1, [3, 0])])
+    @example(traps=[(("deploy", "honest", 0), True)],
+             ops=[*SEAL_A_WRITE, ("shape", "read", 2, [1]), ("deploy", "honest", 0), ("again",)])
+    @example(traps=[(("deploy", "honest", 0), False)],
+             ops=[*SEAL_A_WRITE, ("shape", "sell", 1, [1]), ("pool",), ("again",)])
+    @given(
+        traps=st.lists(st.tuples(MEMO_DEPLOY, st.booleans()), min_size=1, max_size=3),
+        ops=st.lists(MEMO_OP, min_size=1, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reused_outcomes_equal_memo_free_runs(self, traps, ops):
+        world = MemoWorld()
+        for deploy, pooled in traps:  # a head start, so that most bundles can trade
+            world.apply(deploy)
+            if pooled:
+                world.apply(("pool",))
+        for op in ops:
+            for block, calls, overrides in world.apply(op):
+                assert outcomes_of(world.chain, block, calls, overrides) == memo_free(
+                    world.chain, block, calls, overrides
+                )

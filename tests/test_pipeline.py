@@ -6,7 +6,11 @@ import pytest
 from conftest import run_simple
 from fake_node import FakeNode
 from trapscan import pipeline
-from trapscan.analyzer import MIN_REVERT_BLOCKS, check_unauthorized_transfer
+from trapscan.analyzer import (
+    MIN_REVERT_BLOCKS,
+    check_unauthorized_transfer,
+    verdict_to_json_line,
+)
 from trapscan.core import Address, TrapType
 from trapscan.corpus import TRAP_FAMILIES, generate_scenario
 from trapscan.mockchain import (
@@ -294,6 +298,19 @@ class TestMultiPool:
                 )
                 assert got[0].traps == expected.traps
 
+    def test_one_chain_of_staggered_pools_scans_alike_on_two_workers(self):
+        chain, targets = staggered_trap_chain()
+        lines = {}
+        for workers in (1, 2):
+            verdicts, summary = scan_pools(
+                chain, targets, 1, chain.head(), ScanSettings(workers=workers)
+            )
+            assert summary.failures == 0
+            lines[workers] = [verdict_to_json_line(v) for v in verdicts]
+        assert lines[1] == lines[2]
+        flagged = [v.traps for v in verdicts]
+        assert flagged[0] == set() and len({frozenset(t) for t in flagged}) > 2
+
     def test_summary_counts(self):
         summary = ScanSummary()
         traces = self._targets(n_trap=2, n_honest=1)
@@ -366,6 +383,37 @@ def three_pool_chain():
     for info, _token in targets:
         assert chain.swap(info.pool, buyer, base, 10**6, buyer).ok
     chain.advance_block(3)
+    return chain, targets
+
+
+def staggered_trap_chain():
+    """One mock chain with five pools of different behaviors, created three
+    blocks apart and each bought by three buyers, then a quiet tail: the
+    pools' rounds fall in different stretches of unchanged state."""
+    owner = Address.derive("owner")
+    buyers = [Address.derive(f"buyer:{i}") for i in range(3)]
+    chain = MockChain()
+    base = chain.deploy_token(Honest(Fraction(0)), 10**24, owner)
+    for buyer in buyers:
+        assert chain.token_transfer(base, owner, buyer, 10**8).ok
+    behaviors = [
+        Honest(Fraction(0)),
+        LimitedSell(Fraction(1, 100)),
+        DelayedSellTax(Fraction(9, 10), trigger=SwitchTrigger.at_block(20)),
+        HiddenTax(Fraction(1, 2)),
+        ListGate(mode=GateMode.ALLOW, members=frozenset({owner})),
+    ]
+    targets = []
+    for behavior in behaviors:
+        chain.advance_block(3)
+        token = chain.deploy_token(behavior, 10**24, owner)
+        pool = chain.create_pool(base, token)
+        assert chain.add_liquidity(pool, owner, 10**9, 10**9).ok
+        targets.append((chain.pool_info(pool), token))
+        for buyer in buyers:
+            chain.advance_block()
+            assert chain.swap(pool, buyer, base, 10**6, buyer).ok
+    chain.advance_block(12)
     return chain, targets
 
 

@@ -4,7 +4,10 @@
 verdict lines it wrote when these digests were recorded, at intervals 1
 and 3. Each scenario has its own digest (the first 16 hex digits of the
 line's sha256), so a failure names the scenario whose verdict moved.
-Re-record the table only for a change that is meant to alter verdicts.
+Each scenario is also scanned twice on one replayed chain, so that the
+second scan runs with the mock chain's bundle reuse warm; it must write
+the same line. Re-record the table only for a change that is meant to
+alter verdicts.
 """
 
 import hashlib
@@ -12,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from trapscan.analyzer import verdict_to_json_line
 from trapscan.cli import main
 from trapscan.corpus import gen_corpus
+from trapscan.mockchain import load_scenario, run_attack_script
+from trapscan.pipeline import ScanSettings, scan_pool
 
 INTERVALS = (1, 3)
 
@@ -46,11 +52,22 @@ PINNED = {
 }
 
 
+def digest(line):
+    return hashlib.sha256(line.encode()).hexdigest()[:16]
+
+
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    """{(scenario, interval): digest} from one CLI sim scan per interval."""
+def root(tmp_path_factory):
+    """A directory holding the pinned corpus in `corpus/`."""
     root = tmp_path_factory.mktemp("pinned")
-    names = sorted(p.name for p in gen_corpus(24, 7, root / "corpus"))
+    gen_corpus(24, 7, root / "corpus")
+    return root
+
+
+@pytest.fixture(scope="module")
+def digests(root):
+    """{(scenario, interval): digest} from one CLI sim scan per interval."""
+    names = sorted(p.name for p in (root / "corpus").iterdir())
     found = {}
     for interval in INTERVALS:
         out = root / f"verdicts-{interval}.jsonl"
@@ -60,7 +77,23 @@ def digests(tmp_path_factory):
         lines = Path(out).read_text().splitlines()
         assert len(lines) == len(names)
         for name, line in zip(names, lines):
-            found[name, interval] = hashlib.sha256(line.encode()).hexdigest()[:16]
+            found[name, interval] = digest(line)
+    return found
+
+
+@pytest.fixture(scope="module")
+def warm_digests(root):
+    """{(scenario, interval): digest} of the second of two scans of one chain."""
+    found = {}
+    for path in sorted((root / "corpus").iterdir()):
+        scenario = load_scenario(path)
+        trace = run_attack_script(scenario.script, scenario.seed)
+        for interval in INTERVALS:
+            settings = ScanSettings(interval=interval)
+            for _ in range(2):
+                verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
+                                    trace.final_block, settings)
+            found[path.name, interval] = digest(verdict_to_json_line(verdict))
     return found
 
 
@@ -72,3 +105,9 @@ def test_corpus_is_the_pinned_one(digests):
 @pytest.mark.parametrize("scenario", sorted(PINNED))
 def test_sim_verdict_unchanged(digests, scenario, interval):
     assert digests[scenario, interval] == PINNED[scenario][INTERVALS.index(interval)]
+
+
+@pytest.mark.parametrize("interval", INTERVALS)
+@pytest.mark.parametrize("scenario", sorted(PINNED))
+def test_warm_rescan_unchanged(warm_digests, scenario, interval):
+    assert warm_digests[scenario, interval] == PINNED[scenario][INTERVALS.index(interval)]
