@@ -107,8 +107,8 @@ def _check_delivery(
         block=result.bundle.block,
         evidence={
             "kind": kind,
-            "pre_balance": str(result.pre_balance.balance),
-            "post_balance": str(result.post_balance.balance),
+            "pre_balance": str(result.pre_balance),
+            "post_balance": str(result.post_balance),
             "estimate": str(result.estimate),
             "threshold_num": num,
             "threshold_den": den,

@@ -9,6 +9,7 @@ exist: the in-memory mock chain and the live JSON-RPC backend.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -242,7 +243,7 @@ class ChainView(ABC):
     def simulate_bundle(
         self,
         block: int,
-        calls: list[Call],
+        calls: Sequence[Call],
         balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
     ) -> list[CallOutcome]:
         """Execute calls sequentially against a private fork of `block`.

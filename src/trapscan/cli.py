@@ -192,7 +192,7 @@ def _scan_sim(args) -> int:
     for flag in ("workers", "checkpoint"):
         if getattr(args, flag) is not None:
             print(f"error: --{flag} applies to live scans only", file=sys.stderr)
-            return EXIT_RUNTIME
+            return EXIT_SCHEMA
     settings = _settings_from_args(args)
     try:
         paths = _scenario_paths(Path(args.scenario))

@@ -46,19 +46,20 @@ def amount_mul_div(a: TokenAmount, b: TokenAmount, d: TokenAmount) -> TokenAmoun
     return result
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Address:
-    """A 20-byte account identifier, rendered as 0x-prefixed lowercase hex."""
+class Address(bytes):
+    """A 20-byte account identifier, rendered as 0x-prefixed lowercase hex.
 
-    raw: bytes
+    An immutable `bytes` subclass, so hashing, equality and ordering run
+    in C and each object caches its hash. An address therefore equals,
+    and hashes like, its raw bytes: `Address(raw) == raw`.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.raw, bytes) or len(self.raw) != 20:
-            raise ValueError(f"address must be exactly 20 bytes, got {self.raw!r}")
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        # bytes cache their own hash; the generated one rebuilds a tuple per call
-        return hash(self.raw)
+    def __new__(cls, raw: bytes) -> "Address":
+        if not isinstance(raw, bytes) or len(raw) != 20:
+            raise ValueError(f"address must be exactly 20 bytes, got {raw!r}")
+        return super().__new__(cls, raw)
 
     @classmethod
     def from_hex(cls, text: str) -> "Address":
@@ -75,8 +76,12 @@ class Address:
         return cls(hashlib.sha256(tag.encode()).digest()[:20])
 
     @property
+    def raw(self) -> bytes:
+        return bytes(self)
+
+    @property
     def hex(self) -> str:
-        return "0x" + self.raw.hex()
+        return "0x" + bytes.hex(self)
 
     def __str__(self) -> str:
         return self.hex

@@ -37,8 +37,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from ..chainview import (
@@ -105,18 +107,19 @@ class _TokenMeta:
 
 _UNSET = object()
 
-# State keys hold raw address bytes, not `Address` objects: bytes cache
-# their hash, and a read hashes its key once per layer (overlay, history).
+# State keys hold the `Address` objects themselves: an address is a
+# `bytes` that caches its hash, so hashing a key, which a read does once
+# per layer (overlay, history), runs no Python code and allocates nothing.
 
 
-def _bal(token: Address, holder: Address) -> tuple[bytes, bytes]:
+def _bal(token: Address, holder: Address) -> tuple[Address, Address]:
     """State key of a token balance."""
-    return token.raw, holder.raw
+    return token, holder
 
 
-def _key(name: str, address: Address) -> tuple[str, bytes]:
+def _key(name: str, address: Address) -> tuple[str, Address]:
     """State key of any other per-address field, such as a pool's reserves."""
-    return name, address.raw
+    return name, address
 
 
 class _Overlay:
@@ -157,6 +160,18 @@ def _move(
 
 def _tx_hash(block: int, index: int) -> bytes:
     return hashlib.sha256(f"mocktx:{block}:{index}".encode()).digest()
+
+
+_block_of = attrgetter("block.number")
+
+
+def _window(records: list, lo: int, hi: int) -> list:
+    """The records of blocks lo..hi. A store's records are filed as their
+    transactions commit, so they are in block order and the window is
+    found by bisection, whatever the length of the history."""
+    return records[
+        bisect_left(records, lo, key=_block_of):bisect_right(records, hi, key=_block_of)
+    ]
 
 
 _chain_serials = itertools.count()
@@ -656,7 +671,7 @@ class MockChain(ChainView):
     def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
         lo, hi = check_range(block_range)
         self._require_pool(pool)
-        return [r for r in self._swaps[pool] if lo <= r.block.number <= hi]
+        return _window(self._swaps[pool], lo, hi)
 
     def get_liquidity_events(
         self, pool: Address, block_range: tuple[int, int]
@@ -668,12 +683,12 @@ class MockChain(ChainView):
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
         lo, hi = check_range(block_range)
         self._require_token(token)
-        return [r for r in self._transfers[token] if r.logged and lo <= r.block.number <= hi]
+        return [r for r in _window(self._transfers[token], lo, hi) if r.logged]
 
     def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
         lo, hi = check_range(block_range)
         self._require_token(token)
-        return [r for r in self._approvals[token] if lo <= r.block.number <= hi]
+        return _window(self._approvals[token], lo, hi)
 
     def balance_of(self, token: Address, holder: Address, block: int) -> BalanceSnapshot:
         self._require_token(token)
@@ -700,7 +715,7 @@ class MockChain(ChainView):
     def simulate_bundle(
         self,
         block: int,
-        calls: list[Call],
+        calls: Sequence[Call],
         balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
     ) -> list[CallOutcome]:
         global _memo

@@ -99,13 +99,18 @@ class PoolScanState:
     `MIN_REVERT_BLOCKS` blocks has produced the subject's finding and is
     not folded again, so no streak grows however long the scan runs.
     `findings` keeps the first finding per (trap, subject); rounds add
-    them in block order, so that is the earliest.
+    them in block order, so that is the earliest. `probe` is the pool's
+    funded synthetic account, derived once.
     """
 
     watch: PoolWatch
     findings: dict[tuple[TrapType, Address], Finding] = field(default_factory=dict)
     revert_streaks: dict[Address, list[int]] = field(default_factory=dict)
     skipped_rounds: list[dict] = field(default_factory=list)
+    probe: Address = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.probe = probe_account_for(self.watch.pool)
 
     def add_finding(self, finding: Finding | None) -> None:
         if finding is not None:
@@ -163,7 +168,7 @@ def run_detection_round(
                     state.fold_sell(result)
         state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
 
-    probe = probe_account_for(watch.pool)
+    probe = state.probe
     overrides = {(watch.base_token, probe): PROBE_FUNDING}
     buy_amount = _probe_size(watch)
     try:

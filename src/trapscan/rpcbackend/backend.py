@@ -21,6 +21,7 @@ bundle.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..chainview import (
@@ -501,7 +502,7 @@ class RpcChainView(ChainView):
     def simulate_bundle(
         self,
         block: int,
-        calls: list[Call],
+        calls: Sequence[Call],
         balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
     ) -> list[CallOutcome]:
         if not calls:

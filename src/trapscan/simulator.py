@@ -12,6 +12,12 @@ the estimator's prediction. Builders take the pool's reserves at the
 bundle's block, as the monitor read them, and the bundle carries them to
 `run`, which prices the swap from them: building and pricing a bundle
 read nothing from the chain.
+
+`run` hands the bundle's call tuple to the backend as it is, and packages
+the evidence as plain ints: the values of the two balance reads, found by
+the bundle's shape, and the estimate. A round runs a bundle per tracked
+buyer and two more, most of which the mock chain answers from its memo,
+so the packaging builds no per-result snapshot or block object.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .chainview import (
     ChainView,
     SwapExactInCall,
 )
-from .core import Address, BlockIndex, PoolInfo, TokenAmount, check_amount
+from .core import Address, PoolInfo, TokenAmount, check_amount
 
 
 class SimulatorError(Exception):
@@ -93,23 +99,30 @@ class Bundle:
 
 @dataclass(frozen=True, slots=True)
 class SimulationResult:
+    """A bundle's outcomes and the evidence read from them.
+
+    `pre_balance` and `post_balance` are the actor's balance as read just
+    before and just after the swap of interest, or 0 where that read
+    reverted. `estimate` is the swap's expected output.
+    """
+
     bundle: Bundle
     outcomes: tuple[CallOutcome, ...]
-    pre_balance: BalanceSnapshot
-    post_balance: BalanceSnapshot
+    pre_balance: TokenAmount
+    post_balance: TokenAmount
     estimate: TokenAmount
 
     @property
     def balance_delta(self) -> int:
         """post - pre around the swap of interest; negative only if the
         bundle somehow cost the actor balance."""
-        return self.post_balance.balance - self.pre_balance.balance
+        return self.post_balance - self.pre_balance
 
     @property
     def swap_outcome(self) -> CallOutcome:
         """Outcome of the swap of interest: the buy of a probe, the sell
         of any other bundle."""
-        return self.outcomes[_POSITIONS[self.bundle.kind][1]]
+        return self.outcomes[2 if self.bundle.kind is BundleKind.BUY_SELL else 1]
 
     @property
     def sell_reverted(self) -> bool:
@@ -263,16 +276,6 @@ def _estimate_for(chain: ChainView, bundle: Bundle) -> TokenAmount:
     )
 
 
-# Call positions of (balance read before, swap of interest, balance read
-# after) in each bundle shape; the swap of interest is a probe's buy and
-# any other bundle's sell.
-_POSITIONS = {
-    BundleKind.SELL: (0, 1, 2),
-    BundleKind.BUY_PROBE: (0, 1, 2),
-    BundleKind.BUY_SELL: (1, 2, 3),
-}
-
-
 def run(
     chain: ChainView,
     bundle: Bundle,
@@ -282,28 +285,18 @@ def run(
 
     The estimate is the backend's quote when it gives one, otherwise the
     constant-product output from the reserves the bundle was built with.
+    The balance reads bracketing the swap of interest are a buy-and-sell's
+    second and fourth calls and any other bundle's first and third.
     """
     estimate = _estimate_for(chain, bundle)
-    outcomes = chain.simulate_bundle(bundle.block, list(bundle.calls), balance_overrides)
-    pre_pos, _, post_pos = _POSITIONS[bundle.kind]
-    pre = _snapshot_from(bundle, outcomes[pre_pos], pre_pos)
-    post = _snapshot_from(bundle, outcomes[post_pos], post_pos)
-    return SimulationResult(
-        bundle=bundle,
-        outcomes=tuple(outcomes),
-        pre_balance=pre,
-        post_balance=post,
-        estimate=estimate,
-    )
+    outcomes = tuple(chain.simulate_bundle(bundle.block, bundle.calls, balance_overrides))
+    if bundle.kind is BundleKind.BUY_SELL:
+        pre, post = outcomes[1], outcomes[3]
+    else:
+        pre, post = outcomes[0], outcomes[2]
+    return SimulationResult(bundle, outcomes, _read_value(pre), _read_value(post), estimate)
 
 
-def _snapshot_from(bundle: Bundle, outcome: CallOutcome, pos: int) -> BalanceSnapshot:
-    call = bundle.calls[pos]
-    assert isinstance(call, BalanceOfCall)
-    return BalanceSnapshot(
-        token=call.token,
-        holder=call.holder,
-        block=BlockIndex(bundle.block),
-        balance=outcome.return_value if outcome.ok and outcome.return_value is not None else 0,
-        failed=not outcome.ok,
-    )
+def _read_value(outcome: CallOutcome) -> TokenAmount:
+    """A balance read's value, or 0 if it reverted."""
+    return outcome.return_value if outcome.ok and outcome.return_value is not None else 0

@@ -72,11 +72,9 @@ def fake_result(kind, pre, post, estimate, block=10, sell_reverted=False, reason
         kind=kind, actor=BUYER, pool=POOL_INFO, calls=calls, block=block,
         trap_token=TOKEN_Y, base_token=TOKEN_X, swap_amount=100, reserves=(10**9, 10**9),
     )
-    snap = lambda bal: BalanceSnapshot(token=token, holder=BUYER,
-                                       block=BlockIndex(block), balance=bal)
     return SimulationResult(
-        bundle=bundle, outcomes=outcomes, pre_balance=snap(pre),
-        post_balance=snap(post), estimate=estimate,
+        bundle=bundle, outcomes=outcomes, pre_balance=pre,
+        post_balance=post, estimate=estimate,
     )
 
 

@@ -200,7 +200,7 @@ class TestScan:
         out = tmp_path / "verdicts.jsonl"
         code = main(["scan", "--mode", "sim", "--scenario", str(small_corpus),
                      flag, value, "--out", str(out)])
-        assert code == 1
+        assert code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "ck.jsonl").exists()
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -59,8 +61,9 @@ class TestAddress:
         assert Address.from_hex(a.hex) == a
 
     def test_exact_length(self):
-        with pytest.raises(ValueError):
-            Address(b"\x00" * 19)
+        for bad in (b"\x00" * 19, b"\x00" * 21, "00" * 20):
+            with pytest.raises(ValueError):
+                Address(bad)
         with pytest.raises(ValueError):
             Address.from_hex("0xabcd")
 
@@ -83,6 +86,35 @@ class TestAddress:
         lo, hi = Address(b"\x01" * 20), Address(b"\x02" * 20)
         assert lo < hi and sorted([hi, lo]) == [lo, hi] and lo != hi
         assert repr(lo) == "Address(0x" + "01" * 20 + ")"
+
+    def test_hashes_and_equals_its_raw_bytes(self):
+        a = Address.derive("x")
+        assert type(a.raw) is bytes and len(a.raw) == 20
+        assert hash(a) == hash(a.raw) and a == a.raw and a.raw == a
+        assert {a.raw: 1}[a] == 1 and a in {a.raw}
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        *[lambda a, p=p: pickle.loads(pickle.dumps(a, p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    ])
+    def test_copies_stay_addresses(self, clone):
+        a = Address.derive("x")
+        b = clone(a)
+        assert type(b) is Address and b == a and b.hex == a.hex
+
+    def test_immutable(self):
+        a = Address.derive("x")
+        with pytest.raises(AttributeError):
+            a.raw = b"\x00" * 20
+        with pytest.raises(AttributeError):
+            a.label = "router"
+
+    @given(st.lists(st.binary(min_size=20, max_size=20), max_size=20))
+    def test_sorts_by_raw_bytes(self, raws):
+        # the ordering of the former dataclass, which compared (raw,) tuples
+        assert [a.raw for a in sorted(map(Address, raws))] == sorted(raws)
 
 
 class TestBlockIndex:

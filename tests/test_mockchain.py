@@ -498,6 +498,49 @@ class TestInvariants:
             assert delivered and delivered[0].value == swap.amount_out
 
 
+class TestLogWindows:
+    """The log queries bisect a store's records to the window; a linear
+    filter over the same store is the reference."""
+
+    @given(
+        steps=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 10**6)), max_size=40),
+        windows=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=1,
+                         max_size=10),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_windows_match_linear_filter(self, steps, windows):
+        chain = MockChain()
+        base = chain.deploy_token(Honest(Fraction(0)), 10**24, OWNER)
+        trap = chain.deploy_token(OwnerDrain(owner=OWNER, emits_event=False), 10**24, OWNER)
+        pool = chain.create_pool(base, trap)
+        chain.add_liquidity(pool, OWNER, 10**9, 10**9)
+        chain.token_transfer(base, OWNER, ALICE, 10**12)
+        for op, n in steps:
+            if op == 0:
+                chain.advance_block(n % 4 + 1)
+            elif op == 1:
+                chain.token_transfer(trap, OWNER, ALICE, n)
+            elif op == 2:
+                chain.swap(pool, ALICE, base, n, ALICE)
+            elif op == 3:
+                chain.approve(trap, ALICE, BOB, n)
+            else:
+                chain.owner_drain(trap, ALICE, OWNER)  # an unlogged transfer
+        chain.advance_block()
+        for a, b in windows:
+            lo, hi = min(a, b), max(a, b)
+
+            def within(records):
+                return [r for r in records if lo <= r.block.number <= hi]
+
+            assert chain.get_swaps(pool, (lo, hi)) == within(chain._swaps[pool])
+            for token in (base, trap):
+                assert chain.get_transfers(token, (lo, hi)) == [
+                    r for r in within(chain._transfers[token]) if r.logged
+                ]
+                assert chain.get_approvals(token, (lo, hi)) == within(chain._approvals[token])
+
+
 # --------------------------------------------------------------------------
 # Bundle engine against a reference: each call on an overlay of its own.
 

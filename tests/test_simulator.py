@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_simple
-from trapscan.chainview import BalanceOfCall, SwapExactInCall
+from trapscan.analyzer import check_invalid_sell
+from trapscan.chainview import BalanceOfCall, CallOutcome, CallStatus, SwapExactInCall
 from trapscan.core import Address, BlockIndex
 from trapscan.mockchain import GateMode, Honest, ListGate, MockChain
 from trapscan.simulator import (
@@ -262,6 +263,39 @@ class TestRun:
             swap = result.bundle.calls[pos]
             assert isinstance(swap, SwapExactInCall) and swap.token_in == token_in
             assert result.swap_outcome.ok
+
+    def test_reverted_balance_read_counts_as_zero(self, honest_world, monkeypatch):
+        """A balance read that reverts gives 0, and only that read: the
+        evidence of a sell whose reads both revert records 0 and 0."""
+        t = honest_world
+        victim, probe = t.actors.victims[0], Address.derive("probe")
+        head = t.chain.head()
+        reserves = reserves_at(t, head)
+        held = t.chain.balance_of(t.trap_token, victim, head)
+        sell = build_sell_bundle(reserves, victim, t.pool, t.trap_token, held, head)
+        overrides = {(t.base_token, probe): 10**12}
+        probe_result = run(
+            t.chain, build_buy_probe(reserves, probe, t.pool, t.trap_token, 10**5, head),
+            overrides,
+        )
+        roundtrip = build_buy_sell_bundle(
+            reserves, probe, t.pool, t.trap_token, 10**5, probe_result, head
+        )
+        revert = CallOutcome(status=CallStatus.REVERT, revert_reason="read failed")
+        ok = CallOutcome(status=CallStatus.SUCCESS, return_value=50)
+        answers = {sell.calls: [revert, ok, revert], roundtrip.calls: [ok, revert, ok, ok]}
+        monkeypatch.setattr(t.chain, "simulate_bundle", lambda block, calls, _: answers[calls])
+
+        result = run(t.chain, sell)
+        assert (result.pre_balance, result.post_balance) == (0, 0)
+        assert type(result.pre_balance) is int and not result.sell_reverted
+        finding = check_invalid_sell(result, Fraction(1, 2))
+        assert finding is not None and finding.evidence == {
+            "kind": "invalid_sell", "pre_balance": "0", "post_balance": "0",
+            "estimate": str(result.estimate), "threshold_num": 1, "threshold_den": 2,
+        }
+        rt_result = run(t.chain, roundtrip, overrides)
+        assert (rt_result.pre_balance, rt_result.post_balance) == (0, 50)
 
     def test_gated_seller_reverts_cleanly(self):
         trace = run_simple(ListGate(mode=GateMode.ALLOW, members=frozenset()))
