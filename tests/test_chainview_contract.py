@@ -20,6 +20,7 @@ from trapscan.chainview import (
     UnknownPool,
 )
 from trapscan.core import Address
+from trapscan.corpus import gen_corpus
 from trapscan.mockchain import (
     Drain,
     GateMode,
@@ -29,6 +30,7 @@ from trapscan.mockchain import (
     HiddenTax,
     Wait,
     derive_actors,
+    load_scenario,
     run_attack_script,
     wash_and_drain_script,
 )
@@ -403,3 +405,26 @@ class TestWindowedScanAgreement:
         if len(nodes) == 2:  # the windowed fetches were split to fit the limit
             plain, limited = (node.requests.count_method("eth_getLogs") for node in nodes)
             assert limited > plain
+
+
+class TestPinnedCorpusAgreement:
+    """The corpus whose sim verdicts `test_sim_verdicts.py` pins, scanned
+    through the RPC backend over the fake node: every verdict must agree
+    with the mock's at intervals 1, 3 and 7."""
+
+    def test_backends_agree_on_pinned_corpus(self, tmp_path):
+        paths = gen_corpus(24, 7, tmp_path)
+        disagree = []
+        for path in paths:
+            scenario = load_scenario(path)
+            trace = run_attack_script(scenario.script, scenario.seed)
+            rpc = _rpc_backend(trace)
+            for interval in (1, 3, 7):
+                settings = ScanSettings(interval=interval)
+                args = (trace.pool, trace.trap_token, 1, trace.final_block, settings)
+                mock = scan_pool(trace.chain, *args)
+                live = scan_pool(rpc, *args)
+                if _verdict_key(live) != _verdict_key(mock):
+                    disagree.append((path.name, interval))
+        assert len(paths) == 24
+        assert disagree == []
