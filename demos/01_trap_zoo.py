@@ -31,11 +31,11 @@ BOB = Address.derive("demo:bob")
 def observe(chain, token, action, title, subject=BOB):
     """Run one transfer-ish action and report event value vs balance move."""
     chain.advance_block()
-    before = chain.balance_of(token, subject, chain.head()).balance
+    before = chain.balance_of(token, subject, chain.head())
     events_before = len(chain.get_transfers(token, (0, chain.head())))
     outcome = action()
     chain.advance_block()
-    after = chain.balance_of(token, subject, chain.head()).balance
+    after = chain.balance_of(token, subject, chain.head())
     new_events = chain.get_transfers(token, (0, chain.head()))[events_before:]
     event = new_events[-1].value if new_events else "-"
     print(f"{title:<54} status={outcome.status.value:<8}"

@@ -28,7 +28,7 @@ def main():
     victim = trace.actors.victims[0]
     head = trace.chain.head()
     print(f"\nvictim {victim.hex[:10]}… ends the story with "
-          f"{trace.chain.balance_of(trace.trap_token, victim, head).balance} tokens "
+          f"{trace.chain.balance_of(trace.trap_token, victim, head)} tokens "
           f"and no Transfer log to explain it.")
 
     verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1, trace.final_block)

@@ -54,7 +54,7 @@ def probe_pool(title, trace):
     held = chain.balance_of(trace.trap_token, victim, head)
     bundle = build_sell_bundle(reserves, victim, pool, trace.trap_token, held, head)
     result = run(chain, bundle)
-    print(f"victim sell of {held.balance} units at block {head}:")
+    print(f"victim sell of {held} units at block {head}:")
     print(f"  estimator predicts {result.estimate} base units")
     print(f"  fork delivered     {result.balance_delta}"
           f"  (reverted: {result.sell_reverted})")

@@ -120,7 +120,7 @@ def check_unauthorized_transfer(
     ledger: BuyerLedger, threshold: Fraction = DEFAULT_THRESHOLD
 ) -> Finding | None:
     """Token left the buyer without the buyer's doing, over the ledger's
-    window: from its first snapshot's block (exclusive) to its last one's.
+    window: from its first balance's block (exclusive) to its last one's.
 
     Case 1 (logged): an outgoing transfer initiated by someone else whose
     cumulative approval from the buyer does not cover the amount.
@@ -129,11 +129,12 @@ def check_unauthorized_transfer(
     buyer, the balance change and the logged-transfer sum disagree by
     more than a factor of 1/threshold in either direction. This covers
     silent drains (movement with no log) and overstated logs (log with no
-    movement); the slack absorbs benign rebasing drift.
+    movement); the slack absorbs benign rebasing drift. A balance read
+    that reverted at either edge of the window leaves nothing to compare,
+    so this case is skipped.
     """
     num, den = _threshold_parts(threshold)
-    start, end = ledger.snapshots[0], ledger.snapshots[-1]
-    delta = end.balance - start.balance
+    (from_block, start), (to_block, end) = ledger.snapshots[0], ledger.snapshots[-1]
 
     for t in ledger.transfers:
         if t.sender != ledger.buyer:
@@ -160,6 +161,9 @@ def check_unauthorized_transfer(
         # Swap windows are owned by the buy/sell predicates; reconciling
         # them against logs would re-flag taxed-but-honest deliveries.
         return None
+    if start is None or end is None:
+        return None
+    delta = end - start
     expected = 0
     for t in ledger.transfers:
         if t.recipient == ledger.buyer:
@@ -172,7 +176,7 @@ def check_unauthorized_transfer(
         trap=TrapType.UNAUTHORIZED_TRANSFER,
         pool=ledger.pool,
         subject=ledger.buyer,
-        block=end.block.number,
+        block=to_block,
         evidence={
             "kind": "unauthorized_transfer_mismatch",
             "balance_delta": str(delta),
@@ -180,8 +184,8 @@ def check_unauthorized_transfer(
             "direction": "silent_movement" if abs(delta) > abs(expected) else "overstated_logs",
             "threshold_num": num,
             "threshold_den": den,
-            "from_block": start.block.number,
-            "to_block": end.block.number,
+            "from_block": from_block,
+            "to_block": to_block,
         },
     )
 

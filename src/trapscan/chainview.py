@@ -4,6 +4,11 @@ Everything above this module (monitor, simulator, analyzer) talks to a
 `ChainView`: read pool/token state, read event logs, and simulate call
 bundles against a private fork of a sealed block. Two implementations
 exist: the in-memory mock chain and the live JSON-RPC backend.
+
+The seam carries only what a detector can observe. A balance read is a
+plain `TokenAmount`, or None when the read reverted, so every caller has
+to decide what a missing read means. An event record is one log the
+chain emitted; a balance movement that emitted no event has no record.
 """
 
 from __future__ import annotations
@@ -64,11 +69,10 @@ class SwapRecord:
 
 @dataclass(frozen=True, slots=True)
 class TransferRecord:
-    """A token balance movement.
+    """One Transfer event the token emitted.
 
-    `logged` is True iff the token emitted an event for the movement; a
-    trap token that moves balances silently produces logged=False records
-    that only the mock chain's private ledger can see. `tx_sender` is the
+    `value` is what the event claims, which a trap token may overstate; a
+    movement with no event has no record at all. `tx_sender` is the
     account that sent the enclosing transaction, which for backdoor drains
     differs from the token-level `sender`.
     """
@@ -78,7 +82,6 @@ class TransferRecord:
     sender: Address
     recipient: Address
     value: TokenAmount
-    logged: bool = True
     tx_sender: Address | None = None
 
 
@@ -108,22 +111,6 @@ class LiquidityEvent:
     def __post_init__(self) -> None:
         if self.amount_x == 0 and self.amount_y == 0:
             raise ValueError("liquidity event must move at least one token")
-
-
-@dataclass(frozen=True, slots=True)
-class BalanceSnapshot:
-    """What the token's balance function reported for holder at a block.
-
-    The token may lie relative to its internal accounting; the snapshot is
-    whatever the contract returned. `failed` marks a reverted read, in
-    which case `balance` is meaningless.
-    """
-
-    token: Address
-    holder: Address
-    block: BlockIndex
-    balance: TokenAmount
-    failed: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,10 +204,10 @@ class ChainView(ABC):
 
     @abstractmethod
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
-        """Exactly the LOGGED movements of the token in range.
+        """The token's Transfer events in range, in block order.
 
-        Balance changes without an event log are invisible here by design;
-        reconstructing them from snapshots is the analyzer's job.
+        Balance changes without an event are invisible here by design;
+        finding them from balance reads is the analyzer's job.
         """
 
     @abstractmethod
@@ -228,11 +215,13 @@ class ChainView(ABC):
         """Logged approvals of the token in range."""
 
     @abstractmethod
-    def balance_of(self, token: Address, holder: Address, block: int) -> BalanceSnapshot:
-        """The token's reported balance at the sealed block state.
+    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
+        """What the token's balance function returned for `holder` at the
+        sealed block state, or None if the read reverted.
 
-        A reverting balance read surfaces as a snapshot with failed=True,
-        never as an exception.
+        The token may lie relative to its internal accounting; the value
+        is whatever the contract returned. A reverted read is None, never
+        an exception and never 0.
         """
 
     @abstractmethod

@@ -101,13 +101,17 @@ def _simulate_one(path: Path, settings: ScanSettings) -> tuple[dict, bool]:
     return report, match
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_SCHEMA
+
+
 def cmd_simulate(args) -> int:
     settings = _settings_from_args(args)
     try:
         paths = _scenario_paths(Path(args.scenario))
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _usage_error(str(exc))
 
     reports: list[dict] = []
     all_match = True
@@ -187,18 +191,15 @@ def cmd_scan(args) -> int:
 
 def _scan_sim(args) -> int:
     if not args.scenario:
-        print("error: --scenario is required for sim scans", file=sys.stderr)
-        return EXIT_SCHEMA
+        return _usage_error("--scenario is required for sim scans")
     for flag in ("workers", "checkpoint"):
         if getattr(args, flag) is not None:
-            print(f"error: --{flag} applies to live scans only", file=sys.stderr)
-            return EXIT_SCHEMA
+            return _usage_error(f"--{flag} applies to live scans only")
     settings = _settings_from_args(args)
     try:
         paths = _scenario_paths(Path(args.scenario))
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _usage_error(str(exc))
     if args.sample is not None:
         rng = random.Random(args.seed)
         paths = sorted(rng.sample(paths, min(args.sample, len(paths))))
@@ -224,31 +225,28 @@ def _scan_live(args) -> int:
     from .rpcbackend import EndpointConfig, RpcChainView, load_backend_config
 
     if args.from_block is None or args.to_block is None:
-        print("error: --from-block and --to-block are required for live scans",
-              file=sys.stderr)
-        return EXIT_SCHEMA
+        return _usage_error("--from-block and --to-block are required for live scans")
     if args.from_block > args.to_block:
-        print("error: --from-block must not exceed --to-block", file=sys.stderr)
-        return EXIT_SCHEMA
+        return _usage_error("--from-block must not exceed --to-block")
 
-    url = args.rpc_url or os.environ.get("TRAPSCAN_RPC_URL")
-    config_doc = load_backend_config(args.config) if args.config else {}
-    if not url:
-        url = config_doc.get("url")
-    if not url:
-        print("error: no endpoint: use --rpc-url, --config or TRAPSCAN_RPC_URL",
-              file=sys.stderr)
-        return EXIT_RUNTIME
-
-    endpoint = EndpointConfig.from_doc({**config_doc, "url": url})
-    chain = RpcChainView(endpoint)
-    base_tokens = {Address.from_hex(h) for h in config_doc.get("base_tokens", [])}
+    try:
+        config_doc = load_backend_config(args.config) if args.config else {}
+        url = args.rpc_url or os.environ.get("TRAPSCAN_RPC_URL") or config_doc.get("url")
+        if not url:
+            return _usage_error("no endpoint: use --rpc-url, --config or TRAPSCAN_RPC_URL")
+        chain = RpcChainView(EndpointConfig.from_doc({**config_doc, "url": url}))
+        base_tokens = {Address.from_hex(h) for h in config_doc.get("base_tokens", [])}
+    except (OSError, TypeError, ValueError) as exc:
+        return _usage_error(f"--config {args.config}: {exc}")
+    try:
+        pool_addrs = _parse_pool_list(args.pools) if args.pools else None
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"--pools: {exc}")
     settings = _settings_from_args(args)
     checkpoint = args.checkpoint or os.environ.get("TRAPSCAN_CHECKPOINT")
 
     try:
-        if args.pools:
-            pool_addrs = _parse_pool_list(args.pools)
+        if pool_addrs is not None:
             pools = [chain.pool_info(p) for p in pool_addrs]
         else:
             pools = chain.get_pool_created((args.from_block, args.to_block))

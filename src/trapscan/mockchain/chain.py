@@ -46,7 +46,6 @@ from typing import Callable
 from ..chainview import (
     ApproveRecord,
     BalanceOfCall,
-    BalanceSnapshot,
     BlockOutOfRange,
     Call,
     CallOutcome,
@@ -383,7 +382,6 @@ class MockChain(ChainView):
         recipient: Address,
         value: TokenAmount,
         tx_sender: Address,
-        logged: bool = True,
     ) -> None:
         if ov.tx is None:  # a bundle's fork files nothing
             return
@@ -393,7 +391,6 @@ class MockChain(ChainView):
             sender=sender,
             recipient=recipient,
             value=value,
-            logged=logged,
             tx_sender=tx_sender,
         )
         ov.records.append((self._transfers[token], record))
@@ -574,9 +571,8 @@ class MockChain(ChainView):
             amount = ov.get(_bal(token, victim))
             if amount:
                 ov.set(_bal(token, victim), 0)
-                self._log_transfer(
-                    ov, token, victim, ZERO_ADDRESS, amount, caller, beh.emits_event
-                )
+                if beh.emits_event:  # a silent drain leaves no record at all
+                    self._log_transfer(ov, token, victim, ZERO_ADDRESS, amount, caller)
             return amount
 
         return self._run_tx(run)
@@ -683,20 +679,17 @@ class MockChain(ChainView):
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
         lo, hi = check_range(block_range)
         self._require_token(token)
-        return [r for r in _window(self._transfers[token], lo, hi) if r.logged]
+        return _window(self._transfers[token], lo, hi)
 
     def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
         lo, hi = check_range(block_range)
         self._require_token(token)
         return _window(self._approvals[token], lo, hi)
 
-    def balance_of(self, token: Address, holder: Address, block: int) -> BalanceSnapshot:
+    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount:
         self._require_token(token)
         self._check_sealed(block)
-        return BalanceSnapshot(
-            token=token, holder=holder, block=BlockIndex(block),
-            balance=self._read_at(block, _bal(token, holder), 0),
-        )
+        return self._read_at(block, _bal(token, holder), 0)
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         self._require_pool(pool)

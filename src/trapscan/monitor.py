@@ -3,14 +3,15 @@
 A `PoolWatch` is fed one window of consecutive blocks at a time, one query
 of each kind per window, and holds that window's evidence only. Every
 recipient of the watched trap token in a swap becomes a tracked buyer.
-Its ledger holds a balance snapshot at the window's start (the previous
-window's last block, or the block the buyer was first seen) and at its
-end, the buyer's buys and the logged trap-token transfers touching it
-after that start, and the running sum of its approvals per spender. The
-pool's reserves are read once per window, at its last block; they decide
-whether a round has liquidity and price every bundle the round
-simulates. Detection logic consumes these ledgers, never the chain
-directly, so no round's cost grows with the length of the scan.
+Its ledger holds the buyer's trap-token balance read at the window's
+start (the previous window's last block, or the block the buyer was
+first seen) and at its end, the buyer's buys and the logged trap-token
+transfers touching it after that start, and the running sum of its
+approvals per spender. The pool's reserves are read once per window, at
+its last block; they decide whether a round has liquidity and price
+every bundle the round simulates. Detection logic consumes these
+ledgers, never the chain directly, so no round's cost grows with the
+length of the scan.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chainview import (
-    BalanceSnapshot,
     ChainView,
     SwapRecord,
     TransferRecord,
@@ -40,8 +40,9 @@ class IngestGap(MonitorError):
 class BuyerLedger:
     """What one buyer of the trap token did in the latest window.
 
-    `snapshots` holds the window's start and end balances, one snapshot
-    when both are the same block; `buys` and `transfers` hold the records
+    `snapshots` holds the window's start and end balances as `(block,
+    balance)` pairs, one pair when both are the same block; a balance is
+    None where the read reverted. `buys` and `transfers` hold the records
     after the start, in block order. `approved` maps each spender to the
     sum the buyer approved it from the block it was first seen on.
     """
@@ -50,7 +51,7 @@ class BuyerLedger:
     pool: Address
     trap_token: Address
     buys: list[SwapRecord] = field(default_factory=list)
-    snapshots: list[BalanceSnapshot] = field(default_factory=list)
+    snapshots: list[tuple[int, TokenAmount | None]] = field(default_factory=list)
     transfers: list[TransferRecord] = field(default_factory=list)
     approved: dict[Address, int] = field(default_factory=dict)
 
@@ -101,7 +102,7 @@ def ingest_block(
 ) -> PoolWatch:
     """Advance the watch over the window [start, block]; mutates and
     returns `watch`. The previous window's evidence is dropped, all but
-    each buyer's last snapshot, which starts the new window. The reserves
+    each buyer's last balance, which starts the new window. The reserves
     are read at `block` only.
 
     `start` defaults to the block after `last_ingested`, or to `block` for
@@ -164,8 +165,8 @@ def ingest_block(
     for ledger in watch.buyers.values():
         seen = first_seen.get(ledger.buyer, block)
         if seen < block:
-            ledger.snapshots.append(chain.balance_of(watch.trap_token, ledger.buyer, seen))
-        ledger.snapshots.append(chain.balance_of(watch.trap_token, ledger.buyer, block))
+            ledger.snapshots.append((seen, chain.balance_of(watch.trap_token, ledger.buyer, seen)))
+        ledger.snapshots.append((block, chain.balance_of(watch.trap_token, ledger.buyer, block)))
 
     try:
         watch.reserves = chain.get_reserves(watch.pool.pool, block)

@@ -56,10 +56,9 @@ from .chainview import ChainView, check_range
 from .core import Address, PoolInfo, TrapType
 from .monitor import PoolWatch, ingest_block
 from .simulator import (
-    NoLiquidity,
+    BundleKind,
     ProbeFailed,
     SimulationResult,
-    SimulatorError,
     build_buy_probe,
     build_buy_sell_bundle,
     build_sell_bundle,
@@ -133,6 +132,24 @@ def _probe_size(watch: PoolWatch) -> int:
     return max(1, (base_reserve * PROBE_NUM) // PROBE_DEN)
 
 
+def _judge(state: PoolScanState, result: SimulationResult, settings: ScanSettings) -> bool:
+    """Record the skip of a result with no estimate, or judge it: the
+    probe by `check_invalid_buy`, a sell by `check_invalid_sell` and then
+    its subject's revert streak. Returns whether it was judged."""
+    bundle = result.bundle
+    if result.estimate == 0:
+        state.skipped_rounds.append(
+            {"block": bundle.block, "reason": "estimate=0", "subject": bundle.actor.hex}
+        )
+        return False
+    if bundle.kind is BundleKind.BUY_PROBE:
+        state.add_finding(check_invalid_buy(result, settings.threshold))
+    else:
+        state.add_finding(check_invalid_sell(result, settings.threshold))
+        state.fold_sell(result)
+    return True
+
+
 def run_detection_round(
     chain: ChainView,
     state: PoolScanState,
@@ -141,61 +158,44 @@ def run_detection_round(
 ) -> None:
     """One simulation-and-analysis pass at a sealed block, the last one
     the watch has ingested. Every bundle is priced from the reserves the
-    watch read at that block; the round reads no reserves of its own."""
+    watch read at that block; the round reads no reserves of its own, and
+    runs only when both are non-zero, so no builder finds a pool without
+    liquidity. A buyer whose balance read at the block reverted gets no
+    sell, and the skip is recorded."""
     watch = state.watch
     if not watch.liquid:
         state.skipped_rounds.append({"block": block, "reason": "no liquidity"})
         return
 
     for buyer, ledger in watch.buyers.items():
-        held = ledger.snapshots[-1]  # ingestion took it at this block
-        if held.balance > 0:
-            try:
-                bundle = build_sell_bundle(
-                    watch.reserves, buyer, watch.pool, watch.trap_token, held, block
-                )
-            except SimulatorError:
-                bundle = None
-            if bundle is not None:
-                result = run(chain, bundle)
-                if result.estimate == 0:
-                    state.skipped_rounds.append(
-                        {"block": block, "reason": "estimate=0", "subject": buyer.hex}
-                    )
-                else:
-                    if not result.sell_reverted:
-                        state.add_finding(check_invalid_sell(result, settings.threshold))
-                    state.fold_sell(result)
+        held = ledger.snapshots[-1][1]  # ingestion read it at this block
+        if held is None:
+            state.skipped_rounds.append(
+                {"block": block, "reason": "balance unread", "subject": buyer.hex}
+            )
+        elif held > 0:
+            bundle = build_sell_bundle(
+                watch.reserves, buyer, watch.pool, watch.trap_token, held, block
+            )
+            _judge(state, run(chain, bundle), settings)
         state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
 
     probe = state.probe
     overrides = {(watch.base_token, probe): PROBE_FUNDING}
     buy_amount = _probe_size(watch)
-    try:
-        probe_bundle = build_buy_probe(
-            watch.reserves, probe, watch.pool, watch.trap_token, buy_amount, block
-        )
-    except SimulatorError:
-        return
+    probe_bundle = build_buy_probe(
+        watch.reserves, probe, watch.pool, watch.trap_token, buy_amount, block
+    )
     probe_result = run(chain, probe_bundle, overrides)
-    if probe_result.estimate == 0:
-        state.skipped_rounds.append({"block": block, "reason": "estimate=0", "subject": probe.hex})
+    if not _judge(state, probe_result, settings):
         return
-    state.add_finding(check_invalid_buy(probe_result, settings.threshold))
-
     try:
         roundtrip = build_buy_sell_bundle(
             watch.reserves, probe, watch.pool, watch.trap_token, buy_amount, probe_result, block
         )
-    except (ProbeFailed, NoLiquidity):
+    except ProbeFailed:
         return
-    rt_result = run(chain, roundtrip, overrides)
-    if rt_result.estimate == 0:
-        state.skipped_rounds.append({"block": block, "reason": "estimate=0", "subject": probe.hex})
-        return
-    if not rt_result.sell_reverted:
-        state.add_finding(check_invalid_sell(rt_result, settings.threshold))
-    state.fold_sell(rt_result)
+    _judge(state, run(chain, roundtrip, overrides), settings)
 
 
 def _round_blocks(start: int, from_block: int, to_block: int, interval: int) -> Iterator[int]:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from ..chainview import (
     ApproveRecord,
     BalanceOfCall,
-    BalanceSnapshot,
     BackendUnavailable,
     Call,
     CallOutcome,
@@ -293,7 +292,6 @@ class RpcChainView(ChainView):
             sender=abi.topic_address(log.topics[1]),
             recipient=abi.topic_address(log.topics[2]),
             value=abi.dec_uint(log.data, 0),
-            logged=True,
             tx_sender=self._tx_sender_cache.get(log.tx_hash),
         )
 
@@ -405,15 +403,12 @@ class RpcChainView(ChainView):
                 self.decode_skipped += 1
         return records
 
-    def balance_of(self, token: Address, holder: Address, block: int) -> BalanceSnapshot:
+    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
         try:
             raw = self._eth_call(token, abi.encode_balance_of(holder), block)
-            balance = abi.dec_uint(abi.hex_to_bytes(raw))
+            return abi.dec_uint(abi.hex_to_bytes(raw))
         except (RpcError, DecodeError):
-            return BalanceSnapshot(
-                token=token, holder=holder, block=BlockIndex(block), balance=0, failed=True
-            )
-        return BalanceSnapshot(token=token, holder=holder, block=BlockIndex(block), balance=balance)
+            return None
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         info = self.pool_info(pool)
@@ -425,9 +420,9 @@ class RpcChainView(ChainView):
                 pass
         x = self.balance_of(info.token_x, pool, block)
         y = self.balance_of(info.token_y, pool, block)
-        if x.failed or y.failed:
+        if x is None or y is None:
             raise UnknownPool(f"cannot read reserves of {pool} at block {block}")
-        return x.balance, y.balance
+        return x, y
 
     def quote_exact_in(
         self, pool: PoolInfo, token_in: Address, amount_in: TokenAmount, block: int

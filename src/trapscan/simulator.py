@@ -27,7 +27,6 @@ from enum import Enum
 
 from .chainview import (
     BalanceOfCall,
-    BalanceSnapshot,
     Call,
     CallOutcome,
     ChainView,
@@ -148,28 +147,21 @@ def build_sell_bundle(
     buyer: Address,
     pool: PoolInfo,
     trap_token: Address,
-    held: BalanceSnapshot,
+    amount: TokenAmount,
     block: int,
 ) -> Bundle:
     """Sell bundle for a tracked buyer: can they cash out what they hold?
 
-    The sell is sized from `held`, the buyer's trap-token balance snapshot
-    at `block` (the monitor takes one at every round's block), and priced
-    from `reserves`, the pool's reserves at `block`, so building the
-    bundle reads nothing from the chain. A snapshot of another token,
-    holder or block raises ValueError; a failed or empty one raises
-    ZeroBalance, and an empty reserve NoLiquidity.
+    The sell is of `amount`, the buyer's trap-token balance at `block` as
+    the monitor read it at the round's block, and is priced from
+    `reserves`, the pool's reserves at `block`, so building the bundle
+    reads nothing from the chain. An amount of 0 raises ZeroBalance, and
+    an empty reserve NoLiquidity.
     """
     trap, base = pool_sides(pool, trap_token)
-    if (held.token, held.holder, held.block.number) != (trap, buyer, block):
-        raise ValueError(
-            f"snapshot of {held.holder} in {held.token} at block {held.block.number}"
-            f" does not size a sell by {buyer} in {trap} at block {block}"
-        )
     _require_liquidity(reserves, pool, block)
-    if held.failed or held.balance == 0:
+    if amount == 0:
         raise ZeroBalance(f"buyer {buyer} holds nothing to sell at block {block}")
-    amount = held.balance
     calls: tuple[Call, ...] = (
         BalanceOfCall(caller=buyer, token=base, holder=buyer),
         SwapExactInCall(

@@ -4,8 +4,9 @@ Serves eth_getLogs / eth_call / eth_callMany / eth_getTransactionByHash
 with real Ethereum wire encodings (topics, ABI words, hex quantities), so
 the RPC backend's encoders and decoders are exercised end to end with
 zero network access. Fault injection knobs cover the node-limit split
-path, a node without callMany (which must fail the simulation), and
-transient transport failures.
+path, a node without callMany (which must fail the simulation),
+transient transport failures, and balance reads the node answers with
+an error.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class FakeNode:
     log_limit: int | None = None  # max logs per eth_getLogs call
     support_call_many: bool = True
     fail_next: int = 0  # raise transport errors for the next N requests
+    # (holder, block) of balanceOf eth_calls answered with a JSON-RPC error
+    fail_balance_reads: set[tuple[Address, int]] = field(default_factory=set)
     balance_slot: int = 3
     requests: RequestLog = field(default_factory=RequestLog)
 
@@ -166,7 +169,7 @@ class FakeNode:
                 ))
         for token, records in self.chain._transfers.items():  # noqa: SLF001
             for i, rec in enumerate(records):
-                if not rec.logged or rec.block.number > head:
+                if rec.block.number > head:
                     continue
                 logs.append(self._log(
                     address=token,
@@ -234,11 +237,13 @@ class FakeNode:
         selector, args = data[:4], data[4:]
         if selector == SEL_BALANCE_OF:
             holder = abi.dec_address(args, 0)
+            if (holder, block) in self.fail_balance_reads:
+                raise _RpcFault(-32005, "request timed out")
             try:
-                snap = self.chain.balance_of(to, holder, block)
+                balance = self.chain.balance_of(to, holder, block)
             except Exception as exc:
                 raise _RpcFault(3, f"execution reverted: {exc}") from exc
-            return _uint_hex(snap.balance)
+            return _uint_hex(balance)
         if selector in (SEL_TOKEN0, SEL_TOKEN1):
             try:
                 info = self.chain.pool_info(to)

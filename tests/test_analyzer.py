@@ -23,7 +23,6 @@ from trapscan.analyzer import (
     verdict_to_json_line,
 )
 from trapscan.chainview import (
-    BalanceSnapshot,
     BalanceOfCall,
     CallOutcome,
     CallStatus,
@@ -264,11 +263,7 @@ class TestCannotSellFoldEquivalence:
 def make_ledger(snapshots, transfers=(), approved=(), buys=()):
     """A window ledger: `snapshots` are (block, balance) at its edges."""
     ledger = BuyerLedger(buyer=BUYER, pool=POOL, trap_token=TOKEN_Y, approved=dict(approved))
-    for block, balance in snapshots:
-        ledger.snapshots.append(
-            BalanceSnapshot(token=TOKEN_Y, holder=BUYER, block=BlockIndex(block),
-                            balance=balance)
-        )
+    ledger.snapshots.extend(snapshots)
     ledger.transfers.extend(transfers)
     ledger.buys.extend(buys)
     return ledger
@@ -276,8 +271,7 @@ def make_ledger(snapshots, transfers=(), approved=(), buys=()):
 
 def xfer(block, sender, recipient, value, tx_sender):
     return TransferRecord(token=TOKEN_Y, block=BlockIndex(block), sender=sender,
-                          recipient=recipient, value=value, logged=True,
-                          tx_sender=tx_sender)
+                          recipient=recipient, value=value, tx_sender=tx_sender)
 
 
 class TestUnauthorizedTransfer:
@@ -332,6 +326,21 @@ class TestUnauthorizedTransfer:
         # the buy predicates, not this one
         ledger = make_ledger([(10, 0), (11, 9)], buys=[swap])
         assert check_unauthorized_transfer(ledger) is None
+
+    @pytest.mark.parametrize("edges", [[(10, None), (11, 0)], [(10, 500), (11, None)]])
+    def test_unread_edge_skips_mismatch(self, edges):
+        # a reverted read is not a balance of 0: nothing to reconcile
+        assert check_unauthorized_transfer(make_ledger(edges)) is None
+
+    def test_unread_edge_keeps_logged_case(self):
+        drainer = Address.derive("drainer")
+        ledger = make_ledger(
+            [(10, None), (11, None)],
+            transfers=[xfer(11, BUYER, ZERO_ADDRESS, 500, drainer)],
+        )
+        finding = check_unauthorized_transfer(ledger)
+        assert finding is not None
+        assert finding.evidence["kind"] == "unauthorized_transfer_logged"
 
 
 class TestAmountsAgree:

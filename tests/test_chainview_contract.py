@@ -141,9 +141,9 @@ class TestQueries:
         trace, chain = drain_world
         victim = trace.actors.victims[0]
         head = chain.head()
-        assert chain.balance_of(trace.trap_token, victim, head).balance == 0
+        assert chain.balance_of(trace.trap_token, victim, head) == 0
         unseen = Address.derive("nobody")
-        assert chain.balance_of(trace.trap_token, unseen, head).balance == 0
+        assert chain.balance_of(trace.trap_token, unseen, head) == 0
 
     def test_reserves_after_remove_all(self, drain_world):
         trace, chain = drain_world
@@ -176,7 +176,7 @@ class TestSimulation:
         trace, chain = live_world
         victim = trace.actors.victims[0]
         head = chain.head()
-        held = chain.balance_of(trace.trap_token, victim, head).balance
+        held = chain.balance_of(trace.trap_token, victim, head)
         calls = [
             BalanceOfCall(caller=victim, token=trace.base_token, holder=victim),
             SwapExactInCall(
@@ -195,7 +195,7 @@ class TestSimulation:
         assert outcomes[2].return_value > outcomes[0].return_value
         after = {
             "reserves": chain.get_reserves(trace.pool.pool, head),
-            "balance": chain.balance_of(trace.trap_token, victim, head).balance,
+            "balance": chain.balance_of(trace.trap_token, victim, head),
             "swaps": len(chain.get_swaps(trace.pool.pool, (0, head))),
         }
         assert before == after  # simulation never leaks into public state
@@ -204,7 +204,7 @@ class TestSimulation:
         trace, chain = live_world
         victim = trace.actors.victims[0]
         head = chain.head()
-        held = chain.balance_of(trace.trap_token, victim, head).balance
+        held = chain.balance_of(trace.trap_token, victim, head)
         calls = [
             BalanceOfCall(caller=victim, token=trace.trap_token, holder=victim),
             SwapExactInCall(
@@ -221,7 +221,7 @@ class TestSimulation:
         trace, chain = live_world
         victim = trace.actors.victims[0]
         head = chain.head()
-        held = chain.balance_of(trace.trap_token, victim, head).balance
+        held = chain.balance_of(trace.trap_token, victim, head)
         sell = SwapExactInCall(
             caller=victim, pool=trace.pool.pool, token_in=trace.trap_token,
             token_out=trace.base_token, amount_in=held, recipient=victim,
@@ -238,7 +238,7 @@ class TestSimulation:
         outcomes = chain.simulate_bundle(head, calls)
         assert outcomes[0].reverted
         assert outcomes[1].return_value == held
-        assert outcomes[2].return_value == chain.balance_of(trace.base_token, victim, head).balance
+        assert outcomes[2].return_value == chain.balance_of(trace.base_token, victim, head)
         assert outcomes[3].ok
         assert outcomes[3].return_value == alone.return_value  # reserves unmoved
 
@@ -247,7 +247,7 @@ class TestSimulation:
         chain = backend_factory(trace)
         victim = trace.actors.victims[0]
         head = chain.head()
-        held = chain.balance_of(trace.trap_token, victim, head).balance
+        held = chain.balance_of(trace.trap_token, victim, head)
         assert held > 0
         calls = [
             BalanceOfCall(caller=victim, token=trace.base_token, holder=victim),
@@ -293,7 +293,7 @@ class TestSimulation:
         def observed():
             return (
                 chain.head(),
-                [chain.balance_of(t, h, head).balance
+                [chain.balance_of(t, h, head)
                  for t in (base, trap) for h in (victim, probe, pool)],
                 chain.get_reserves(pool, head),
                 [chain.get_transfers(t, (0, head)) for t in (base, trap)],
@@ -334,12 +334,29 @@ class TestLogVisibility:
         chain = backend_factory(trace)
         victim = trace.actors.victims[0]
         head = chain.head()
-        assert chain.balance_of(trace.trap_token, victim, head).balance == 0
+        assert chain.balance_of(trace.trap_token, victim, head) == 0
         outgoing = [
             r for r in chain.get_transfers(trace.trap_token, (0, head))
             if r.sender == victim
         ]
         assert outgoing == []  # the drain left no event trail
+
+    def test_silent_drain_files_nothing_and_is_flagged(self, backend_factory):
+        """The mock files no record for a movement that emitted no event;
+        the drain still shows as a balance drop with no logged cause."""
+        script, seed = wash_and_drain_script(emits_event=False)
+        trace = run_attack_script(script, seed)
+        victim = trace.actors.victims[0]
+        records = trace.chain._transfers[trace.trap_token]  # noqa: SLF001
+        assert not [r for r in records if r.sender == victim]
+        chain = backend_factory(trace)
+        verdict = scan_pool(chain, trace.pool, trace.trap_token, 1, trace.final_block)
+        flagged = [
+            f for f in verdict.findings
+            if f.subject == victim and f.evidence["kind"] == "unauthorized_transfer_mismatch"
+        ]
+        assert len(flagged) == 1
+        assert flagged[0].evidence["direction"] == "silent_movement"
 
     def test_hidden_tax_log_overstates(self, backend_factory):
         trace = run_simple(HiddenTax(Fraction(1, 10)))
@@ -351,7 +368,7 @@ class TestLogVisibility:
             if r.recipient == victim
         ]
         assert delivered
-        actual = chain.balance_of(trace.trap_token, victim, head).balance
+        actual = chain.balance_of(trace.trap_token, victim, head)
         assert delivered[0].value > actual * 2  # event claims far more than arrived
 
 

@@ -172,7 +172,7 @@ class TestScan:
         assert proc.returncode == 0
         assert "0/0" in proc.stdout
         proc2 = run_cli("scan", "--mode", "sim", "--scenario", str(empty / "missing"))
-        assert proc2.returncode == 1  # a missing path is a usage error
+        assert proc2.returncode == 2  # a missing path is a usage error
 
     def test_csv_format(self, small_corpus, tmp_path):
         out_path = tmp_path / "verdicts.csv"
@@ -234,8 +234,34 @@ class TestScan:
     def test_live_requires_endpoint(self):
         proc = run_cli("scan", "--mode", "live", "--from-block", "0",
                        "--to-block", "1")
-        assert proc.returncode == 1
+        assert proc.returncode == 2
         assert "endpoint" in proc.stderr
+
+    @pytest.mark.parametrize("config, extra, message", [
+        (None, [], "--config"),
+        ("not json", [], "Expecting value"),
+        ({"url": "http://node.invalid", "retries": 99}, [], "retries must be in [0, 20]"),
+        ({"url": "http://node.invalid", "base_tokens": ["0xzz"]}, [], "0xzz"),
+        ({"url": "http://node.invalid"}, ["--pools", "0x12,0x34"], "--pools"),
+    ], ids=["missing-config", "config-not-json", "bad-field", "bad-base-token", "bad-pool"])
+    def test_bad_live_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                             config, extra, message):
+        monkeypatch.delenv("TRAPSCAN_RPC_URL", raising=False)
+        path = tmp_path / "backend.json"
+        if config is not None:
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+        code = main(["scan", "--mode", "live", "--config", str(path),
+                     "--from-block", "0", "--to-block", "1", *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["scan", "--mode", "sim", "--scenario"]],
+                             ids=["simulate", "scan"])
+    def test_missing_scenario_is_a_usage_error(self, tmp_path, capsys, argv):
+        missing = tmp_path / "nope.json"
+        assert main([*argv, str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: no such scenario file: {missing}\n"
 
     def _live_scan(self, tmp_path, monkeypatch, wrap_node=lambda node: node, from_block=1):
         """Run `trapscan scan --mode live` in-process against the replay

@@ -66,21 +66,21 @@ class TestDeploy:
     def test_owner_holds_supply(self, chain):
         token = chain.deploy_token(Honest(Fraction(0)), 10**24, OWNER)
         chain.advance_block()
-        assert chain.balance_of(token, OWNER, chain.head()).balance == 10**24
+        assert chain.balance_of(token, OWNER, chain.head()) == 10**24
 
     def test_mint_record_from_zero_address(self, chain):
         token = chain.deploy_token(Honest(Fraction(0)), 10**24, OWNER)
         chain.advance_block()
         (rec,) = chain.get_transfers(token, (0, chain.head()))
         assert rec.sender == ZERO_ADDRESS and rec.recipient == OWNER
-        assert rec.value == 10**24 and rec.logged
+        assert rec.value == 10**24
 
     def test_trap_deploys_look_identical(self, chain):
         hidden = chain.deploy_token(HiddenTax(Fraction(1, 10)), 10**24, OWNER)
         delayed = chain.deploy_token(DelayedSellTax(Fraction(1)), 10**24, OWNER)
         chain.advance_block()
         for token in (hidden, delayed):
-            assert chain.balance_of(token, OWNER, chain.head()).balance == 10**24
+            assert chain.balance_of(token, OWNER, chain.head()) == 10**24
             assert len(chain.get_transfers(token, (0, chain.head()))) == 1
 
 
@@ -91,7 +91,7 @@ class TestTokenTransfer:
         out = chain.token_transfer(token, ALICE, BOB, 1000)
         chain.advance_block()
         assert out.ok
-        assert chain.balance_of(token, BOB, chain.head()).balance == 400
+        assert chain.balance_of(token, BOB, chain.head()) == 400
         rec = chain.get_transfers(token, (0, chain.head()))[-1]
         assert rec.value == 400
 
@@ -100,7 +100,7 @@ class TestTokenTransfer:
         chain.token_transfer(token, OWNER, ALICE, 10**6)
         chain.token_transfer(token, ALICE, BOB, 1000)
         chain.advance_block()
-        assert chain.balance_of(token, BOB, chain.head()).balance == 100
+        assert chain.balance_of(token, BOB, chain.head()) == 100
         rec = chain.get_transfers(token, (0, chain.head()))[-1]
         assert rec.value == 1000  # the event lies
 
@@ -110,7 +110,7 @@ class TestTokenTransfer:
         )
         chain.token_transfer(token, OWNER, ALICE, 1000)
         chain.advance_block()
-        assert chain.balance_of(token, ALICE, chain.head()).balance == 1000
+        assert chain.balance_of(token, ALICE, chain.head()) == 1000
 
     def test_list_gate_blocks_nonmember(self, chain):
         token = chain.deploy_token(
@@ -128,7 +128,7 @@ class TestTokenTransfer:
         out = chain.token_transfer(token, ALICE, BOB, 10**5, TransferContext.POOL_IN)
         chain.advance_block()
         assert out.ok
-        assert chain.balance_of(token, BOB, chain.head()).balance == 10**4
+        assert chain.balance_of(token, BOB, chain.head()) == 10**4
 
     def test_balance_check_reason_strings(self, chain):
         limited = chain.deploy_token(LimitedSell(Fraction(1, 2)), 100, OWNER)
@@ -146,7 +146,7 @@ class TestOwnerDrain:
         out = chain.owner_drain(token, ALICE, OWNER)
         chain.advance_block()
         assert out.ok and out.return_value == 500
-        assert chain.balance_of(token, ALICE, chain.head()).balance == 0
+        assert chain.balance_of(token, ALICE, chain.head()) == 0
         rec = chain.get_transfers(token, (0, chain.head()))[-1]
         assert rec.sender == ALICE and rec.recipient == ZERO_ADDRESS and rec.value == 500
         assert rec.tx_sender == OWNER
@@ -157,7 +157,7 @@ class TestOwnerDrain:
         before = len(chain.get_transfers(token, (0, chain.head() + 1)))
         assert chain.owner_drain(token, ALICE, OWNER).ok
         chain.advance_block()
-        assert chain.balance_of(token, ALICE, chain.head()).balance == 0
+        assert chain.balance_of(token, ALICE, chain.head()) == 0
         assert len(chain.get_transfers(token, (0, chain.head()))) == before
 
     def test_drain_empty_is_noop(self, chain):
@@ -177,7 +177,7 @@ class TestSwap:
         out = chain.swap(pool, ALICE, base, 100, ALICE)
         chain.advance_block()
         assert out.ok and out.return_value == 90
-        assert chain.balance_of(trap, ALICE, chain.head()).balance == 90
+        assert chain.balance_of(trap, ALICE, chain.head()) == 90
         assert chain.get_reserves(pool, chain.head()) == (1100, 910)
         (swap,) = chain.get_swaps(pool, (0, chain.head()))
         assert swap.amount_in == 100 and swap.amount_out == 90
@@ -190,7 +190,7 @@ class TestSwap:
         assert out.ok
         (swap,) = chain.get_swaps(pool, (0, chain.head()))
         assert swap.amount_out == 90
-        assert chain.balance_of(trap, ALICE, chain.head()).balance == 9
+        assert chain.balance_of(trap, ALICE, chain.head()) == 9
 
     def test_gated_sell_reverts_and_preserves_reserves(self, chain):
         base, trap, pool = fresh_pool(
@@ -221,7 +221,7 @@ class TestSwap:
         def observed():
             head = chain.head()
             return (
-                [chain.balance_of(t, h, head).balance
+                [chain.balance_of(t, h, head)
                  for t in (base, trap) for h in (ALICE, pool)],
                 chain.get_reserves(pool, head),
                 chain.get_transfers(base, (0, head)),
@@ -343,8 +343,8 @@ class TestBlocks:
         snapshot_block = chain.head()
         chain.token_transfer(token, OWNER, ALICE, 900)
         chain.advance_block()
-        assert chain.balance_of(token, ALICE, snapshot_block).balance == 100
-        assert chain.balance_of(token, ALICE, chain.head()).balance == 1000
+        assert chain.balance_of(token, ALICE, snapshot_block) == 100
+        assert chain.balance_of(token, ALICE, chain.head()) == 1000
 
     def test_sealing_and_bundles_copy_no_state(self, chain):
         base, trap, pool = fresh_pool(chain, Honest(Fraction(0)))
@@ -383,7 +383,7 @@ class TestScripts:
         assert trace.ground_truth == frozenset({TrapType.UNAUTHORIZED_TRANSFER})
         victim = trace.actors.victims[0]
         head = trace.chain.head()
-        assert trace.chain.balance_of(trace.trap_token, victim, head).balance == 0
+        assert trace.chain.balance_of(trace.trap_token, victim, head) == 0
         assert trace.chain.get_reserves(trace.pool.pool, head) == (0, 0)  # rug pulled
         washes = [
             s for s in trace.chain.get_swaps(trace.pool.pool, (0, head))
@@ -445,7 +445,7 @@ class TestInvariants:
             chain.token_transfer(token, actors[frm], actors[to], amount)
         chain.advance_block()
         total = sum(
-            chain.balance_of(token, a, chain.head()).balance for a in actors
+            chain.balance_of(token, a, chain.head()) for a in actors
         )
         assert total == 10**24
 
@@ -485,7 +485,7 @@ class TestInvariants:
                     expected += rec.value
                 if rec.sender == holder:
                     expected -= rec.value
-            assert chain.balance_of(token, holder, head).balance == expected
+            assert chain.balance_of(token, holder, head) == expected
         # and swap records agree with the logged pool deliveries
         for swap in swaps:
             if swap.token_out != token:
@@ -525,7 +525,7 @@ class TestLogWindows:
             elif op == 3:
                 chain.approve(trap, ALICE, BOB, n)
             else:
-                chain.owner_drain(trap, ALICE, OWNER)  # an unlogged transfer
+                chain.owner_drain(trap, ALICE, OWNER)  # silent: files no record
         chain.advance_block()
         for a, b in windows:
             lo, hi = min(a, b), max(a, b)
@@ -535,9 +535,7 @@ class TestLogWindows:
 
             assert chain.get_swaps(pool, (lo, hi)) == within(chain._swaps[pool])
             for token in (base, trap):
-                assert chain.get_transfers(token, (lo, hi)) == [
-                    r for r in within(chain._transfers[token]) if r.logged
-                ]
+                assert chain.get_transfers(token, (lo, hi)) == within(chain._transfers[token])
                 assert chain.get_approvals(token, (lo, hi)) == within(chain._approvals[token])
 
 

@@ -2,6 +2,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from trapscan.chainview import (
     ApproveRecord,
-    BalanceSnapshot,
     SwapRecord,
     TransferRecord,
     UnknownPool,
@@ -28,8 +28,8 @@ BASE = Address.derive("base")
 
 
 # ----------------------------------------------------------------------
-# whole-history reference: every record and snapshot from the block a
-# buyer was first seen, found by bisection; the window ledger must equal
+# whole-history reference: every record and (block, balance) snapshot
+# from the block a buyer was first seen, found by bisection; the window ledger must equal
 # it filtered to each window
 
 
@@ -39,6 +39,9 @@ class MissingSnapshot(Exception):
 
 def _block_number(record) -> int:
     return record.block.number
+
+
+_edge_block = itemgetter(0)
 
 
 def _in_window(records: list, from_block: int, to_block: int) -> list:
@@ -52,13 +55,13 @@ def _in_window(records: list, from_block: int, to_block: int) -> list:
 class HistoryLedger:
     buyer: Address
     buys: list[SwapRecord] = field(default_factory=list)
-    snapshots: list[BalanceSnapshot] = field(default_factory=list)
+    snapshots: list[tuple[int, int | None]] = field(default_factory=list)
     transfers: list[TransferRecord] = field(default_factory=list)
     approvals: list[ApproveRecord] = field(default_factory=list)
 
-    def snapshot_at(self, block: int) -> BalanceSnapshot:
-        i = bisect_left(self.snapshots, block, key=_block_number)
-        if i < len(self.snapshots) and self.snapshots[i].block.number == block:
+    def snapshot_at(self, block: int) -> tuple[int, int | None]:
+        i = bisect_left(self.snapshots, block, key=_edge_block)
+        if i < len(self.snapshots) and self.snapshots[i][0] == block:
             return self.snapshots[i]
         raise MissingSnapshot(f"no snapshot for {self.buyer} at block {block}")
 
@@ -90,7 +93,7 @@ def history(trace) -> dict[Address, HistoryLedger]:
                 if rec.approver in ledgers:
                     ledgers[rec.approver].approvals.append(rec)
         for ledger in ledgers.values():
-            ledger.snapshots.append(chain.balance_of(trap, ledger.buyer, block))
+            ledger.snapshots.append((block, chain.balance_of(trap, ledger.buyer, block)))
     return ledgers
 
 
@@ -98,9 +101,7 @@ def synthetic_ledger(snapshot_blocks, record_blocks=()):
     """A history with a snapshot at each of `snapshot_blocks` and one buy
     and one transfer at each of `record_blocks` (repeats allowed)."""
     ledger = HistoryLedger(buyer=BUYER)
-    for block in snapshot_blocks:
-        ledger.snapshots.append(BalanceSnapshot(token=TOKEN, holder=BUYER,
-                                                block=BlockIndex(block), balance=block))
+    ledger.snapshots.extend((block, block) for block in snapshot_blocks)
     for i, block in enumerate(record_blocks):
         at = BlockIndex(block)
         ledger.buys.append(SwapRecord(
@@ -108,8 +109,7 @@ def synthetic_ledger(snapshot_blocks, record_blocks=()):
             amount_in=1, token_out=TOKEN, amount_out=i, recipient=BUYER,
         ))
         ledger.transfers.append(TransferRecord(
-            token=TOKEN, block=at, sender=OTHER, recipient=BUYER, value=i,
-            logged=True, tx_sender=OTHER,
+            token=TOKEN, block=at, sender=OTHER, recipient=BUYER, value=i, tx_sender=OTHER,
         ))
     return ledger
 
@@ -132,7 +132,7 @@ def build_watch(trace, upto=None):
 
 
 def window_delta(ledger) -> int:
-    return ledger.snapshots[-1].balance - ledger.snapshots[0].balance
+    return ledger.snapshots[-1][1] - ledger.snapshots[0][1]
 
 
 @pytest.fixture
@@ -166,7 +166,7 @@ class TestIngest:
         for block in range(1, drain_trace.chain.head() + 1):
             ingest_block(watch, drain_trace.chain, block)
             for buyer, ledger in watch.buyers.items():
-                got = [s.block.number for s in ledger.snapshots]
+                got = [b for b, _ in ledger.snapshots]
                 assert got == ([block - 1, block] if buyer in seen else [block])
             seen |= set(watch.buyers)
         assert seen
@@ -197,7 +197,7 @@ class TestIngest:
         ingest_block(watch, drain_trace.chain, quiet)
         for led in watch.buyers.values():
             assert led.buys == [] and led.transfers == []
-            assert [s.block.number for s in led.snapshots] == [quiet - 1, quiet]
+            assert [b for b, _ in led.snapshots] == [quiet - 1, quiet]
 
     def test_incremental_equals_batch(self, drain_trace):
         head = drain_trace.chain.head()
@@ -229,7 +229,7 @@ class TestIngest:
             if victim in watch.buyers:
                 drains += [t for t in watch.buyers[victim].transfers if t.sender == victim]
         assert len(drains) == 1 and drains[0].tx_sender == drain_trace.actors.creator
-        assert watch.buyers[victim].snapshots[-1].balance == 0
+        assert watch.buyers[victim].snapshots[-1] == (drain_trace.chain.head(), 0)
 
 
 class TestBuyerDelta:
@@ -249,10 +249,10 @@ class TestBuyerDelta:
         trace = run_attack_script(script, seed)
         victim = trace.actors.victims[0]
         whole = history(trace)[victim]
-        bought = max(s.balance for s in whole.snapshots)
+        bought = max(balance for _, balance in whole.snapshots)
         drop = next(
-            s.block.number for s in whole.snapshots if s.balance == 0
-            and s.block.number > whole.buys[0].block.number
+            block for block, balance in whole.snapshots
+            if balance == 0 and block > whole.buys[0].block.number
         )
         ledger = ingest_windows(trace, [drop - 1, drop]).buyers[victim]
         assert window_delta(ledger) == -bought and ledger.transfers == []
@@ -266,10 +266,10 @@ class TestBuyerDelta:
         """A window holds no snapshot from before its buyer was first seen:
         a buyer new in the window starts it at its first-seen block."""
         victim = drain_trace.actors.victims[0]
-        first = history(drain_trace)[victim].snapshots[0].block.number
+        first = history(drain_trace)[victim].snapshots[0][0]
         assert first > 1
         ledger = ingest_windows(drain_trace, [drain_trace.chain.head()]).buyers[victim]
-        assert ledger.snapshots[0].block.number == first
+        assert ledger.snapshots[0][0] == first
         assert all(s.block.number > first for s in ledger.buys)
 
 
@@ -381,11 +381,11 @@ class TestWindowedIngest:
             assert watch.reserves == reserves[end]
             assert watch.last_ingested == end
             assert list(watch.buyers) == [
-                buyer for buyer, led in whole.items() if led.snapshots[0].block.number <= end
+                buyer for buyer, led in whole.items() if led.snapshots[0][0] <= end
             ]
             for buyer, ledger in watch.buyers.items():
                 full = whole[buyer]
-                lo = max(full.snapshots[0].block.number, start - 1)
+                lo = max(full.snapshots[0][0], start - 1)
                 edges = sorted({lo, end})
                 assert ledger.snapshots == [full.snapshot_at(b) for b in edges]
                 assert ledger.buys == _in_window(full.buys, lo, end)

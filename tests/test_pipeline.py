@@ -219,7 +219,7 @@ class TestBoundedState:
         windows = {}  # buyer -> the (from, to] windows it was reconciled over
 
         def recording(ledger, threshold):
-            edges = (ledger.snapshots[0].block.number, ledger.snapshots[-1].block.number)
+            edges = (ledger.snapshots[0][0], ledger.snapshots[-1][0])
             windows.setdefault(ledger.buyer, []).append(edges)
             return check_unauthorized_transfer(ledger, threshold)
 

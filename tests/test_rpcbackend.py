@@ -14,7 +14,8 @@ from trapscan import pipeline
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
 from trapscan.core import Address, DexVersion
 from trapscan.mockchain import Honest, Wait
-from trapscan.pipeline import ScanSettings, scan_pool
+from trapscan.monitor import PoolWatch
+from trapscan.pipeline import PoolScanState, ScanSettings, scan_pool
 from trapscan.rpcbackend import (
     EndpointConfig,
     JsonRpcClient,
@@ -195,7 +196,7 @@ class TestDecoders:
         ))
         rec = rpc.decode_transfer(log)
         assert rec.sender == sender and rec.recipient == recipient
-        assert rec.value == 1000 and rec.logged
+        assert rec.value == 1000
 
     def test_corrupted_data_rejected(self, backend):
         _, _, rpc = backend
@@ -382,8 +383,8 @@ class TestBackendQueries:
 
     def test_failed_snapshot_not_exception(self, backend):
         trace, _, rpc = backend
-        snap = rpc.balance_of(Address.derive("not-a-token"), OWNER, trace.chain.head())
-        assert snap.failed
+        not_a_token = Address.derive("not-a-token")
+        assert rpc.balance_of(not_a_token, OWNER, trace.chain.head()) is None
 
     def test_swap_records_match_the_mock(self, backend):
         trace, _, rpc = backend
@@ -442,10 +443,11 @@ class TestWindowedScanCost:
         real_ingest = pipeline.ingest_block
 
         def recording_ingest(watch, chain, block, start=None):
-            carried = {id(ledger.snapshots[-1]) for ledger in watch.buyers.values()}
+            carried = set(watch.buyers)  # each starts the window with its last balance
             real_ingest(watch, chain, block, start)
-            for ledger in watch.buyers.values():
-                taken.extend(s for s in ledger.snapshots if id(s) not in carried)
+            for buyer, ledger in watch.buyers.items():
+                new = ledger.snapshots[1:] if buyer in carried else ledger.snapshots
+                taken.extend((buyer, edge) for edge, _ in new)
             return watch
 
         monkeypatch.setattr(pipeline, "ingest_block", recording_ingest)
@@ -456,7 +458,26 @@ class TestWindowedScanCost:
                  for method, params in node.requests
                  if method == "eth_call" and params[0]["data"].startswith(balance_of)]
         assert len(taken) > 3
-        assert sorted(reads) == sorted((s.holder, s.block.number) for s in taken)
+        assert sorted(reads) == sorted(taken)
+
+
+class TestUnreadBalance:
+    def test_reverted_victim_read_is_no_finding(self):
+        """An honest pool whose victim balanceOf read at block 10 gets an
+        error reply: the read is unknown, not 0, so no window edge built
+        on it is reconciled, and the round's sell for the victim is
+        skipped and recorded."""
+        trace = run_simple(Honest(Fraction(0)))
+        victim = trace.actors.victims[0]
+        node = FakeNode(chain=trace.chain, fail_balance_reads={(victim, 10)})
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
+        state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        verdict = scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block,
+                            ScanSettings(), state)
+        assert verdict.findings == []
+        assert {"block": 10, "reason": "balance unread", "subject": victim.hex} in (
+            state.skipped_rounds
+        )
 
 
 class TestConfig:
