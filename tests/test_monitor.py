@@ -29,8 +29,8 @@ BASE = Address.derive("base")
 
 # ----------------------------------------------------------------------
 # whole-history reference: every record and (block, balance) snapshot
-# from the block a buyer was first seen, found by bisection; the window ledger must equal
-# it filtered to each window
+# from the block a buyer was first seen, found by bisection; the window
+# ledger must equal it filtered to each window
 
 
 class MissingSnapshot(Exception):
