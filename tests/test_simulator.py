@@ -140,6 +140,17 @@ class TestBundleTemplates:
         with pytest.raises(ZeroBalance):
             build_sell_bundle(reserves_at(t, head), stranger, t.pool, t.trap_token, held, head)
 
+    # A failed read is None and the pipeline skips that sell before any
+    # bundle is built, so only the emptied, unfailed read reaches the builder.
+    @pytest.mark.parametrize("failed", [False])
+    def test_empty_or_failed_snapshot_rejected(self, honest_world, failed):
+        t = honest_world
+        victim = t.actors.victims[0]
+        head = t.chain.head()
+        assert t.chain.balance_of(t.trap_token, victim, head) > 0
+        with pytest.raises(ZeroBalance):
+            build_sell_bundle(reserves_at(t, head), victim, t.pool, t.trap_token, 0, head)
+
     def test_drained_pool_rejected(self, honest_world):
         t = honest_world
         t.chain.remove_liquidity(t.pool.pool, t.actors.creator)
