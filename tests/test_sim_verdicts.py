@@ -10,6 +10,9 @@ Each scenario is also scanned twice on one replayed chain, so that the
 second scan runs with the mock chain's bundle reuse warm; it must write
 the same line. Re-record the table only for a change that is meant to
 alter verdicts.
+
+The larger gate corpus, `gen-corpus --n 200 --seed 7`, is pinned by one
+digest per interval: that of the whole file `--out` writes.
 """
 
 import hashlib
@@ -52,6 +55,9 @@ PINNED = {
     "022_limited_sell.json": ("db85ca025550f3ca", "84ca5637883e178f", "b07b33094eb34439"),
     "023_delayed_sell_tax.json": ("a5ca16323bdc097e", "c72542b4d8100b74", "1b49994ccfcb5ab5"),
 }
+
+# interval -> digest of the verdict file of `gen-corpus --n 200 --seed 7`
+GATE_PINNED = {1: "98706bf00b119f03", 3: "e0edc13b0107d37f", 7: "a12258c5428db643"}
 
 
 def digest(line):
@@ -113,3 +119,20 @@ def test_sim_verdict_unchanged(digests, scenario, interval):
 @pytest.mark.parametrize("scenario", sorted(PINNED))
 def test_warm_rescan_unchanged(warm_digests, scenario, interval):
     assert warm_digests[scenario, interval] == PINNED[scenario][INTERVALS.index(interval)]
+
+
+@pytest.fixture(scope="module")
+def gate_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gate")
+    assert main(["gen-corpus", "--n", "200", "--seed", "7",
+                 "--out-dir", str(root / "corpus")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("interval", INTERVALS)
+def test_gate_corpus_unchanged(gate_corpus, interval):
+    out = gate_corpus / f"verdicts-{interval}.jsonl"
+    argv = ["scan", "--mode", "sim", "--scenario", str(gate_corpus / "corpus"),
+            "--interval", str(interval), "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == GATE_PINNED[interval]
