@@ -18,7 +18,7 @@ from .analyzer import (
     recompute_finding,
 )
 from .chainview import ChainView
-from .core import Address, BlockIndex, DexVersion, PoolInfo, TokenAmount, TrapType
+from .core import Address, DexVersion, PoolInfo, TokenAmount, TrapType
 from .mockchain import MockChain, run_attack_script
 from .monitor import PoolWatch, ingest_block
 from .pipeline import ScanSettings, ScanSummary, scan_pool, scan_pools
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Address",
-    "BlockIndex",
     "Bundle",
     "BundleKind",
     "ChainView",

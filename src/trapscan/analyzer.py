@@ -147,7 +147,7 @@ def check_unauthorized_transfer(
                 trap=TrapType.UNAUTHORIZED_TRANSFER,
                 pool=ledger.pool,
                 subject=ledger.buyer,
-                block=t.block.number,
+                block=t.block,
                 evidence={
                     "kind": "unauthorized_transfer_logged",
                     "transfer_value": str(t.value),

@@ -8,7 +8,8 @@ exist: the in-memory mock chain and the live JSON-RPC backend.
 The seam carries only what a detector can observe. A balance read is a
 plain `TokenAmount`, or None when the read reverted, so every caller has
 to decide what a missing read means. An event record is one log the
-chain emitted; a balance movement that emitted no event has no record.
+chain emitted, with the number of the block that holds it; a balance
+movement that emitted no event has no record.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Address, BlockIndex, PoolInfo, TokenAmount
+from .core import Address, PoolInfo, TokenAmount
 
 
 class ChainViewError(Exception):
@@ -53,8 +54,7 @@ class SwapRecord:
     router), not the account that sent the transaction.
     """
 
-    tx_hash: bytes
-    block: BlockIndex
+    block: int
     sender: Address
     token_in: Address
     amount_in: TokenAmount
@@ -78,7 +78,7 @@ class TransferRecord:
     """
 
     token: Address
-    block: BlockIndex
+    block: int
     sender: Address
     recipient: Address
     value: TokenAmount
@@ -88,7 +88,7 @@ class TransferRecord:
 @dataclass(frozen=True, slots=True)
 class ApproveRecord:
     token: Address
-    block: BlockIndex
+    block: int
     approver: Address
     spender: Address
     value: TokenAmount
@@ -102,7 +102,7 @@ class LiquidityKind(Enum):
 @dataclass(frozen=True, slots=True)
 class LiquidityEvent:
     pool: Address
-    block: BlockIndex
+    block: int
     kind: LiquidityKind
     amount_x: TokenAmount
     amount_y: TokenAmount

@@ -93,27 +93,6 @@ class Address(bytes):
 ZERO_ADDRESS = Address(b"\x00" * 20)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockIndex:
-    """Block height plus optional position of a transaction within the block."""
-
-    number: int
-    tx_index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.number < 0:
-            raise ValueError("block number must be >= 0")
-        if self.tx_index is not None and self.tx_index < 0:
-            raise ValueError("tx_index must be >= 0 when present")
-
-    @property
-    def order_key(self) -> tuple[int, int]:
-        return (self.number, -1 if self.tx_index is None else self.tx_index)
-
-    def __lt__(self, other: "BlockIndex") -> bool:
-        return self.order_key < other.order_key
-
-
 class TrapType(Enum):
     """The four trap effects a pool can be flagged for."""
 

@@ -34,7 +34,6 @@ stretch. The memo holds one stretch of one chain at a time, process-wide.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -63,7 +62,6 @@ from ..chainview import (
 )
 from ..core import (
     Address,
-    BlockIndex,
     DexVersion,
     PoolInfo,
     TokenAmount,
@@ -124,22 +122,21 @@ def _key(name: str, address: Address) -> tuple[str, Address]:
 class _Overlay:
     """Writes at `block` over `read(key, default)`.
 
-    Keys not written here fall through to `read`. `tx` is the position of
-    a public transaction, whose event records queue in `records` until the
-    owner files them; a bundle's fork has no `tx` and queues nothing.
+    Keys not written here fall through to `read`. A public transaction
+    queues its event records in `records` until the owner files them; a
+    bundle's fork has `records` None and queues nothing.
     """
 
-    __slots__ = ("read", "writes", "block", "tx", "records")
+    __slots__ = ("read", "writes", "block", "records")
 
     def __init__(
         self, read: Callable[[tuple, object], object], block: int,
-        tx: BlockIndex | None = None,
+        records: list[tuple[list, object]] | None = None,
     ) -> None:
         self.read = read
         self.writes: dict[tuple, object] = {}
         self.block = block
-        self.tx = tx
-        self.records: list[tuple[list, object]] = []
+        self.records = records
 
     def get(self, key: tuple, default=0):
         value = self.writes.get(key, _UNSET)
@@ -157,11 +154,7 @@ def _move(
     ov.set(_bal(token, recipient), ov.get(_bal(token, recipient)) + credit)
 
 
-def _tx_hash(block: int, index: int) -> bytes:
-    return hashlib.sha256(f"mocktx:{block}:{index}".encode()).digest()
-
-
-_block_of = attrgetter("block.number")
+_block_of = attrgetter("block")
 
 
 def _window(records: list, lo: int, hi: int) -> list:
@@ -196,7 +189,6 @@ class MockChain(ChainView):
         self._liquidity: dict[Address, list[LiquidityEvent]] = {}
         self._transfers: dict[Address, list[TransferRecord]] = {}
         self._approvals: dict[Address, list[ApproveRecord]] = {}
-        self._pending_tx = 0
         self._token_counter = 0
         self._pool_counter = 0
         self._serial = next(_chain_serials)
@@ -217,13 +209,7 @@ class MockChain(ChainView):
         if n < 1:
             raise ValueError("advance_block needs n >= 1")
         self._head += n
-        self._pending_tx = 0
         return self._head
-
-    def _next_tx(self) -> BlockIndex:
-        idx = BlockIndex(self.pending_block, self._pending_tx)
-        self._pending_tx += 1
-        return idx
 
     def _read_pending(self, key: tuple, default):
         entry = self._history.get(key)
@@ -383,11 +369,11 @@ class MockChain(ChainView):
         value: TokenAmount,
         tx_sender: Address,
     ) -> None:
-        if ov.tx is None:  # a bundle's fork files nothing
+        if ov.records is None:  # a bundle's fork files nothing
             return
         record = TransferRecord(
             token=token,
-            block=ov.tx,
+            block=ov.block,
             sender=sender,
             recipient=recipient,
             value=value,
@@ -484,11 +470,10 @@ class MockChain(ChainView):
             ov, token_out, pool, recipient, amount_out, TransferContext.POOL_OUT, trader
         )
         self._track_buyer(ov, token_out, recipient)
-        if ov.tx is None:
+        if ov.records is None:
             return amount_out
         record = SwapRecord(
-            tx_hash=_tx_hash(ov.tx.number, ov.tx.tx_index or 0),
-            block=ov.tx,
+            block=ov.block,
             sender=trader,
             token_in=token_in,
             amount_in=delivered_in,
@@ -519,8 +504,7 @@ class MockChain(ChainView):
     def _run_tx(self, fn) -> CallOutcome:
         """Run `fn(overlay)` as the next transaction of the pending block;
         only a success reaches the history and the record stores."""
-        tx = self._next_tx()
-        ov = _Overlay(self._read_pending, tx.number, tx)
+        ov = _Overlay(self._read_pending, self.pending_block, [])
         try:
             value = fn(ov)
         except _Revert as exc:
@@ -554,7 +538,7 @@ class MockChain(ChainView):
 
         def run(ov):
             record = ApproveRecord(
-                token=token, block=ov.tx, approver=approver, spender=spender, value=amount
+                token=token, block=ov.block, approver=approver, spender=spender, value=amount
             )
             ov.records.append((self._approvals[token], record))
 
@@ -629,7 +613,7 @@ class MockChain(ChainView):
             rx, ry = ov.get(_key("reserves", pool), (0, 0))
             ov.set(_key("reserves", pool), (rx + x, ry + y))
             ov.set(_key("provider", pool), provider)
-            event = LiquidityEvent(pool=pool, block=ov.tx, kind=LiquidityKind.ADD,
+            event = LiquidityEvent(pool=pool, block=ov.block, kind=LiquidityKind.ADD,
                                    amount_x=x, amount_y=y, provider=provider)
             ov.records.append((self._liquidity[pool], event))
 
@@ -651,7 +635,7 @@ class MockChain(ChainView):
                     self._log_transfer(ov, token, pool, provider, moved, provider)
             ov.set(_key("reserves", pool), (0, 0))
             ov.set(_key("provider", pool), None)
-            event = LiquidityEvent(pool=pool, block=ov.tx, kind=LiquidityKind.REMOVE,
+            event = LiquidityEvent(pool=pool, block=ov.block, kind=LiquidityKind.REMOVE,
                                    amount_x=rx, amount_y=ry, provider=provider)
             ov.records.append((self._liquidity[pool], event))
 
@@ -674,7 +658,7 @@ class MockChain(ChainView):
     ) -> list[LiquidityEvent]:
         lo, hi = check_range(block_range)
         self._require_pool(pool)
-        return [r for r in self._liquidity[pool] if lo <= r.block.number <= hi]
+        return _window(self._liquidity[pool], lo, hi)
 
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
         lo, hi = check_range(block_range)

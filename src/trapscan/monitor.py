@@ -140,8 +140,8 @@ def ingest_block(
                 buyer=swap.recipient, pool=watch.pool.pool, trap_token=watch.trap_token
             )
             watch.buyers[swap.recipient] = ledger
-            first_seen[swap.recipient] = swap.block.number
-        elif first_seen.get(swap.recipient, lo - 1) < swap.block.number:
+            first_seen[swap.recipient] = swap.block
+        elif first_seen.get(swap.recipient, lo - 1) < swap.block:
             ledger.buys.append(swap)
 
     buyer_set = set(watch.buyers)
@@ -155,10 +155,10 @@ def ingest_block(
             if rec.sender == watch.pool.pool:
                 continue  # pool deliveries are already evidenced by SwapRecords
             for buyer in {rec.sender, rec.recipient} & buyer_set:
-                if first_seen.get(buyer, lo - 1) < rec.block.number:
+                if first_seen.get(buyer, lo - 1) < rec.block:
                     watch.buyers[buyer].transfers.append(rec)
         for rec in approvals:
-            if rec.approver in buyer_set and first_seen.get(rec.approver, lo) <= rec.block.number:
+            if rec.approver in buyer_set and first_seen.get(rec.approver, lo) <= rec.block:
                 approved = watch.buyers[rec.approver].approved
                 approved[rec.spender] = approved.get(rec.spender, 0) + rec.value
 

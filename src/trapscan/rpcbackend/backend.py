@@ -21,8 +21,9 @@ bundle.
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..chainview import (
     ApproveRecord,
@@ -41,7 +42,7 @@ from ..chainview import (
     UnknownPool,
     check_range,
 )
-from ..core import Address, BlockIndex, DexVersion, PoolInfo, TokenAmount
+from ..core import Address, DexVersion, PoolInfo, TokenAmount
 from . import abi
 from .abi import DecodeError
 from .client import (
@@ -70,8 +71,12 @@ class _RawLog:
     address: Address
     topics: list[str]
     data: bytes
-    block: BlockIndex
+    order: tuple[int, int]  # (block number, transaction index): the sort key
     tx_hash: bytes
+
+    @property
+    def block(self) -> int:
+        return self.order[0]
 
     @classmethod
     def parse(cls, obj: dict) -> "_RawLog":
@@ -80,7 +85,7 @@ class _RawLog:
                 address=Address.from_hex(obj["address"]),
                 topics=list(obj["topics"]),
                 data=abi.hex_to_bytes(obj.get("data", "0x")),
-                block=BlockIndex(
+                order=(
                     abi.hex_to_int(obj["blockNumber"]),
                     abi.hex_to_int(obj.get("transactionIndex", "0x0")),
                 ),
@@ -88,6 +93,9 @@ class _RawLog:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise DecodeError(f"malformed log object: {exc}: {obj!r}") from exc
+
+
+_log_order = attrgetter("order")
 
 
 class RpcChainView(ChainView):
@@ -110,7 +118,6 @@ class RpcChainView(ChainView):
             extra.get("default_balance_slot", DEFAULT_BALANCE_SLOT)
         )
         self._pool_cache: dict[Address, PoolInfo] = {}
-        self._tx_sender_cache: dict[bytes, Address | None] = {}
         self._lock = threading.Lock()
         self.decode_skipped = 0
 
@@ -124,44 +131,41 @@ class RpcChainView(ChainView):
             raise BackendUnavailable(str(exc)) from exc
 
     def fetch_logs(
-        self,
-        address: Address | None,
-        topic0: str | None,
-        block_range: tuple[int, int],
-        extra_topics: list[str | None] | None = None,
+        self, address: Address | None, topic0: str | None, block_range: tuple[int, int]
     ) -> list[_RawLog]:
-        """Complete logs for the filter, splitting the range when the node
-        rejects it as too large."""
+        """Complete logs for the filter in (block, transaction index) order,
+        splitting the range when the node rejects it as too large."""
         lo, hi = check_range(block_range)
         flt: dict = {"fromBlock": hex(lo), "toBlock": hex(hi)}
         if address is not None:
             flt["address"] = address.hex
-        topics: list = []
         if topic0 is not None:
-            topics.append(topic0)
-        if extra_topics:
-            topics.extend(extra_topics)
-        if topics:
-            flt["topics"] = topics
+            flt["topics"] = [topic0]
         try:
             raw = self.client.call("eth_getLogs", [flt])
         except NodeLimitError:
             if lo == hi:
                 raise
             mid = (lo + hi) // 2
-            left = self.fetch_logs(address, topic0, (lo, mid), extra_topics)
-            right = self.fetch_logs(address, topic0, (mid + 1, hi), extra_topics)
-            return left + right
+            return (self.fetch_logs(address, topic0, (lo, mid))
+                    + self.fetch_logs(address, topic0, (mid + 1, hi)))
         except TransportError as exc:
             raise BackendUnavailable(str(exc)) from exc
-        logs = []
-        for obj in raw:
+        return sorted(self._decode_each(raw, _RawLog.parse), key=_log_order)
+
+    def _decode_each(self, items: list, decode: Callable) -> list:
+        """`decode` of each item, in order; an item it rejects with
+        DecodeError is dropped and counted in `decode_skipped`."""
+        decoded, skipped = [], 0
+        for item in items:
             try:
-                logs.append(_RawLog.parse(obj))
+                decoded.append(decode(item))
             except DecodeError:
-                self.decode_skipped += 1
-        logs.sort(key=lambda lg: lg.block.order_key)
-        return logs
+                skipped += 1
+        if skipped:
+            with self._lock:
+                self.decode_skipped += skipped
+        return decoded
 
     def _eth_call(self, to: Address, data: bytes, block: int, sender: Address | None = None):
         tx = {"to": to.hex, "data": abi.bytes_to_hex(data)}
@@ -169,28 +173,26 @@ class RpcChainView(ChainView):
             tx["from"] = sender.hex
         return self.client.call("eth_call", [tx, hex(block)])
 
-    def _resolve_tx_senders(self, hashes: list[bytes]) -> None:
-        missing = []
-        with self._lock:
-            for h in hashes:
-                if h not in self._tx_sender_cache:
-                    missing.append(h)
-        if not missing:
-            return
-        reqs = [("eth_getTransactionByHash", [abi.bytes_to_hex(h)]) for h in missing]
+    def _tx_senders(self, logs: list[_RawLog]) -> dict[bytes, Address | None]:
+        """The sender of each log's transaction, from one batch of lookups;
+        None where the node did not say."""
+        hashes = list(dict.fromkeys(log.tx_hash for log in logs))
+        if not hashes:
+            return {}
+        reqs = [("eth_getTransactionByHash", [abi.bytes_to_hex(h)]) for h in hashes]
         try:
             results = self.client.call_batch(reqs)
         except TransportError:
-            results = [None] * len(missing)
-        with self._lock:
-            for h, res in zip(missing, results):
-                sender = None
-                if isinstance(res, dict) and res.get("from"):
-                    try:
-                        sender = Address.from_hex(res["from"])
-                    except ValueError:
-                        sender = None
-                self._tx_sender_cache[h] = sender
+            results = [None] * len(hashes)
+        senders: dict[bytes, Address | None] = {}
+        for h, res in zip(hashes, results):
+            senders[h] = None
+            if isinstance(res, dict) and res.get("from"):
+                try:
+                    senders[h] = Address.from_hex(res["from"])
+                except ValueError:
+                    pass
+        return senders
 
     # ------------------------------------------------------------------
     # decoders
@@ -252,7 +254,6 @@ class RpcChainView(ChainView):
         if amount_in <= 0 or amount_out < 0:
             raise DecodeError("swap log amounts out of range")
         return SwapRecord(
-            tx_hash=log.tx_hash,
             block=log.block,
             sender=abi.topic_address(log.topics[1]),
             token_in=token_in,
@@ -283,7 +284,7 @@ class RpcChainView(ChainView):
             amount_x=a_x, amount_y=a_y, provider=provider,
         )
 
-    def decode_transfer(self, log: _RawLog) -> TransferRecord:
+    def decode_transfer(self, log: _RawLog, tx_sender: Address | None = None) -> TransferRecord:
         if len(log.topics) != 3 or log.topics[0] != abi.SIG_TRANSFER.topic0_hex:
             raise DecodeError("not an ERC20 transfer log")
         return TransferRecord(
@@ -292,7 +293,7 @@ class RpcChainView(ChainView):
             sender=abi.topic_address(log.topics[1]),
             recipient=abi.topic_address(log.topics[2]),
             value=abi.dec_uint(log.data, 0),
-            tx_sender=self._tx_sender_cache.get(log.tx_hash),
+            tx_sender=tx_sender,
         )
 
     def decode_approval(self, log: _RawLog) -> ApproveRecord:
@@ -310,22 +311,18 @@ class RpcChainView(ChainView):
     # chainview queries
 
     def get_pool_created(self, block_range: tuple[int, int]) -> list[PoolInfo]:
-        pools: list[tuple[BlockIndex, PoolInfo]] = []
-        for factory, sig in (
-            (self.factories[0], abi.SIG_PAIR_CREATED),
-            (self.factories[-1], abi.SIG_POOL_CREATED),
-        ):
-            for log in self.fetch_logs(factory, sig.topic0_hex, block_range):
-                try:
-                    info = self.decode_pool_created(log)
-                except DecodeError:
-                    self.decode_skipped += 1
-                    continue
-                pools.append((log.block, info))
-                with self._lock:
-                    self._pool_cache[info.pool] = info
-        pools.sort(key=lambda item: item[0].order_key)
-        return [info for _, info in pools]
+        logs = [
+            log
+            for factory, sig in (
+                (self.factories[0], abi.SIG_PAIR_CREATED),
+                (self.factories[-1], abi.SIG_POOL_CREATED),
+            )
+            for log in self.fetch_logs(factory, sig.topic0_hex, block_range)
+        ]
+        pools = self._decode_each(sorted(logs, key=_log_order), self.decode_pool_created)
+        with self._lock:
+            self._pool_cache.update((info.pool, info) for info in pools)
+        return pools
 
     def pool_info(self, pool: Address) -> PoolInfo:
         with self._lock:
@@ -356,13 +353,8 @@ class RpcChainView(ChainView):
     def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
         info = self.pool_info(pool)
         sig = abi.SIG_V2_SWAP if info.dex_version is DexVersion.V2 else abi.SIG_V3_SWAP
-        records = []
-        for log in self.fetch_logs(pool, sig.topic0_hex, block_range):
-            try:
-                records.append(self.decode_swap(log, info))
-            except DecodeError:
-                self.decode_skipped += 1
-        return records
+        logs = self.fetch_logs(pool, sig.topic0_hex, block_range)
+        return self._decode_each(logs, lambda log: self.decode_swap(log, info))
 
     def get_liquidity_events(
         self, pool: Address, block_range: tuple[int, int]
@@ -372,36 +364,19 @@ class RpcChainView(ChainView):
             sigs = (abi.SIG_V2_MINT, abi.SIG_V2_BURN)
         else:
             sigs = (abi.SIG_V3_MINT, abi.SIG_V3_BURN)
-        events = []
-        for sig in sigs:
-            for log in self.fetch_logs(pool, sig.topic0_hex, block_range):
-                try:
-                    events.append(self.decode_liquidity(log, info))
-                except DecodeError:
-                    self.decode_skipped += 1
-        events.sort(key=lambda ev: ev.block.order_key)
-        return events
+        logs = [log for sig in sigs for log in self.fetch_logs(pool, sig.topic0_hex, block_range)]
+        return self._decode_each(
+            sorted(logs, key=_log_order), lambda log: self.decode_liquidity(log, info)
+        )
 
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
         logs = self.fetch_logs(token, abi.SIG_TRANSFER.topic0_hex, block_range)
-        self._resolve_tx_senders([lg.tx_hash for lg in logs])
-        records = []
-        for log in logs:
-            try:
-                records.append(self.decode_transfer(log))
-            except DecodeError:
-                self.decode_skipped += 1
-        return records
+        senders = self._tx_senders(logs)
+        return self._decode_each(logs, lambda log: self.decode_transfer(log, senders.get(log.tx_hash)))
 
     def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
         logs = self.fetch_logs(token, abi.SIG_APPROVAL.topic0_hex, block_range)
-        records = []
-        for log in logs:
-            try:
-                records.append(self.decode_approval(log))
-            except DecodeError:
-                self.decode_skipped += 1
-        return records
+        return self._decode_each(logs, self.decode_approval)
 
     def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
         try:
@@ -502,9 +477,6 @@ class RpcChainView(ChainView):
     ) -> list[CallOutcome]:
         if not calls:
             raise EmptyBundle("bundle must contain at least one call")
-        return self._simulate_call_many(block, calls, balance_overrides)
-
-    def _simulate_call_many(self, block, calls, balance_overrides) -> list[CallOutcome]:
         txs: list[dict] = []
         slots: list[tuple[int, int, str]] = []  # (first tx idx, tx count, kind)
         senders: set[Address] = set()

@@ -120,6 +120,9 @@ class FakeNode:
     # logs
 
     def _all_logs(self) -> list[dict]:
+        # The mock keeps no transaction position, so a log's
+        # transactionIndex is its record's position in the record's store:
+        # sorting by (block, index) keeps each store's filing order.
         logs: list[dict] = []
         head = self.chain.head()
         for blk, info in self.chain._pool_created:  # noqa: SLF001
@@ -136,8 +139,8 @@ class FakeNode:
             ))
         for pool, records in self.chain._swaps.items():  # noqa: SLF001
             info = self.chain.pool_info(pool)
-            for rec in records:
-                if rec.block.number > head:
+            for i, rec in enumerate(records):
+                if rec.block > head:
                     continue
                 if rec.token_in == info.token_x:
                     words = (rec.amount_in, 0, 0, rec.amount_out)
@@ -148,12 +151,12 @@ class FakeNode:
                     topics=[SIG_V2_SWAP.topic0_hex,
                             _topic_addr(rec.sender), _topic_addr(rec.recipient)],
                     data=b"".join(enc_uint(w) for w in words),
-                    block=rec.block.number, tx_index=rec.block.tx_index or 0,
-                    tx_hash_tag=rec.tx_hash.hex(), sender=rec.sender,
+                    block=rec.block, tx_index=i,
+                    tx_hash_tag=f"swap:{pool.hex}:{i}", sender=rec.sender,
                 ))
         for pool, events in self.chain._liquidity.items():  # noqa: SLF001
             for i, ev in enumerate(events):
-                if ev.block.number > head:
+                if ev.block > head:
                     continue
                 if ev.kind is LiquidityKind.ADD:
                     topics = [SIG_V2_MINT.topic0_hex, _topic_addr(ev.provider)]
@@ -164,32 +167,32 @@ class FakeNode:
                     data = enc_uint(ev.amount_x) + enc_uint(ev.amount_y)
                 logs.append(self._log(
                     address=pool, topics=topics, data=data,
-                    block=ev.block.number, tx_index=ev.block.tx_index or 0,
+                    block=ev.block, tx_index=i,
                     tx_hash_tag=f"liq:{pool.hex}:{i}", sender=ev.provider,
                 ))
         for token, records in self.chain._transfers.items():  # noqa: SLF001
             for i, rec in enumerate(records):
-                if rec.block.number > head:
+                if rec.block > head:
                     continue
                 logs.append(self._log(
                     address=token,
                     topics=[SIG_TRANSFER.topic0_hex,
                             _topic_addr(rec.sender), _topic_addr(rec.recipient)],
                     data=enc_uint(rec.value),
-                    block=rec.block.number, tx_index=rec.block.tx_index or 0,
+                    block=rec.block, tx_index=i,
                     tx_hash_tag=f"xfer:{token.hex}:{i}",
                     sender=rec.tx_sender or rec.sender,
                 ))
         for token, records in self.chain._approvals.items():  # noqa: SLF001
             for i, rec in enumerate(records):
-                if rec.block.number > head:
+                if rec.block > head:
                     continue
                 logs.append(self._log(
                     address=token,
                     topics=[SIG_APPROVAL.topic0_hex,
                             _topic_addr(rec.approver), _topic_addr(rec.spender)],
                     data=enc_uint(rec.value),
-                    block=rec.block.number, tx_index=rec.block.tx_index or 0,
+                    block=rec.block, tx_index=i,
                     tx_hash_tag=f"appr:{token.hex}:{i}", sender=rec.approver,
                 ))
         logs.sort(key=lambda lg: (int(lg["blockNumber"], 16), int(lg["transactionIndex"], 16)))

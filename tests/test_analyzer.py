@@ -29,7 +29,7 @@ from trapscan.chainview import (
     SwapRecord,
     TransferRecord,
 )
-from trapscan.core import Address, BlockIndex, PoolInfo, TrapType, ZERO_ADDRESS
+from trapscan.core import Address, PoolInfo, TrapType, ZERO_ADDRESS
 from trapscan.mockchain import (
     DelayedSellTax,
     FlipSwitch,
@@ -270,7 +270,7 @@ def make_ledger(snapshots, transfers=(), approved=(), buys=()):
 
 
 def xfer(block, sender, recipient, value, tx_sender):
-    return TransferRecord(token=TOKEN_Y, block=BlockIndex(block), sender=sender,
+    return TransferRecord(token=TOKEN_Y, block=block, sender=sender,
                           recipient=recipient, value=value, tx_sender=tx_sender)
 
 
@@ -318,7 +318,7 @@ class TestUnauthorizedTransfer:
 
     def test_buy_window_excluded_from_mismatch(self):
         swap = SwapRecord(
-            tx_hash=b"\x00" * 32, block=BlockIndex(11), sender=BUYER,
+            block=11, sender=BUYER,
             token_in=TOKEN_X, amount_in=100, token_out=TOKEN_Y, amount_out=90,
             recipient=BUYER,
         )

@@ -109,7 +109,7 @@ class TestQueries:
         trace, chain = drain_world
         swaps = chain.get_swaps(trace.pool.pool, (0, chain.head()))
         assert len(swaps) == 6  # 5 washes + 1 victim buy
-        blocks = [s.block.number for s in swaps]
+        blocks = [s.block for s in swaps]
         assert blocks == sorted(blocks)
         assert all(s.amount_in > 0 for s in swaps)
 

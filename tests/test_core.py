@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from trapscan.core import (
     Address,
     AmountRangeError,
-    BlockIndex,
     MAX_UINT256,
     PoolInfo,
     TrapType,
@@ -115,19 +114,6 @@ class TestAddress:
     def test_sorts_by_raw_bytes(self, raws):
         # the ordering of the former dataclass, which compared (raw,) tuples
         assert [a.raw for a in sorted(map(Address, raws))] == sorted(raws)
-
-
-class TestBlockIndex:
-    def test_ordering(self):
-        assert BlockIndex(1) < BlockIndex(2)
-        assert BlockIndex(3, 0) < BlockIndex(3, 1)
-        assert BlockIndex(3) < BlockIndex(3, 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BlockIndex(-1)
-        with pytest.raises(ValueError):
-            BlockIndex(0, -2)
 
 
 class TestPoolInfo:

@@ -531,7 +531,7 @@ class TestLogWindows:
             lo, hi = min(a, b), max(a, b)
 
             def within(records):
-                return [r for r in records if lo <= r.block.number <= hi]
+                return [r for r in records if lo <= r.block <= hi]
 
             assert chain.get_swaps(pool, (lo, hi)) == within(chain._swaps[pool])
             for token in (base, trap):

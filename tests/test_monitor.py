@@ -2,7 +2,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +16,7 @@ from trapscan.chainview import (
     UnknownPool,
     UnknownToken,
 )
-from trapscan.core import Address, BlockIndex
+from trapscan.core import Address
 from trapscan.mockchain import Honest, MockChain, run_attack_script, wash_and_drain_script
 from trapscan.monitor import IngestGap, PoolWatch, ingest_block, pick_orientations
 
@@ -37,10 +37,7 @@ class MissingSnapshot(Exception):
     pass
 
 
-def _block_number(record) -> int:
-    return record.block.number
-
-
+_block_number = attrgetter("block")
 _edge_block = itemgetter(0)
 
 
@@ -103,13 +100,12 @@ def synthetic_ledger(snapshot_blocks, record_blocks=()):
     ledger = HistoryLedger(buyer=BUYER)
     ledger.snapshots.extend((block, block) for block in snapshot_blocks)
     for i, block in enumerate(record_blocks):
-        at = BlockIndex(block)
         ledger.buys.append(SwapRecord(
-            tx_hash=i.to_bytes(32, "big"), block=at, sender=BUYER, token_in=BASE,
+            block=block, sender=BUYER, token_in=BASE,
             amount_in=1, token_out=TOKEN, amount_out=i, recipient=BUYER,
         ))
         ledger.transfers.append(TransferRecord(
-            token=TOKEN, block=at, sender=OTHER, recipient=BUYER, value=i, tx_sender=OTHER,
+            token=TOKEN, block=block, sender=OTHER, recipient=BUYER, value=i, tx_sender=OTHER,
         ))
     return ledger
 
@@ -186,7 +182,7 @@ class TestIngest:
 
     def test_empty_block_adds_only_snapshots(self, drain_trace):
         victim_buy_block = max(
-            s.block.number
+            s.block
             for s in drain_trace.chain.get_swaps(
                 drain_trace.pool.pool, (0, drain_trace.chain.head())
             )
@@ -238,7 +234,7 @@ class TestBuyerDelta:
     def test_drain_with_event(self, drain_trace):
         victim = drain_trace.actors.victims[0]
         drain_block = next(
-            t.block.number for t in history(drain_trace)[victim].transfers if t.sender == victim
+            t.block for t in history(drain_trace)[victim].transfers if t.sender == victim
         )
         ledger = ingest_windows(drain_trace, [drain_block - 1, drain_block]).buyers[victim]
         delta = window_delta(ledger)
@@ -252,7 +248,7 @@ class TestBuyerDelta:
         bought = max(balance for _, balance in whole.snapshots)
         drop = next(
             block for block, balance in whole.snapshots
-            if balance == 0 and block > whole.buys[0].block.number
+            if balance == 0 and block > whole.buys[0].block
         )
         ledger = ingest_windows(trace, [drop - 1, drop]).buyers[victim]
         assert window_delta(ledger) == -bought and ledger.transfers == []
@@ -270,7 +266,7 @@ class TestBuyerDelta:
         assert first > 1
         ledger = ingest_windows(drain_trace, [drain_trace.chain.head()]).buyers[victim]
         assert ledger.snapshots[0][0] == first
-        assert all(s.block.number > first for s in ledger.buys)
+        assert all(s.block > first for s in ledger.buys)
 
 
 class TestSnapshotAt:
@@ -302,10 +298,10 @@ class TestWindows:
         for lo in range(1, 11):
             for hi in range(lo, 11):
                 assert _in_window(ledger.transfers, lo, hi) == [
-                    t for t in ledger.transfers if lo < t.block.number <= hi
+                    t for t in ledger.transfers if lo < t.block <= hi
                 ]
                 assert _in_window(ledger.buys, lo, hi) == [
-                    s for s in ledger.buys if lo < s.block.number <= hi
+                    s for s in ledger.buys if lo < s.block <= hi
                 ]
 
 
@@ -392,7 +388,7 @@ class TestWindowedIngest:
                 assert ledger.transfers == _in_window(full.transfers, lo, end)
                 approved = {}
                 for rec in full.approvals:
-                    if rec.block.number <= end:
+                    if rec.block <= end:
                         approved[rec.spender] = approved.get(rec.spender, 0) + rec.value
                 assert ledger.approved == approved
             start = end + 1

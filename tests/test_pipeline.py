@@ -229,7 +229,7 @@ class TestBoundedState:
         first_seen = {}
         for swap in trace.chain.get_swaps(trace.pool.pool, (0, trace.final_block)):
             if swap.token_out == trace.trap_token:
-                first_seen.setdefault(swap.recipient, swap.block.number)
+                first_seen.setdefault(swap.recipient, swap.block)
         for interval in (1, 7):
             windows.clear()
             state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))

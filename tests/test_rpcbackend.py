@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -257,6 +258,109 @@ class TestFetchLogs:
         assert rpc.fetch_logs(trace.trap_token, abi.SIG_TRANSFER.topic0_hex, (0, 0)) == []
 
 
+class TestLogOrder:
+    def test_reversed_node_logs_come_back_in_chain_order(self):
+        trace = run_simple(Honest(Fraction(0)), victims=2)
+        chain, pool, trap = trace.chain, trace.pool.pool, trace.trap_token
+        creator, (v0, v1) = trace.actors.creator, trace.actors.victims
+        # Several records of each kind in one block: only the transaction
+        # index orders them.
+        for spender, amount in ((v1, 3), (v0, 1), (creator, 2)):
+            chain.approve(trap, v0, spender, amount)
+        for recipient, amount in ((v1, 5), (creator, 4)):
+            chain.token_transfer(trap, v0, recipient, amount)
+        for amount in (7 * 10**5, 3 * 10**5):
+            chain.swap(pool, creator, trace.base_token, amount, creator)
+        chain.advance_block()
+        node = FakeNode(chain=chain)
+
+        def reversing(payload):
+            response = node(payload)
+            if isinstance(payload, dict) and payload["method"] == "eth_getLogs":
+                response["result"].reverse()
+            return response
+
+        config = EndpointConfig(url="fake://", retries=1)
+        plain = RpcChainView(config, transport=node)
+        reversed_ = RpcChainView(config, transport=reversing)
+        span = (0, chain.head())
+        queries = (
+            (lambda view: view.get_swaps(pool, span), "amount_in"),
+            (lambda view: view.get_transfers(trap, span), "value"),
+            (lambda view: view.get_approvals(trap, span), "value"),
+        )
+        for query, amount in queries:
+            records = query(reversed_)
+            assert records == query(plain)
+            assert [(r.block, getattr(r, amount)) for r in records] == [
+                (r.block, getattr(r, amount)) for r in query(chain)
+            ]
+
+
+class TestDecodeSkips:
+    def test_count_is_exact_under_threads(self):
+        malformed = {"address": OWNER.hex, "topics": []}  # no block, no hash
+        wrong_topics = make_log(OWNER.hex, [abi.SIG_APPROVAL.topic0_hex], "0x")
+        logs = [malformed, wrong_topics] * 20
+
+        def transport(payload):
+            return {"jsonrpc": "2.0", "id": payload["id"], "result": list(logs)}
+
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
+        calls = 300
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool_exec:
+                got = list(pool_exec.map(lambda _: rpc.get_approvals(OWNER, (1, 2)),
+                                          range(calls), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[]] * calls
+        assert rpc.decode_skipped == calls * len(logs)
+
+
+class TestTxSenders:
+    def test_lookups_are_not_kept_across_windows(self):
+        token, sender = Address.derive("token"), Address.derive("sender")
+        lookups = []
+
+        def transport(payload):
+            if isinstance(payload, list):  # one batch of transaction lookups
+                lookups.append(len(payload))
+                return [{"jsonrpc": "2.0", "id": item["id"],
+                         "result": {"hash": item["params"][0], "from": sender.hex}}
+                        for item in payload]
+            block = int(payload["params"][0]["fromBlock"], 16)
+            log = make_log(
+                token.hex,
+                [abi.SIG_TRANSFER.topic0_hex, pad_addr(sender.hex), pad_addr(OWNER.hex)],
+                "0x" + "00" * 31 + "01", block=block,
+                tx_hash="0x" + block.to_bytes(32, "big").hex(),
+            )
+            return {"jsonrpc": "2.0", "id": payload["id"], "result": [log, log]}
+
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
+
+        def scan(lo, hi):
+            for block in range(lo, hi):
+                records = rpc.get_transfers(token, (block, block))
+                assert [r.tx_sender for r in records] == [sender, sender]
+
+        scan(0, 50)
+        tracemalloc.start()
+        try:
+            scan(50, 100)
+            base = tracemalloc.get_traced_memory()[0]
+            scan(100, 500)
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 * 1024
+        # one batch per window, one lookup per transaction
+        assert lookups == [1] * 500
+
+
 class TestClientRetry:
     def test_transient_failures_retried(self, backend):
         trace, _, _ = backend
@@ -390,12 +494,7 @@ class TestBackendQueries:
         trace, _, rpc = backend
         swaps = rpc.get_swaps(trace.pool.pool, (0, trace.chain.head()))
         mock_swaps = trace.chain.get_swaps(trace.pool.pool, (0, trace.chain.head()))
-        # Every field but tx_hash, which the node derives on its own.
-        def fields(s):
-            return (s.block, s.sender, s.token_in, s.amount_in, s.token_out, s.amount_out,
-                    s.recipient)
-
-        assert swaps and list(map(fields, swaps)) == list(map(fields, mock_swaps))
+        assert swaps and swaps == mock_swaps
 
 
 class TestWindowedScanCost:
