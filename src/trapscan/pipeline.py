@@ -4,15 +4,16 @@ A pool is scanned in detection rounds, one every `interval` blocks and
 one at the last block. Each round first ingests its window of blocks,
 those since the previous round, in one step (see `monitor.ingest_block`),
 which also reads the pool's reserves at the round's block; every bundle
-of the round is priced from that one read. Then, provided both reserves
-are non-zero, the round:
+of the round is priced from that one read. Then the round:
 
-  * rebuilds a sell simulation for every tracked buyer at their full
-    balance and checks the sell-side predicates,
-  * runs a buy probe with a funded synthetic account, and a follow-up
-    buy-and-sell round trip when the probe delivered,
   * reconciles each buyer's balance movement since the previous round, or
-    since it was first seen, against the logged evidence.
+    since it was first seen, against the logged evidence; this reads only
+    the ledger, so it runs whatever the reserves,
+  * provided both reserves are non-zero, rebuilds a sell simulation for
+    every tracked buyer at their full balance (before that buyer's
+    reconciliation) and checks the sell-side predicates,
+  * and runs a buy probe with a funded synthetic account, and a follow-up
+    buy-and-sell round trip when the probe delivered.
 
 The scan state holds one round's window and no history. The watch keeps
 only the window's evidence, which the round reads whole, with no
@@ -159,12 +160,15 @@ def run_detection_round(
     """One simulation-and-analysis pass at a sealed block, the last one
     the watch has ingested. Every bundle is priced from the reserves the
     watch read at that block; the round reads no reserves of its own, and
-    runs only when both are non-zero, so no builder finds a pool without
-    liquidity. A buyer whose balance read at the block reverted gets no
-    sell, and the skip is recorded."""
+    simulates only when both are non-zero, so no builder finds a pool
+    without liquidity. Every buyer is reconciled in every round. A buyer
+    whose balance read at the block reverted gets no sell, and the skip
+    is recorded."""
     watch = state.watch
     if not watch.liquid:
         state.skipped_rounds.append({"block": block, "reason": "no liquidity"})
+        for ledger in watch.buyers.values():
+            state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
         return
 
     for buyer, ledger in watch.buyers.items():

@@ -24,6 +24,7 @@ from trapscan.mockchain import (
     ListGate,
     MockChain,
     OwnerDrain,
+    RemoveLiquidity,
     SwitchTrigger,
     Wait,
     derive_actors,
@@ -133,6 +134,28 @@ class TestVictimBoundary:
             ev["block"] for ev in trace.events if ev["event"] == "drain"
         )
         assert finding.block <= drain_block + 1
+
+
+class TestRoundWithoutLiquidity:
+    @pytest.mark.parametrize("emits_event,kind", [
+        (True, "unauthorized_transfer_logged"),
+        (False, "unauthorized_transfer_mismatch"),
+    ], ids=["logged", "silent"])
+    def test_drain_before_a_rug_pull_is_reconciled(self, emits_event, kind):
+        trace = run_simple(OwnerDrain(owner=CREATOR, emits_event=emits_event),
+                           extra=(Drain(victim=0), RemoveLiquidity()))
+        drain_block = next(ev["block"] for ev in trace.events if ev["event"] == "drain")
+        # One round at block 1, then one whose window holds the drain and
+        # whose block comes after the liquidity was removed.
+        state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1, trace.final_block,
+                            ScanSettings(interval=trace.final_block), state)
+        assert 1 < drain_block < trace.final_block
+        assert {"block": trace.final_block, "reason": "no liquidity"} in state.skipped_rounds
+        assert verdict.traps == {TrapType.UNAUTHORIZED_TRANSFER}
+        [finding] = verdict.findings
+        assert finding.evidence["kind"] == kind
+        assert finding.block == (drain_block if emits_event else trace.final_block)
 
 
 class TestIntervals:

@@ -38,7 +38,7 @@ PINNED = {
     "005_honest.json": ("10e3d85bc80063b2", "10e3d85bc80063b2", "10e3d85bc80063b2"),
     "006_hidden_tax.json": ("b6961294075fdf3c", "f67ae117e2fb3e74", "ec93a6c39210afbf"),
     "007_high_tax.json": ("567ee2b3fed74ab8", "2a7bcf6d8ea9b6ef", "2a1618f8c1b7e500"),
-    "008_owner_drain.json": ("110ca6fb159ba19c", "110ca6fb159ba19c", "7338abc8a4e0766e"),
+    "008_owner_drain.json": ("110ca6fb159ba19c", "110ca6fb159ba19c", "110ca6fb159ba19c"),
     "009_list_gate.json": ("2f4cc122c176f9a7", "d9ecbe1d4e9ead14", "f1bbffde7463fdc5"),
     "010_limited_sell.json": ("8751198a6bcacab4", "6f3d80f54a23261f", "74946ec9118cb47e"),
     "011_delayed_sell_tax.json": ("972a272fa072c3fd", "972a272fa072c3fd", "d9da328e4ae645a2"),
@@ -50,14 +50,14 @@ PINNED = {
     "017_delayed_sell_tax.json": ("c1e6e4dee4e803f0", "b6c631fa1af5138c", "30339e4ffa8a1eb7"),
     "018_hidden_tax.json": ("368dadac0b3b1c77", "bd6a565f1678ebb3", "24c6acc3d756a86e"),
     "019_high_tax.json": ("a821620e508244ce", "e5622abf8272eaa3", "7230bc3cd234808d"),
-    "020_owner_drain.json": ("012b56fa7d4f0466", "012b56fa7d4f0466", "7338abc8a4e0766e"),
+    "020_owner_drain.json": ("012b56fa7d4f0466", "012b56fa7d4f0466", "012b56fa7d4f0466"),
     "021_list_gate.json": ("3580f1d5bb0d96dc", "6eaeecbb22d67f34", "d263d31a7f83c8ec"),
     "022_limited_sell.json": ("db85ca025550f3ca", "84ca5637883e178f", "b07b33094eb34439"),
     "023_delayed_sell_tax.json": ("a5ca16323bdc097e", "c72542b4d8100b74", "1b49994ccfcb5ab5"),
 }
 
 # interval -> digest of the verdict file of `gen-corpus --n 200 --seed 7`
-GATE_PINNED = {1: "98706bf00b119f03", 3: "e0edc13b0107d37f", 7: "a12258c5428db643"}
+GATE_PINNED = {1: "98706bf00b119f03", 3: "e0edc13b0107d37f", 7: "70400c771eef5e60"}
 
 
 def digest(line):
