@@ -4,15 +4,16 @@ A pool is scanned in detection rounds, one every `interval` blocks and
 one at the last block. Each round first ingests its window of blocks,
 those since the previous round, in one step (see `monitor.ingest_block`),
 which also reads the pool's reserves at the round's block; every bundle
-of the round is priced from that one read. Then the round:
+of the round is priced from that one read. Then the round reconciles
+each buyer's balance movement since the previous round, or since it was
+first seen, against the logged evidence; this reads only the ledger, so
+it runs in every round. Provided both reserves are non-zero, the round
+also:
 
-  * reconciles each buyer's balance movement since the previous round, or
-    since it was first seen, against the logged evidence; this reads only
-    the ledger, so it runs whatever the reserves,
-  * provided both reserves are non-zero, rebuilds a sell simulation for
-    every tracked buyer at their full balance (before that buyer's
-    reconciliation) and checks the sell-side predicates,
-  * and runs a buy probe with a funded synthetic account, and a follow-up
+  * rebuilds a sell simulation for every tracked buyer at their full
+    balance, before reconciling that buyer, and checks the sell-side
+    predicates,
+  * runs a buy probe with a funded synthetic account, and a follow-up
     buy-and-sell round trip when the probe delivered.
 
 The scan state holds one round's window and no history. The watch keeps

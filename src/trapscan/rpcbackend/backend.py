@@ -131,7 +131,10 @@ class RpcChainView(ChainView):
             raise BackendUnavailable(str(exc)) from exc
 
     def fetch_logs(
-        self, address: Address | None, topic0: str | None, block_range: tuple[int, int]
+        self,
+        address: Address | None,
+        topic0: str | None,
+        block_range: tuple[int, int],
     ) -> list[_RawLog]:
         """Complete logs for the filter in (block, transaction index) order,
         splitting the range when the node rejects it as too large."""
@@ -147,8 +150,9 @@ class RpcChainView(ChainView):
             if lo == hi:
                 raise
             mid = (lo + hi) // 2
-            return (self.fetch_logs(address, topic0, (lo, mid))
-                    + self.fetch_logs(address, topic0, (mid + 1, hi)))
+            left = self.fetch_logs(address, topic0, (lo, mid))
+            right = self.fetch_logs(address, topic0, (mid + 1, hi))
+            return left + right
         except TransportError as exc:
             raise BackendUnavailable(str(exc)) from exc
         return sorted(self._decode_each(raw, _RawLog.parse), key=_log_order)
@@ -173,9 +177,9 @@ class RpcChainView(ChainView):
             tx["from"] = sender.hex
         return self.client.call("eth_call", [tx, hex(block)])
 
-    def _tx_senders(self, logs: list[_RawLog]) -> dict[bytes, Address | None]:
+    def _tx_senders(self, logs: list[_RawLog]) -> dict[bytes, Address]:
         """The sender of each log's transaction, from one batch of lookups;
-        None where the node did not say."""
+        a transaction whose sender the node did not give is left out."""
         hashes = list(dict.fromkeys(log.tx_hash for log in logs))
         if not hashes:
             return {}
@@ -184,9 +188,8 @@ class RpcChainView(ChainView):
             results = self.client.call_batch(reqs)
         except TransportError:
             results = [None] * len(hashes)
-        senders: dict[bytes, Address | None] = {}
+        senders: dict[bytes, Address] = {}
         for h, res in zip(hashes, results):
-            senders[h] = None
             if isinstance(res, dict) and res.get("from"):
                 try:
                     senders[h] = Address.from_hex(res["from"])
@@ -311,14 +314,8 @@ class RpcChainView(ChainView):
     # chainview queries
 
     def get_pool_created(self, block_range: tuple[int, int]) -> list[PoolInfo]:
-        logs = [
-            log
-            for factory, sig in (
-                (self.factories[0], abi.SIG_PAIR_CREATED),
-                (self.factories[-1], abi.SIG_POOL_CREATED),
-            )
-            for log in self.fetch_logs(factory, sig.topic0_hex, block_range)
-        ]
+        logs = self.fetch_logs(self.factories[0], abi.SIG_PAIR_CREATED.topic0_hex, block_range)
+        logs += self.fetch_logs(self.factories[-1], abi.SIG_POOL_CREATED.topic0_hex, block_range)
         pools = self._decode_each(sorted(logs, key=_log_order), self.decode_pool_created)
         with self._lock:
             self._pool_cache.update((info.pool, info) for info in pools)
@@ -372,7 +369,9 @@ class RpcChainView(ChainView):
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
         logs = self.fetch_logs(token, abi.SIG_TRANSFER.topic0_hex, block_range)
         senders = self._tx_senders(logs)
-        return self._decode_each(logs, lambda log: self.decode_transfer(log, senders.get(log.tx_hash)))
+        return self._decode_each(
+            logs, lambda log: self.decode_transfer(log, senders.get(log.tx_hash))
+        )
 
     def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
         logs = self.fetch_logs(token, abi.SIG_APPROVAL.topic0_hex, block_range)
