@@ -71,7 +71,8 @@ def probe_pool(title, trace):
         reserves, probe, pool, trace.trap_token, 10**6, probe_result, head
     )
     rt = run(chain, roundtrip, funding)
-    print(f"buy-and-sell round trip (sell sized by the probe: {roundtrip.swap_amount}):")
+    sell_amount = roundtrip.calls[-2].amount_in  # the swap of interest is second to last
+    print(f"buy-and-sell round trip (sell sized by the probe: {sell_amount}):")
     print(f"  estimator predicts {rt.estimate} base units back")
     print(f"  fork returned      {rt.balance_delta}  (reverted: {rt.sell_reverted})")
 

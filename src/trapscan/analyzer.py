@@ -90,15 +90,15 @@ def _check_delivery(
     result: SimulationResult, threshold: Fraction, trap: TrapType, kind: str
 ) -> Finding | None:
     """Flag a swap of interest that went through but moved the actor's
-    balance by at most `threshold` of the estimate."""
+    balance by at most `threshold` of the estimate. A balance read that
+    reverted leaves nothing to compare, so it gives no finding."""
     if result.swap_outcome.reverted:
         return None
     num, den = _threshold_parts(threshold)
     if result.estimate == 0:
         return None  # skipped: estimate has no integer resolution
     delta = result.balance_delta
-    bound = amount_mul_div(result.estimate, num, den)
-    if delta > bound:
+    if delta is None or delta > amount_mul_div(result.estimate, num, den):
         return None
     return Finding(
         trap=trap,

@@ -137,13 +137,19 @@ def _probe_size(watch: PoolWatch) -> int:
 def _judge(state: PoolScanState, result: SimulationResult, settings: ScanSettings) -> bool:
     """Record the skip of a result with no estimate, or judge it: the
     probe by `check_invalid_buy`, a sell by `check_invalid_sell` and then
-    its subject's revert streak. Returns whether it was judged."""
+    its subject's revert streak. A result with an unread balance is also
+    recorded as a `balance unread` skip: it gives no delivery finding, but
+    its sell still counts in the streak. Returns whether it was judged."""
     bundle = result.bundle
     if result.estimate == 0:
         state.skipped_rounds.append(
             {"block": bundle.block, "reason": "estimate=0", "subject": bundle.actor.hex}
         )
         return False
+    if result.balance_delta is None:
+        state.skipped_rounds.append(
+            {"block": bundle.block, "reason": "balance unread", "subject": bundle.actor.hex}
+        )
     if bundle.kind is BundleKind.BUY_PROBE:
         state.add_finding(check_invalid_buy(result, settings.threshold))
     else:

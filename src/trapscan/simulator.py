@@ -6,18 +6,19 @@ Three bundle shapes probe a pool without publishing anything:
   BuyProbe  [balance_of(Y, account), buy Y, balance_of(Y, account)]
   BuySell   [buy Y, balance_of(X, account), sell Y, balance_of(X, account)]
 
-X is the pool's base token, Y the trap-token side being examined. The
-balance reads bracket the swap whose effect the analyzer compares against
+X is the pool's base token, Y the trap-token side being examined. Every
+shape ends in the swap of interest between two reads of the actor's
+balance of its output token, whose change the analyzer compares against
 the estimator's prediction. Builders take the pool's reserves at the
 bundle's block, as the monitor read them, and the bundle carries them to
 `run`, which prices the swap from them: building and pricing a bundle
 read nothing from the chain.
 
 `run` hands the bundle's call tuple to the backend as it is, and packages
-the evidence as plain ints: the values of the two balance reads, found by
-the bundle's shape, and the estimate. A round runs a bundle per tracked
-buyer and two more, most of which the mock chain answers from its memo,
-so the packaging builds no per-result snapshot or block object.
+the evidence as plain values: the two balance reads, the third-last and
+last outcomes (None where a read reverted), and the estimate. A round runs a bundle per tracked buyer and two more, most of
+which the mock chain answers from its memo, so the packaging builds no
+per-result snapshot or block object.
 """
 
 from __future__ import annotations
@@ -85,14 +86,14 @@ class BundleKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Bundle:
+    """Calls to simulate at `block`, ending in read, swap, read (see the
+    module docstring): `calls[-2]` is the swap of interest."""
+
     kind: BundleKind
     actor: Address
     pool: PoolInfo
     calls: tuple[Call, ...]
     block: int
-    trap_token: Address
-    base_token: Address
-    swap_amount: TokenAmount  # input amount of the sell (or buy for probes)
     reserves: tuple[TokenAmount, TokenAmount]  # pool's (token_x, token_y) at `block`
 
 
@@ -101,27 +102,30 @@ class SimulationResult:
     """A bundle's outcomes and the evidence read from them.
 
     `pre_balance` and `post_balance` are the actor's balance as read just
-    before and just after the swap of interest, or 0 where that read
+    before and just after the swap of interest, or None where that read
     reverted. `estimate` is the swap's expected output.
     """
 
     bundle: Bundle
     outcomes: tuple[CallOutcome, ...]
-    pre_balance: TokenAmount
-    post_balance: TokenAmount
+    pre_balance: TokenAmount | None
+    post_balance: TokenAmount | None
     estimate: TokenAmount
 
     @property
-    def balance_delta(self) -> int:
-        """post - pre around the swap of interest; negative only if the
-        bundle somehow cost the actor balance."""
+    def balance_delta(self) -> int | None:
+        """post - pre around the swap of interest, or None if either read
+        reverted; negative only if the bundle somehow cost the actor
+        balance."""
+        if self.pre_balance is None or self.post_balance is None:
+            return None
         return self.post_balance - self.pre_balance
 
     @property
     def swap_outcome(self) -> CallOutcome:
         """Outcome of the swap of interest: the buy of a probe, the sell
         of any other bundle."""
-        return self.outcomes[2 if self.bundle.kind is BundleKind.BUY_SELL else 1]
+        return self.outcomes[-2]
 
     @property
     def sell_reverted(self) -> bool:
@@ -140,6 +144,22 @@ def pool_sides(pool: PoolInfo, trap_token: Address) -> tuple[Address, Address]:
     if not pool.has_token(trap_token):
         raise ValueError(f"{trap_token} is not a token of pool {pool.pool}")
     return trap_token, pool.other_token(trap_token)
+
+
+def _bundle(
+    kind: BundleKind, reserves: tuple[TokenAmount, TokenAmount], actor: Address,
+    pool: PoolInfo, block: int, token_in: Address, token_out: Address,
+    amount: TokenAmount, lead: tuple[Call, ...] = (),
+) -> Bundle:
+    """The one bundle layout: `lead`, then a swap of `amount` of
+    `token_in` for `token_out` between two reads of the actor's
+    `token_out` balance."""
+    read = BalanceOfCall(caller=actor, token=token_out, holder=actor)
+    swap = SwapExactInCall(
+        caller=actor, pool=pool.pool, token_in=token_in, token_out=token_out,
+        amount_in=amount, recipient=actor,
+    )
+    return Bundle(kind, actor, pool, (*lead, read, swap, read), block, reserves)
 
 
 def build_sell_bundle(
@@ -162,18 +182,7 @@ def build_sell_bundle(
     _require_liquidity(reserves, pool, block)
     if amount == 0:
         raise ZeroBalance(f"buyer {buyer} holds nothing to sell at block {block}")
-    calls: tuple[Call, ...] = (
-        BalanceOfCall(caller=buyer, token=base, holder=buyer),
-        SwapExactInCall(
-            caller=buyer, pool=pool.pool, token_in=trap, token_out=base,
-            amount_in=amount, recipient=buyer,
-        ),
-        BalanceOfCall(caller=buyer, token=base, holder=buyer),
-    )
-    return Bundle(
-        kind=BundleKind.SELL, actor=buyer, pool=pool, calls=calls, block=block,
-        trap_token=trap, base_token=base, swap_amount=amount, reserves=reserves,
-    )
+    return _bundle(BundleKind.SELL, reserves, buyer, pool, block, trap, base, amount)
 
 
 def build_buy_probe(
@@ -194,18 +203,7 @@ def build_buy_probe(
     check_amount(buy_amount, "buy_amount")
     if buy_amount == 0:
         raise ValueError("buy_amount must be positive")
-    calls: tuple[Call, ...] = (
-        BalanceOfCall(caller=account, token=trap, holder=account),
-        SwapExactInCall(
-            caller=account, pool=pool.pool, token_in=base, token_out=trap,
-            amount_in=buy_amount, recipient=account,
-        ),
-        BalanceOfCall(caller=account, token=trap, holder=account),
-    )
-    return Bundle(
-        kind=BundleKind.BUY_PROBE, actor=account, pool=pool, calls=calls, block=block,
-        trap_token=trap, base_token=base, swap_amount=buy_amount, reserves=reserves,
-    )
+    return _bundle(BundleKind.BUY_PROBE, reserves, account, pool, block, base, trap, buy_amount)
 
 
 def build_buy_sell_bundle(
@@ -218,54 +216,45 @@ def build_buy_sell_bundle(
     block: int,
 ) -> Bundle:
     """Buy-then-sell round trip; the sell amount is exactly what the probe
-    observed arriving, not what any log claimed. `reserves` are the pool's
-    reserves at `block`; an empty one raises NoLiquidity."""
+    observed arriving, not what any log claimed, so a probe whose balance
+    read reverted raises ProbeFailed. `reserves` are the pool's reserves
+    at `block`; an empty one raises NoLiquidity."""
     trap, base = pool_sides(pool, trap_token)
     if probe_result.bundle.kind is not BundleKind.BUY_PROBE:
         raise ProbeFailed("need a buy-probe result to size the sell")
     if probe_result.swap_outcome.reverted:
         raise ProbeFailed("buy probe reverted")
     received = probe_result.balance_delta
+    if received is None:
+        raise ProbeFailed("buy probe balance unread")
     if received <= 0:
         raise ProbeFailed("buy probe delivered nothing")
     _require_liquidity(reserves, pool, block)
-    calls: tuple[Call, ...] = (
-        SwapExactInCall(
-            caller=account, pool=pool.pool, token_in=base, token_out=trap,
-            amount_in=buy_amount, recipient=account,
-        ),
-        BalanceOfCall(caller=account, token=base, holder=account),
-        SwapExactInCall(
-            caller=account, pool=pool.pool, token_in=trap, token_out=base,
-            amount_in=received, recipient=account,
-        ),
-        BalanceOfCall(caller=account, token=base, holder=account),
+    buy = SwapExactInCall(
+        caller=account, pool=pool.pool, token_in=base, token_out=trap,
+        amount_in=buy_amount, recipient=account,
     )
-    return Bundle(
-        kind=BundleKind.BUY_SELL, actor=account, pool=pool, calls=calls, block=block,
-        trap_token=trap, base_token=base, swap_amount=received, reserves=reserves,
+    return _bundle(
+        BundleKind.BUY_SELL, reserves, account, pool, block, trap, base, received, lead=(buy,)
     )
 
 
 def _estimate_for(chain: ChainView, bundle: Bundle) -> TokenAmount:
-    """Expected swap output under the bundle's block state.
+    """Expected output of the bundle's swap of interest under its block
+    state.
 
     The backend may supply its own quote (live V3-style pools); otherwise
     the local constant-product formula prices it from the reserves the
     bundle carries.
     """
-    if bundle.kind is BundleKind.BUY_PROBE:
-        token_in = bundle.base_token
-    else:
-        token_in = bundle.trap_token
-    quoted = chain.quote_exact_in(bundle.pool, token_in, bundle.swap_amount, bundle.block)
+    swap = bundle.calls[-2]
+    pool = bundle.pool
+    quoted = chain.quote_exact_in(pool, swap.token_in, swap.amount_in, bundle.block)
     if quoted is not None:
         return quoted
     rx, ry = bundle.reserves
-    reserve_in, reserve_out = (rx, ry) if token_in == bundle.pool.token_x else (ry, rx)
-    return estimate_output(
-        reserve_in, reserve_out, bundle.swap_amount, bundle.pool.fee_num, bundle.pool.fee_den
-    )
+    reserve_in, reserve_out = (rx, ry) if swap.token_in == pool.token_x else (ry, rx)
+    return estimate_output(reserve_in, reserve_out, swap.amount_in, pool.fee_num, pool.fee_den)
 
 
 def run(
@@ -277,18 +266,15 @@ def run(
 
     The estimate is the backend's quote when it gives one, otherwise the
     constant-product output from the reserves the bundle was built with.
-    The balance reads bracketing the swap of interest are a buy-and-sell's
-    second and fourth calls and any other bundle's first and third.
+    The balance reads bracketing the swap of interest are the third-last
+    and last calls of every bundle.
     """
     estimate = _estimate_for(chain, bundle)
     outcomes = tuple(chain.simulate_bundle(bundle.block, bundle.calls, balance_overrides))
-    if bundle.kind is BundleKind.BUY_SELL:
-        pre, post = outcomes[1], outcomes[3]
-    else:
-        pre, post = outcomes[0], outcomes[2]
-    return SimulationResult(bundle, outcomes, _read_value(pre), _read_value(post), estimate)
+    pre, post = _read_value(outcomes[-3]), _read_value(outcomes[-1])
+    return SimulationResult(bundle, outcomes, pre, post, estimate)
 
 
-def _read_value(outcome: CallOutcome) -> TokenAmount:
-    """A balance read's value, or 0 if it reverted."""
-    return outcome.return_value if outcome.ok and outcome.return_value is not None else 0
+def _read_value(outcome: CallOutcome) -> TokenAmount | None:
+    """A balance read's value, or None if it reverted."""
+    return outcome.return_value if outcome.ok else None

@@ -23,7 +23,6 @@ from trapscan.analyzer import (
     verdict_to_json_line,
 )
 from trapscan.chainview import (
-    BalanceOfCall,
     CallOutcome,
     CallStatus,
     SwapRecord,
@@ -51,28 +50,17 @@ POOL_INFO = PoolInfo(pool=POOL, token_x=TOKEN_X, token_y=TOKEN_Y)
 
 
 def fake_result(kind, pre, post, estimate, block=10, sell_reverted=False, reason="no"):
-    """Hand-built SimulationResult carrying only what the predicates read."""
-    positions = {BundleKind.SELL: 3, BundleKind.BUY_PROBE: 3, BundleKind.BUY_SELL: 4}
-    n = positions[kind]
-    outcomes = tuple(
-        CallOutcome(status=CallStatus.SUCCESS, return_value=pre) for _ in range(n)
-    )
-    if sell_reverted:
-        pos = 1 if kind is BundleKind.SELL else 2
-        outcomes = tuple(
-            CallOutcome(status=CallStatus.REVERT, revert_reason=reason) if i == pos else o
-            for i, o in enumerate(outcomes)
-        )
-    token = TOKEN_Y if kind is BundleKind.BUY_PROBE else TOKEN_X
-    calls = tuple(
-        BalanceOfCall(caller=BUYER, token=token, holder=BUYER) for _ in range(n)
-    )
+    """Hand-built SimulationResult carrying only what the predicates read:
+    outcomes ending in read, swap, read, as every bundle's do, after a
+    round trip's lead buy."""
+    done = CallOutcome(status=CallStatus.SUCCESS, return_value=pre)
+    swap = CallOutcome(status=CallStatus.REVERT, revert_reason=reason) if sell_reverted else done
+    lead = (done,) if kind is BundleKind.BUY_SELL else ()
     bundle = Bundle(
-        kind=kind, actor=BUYER, pool=POOL_INFO, calls=calls, block=block,
-        trap_token=TOKEN_Y, base_token=TOKEN_X, swap_amount=100, reserves=(10**9, 10**9),
+        kind=kind, actor=BUYER, pool=POOL_INFO, calls=(), block=block, reserves=(10**9, 10**9)
     )
     return SimulationResult(
-        bundle=bundle, outcomes=outcomes, pre_balance=pre,
+        bundle=bundle, outcomes=(*lead, done, swap, done), pre_balance=pre,
         post_balance=post, estimate=estimate,
     )
 
@@ -102,7 +90,7 @@ class TestInvalidBuy:
     def test_reverted_buy_not_this_predicate(self):
         res = fake_result(BundleKind.BUY_PROBE, 0, 0, 90)
         outcomes = list(res.outcomes)
-        outcomes[1] = CallOutcome(status=CallStatus.REVERT, revert_reason="paused")
+        outcomes[-2] = CallOutcome(status=CallStatus.REVERT, revert_reason="paused")
         assert check_invalid_buy(replace(res, outcomes=tuple(outcomes))) is None
 
 
@@ -171,7 +159,6 @@ def whole_history_cannot_sell(results, min_distinct_blocks=MIN_REVERT_BLOCKS):
             if not streak or streak[-1] != r.bundle.block:
                 streak.append(r.bundle.block)
             if len(streak) >= min_distinct_blocks:
-                pos = 1 if r.bundle.kind is BundleKind.SELL else 2
                 return Finding(
                     trap=TrapType.CANNOT_SELL,
                     pool=r.bundle.pool.pool,
@@ -181,7 +168,7 @@ def whole_history_cannot_sell(results, min_distinct_blocks=MIN_REVERT_BLOCKS):
                         "kind": "cannot_sell",
                         "revert_blocks": list(streak),
                         "min_distinct_blocks": min_distinct_blocks,
-                        "revert_reason": r.outcomes[pos].revert_reason,
+                        "revert_reason": r.outcomes[-2].revert_reason,
                     },
                 )
         else:

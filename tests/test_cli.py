@@ -105,9 +105,10 @@ class TestSimulate:
                 err = capsys.readouterr().err
                 assert (code, where in err) == (2, True), (argv[0], where, err)
 
-    def test_missing_file_exits_1(self, tmp_path):
+    def test_missing_file_exits_2(self, tmp_path):
         proc = run_cli("simulate", str(tmp_path / "nope.json"))
-        assert proc.returncode in (1, 2)
+        assert proc.returncode == 2
+        assert "no such scenario file" in proc.stderr
 
     def test_directory_replay(self, small_corpus, tmp_path):
         out_path = tmp_path / "reports.jsonl"

@@ -11,6 +11,7 @@ from trapscan.analyzer import (
     check_unauthorized_transfer,
     verdict_to_json_line,
 )
+from trapscan.chainview import CallOutcome, CallStatus
 from trapscan.core import Address, TrapType
 from trapscan.corpus import TRAP_FAMILIES, generate_scenario
 from trapscan.mockchain import (
@@ -156,6 +157,35 @@ class TestRoundWithoutLiquidity:
         [finding] = verdict.findings
         assert finding.evidence["kind"] == kind
         assert finding.block == (drain_block if emits_event else trace.final_block)
+
+
+class TestUnreadBundleBalance:
+    @pytest.mark.parametrize("behavior,expected", [
+        (Honest(Fraction(0)), frozenset()),
+        (ListGate(mode=GateMode.ALLOW), frozenset({TrapType.CANNOT_SELL})),
+    ], ids=["honest", "list_gate_allow"])
+    def test_reverted_last_read_is_skipped_not_scored(self, behavior, expected, monkeypatch):
+        """A node error on every bundle's last balance read finds no
+        delivery trap: each such result is a `balance unread` skip, a sell
+        still counts toward CannotSell, and no round trip is built."""
+        trace = run_simple(behavior)
+        real_simulate = trace.chain.simulate_bundle
+        bundle_sizes = set()
+
+        def last_read_reverts(block, calls, balance_overrides=None):
+            bundle_sizes.add(len(calls))
+            outcomes = list(real_simulate(block, calls, balance_overrides))
+            outcomes[-1] = CallOutcome(status=CallStatus.REVERT, revert_reason="node error")
+            return outcomes
+
+        monkeypatch.setattr(trace.chain, "simulate_bundle", last_read_reverts)
+        state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1, trace.final_block,
+                            ScanSettings(), state)
+        assert verdict.traps == expected
+        assert bundle_sizes == {3}
+        unread = {s["subject"] for s in state.skipped_rounds if s["reason"] == "balance unread"}
+        assert unread == {b.hex for b in state.watch.buyers} | {state.probe.hex}
 
 
 class TestIntervals:

@@ -83,6 +83,17 @@ def reserves_at(trace, block):
     return trace.chain.get_reserves(trace.pool.pool, block)
 
 
+def swap_of_interest(bundle):
+    """The swap in the middle of the bundle's last three calls, after
+    checking that both ends read the actor's balance of its output token."""
+    pre, swap, post = bundle.calls[-3:]
+    assert isinstance(swap, SwapExactInCall)
+    actor = bundle.actor
+    assert pre == post == BalanceOfCall(caller=actor, token=swap.token_out, holder=actor)
+    assert swap.caller == swap.recipient == actor and swap.pool == bundle.pool.pool
+    return swap
+
+
 class TestBundleTemplates:
     def test_sell_bundle_shape(self, honest_world):
         t = honest_world
@@ -90,14 +101,11 @@ class TestBundleTemplates:
         head = t.chain.head()
         held = t.chain.balance_of(t.trap_token, victim, head)
         bundle = build_sell_bundle(reserves_at(t, head), victim, t.pool, t.trap_token, held, head)
-        assert bundle.kind is BundleKind.SELL
-        first, mid, last = bundle.calls
-        assert isinstance(first, BalanceOfCall) and first.token == t.base_token
-        assert isinstance(mid, SwapExactInCall)
-        assert mid.token_in == t.trap_token and mid.token_out == t.base_token
-        assert mid.amount_in == held > 0 and mid.min_out == 0
-        assert isinstance(last, BalanceOfCall) and last.token == t.base_token
-        assert first.holder == last.holder == victim
+        assert bundle.kind is BundleKind.SELL and len(bundle.calls) == 3
+        assert bundle.actor == victim
+        sell = swap_of_interest(bundle)
+        assert sell.token_in == t.trap_token and sell.token_out == t.base_token
+        assert sell.amount_in == held > 0 and sell.min_out == 0
 
     def test_buy_probe_shape(self, honest_world):
         t = honest_world
@@ -105,11 +113,11 @@ class TestBundleTemplates:
         bundle = build_buy_probe(
             reserves_at(t, t.chain.head()), probe, t.pool, t.trap_token, 1000, t.chain.head()
         )
-        assert bundle.kind is BundleKind.BUY_PROBE
-        first, mid, last = bundle.calls
-        assert isinstance(first, BalanceOfCall) and first.token == t.trap_token
-        assert isinstance(mid, SwapExactInCall) and mid.token_in == t.base_token
-        assert isinstance(last, BalanceOfCall) and last.token == t.trap_token
+        assert bundle.kind is BundleKind.BUY_PROBE and len(bundle.calls) == 3
+        assert bundle.actor == probe
+        buy = swap_of_interest(bundle)
+        assert buy.token_in == t.base_token and buy.token_out == t.trap_token
+        assert buy.amount_in == 1000
 
     def test_buy_sell_shape_and_sizing(self, honest_world):
         t = honest_world
@@ -123,12 +131,12 @@ class TestBundleTemplates:
         rt = build_buy_sell_bundle(
             reserves_at(t, head), probe, t.pool, t.trap_token, 10**5, probe_result, head
         )
-        assert rt.kind is BundleKind.BUY_SELL
-        buy, bal1, sell, bal2 = rt.calls
+        assert rt.kind is BundleKind.BUY_SELL and len(rt.calls) == 4
+        buy = rt.calls[0]
         assert isinstance(buy, SwapExactInCall) and buy.token_in == t.base_token
-        assert isinstance(bal1, BalanceOfCall) and bal1.token == t.base_token
-        assert isinstance(sell, SwapExactInCall) and sell.token_in == t.trap_token
-        assert isinstance(bal2, BalanceOfCall) and bal2.token == t.base_token
+        assert buy.token_out == t.trap_token and buy.amount_in == 10**5
+        sell = swap_of_interest(rt)
+        assert sell.token_in == t.trap_token and sell.token_out == t.base_token
         assert sell.amount_in == probe_result.balance_delta
 
     def test_zero_balance_rejected(self, honest_world):
@@ -249,9 +257,10 @@ class TestRun:
             assert isinstance(swap, SwapExactInCall) and swap.token_in == token_in
             assert result.swap_outcome.ok
 
-    def test_reverted_balance_read_counts_as_zero(self, honest_world, monkeypatch):
-        """A balance read that reverts gives 0, and only that read: the
-        evidence of a sell whose reads both revert records 0 and 0."""
+    def test_reverted_balance_read_is_unread(self, honest_world, monkeypatch):
+        """A balance read that reverts gives None, and only that read: a
+        sell or round trip with one unread edge has no balance change and
+        no delivery finding, and an unread probe sizes no round trip."""
         t = honest_world
         victim, probe = t.actors.victims[0], Address.derive("probe")
         head = t.chain.head()
@@ -259,28 +268,35 @@ class TestRun:
         held = t.chain.balance_of(t.trap_token, victim, head)
         sell = build_sell_bundle(reserves, victim, t.pool, t.trap_token, held, head)
         overrides = {(t.base_token, probe): 10**12}
-        probe_result = run(
-            t.chain, build_buy_probe(reserves, probe, t.pool, t.trap_token, 10**5, head),
-            overrides,
-        )
+        probe_bundle = build_buy_probe(reserves, probe, t.pool, t.trap_token, 10**5, head)
+        probe_result = run(t.chain, probe_bundle, overrides)
         roundtrip = build_buy_sell_bundle(
             reserves, probe, t.pool, t.trap_token, 10**5, probe_result, head
         )
         revert = CallOutcome(status=CallStatus.REVERT, revert_reason="read failed")
         ok = CallOutcome(status=CallStatus.SUCCESS, return_value=50)
-        answers = {sell.calls: [revert, ok, revert], roundtrip.calls: [ok, revert, ok, ok]}
+        answers = {
+            sell.calls: [ok, ok, revert],
+            roundtrip.calls: [ok, revert, ok, ok],
+            probe_bundle.calls: [revert, ok, ok],
+        }
         monkeypatch.setattr(t.chain, "simulate_bundle", lambda block, calls, _: answers[calls])
 
         result = run(t.chain, sell)
-        assert (result.pre_balance, result.post_balance) == (0, 0)
-        assert type(result.pre_balance) is int and not result.sell_reverted
-        finding = check_invalid_sell(result, Fraction(1, 2))
-        assert finding is not None and finding.evidence == {
-            "kind": "invalid_sell", "pre_balance": "0", "post_balance": "0",
-            "estimate": str(result.estimate), "threshold_num": 1, "threshold_den": 2,
-        }
+        assert (result.pre_balance, result.post_balance) == (50, None)
+        assert result.balance_delta is None and not result.sell_reverted
+        assert result.estimate > 0
+        assert check_invalid_sell(result, Fraction(1, 2)) is None
         rt_result = run(t.chain, roundtrip, overrides)
-        assert (rt_result.pre_balance, rt_result.post_balance) == (0, 50)
+        assert (rt_result.pre_balance, rt_result.post_balance) == (None, 50)
+        assert rt_result.balance_delta is None
+        assert check_invalid_sell(rt_result, Fraction(1, 2)) is None
+        unread_probe = run(t.chain, probe_bundle, overrides)
+        assert unread_probe.balance_delta is None and not unread_probe.swap_outcome.reverted
+        with pytest.raises(ProbeFailed, match="unread"):
+            build_buy_sell_bundle(
+                reserves, probe, t.pool, t.trap_token, 10**5, unread_probe, head
+            )
 
     def test_gated_seller_reverts_cleanly(self):
         trace = run_simple(ListGate(mode=GateMode.ALLOW, members=frozenset()))
