@@ -5,6 +5,10 @@ Everything above this module (monitor, simulator, analyzer) talks to a
 bundles against a private fork of a sealed block. Two implementations
 exist: the in-memory mock chain and the live JSON-RPC backend.
 
+Balance reads and bundle simulations also come in batched forms,
+`balances_at` and `simulate_bundles`, which a backend may answer in one
+round trip; by default they loop over the single forms.
+
 The seam carries only what a detector can observe. A balance read is a
 plain `TokenAmount`, or None when the read reverted, so every caller has
 to decide what a missing read means. An event record is one log the
@@ -138,6 +142,8 @@ class SwapExactInCall:
 
 
 Call = BalanceOfCall | SwapExactInCall
+# (token, holder) -> the balance a simulation fork is seeded with
+BalanceOverrides = dict[tuple[Address, Address], TokenAmount]
 
 
 class CallStatus(Enum):
@@ -244,6 +250,24 @@ class ChainView(ABC):
         synthetic probe accounts (the mock applies it as a fork-local
         mint, the live backend as a state override).
         """
+
+    def balances_at(
+        self, reads: Sequence[tuple[Address, Address, int]]
+    ) -> list[TokenAmount | None]:
+        """`balance_of` of each `(token, holder, block)`, in order. A
+        backend may answer them together; this default reads one by one."""
+        return [self.balance_of(token, holder, block) for token, holder, block in reads]
+
+    def simulate_bundles(
+        self,
+        block: int,
+        items: Sequence[tuple[Sequence[Call], BalanceOverrides | None]],
+    ) -> list[list[CallOutcome]]:
+        """`simulate_bundle` of each `(calls, balance_overrides)` at
+        `block`, in order, each on its own fork: no bundle sees another's
+        effects. A backend may send them together; this default runs one
+        by one."""
+        return [self.simulate_bundle(block, calls, overrides) for calls, overrides in items]
 
     @abstractmethod
     def pool_info(self, pool: Address) -> PoolInfo:

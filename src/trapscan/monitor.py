@@ -7,11 +7,13 @@ Its ledger holds the buyer's trap-token balance read at the window's
 start (the previous window's last block, or the block the buyer was
 first seen) and at its end, the buyer's buys and the logged trap-token
 transfers touching it after that start, and the running sum of its
-approvals per spender. The pool's reserves are read once per window, at
-its last block; they decide whether a round has liquidity and price
-every bundle the round simulates. Detection logic consumes these
-ledgers, never the chain directly, so no round's cost grows with the
-length of the scan.
+approvals per spender. Every balance a window needs, at the first-seen
+blocks and at its last block, is read through one `balances_at` call,
+which the RPC backend sends as one POST. The pool's reserves are read
+once per window, at its last block; they decide whether a round has
+liquidity and price every bundle the round simulates. Detection logic
+consumes these ledgers, never the chain directly, so no round's cost
+grows with the length of the scan.
 """
 
 from __future__ import annotations
@@ -162,11 +164,17 @@ def ingest_block(
                 approved = watch.buyers[rec.approver].approved
                 approved[rec.spender] = approved.get(rec.spender, 0) + rec.value
 
-    for ledger in watch.buyers.values():
-        seen = first_seen.get(ledger.buyer, block)
+    # Every balance the window needs, read together: each buyer's at the
+    # block it was first seen in this window, if before `block`, and at
+    # `block`.
+    reads: list[tuple[Address, Address, int]] = []
+    for buyer in watch.buyers:
+        seen = first_seen.get(buyer, block)
         if seen < block:
-            ledger.snapshots.append((seen, chain.balance_of(watch.trap_token, ledger.buyer, seen)))
-        ledger.snapshots.append((block, chain.balance_of(watch.trap_token, ledger.buyer, block)))
+            reads.append((watch.trap_token, buyer, seen))
+        reads.append((watch.trap_token, buyer, block))
+    for (_, buyer, edge), balance in zip(reads, chain.balances_at(reads)):
+        watch.buyers[buyer].snapshots.append((edge, balance))
 
     try:
         watch.reserves = chain.get_reserves(watch.pool.pool, block)

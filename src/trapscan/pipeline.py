@@ -3,18 +3,24 @@
 A pool is scanned in detection rounds, one every `interval` blocks and
 one at the last block. Each round first ingests its window of blocks,
 those since the previous round, in one step (see `monitor.ingest_block`),
-which also reads the pool's reserves at the round's block; every bundle
-of the round is priced from that one read. Then the round reconciles
-each buyer's balance movement since the previous round, or since it was
-first seen, against the logged evidence; this reads only the ledger, so
-it runs in every round. Provided both reserves are non-zero, the round
-also:
+which reads every buyer balance the window needs in one batch and the
+pool's reserves at the round's block; every bundle of the round is
+priced from that one read. Then the round reconciles each buyer's
+balance movement since the previous round, or since it was first seen,
+against the logged evidence; this reads only the ledger, so it runs in
+every round. Provided both reserves are non-zero, the round also:
 
   * rebuilds a sell simulation for every tracked buyer at their full
     balance, before reconciling that buyer, and checks the sell-side
     predicates,
   * runs a buy probe with a funded synthetic account, and a follow-up
     buy-and-sell round trip when the probe delivered.
+
+A round is planned before it is judged. `plan_round` builds the sells
+and the probe from the watch alone, they are simulated together through
+one `simulator.run_many` (one POST on the RPC backend), and
+`run_detection_round` judges the results in plan order. Only the round
+trip, whose sell is what the probe received, is simulated on its own.
 
 The scan state holds one round's window and no history. The watch keeps
 only the window's evidence, which the round reads whole, with no
@@ -54,10 +60,11 @@ from .analyzer import (
     classify_pool,
     verdict_to_json_line,
 )
-from .chainview import ChainView, check_range
+from .chainview import BalanceOverrides, ChainView, check_range
 from .core import Address, PoolInfo, TrapType
 from .monitor import PoolWatch, ingest_block
 from .simulator import (
+    Bundle,
     BundleKind,
     ProbeFailed,
     SimulationResult,
@@ -65,6 +72,7 @@ from .simulator import (
     build_buy_sell_bundle,
     build_sell_bundle,
     run,
+    run_many,
 )
 
 PROBE_FUNDING = 10**30
@@ -158,6 +166,23 @@ def _judge(state: PoolScanState, result: SimulationResult, settings: ScanSetting
     return True
 
 
+def plan_round(state: PoolScanState, block: int) -> list[tuple[Bundle, BalanceOverrides | None]]:
+    """The bundles of a round at `block`, in the order `run_detection_round`
+    judges them: a sell for each buyer whose balance read at the block is
+    positive, in buyer order, then the funded buy probe. Pure: it reads
+    the watch and nothing from the chain. The watch must be liquid."""
+    watch = state.watch
+    reserves, pool, trap = watch.reserves, watch.pool, watch.trap_token
+    items: list[tuple[Bundle, BalanceOverrides | None]] = [
+        (build_sell_bundle(reserves, buyer, pool, trap, held, block), None)
+        for buyer, ledger in watch.buyers.items()
+        if (held := ledger.snapshots[-1][1])  # read at this block; None or 0 sells nothing
+    ]
+    probe = build_buy_probe(reserves, state.probe, pool, trap, _probe_size(watch), block)
+    items.append((probe, {(watch.base_token, state.probe): PROBE_FUNDING}))
+    return items
+
+
 def run_detection_round(
     chain: ChainView,
     state: PoolScanState,
@@ -170,7 +195,13 @@ def run_detection_round(
     simulates only when both are non-zero, so no builder finds a pool
     without liquidity. Every buyer is reconciled in every round. A buyer
     whose balance read at the block reverted gets no sell, and the skip
-    is recorded."""
+    is recorded.
+
+    The round's sells and buy probe (`plan_round`) are simulated together
+    through one `run_many`; only the round trip, whose sell is what the
+    probe received, waits for a result. The results are judged in plan
+    order: each buyer's sell, then that buyer's reconciliation, then the
+    probe, then the round trip."""
     watch = state.watch
     if not watch.liquid:
         state.skipped_rounds.append({"block": block, "reason": "no liquidity"})
@@ -178,6 +209,8 @@ def run_detection_round(
             state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
         return
 
+    planned = plan_round(state, block)
+    results = iter(run_many(chain, planned))
     for buyer, ledger in watch.buyers.items():
         held = ledger.snapshots[-1][1]  # ingestion read it at this block
         if held is None:
@@ -185,24 +218,17 @@ def run_detection_round(
                 {"block": block, "reason": "balance unread", "subject": buyer.hex}
             )
         elif held > 0:
-            bundle = build_sell_bundle(
-                watch.reserves, buyer, watch.pool, watch.trap_token, held, block
-            )
-            _judge(state, run(chain, bundle), settings)
+            _judge(state, next(results), settings)
         state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
 
-    probe = state.probe
-    overrides = {(watch.base_token, probe): PROBE_FUNDING}
-    buy_amount = _probe_size(watch)
-    probe_bundle = build_buy_probe(
-        watch.reserves, probe, watch.pool, watch.trap_token, buy_amount, block
-    )
-    probe_result = run(chain, probe_bundle, overrides)
+    probe_result = next(results)
     if not _judge(state, probe_result, settings):
         return
+    probe_bundle, overrides = planned[-1]
     try:
         roundtrip = build_buy_sell_bundle(
-            watch.reserves, probe, watch.pool, watch.trap_token, buy_amount, probe_result, block
+            watch.reserves, state.probe, watch.pool, watch.trap_token,
+            probe_bundle.calls[-2].amount_in, probe_result, block,
         )
     except ProbeFailed:
         return

@@ -5,10 +5,18 @@ eth_getLogs (with automatic range splitting when the node refuses large
 result sets), state reads via eth_call at historical blocks, and bundle
 simulation via the node's callMany interface with state overrides funding
 the probe account. callMany is the only simulation path: on a node that
-lacks it, `simulate_bundle` raises `MethodNotSupported` and the pool gets
-no verdict, since independent eth_calls cannot see each other's effects.
+lacks it, `simulate_bundle` and `simulate_bundles` raise
+`MethodNotSupported` and the pool gets no verdict, since independent
+eth_calls cannot see each other's effects.
 
-Pinned callMany request shape (positional):
+The batched methods send one JSON-RPC 2.0 batch POST each:
+`balances_at` one `eth_call` per read, and `simulate_bundles` one
+`eth_callMany` request per bundle. The single forms, `balance_of` and
+`simulate_bundle`, build and decode their request with the same code.
+Each distinct bundle call is encoded once per view and memoised.
+
+Pinned callMany request shape (positional), one bundle per request,
+whether the request is sent alone or inside a batch:
 
     eth_callMany [[{"transactions": [...], "blockOverride": {}}],
                   {"blockNumber": "0x..", "transactionIndex": -1},
@@ -28,6 +36,7 @@ from operator import attrgetter
 from ..chainview import (
     ApproveRecord,
     BalanceOfCall,
+    BalanceOverrides,
     BackendUnavailable,
     Call,
     CallOutcome,
@@ -63,7 +72,11 @@ V3_FACTORY = Address.from_hex("0x1F98431c8aD98523631AE4a59f267346ea31F984")
 DEADLINE = 2**63
 GAS_LIMIT = 1_500_000
 ETH_FUNDING = 10**21
+_ETH_FUNDING_HEX = hex(ETH_FUNDING)
 DEFAULT_BALANCE_SLOT = 3  # canonical wrapped-native token layout
+CALL_CACHE_SIZE = 4096  # encoded bundle calls memoised per view
+
+_Tx = tuple[tuple[str, str], ...]  # one transaction's (field, value) pairs
 
 
 @dataclass
@@ -120,6 +133,9 @@ class RpcChainView(ChainView):
         self._pool_cache: dict[Address, PoolInfo] = {}
         self._lock = threading.Lock()
         self.decode_skipped = 0
+        # Tail rounds send the same calls again and again, so each distinct
+        # call is encoded once per view (see `_encoded_call`).
+        self._call_memo: dict[Call, tuple[tuple[_Tx, ...], str]] = {}
 
     # ------------------------------------------------------------------
     # plumbing
@@ -171,23 +187,29 @@ class RpcChainView(ChainView):
                 self.decode_skipped += skipped
         return decoded
 
-    def _eth_call(self, to: Address, data: bytes, block: int, sender: Address | None = None):
-        tx = {"to": to.hex, "data": abi.bytes_to_hex(data)}
-        if sender is not None:
-            tx["from"] = sender.hex
-        return self.client.call("eth_call", [tx, hex(block)])
+    def _eth_call(self, to: Address, data: bytes, block: int):
+        return self.client.call("eth_call", _call_params(to, data, block))
 
     def _tx_senders(self, logs: list[_RawLog]) -> dict[bytes, Address]:
-        """The sender of each log's transaction, from one batch of lookups;
-        a transaction whose sender the node did not give is left out."""
+        """The sender of each log's transaction, from one batch of lookups.
+
+        A transaction the node answers with null, or without a sender, is
+        left out, and its transfers carry no `tx_sender`. A failed lookup
+        (the POST, or an error for any one transaction) raises
+        `BackendUnavailable`: the transfers it would have attributed could
+        be a drain, so the pool fails rather than go unreconciled.
+        """
         hashes = list(dict.fromkeys(log.tx_hash for log in logs))
         if not hashes:
             return {}
         reqs = [("eth_getTransactionByHash", [abi.bytes_to_hex(h)]) for h in hashes]
         try:
             results = self.client.call_batch(reqs)
-        except TransportError:
-            results = [None] * len(hashes)
+        except TransportError as exc:
+            raise BackendUnavailable(f"transaction sender lookup failed: {exc}") from exc
+        failed = next((res for res in results if isinstance(res, RpcError)), None)
+        if failed is not None:
+            raise BackendUnavailable(f"transaction sender lookup failed: {failed}")
         senders: dict[bytes, Address] = {}
         for h, res in zip(hashes, results):
             if isinstance(res, dict) and res.get("from"):
@@ -379,10 +401,20 @@ class RpcChainView(ChainView):
 
     def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
         try:
-            raw = self._eth_call(token, abi.encode_balance_of(holder), block)
-            return abi.dec_uint(abi.hex_to_bytes(raw))
-        except (RpcError, DecodeError):
+            raw = self.client.call("eth_call", _balance_params(token, holder, block))
+        except RpcError:
             return None
+        return _balance_value(raw)
+
+    def balances_at(
+        self, reads: Sequence[tuple[Address, Address, int]]
+    ) -> list[TokenAmount | None]:
+        """Every read as one `eth_call` in one batched POST; a read the node
+        answers with an error or an undecodable payload is None."""
+        results = self.client.call_batch(
+            [("eth_call", _balance_params(token, holder, block)) for token, holder, block in reads]
+        )
+        return [None if isinstance(raw, RpcError) else _balance_value(raw) for raw in results]
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         info = self.pool_info(pool)
@@ -418,46 +450,63 @@ class RpcChainView(ChainView):
     def _router_for(self, info: PoolInfo) -> Address:
         return self.v2_router if info.dex_version is DexVersion.V2 else self.v3_router
 
-    def _compile_call(self, call: Call) -> tuple[list[dict], str]:
-        """Transactions for one call slot. Swap slots carry a router
-        approval first; its result is folded into the slot's outcome."""
+    def _encoded_call(self, call: Call) -> tuple[tuple[_Tx, ...], str]:
+        """`_compile_call` of the call, memoised. A lookup is one atomic
+        dict read; a miss encodes outside the lock and stores under it,
+        dropping the oldest entry once `CALL_CACHE_SIZE` are held."""
+        encoded = self._call_memo.get(call)
+        if encoded is None:
+            encoded = self._compile_call(call)
+            with self._lock:
+                if len(self._call_memo) >= CALL_CACHE_SIZE:
+                    del self._call_memo[next(iter(self._call_memo))]
+                self._call_memo[call] = encoded
+        return encoded
+
+    def _compile_call(self, call: Call) -> tuple[tuple[_Tx, ...], str]:
+        """Transactions for one call slot, each as its (field, value)
+        pairs, and the slot's kind. Swap slots carry a router approval
+        first; its result is folded into the slot's outcome. The result
+        is immutable, since `_encoded_call` memoises it: every request
+        builds its own dicts from it."""
         if isinstance(call, BalanceOfCall):
-            return (
-                [{"from": call.caller.hex, "to": call.token.hex,
-                  "data": abi.bytes_to_hex(abi.encode_balance_of(call.holder))}],
-                "balance",
+            read_tx = (
+                ("from", call.caller.hex),
+                ("to", call.token.hex),
+                ("data", abi.bytes_to_hex(abi.encode_balance_of(call.holder))),
             )
+            return (read_tx,), "balance"
         if isinstance(call, SwapExactInCall):
             info = self.pool_info(call.pool)
             router = self._router_for(info)
-            approve_tx = {
-                "from": call.caller.hex,
-                "to": call.token_in.hex,
-                "gas": hex(GAS_LIMIT),
-                "data": abi.bytes_to_hex(abi.encode_approve(router, call.amount_in)),
-            }
-            swap_tx = {
-                "from": call.caller.hex,
-                "to": router.hex,
-                "gas": hex(GAS_LIMIT),
-                "data": abi.bytes_to_hex(
+            approve_tx = (
+                ("from", call.caller.hex),
+                ("to", call.token_in.hex),
+                ("gas", hex(GAS_LIMIT)),
+                ("data", abi.bytes_to_hex(abi.encode_approve(router, call.amount_in))),
+            )
+            swap_tx = (
+                ("from", call.caller.hex),
+                ("to", router.hex),
+                ("gas", hex(GAS_LIMIT)),
+                ("data", abi.bytes_to_hex(
                     abi.encode_swap_exact_tokens(
                         call.amount_in, call.min_out,
                         [call.token_in, call.token_out],
                         call.recipient, DEADLINE,
                     )
-                ),
-            }
-            return [approve_tx, swap_tx], "swap"
+                )),
+            )
+            return (approve_tx, swap_tx), "swap"
         raise ValueError(f"unsupported call: {call!r}")
 
     def _state_overrides(
         self, balance_overrides: dict[tuple[Address, Address], TokenAmount] | None,
         senders: set[Address],
     ) -> dict:
-        overrides: dict[str, dict] = {}
-        for sender in senders:
-            overrides[sender.hex] = {"balance": hex(ETH_FUNDING)}
+        overrides: dict[str, dict] = {
+            sender.hex: {"balance": _ETH_FUNDING_HEX} for sender in senders
+        }
         if balance_overrides:
             for (token, holder), amount in balance_overrides.items():
                 slot_index = self.balance_slots.get(token, self.default_balance_slot)
@@ -468,36 +517,75 @@ class RpcChainView(ChainView):
                 )
         return overrides
 
+    def _bundle_request(
+        self,
+        block: int,
+        calls: Sequence[Call],
+        balance_overrides: BalanceOverrides | None,
+    ) -> tuple[list, list[tuple[int, int, str]]]:
+        """The params of one bundle's `eth_callMany` (the pinned shape in
+        the module docstring), and its slot layout: (first transaction
+        index, transaction count, kind) per call, for `_bundle_outcomes`."""
+        if not calls:
+            raise EmptyBundle("bundle must contain at least one call")
+        txs: list[dict] = []
+        slots: list[tuple[int, int, str]] = []
+        for call in calls:
+            call_txs, kind = self._encoded_call(call)
+            slots.append((len(txs), len(call_txs), kind))
+            txs += map(dict, call_txs)
+        params = [
+            [{"transactions": txs, "blockOverride": {}}],
+            {"blockNumber": hex(block), "transactionIndex": -1},
+            self._state_overrides(balance_overrides, {call.caller for call in calls}),
+        ]
+        return params, slots
+
+    def _bundle_outcomes(self, response, slots: list[tuple[int, int, str]]) -> list[CallOutcome]:
+        """One outcome per call slot from a bundle's `eth_callMany` answer."""
+        last, last_count, _ = slots[-1]
+        results = self._bundle_results(response, last + last_count)
+        return [
+            self._slot_outcome(results[start:start + count], kind)
+            for start, count, kind in slots
+        ]
+
     def simulate_bundle(
         self,
         block: int,
         calls: Sequence[Call],
         balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
     ) -> list[CallOutcome]:
-        if not calls:
-            raise EmptyBundle("bundle must contain at least one call")
-        txs: list[dict] = []
-        slots: list[tuple[int, int, str]] = []  # (first tx idx, tx count, kind)
-        senders: set[Address] = set()
-        for call in calls:
-            call_txs, kind = self._compile_call(call)
-            slots.append((len(txs), len(call_txs), kind))
-            txs.extend(call_txs)
-            senders.add(call.caller)
-        params = [
-            [{"transactions": txs, "blockOverride": {}}],
-            {"blockNumber": hex(block), "transactionIndex": -1},
-            self._state_overrides(balance_overrides, senders),
-        ]
+        params, slots = self._bundle_request(block, calls, balance_overrides)
         try:
             response = self.client.call("eth_callMany", params)
         except TransportError as exc:
             raise BackendUnavailable(str(exc)) from exc
-        results = self._bundle_results(response, len(txs))
-        outcomes: list[CallOutcome] = []
-        for start, count, kind in slots:
-            chunk = results[start:start + count]
-            outcomes.append(self._slot_outcome(chunk, kind))
+        return self._bundle_outcomes(response, slots)
+
+    def simulate_bundles(
+        self,
+        block: int,
+        items: Sequence[tuple[Sequence[Call], BalanceOverrides | None]],
+    ) -> list[list[CallOutcome]]:
+        """Every bundle as its own `eth_callMany` request, all in one
+        batched POST. One request never holds two bundles: the node runs
+        the bundles of one request on shared state, so one sell would move
+        the next one's reserves. An error answer to any request raises as
+        `simulate_bundle` raises it, so a node without `eth_callMany`
+        fails with `MethodNotSupported`."""
+        requests = [self._bundle_request(block, calls, overrides) for calls, overrides in items]
+        try:
+            responses = self.client.call_batch(
+                [("eth_callMany", params) for params, _ in requests]
+            )
+        except TransportError as exc:
+            raise BackendUnavailable(str(exc)) from exc
+        outcomes = []
+        for (_, slots), response in zip(requests, responses):
+            if isinstance(response, RpcError):
+                raise response
+            outcomes.append(self._bundle_outcomes(response, slots))
         return outcomes
 
     @staticmethod
@@ -524,15 +612,31 @@ class RpcChainView(ChainView):
             return _revert(_error_text(item["error"]))
         value = item.get("value", "0x")
         if kind == "balance":
-            try:
-                return _success(abi.dec_uint(abi.hex_to_bytes(value)))
-            except DecodeError:
+            balance = _balance_value(value)
+            if balance is None:
                 return _revert(f"bad balance payload: {value!r}")
+            return _success(balance)
         try:
             amounts = abi.decode_uint_array(abi.hex_to_bytes(value))
             return _success(amounts[-1] if amounts else 0)
         except DecodeError:
             return _revert(f"bad swap payload: {value!r}")
+
+
+def _call_params(to: Address, data: bytes, block: int) -> list:
+    return [{"to": to.hex, "data": abi.bytes_to_hex(data)}, hex(block)]
+
+
+def _balance_params(token: Address, holder: Address, block: int) -> list:
+    return _call_params(token, abi.encode_balance_of(holder), block)
+
+
+def _balance_value(raw) -> TokenAmount | None:
+    """A balanceOf answer's value, or None for a payload that is not one."""
+    try:
+        return abi.dec_uint(abi.hex_to_bytes(raw))
+    except DecodeError:
+        return None
 
 
 def _addr(hex_or_none, default: Address | None) -> Address:

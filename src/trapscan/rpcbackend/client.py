@@ -172,7 +172,8 @@ class JsonRpcClient:
         """Issue calls in batches of max_batch; results in request order.
 
         Per-item JSON-RPC errors surface as RpcError entries in the result
-        list rather than aborting the whole batch.
+        list rather than aborting the whole batch. A response that is not a
+        list of objects raises TransportError.
         """
         results: list[Any] = []
         for start in range(0, len(requests_), self.config.max_batch):
@@ -188,6 +189,9 @@ class JsonRpcClient:
             response = self._send(payload)
             if not isinstance(response, list):
                 raise TransportError(f"batch response is not a list: {response!r}")
+            for item in response:
+                if not isinstance(item, dict):
+                    raise TransportError(f"malformed response item: {item!r}")
             by_id = {item.get("id"): item for item in response}
             for rid in ids:
                 item = by_id.get(rid)

@@ -16,18 +16,24 @@ read nothing from the chain.
 
 `run` hands the bundle's call tuple to the backend as it is, and packages
 the evidence as plain values: the two balance reads, the third-last and
-last outcomes (None where a read reverted), and the estimate. A round runs a bundle per tracked buyer and two more, most of
-which the mock chain answers from its memo, so the packaging builds no
-per-result snapshot or block object.
+last outcomes (None where a read reverted), and the estimate. `run_many`
+does the same for several bundles of one block through one
+`simulate_bundles` call, which the RPC backend sends as one POST. A
+round runs its sell per tracked buyer and its buy probe through one
+`run_many`, and its round trip, sized from the probe's result, through
+`run`. The mock chain answers most of them from its memo, so the
+packaging builds no per-result snapshot or block object.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 from .chainview import (
     BalanceOfCall,
+    BalanceOverrides,
     Call,
     CallOutcome,
     ChainView,
@@ -260,17 +266,41 @@ def _estimate_for(chain: ChainView, bundle: Bundle) -> TokenAmount:
 def run(
     chain: ChainView,
     bundle: Bundle,
-    balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
+    balance_overrides: BalanceOverrides | None = None,
 ) -> SimulationResult:
     """Execute the bundle on a private fork and package the evidence.
 
     The estimate is the backend's quote when it gives one, otherwise the
     constant-product output from the reserves the bundle was built with.
-    The balance reads bracketing the swap of interest are the third-last
-    and last calls of every bundle.
     """
     estimate = _estimate_for(chain, bundle)
-    outcomes = tuple(chain.simulate_bundle(bundle.block, bundle.calls, balance_overrides))
+    outcomes = chain.simulate_bundle(bundle.block, bundle.calls, balance_overrides)
+    return _package(bundle, outcomes, estimate)
+
+
+def run_many(
+    chain: ChainView, items: Sequence[tuple[Bundle, BalanceOverrides | None]]
+) -> list[SimulationResult]:
+    """`run` of each `(bundle, balance_overrides)`, in order, through one
+    `simulate_bundles` call at the first bundle's block: the bundles must
+    all be of that block, as a round's are."""
+    if not items:
+        return []
+    answers = chain.simulate_bundles(
+        items[0][0].block, [(bundle.calls, overrides) for bundle, overrides in items]
+    )
+    return [
+        _package(bundle, outcomes, _estimate_for(chain, bundle))
+        for (bundle, _), outcomes in zip(items, answers)
+    ]
+
+
+def _package(
+    bundle: Bundle, outcomes: Sequence[CallOutcome], estimate: TokenAmount
+) -> SimulationResult:
+    """The result of a bundle's outcomes: the balance reads bracketing the
+    swap of interest are the third-last and last calls of every bundle."""
+    outcomes = tuple(outcomes)
     pre, post = _read_value(outcomes[-3]), _read_value(outcomes[-1])
     return SimulationResult(bundle, outcomes, pre, post, estimate)
 

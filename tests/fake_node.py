@@ -70,6 +70,7 @@ class FakeNode:
     fail_balance_reads: set[tuple[Address, int]] = field(default_factory=set)
     balance_slot: int = 3
     requests: RequestLog = field(default_factory=RequestLog)
+    posts: int = 0  # transport calls: one per POST, a whole batch included
 
     def __post_init__(self) -> None:
         self._tx_senders: dict[str, Address] = {}
@@ -78,6 +79,7 @@ class FakeNode:
     # transport interface
 
     def __call__(self, payload):
+        self.posts += 1
         if isinstance(payload, list):
             return [self._handle(item) for item in payload]
         return self._handle(payload)

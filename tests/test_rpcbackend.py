@@ -14,9 +14,15 @@ from fake_node import FakeNode
 from trapscan import pipeline
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
 from trapscan.core import Address, DexVersion
-from trapscan.mockchain import Honest, Wait
+from trapscan.mockchain import Honest, Wait, run_attack_script, wash_and_drain_script
 from trapscan.monitor import PoolWatch
-from trapscan.pipeline import PoolScanState, ScanSettings, scan_pool
+from trapscan.pipeline import (
+    PoolScanState,
+    ScanSettings,
+    scan_pool,
+    scan_pools,
+    scan_pools_resumable,
+)
 from trapscan.rpcbackend import (
     EndpointConfig,
     JsonRpcClient,
@@ -29,7 +35,8 @@ from trapscan.rpcbackend import (
     load_backend_config,
     selector,
 )
-from trapscan.rpcbackend import abi, keccak
+from trapscan.chainview import BackendUnavailable
+from trapscan.rpcbackend import abi, backend as backend_module, keccak
 from trapscan.rpcbackend.abi import DecodeError
 from trapscan.rpcbackend.backend import _RawLog
 
@@ -361,6 +368,88 @@ class TestTxSenders:
         assert lookups == [1] * 500
 
 
+class Recorder:
+    """Transport that keeps every payload it passes on to the node."""
+
+    def __init__(self, node, refuse=None):
+        self.node = node
+        self.refuse = refuse  # payload -> bool: raise OSError instead of sending
+        self.payloads = []
+
+    def __call__(self, payload):
+        if self.refuse is not None and self.refuse(payload):
+            raise OSError("injected transport failure")
+        self.payloads.append(payload)
+        return self.node(payload)
+
+
+def _items(payload):
+    return payload if isinstance(payload, list) else [payload]
+
+
+def _is_sender_lookup(payload):
+    return any(item["method"] == "eth_getTransactionByHash" for item in _items(payload))
+
+
+class TestFailedSenderLookup:
+    """The logged drain of `wash_and_drain_script` is found only by
+    attributing its transfer to the drainer's transaction."""
+
+    def _drain(self):
+        script, seed = wash_and_drain_script()
+        return run_attack_script(script, seed)
+
+    def test_refused_lookup_fails_the_pool(self, tmp_path):
+        trace = self._drain()
+        answered = RpcChainView(EndpointConfig(url="fake://", retries=0),
+                                transport=FakeNode(chain=trace.chain))
+        verdicts, _ = scan_pools(answered, [(trace.pool, trace.trap_token)], 1,
+                                 trace.final_block)
+        assert [t.value for t in verdicts[0].traps] == ["UnauthorizedTransfer"]
+
+        transport = Recorder(FakeNode(chain=trace.chain), refuse=_is_sender_lookup)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=transport)
+        with pytest.raises(BackendUnavailable):
+            rpc.get_transfers(trace.trap_token, (1, trace.final_block))
+        checkpoint = tmp_path / "scan.ckpt"
+        lines, summary = scan_pools_resumable(
+            rpc, [(trace.pool, trace.trap_token)], 1, trace.final_block, None, checkpoint
+        )
+        assert (lines, summary.failures, summary.scanned) == ([], 1, 0)
+        assert not checkpoint.exists()
+
+    def test_lookup_error_item_fails_the_pool(self):
+        trace = self._drain()
+        node = FakeNode(chain=trace.chain)
+
+        def transport(payload):
+            response = node(payload)
+            if _is_sender_lookup(payload):
+                response[0] = {"jsonrpc": "2.0", "id": response[0]["id"],
+                               "error": {"code": -32000, "message": "header not found"}}
+            return response
+
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
+        verdicts, summary = scan_pools(rpc, [(trace.pool, trace.trap_token)], 1,
+                                       trace.final_block)
+        assert (verdicts, summary.failures) == ([], 1)
+
+    def test_null_answer_leaves_the_sender_unknown(self):
+        trace = self._drain()
+        node = FakeNode(chain=trace.chain)
+
+        def transport(payload):
+            response = node(payload)
+            if _is_sender_lookup(payload):
+                for item in response:
+                    item["result"] = None
+            return response
+
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
+        records = rpc.get_transfers(trace.trap_token, (1, trace.final_block))
+        assert records and all(rec.tx_sender is None for rec in records)
+
+
 class TestClientRetry:
     def test_transient_failures_retried(self, backend):
         trace, _, _ = backend
@@ -387,6 +476,16 @@ class TestClientRetry:
         assert results[0] == hex(trace.chain.head())
         assert isinstance(results[1], Exception)
         assert results[2] == hex(trace.chain.head())
+
+    @pytest.mark.parametrize("bad_item", [None, "0x1", 7, ["nested"]])
+    def test_batch_item_that_is_not_an_object(self, bad_item):
+        def transport(payload):
+            return [bad_item, *({"jsonrpc": "2.0", "id": item["id"], "result": "0x1"}
+                                for item in payload)]
+
+        client = JsonRpcClient(EndpointConfig(url="fake://", retries=0), transport=transport)
+        with pytest.raises(TransportError):
+            client.call_batch([("eth_blockNumber", []), ("eth_blockNumber", [])])
 
 
 class TestSimulateBundle:
@@ -453,6 +552,110 @@ class TestSimulateBundle:
         assert node.requests.count_method("eth_callMany") == 1
         assert node.requests.count_method("eth_call") == 0
 
+    def test_batched_bundles_one_request_each_in_one_post(self, backend):
+        trace, node, rpc = backend
+        head = trace.chain.head()
+        probes = [Address.derive(f"probe-{i}") for i in range(3)]
+        items = [(self._calls(trace, p), {(trace.base_token, p): 10**12}) for p in probes]
+        single = [rpc.simulate_bundle(head, calls, funding) for calls, funding in items]
+        transport = Recorder(node)
+        batched = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=transport)
+        batched.pool_info(trace.pool.pool)
+        transport.payloads.clear()
+        assert batched.simulate_bundles(head, items) == single
+        [post] = transport.payloads
+        assert [item["method"] for item in post] == ["eth_callMany"] * 3
+        # one bundle per request, in the pinned shape
+        assert all(len(item["params"][0]) == 1 for item in post)
+        assert [item["params"][0][0]["transactions"][0]["from"] for item in post] == [
+            p.hex for p in probes
+        ]
+
+    def test_batched_bundles_without_call_many_raise(self, backend):
+        trace, _, _ = backend
+        node = FakeNode(chain=trace.chain, support_call_many=False)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
+        probe = Address.derive("probe")
+        with pytest.raises(MethodNotSupported):
+            rpc.simulate_bundles(trace.chain.head(), [(self._calls(trace, probe), None)] * 2)
+
+    def test_mock_batches_as_single_bundles(self, backend):
+        trace, _, _ = backend
+        head = trace.chain.head()
+        probe = Address.derive("probe")
+        items = [(self._calls(trace, probe), {(trace.base_token, probe): 10**12}),
+                 (self._calls(trace, probe), None)]
+        assert trace.chain.simulate_bundles(head, items) == [
+            trace.chain.simulate_bundle(head, calls, funding) for calls, funding in items
+        ]
+
+
+class TestCallMemo:
+    def test_each_distinct_call_encoded_once_per_view(self, monkeypatch):
+        trace = run_simple(Honest(Fraction(0)), victims=2, extra=(Wait(80),))
+        compiled, sent = Counter(), Counter()
+        real_compile = RpcChainView._compile_call
+        real_encoded = RpcChainView._encoded_call
+
+        def counting_compile(self, call):
+            compiled[call] += 1
+            return real_compile(self, call)
+
+        def counting_encoded(self, call):
+            sent[call] += 1
+            return real_encoded(self, call)
+
+        monkeypatch.setattr(RpcChainView, "_compile_call", counting_compile)
+        monkeypatch.setattr(RpcChainView, "_encoded_call", counting_encoded)
+        args = (trace.pool, trace.trap_token, 1, trace.final_block, ScanSettings(interval=10))
+        node = FakeNode(chain=trace.chain)
+        scan_pool(RpcChainView(EndpointConfig(url="fake://"), transport=node), *args)
+        assert compiled == Counter(set(sent))
+        assert sum(sent.values()) > 2 * len(sent)  # tail rounds resend their calls
+        # the memo belongs to its view: a second view encodes again
+        scan_pool(RpcChainView(EndpointConfig(url="fake://"), transport=node), *args)
+        assert set(compiled.values()) == {2}
+
+    def test_memo_is_bounded_and_requests_get_their_own_dicts(self, backend, monkeypatch):
+        trace, _, rpc = backend
+        monkeypatch.setattr(backend_module, "CALL_CACHE_SIZE", 2)
+        probes = [Address.derive(f"probe-{i}") for i in range(3)]
+        calls = [BalanceOfCall(caller=p, token=trace.trap_token, holder=p) for p in probes]
+        params = [rpc._bundle_request(1, [call], None)[0] for call in calls + calls[:1]]
+        assert len(rpc._call_memo) == 2
+        first, again = params[0][0][0]["transactions"][0], params[-1][0][0]["transactions"][0]
+        assert first == again and first is not again
+
+    def test_memo_under_threads(self, backend, monkeypatch):
+        """Threads sharing one view, with the memo smaller than the calls
+        they send, each get their own call's encoding, and the memo never
+        grows past its bound."""
+        trace, _, rpc = backend
+        monkeypatch.setattr(backend_module, "CALL_CACHE_SIZE", 8)
+        calls = [
+            SwapExactInCall(caller=Address.derive(f"caller-{i % 24}"), pool=trace.pool.pool,
+                            token_in=trace.base_token, token_out=trace.trap_token,
+                            amount_in=10**6 + i % 24, recipient=OWNER)
+            for i in range(600)
+        ]
+        expected = {call: rpc._compile_call(call) for call in set(calls)}
+        sizes = []
+
+        def encode(call):
+            got = rpc._encoded_call(call)
+            sizes.append(len(rpc._call_memo))
+            return got == expected[call]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool_exec:
+                agreed = list(pool_exec.map(encode, calls, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(agreed) == len(calls) and all(agreed)
+        assert max(sizes) <= 8
+
 
 class TestBackendQueries:
     def test_pool_info_via_calls(self, backend):
@@ -509,6 +712,10 @@ class TestWindowedScanCost:
         rounds = blocks // 10 + 1
         assert node.requests.count_method("eth_getLogs") <= 3 * rounds
         assert len(node.requests) < 2 * blocks
+        # Per round: 3 log queries, a sender-lookup batch, the reserves, one
+        # batch of balance reads, one of sells and probe, and the round trip;
+        # plus 4 pool-metadata reads in all.
+        assert node.posts <= 8 * rounds + 4
 
     def test_reserves_read_once_per_round(self, monkeypatch):
         """Ingestion's getReserves call at each round's block is the only
@@ -577,6 +784,46 @@ class TestUnreadBalance:
         assert {"block": 10, "reason": "balance unread", "subject": victim.hex} in (
             state.skipped_rounds
         )
+
+
+class TestBatchedBalanceReads:
+    def test_one_failed_read_in_a_batch(self):
+        """At interval 1, block 11's three buyer reads go in one POST. The
+        node fails the first victim's: only that read is None, that buyer
+        alone is skipped, and the other two still sell."""
+        trace = run_simple(Honest(Fraction(0)), victims=2)
+        wash, (victim, other) = trace.actors.wash_trader, trace.actors.victims
+        node = FakeNode(chain=trace.chain, fail_balance_reads={(victim, 11)})
+        transport = Recorder(node)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=transport)
+        holders = (wash, victim, other)
+        reads = rpc.balances_at([(trace.trap_token, h, 11) for h in holders])
+        assert len(transport.payloads) == 1
+        assert reads == [None if h == victim else trace.chain.balance_of(trace.trap_token, h, 11)
+                         for h in holders]
+        assert reads[0] > 0 and reads[2] > 0
+
+        transport.payloads.clear()
+        state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        verdict = scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block,
+                            ScanSettings(), state)
+        assert verdict.findings == []
+        unread = [skip for skip in state.skipped_rounds if skip["reason"] == "balance unread"]
+        assert unread == [{"block": 11, "reason": "balance unread", "subject": victim.hex}]
+        balance_of = abi.bytes_to_hex(abi.SEL_BALANCE_OF)
+        read_posts = [
+            post for post in transport.payloads
+            if isinstance(post, list) and post[0]["method"] == "eth_call"
+            and post[0]["params"][0]["data"].startswith(balance_of)
+            and post[0]["params"][1] == hex(11)
+        ]
+        assert len(read_posts) == 1 and len(read_posts[0]) == 3
+        sellers = [
+            item["params"][0][0]["transactions"][0]["from"]
+            for post in transport.payloads for item in _items(post)
+            if item["method"] == "eth_callMany" and item["params"][1]["blockNumber"] == hex(11)
+        ]
+        assert wash.hex in sellers and other.hex in sellers and victim.hex not in sellers
 
 
 class TestConfig:
