@@ -98,7 +98,9 @@ def _check_delivery(
     if result.estimate == 0:
         return None  # skipped: estimate has no integer resolution
     delta = result.balance_delta
-    if delta is None or delta > amount_mul_div(result.estimate, num, den):
+    # The estimate comes from the estimator or a chain quote and num < den,
+    # so the bound is in range without `amount_mul_div`'s re-checks.
+    if delta is None or delta > result.estimate * num // den:
         return None
     return Finding(
         trap=trap,

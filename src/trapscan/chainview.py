@@ -5,9 +5,12 @@ Everything above this module (monitor, simulator, analyzer) talks to a
 bundles against a private fork of a sealed block. Two implementations
 exist: the in-memory mock chain and the live JSON-RPC backend.
 
-Balance reads and bundle simulations also come in batched forms,
-`balances_at` and `simulate_bundles`, which a backend may answer in one
-round trip; by default they loop over the single forms.
+A scan asks for many pools at once. `get_window` gives the logs of a
+block range for many pools and tokens, and the pools' reserves at its
+last block; `balances_at` reads many balances, and `simulate_bundles`
+runs many bundles. A backend may answer each in one round trip (the
+logs and reserves of a window in one, plus one for the senders of its
+transfers); by default they fall back to the single forms.
 
 The seam carries only what a detector can observe. A balance read is a
 plain `TokenAmount`, or None when the read reverted, so every caller has
@@ -182,6 +185,35 @@ def check_range(block_range: tuple[int, int]) -> tuple[int, int]:
     return block_range
 
 
+class Window:
+    """What a scan reads of one inclusive block range: each pool's swaps
+    and each token's transfers and approvals in the range, and each
+    pool's reserves at its last block.
+
+    Each accessor returns one address's answer, as the single form
+    (`get_swaps`, `get_transfers`, `get_approvals`, `get_reserves`)
+    would, or raises what that query raised. This form asks the chain
+    through the single forms, one address at a time, when an accessor
+    is called.
+    """
+
+    def __init__(self, chain: "ChainView", block_range: tuple[int, int]):
+        self.chain = chain
+        self.block_range = block_range
+
+    def swaps(self, pool: Address) -> list[SwapRecord]:
+        return self.chain.get_swaps(pool, self.block_range)
+
+    def transfers(self, token: Address) -> list[TransferRecord]:
+        return self.chain.get_transfers(token, self.block_range)
+
+    def approvals(self, token: Address) -> list[ApproveRecord]:
+        return self.chain.get_approvals(token, self.block_range)
+
+    def reserves(self, pool: Address) -> tuple[TokenAmount, TokenAmount]:
+        return self.chain.get_reserves(pool, self.block_range[1])
+
+
 class ChainView(ABC):
     """Read-only chain contract shared by the mock chain and the RPC backend.
 
@@ -251,6 +283,17 @@ class ChainView(ABC):
         mint, the live backend as a state override).
         """
 
+    def get_window(
+        self,
+        pools: Sequence[Address],
+        tokens: Sequence[Address],
+        block_range: tuple[int, int],
+    ) -> Window:
+        """The `Window` of `block_range` for `pools` and `tokens`. A backend
+        may fetch every answer up front; this default asks the single forms
+        as the window's accessors are called."""
+        return Window(self, block_range)
+
     def balances_at(
         self, reads: Sequence[tuple[Address, Address, int]]
     ) -> list[TokenAmount | None]:
@@ -262,12 +305,24 @@ class ChainView(ABC):
         self,
         block: int,
         items: Sequence[tuple[Sequence[Call], BalanceOverrides | None]],
-    ) -> list[list[CallOutcome]]:
+    ) -> list[list[CallOutcome] | Exception]:
         """`simulate_bundle` of each `(calls, balance_overrides)` at
         `block`, in order, each on its own fork: no bundle sees another's
-        effects. A backend may send them together; this default runs one
-        by one."""
-        return [self.simulate_bundle(block, calls, overrides) for calls, overrides in items]
+        effects. A bundle whose simulation raised gets the exception in
+        place of its outcomes, so one bundle's failure leaves the others'
+        results standing. A backend may send them together; this default
+        runs one by one."""
+        try:
+            return [self.simulate_bundle(block, calls, overrides) for calls, overrides in items]
+        except Exception:
+            pass  # find which bundles failed, one by one
+        results: list[list[CallOutcome] | Exception] = []
+        for calls, overrides in items:
+            try:
+                results.append(self.simulate_bundle(block, calls, overrides))
+            except Exception as exc:  # the bundle's own failure, not the batch's
+                results.append(exc)
+        return results
 
     @abstractmethod
     def pool_info(self, pool: Address) -> PoolInfo:

@@ -392,8 +392,9 @@ class MockChain(ChainView):
         tx_sender: Address,
     ) -> TokenAmount:
         """Move balances per the token's behavior; returns the amount the
-        recipient was actually credited. Raises _Revert."""
-        check_amount(amount, "amount")
+        recipient was actually credited. Raises _Revert. `amount` is not
+        range-checked here: it comes from a balance read or from an entry
+        point that checked it."""
         meta = self._tokens[token]
         beh = meta.behavior
         balance = ov.get(_bal(token, sender))
@@ -524,6 +525,7 @@ class MockChain(ChainView):
         context: TransferContext = TransferContext.PLAIN,
     ) -> CallOutcome:
         self._require_token(token)
+        check_amount(amount, "amount")
 
         def run(ov):
             return self._exec_transfer(ov, token, sender, recipient, amount, context, sender)
@@ -587,6 +589,7 @@ class MockChain(ChainView):
         recipient: Address,
     ) -> CallOutcome:
         self._require_pool(pool)
+        check_amount(amount_in, "amount_in")
 
         def run(ov):
             return self._exec_swap(ov, pool, trader, token_in, amount_in, recipient)
@@ -741,6 +744,7 @@ class MockChain(ChainView):
                 raise _Revert(f"unknown token: {call.token}")
             return ov.get(_bal(call.token, call.holder))
         if isinstance(call, SwapExactInCall):
+            check_amount(call.amount_in, "amount_in")
             out = self._exec_swap(
                 ov, call.pool, call.caller, call.token_in, call.amount_in, call.recipient
             )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from ..core import Address, TrapType
+from ..core import MAX_UINT256, Address, TrapType
 from .behaviors import (
     DelayedSellTax,
     GateMode,
@@ -93,6 +93,8 @@ def _amount(value, where: str) -> int:
         raise ScenarioFormatError(where, f"amount must be a decimal string, got {value!r}")
     if n < 0:
         raise ScenarioFormatError(where, "amount must be non-negative")
+    if n > MAX_UINT256:
+        raise ScenarioFormatError(where, "amount exceeds the uint256 range")
     return n
 
 

@@ -1,23 +1,28 @@
 """Per-pool evidence ledger: buyers, balances, transfers, reserves.
 
-A `PoolWatch` is fed one window of consecutive blocks at a time, one query
-of each kind per window, and holds that window's evidence only. Every
-recipient of the watched trap token in a swap becomes a tracked buyer.
-Its ledger holds the buyer's trap-token balance read at the window's
-start (the previous window's last block, or the block the buyer was
-first seen) and at its end, the buyer's buys and the logged trap-token
-transfers touching it after that start, and the running sum of its
-approvals per spender. Every balance a window needs, at the first-seen
-blocks and at its last block, is read through one `balances_at` call,
-which the RPC backend sends as one POST. The pool's reserves are read
-once per window, at its last block; they decide whether a round has
-liquidity and price every bundle the round simulates. Detection logic
-consumes these ledgers, never the chain directly, so no round's cost
-grows with the length of the scan.
+A `PoolWatch` is fed one window of consecutive blocks at a time and
+holds that window's evidence only. Every recipient of the watched trap
+token in a swap becomes a tracked buyer. Its ledger holds the buyer's
+trap-token balance read at the window's start (the previous window's
+last block, or the block the buyer was first seen) and at its end, the
+buyer's buys and the logged trap-token transfers touching it after that
+start, and the running sum of its approvals per spender. The pool's
+reserves are read once per window, at its last block; they decide
+whether a round has liquidity and price every bundle the round
+simulates.
+
+`ingest_window` advances a cohort of watches over one window together,
+in three steps: fetch the window's logs and reserves for every watch
+through one `get_window`, fold each watch's share into it, then read
+every balance the cohort needs through one `balances_at`. The RPC
+backend sends the fetch as two POSTs and the reads as one, whatever the
+cohort's size. Detection logic consumes these ledgers, never the chain
+directly, so no round's cost grows with the length of the scan.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .chainview import (
@@ -26,6 +31,7 @@ from .chainview import (
     TransferRecord,
     UnknownPool,
     UnknownToken,
+    Window,
 )
 from .core import Address, PoolInfo, TokenAmount
 
@@ -102,32 +108,106 @@ def pick_orientations(
 def ingest_block(
     watch: PoolWatch, chain: ChainView, block: int, start: int | None = None
 ) -> PoolWatch:
-    """Advance the watch over the window [start, block]; mutates and
-    returns `watch`. The previous window's evidence is dropped, all but
-    each buyer's last balance, which starts the new window. The reserves
-    are read at `block` only.
+    """Advance one watch over the window [start, block]; mutates and
+    returns `watch`, or raises what failed it (see `ingest_window`)."""
+    [error] = ingest_window([watch], chain, block, start)
+    if error is not None:
+        raise error
+    return watch
 
-    `start` defaults to the block after `last_ingested`, or to `block` for
-    a watch that has ingested nothing. A window that does not start right
-    after `last_ingested`, or that is empty, raises `IngestGap`.
+
+def ingest_window(
+    watches: Sequence[PoolWatch], chain: ChainView, block: int, start: int | None = None
+) -> list[Exception | None]:
+    """Advance each watch over the window [start, block], together: one
+    `get_window` for all their pools and trap tokens, then one
+    `balances_at` for every balance they need. The previous window's
+    evidence is dropped, all but each buyer's last balance, which starts
+    the new window. The reserves are read at `block` only.
+
+    `start` defaults to the block after the first watch's
+    `last_ingested`, or to `block` if it has ingested nothing. A watch
+    whose window would not start right after its `last_ingested`, or an
+    empty window, fails with `IngestGap`. Returns, per watch, None or the
+    exception that failed it; a failed watch is left part-way and must
+    not be advanced again, while the others go on.
     """
-    expected = None if watch.last_ingested is None else watch.last_ingested + 1
-    lo = start if start is not None else (block if expected is None else expected)
-    if (expected is not None and lo != expected) or lo > block:
-        raise IngestGap(f"window [{lo}, {block}] does not follow block {watch.last_ingested}")
+    errors: list[Exception | None] = [None] * len(watches)
+    last = watches[0].last_ingested
+    lo = start if start is not None else (block if last is None else last + 1)
+    live: list[int] = []
+    pools: list[Address] = []
+    tokens: list[Address] = []
+    for i, watch in enumerate(watches):
+        last = watch.last_ingested
+        if (last is not None and lo != last + 1) or lo > block:
+            errors[i] = IngestGap(f"window [{lo}, {block}] does not follow block {last}")
+            continue
+        live.append(i)
+        pools.append(watch.pool.pool)
+        tokens.append(watch.trap_token)
+    if not live:
+        return errors
+    try:
+        window = chain.get_window(pools, tokens, (lo, block))
+    except Exception as exc:  # the cohort's shared fetch: every watch fails
+        for i in live:
+            errors[i] = exc
+        return errors
+
+    # Every balance the window needs, read together: each buyer's at the
+    # block it was first seen in this window, if before `block`, and at
+    # `block`. `spans` holds each asking watch's first and last read.
+    reads: list[tuple[Address, Address, int]] = []
+    spans: list[tuple[int, int, int]] = []
+    for i in live:
+        watch = watches[i]
+        try:
+            first_seen = _fold(watch, window, lo, block)
+        except Exception as exc:  # this watch's own answers failed it
+            errors[i] = exc
+            continue
+        if first_seen is None or not watch.buyers:
+            continue
+        begin, token = len(reads), watch.trap_token
+        for buyer in watch.buyers:
+            seen = first_seen.get(buyer, block)
+            if seen < block:
+                reads.append((token, buyer, seen))
+            reads.append((token, buyer, block))
+        spans.append((i, begin, len(reads)))
+    if reads:
+        try:
+            balances = chain.balances_at(reads)
+        except Exception as exc:  # the shared read: every watch that asked fails
+            for i, _, _ in spans:
+                errors[i] = exc
+        else:
+            for i, begin, end in spans:
+                ledgers = watches[i].buyers
+                for (_, buyer, edge), balance in zip(reads[begin:end], balances[begin:end]):
+                    ledgers[buyer].snapshots.append((edge, balance))
+    for i in live:
+        if errors[i] is None:
+            watches[i].last_ingested = block
+    return errors
+
+
+def _fold(watch: PoolWatch, window: Window, lo: int, block: int) -> dict[Address, int] | None:
+    """Fold the watch's share of the window [lo, block] into it: its swaps,
+    its trap token's transfers and approvals, and its reserves. Returns
+    the block each new buyer was first seen at, or None when the pool is
+    unknown in the window (it has no reserves then, and nothing to read)."""
     for ledger in watch.buyers.values():
         del ledger.snapshots[:-1]
         ledger.buys.clear()
         ledger.transfers.clear()
-
-    window = (lo, block)
     try:
-        swaps = chain.get_swaps(watch.pool.pool, window)
+        swaps = window.swaps(watch.pool.pool)
     except UnknownPool:
         # Scan range may start before the pool (or its tokens) exist.
         watch.reserves = (0, 0)
-        watch.last_ingested = block
-        return watch
+        return None
     # A buyer new in this window starts it at the block it was first seen:
     # its records count after that block, its approvals from it on.
     first_seen: dict[Address, int] = {}
@@ -149,8 +229,8 @@ def ingest_block(
     buyer_set = set(watch.buyers)
     if buyer_set:
         try:
-            transfers = chain.get_transfers(watch.trap_token, window)
-            approvals = chain.get_approvals(watch.trap_token, window)
+            transfers = window.transfers(watch.trap_token)
+            approvals = window.approvals(watch.trap_token)
         except UnknownToken:
             transfers, approvals = [], []
         for rec in transfers:
@@ -164,21 +244,8 @@ def ingest_block(
                 approved = watch.buyers[rec.approver].approved
                 approved[rec.spender] = approved.get(rec.spender, 0) + rec.value
 
-    # Every balance the window needs, read together: each buyer's at the
-    # block it was first seen in this window, if before `block`, and at
-    # `block`.
-    reads: list[tuple[Address, Address, int]] = []
-    for buyer in watch.buyers:
-        seen = first_seen.get(buyer, block)
-        if seen < block:
-            reads.append((watch.trap_token, buyer, seen))
-        reads.append((watch.trap_token, buyer, block))
-    for (_, buyer, edge), balance in zip(reads, chain.balances_at(reads)):
-        watch.buyers[buyer].snapshots.append((edge, balance))
-
     try:
-        watch.reserves = chain.get_reserves(watch.pool.pool, block)
+        watch.reserves = window.reserves(watch.pool.pool)
     except UnknownPool:
         watch.reserves = (0, 0)
-    watch.last_ingested = block
-    return watch
+    return first_seen

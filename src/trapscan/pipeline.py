@@ -1,14 +1,19 @@
 """Per-pool detection pipeline and multi-pool scan orchestration.
 
-A pool is scanned in detection rounds, one every `interval` blocks and
-one at the last block. Each round first ingests its window of blocks,
-those since the previous round, in one step (see `monitor.ingest_block`),
-which reads every buyer balance the window needs in one batch and the
-pool's reserves at the round's block; every bundle of the round is
-priced from that one read. Then the round reconciles each buyer's
-balance movement since the previous round, or since it was first seen,
-against the logged evidence; this reads only the ledger, so it runs in
-every round. Provided both reserves are non-zero, the round also:
+Pools are scanned in cohorts: `scan_cohort` takes up to
+`ScanSettings.cohort` pool orientations over one block range in
+lockstep, window by window, so one request carries every pool's share
+of each step. A pool is scanned in detection rounds, one every
+`interval` blocks and one at the last block; the rounds of every pool of
+a cohort fall on the same blocks. Each round first ingests its window of
+blocks, those since the previous round, for the whole cohort in one step
+(see `monitor.ingest_window`): the window's logs and reserves for every
+pool in one fetch, then every buyer balance in one batch; every bundle
+of the round is priced from the reserves read at its block. Then the
+round reconciles each buyer's balance movement since the previous round,
+or since it was first seen, against the logged evidence; this reads only
+the ledger, so it runs in every round. Provided both reserves are
+non-zero, the round also:
 
   * rebuilds a sell simulation for every tracked buyer at their full
     balance, before reconciling that buyer, and checks the sell-side
@@ -17,10 +22,14 @@ every round. Provided both reserves are non-zero, the round also:
     buy-and-sell round trip when the probe delivered.
 
 A round is planned before it is judged. `plan_round` builds the sells
-and the probe from the watch alone, they are simulated together through
-one `simulator.run_many` (one POST on the RPC backend), and
-`run_detection_round` judges the results in plan order. Only the round
-trip, whose sell is what the probe received, is simulated on its own.
+and the probe from the watch alone, and `run_detection_round` simulates
+the plans of every pool of the cohort together through one
+`simulator.run_many` (one POST on the RPC backend), judges each pool's
+results in plan order, and then simulates every pool's round trip, whose
+sell is what its probe received, through one more. On the RPC backend a
+window of a cohort thus costs at most five POSTs, whatever its size: two
+for the fetch, one for the balances, one for the sells and probes, and
+one for the round trips. `scan_pool` scans one pool as a cohort of one.
 
 The scan state holds one round's window and no history. The watch keeps
 only the window's evidence, which the round reads whole, with no
@@ -29,20 +38,23 @@ CannotSell revert streak and then dropped; and only the first finding
 per (trap, subject) is kept (see `PoolScanState`). So a round late in a
 long scan costs what an early one does.
 
-Findings accumulate into one verdict per pool. Distinct pools are
-independent, so a multi-pool scan runs them through one executor,
-`_scan_each`: in the calling thread when `workers <= 1`, otherwise on one
-thread pool. It yields each pool's verdict, or the exception its scan
-raised, in target order. `scan_pools` and `scan_pools_resumable` both
-consume it, so a failing pool is counted in `ScanSummary.failures` and
-never stops the scan, whatever the worker count.
+Findings accumulate into one verdict per pool. A pool whose scan raises
+fails alone: the cohort drops it and goes on, and a failure of a request
+the cohort shares fails the cohort's unfinished pools. A multi-pool scan
+chunks its targets into cohorts and maps them onto one executor,
+`_scan_each`: in the calling thread when `workers <= 1`, otherwise on
+one thread pool. It yields each cohort's verdicts, or the exceptions
+their scans raised, in target order. `scan_pools` and
+`scan_pools_resumable` both consume it, so a failing pool is counted in
+`ScanSummary.failures` and never stops the scan, whatever the worker
+count.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,7 +74,7 @@ from .analyzer import (
 )
 from .chainview import BalanceOverrides, ChainView, check_range
 from .core import Address, PoolInfo, TrapType
-from .monitor import PoolWatch, ingest_block
+from .monitor import PoolWatch, ingest_block, ingest_window
 from .simulator import (
     Bundle,
     BundleKind,
@@ -74,6 +86,11 @@ from .simulator import (
     run,
     run_many,
 )
+
+# `ingest_block` and `run` are the one-pool forms of the steps a cohort
+# takes through `ingest_window` and `run_many`. They stay importable from
+# here for callers that wrap the pipeline's steps by name, as the
+# benchmark's tracer does.
 
 PROBE_FUNDING = 10**30
 # Buy probes spend PROBE_NUM/PROBE_DEN of the pool's base-token reserve.
@@ -89,6 +106,7 @@ class ScanSettings:
     threshold: Fraction = DEFAULT_THRESHOLD
     known_token_allowlist: frozenset[Address] = frozenset()
     workers: int = 1
+    cohort: int = 32  # pools scanned in lockstep, sharing each request
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -97,6 +115,8 @@ class ScanSettings:
             raise ValueError("threshold must be in (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.cohort < 1:
+            raise ValueError("cohort must be >= 1")
 
 
 @dataclass
@@ -166,14 +186,19 @@ def _judge(state: PoolScanState, result: SimulationResult, settings: ScanSetting
     return True
 
 
-def plan_round(state: PoolScanState, block: int) -> list[tuple[Bundle, BalanceOverrides | None]]:
+# Bundles to simulate at one block, each with the balances its fork is
+# seeded with.
+Plan = list[tuple[Bundle, BalanceOverrides | None]]
+
+
+def plan_round(state: PoolScanState, block: int) -> Plan:
     """The bundles of a round at `block`, in the order `run_detection_round`
     judges them: a sell for each buyer whose balance read at the block is
     positive, in buyer order, then the funded buy probe. Pure: it reads
     the watch and nothing from the chain. The watch must be liquid."""
     watch = state.watch
     reserves, pool, trap = watch.reserves, watch.pool, watch.trap_token
-    items: list[tuple[Bundle, BalanceOverrides | None]] = [
+    items: Plan = [
         (build_sell_bundle(reserves, buyer, pool, trap, held, block), None)
         for buyer, ledger in watch.buyers.items()
         if (held := ledger.snapshots[-1][1])  # read at this block; None or 0 sells nothing
@@ -183,34 +208,38 @@ def plan_round(state: PoolScanState, block: int) -> list[tuple[Bundle, BalanceOv
     return items
 
 
-def run_detection_round(
-    chain: ChainView,
-    state: PoolScanState,
-    block: int,
-    settings: ScanSettings,
-) -> None:
-    """One simulation-and-analysis pass at a sealed block, the last one
-    the watch has ingested. Every bundle is priced from the reserves the
-    watch read at that block; the round reads no reserves of its own, and
-    simulates only when both are non-zero, so no builder finds a pool
-    without liquidity. Every buyer is reconciled in every round. A buyer
-    whose balance read at the block reverted gets no sell, and the skip
-    is recorded.
 
-    The round's sells and buy probe (`plan_round`) are simulated together
-    through one `run_many`; only the round trip, whose sell is what the
-    probe received, waits for a result. The results are judged in plan
-    order: each buyer's sell, then that buyer's reconciliation, then the
-    probe, then the round trip."""
+
+def _start_round(state: PoolScanState, block: int, settings: ScanSettings) -> Plan | None:
+    """The first step of a round at `block`: its sells and buy probe
+    (`plan_round`), or None for a pool without liquidity, whose round only
+    records the skip and reconciles every buyer. Every bundle is priced
+    from the reserves the watch read at the block; the round reads no
+    reserves of its own, and simulates only when both are non-zero, so no
+    builder finds a pool without liquidity."""
     watch = state.watch
     if not watch.liquid:
         state.skipped_rounds.append({"block": block, "reason": "no liquidity"})
         for ledger in watch.buyers.values():
             state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
-        return
+        return None
+    return plan_round(state, block)
 
-    planned = plan_round(state, block)
-    results = iter(run_many(chain, planned))
+
+def _judge_round(
+    state: PoolScanState,
+    block: int,
+    settings: ScanSettings,
+    planned: Plan,
+    results: list[SimulationResult],
+) -> Plan | None:
+    """Judge a round's results in plan order: each buyer's sell, then that
+    buyer's reconciliation, then the probe. Every buyer is reconciled; a
+    buyer whose balance read at the block reverted gets no sell, and the
+    skip is recorded. Returns the round trip to simulate, whose sell is
+    what the probe received, or None when the probe gave nothing to sell."""
+    watch = state.watch
+    outcomes = iter(results)
     for buyer, ledger in watch.buyers.items():
         held = ledger.snapshots[-1][1]  # ingestion read it at this block
         if held is None:
@@ -218,12 +247,12 @@ def run_detection_round(
                 {"block": block, "reason": "balance unread", "subject": buyer.hex}
             )
         elif held > 0:
-            _judge(state, next(results), settings)
+            _judge(state, next(outcomes), settings)
         state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
 
-    probe_result = next(results)
+    probe_result = next(outcomes)
     if not _judge(state, probe_result, settings):
-        return
+        return None
     probe_bundle, overrides = planned[-1]
     try:
         roundtrip = build_buy_sell_bundle(
@@ -231,8 +260,83 @@ def run_detection_round(
             probe_bundle.calls[-2].amount_in, probe_result, block,
         )
     except ProbeFailed:
-        return
-    _judge(state, run(chain, roundtrip, overrides), settings)
+        return None
+    return [(roundtrip, overrides)]
+
+
+def run_detection_round(
+    chain: ChainView,
+    states: Sequence[PoolScanState],
+    block: int,
+    settings: ScanSettings,
+) -> list[Exception | None]:
+    """One detection round at a sealed block, the last one every watch has
+    ingested, for each state of a cohort, in three steps: start every
+    round (`_start_round`), simulate all their sells and probes through
+    one `run_many` and judge each pool's results (`_judge_round`), then
+    simulate all their round trips through one more and judge those. So a
+    round costs two `run_many` calls however many pools take part.
+
+    Returns, per state, None or the exception that failed its round; the
+    other rounds go on. A bundle that failed fails its own pool's round,
+    and a failed `run_many` every round that had a bundle in it."""
+    errors: list[Exception | None] = [None] * len(states)
+    plans: list[tuple[int, Plan]] = []
+    for i, state in enumerate(states):
+        try:
+            planned = _start_round(state, block, settings)
+        except Exception as exc:  # this pool's own round failed
+            errors[i] = exc
+            continue
+        if planned:
+            plans.append((i, planned))
+    trips: list[tuple[int, Plan]] = []
+    for i, planned, results in _simulate(chain, plans, errors):
+        try:
+            trip = _judge_round(states[i], block, settings, planned, results)
+        except Exception as exc:  # this pool's own round failed
+            errors[i] = exc
+            continue
+        if trip:
+            trips.append((i, trip))
+    for i, _, (result,) in _simulate(chain, trips, errors):
+        try:
+            _judge(states[i], result, settings)
+        except Exception as exc:  # this pool's own round failed
+            errors[i] = exc
+    return errors
+
+
+def _simulate(
+    chain: ChainView, plans: list[tuple[int, Plan]], errors: list[Exception | None]
+) -> list[tuple[int, Plan, list[SimulationResult]]]:
+    """Every plan's bundles through one `run_many`; each plan whose bundles
+    all ran, with their results. A plan with a failed bundle records that
+    failure in `errors`, and a failed `run_many` records its own for
+    every plan."""
+    if not plans:
+        return []
+    items: Plan = []
+    for _, planned in plans:
+        items += planned
+    try:
+        results = run_many(chain, items)
+    except Exception as exc:  # the shared simulation failed
+        for i, _ in plans:
+            errors[i] = exc
+        return []
+    done = []
+    position = 0
+    for i, planned in plans:
+        got = results[position:position + len(planned)]
+        position += len(planned)
+        for result in got:
+            if isinstance(result, Exception):
+                errors[i] = result
+                break
+        else:
+            done.append((i, planned, got))
+    return done
 
 
 def _round_blocks(start: int, from_block: int, to_block: int, interval: int) -> Iterator[int]:
@@ -255,24 +359,74 @@ def scan_pool(
     settings: ScanSettings | None = None,
     state: PoolScanState | None = None,
 ) -> PoolVerdict:
-    """Scan one pool orientation over an inclusive block range; a range
-    that is not one raises ValueError."""
-    check_range((from_block, to_block))
-    settings = settings or ScanSettings()
+    """Scan one pool orientation over an inclusive block range, as a cohort
+    of one; a range that is not one raises ValueError, and a failure of
+    the pool's scan raises."""
     if state is None:
         state = PoolScanState(watch=PoolWatch.create(pool, trap_token))
-    watch = state.watch
-    start = from_block if watch.last_ingested is None else watch.last_ingested + 1
+    [result] = scan_cohort(chain, [state], from_block, to_block, settings or ScanSettings())
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def scan_cohort(
+    chain: ChainView,
+    states: Sequence[PoolScanState],
+    from_block: int,
+    to_block: int,
+    settings: ScanSettings,
+) -> list[PoolVerdict | Exception]:
+    """Scan each state's pool orientation over one inclusive block range,
+    in lockstep: every window is ingested for all of them at once, and
+    each round runs for all of them at once. The states must have
+    ingested the same blocks. Returns, per state, its verdict, or the
+    exception that failed its scan; a failed pool is dropped and the
+    others go on. A range that is not one raises ValueError."""
+    check_range((from_block, to_block))
+    failed: dict[int, Exception] = {}  # id of a failed state -> what failed it
+    cohort = list(states)
+    watches = [state.watch for state in cohort]
+    start = from_block if watches[0].last_ingested is None else watches[0].last_ingested + 1
     for block in _round_blocks(start, from_block, to_block, settings.interval):
-        ingest_block(watch, chain, block, start)
-        run_detection_round(chain, state, block, settings)
+        errors = ingest_window(watches, chain, block, start)
+        if any(errors):
+            cohort = _survivors(cohort, errors, failed)
+            watches = [state.watch for state in cohort]
+        errors = run_detection_round(chain, cohort, block, settings)
+        if any(errors):
+            cohort = _survivors(cohort, errors, failed)
+            watches = [state.watch for state in cohort]
+        if not cohort:
+            break
         start = block + 1
-    return classify_pool(
-        watch,
-        state.findings.values(),
-        (from_block, to_block),
-        set(settings.known_token_allowlist) or None,
-    )
+    allowlist = set(settings.known_token_allowlist) or None
+    results: list[PoolVerdict | Exception] = []
+    for state in states:
+        result = failed.get(id(state))
+        if result is None:
+            try:
+                result = classify_pool(
+                    state.watch, state.findings.values(), (from_block, to_block), allowlist
+                )
+            except Exception as exc:  # this pool's own verdict failed
+                result = exc
+        results.append(result)
+    return results
+
+
+def _survivors(
+    cohort: list[PoolScanState], errors: list[Exception | None], failed: dict[int, Exception]
+) -> list[PoolScanState]:
+    """The members of the cohort whose step did not fail; each failure is
+    recorded in `failed` by its member's id."""
+    survivors = []
+    for state, error in zip(cohort, errors):
+        if error is None:
+            survivors.append(state)
+        else:
+            failed[id(state)] = error
+    return survivors
 
 
 @dataclass
@@ -323,22 +477,37 @@ def _scan_each(
     from_block: int,
     to_block: int,
     settings: ScanSettings,
-) -> Iterator[tuple[int, PoolVerdict | Exception]]:
-    """Scan `targets[i]` for each i in `indices`, yielding `(i, verdict)`,
-    or `(i, exception)` when that pool's scan raised, in `indices` order."""
+) -> Iterator[list[tuple[int, PoolVerdict | Exception]]]:
+    """Scan `targets[i]` for each i in `indices`, in cohorts of up to
+    `settings.cohort` consecutive indices. Yields each cohort's
+    `(i, verdict)`, or `(i, exception)` when that pool's scan raised, in
+    `indices` order."""
+    order = list(indices)
+    cohorts = [order[k:k + settings.cohort] for k in range(0, len(order), settings.cohort)]
 
-    def attempt(idx: int) -> tuple[int, PoolVerdict | Exception]:
-        pool, trap = targets[idx]
+    def attempt(cohort: list[int]) -> list[tuple[int, PoolVerdict | Exception]]:
+        done: dict[int, PoolVerdict | Exception] = {}
+        states: dict[int, PoolScanState] = {}
+        for idx in cohort:
+            try:
+                states[idx] = PoolScanState(watch=PoolWatch.create(*targets[idx]))
+            except Exception as exc:  # a target that is no pool orientation
+                done[idx] = exc
         try:
-            return idx, scan_pool(chain, pool, trap, from_block, to_block, settings)
-        except Exception as exc:
-            return idx, exc
+            verdicts = (
+                scan_cohort(chain, list(states.values()), from_block, to_block, settings)
+                if states else []
+            )
+        except Exception as exc:  # the cohort's own failure: each of its pools fails
+            verdicts = [exc] * len(states)
+        done.update(zip(states, verdicts))
+        return [(idx, done[idx]) for idx in cohort]
 
     if settings.workers <= 1:
-        yield from map(attempt, indices)
+        yield from map(attempt, cohorts)
         return
     with ThreadPoolExecutor(max_workers=settings.workers) as executor:
-        yield from executor.map(attempt, indices)
+        yield from executor.map(attempt, cohorts)
 
 
 def scan_pools(
@@ -353,14 +522,15 @@ def scan_pools(
     settings = settings or ScanSettings()
     summary = ScanSummary()
     verdicts: list[PoolVerdict] = []
-    for _, result in _scan_each(
+    for cohort in _scan_each(
         chain, targets, range(len(targets)), from_block, to_block, settings
     ):
-        if isinstance(result, Exception):
-            summary.failures += 1
-            continue
-        verdicts.append(result)
-        summary.add(result)
+        for _, result in cohort:
+            if isinstance(result, Exception):
+                summary.failures += 1
+                continue
+            verdicts.append(result)
+            summary.add(result)
     return verdicts, summary
 
 
@@ -368,19 +538,22 @@ def scan_pools(
 # scan checkpointing (pool-level granularity)
 #
 # A checkpoint is JSONL: a header line {"schema": CHECKPOINT_SCHEMA}, then
-# one {"key": ..., "line": ...} record per finished pool, appended and
-# fsync'd as the pool finishes. A crash can only tear the last line, which
-# the next read cuts off.
+# one {"key": ..., "line": ...} record per finished pool. A cohort's
+# finished pools are appended in one write and one fsync as the cohort
+# finishes. A crash can only tear the last line, which the next read cuts
+# off, so a resume rescans only the pools whose records are not whole.
 
 CHECKPOINT_SCHEMA = "trapscan-scan-checkpoint/2"
 
 
-def write_checkpoint(path: str | Path, key: str, line: str) -> None:
-    """Append one finished pool (key -> verdict JSON line) and fsync it."""
+def write_checkpoint(path: str | Path, records: Sequence[tuple[str, str]]) -> None:
+    """Append finished pools (key -> verdict JSON line) in one write, and
+    fsync them."""
     with open(path, "a", encoding="utf-8") as fh:
-        if fh.tell() == 0:
-            fh.write(json.dumps({"schema": CHECKPOINT_SCHEMA}) + "\n")
-        fh.write(json.dumps({"key": key, "line": line}) + "\n")
+        head = json.dumps({"schema": CHECKPOINT_SCHEMA}) + "\n" if fh.tell() == 0 else ""
+        fh.write(head + "".join(
+            json.dumps({"key": key, "line": line}) + "\n" for key, line in records
+        ))
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -431,7 +604,8 @@ def scan_pools_resumable(
     checkpoint_path: str | Path | None = None,
 ) -> tuple[list[str], ScanSummary]:
     """Like scan_pools but returns verdict JSON lines, skips pools already
-    in the checkpoint and appends each newly finished pool to it.
+    in the checkpoint and appends the newly finished pools of each cohort
+    to it as the cohort finishes.
 
     A checkpoint holding a verdict over another block range raises
     ValueError. Checkpoint writes stay on the calling thread, in target
@@ -452,13 +626,16 @@ def scan_pools_resumable(
         if line is not None:
             summary.add_line(line)
     pending = [idx for idx, line in enumerate(lines) if line is None]
-    for idx, result in _scan_each(chain, targets, pending, from_block, to_block, settings):
-        if isinstance(result, Exception):
-            summary.failures += 1
-            continue
-        line = verdict_to_json_line(result)
-        lines[idx] = line
-        summary.add(result)
-        if checkpoint_path:
-            write_checkpoint(checkpoint_path, keys[idx], line)
+    for cohort in _scan_each(chain, targets, pending, from_block, to_block, settings):
+        records: list[tuple[str, str]] = []
+        for idx, result in cohort:
+            if isinstance(result, Exception):
+                summary.failures += 1
+                continue
+            line = verdict_to_json_line(result)
+            lines[idx] = line
+            summary.add(result)
+            records.append((keys[idx], line))
+        if checkpoint_path and records:
+            write_checkpoint(checkpoint_path, records)
     return [line for line in lines if line is not None], summary

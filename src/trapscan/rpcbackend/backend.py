@@ -9,11 +9,18 @@ lacks it, `simulate_bundle` and `simulate_bundles` raise
 `MethodNotSupported` and the pool gets no verdict, since independent
 eth_calls cannot see each other's effects.
 
-The batched methods send one JSON-RPC 2.0 batch POST each:
-`balances_at` one `eth_call` per read, and `simulate_bundles` one
-`eth_callMany` request per bundle. The single forms, `balance_of` and
-`simulate_bundle`, build and decode their request with the same code.
-Each distinct bundle call is encoded once per view and memoised.
+The batched methods send one JSON-RPC 2.0 batch POST each (per
+`max_batch` requests): `balances_at` one `eth_call` per read, and
+`simulate_bundles` one `eth_callMany` request per bundle. `get_window`
+sends two: first one `eth_getLogs` over every pool address with either
+swap signature, one over every token with Transfer or Approval (an
+address list and a topic OR-list), and every pool's reserves read; then
+the senders of the window's transfers, each transaction looked up once,
+and the balance reads of any pair whose getReserves failed. An oversized
+log answer is split by block range, then by address list, then by topic
+list, and the halves are sent together. The single forms build and
+decode their requests with the same code. Each distinct bundle call is
+encoded once per view and memoised.
 
 Pinned callMany request shape (positional), one bundle per request,
 whether the request is sent alone or inside a batch:
@@ -31,6 +38,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 from ..chainview import (
@@ -43,6 +51,7 @@ from ..chainview import (
     CallStatus,
     ChainView,
     EmptyBundle,
+    Window,
     LiquidityEvent,
     LiquidityKind,
     SwapExactInCall,
@@ -77,6 +86,11 @@ DEFAULT_BALANCE_SLOT = 3  # canonical wrapped-native token layout
 CALL_CACHE_SIZE = 4096  # encoded bundle calls memoised per view
 
 _Tx = tuple[tuple[str, str], ...]  # one transaction's (field, value) pairs
+# A log query: the addresses and the topic-0 alternatives it matches (an
+# empty tuple matches any) over an inclusive block range.
+_LogQuery = tuple[tuple[Address, ...], tuple[str, ...], tuple[int, int]]
+SWAP_TOPICS = (abi.SIG_V2_SWAP.topic0_hex, abi.SIG_V3_SWAP.topic0_hex)
+TOKEN_TOPICS = (abi.SIG_TRANSFER.topic0_hex, abi.SIG_APPROVAL.topic0_hex)
 
 
 @dataclass
@@ -154,24 +168,61 @@ class RpcChainView(ChainView):
     ) -> list[_RawLog]:
         """Complete logs for the filter in (block, transaction index) order,
         splitting the range when the node rejects it as too large."""
-        lo, hi = check_range(block_range)
-        flt: dict = {"fromBlock": hex(lo), "toBlock": hex(hi)}
-        if address is not None:
-            flt["address"] = address.hex
-        if topic0 is not None:
-            flt["topics"] = [topic0]
+        query = (
+            () if address is None else (address,),
+            () if topic0 is None else (topic0,),
+            check_range(block_range),
+        )
+        [(logs, failed)] = self._logs([query], self._send([_log_request(query)]))
+        if failed:
+            raise next(iter(failed.values()))
+        return logs
+
+    def _logs(
+        self, queries: list[_LogQuery], answers: list
+    ) -> list[tuple[list[_RawLog], dict[Address | None, Exception]]]:
+        """For each query, the logs it matched, in (block, transaction index)
+        order, and the error of each address whose logs could not all be
+        fetched (None standing for a query of any address), from the node's
+        `answers` to the queries' requests. A query the node refused as too
+        large is split (see `_split`), and every half is sent in one more
+        POST; a half that still fails fails only its own addresses."""
+        out: list = []
+        pending: list[tuple[int, list[_LogQuery]]] = []
+        for query, answer in zip(queries, answers):
+            if isinstance(answer, NodeLimitError) and (halves := _split(query)):
+                pending.append((len(out), halves))
+                out.append(None)
+            elif isinstance(answer, Exception):
+                out.append(([], dict.fromkeys(query[0] or (None,), answer)))
+            else:
+                out.append((sorted(self._decode_each(answer, _RawLog.parse), key=_log_order), {}))
+        if pending:
+            halves = [half for _, pair in pending for half in pair]
+            found = iter(self._logs(halves, self._batch([_log_request(q) for q in halves])))
+            for position, _ in pending:
+                (left, left_failed), (right, right_failed) = next(found), next(found)
+                out[position] = (sorted(left + right, key=_log_order), left_failed | right_failed)
+        return out
+
+    def _batch(self, requests: list[tuple[str, list]]) -> list:
+        """`call_batch`, with a transport failure raised as BackendUnavailable."""
         try:
-            raw = self.client.call("eth_getLogs", [flt])
-        except NodeLimitError:
-            if lo == hi:
-                raise
-            mid = (lo + hi) // 2
-            left = self.fetch_logs(address, topic0, (lo, mid))
-            right = self.fetch_logs(address, topic0, (mid + 1, hi))
-            return left + right
+            return self.client.call_batch(requests)
         except TransportError as exc:
             raise BackendUnavailable(str(exc)) from exc
-        return sorted(self._decode_each(raw, _RawLog.parse), key=_log_order)
+
+    def _send(self, requests: list[tuple[str, list]]) -> list:
+        """`_batch`, but a lone request is sent as itself, not as a batch of
+        one; its error answer is returned in its place all the same."""
+        if len(requests) != 1:
+            return self._batch(requests)
+        try:
+            return [self.client.call(*requests[0])]
+        except RpcError as exc:
+            return [exc]
+        except TransportError as exc:
+            raise BackendUnavailable(str(exc)) from exc
 
     def _decode_each(self, items: list, decode: Callable) -> list:
         """`decode` of each item, in order; an item it rejects with
@@ -189,35 +240,6 @@ class RpcChainView(ChainView):
 
     def _eth_call(self, to: Address, data: bytes, block: int):
         return self.client.call("eth_call", _call_params(to, data, block))
-
-    def _tx_senders(self, logs: list[_RawLog]) -> dict[bytes, Address]:
-        """The sender of each log's transaction, from one batch of lookups.
-
-        A transaction the node answers with null, or without a sender, is
-        left out, and its transfers carry no `tx_sender`. A failed lookup
-        (the POST, or an error for any one transaction) raises
-        `BackendUnavailable`: the transfers it would have attributed could
-        be a drain, so the pool fails rather than go unreconciled.
-        """
-        hashes = list(dict.fromkeys(log.tx_hash for log in logs))
-        if not hashes:
-            return {}
-        reqs = [("eth_getTransactionByHash", [abi.bytes_to_hex(h)]) for h in hashes]
-        try:
-            results = self.client.call_batch(reqs)
-        except TransportError as exc:
-            raise BackendUnavailable(f"transaction sender lookup failed: {exc}") from exc
-        failed = next((res for res in results if isinstance(res, RpcError)), None)
-        if failed is not None:
-            raise BackendUnavailable(f"transaction sender lookup failed: {failed}")
-        senders: dict[bytes, Address] = {}
-        for h, res in zip(hashes, results):
-            if isinstance(res, dict) and res.get("from"):
-                try:
-                    senders[h] = Address.from_hex(res["from"])
-                except ValueError:
-                    pass
-        return senders
 
     # ------------------------------------------------------------------
     # decoders
@@ -389,15 +411,10 @@ class RpcChainView(ChainView):
         )
 
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
-        logs = self.fetch_logs(token, abi.SIG_TRANSFER.topic0_hex, block_range)
-        senders = self._tx_senders(logs)
-        return self._decode_each(
-            logs, lambda log: self.decode_transfer(log, senders.get(log.tx_hash))
-        )
+        return self.get_window([], [token], block_range).transfers(token)
 
     def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
-        logs = self.fetch_logs(token, abi.SIG_APPROVAL.topic0_hex, block_range)
-        return self._decode_each(logs, self.decode_approval)
+        return self.get_window([], [token], block_range).approvals(token)
 
     def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
         try:
@@ -418,17 +435,96 @@ class RpcChainView(ChainView):
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         info = self.pool_info(pool)
-        if info.dex_version is DexVersion.V2:
-            try:
-                raw = abi.hex_to_bytes(self._eth_call(pool, abi.encode_get_reserves(), block))
-                return abi.dec_uint(raw, 0), abi.dec_uint(raw, 1)
-            except (RpcError, DecodeError):
-                pass
-        x = self.balance_of(info.token_x, pool, block)
-        y = self.balance_of(info.token_y, pool, block)
-        if x is None or y is None:
+        reserves = _reserves_value(info, self._batch(_reserves_requests(info, block)))
+        if reserves is None and info.dex_version is DexVersion.V2:
+            reserves = _balance_pair(self._batch(_pair_requests(info, block)))
+        if reserves is None:
             raise UnknownPool(f"cannot read reserves of {pool} at block {block}")
-        return x, y
+        return reserves
+
+    def get_window(
+        self,
+        pools: Sequence[Address],
+        tokens: Sequence[Address],
+        block_range: tuple[int, int],
+    ) -> Window:
+        """Every answer of the window, fetched in two POSTs (see the module
+        docstring) besides the metadata reads of a pool not yet known. A
+        transport failure raises BackendUnavailable. An error answer fails
+        only what it answers: a failed log query its addresses, and a
+        failed sender lookup the transfers of each token that logged the
+        transaction; a reserves read that fails leaves the pool unknown at
+        the block, as `get_reserves` does."""
+        lo, hi = check_range(block_range)
+        answers: dict[tuple[str, Address], object] = {}
+        infos: list[PoolInfo] = []
+        for pool in dict.fromkeys(pools):
+            try:
+                infos.append(self.pool_info(pool))
+            except UnknownPool as exc:
+                answers["swaps", pool] = answers["reserves", pool] = exc
+        tokens = list(dict.fromkeys(tokens))
+        queries: list[_LogQuery] = []
+        if infos:
+            queries.append((tuple(info.pool for info in infos), SWAP_TOPICS, (lo, hi)))
+        if tokens:
+            queries.append((tuple(tokens), TOKEN_TOPICS, (lo, hi)))
+        reads = [_reserves_requests(info, hi) for info in infos]
+        replies = self._send([*map(_log_request, queries), *(r for req in reads for r in req)])
+
+        transfer_logs: dict[Address, list[_RawLog]] = {}
+        for query, (found, failed) in zip(queries, self._logs(queries, replies)):
+            grouped = _by_address(found)
+            for address in query[0]:
+                logged = grouped.get(address, [])
+                if query[1] == SWAP_TOPICS:
+                    answers["swaps", address] = failed.get(address) or self._decode_each(
+                        logged, partial(self.decode_swap, info=self.pool_info(address))
+                    )
+                elif address in failed:
+                    answers["transfers", address] = answers["approvals", address] = failed[address]
+                else:
+                    transfer_logs[address] = [
+                        log for log in logged if log.topics[:1] == [abi.SIG_TRANSFER.topic0_hex]
+                    ]
+                    answers["approvals", address] = self._decode_each(
+                        [log for log in logged if log.topics[:1] == [abi.SIG_APPROVAL.topic0_hex]],
+                        self.decode_approval,
+                    )
+
+        fallback: list[PoolInfo] = []
+        position = len(queries)
+        for info, requests in zip(infos, reads):
+            reserves = _reserves_value(info, replies[position:position + len(requests)])
+            position += len(requests)
+            if reserves is None and info.dex_version is DexVersion.V2:
+                fallback.append(info)
+            else:
+                answers["reserves", info.pool] = reserves or UnknownPool(
+                    f"cannot read reserves of {info.pool} at block {hi}"
+                )
+
+        hashes = list(dict.fromkeys(
+            log.tx_hash for logged in transfer_logs.values() for log in logged
+        ))
+        requests = _sender_requests(hashes)
+        for info in fallback:
+            requests += _pair_requests(info, hi)
+        replies = self._batch(requests) if requests else []
+        senders, failed = _senders(hashes, replies)
+        for token, logged in transfer_logs.items():
+            answers["transfers", token] = BackendUnavailable(
+                f"transaction sender lookup failed for a transfer of {token}"
+            ) if any(log.tx_hash in failed for log in logged) else self._decode_each(
+                logged, lambda log: self.decode_transfer(log, senders.get(log.tx_hash))
+            )
+        position = len(hashes)
+        for info in fallback:
+            answers["reserves", info.pool] = _balance_pair(
+                replies[position:position + 2]
+            ) or UnknownPool(f"cannot read reserves of {info.pool} at block {hi}")
+            position += 2
+        return _FetchedWindow(self, (lo, hi), answers)
 
     def quote_exact_in(
         self, pool: PoolInfo, token_in: Address, amount_in: TokenAmount, block: int
@@ -556,36 +652,35 @@ class RpcChainView(ChainView):
         calls: Sequence[Call],
         balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
     ) -> list[CallOutcome]:
-        params, slots = self._bundle_request(block, calls, balance_overrides)
-        try:
-            response = self.client.call("eth_callMany", params)
-        except TransportError as exc:
-            raise BackendUnavailable(str(exc)) from exc
-        return self._bundle_outcomes(response, slots)
+        [outcomes] = self.simulate_bundles(block, [(calls, balance_overrides)])
+        if isinstance(outcomes, Exception):
+            raise outcomes
+        return outcomes
 
     def simulate_bundles(
         self,
         block: int,
         items: Sequence[tuple[Sequence[Call], BalanceOverrides | None]],
-    ) -> list[list[CallOutcome]]:
+    ) -> list[list[CallOutcome] | Exception]:
         """Every bundle as its own `eth_callMany` request, all in one
-        batched POST. One request never holds two bundles: the node runs
+        batched POST (a lone bundle as a plain request). One request never
+        holds two bundles: the node runs
         the bundles of one request on shared state, so one sell would move
-        the next one's reserves. An error answer to any request raises as
-        `simulate_bundle` raises it, so a node without `eth_callMany`
-        fails with `MethodNotSupported`."""
+        the next one's reserves. An error answer to a request takes the
+        place of that bundle's outcomes, as the exception `simulate_bundle`
+        would raise for it: on a node without `eth_callMany`, each is a
+        `MethodNotSupported`. A transport failure raises
+        BackendUnavailable."""
         requests = [self._bundle_request(block, calls, overrides) for calls, overrides in items]
-        try:
-            responses = self.client.call_batch(
-                [("eth_callMany", params) for params, _ in requests]
-            )
-        except TransportError as exc:
-            raise BackendUnavailable(str(exc)) from exc
-        outcomes = []
+        responses = self._send([("eth_callMany", params) for params, _ in requests])
+        outcomes: list[list[CallOutcome] | Exception] = []
         for (_, slots), response in zip(requests, responses):
-            if isinstance(response, RpcError):
-                raise response
-            outcomes.append(self._bundle_outcomes(response, slots))
+            try:
+                if isinstance(response, RpcError):
+                    raise response
+                outcomes.append(self._bundle_outcomes(response, slots))
+            except (RpcError, BackendUnavailable) as exc:
+                outcomes.append(exc)
         return outcomes
 
     @staticmethod
@@ -621,6 +716,123 @@ class RpcChainView(ChainView):
             return _success(amounts[-1] if amounts else 0)
         except DecodeError:
             return _revert(f"bad swap payload: {value!r}")
+
+
+class _FetchedWindow(Window):
+    """A window whose answers were all fetched up front, keyed by (kind,
+    address): records, or the exception the query got, raised when asked
+    for."""
+
+    def __init__(self, chain, block_range, answers: dict[tuple[str, Address], object]):
+        super().__init__(chain, block_range)
+        self.answers = answers
+
+    def _answer(self, kind: str, address: Address):
+        answer = self.answers[kind, address]
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    def swaps(self, pool: Address) -> list[SwapRecord]:
+        return self._answer("swaps", pool)
+
+    def transfers(self, token: Address) -> list[TransferRecord]:
+        return self._answer("transfers", token)
+
+    def approvals(self, token: Address) -> list[ApproveRecord]:
+        return self._answer("approvals", token)
+
+    def reserves(self, pool: Address) -> tuple[TokenAmount, TokenAmount]:
+        return self._answer("reserves", pool)
+
+
+def _log_request(query: _LogQuery) -> tuple[str, list]:
+    addresses, topics, (lo, hi) = query
+    flt: dict = {"fromBlock": hex(lo), "toBlock": hex(hi)}
+    if addresses:
+        flt["address"] = addresses[0].hex if len(addresses) == 1 else [a.hex for a in addresses]
+    if topics:
+        flt["topics"] = [topics[0] if len(topics) == 1 else list(topics)]
+    return "eth_getLogs", [flt]
+
+
+def _split(query: _LogQuery) -> list[_LogQuery] | None:
+    """The two halves of a query the node refused as too large: of its
+    block range, else of its address list, else of its topic list; None
+    when it is one block, one address and one topic."""
+    addresses, topics, (lo, hi) = query
+    if lo < hi:
+        mid = (lo + hi) // 2
+        return [(addresses, topics, (lo, mid)), (addresses, topics, (mid + 1, hi))]
+    if len(addresses) > 1:
+        half = len(addresses) // 2
+        return [(addresses[:half], topics, (lo, hi)), (addresses[half:], topics, (lo, hi))]
+    if len(topics) > 1:
+        half = len(topics) // 2
+        return [(addresses, topics[:half], (lo, hi)), (addresses, topics[half:], (lo, hi))]
+    return None
+
+
+def _by_address(logs: list[_RawLog]) -> dict[Address, list[_RawLog]]:
+    grouped: dict[Address, list[_RawLog]] = {}
+    for log in logs:
+        grouped.setdefault(log.address, []).append(log)
+    return grouped
+
+
+def _sender_requests(hashes: list[bytes]) -> list[tuple[str, list]]:
+    return [("eth_getTransactionByHash", [abi.bytes_to_hex(h)]) for h in hashes]
+
+
+def _senders(hashes: list[bytes], results: list) -> tuple[dict[bytes, Address], set[bytes]]:
+    """The sender of each looked-up transaction, and the hashes whose
+    lookup got an error. A null answer, or one without a sender, leaves
+    the sender unknown: its transfers carry no `tx_sender`."""
+    senders: dict[bytes, Address] = {}
+    failed: set[bytes] = set()
+    for h, res in zip(hashes, results):
+        if isinstance(res, Exception):
+            failed.add(h)
+        elif isinstance(res, dict) and res.get("from"):
+            try:
+                senders[h] = Address.from_hex(res["from"])
+            except ValueError:
+                pass
+    return senders, failed
+
+
+def _pair_requests(info: PoolInfo, block: int) -> list[tuple[str, list]]:
+    """Reads of the pool's balance of each of its tokens."""
+    return [("eth_call", _balance_params(token, info.pool, block))
+            for token in (info.token_x, info.token_y)]
+
+
+def _reserves_requests(info: PoolInfo, block: int) -> list[tuple[str, list]]:
+    """A pair's getReserves read; a pool without one is read by balances."""
+    if info.dex_version is DexVersion.V2:
+        return [("eth_call", _call_params(info.pool, abi.encode_get_reserves(), block))]
+    return _pair_requests(info, block)
+
+
+def _reserves_value(info: PoolInfo, answers: list) -> tuple[TokenAmount, TokenAmount] | None:
+    """The reserves from the answers to `_reserves_requests`, or None."""
+    if info.dex_version is not DexVersion.V2:
+        return _balance_pair(answers)
+    [answer] = answers
+    if isinstance(answer, Exception):
+        return None
+    try:
+        raw = abi.hex_to_bytes(answer)
+        return abi.dec_uint(raw, 0), abi.dec_uint(raw, 1)
+    except DecodeError:
+        return None
+
+
+def _balance_pair(answers: list) -> tuple[TokenAmount, TokenAmount] | None:
+    """Both balances from the answers to `_pair_requests`, or None if
+    either read failed."""
+    x, y = (None if isinstance(raw, Exception) else _balance_value(raw) for raw in answers)
+    return None if x is None or y is None else (x, y)
 
 
 def _call_params(to: Address, data: bytes, block: int) -> list:

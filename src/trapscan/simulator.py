@@ -19,9 +19,9 @@ the evidence as plain values: the two balance reads, the third-last and
 last outcomes (None where a read reverted), and the estimate. `run_many`
 does the same for several bundles of one block through one
 `simulate_bundles` call, which the RPC backend sends as one POST. A
-round runs its sell per tracked buyer and its buy probe through one
-`run_many`, and its round trip, sized from the probe's result, through
-`run`. The mock chain answers most of them from its memo, so the
+cohort's rounds run every pool's sells and buy probe through one
+`run_many`, and every round trip, sized from its probe's result, through
+one more. The mock chain answers most of them from its memo, so the
 packaging builds no per-result snapshot or block object.
 """
 
@@ -70,10 +70,10 @@ def estimate_output(
 
     output = amount_in * (fee_den - fee_num) * reserve_out
              // (reserve_in * fee_den + amount_in * (fee_den - fee_num))
+
+    The amounts are not range-checked here: each comes from a chain read
+    or from an entry point that checked it.
     """
-    check_amount(reserve_in, "reserve_in")
-    check_amount(reserve_out, "reserve_out")
-    check_amount(amount_in, "amount_in")
     if reserve_in == 0 or reserve_out == 0:
         raise NoLiquidity("estimate_output: empty reserve")
     if amount_in == 0:
@@ -280,17 +280,19 @@ def run(
 
 def run_many(
     chain: ChainView, items: Sequence[tuple[Bundle, BalanceOverrides | None]]
-) -> list[SimulationResult]:
+) -> list[SimulationResult | Exception]:
     """`run` of each `(bundle, balance_overrides)`, in order, through one
     `simulate_bundles` call at the first bundle's block: the bundles must
-    all be of that block, as a round's are."""
+    all be of that block, as a round's are. A bundle whose simulation
+    failed gets the backend's exception in place of its result."""
     if not items:
         return []
     answers = chain.simulate_bundles(
         items[0][0].block, [(bundle.calls, overrides) for bundle, overrides in items]
     )
     return [
-        _package(bundle, outcomes, _estimate_for(chain, bundle))
+        outcomes if isinstance(outcomes, Exception)
+        else _package(bundle, outcomes, _estimate_for(chain, bundle))
         for (bundle, _), outcomes in zip(items, answers)
     ]
 

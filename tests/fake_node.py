@@ -1,7 +1,8 @@
 """In-process JSON-RPC node emulator backed by a MockChain.
 
-Serves eth_getLogs / eth_call / eth_callMany / eth_getTransactionByHash
-with real Ethereum wire encodings (topics, ABI words, hex quantities), so
+Serves eth_getLogs (with address lists and topic OR-lists) / eth_call /
+eth_callMany / eth_getTransactionByHash with real Ethereum wire
+encodings (topics, ABI words, hex quantities), so
 the RPC backend's encoders and decoders are exercised end to end with
 zero network access. Fault injection knobs cover the node-limit split
 path, a node without callMany (which must fail the simulation),
@@ -214,18 +215,32 @@ class FakeNode:
         }
 
     def _get_logs(self, flt: dict) -> list[dict]:
+        """The logs matching the filter, scanning every log the chain
+        holds. `address` is one address or a list of them; each entry of
+        `topics` is null (any), one topic, or a list of alternatives.
+        `log_limit` bounds the whole answer."""
         lo = int(flt.get("fromBlock", "0x0"), 16)
         hi = int(flt.get("toBlock", hex(self.chain.head())), 16)
         address = flt.get("address")
-        topics = flt.get("topics") or []
+        if isinstance(address, str):
+            address = [address]
+        addresses = {a.lower() for a in address} if address else None
+        topics = [
+            None if t is None else {t} if isinstance(t, str) else set(t)
+            for t in flt.get("topics") or []
+        ]
         out = []
         for log in self._all_logs():
             blk = int(log["blockNumber"], 16)
             if not (lo <= blk <= hi):
                 continue
-            if address and log["address"].lower() != address.lower():
+            if addresses is not None and log["address"].lower() not in addresses:
                 continue
-            if topics and log["topics"][: len(topics)] != topics:
+            logged = log["topics"]
+            if len(logged) < len(topics) or any(
+                wanted is not None and topic not in wanted
+                for topic, wanted in zip(logged, topics)
+            ):
                 continue
             out.append(log)
         if self.log_limit is not None and len(out) > self.log_limit:

@@ -953,3 +953,27 @@ class TestBundleReuseDifferential:
                 assert outcomes_of(world.chain, block, calls, overrides) == memo_free(
                     world.chain, block, calls, overrides
                 )
+
+
+class TestAmountEntryChecks:
+    """Amounts are range-checked where they enter the mock, at its public
+    methods; the transfer path inside a transaction trusts them."""
+
+    @pytest.mark.parametrize("amount", [-1, 2**256])
+    def test_out_of_range_amount_raises_at_each_public_method(self, amount):
+        chain, base, trap, pool, sell, funded = delayed_world()
+        head = chain.head()
+        entries = [
+            lambda: chain.deploy_token(Honest(), amount, OWNER),
+            lambda: chain.token_transfer(base, OWNER, ALICE, amount),
+            lambda: chain.approve(trap, OWNER, ALICE, amount),
+            lambda: chain.swap(pool, OWNER, base, amount, OWNER),
+            lambda: chain.add_liquidity(pool, OWNER, amount, 1),
+            lambda: chain.simulate_bundle(head, sell, {(trap, PROBE): amount}),
+            lambda: chain.simulate_bundle(
+                head, [SwapExactInCall(caller=PROBE, pool=pool, token_in=trap, token_out=base,
+                                       amount_in=amount, recipient=PROBE)], funded),
+        ]
+        for enter in entries:
+            with pytest.raises(AmountRangeError):
+                enter()

@@ -11,7 +11,7 @@ from trapscan.analyzer import (
     check_unauthorized_transfer,
     verdict_to_json_line,
 )
-from trapscan.chainview import CallOutcome, CallStatus
+from trapscan.chainview import BackendUnavailable, CallOutcome, CallStatus, ChainView
 from trapscan.core import Address, TrapType
 from trapscan.corpus import TRAP_FAMILIES, generate_scenario
 from trapscan.mockchain import (
@@ -93,6 +93,7 @@ def test_classification_through_rpc_backend():
 
 @pytest.mark.parametrize("field, value", [
     ("interval", 0), ("interval", -2), ("workers", 0), ("workers", -1),
+    ("cohort", 0), ("cohort", -1),
 ])
 def test_settings_reject_nonpositive_counts(field, value):
     with pytest.raises(ValueError, match=field):
@@ -470,6 +471,54 @@ def staggered_trap_chain():
     return chain, targets
 
 
+def cohort_chain(pools=12):
+    """One mock chain with `pools` pools of mixed behaviors, created two
+    blocks apart and each bought by three shared buyers on the blocks after,
+    with drains and a delayed tax, then a quiet tail: cohorts of these pools
+    have windows where some pools do not exist yet, where several swap in
+    one block, and where transfers need their senders looked up. No token
+    logs two transfers in one block, so a node that answers one log per
+    query can still serve every window."""
+    owner = Address.derive("cohort:owner")
+    buyers = [Address.derive(f"cohort:buyer:{i}") for i in range(3)]
+    chain = MockChain()
+    base = chain.deploy_token(Honest(Fraction(0)), 10**24, owner)
+    for buyer in buyers:
+        assert chain.token_transfer(base, owner, buyer, 10**9).ok
+    behaviors = [
+        Honest(Fraction(0)),
+        LimitedSell(Fraction(1, 100), fee_exempt=frozenset({owner})),
+        OwnerDrain(owner=owner, emits_event=True),
+        Honest(Fraction(30, 100)),
+        DelayedSellTax(Fraction(9, 10), trigger=SwitchTrigger.at_block(20)),
+        HiddenTax(Fraction(1, 2), exempt=frozenset({owner})),
+        ListGate(mode=GateMode.ALLOW, members=frozenset({owner})),
+        OwnerDrain(owner=owner, emits_event=False),
+    ]
+    targets, drains = [], {}
+    for step in range(2 * pools + 8):
+        chain.advance_block()
+        if step % 2 == 0 and len(targets) < pools:
+            behavior = behaviors[len(targets) % len(behaviors)]
+            token = chain.deploy_token(behavior, 10**24, owner)
+            chain.advance_block()  # the mint and the deposit log in blocks of their own
+            pool = chain.create_pool(base, token)
+            assert chain.add_liquidity(pool, owner, 10**9, 10**9).ok
+            targets.append((chain.pool_info(pool), token))
+            if isinstance(behavior, OwnerDrain):
+                drains[chain.pending_block + 5] = token
+            continue
+        drained = drains.get(chain.pending_block)
+        for k, (info, token) in enumerate(targets):
+            if (k + step) % 3 and token != drained:
+                buyer = buyers[(k + step) % len(buyers)]
+                assert chain.swap(info.pool, buyer, base, 10**6 + k, buyer).ok
+        if drained is not None:
+            assert chain.owner_drain(drained, buyers[1], owner).ok
+    chain.advance_block(10)
+    return chain, targets
+
+
 class FailingView:
     """Delegates to a chain but raises on every swap query for one pool."""
 
@@ -481,6 +530,8 @@ class FailingView:
         if pool == self._bad_pool:
             raise RuntimeError("node fell over")
         return self._chain.get_swaps(pool, block_range)
+
+    get_window = ChainView.get_window  # windows that ask this view's get_swaps
 
     def __getattr__(self, name):
         return getattr(self._chain, name)
@@ -525,13 +576,13 @@ class TestCrashSafeResume:
         path.write_text(text[: last_start + (len(text) - last_start) // 2])
 
         scanned = []
-        real_scan_pool = pipeline.scan_pool
+        real_scan_cohort = pipeline.scan_cohort
 
-        def counting_scan_pool(chain, pool, *args, **kwargs):
-            scanned.append(pool.pool)
-            return real_scan_pool(chain, pool, *args, **kwargs)
+        def counting_scan_cohort(chain, states, *args, **kwargs):
+            scanned.extend(state.watch.pool.pool for state in states)
+            return real_scan_cohort(chain, states, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "scan_pool", counting_scan_pool)
+        monkeypatch.setattr(pipeline, "scan_cohort", counting_scan_cohort)
         lines, summary = scan_pools_resumable(
             chain, targets, 1, chain.head(), checkpoint_path=path
         )
@@ -541,6 +592,44 @@ class TestCrashSafeResume:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[0] == {"schema": "trapscan-scan-checkpoint/2"}
         assert [r["line"] for r in records[1:]] == one_pass
+
+    def test_torn_cohort_append_rescans_its_unrecorded_pools(self, tmp_path, monkeypatch):
+        """A cohort's pools are appended in one write and one fsync. Torn in
+        the middle of its second record, the append keeps the first pool;
+        a resume rescans the other two, as one cohort, and gives the
+        one-pass lines."""
+        chain, targets = three_pool_chain()
+        one_pass, _ = scan_pools_resumable(chain, targets, 1, chain.head())
+        path = tmp_path / "scan.ckpt"
+        writes = []
+        real_write = pipeline.write_checkpoint
+
+        def counting_write(path, records):
+            writes.append(len(records))
+            return real_write(path, records)
+
+        monkeypatch.setattr(pipeline, "write_checkpoint", counting_write)
+        scan_pools_resumable(chain, targets, 1, chain.head(), checkpoint_path=path)
+        assert writes == [3]
+        header, first, second, _third = path.read_text().splitlines(keepends=True)
+        path.write_text(header + first + second[: len(second) // 2])
+
+        cohorts = []
+        real_scan_cohort = pipeline.scan_cohort
+
+        def recording_scan_cohort(chain, states, *args, **kwargs):
+            cohorts.append([state.watch.pool.pool for state in states])
+            return real_scan_cohort(chain, states, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "scan_cohort", recording_scan_cohort)
+        lines, summary = scan_pools_resumable(
+            chain, targets, 1, chain.head(), checkpoint_path=path
+        )
+        assert cohorts == [[targets[1][0].pool, targets[2][0].pool]]
+        assert writes == [3, 2]
+        assert lines == one_pass
+        assert summary.scanned == 3 and summary.failures == 0
+        assert list(read_checkpoint(path).values()) == one_pass
 
     def test_torn_header_starts_afresh(self, tmp_path):
         path = tmp_path / "scan.ckpt"
@@ -553,3 +642,111 @@ class TestCrashSafeResume:
         path.write_text(json.dumps({"schema": "trapscan-scan-checkpoint/1", "done": {}}))
         with pytest.raises(ValueError, match="trapscan-scan-checkpoint/1"):
             read_checkpoint(path)
+
+
+class _SealedChainNode(FakeNode):
+    """A fake node that builds its log list once: the chain it serves
+    seals no block while the tests scan it."""
+
+    def _all_logs(self):
+        if not hasattr(self, "_logs"):
+            self._logs = super()._all_logs()
+        return self._logs
+
+
+def _rpc_view(chain, transport=None, **node_options):
+    node = _SealedChainNode(chain=chain, **node_options)
+    return RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport or node)
+
+
+class TestCohortScan:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return cohort_chain()
+
+    @pytest.mark.parametrize("interval", [1, 3, 10])
+    def test_cohorts_give_the_one_pool_lines(self, world, interval):
+        """Whatever the cohort size, every verdict line is byte-identical to
+        a scan of one pool at a time, on each backend; with `log_limit=1` the
+        window's log queries are split by range, then by address list."""
+        chain, targets = world
+
+        def scan(view, cohort):
+            settings = ScanSettings(interval=interval, cohort=cohort)
+            lines, summary = scan_pools_resumable(view, targets, 1, chain.head(), settings)
+            assert summary.failures == 0
+            return lines
+
+        one_pool = scan(chain, 1)
+        assert len(one_pool) == len(targets)
+        for cohort in (2, 5, 12):
+            assert scan(chain, cohort) == one_pool, ("mock", cohort)
+        rpc_one_pool = scan(_rpc_view(chain), 1)
+        assert [json.loads(line)["traps"] for line in rpc_one_pool] == [
+            json.loads(line)["traps"] for line in one_pool
+        ]
+        for log_limit, cohorts in ((None, (2, 5, 12)), (1, (1, 2, 5, 12))):
+            for cohort in cohorts:
+                node = _SealedChainNode(chain=chain, log_limit=log_limit)
+                view = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=node)
+                assert scan(view, cohort) == rpc_one_pool, (log_limit, cohort)
+        # The last cohort's one-block queries were split down to one address.
+        one_block = [params[0] for method, params in node.requests if method == "eth_getLogs"
+                     and params[0]["fromBlock"] == params[0]["toBlock"]]
+        assert any(isinstance(flt["address"], str) for flt in one_block)
+
+    def test_both_orientations_of_a_pool_share_a_cohort(self, world):
+        """A pool watched from both sides is queried and read once per
+        window for both watches, which still get the one-pool lines."""
+        chain, targets = world
+        both = [(info, token) for info, trap in targets[:4] for token in (trap, info.token_x)]
+
+        def scan(cohort):
+            node = _SealedChainNode(chain=chain)
+            view = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=node)
+            lines, summary = scan_pools_resumable(
+                view, both, 1, chain.head(), ScanSettings(interval=3, cohort=cohort)
+            )
+            assert summary.failures == 0
+            return lines, node.requests.count_method("eth_call")
+
+        (one_pool, one_pool_calls), (paired, paired_calls) = scan(1), scan(8)
+        assert paired == one_pool
+        assert paired_calls < one_pool_calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_shared_post_fails_only_its_cohort(self, world, workers, tmp_path):
+        """The node drops one log-query POST of the second of three cohorts:
+        that cohort's four pools fail, the scan goes on, and every other
+        pool's line and checkpoint record is the one-pass one."""
+        chain, targets = world
+        settings = ScanSettings(interval=3, cohort=4, workers=workers)
+        one_pass, _ = scan_pools_resumable(_rpc_view(chain), targets, 1, chain.head(), settings)
+        node = _SealedChainNode(chain=chain)
+        second = targets[4][0].pool.hex
+        dropped = []
+
+        def transport(payload):
+            for item in payload if isinstance(payload, list) else [payload]:
+                flt = item["params"][0] if item["method"] == "eth_getLogs" else {}
+                if not dropped and second in flt.get("address", ()) and flt["fromBlock"] != "0x1":
+                    dropped.append(flt["fromBlock"])
+                    raise OSError("connection reset")
+            return node(payload)
+
+        path = tmp_path / "scan.ckpt"
+        lines, summary = scan_pools_resumable(
+            _rpc_view(chain, transport), targets, 1, chain.head(), settings, path
+        )
+        assert dropped and summary.failures == 4
+        kept = one_pass[:4] + one_pass[8:]
+        assert lines == kept
+        assert list(read_checkpoint(path).values()) == kept
+
+        # Each pool of the failed cohort carries the failure itself.
+        dropped.clear()
+        states = [PoolScanState(watch=PoolWatch.create(*target)) for target in targets[4:8]]
+        results = pipeline.scan_cohort(
+            _rpc_view(chain, transport), states, 1, chain.head(), settings
+        )
+        assert dropped and all(isinstance(r, BackendUnavailable) for r in results)

@@ -265,6 +265,47 @@ class TestFetchLogs:
         assert rpc.fetch_logs(trace.trap_token, abi.SIG_TRANSFER.topic0_hex, (0, 0)) == []
 
 
+class TestFakeNodeFilters:
+    def test_list_filters_merge_the_single_address_answers(self):
+        """An address list and a topic OR-list answer the merge of the
+        single-address, single-topic answers, in (block, transaction index)
+        order, and `log_limit` bounds the merged answer."""
+        from test_pipeline import cohort_chain
+
+        chain, targets = cohort_chain(pools=3)
+        token = targets[0][1]
+        assert chain.approve(token, Address.derive("cohort:buyer:0"), OWNER, 5).ok
+        chain.advance_block()
+        node = FakeNode(chain=chain)
+
+        def logs(address, topics, node=node):
+            flt = {"fromBlock": "0x0", "toBlock": hex(chain.head()),
+                   "address": address, "topics": topics}
+            response = node({"jsonrpc": "2.0", "id": 1, "method": "eth_getLogs",
+                             "params": [flt]})
+            return response.get("result", response.get("error"))
+
+        def order(log):
+            return int(log["blockNumber"], 16), int(log["transactionIndex"], 16)
+
+        swap, transfer, approval = (sig.topic0_hex for sig in (
+            abi.SIG_V2_SWAP, abi.SIG_TRANSFER, abi.SIG_APPROVAL))
+        pools = [info.pool.hex for info, _ in targets]
+        cases = [
+            (pools, [[swap, abi.SIG_V3_SWAP.topic0_hex]], [(p, [swap]) for p in pools]),
+            ([token.hex], [[transfer, approval]], [(token.hex, [transfer]), (token.hex, [approval])]),
+        ]
+        for address, topics, parts in cases:
+            merged = logs(address, topics)
+            assert all(logs(*part) for part in parts)
+            singles = [log for part in parts for log in logs(*part)]
+            assert merged == sorted(singles, key=order)
+            assert merged == sorted(merged, key=order)
+            limited = FakeNode(chain=chain, log_limit=len(merged) - 1)
+            assert "more than allowed" in logs(address, topics, limited)["message"]
+            assert all(isinstance(logs(*part, limited), list) for part in parts)
+
+
 class TestLogOrder:
     def test_reversed_node_logs_come_back_in_chain_order(self):
         trace = run_simple(Honest(Fraction(0)), victims=2)
@@ -366,6 +407,47 @@ class TestTxSenders:
         assert grown < 16 * 1024
         # one batch per window, one lookup per transaction
         assert lookups == [1] * 500
+
+
+class TestWindowSenders:
+    def test_a_transaction_seen_by_two_cohort_pools_is_looked_up_once(self):
+        """A window over three pools' trap tokens: the transaction that logged
+        a transfer of two of them is looked up once, and the error answer to
+        the third token's transaction fails only that token's transfers."""
+        a, b, c = (Address.derive(f"cohort-token-{k}") for k in "abc")
+        sender = Address.derive("sender")
+        shared, bad = "0x" + "11" * 32, "0x" + "22" * 32
+        transfer = [abi.SIG_TRANSFER.topic0_hex, pad_addr(sender.hex), pad_addr(OWNER.hex)]
+        logs = [
+            make_log(a.hex, transfer, "0x" + "00" * 31 + "01", tx_index=1, tx_hash=shared),
+            make_log(b.hex, transfer, "0x" + "00" * 31 + "02", tx_index=1, tx_hash=shared),
+            make_log(c.hex, transfer, "0x" + "00" * 31 + "03", tx_index=2, tx_hash=bad),
+        ]
+        looked_up = []
+
+        def transport(payload):
+            answers = []
+            for item in _items(payload):
+                if item["method"] == "eth_getLogs":
+                    answers.append({"jsonrpc": "2.0", "id": item["id"], "result": logs})
+                    continue
+                looked_up.append(item["params"][0])
+                if item["params"][0] == bad:
+                    answers.append({"jsonrpc": "2.0", "id": item["id"],
+                                    "error": {"code": -32000, "message": "header not found"}})
+                else:
+                    answers.append({"jsonrpc": "2.0", "id": item["id"],
+                                    "result": {"hash": item["params"][0], "from": sender.hex}})
+            return answers if isinstance(payload, list) else answers[0]
+
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
+        window = rpc.get_window([], [a, b, c], (100, 100))
+        assert sorted(looked_up) == [shared, bad]
+        assert [(r.value, r.tx_sender) for r in window.transfers(a)] == [(1, sender)]
+        assert [(r.value, r.tx_sender) for r in window.transfers(b)] == [(2, sender)]
+        with pytest.raises(BackendUnavailable):
+            window.transfers(c)
+        assert window.approvals(c) == []
 
 
 class Recorder:
@@ -571,13 +653,39 @@ class TestSimulateBundle:
             p.hex for p in probes
         ]
 
-    def test_batched_bundles_without_call_many_raise(self, backend):
+    def test_a_bundle_error_fails_only_its_pool(self):
+        """One POST carries the bundles of three pools; the node's error
+        answers to one pool's bundles fail that pool alone."""
+        from test_pipeline import three_pool_chain
+
+        chain, targets = three_pool_chain()
+        node = FakeNode(chain=chain)
+        probe = pipeline.probe_account_for(targets[1][0]).hex
+
+        def transport(payload):
+            response = node(payload)
+            for item, answer in zip(_items(payload), _items(response)):
+                txs = item["params"][0][0]["transactions"] if item["method"] == "eth_callMany" else []
+                if any(tx["from"] == probe for tx in txs):
+                    answer.pop("result")
+                    answer["error"] = {"code": -32000, "message": "execution timeout"}
+            return response
+
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
+        verdicts, summary = scan_pools(rpc, targets, 1, chain.head())
+        assert summary.failures == 1
+        assert [v.pool.pool for v in verdicts] == [targets[0][0].pool, targets[2][0].pool]
+
+    def test_batched_bundles_without_call_many_fail_each_bundle(self, backend):
         trace, _, _ = backend
         node = FakeNode(chain=trace.chain, support_call_many=False)
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
         probe = Address.derive("probe")
-        with pytest.raises(MethodNotSupported):
-            rpc.simulate_bundles(trace.chain.head(), [(self._calls(trace, probe), None)] * 2)
+        results = rpc.simulate_bundles(
+            trace.chain.head(), [(self._calls(trace, probe), None)] * 2
+        )
+        assert len(results) == 2
+        assert all(isinstance(result, MethodNotSupported) for result in results)
 
     def test_mock_batches_as_single_bundles(self, backend):
         trace, _, _ = backend
@@ -710,12 +818,12 @@ class TestWindowedScanCost:
         verdict = scan_pool(rpc, trace.pool, trace.trap_token, 1, blocks, ScanSettings(interval=10))
         assert verdict.traps == set()
         rounds = blocks // 10 + 1
-        assert node.requests.count_method("eth_getLogs") <= 3 * rounds
+        assert node.requests.count_method("eth_getLogs") <= 2 * rounds
         assert len(node.requests) < 2 * blocks
-        # Per round: 3 log queries, a sender-lookup batch, the reserves, one
-        # batch of balance reads, one of sells and probe, and the round trip;
-        # plus 4 pool-metadata reads in all.
-        assert node.posts <= 8 * rounds + 4
+        # Per round: the log queries with the reserves, the sender lookups,
+        # the balance reads, the sells and probe, and the round trip; plus 4
+        # pool-metadata reads in all.
+        assert node.posts <= 5 * rounds + 4
 
     def test_reserves_read_once_per_round(self, monkeypatch):
         """Ingestion's getReserves call at each round's block is the only
@@ -746,17 +854,19 @@ class TestWindowedScanCost:
         node = FakeNode(chain=trace.chain)
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=1), transport=node)
         taken = []
-        real_ingest = pipeline.ingest_block
+        real_ingest = pipeline.ingest_window
 
-        def recording_ingest(watch, chain, block, start=None):
-            carried = set(watch.buyers)  # each starts the window with its last balance
-            real_ingest(watch, chain, block, start)
-            for buyer, ledger in watch.buyers.items():
-                new = ledger.snapshots[1:] if buyer in carried else ledger.snapshots
-                taken.extend((buyer, edge) for edge, _ in new)
-            return watch
+        def recording_ingest(watches, chain, block, start=None):
+            # each buyer starts the window with its last balance
+            carried = [set(watch.buyers) for watch in watches]
+            errors = real_ingest(watches, chain, block, start)
+            for watch, kept in zip(watches, carried):
+                for buyer, ledger in watch.buyers.items():
+                    new = ledger.snapshots[1:] if buyer in kept else ledger.snapshots
+                    taken.extend((buyer, edge) for edge, _ in new)
+            return errors
 
-        monkeypatch.setattr(pipeline, "ingest_block", recording_ingest)
+        monkeypatch.setattr(pipeline, "ingest_window", recording_ingest)
         scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block,
                   ScanSettings(interval=10))
         balance_of = abi.bytes_to_hex(abi.SEL_BALANCE_OF)
@@ -765,6 +875,37 @@ class TestWindowedScanCost:
                  if method == "eth_call" and params[0]["data"].startswith(balance_of)]
         assert len(taken) > 3
         assert sorted(reads) == sorted(taken)
+
+
+class TestCohortScanCost:
+    @pytest.mark.parametrize("cohort", [1, 4, 12])
+    def test_requests_per_window_do_not_grow_with_the_cohort(self, cohort):
+        """Twelve pools at interval 10: each window of a cohort makes at most
+        two log queries and five POSTs, whatever the cohort's size, also in
+        windows where some of its pools do not exist yet."""
+        from test_pipeline import cohort_chain
+
+        chain, targets = cohort_chain()
+        node = FakeNode(chain=chain)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=node)
+        assert len(rpc.get_pool_created((0, chain.head()))) == len(targets)
+        node.requests.clear()
+        node.posts = 0
+        settings = ScanSettings(interval=10, cohort=cohort)
+        verdicts, summary = scan_pools(rpc, targets, 1, chain.head(), settings)
+        assert summary.failures == 0 and len(verdicts) == len(targets)
+        windows = len(list(pipeline._round_blocks(1, 1, chain.head(), 10)))
+        cohort_windows = windows * -(-len(targets) // cohort)
+        assert node.requests.count_method("eth_getLogs") <= 2 * cohort_windows
+        assert node.posts <= 5 * cohort_windows
+        # Windows before a pair existed read its token balances too.
+        pairs = {info.pool.hex[2:] for info, _ in targets}
+        balance_of = abi.bytes_to_hex(abi.SEL_BALANCE_OF)
+        assert any(
+            method == "eth_call" and params[0]["data"].startswith(balance_of)
+            and params[0]["data"][-40:] in pairs
+            for method, params in node.requests
+        )
 
 
 class TestUnreadBalance:
