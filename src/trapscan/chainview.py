@@ -25,6 +25,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import Protocol
 
 from .core import Address, PoolInfo, TokenAmount
 
@@ -185,33 +186,25 @@ def check_range(block_range: tuple[int, int]) -> tuple[int, int]:
     return block_range
 
 
-class Window:
-    """What a scan reads of one inclusive block range: each pool's swaps
-    and each token's transfers and approvals in the range, and each
-    pool's reserves at its last block.
+class Window(Protocol):
+    """What a scan reads of one inclusive block range for some pools and
+    tokens: `get_swaps` of each pool and `get_transfers` and
+    `get_approvals` of each token over the range, and `get_reserves` of
+    each pool at its last block. Each answers, or raises, as the chain's
+    own method of that name would. A `ChainView` is the window of any
+    range."""
 
-    Each accessor returns one address's answer, as the single form
-    (`get_swaps`, `get_transfers`, `get_approvals`, `get_reserves`)
-    would, or raises what that query raised. This form asks the chain
-    through the single forms, one address at a time, when an accessor
-    is called.
-    """
+    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]: ...
 
-    def __init__(self, chain: "ChainView", block_range: tuple[int, int]):
-        self.chain = chain
-        self.block_range = block_range
+    def get_transfers(
+        self, token: Address, block_range: tuple[int, int]
+    ) -> list[TransferRecord]: ...
 
-    def swaps(self, pool: Address) -> list[SwapRecord]:
-        return self.chain.get_swaps(pool, self.block_range)
+    def get_approvals(
+        self, token: Address, block_range: tuple[int, int]
+    ) -> list[ApproveRecord]: ...
 
-    def transfers(self, token: Address) -> list[TransferRecord]:
-        return self.chain.get_transfers(token, self.block_range)
-
-    def approvals(self, token: Address) -> list[ApproveRecord]:
-        return self.chain.get_approvals(token, self.block_range)
-
-    def reserves(self, pool: Address) -> tuple[TokenAmount, TokenAmount]:
-        return self.chain.get_reserves(pool, self.block_range[1])
+    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]: ...
 
 
 class ChainView(ABC):
@@ -290,9 +283,9 @@ class ChainView(ABC):
         block_range: tuple[int, int],
     ) -> Window:
         """The `Window` of `block_range` for `pools` and `tokens`. A backend
-        may fetch every answer up front; this default asks the single forms
-        as the window's accessors are called."""
-        return Window(self, block_range)
+        may fetch every answer up front; by default the chain is its own
+        window, answering each query as it is asked."""
+        return self
 
     def balances_at(
         self, reads: Sequence[tuple[Address, Address, int]]
@@ -312,10 +305,6 @@ class ChainView(ABC):
         place of its outcomes, so one bundle's failure leaves the others'
         results standing. A backend may send them together; this default
         runs one by one."""
-        try:
-            return [self.simulate_bundle(block, calls, overrides) for calls, overrides in items]
-        except Exception:
-            pass  # find which bundles failed, one by one
         results: list[list[CallOutcome] | Exception] = []
         for calls, overrides in items:
             try:

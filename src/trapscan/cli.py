@@ -63,7 +63,6 @@ def _settings_from_args(args) -> ScanSettings:
         interval=args.interval,
         threshold=args.threshold,
         workers=getattr(args, "workers", None) or 1,
-        cohort=getattr(args, "cohort", None) or ScanSettings.cohort,
     )
 
 
@@ -193,7 +192,7 @@ def cmd_scan(args) -> int:
 def _scan_sim(args) -> int:
     if not args.scenario:
         return _usage_error("--scenario is required for sim scans")
-    for flag in ("workers", "cohort", "checkpoint"):
+    for flag in ("workers", "checkpoint"):
         if getattr(args, flag) is not None:
             return _usage_error(f"--{flag} applies to live scans only")
     settings = _settings_from_args(args)
@@ -326,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint path for resumable scans (live mode)")
     p_scan.add_argument("--workers", type=_int_at_least("workers", 1),
                         help="pools scanned in parallel (live mode, default 1)")
-    p_scan.add_argument("--cohort", type=_int_at_least("cohort", 1),
-                        help="pools scanned in lockstep, sharing each request "
-                             f"(live mode, default {ScanSettings.cohort})")
     p_scan.set_defaults(func=cmd_scan)
     return parser
 

@@ -716,26 +716,30 @@ class MockChain(ChainView):
         if memo_scope != scope:
             entries = {}
             _memo = (scope, entries)
-        key = (tuple(calls), overrides)
-        # A new scope has nothing to reuse; a lookup would only hash the key.
-        reused = entries.get(key) if entries else None
-        if reused is not None:
-            return list(reused)
+        # One lookup finds the bundle's outcomes, or files an empty entry to
+        # fill in: hashing the calls is the dearest part of a miss. Another
+        # thread that finds the entry still empty simulates the bundle too,
+        # and fills in the same outcomes.
+        filed = entries.setdefault((tuple(calls), overrides), [])
+        if filed:
+            return list(filed)
 
         fork = _Overlay(partial(self._read_at, block), block)
         for (token, holder), amount in overrides:
             fork.set(_bal(token, holder), amount)
         outcomes: list[CallOutcome] = []
         for call in calls:
-            undo = fork.writes.copy()
+            # A reverted call's writes are rolled back; a read writes nothing.
+            undo = None if type(call) is BalanceOfCall else fork.writes.copy()
             try:
                 value = self._exec_call(call, fork)
             except _Revert as exc:
-                fork.writes = undo
+                if undo is not None:
+                    fork.writes = undo
                 outcomes.append(CallOutcome(status=CallStatus.REVERT, revert_reason=exc.reason))
             else:
                 outcomes.append(CallOutcome(status=CallStatus.SUCCESS, return_value=value))
-        entries[key] = tuple(outcomes)
+        filed[:] = outcomes
         return outcomes
 
     def _exec_call(self, call: Call, ov: _Overlay) -> TokenAmount | None:

@@ -110,15 +110,15 @@ def ingest_block(
 ) -> PoolWatch:
     """Advance one watch over the window [start, block]; mutates and
     returns `watch`, or raises what failed it (see `ingest_window`)."""
-    [error] = ingest_window([watch], chain, block, start)
-    if error is not None:
-        raise error
+    failures = ingest_window([watch], chain, block, start)
+    if failures:
+        raise failures[0]
     return watch
 
 
 def ingest_window(
     watches: Sequence[PoolWatch], chain: ChainView, block: int, start: int | None = None
-) -> list[Exception | None]:
+) -> dict[int, Exception]:
     """Advance each watch over the window [start, block], together: one
     `get_window` for all their pools and trap tokens, then one
     `balances_at` for every balance they need. The previous window's
@@ -128,11 +128,12 @@ def ingest_window(
     `start` defaults to the block after the first watch's
     `last_ingested`, or to `block` if it has ingested nothing. A watch
     whose window would not start right after its `last_ingested`, or an
-    empty window, fails with `IngestGap`. Returns, per watch, None or the
-    exception that failed it; a failed watch is left part-way and must
-    not be advanced again, while the others go on.
+    empty window, fails with `IngestGap`. Returns the exception that
+    failed each watch that failed, by its index in `watches`; a failed
+    watch is left part-way and must not be advanced again, while the
+    others go on.
     """
-    errors: list[Exception | None] = [None] * len(watches)
+    failures: dict[int, Exception] = {}
     last = watches[0].last_ingested
     lo = start if start is not None else (block if last is None else last + 1)
     live: list[int] = []
@@ -141,69 +142,75 @@ def ingest_window(
     for i, watch in enumerate(watches):
         last = watch.last_ingested
         if (last is not None and lo != last + 1) or lo > block:
-            errors[i] = IngestGap(f"window [{lo}, {block}] does not follow block {last}")
+            failures[i] = IngestGap(f"window [{lo}, {block}] does not follow block {last}")
             continue
         live.append(i)
         pools.append(watch.pool.pool)
         tokens.append(watch.trap_token)
     if not live:
-        return errors
+        return failures
+    span = (lo, block)
     try:
-        window = chain.get_window(pools, tokens, (lo, block))
+        window = chain.get_window(pools, tokens, span)
     except Exception as exc:  # the cohort's shared fetch: every watch fails
         for i in live:
-            errors[i] = exc
-        return errors
+            failures[i] = exc
+        return failures
 
     # Every balance the window needs, read together: each buyer's at the
     # block it was first seen in this window, if before `block`, and at
-    # `block`. `spans` holds each asking watch's first and last read.
+    # `block`. `owners` holds the snapshot list each read goes to, and
+    # `asking` the watches that asked for any.
     reads: list[tuple[Address, Address, int]] = []
-    spans: list[tuple[int, int, int]] = []
+    owners: list[list[tuple[int, TokenAmount | None]]] = []
+    asking: list[int] = []
     for i in live:
         watch = watches[i]
         try:
-            first_seen = _fold(watch, window, lo, block)
+            first_seen = _fold(watch, window, span)
         except Exception as exc:  # this watch's own answers failed it
-            errors[i] = exc
+            failures[i] = exc
             continue
         if first_seen is None or not watch.buyers:
+            watch.last_ingested = block
             continue
-        begin, token = len(reads), watch.trap_token
-        for buyer in watch.buyers:
+        asking.append(i)
+        token = watch.trap_token
+        for buyer, ledger in watch.buyers.items():
             seen = first_seen.get(buyer, block)
             if seen < block:
                 reads.append((token, buyer, seen))
+                owners.append(ledger.snapshots)
             reads.append((token, buyer, block))
-        spans.append((i, begin, len(reads)))
-    if reads:
-        try:
-            balances = chain.balances_at(reads)
-        except Exception as exc:  # the shared read: every watch that asked fails
-            for i, _, _ in spans:
-                errors[i] = exc
-        else:
-            for i, begin, end in spans:
-                ledgers = watches[i].buyers
-                for (_, buyer, edge), balance in zip(reads[begin:end], balances[begin:end]):
-                    ledgers[buyer].snapshots.append((edge, balance))
-    for i in live:
-        if errors[i] is None:
-            watches[i].last_ingested = block
-    return errors
+            owners.append(ledger.snapshots)
+    if not reads:
+        return failures
+    try:
+        balances = chain.balances_at(reads)
+    except Exception as exc:  # the shared read: every watch that asked fails
+        for i in asking:
+            failures[i] = exc
+        return failures
+    for snapshots, (_, _, edge), balance in zip(owners, reads, balances):
+        snapshots.append((edge, balance))
+    for i in asking:
+        watches[i].last_ingested = block
+    return failures
 
 
-def _fold(watch: PoolWatch, window: Window, lo: int, block: int) -> dict[Address, int] | None:
-    """Fold the watch's share of the window [lo, block] into it: its swaps,
+def _fold(watch: PoolWatch, window: Window, span: tuple[int, int]) -> dict[Address, int] | None:
+    """Fold the watch's share of the window `span` = [lo, block] into it:
+    its swaps,
     its trap token's transfers and approvals, and its reserves. Returns
     the block each new buyer was first seen at, or None when the pool is
     unknown in the window (it has no reserves then, and nothing to read)."""
+    lo, block = span
     for ledger in watch.buyers.values():
         del ledger.snapshots[:-1]
         ledger.buys.clear()
         ledger.transfers.clear()
     try:
-        swaps = window.swaps(watch.pool.pool)
+        swaps = window.get_swaps(watch.pool.pool, span)
     except UnknownPool:
         # Scan range may start before the pool (or its tokens) exist.
         watch.reserves = (0, 0)
@@ -229,8 +236,8 @@ def _fold(watch: PoolWatch, window: Window, lo: int, block: int) -> dict[Address
     buyer_set = set(watch.buyers)
     if buyer_set:
         try:
-            transfers = window.transfers(watch.trap_token)
-            approvals = window.approvals(watch.trap_token)
+            transfers = window.get_transfers(watch.trap_token, span)
+            approvals = window.get_approvals(watch.trap_token, span)
         except UnknownToken:
             transfers, approvals = [], []
         for rec in transfers:
@@ -245,7 +252,7 @@ def _fold(watch: PoolWatch, window: Window, lo: int, block: int) -> dict[Address
                 approved[rec.spender] = approved.get(rec.spender, 0) + rec.value
 
     try:
-        watch.reserves = window.reserves(watch.pool.pool)
+        watch.reserves = window.get_reserves(watch.pool.pool, block)
     except UnknownPool:
         watch.reserves = (0, 0)
     return first_seen

@@ -1,9 +1,8 @@
 """Per-pool detection pipeline and multi-pool scan orchestration.
 
-Pools are scanned in cohorts: `scan_cohort` takes up to
-`ScanSettings.cohort` pool orientations over one block range in
-lockstep, window by window, so one request carries every pool's share
-of each step. A pool is scanned in detection rounds, one every
+Pools are scanned in cohorts: `scan_cohort` takes pool orientations
+over one block range in lockstep, window by window, so one request
+carries every pool's share of each step. A pool is scanned in detection rounds, one every
 `interval` blocks and one at the last block; the rounds of every pool of
 a cohort fall on the same blocks. Each round first ingests its window of
 blocks, those since the previous round, for the whole cohort in one step
@@ -41,9 +40,9 @@ long scan costs what an early one does.
 Findings accumulate into one verdict per pool. A pool whose scan raises
 fails alone: the cohort drops it and goes on, and a failure of a request
 the cohort shares fails the cohort's unfinished pools. A multi-pool scan
-chunks its targets into cohorts and maps them onto one executor,
-`_scan_each`: in the calling thread when `workers <= 1`, otherwise on
-one thread pool. It yields each cohort's verdicts, or the exceptions
+chunks its targets into cohorts of up to `COHORT_SIZE` and maps them
+onto one executor, `_scan_each`: in the calling thread when
+`workers <= 1`, otherwise on one thread pool. It yields each cohort's verdicts, or the exceptions
 their scans raised, in target order. `scan_pools` and
 `scan_pools_resumable` both consume it, so a failing pool is counted in
 `ScanSummary.failures` and never stops the scan, whatever the worker
@@ -87,12 +86,21 @@ from .simulator import (
     run_many,
 )
 
-# `ingest_block` and `run` are the one-pool forms of the steps a cohort
-# takes through `ingest_window` and `run_many`. They stay importable from
-# here for callers that wrap the pipeline's steps by name, as the
-# benchmark's tracer does.
+# `ingest_block` is the one-watch form of `ingest_window`, which the scan
+# loop calls; it stays importable from here for callers that wrap the
+# pipeline's steps by name, as the benchmark's tracer does. `run` is what
+# a round's lone bundle goes through.
 
 PROBE_FUNDING = 10**30
+# Pools a multi-pool scan runs in one cohort, at most. The benchmark's
+# live-replay chain, 12 pools scanned in one pass as one cohort, sends at
+# most 59 requests in a POST (the default `max_batch` is 100) and peaks at
+# 0.57 MiB of traced allocations, against 0.32 MiB one pool at a time;
+# no measured workload holds more pools to show that a larger cohort
+# pays. A cohort's verdicts are checkpointed together, so a crash loses
+# at most one cohort's work. A scan of fewer pools per worker makes its
+# cohorts smaller, so every worker gets one.
+COHORT_SIZE = 12
 # Buy probes spend PROBE_NUM/PROBE_DEN of the pool's base-token reserve.
 PROBE_NUM = 1
 PROBE_DEN = 1000
@@ -106,7 +114,6 @@ class ScanSettings:
     threshold: Fraction = DEFAULT_THRESHOLD
     known_token_allowlist: frozenset[Address] = frozenset()
     workers: int = 1
-    cohort: int = 32  # pools scanned in lockstep, sharing each request
 
     def __post_init__(self) -> None:
         if self.interval < 1:
@@ -115,8 +122,6 @@ class ScanSettings:
             raise ValueError("threshold must be in (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.cohort < 1:
-            raise ValueError("cohort must be >= 1")
 
 
 @dataclass
@@ -269,61 +274,74 @@ def run_detection_round(
     states: Sequence[PoolScanState],
     block: int,
     settings: ScanSettings,
-) -> list[Exception | None]:
+) -> dict[int, Exception]:
     """One detection round at a sealed block, the last one every watch has
     ingested, for each state of a cohort, in three steps: start every
     round (`_start_round`), simulate all their sells and probes through
     one `run_many` and judge each pool's results (`_judge_round`), then
     simulate all their round trips through one more and judge those. So a
-    round costs two `run_many` calls however many pools take part.
+    round costs two simulation calls however many pools take part.
 
-    Returns, per state, None or the exception that failed its round; the
-    other rounds go on. A bundle that failed fails its own pool's round,
-    and a failed `run_many` every round that had a bundle in it."""
-    errors: list[Exception | None] = [None] * len(states)
+    Returns the exception that failed each round that failed, by its
+    state's index; the other rounds go on. A bundle that failed fails its
+    own pool's round, and a failed `run_many` every round that had a
+    bundle in it."""
+    failures: dict[int, Exception] = {}
     plans: list[tuple[int, Plan]] = []
     for i, state in enumerate(states):
         try:
             planned = _start_round(state, block, settings)
         except Exception as exc:  # this pool's own round failed
-            errors[i] = exc
+            failures[i] = exc
             continue
         if planned:
             plans.append((i, planned))
     trips: list[tuple[int, Plan]] = []
-    for i, planned, results in _simulate(chain, plans, errors):
+    for i, planned, results in _simulate(chain, plans, failures):
         try:
             trip = _judge_round(states[i], block, settings, planned, results)
         except Exception as exc:  # this pool's own round failed
-            errors[i] = exc
+            failures[i] = exc
             continue
         if trip:
             trips.append((i, trip))
-    for i, _, (result,) in _simulate(chain, trips, errors):
+    for i, _, (result,) in _simulate(chain, trips, failures):
         try:
             _judge(states[i], result, settings)
         except Exception as exc:  # this pool's own round failed
-            errors[i] = exc
-    return errors
+            failures[i] = exc
+    return failures
 
 
 def _simulate(
-    chain: ChainView, plans: list[tuple[int, Plan]], errors: list[Exception | None]
+    chain: ChainView, plans: list[tuple[int, Plan]], failures: dict[int, Exception]
 ) -> list[tuple[int, Plan, list[SimulationResult]]]:
-    """Every plan's bundles through one `run_many`; each plan whose bundles
-    all ran, with their results. A plan with a failed bundle records that
-    failure in `errors`, and a failed `run_many` records its own for
-    every plan."""
+    """Every plan's bundles through one `run_many`, or a lone bundle
+    through `run`; each plan whose bundles all ran, with their results. A
+    plan with a failed bundle records that failure in `failures`, and a
+    failed simulation records its own for every plan."""
     if not plans:
         return []
-    items: Plan = []
+    if len(plans) == 1:  # one pool's plan: its results need no splitting
+        i, items = plans[0]
+        try:
+            results = [run(chain, *items[0])] if len(items) == 1 else run_many(chain, items)
+        except Exception as exc:  # the simulation failed
+            failures[i] = exc
+            return []
+        for result in results:
+            if isinstance(result, Exception):
+                failures[i] = result
+                return []
+        return [(i, items, results)]
+    items = []
     for _, planned in plans:
         items += planned
     try:
         results = run_many(chain, items)
-    except Exception as exc:  # the shared simulation failed
+    except Exception as exc:  # the shared simulation failed: every plan fails
         for i, _ in plans:
-            errors[i] = exc
+            failures[i] = exc
         return []
     done = []
     position = 0
@@ -332,7 +350,7 @@ def _simulate(
         position += len(planned)
         for result in got:
             if isinstance(result, Exception):
-                errors[i] = result
+                failures[i] = result
                 break
         else:
             done.append((i, planned, got))
@@ -389,14 +407,12 @@ def scan_cohort(
     watches = [state.watch for state in cohort]
     start = from_block if watches[0].last_ingested is None else watches[0].last_ingested + 1
     for block in _round_blocks(start, from_block, to_block, settings.interval):
-        errors = ingest_window(watches, chain, block, start)
-        if any(errors):
-            cohort = _survivors(cohort, errors, failed)
-            watches = [state.watch for state in cohort]
-        errors = run_detection_round(chain, cohort, block, settings)
-        if any(errors):
-            cohort = _survivors(cohort, errors, failed)
-            watches = [state.watch for state in cohort]
+        failures = ingest_window(watches, chain, block, start)
+        if failures:
+            cohort, watches = _survivors(cohort, failures, failed)
+        failures = run_detection_round(chain, cohort, block, settings)
+        if failures:
+            cohort, watches = _survivors(cohort, failures, failed)
         if not cohort:
             break
         start = block + 1
@@ -416,17 +432,14 @@ def scan_cohort(
 
 
 def _survivors(
-    cohort: list[PoolScanState], errors: list[Exception | None], failed: dict[int, Exception]
-) -> list[PoolScanState]:
-    """The members of the cohort whose step did not fail; each failure is
-    recorded in `failed` by its member's id."""
-    survivors = []
-    for state, error in zip(cohort, errors):
-        if error is None:
-            survivors.append(state)
-        else:
-            failed[id(state)] = error
-    return survivors
+    cohort: list[PoolScanState], failures: dict[int, Exception], failed: dict[int, Exception]
+) -> tuple[list[PoolScanState], list[PoolWatch]]:
+    """The members of the cohort whose step did not fail, and their
+    watches; each failure is recorded in `failed` by its member's id."""
+    for i, error in failures.items():
+        failed[id(cohort[i])] = error
+    survivors = [state for i, state in enumerate(cohort) if i not in failures]
+    return survivors, [state.watch for state in survivors]
 
 
 @dataclass
@@ -478,12 +491,13 @@ def _scan_each(
     to_block: int,
     settings: ScanSettings,
 ) -> Iterator[list[tuple[int, PoolVerdict | Exception]]]:
-    """Scan `targets[i]` for each i in `indices`, in cohorts of up to
-    `settings.cohort` consecutive indices. Yields each cohort's
-    `(i, verdict)`, or `(i, exception)` when that pool's scan raised, in
-    `indices` order."""
+    """Scan `targets[i]` for each i in `indices`, in cohorts of
+    consecutive indices: up to `COHORT_SIZE`, and no more than spreads
+    them over every worker. Yields each cohort's `(i, verdict)`, or
+    `(i, exception)` when that pool's scan raised, in `indices` order."""
     order = list(indices)
-    cohorts = [order[k:k + settings.cohort] for k in range(0, len(order), settings.cohort)]
+    size = max(1, min(COHORT_SIZE, -(-len(order) // settings.workers)))
+    cohorts = [order[k:k + size] for k in range(0, len(order), size)]
 
     def attempt(cohort: list[int]) -> list[tuple[int, PoolVerdict | Exception]]:
         done: dict[int, PoolVerdict | Exception] = {}

@@ -411,10 +411,10 @@ class RpcChainView(ChainView):
         )
 
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
-        return self.get_window([], [token], block_range).transfers(token)
+        return self.get_window([], [token], block_range).get_transfers(token, block_range)
 
     def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
-        return self.get_window([], [token], block_range).approvals(token)
+        return self.get_window([], [token], block_range).get_approvals(token, block_range)
 
     def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
         try:
@@ -524,7 +524,7 @@ class RpcChainView(ChainView):
                 replies[position:position + 2]
             ) or UnknownPool(f"cannot read reserves of {info.pool} at block {hi}")
             position += 2
-        return _FetchedWindow(self, (lo, hi), answers)
+        return _FetchedWindow((lo, hi), answers)
 
     def quote_exact_in(
         self, pool: PoolInfo, token_in: Address, amount_in: TokenAmount, block: int
@@ -718,32 +718,40 @@ class RpcChainView(ChainView):
             return _revert(f"bad swap payload: {value!r}")
 
 
-class _FetchedWindow(Window):
-    """A window whose answers were all fetched up front, keyed by (kind,
+class _FetchedWindow:
+    """A `Window` whose answers were all fetched up front, keyed by (kind,
     address): records, or the exception the query got, raised when asked
-    for."""
+    for. It answers its own range only."""
 
-    def __init__(self, chain, block_range, answers: dict[tuple[str, Address], object]):
-        super().__init__(chain, block_range)
+    __slots__ = ("block_range", "answers")
+
+    def __init__(self, block_range: tuple[int, int], answers: dict[tuple[str, Address], object]):
+        self.block_range = block_range
         self.answers = answers
 
-    def _answer(self, kind: str, address: Address):
+    def _answer(self, kind: str, address: Address, block_range: tuple[int, int]):
+        if block_range != self.block_range:
+            raise ValueError(f"window {self.block_range} asked for {block_range}")
         answer = self.answers[kind, address]
         if isinstance(answer, Exception):
             raise answer
         return answer
 
-    def swaps(self, pool: Address) -> list[SwapRecord]:
-        return self._answer("swaps", pool)
+    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
+        return self._answer("swaps", pool, block_range)
 
-    def transfers(self, token: Address) -> list[TransferRecord]:
-        return self._answer("transfers", token)
+    def get_transfers(
+        self, token: Address, block_range: tuple[int, int]
+    ) -> list[TransferRecord]:
+        return self._answer("transfers", token, block_range)
 
-    def approvals(self, token: Address) -> list[ApproveRecord]:
-        return self._answer("approvals", token)
+    def get_approvals(
+        self, token: Address, block_range: tuple[int, int]
+    ) -> list[ApproveRecord]:
+        return self._answer("approvals", token, block_range)
 
-    def reserves(self, pool: Address) -> tuple[TokenAmount, TokenAmount]:
-        return self._answer("reserves", pool)
+    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
+        return self._answer("reserves", pool, (self.block_range[0], block))
 
 
 def _log_request(query: _LogQuery) -> tuple[str, list]:

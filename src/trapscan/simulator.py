@@ -21,7 +21,8 @@ does the same for several bundles of one block through one
 `simulate_bundles` call, which the RPC backend sends as one POST. A
 cohort's rounds run every pool's sells and buy probe through one
 `run_many`, and every round trip, sized from its probe's result, through
-one more. The mock chain answers most of them from its memo, so the
+one more; a lone bundle, as a one-pool round trip is, goes through
+`run`. The mock chain answers most of them from its memo, so the
 packaging builds no per-result snapshot or block object.
 """
 

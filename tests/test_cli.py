@@ -193,7 +193,7 @@ class TestScan:
         assert a.stdout == b.stdout
 
     @pytest.mark.parametrize("flag, value", [
-        ("--workers", "8"), ("--workers", "1"), ("--cohort", "4"), ("--checkpoint", "ck.jsonl"),
+        ("--workers", "8"), ("--workers", "1"), ("--checkpoint", "ck.jsonl"),
     ])
     def test_live_only_flag_rejected_in_sim_mode(self, small_corpus, tmp_path, capsys,
                                                  flag, value):
@@ -205,16 +205,6 @@ class TestScan:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "ck.jsonl").exists()
-
-    def test_cohort_flag_sets_the_cohort_size(self):
-        from trapscan.cli import _settings_from_args, build_parser
-
-        live = ["scan", "--mode", "live", "--from-block", "1", "--to-block", "2"]
-        assert _settings_from_args(build_parser().parse_args(live)).cohort == 32
-        args = build_parser().parse_args([*live, "--cohort", "5"])
-        assert _settings_from_args(args).cohort == 5
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([*live, "--cohort", "0"])
 
     def test_live_only_flags_marked_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -93,7 +93,6 @@ def test_classification_through_rpc_backend():
 
 @pytest.mark.parametrize("field, value", [
     ("interval", 0), ("interval", -2), ("workers", 0), ("workers", -1),
-    ("cohort", 0), ("cohort", -1),
 ])
 def test_settings_reject_nonpositive_counts(field, value):
     with pytest.raises(ValueError, match=field):
@@ -531,7 +530,7 @@ class FailingView:
             raise RuntimeError("node fell over")
         return self._chain.get_swaps(pool, block_range)
 
-    get_window = ChainView.get_window  # windows that ask this view's get_swaps
+    get_window = ChainView.get_window  # the view is its own window: its get_swaps is asked
 
     def __getattr__(self, name):
         return getattr(self._chain, name)
@@ -665,14 +664,15 @@ class TestCohortScan:
         return cohort_chain()
 
     @pytest.mark.parametrize("interval", [1, 3, 10])
-    def test_cohorts_give_the_one_pool_lines(self, world, interval):
+    def test_cohorts_give_the_one_pool_lines(self, world, interval, monkeypatch):
         """Whatever the cohort size, every verdict line is byte-identical to
         a scan of one pool at a time, on each backend; with `log_limit=1` the
         window's log queries are split by range, then by address list."""
         chain, targets = world
 
         def scan(view, cohort):
-            settings = ScanSettings(interval=interval, cohort=cohort)
+            monkeypatch.setattr(pipeline, "COHORT_SIZE", cohort)
+            settings = ScanSettings(interval=interval)
             lines, summary = scan_pools_resumable(view, targets, 1, chain.head(), settings)
             assert summary.failures == 0
             return lines
@@ -695,17 +695,18 @@ class TestCohortScan:
                      and params[0]["fromBlock"] == params[0]["toBlock"]]
         assert any(isinstance(flt["address"], str) for flt in one_block)
 
-    def test_both_orientations_of_a_pool_share_a_cohort(self, world):
+    def test_both_orientations_of_a_pool_share_a_cohort(self, world, monkeypatch):
         """A pool watched from both sides is queried and read once per
         window for both watches, which still get the one-pool lines."""
         chain, targets = world
         both = [(info, token) for info, trap in targets[:4] for token in (trap, info.token_x)]
 
         def scan(cohort):
+            monkeypatch.setattr(pipeline, "COHORT_SIZE", cohort)
             node = _SealedChainNode(chain=chain)
             view = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=node)
             lines, summary = scan_pools_resumable(
-                view, both, 1, chain.head(), ScanSettings(interval=3, cohort=cohort)
+                view, both, 1, chain.head(), ScanSettings(interval=3)
             )
             assert summary.failures == 0
             return lines, node.requests.count_method("eth_call")
@@ -714,13 +715,36 @@ class TestCohortScan:
         assert paired == one_pool
         assert paired_calls < one_pool_calls
 
+    @pytest.mark.parametrize("cap, workers, sizes", [
+        (12, 1, [12]), (12, 2, [6, 6]), (12, 5, [3, 3, 3, 3]), (5, 1, [2, 5, 5]),
+    ])
+    def test_cohorts_spread_over_the_workers(self, world, cap, workers, sizes, monkeypatch):
+        """Twelve pools run in cohorts of up to `COHORT_SIZE`, and of no
+        more than gives every worker a cohort."""
+        chain, targets = world
+        seen = []
+        real_scan_cohort = pipeline.scan_cohort
+
+        def recording_scan_cohort(chain, states, *args, **kwargs):
+            seen.append(len(states))
+            return real_scan_cohort(chain, states, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "COHORT_SIZE", cap)
+        monkeypatch.setattr(pipeline, "scan_cohort", recording_scan_cohort)
+        _, summary = scan_pools(chain, targets, 1, chain.head(), ScanSettings(workers=workers))
+        assert summary.scanned == len(targets)
+        assert sorted(seen) == sizes
+
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_failed_shared_post_fails_only_its_cohort(self, world, workers, tmp_path):
+    def test_a_failed_shared_post_fails_only_its_cohort(
+        self, world, workers, tmp_path, monkeypatch
+    ):
         """The node drops one log-query POST of the second of three cohorts:
         that cohort's four pools fail, the scan goes on, and every other
         pool's line and checkpoint record is the one-pass one."""
         chain, targets = world
-        settings = ScanSettings(interval=3, cohort=4, workers=workers)
+        monkeypatch.setattr(pipeline, "COHORT_SIZE", 4)
+        settings = ScanSettings(interval=3, workers=workers)
         one_pass, _ = scan_pools_resumable(_rpc_view(chain), targets, 1, chain.head(), settings)
         node = _SealedChainNode(chain=chain)
         second = targets[4][0].pool.hex

@@ -443,11 +443,12 @@ class TestWindowSenders:
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
         window = rpc.get_window([], [a, b, c], (100, 100))
         assert sorted(looked_up) == [shared, bad]
-        assert [(r.value, r.tx_sender) for r in window.transfers(a)] == [(1, sender)]
-        assert [(r.value, r.tx_sender) for r in window.transfers(b)] == [(2, sender)]
+        span = (100, 100)
+        assert [(r.value, r.tx_sender) for r in window.get_transfers(a, span)] == [(1, sender)]
+        assert [(r.value, r.tx_sender) for r in window.get_transfers(b, span)] == [(2, sender)]
         with pytest.raises(BackendUnavailable):
-            window.transfers(c)
-        assert window.approvals(c) == []
+            window.get_transfers(c, span)
+        assert window.get_approvals(c, span) == []
 
 
 class Recorder:
@@ -879,7 +880,7 @@ class TestWindowedScanCost:
 
 class TestCohortScanCost:
     @pytest.mark.parametrize("cohort", [1, 4, 12])
-    def test_requests_per_window_do_not_grow_with_the_cohort(self, cohort):
+    def test_requests_per_window_do_not_grow_with_the_cohort(self, cohort, monkeypatch):
         """Twelve pools at interval 10: each window of a cohort makes at most
         two log queries and five POSTs, whatever the cohort's size, also in
         windows where some of its pools do not exist yet."""
@@ -891,7 +892,8 @@ class TestCohortScanCost:
         assert len(rpc.get_pool_created((0, chain.head()))) == len(targets)
         node.requests.clear()
         node.posts = 0
-        settings = ScanSettings(interval=10, cohort=cohort)
+        monkeypatch.setattr(pipeline, "COHORT_SIZE", cohort)
+        settings = ScanSettings(interval=10)
         verdicts, summary = scan_pools(rpc, targets, 1, chain.head(), settings)
         assert summary.failures == 0 and len(verdicts) == len(targets)
         windows = len(list(pipeline._round_blocks(1, 1, chain.head(), 10)))
