@@ -2,17 +2,17 @@
 
 Pools are scanned in cohorts: `scan_cohort` takes pool orientations
 over one block range in lockstep, window by window, so one request
-carries every pool's share of each step. A pool is scanned in detection rounds, one every
-`interval` blocks and one at the last block; the rounds of every pool of
-a cohort fall on the same blocks. Each round first ingests its window of
-blocks, those since the previous round, for the whole cohort in one step
-(see `monitor.ingest_window`): the window's logs and reserves for every
-pool in one fetch, then every buyer balance in one batch; every bundle
-of the round is priced from the reserves read at its block. Then the
-round reconciles each buyer's balance movement since the previous round,
-or since it was first seen, against the logged evidence; this reads only
-the ledger, so it runs in every round. Provided both reserves are
-non-zero, the round also:
+carries every pool's share of each step. A pool is scanned in detection
+rounds, one every `interval` blocks and one at the last block; the
+rounds of every pool of a cohort fall on the same blocks. Each round
+first ingests its window of blocks, those since the previous round, for
+the whole cohort in one step (see `monitor.ingest_window`): the window's
+logs and reserves for every pool in one fetch, then every buyer balance
+in one batch; every bundle of the round is priced from the reserves read
+at its block. Then the round reconciles each buyer's balance movement
+since the previous round, or since it was first seen, against the logged
+evidence; this reads only the ledger, so it runs in every round.
+Provided both reserves are non-zero, the round also:
 
   * rebuilds a sell simulation for every tracked buyer at their full
     balance, before reconciling that buyer, and checks the sell-side
@@ -42,11 +42,11 @@ fails alone: the cohort drops it and goes on, and a failure of a request
 the cohort shares fails the cohort's unfinished pools. A multi-pool scan
 chunks its targets into cohorts of up to `COHORT_SIZE` and maps them
 onto one executor, `_scan_each`: in the calling thread when
-`workers <= 1`, otherwise on one thread pool. It yields each cohort's verdicts, or the exceptions
-their scans raised, in target order. `scan_pools` and
-`scan_pools_resumable` both consume it, so a failing pool is counted in
-`ScanSummary.failures` and never stops the scan, whatever the worker
-count.
+`workers <= 1`, otherwise on one thread pool. It yields each cohort's
+verdicts, or the exceptions their scans raised, in target order.
+`scan_pools` and `scan_pools_resumable` both consume it, so a failing
+pool is counted in `ScanSummary.failures` and never stops the scan,
+whatever the worker count.
 """
 
 from __future__ import annotations
