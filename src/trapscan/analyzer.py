@@ -17,6 +17,13 @@ from .core import Address, PoolInfo, TrapType, amount_mul_div
 from .monitor import BuyerLedger, PoolWatch
 from .simulator import BundleKind, SimulationResult
 
+# Enum members that per-bundle code compares or passes, as module names:
+# on CPython 3.11 reading a member through its class takes about 15
+# times as long as reading a global.
+_BUY_PROBE = BundleKind.BUY_PROBE
+_SELL_KINDS = (BundleKind.SELL, BundleKind.BUY_SELL)
+_INVALID_BUY, _INVALID_SELL = TrapType.INVALID_BUY, TrapType.INVALID_SELL
+
 DEFAULT_THRESHOLD = Fraction(1, 2)
 VERDICT_SCHEMA = "trapscan-verdict/1"
 # CannotSell needs sell reverts in this many distinct blocks.
@@ -81,9 +88,9 @@ def check_invalid_buy(
 
     A reverting buy alone is not a trap signal; the pool may be paused.
     """
-    if result.bundle.kind is not BundleKind.BUY_PROBE:
+    if result.bundle.kind is not _BUY_PROBE:
         raise WrongBundleKind(f"need a buy probe, got {result.bundle.kind}")
-    return _check_delivery(result, threshold, TrapType.INVALID_BUY, "invalid_buy")
+    return _check_delivery(result, threshold, _INVALID_BUY, "invalid_buy")
 
 
 def _check_delivery(
@@ -224,7 +231,7 @@ def check_cannot_sell(
     streak spans `min_distinct_blocks` blocks with no successful sell
     between them; callers stop folding a subject once it has its finding.
     """
-    if result.bundle.kind not in (BundleKind.SELL, BundleKind.BUY_SELL):
+    if result.bundle.kind not in _SELL_KINDS:
         raise WrongBundleKind(f"need a sell-carrying bundle, got {result.bundle.kind}")
     if not result.sell_reverted:
         streak.clear()
@@ -256,9 +263,9 @@ def check_invalid_sell(
 
     A reverted sell is CannotSell evidence, not this predicate's.
     """
-    if result.bundle.kind not in (BundleKind.SELL, BundleKind.BUY_SELL):
+    if result.bundle.kind not in _SELL_KINDS:
         raise WrongBundleKind(f"need a sell-carrying bundle, got {result.bundle.kind}")
-    return _check_delivery(result, threshold, TrapType.INVALID_SELL, "invalid_sell")
+    return _check_delivery(result, threshold, _INVALID_SELL, "invalid_sell")
 
 
 def recompute_finding(finding: Finding) -> bool:

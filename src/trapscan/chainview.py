@@ -155,6 +155,12 @@ class CallStatus(Enum):
     REVERT = "revert"
 
 
+# Enum members that per-bundle code compares or passes, as module names:
+# on CPython 3.11 reading a member through its class takes about 15
+# times as long as reading a global.
+_SUCCESS, _REVERT = CallStatus.SUCCESS, CallStatus.REVERT
+
+
 @dataclass(frozen=True, slots=True)
 class CallOutcome:
     """Result of one bundle call: its status, and the revert reason or the
@@ -172,11 +178,11 @@ class CallOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.status is CallStatus.SUCCESS
+        return self.status is _SUCCESS
 
     @property
     def reverted(self) -> bool:
-        return self.status is CallStatus.REVERT
+        return self.status is _REVERT
 
 
 def check_range(block_range: tuple[int, int]) -> tuple[int, int]:
