@@ -103,8 +103,8 @@ PROBE_FUNDING = 10**30
 # 0.57 MiB of traced allocations, against 0.32 MiB one pool at a time;
 # no measured workload holds more pools to show that a larger cohort
 # pays. A cohort's verdicts are checkpointed together, so a crash loses
-# at most one cohort's work. A scan of fewer pools per worker makes its
-# cohorts smaller, so every worker gets one.
+# at most one cohort's work. A scan of fewer than `COHORT_SIZE` pools per
+# worker runs in smaller cohorts, so that the workers share them.
 COHORT_SIZE = 12
 # Buy probes spend PROBE_NUM/PROBE_DEN of the pool's base-token reserve.
 PROBE_NUM = 1
@@ -497,8 +497,8 @@ def _scan_each(
     settings: ScanSettings,
 ) -> Iterator[list[tuple[int, PoolVerdict | Exception]]]:
     """Scan `targets[i]` for each i in `indices`, in cohorts of
-    consecutive indices: up to `COHORT_SIZE`, and no more than spreads
-    them over every worker. Yields each cohort's `(i, verdict)`, or
+    consecutive indices: up to `COHORT_SIZE`, and at most a worker's
+    share of the indices. Yields each cohort's `(i, verdict)`, or
     `(i, exception)` when that pool's scan raised, in `indices` order."""
     order = list(indices)
     size = max(1, min(COHORT_SIZE, -(-len(order) // settings.workers)))

@@ -719,8 +719,8 @@ class TestCohortScan:
         (12, 1, [12]), (12, 2, [6, 6]), (12, 5, [3, 3, 3, 3]), (5, 1, [2, 5, 5]),
     ])
     def test_cohorts_spread_over_the_workers(self, world, cap, workers, sizes, monkeypatch):
-        """Twelve pools run in cohorts of up to `COHORT_SIZE`, and of no
-        more than gives every worker a cohort."""
+        """Twelve pools run in cohorts of up to `COHORT_SIZE` pools, each
+        of at most a worker's share of the pools."""
         chain, targets = world
         seen = []
         real_scan_cohort = pipeline.scan_cohort
