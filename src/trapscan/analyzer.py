@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Address, PoolInfo, TrapType, amount_mul_div
@@ -64,8 +64,6 @@ class PoolVerdict:
     findings: list[Finding]
     first_flagged_block: int | None
     scanned_range: tuple[int, int]
-    requires_manual_review: bool = False
-    notes: list[str] = field(default_factory=list)
 
     @property
     def is_flagged(self) -> bool:
@@ -297,7 +295,6 @@ def classify_pool(
     watch: PoolWatch,
     findings: Iterable[Finding],
     scanned_range: tuple[int, int],
-    known_token_allowlist: set[Address] | None = None,
 ) -> PoolVerdict:
     """Aggregate the findings over buyers, probes and rounds, at most one
     per (trap, subject), into one verdict ordered by block; several trap
@@ -305,20 +302,13 @@ def classify_pool(
     ordered = sorted(findings, key=lambda f: f.block)
     traps = {f.trap for f in ordered}
     first = ordered[0].block if ordered else None
-    review = bool(known_token_allowlist) and watch.trap_token in (known_token_allowlist or set())
-    verdict = PoolVerdict(
+    return PoolVerdict(
         pool=watch.pool,
         traps=traps,
         findings=ordered,
         first_flagged_block=first,
         scanned_range=scanned_range,
-        requires_manual_review=review,
     )
-    if review:
-        verdict.notes.append(
-            "trap token is on the known-token allowlist; gating may be legitimate"
-        )
-    return verdict
 
 
 # ----------------------------------------------------------------------
@@ -336,8 +326,9 @@ def verdict_to_json_obj(verdict: PoolVerdict) -> dict:
         "findings": [f.to_json_obj() for f in verdict.findings],
         "first_flagged_block": verdict.first_flagged_block,
         "scanned_range": list(verdict.scanned_range),
-        "requires_manual_review": verdict.requires_manual_review,
-        "notes": verdict.notes,
+        # Constant keys of schema trapscan-verdict/1, kept until its next version.
+        "requires_manual_review": False,
+        "notes": [],
     }
 
 

@@ -679,9 +679,10 @@ class MockChain(ChainView):
         self._require_token(token)
         return _window(self._approvals[token], lo, hi)
 
-    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount:
-        self._require_token(token)
+    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
         self._check_sealed(block)
+        if token not in self._tokens:
+            return None  # the read reverts, as a bundle's BalanceOfCall does
         return self._read_at(block, _bal(token, holder), 0)
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:

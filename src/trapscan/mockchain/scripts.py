@@ -16,7 +16,6 @@ few hundred units.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -149,10 +148,6 @@ class ScenarioTrace:
     activation_block: int | None
     final_block: int
     events: list[dict] = field(default_factory=list)
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(ev, separators=(",", ":")) for ev in self.events]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def derive_actors(seed: int, victim_count: int) -> ScenarioActors:

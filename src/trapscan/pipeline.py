@@ -117,7 +117,6 @@ class ScanSettings:
 
     interval: int = 1  # blocks between detection rounds
     threshold: Fraction = DEFAULT_THRESHOLD
-    known_token_allowlist: frozenset[Address] = frozenset()
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -421,15 +420,12 @@ def scan_cohort(
         if not cohort:
             break
         start = block + 1
-    allowlist = set(settings.known_token_allowlist) or None
     results: list[PoolVerdict | Exception] = []
     for state in states:
         result = failed.get(id(state))
         if result is None:
             try:
-                result = classify_pool(
-                    state.watch, state.findings.values(), (from_block, to_block), allowlist
-                )
+                result = classify_pool(state.watch, state.findings.values(), (from_block, to_block))
             except Exception as exc:  # this pool's own verdict failed
                 result = exc
         results.append(result)

@@ -9,21 +9,26 @@ lacks it, `simulate_bundle` and `simulate_bundles` raise
 `MethodNotSupported` and the pool gets no verdict, since independent
 eth_calls cannot see each other's effects.
 
-The batched methods send one JSON-RPC 2.0 batch POST each (per
-`max_batch` requests): `balances_at` one `eth_call` per read, and
-`simulate_bundles` one `eth_callMany` request per bundle. `get_window`
-sends two: first one `eth_getLogs` over every pool address with either
-swap signature, one over every token with Transfer or Approval (an
-address list and a topic OR-list), and every pool's reserves read; then
-the senders of the window's transfers, each transaction looked up once,
-and the balance reads of any pair whose getReserves failed. An oversized
-log answer is split by block range, then by address list, then by topic
-list, and the halves are sent together. The single forms build and
-decode their requests with the same code. Each distinct bundle call is
-encoded once per view and memoised.
+Every request goes out inside a JSON-RPC 2.0 batch POST (per `max_batch`
+requests), a lone request as a batch of one, and a transport failure
+raises BackendUnavailable. `balances_at` sends one `eth_call` per read
+and `simulate_bundles` one `eth_callMany` request per bundle, each in one
+POST. `get_window` sends two: first one `eth_getLogs` over every pool
+address with either swap signature, one over every token with Transfer
+or Approval (an address list and a topic OR-list), and every pool's
+reserves read; then the senders of the window's transfers, each
+transaction looked up once, and the balance reads of any pair whose
+getReserves failed. An oversized log answer is split by block range,
+then by address list, then by topic list, and the halves are sent
+together. The single forms are views of the batched ones: `get_swaps`,
+`get_transfers`, `get_approvals` and `get_reserves` read a window of
+their own, `balance_of` is a `balances_at` of one read and
+`simulate_bundle` a `simulate_bundles` of one bundle. `get_pool_created`
+sends both factories' log queries in one POST, and `pool_info` of a pool
+not yet known reads the head, then its token0, token1 and fee in one
+POST. Each distinct bundle call is encoded once per view and memoised.
 
-Pinned callMany request shape (positional), one bundle per request,
-whether the request is sent alone or inside a batch:
+Pinned callMany request shape (positional), one bundle per request:
 
     eth_callMany [[{"transactions": [...], "blockOverride": {}}],
                   {"blockNumber": "0x..", "transactionIndex": -1},
@@ -155,28 +160,20 @@ class RpcChainView(ChainView):
     # plumbing
 
     def head(self) -> int:
-        try:
-            return abi.hex_to_int(self.client.call("eth_blockNumber", []))
-        except (TransportError, RpcError) as exc:
-            raise BackendUnavailable(str(exc)) from exc
+        [answer] = self._batch([("eth_blockNumber", [])])
+        if isinstance(answer, RpcError):
+            raise BackendUnavailable(str(answer)) from answer
+        return abi.hex_to_int(answer)
 
-    def fetch_logs(
-        self,
-        address: Address | None,
-        topic0: str | None,
-        block_range: tuple[int, int],
-    ) -> list[_RawLog]:
-        """Complete logs for the filter in (block, transaction index) order,
-        splitting the range when the node rejects it as too large."""
-        query = (
-            () if address is None else (address,),
-            () if topic0 is None else (topic0,),
-            check_range(block_range),
-        )
-        [(logs, failed)] = self._logs([query], self._send([_log_request(query)]))
-        if failed:
-            raise next(iter(failed.values()))
-        return logs
+    def _query_logs(self, queries: list[_LogQuery]) -> list[_RawLog]:
+        """Every log the queries match, sent in one POST, in (block,
+        transaction index) order; a query that failed raises its error."""
+        logs: list[_RawLog] = []
+        for found, failed in self._logs(queries, self._batch([_log_request(q) for q in queries])):
+            if failed:
+                raise next(iter(failed.values()))
+            logs += found
+        return sorted(logs, key=_log_order)
 
     def _logs(
         self, queries: list[_LogQuery], answers: list
@@ -212,18 +209,6 @@ class RpcChainView(ChainView):
         except TransportError as exc:
             raise BackendUnavailable(str(exc)) from exc
 
-    def _send(self, requests: list[tuple[str, list]]) -> list:
-        """`_batch`, but a lone request is sent as itself, not as a batch of
-        one; its error answer is returned in its place all the same."""
-        if len(requests) != 1:
-            return self._batch(requests)
-        try:
-            return [self.client.call(*requests[0])]
-        except RpcError as exc:
-            return [exc]
-        except TransportError as exc:
-            raise BackendUnavailable(str(exc)) from exc
-
     def _decode_each(self, items: list, decode: Callable) -> list:
         """`decode` of each item, in order; an item it rejects with
         DecodeError is dropped and counted in `decode_skipped`."""
@@ -237,9 +222,6 @@ class RpcChainView(ChainView):
             with self._lock:
                 self.decode_skipped += skipped
         return decoded
-
-    def _eth_call(self, to: Address, data: bytes, block: int):
-        return self.client.call("eth_call", _call_params(to, data, block))
 
     # ------------------------------------------------------------------
     # decoders
@@ -358,9 +340,12 @@ class RpcChainView(ChainView):
     # chainview queries
 
     def get_pool_created(self, block_range: tuple[int, int]) -> list[PoolInfo]:
-        logs = self.fetch_logs(self.factories[0], abi.SIG_PAIR_CREATED.topic0_hex, block_range)
-        logs += self.fetch_logs(self.factories[-1], abi.SIG_POOL_CREATED.topic0_hex, block_range)
-        pools = self._decode_each(sorted(logs, key=_log_order), self.decode_pool_created)
+        span = check_range(block_range)
+        logs = self._query_logs([
+            ((self.factories[0],), (abi.SIG_PAIR_CREATED.topic0_hex,), span),
+            ((self.factories[-1],), (abi.SIG_POOL_CREATED.topic0_hex,), span),
+        ])
+        pools = self._decode_each(logs, self.decode_pool_created)
         with self._lock:
             self._pool_cache.update((info.pool, info) for info in pools)
         return pools
@@ -371,17 +356,18 @@ class RpcChainView(ChainView):
         if cached:
             return cached
         head = self.head()
+        token0, token1, fee = self._batch([
+            ("eth_call", _call_params(pool, data, head))
+            for data in (abi.encode_token0(), abi.encode_token1(), abi.encode_fee())
+        ])
         try:
-            t0 = abi.dec_address(abi.hex_to_bytes(
-                self._eth_call(pool, abi.encode_token0(), head)))
-            t1 = abi.dec_address(abi.hex_to_bytes(
-                self._eth_call(pool, abi.encode_token1(), head)))
+            t0 = abi.dec_address(_answer_bytes(token0))
+            t1 = abi.dec_address(_answer_bytes(token1))
         except (RpcError, DecodeError) as exc:
             raise UnknownPool(f"{pool} does not answer token0/token1: {exc}") from exc
         version, fee_num, fee_den = DexVersion.V2, 3, 1000
         try:
-            fee_ppm = abi.dec_uint(abi.hex_to_bytes(
-                self._eth_call(pool, abi.encode_fee(), head)))
+            fee_ppm = abi.dec_uint(_answer_bytes(fee))
             version, fee_num, fee_den = DexVersion.V3, fee_ppm, 1_000_000
         except (RpcError, DecodeError):
             pass
@@ -392,10 +378,7 @@ class RpcChainView(ChainView):
         return info
 
     def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
-        info = self.pool_info(pool)
-        sig = abi.SIG_V2_SWAP if info.dex_version is DexVersion.V2 else abi.SIG_V3_SWAP
-        logs = self.fetch_logs(pool, sig.topic0_hex, block_range)
-        return self._decode_each(logs, lambda log: self.decode_swap(log, info))
+        return self.get_window([pool], [], block_range).get_swaps(pool, block_range)
 
     def get_liquidity_events(
         self, pool: Address, block_range: tuple[int, int]
@@ -405,10 +388,9 @@ class RpcChainView(ChainView):
             sigs = (abi.SIG_V2_MINT, abi.SIG_V2_BURN)
         else:
             sigs = (abi.SIG_V3_MINT, abi.SIG_V3_BURN)
-        logs = [log for sig in sigs for log in self.fetch_logs(pool, sig.topic0_hex, block_range)]
-        return self._decode_each(
-            sorted(logs, key=_log_order), lambda log: self.decode_liquidity(log, info)
-        )
+        span = check_range(block_range)
+        logs = self._query_logs([((pool,), (sig.topic0_hex,), span) for sig in sigs])
+        return self._decode_each(logs, partial(self.decode_liquidity, info=info))
 
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
         return self.get_window([], [token], block_range).get_transfers(token, block_range)
@@ -417,30 +399,20 @@ class RpcChainView(ChainView):
         return self.get_window([], [token], block_range).get_approvals(token, block_range)
 
     def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
-        try:
-            raw = self.client.call("eth_call", _balance_params(token, holder, block))
-        except RpcError:
-            return None
-        return _balance_value(raw)
+        return self.balances_at([(token, holder, block)])[0]
 
     def balances_at(
         self, reads: Sequence[tuple[Address, Address, int]]
     ) -> list[TokenAmount | None]:
         """Every read as one `eth_call` in one batched POST; a read the node
         answers with an error or an undecodable payload is None."""
-        results = self.client.call_batch(
+        results = self._batch(
             [("eth_call", _balance_params(token, holder, block)) for token, holder, block in reads]
         )
-        return [None if isinstance(raw, RpcError) else _balance_value(raw) for raw in results]
+        return [_balance_value(raw) for raw in results]
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
-        info = self.pool_info(pool)
-        reserves = _reserves_value(info, self._batch(_reserves_requests(info, block)))
-        if reserves is None and info.dex_version is DexVersion.V2:
-            reserves = _balance_pair(self._batch(_pair_requests(info, block)))
-        if reserves is None:
-            raise UnknownPool(f"cannot read reserves of {pool} at block {block}")
-        return reserves
+        return self.get_window([pool], [], (block, block)).get_reserves(pool, block)
 
     def get_window(
         self,
@@ -470,7 +442,7 @@ class RpcChainView(ChainView):
         if tokens:
             queries.append((tuple(tokens), TOKEN_TOPICS, (lo, hi)))
         reads = [_reserves_requests(info, hi) for info in infos]
-        replies = self._send([*map(_log_request, queries), *(r for req in reads for r in req)])
+        replies = self._batch([*map(_log_request, queries), *(r for req in reads for r in req)])
 
         transfer_logs: dict[Address, list[_RawLog]] = {}
         for query, (found, failed) in zip(queries, self._logs(queries, replies)):
@@ -534,9 +506,9 @@ class RpcChainView(ChainView):
         data = abi.encode_quote_exact_input_single(
             token_in, pool.other_token(token_in), pool.fee_num, amount_in
         )
+        [answer] = self._batch([("eth_call", _call_params(self.v3_quoter, data, block))])
         try:
-            raw = abi.hex_to_bytes(self._eth_call(self.v3_quoter, data, block))
-            return abi.dec_uint(raw)
+            return abi.dec_uint(_answer_bytes(answer))
         except (RpcError, DecodeError):
             return None
 
@@ -663,16 +635,15 @@ class RpcChainView(ChainView):
         items: Sequence[tuple[Sequence[Call], BalanceOverrides | None]],
     ) -> list[list[CallOutcome] | Exception]:
         """Every bundle as its own `eth_callMany` request, all in one
-        batched POST (a lone bundle as a plain request). One request never
-        holds two bundles: the node runs
-        the bundles of one request on shared state, so one sell would move
-        the next one's reserves. An error answer to a request takes the
-        place of that bundle's outcomes, as the exception `simulate_bundle`
-        would raise for it: on a node without `eth_callMany`, each is a
+        batched POST. One request never holds two bundles: the node runs the
+        bundles of one request on shared state, so one sell would move the
+        next one's reserves. An error answer to a request takes the place of
+        that bundle's outcomes, as the exception `simulate_bundle` would
+        raise for it: on a node without `eth_callMany`, each is a
         `MethodNotSupported`. A transport failure raises
         BackendUnavailable."""
         requests = [self._bundle_request(block, calls, overrides) for calls, overrides in items]
-        responses = self._send([("eth_callMany", params) for params, _ in requests])
+        responses = self._batch([("eth_callMany", params) for params, _ in requests])
         outcomes: list[list[CallOutcome] | Exception] = []
         for (_, slots), response in zip(requests, responses):
             try:
@@ -827,20 +798,25 @@ def _reserves_value(info: PoolInfo, answers: list) -> tuple[TokenAmount, TokenAm
     if info.dex_version is not DexVersion.V2:
         return _balance_pair(answers)
     [answer] = answers
-    if isinstance(answer, Exception):
-        return None
     try:
-        raw = abi.hex_to_bytes(answer)
+        raw = _answer_bytes(answer)
         return abi.dec_uint(raw, 0), abi.dec_uint(raw, 1)
-    except DecodeError:
+    except (RpcError, DecodeError):
         return None
 
 
 def _balance_pair(answers: list) -> tuple[TokenAmount, TokenAmount] | None:
     """Both balances from the answers to `_pair_requests`, or None if
     either read failed."""
-    x, y = (None if isinstance(raw, Exception) else _balance_value(raw) for raw in answers)
+    x, y = map(_balance_value, answers)
     return None if x is None or y is None else (x, y)
+
+
+def _answer_bytes(answer) -> bytes:
+    """An `eth_call` answer's data; an error answer is raised."""
+    if isinstance(answer, Exception):
+        raise answer
+    return abi.hex_to_bytes(answer)
 
 
 def _call_params(to: Address, data: bytes, block: int) -> list:
@@ -851,11 +827,12 @@ def _balance_params(token: Address, holder: Address, block: int) -> list:
     return _call_params(token, abi.encode_balance_of(holder), block)
 
 
-def _balance_value(raw) -> TokenAmount | None:
-    """A balanceOf answer's value, or None for a payload that is not one."""
+def _balance_value(answer) -> TokenAmount | None:
+    """A balanceOf answer's value, or None for an error answer or a
+    payload that is not one."""
     try:
-        return abi.dec_uint(abi.hex_to_bytes(raw))
-    except DecodeError:
+        return abi.dec_uint(_answer_bytes(answer))
+    except (RpcError, DecodeError):
         return None
 
 

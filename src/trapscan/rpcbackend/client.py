@@ -1,9 +1,11 @@
 """JSON-RPC 2.0 transport with retries, batching, and rate limiting.
 
-The wire transport is injectable: anything callable as
-``transport(payload) -> response`` works, where payload/response are the
-parsed JSON structures (a dict for single requests, a list for batches).
-Production uses an HTTP POST via requests; tests plug in replay fakes.
+Every request goes out inside a JSON-RPC batch, a lone request as a batch
+of one. The wire transport is injectable: anything callable as
+``transport(payload) -> response`` works, where the payload is the parsed
+batch (a list of request objects) and the response the parsed answer (a
+list of response objects). Production uses an HTTP POST via requests;
+tests plug in replay fakes.
 """
 
 from __future__ import annotations
@@ -158,16 +160,6 @@ class JsonRpcClient:
                     time.sleep(min(2.0, 0.1 * 2**attempt))
         raise TransportError(f"endpoint unreachable after retries: {last_exc}")
 
-    def call(self, method: str, params: list) -> Any:
-        payload = {
-            "jsonrpc": "2.0",
-            "id": self._take_id(),
-            "method": method,
-            "params": params,
-        }
-        response = self._send(payload)
-        return self._unwrap(response)
-
     def call_batch(self, requests_: list[tuple[str, list]]) -> list[Any]:
         """Issue calls in batches of max_batch; results in request order.
 
@@ -197,20 +189,11 @@ class JsonRpcClient:
                 item = by_id.get(rid)
                 if item is None:
                     results.append(RpcError(-32000, f"missing response for id {rid}"))
-                    continue
-                try:
-                    results.append(self._unwrap(item))
-                except RpcError as exc:
-                    results.append(exc)
+                elif item.get("error") is not None:
+                    err = item["error"]
+                    results.append(classify_error(
+                        int(err.get("code", -32000)), str(err.get("message", "")), err.get("data")
+                    ))
+                else:
+                    results.append(item.get("result"))
         return results
-
-    @staticmethod
-    def _unwrap(item: dict) -> Any:
-        if not isinstance(item, dict):
-            raise TransportError(f"malformed response item: {item!r}")
-        if "error" in item and item["error"] is not None:
-            err = item["error"]
-            raise classify_error(
-                int(err.get("code", -32000)), str(err.get("message", "")), err.get("data")
-            )
-        return item.get("result")

@@ -263,6 +263,8 @@ class FakeNode:
                 balance = self.chain.balance_of(to, holder, block)
             except Exception as exc:
                 raise _RpcFault(3, f"execution reverted: {exc}") from exc
+            if balance is None:
+                raise _RpcFault(3, "execution reverted")
             return _uint_hex(balance)
         if selector in (SEL_TOKEN0, SEL_TOKEN1):
             try:

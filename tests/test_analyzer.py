@@ -371,11 +371,6 @@ class TestClassifyAndExport:
         assert verdict.traps == set() and not verdict.is_flagged
         assert verdict.first_flagged_block is None
 
-    def test_allowlist_requires_review(self):
-        verdict = classify_pool(self._watch(), [], (1, 10),
-                                known_token_allowlist={TOKEN_Y})
-        assert verdict.requires_manual_review
-
     def test_json_line_validates(self):
         f = check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 9, 90))
         verdict = classify_pool(self._watch(), [f], (1, 10))

@@ -144,6 +144,8 @@ class TestQueries:
         assert chain.balance_of(trace.trap_token, victim, head) == 0
         unseen = Address.derive("nobody")
         assert chain.balance_of(trace.trap_token, unseen, head) == 0
+        # a read of a token that does not exist reverts: None, not an error
+        assert chain.balance_of(Address.derive("not-a-token"), victim, head) is None
 
     def test_reserves_after_remove_all(self, drain_world):
         trace, chain = drain_world

@@ -317,10 +317,12 @@ class TestScan:
 
         def failing_call_many(node):
             def transport(payload):
-                if isinstance(payload, dict) and payload["method"] == "eth_callMany":
-                    return {"jsonrpc": "2.0", "id": payload["id"],
-                            "error": {"code": code, "message": message}}
-                return node(payload)
+                return [
+                    {"jsonrpc": "2.0", "id": item["id"],
+                     "error": {"code": code, "message": message}}
+                    if item["method"] == "eth_callMany" else node([item])[0]
+                    for item in payload
+                ]
             return transport
 
         exit_code, out = self._live_scan(tmp_path, monkeypatch, failing_call_many)

@@ -751,7 +751,7 @@ class TestCohortScan:
         dropped = []
 
         def transport(payload):
-            for item in payload if isinstance(payload, list) else [payload]:
+            for item in payload:
                 flt = item["params"][0] if item["method"] == "eth_getLogs" else {}
                 if not dropped and second in flt.get("address", ()) and flt["fromBlock"] != "0x1":
                     dropped.append(flt["fromBlock"])

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -226,15 +227,15 @@ class TestDecoders:
         trace, node, rpc = backend
 
         def poisoned(payload):
-            if isinstance(payload, dict) and payload.get("method") == "eth_getLogs":
-                result = node(payload)
-                result["result"].append(make_log(
-                    trace.trap_token.hex,
-                    [abi.SIG_TRANSFER.topic0_hex, pad_addr(self.USDC)],  # topic missing
-                    "0x" + "00" * 32,
-                ))
-                return result
-            return node(payload)
+            response = node(payload)
+            for item, answer in zip(payload, response):
+                if item["method"] == "eth_getLogs":
+                    answer["result"].append(make_log(
+                        trace.trap_token.hex,
+                        [abi.SIG_TRANSFER.topic0_hex, pad_addr(self.USDC)],  # topic missing
+                        "0x" + "00" * 32,
+                    ))
+            return response
 
         poisoned_rpc = RpcChainView(EndpointConfig(url="fake://", retries=1),
                                     transport=poisoned)
@@ -262,7 +263,7 @@ class TestFetchLogs:
 
     def test_empty_range(self, backend):
         trace, _, rpc = backend
-        assert rpc.fetch_logs(trace.trap_token, abi.SIG_TRANSFER.topic0_hex, (0, 0)) == []
+        assert rpc.get_transfers(trace.trap_token, (0, 0)) == []
 
 
 class TestFakeNodeFilters:
@@ -324,8 +325,9 @@ class TestLogOrder:
 
         def reversing(payload):
             response = node(payload)
-            if isinstance(payload, dict) and payload["method"] == "eth_getLogs":
-                response["result"].reverse()
+            for item, answer in zip(payload, response):
+                if item["method"] == "eth_getLogs":
+                    answer["result"].reverse()
             return response
 
         config = EndpointConfig(url="fake://", retries=1)
@@ -352,7 +354,8 @@ class TestDecodeSkips:
         logs = [malformed, wrong_topics] * 20
 
         def transport(payload):
-            return {"jsonrpc": "2.0", "id": payload["id"], "result": list(logs)}
+            return [{"jsonrpc": "2.0", "id": item["id"], "result": list(logs)}
+                    for item in payload]
 
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
         calls = 300
@@ -374,19 +377,20 @@ class TestTxSenders:
         lookups = []
 
         def transport(payload):
-            if isinstance(payload, list):  # one batch of transaction lookups
+            if payload[0]["method"] == "eth_getTransactionByHash":
                 lookups.append(len(payload))
                 return [{"jsonrpc": "2.0", "id": item["id"],
                          "result": {"hash": item["params"][0], "from": sender.hex}}
                         for item in payload]
-            block = int(payload["params"][0]["fromBlock"], 16)
+            [query] = payload
+            block = int(query["params"][0]["fromBlock"], 16)
             log = make_log(
                 token.hex,
                 [abi.SIG_TRANSFER.topic0_hex, pad_addr(sender.hex), pad_addr(OWNER.hex)],
                 "0x" + "00" * 31 + "01", block=block,
                 tx_hash="0x" + block.to_bytes(32, "big").hex(),
             )
-            return {"jsonrpc": "2.0", "id": payload["id"], "result": [log, log]}
+            return [{"jsonrpc": "2.0", "id": query["id"], "result": [log, log]}]
 
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
 
@@ -427,7 +431,7 @@ class TestWindowSenders:
 
         def transport(payload):
             answers = []
-            for item in _items(payload):
+            for item in payload:
                 if item["method"] == "eth_getLogs":
                     answers.append({"jsonrpc": "2.0", "id": item["id"], "result": logs})
                     continue
@@ -438,7 +442,7 @@ class TestWindowSenders:
                 else:
                     answers.append({"jsonrpc": "2.0", "id": item["id"],
                                     "result": {"hash": item["params"][0], "from": sender.hex}})
-            return answers if isinstance(payload, list) else answers[0]
+            return answers
 
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
         window = rpc.get_window([], [a, b, c], (100, 100))
@@ -466,12 +470,8 @@ class Recorder:
         return self.node(payload)
 
 
-def _items(payload):
-    return payload if isinstance(payload, list) else [payload]
-
-
 def _is_sender_lookup(payload):
-    return any(item["method"] == "eth_getTransactionByHash" for item in _items(payload))
+    return any(item["method"] == "eth_getTransactionByHash" for item in payload)
 
 
 class TestFailedSenderLookup:
@@ -545,7 +545,19 @@ class TestClientRetry:
         node = FakeNode(chain=trace.chain, fail_next=10)
         client = JsonRpcClient(EndpointConfig(url="fake://", retries=2), transport=node)
         with pytest.raises(TransportError):
-            client.call("eth_blockNumber", [])
+            client.call_batch([("eth_blockNumber", [])])
+
+    @pytest.mark.parametrize("query", [
+        lambda rpc, trace: rpc.head(),
+        lambda rpc, trace: rpc.balance_of(trace.trap_token, OWNER, 1),
+        lambda rpc, trace: rpc.balances_at([(trace.trap_token, OWNER, 1)] * 2),
+    ], ids=["head", "balance_of", "balances_at"])
+    def test_exhausted_retries_are_backend_unavailable(self, backend, query):
+        trace, _, _ = backend
+        node = FakeNode(chain=trace.chain, fail_next=1)
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=node)
+        with pytest.raises(BackendUnavailable):
+            query(rpc, trace)
 
     def test_batch_preserves_order_and_errors(self, backend):
         trace, node, _ = backend
@@ -665,7 +677,7 @@ class TestSimulateBundle:
 
         def transport(payload):
             response = node(payload)
-            for item, answer in zip(_items(payload), _items(response)):
+            for item, answer in zip(payload, response):
                 txs = item["params"][0][0]["transactions"] if item["method"] == "eth_callMany" else []
                 if any(tx["from"] == probe for tx in txs):
                     answer.pop("result")
@@ -768,11 +780,67 @@ class TestCallMemo:
 
 class TestBackendQueries:
     def test_pool_info_via_calls(self, backend):
-        trace, _, rpc = backend
+        """A pool not yet known costs two POSTs: the head, then its token0,
+        token1 and fee reads together; a known one costs none."""
+        trace, node, rpc = backend
         info = rpc.pool_info(trace.pool.pool)
         assert info.token_x == trace.base_token
         assert info.token_y == trace.trap_token
         assert info.dex_version is DexVersion.V2
+        assert node.posts == 2 and len(node.requests) == 4
+        assert rpc.pool_info(trace.pool.pool) is info and node.posts == 2
+
+    def test_pool_discovery_is_one_post(self, backend):
+        """Both factory log queries go out together, and discovery fills the
+        metadata cache."""
+        trace, node, rpc = backend
+        pools = rpc.get_pool_created((0, trace.chain.head()))
+        assert [info.pool for info in pools] == [trace.pool.pool]
+        assert node.posts == 1 and node.requests.count_method("eth_getLogs") == 2
+        assert rpc.pool_info(trace.pool.pool) == pools[0] and node.posts == 1
+
+    def test_every_payload_is_a_batch(self, tmp_path, monkeypatch):
+        """Over discovery, pool metadata, the single-form queries, a cohort
+        scan and a checkpoint resume, every payload the node receives is a
+        list of requests, a lone request included."""
+        from test_pipeline import cohort_chain
+
+        chain, targets = cohort_chain(pools=6)
+        head = chain.head()
+        node = FakeNode(chain=chain)
+        payloads = []
+
+        def guard(payload):
+            payloads.append(payload)
+            return node(payload)
+
+        def view():
+            return RpcChainView(EndpointConfig(url="fake://", retries=0), transport=guard)
+
+        rpc = view()
+        assert len(rpc.get_pool_created((0, head))) == len(targets)
+        pool, trap = targets[0][0].pool, targets[0][1]
+        fresh = view()
+        assert fresh.pool_info(pool) == targets[0][0]
+        probe = Address.derive("probe")
+        fresh.head()
+        fresh.balance_of(trap, probe, head)
+        fresh.get_swaps(pool, (1, head))
+        fresh.get_reserves(pool, head)
+        fresh.get_liquidity_events(pool, (1, head))
+        v3_style = replace(targets[0][0], dex_version=DexVersion.V3, fee_num=3000, fee_den=10**6)
+        assert fresh.quote_exact_in(v3_style, trap, 10**6, head) is None  # the node has no quoter
+        fresh.simulate_bundle(head, [BalanceOfCall(caller=probe, token=trap, holder=probe)])
+
+        monkeypatch.setattr(pipeline, "COHORT_SIZE", 3)
+        settings = ScanSettings(interval=10)
+        checkpoint = tmp_path / "scan.ckpt"
+        first, _ = scan_pools_resumable(rpc, targets[:3], 1, head, settings, checkpoint)
+        lines, summary = scan_pools_resumable(view(), targets, 1, head, settings, checkpoint)
+        assert summary.failures == 0 and lines[:3] == first and len(lines) == len(targets)
+        assert payloads and all(
+            isinstance(payload, list) and payload for payload in payloads
+        )
 
     def test_reserves_match_mock(self, backend):
         trace, _, rpc = backend
@@ -822,9 +890,9 @@ class TestWindowedScanCost:
         assert node.requests.count_method("eth_getLogs") <= 2 * rounds
         assert len(node.requests) < 2 * blocks
         # Per round: the log queries with the reserves, the sender lookups,
-        # the balance reads, the sells and probe, and the round trip; plus 4
-        # pool-metadata reads in all.
-        assert node.posts <= 5 * rounds + 4
+        # the balance reads, the sells and probe, and the round trip; plus 2
+        # for the pool's metadata: the head, then token0, token1 and fee.
+        assert node.posts <= 5 * rounds + 2
 
     def test_reserves_read_once_per_round(self, monkeypatch):
         """Ingestion's getReserves call at each round's block is the only
@@ -956,14 +1024,14 @@ class TestBatchedBalanceReads:
         balance_of = abi.bytes_to_hex(abi.SEL_BALANCE_OF)
         read_posts = [
             post for post in transport.payloads
-            if isinstance(post, list) and post[0]["method"] == "eth_call"
+            if post[0]["method"] == "eth_call"
             and post[0]["params"][0]["data"].startswith(balance_of)
             and post[0]["params"][1] == hex(11)
         ]
         assert len(read_posts) == 1 and len(read_posts[0]) == 3
         sellers = [
             item["params"][0][0]["transactions"][0]["from"]
-            for post in transport.payloads for item in _items(post)
+            for post in transport.payloads for item in post
             if item["method"] == "eth_callMany" and item["params"][1]["blockNumber"] == hex(11)
         ]
         assert wash.hex in sellers and other.hex in sellers and victim.hex not in sellers
