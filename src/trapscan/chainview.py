@@ -10,7 +10,9 @@ block range for many pools and tokens, and the pools' reserves at its
 last block; `balances_at` reads many balances, and `simulate_bundles`
 runs many bundles. A backend may answer each in one round trip (the
 logs and reserves of a window in one, plus one for the senders of its
-transfers); by default they fall back to the single forms.
+transfers). A backend implements only the batched reads and
+simulations: `balance_of` and `simulate_bundle` are defined here, once,
+as a batch of one, so each backend has one path for each.
 
 The seam carries only what a detector can observe. A balance read is a
 plain `TokenAmount`, or None when the read reverted, so every caller has
@@ -252,35 +254,8 @@ class ChainView(ABC):
         """Logged approvals of the token in range."""
 
     @abstractmethod
-    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
-        """What the token's balance function returned for `holder` at the
-        sealed block state, or None if the read reverted.
-
-        The token may lie relative to its internal accounting; the value
-        is whatever the contract returned. A reverted read is None, never
-        an exception and never 0.
-        """
-
-    @abstractmethod
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         """(reserve of token_x, reserve of token_y) at the sealed block state."""
-
-    @abstractmethod
-    def simulate_bundle(
-        self,
-        block: int,
-        calls: Sequence[Call],
-        balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
-    ) -> list[CallOutcome]:
-        """Execute calls sequentially against a private fork of `block`.
-
-        Each call sees the effects of prior calls in the bundle; a revert
-        rolls back only its own call. Public chain state is never touched.
-        `balance_overrides` maps (token, holder) to a balance the fork is
-        seeded with before the first call; it is the funding mechanism for
-        synthetic probe accounts (the mock applies it as a fork-local
-        mint, the live backend as a state override).
-        """
 
     def get_window(
         self,
@@ -293,31 +268,46 @@ class ChainView(ABC):
         window, answering each query as it is asked."""
         return self
 
+    @abstractmethod
     def balances_at(
         self, reads: Sequence[tuple[Address, Address, int]]
     ) -> list[TokenAmount | None]:
-        """`balance_of` of each `(token, holder, block)`, in order. A
-        backend may answer them together; this default reads one by one."""
-        return [self.balance_of(token, holder, block) for token, holder, block in reads]
+        """What each `(token, holder, block)` read returned at the sealed
+        block state, in order: whatever the token's balance function said,
+        which may lie about its accounting, or None, never an exception
+        and never 0, for a read that reverted."""
 
+    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
+        """`balances_at` of one read."""
+        return self.balances_at([(token, holder, block)])[0]
+
+    @abstractmethod
     def simulate_bundles(
         self,
         block: int,
         items: Sequence[tuple[Sequence[Call], BalanceOverrides | None]],
     ) -> list[list[CallOutcome] | Exception]:
-        """`simulate_bundle` of each `(calls, balance_overrides)` at
-        `block`, in order, each on its own fork: no bundle sees another's
-        effects. A bundle whose simulation raised gets the exception in
-        place of its outcomes, so one bundle's failure leaves the others'
-        results standing. A backend may send them together; this default
-        runs one by one."""
-        results: list[list[CallOutcome] | Exception] = []
-        for calls, overrides in items:
-            try:
-                results.append(self.simulate_bundle(block, calls, overrides))
-            except Exception as exc:  # the bundle's own failure, not the batch's
-                results.append(exc)
-        return results
+        """Run each `(calls, balance_overrides)` on its own private fork of
+        `block`, in order. Each call sees the effects of the bundle's prior
+        calls, a revert rolls back only its own call, and public state is
+        never touched. `balance_overrides` seeds the fork with (token,
+        holder) balances, which funds synthetic probe accounts (a
+        fork-local mint on the mock, a state override on the node). A
+        bundle whose simulation raised, an empty one included, gets the
+        exception in place of its outcomes; a failure of the whole batch,
+        such as an unsealed block or a lost transport, is raised."""
+
+    def simulate_bundle(
+        self,
+        block: int,
+        calls: Sequence[Call],
+        balance_overrides: BalanceOverrides | None = None,
+    ) -> list[CallOutcome]:
+        """`simulate_bundles` of one bundle; its failure is raised."""
+        [outcomes] = self.simulate_bundles(block, [(calls, balance_overrides)])
+        if isinstance(outcomes, Exception):
+            raise outcomes
+        return outcomes
 
     @abstractmethod
     def pool_info(self, pool: Address) -> PoolInfo:

@@ -25,7 +25,7 @@ which a behavior rule switches. So the chain keeps the sorted blocks at
 which a quiet stretch starts: every block a write lands at, and every
 switch block of every deployed token's rule. Within one stretch, an
 identical bundle (same calls, same balance overrides) has identical
-outcomes, and `simulate_bundle` reuses them. Invariant: a behavior rule
+outcomes, and `simulate_bundles` reuses them. Invariant: a behavior rule
 that reads the block number must register its switch blocks in
 `deploy_token`, or that reuse is unsound. The registries are not kept by
 block, so `deploy_token` and `create_pool` bump a version that ends every
@@ -45,6 +45,7 @@ from typing import Callable
 from ..chainview import (
     ApproveRecord,
     BalanceOfCall,
+    BalanceOverrides,
     BlockOutOfRange,
     Call,
     CallOutcome,
@@ -679,11 +680,14 @@ class MockChain(ChainView):
         self._require_token(token)
         return _window(self._approvals[token], lo, hi)
 
-    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
-        self._check_sealed(block)
-        if token not in self._tokens:
-            return None  # the read reverts, as a bundle's BalanceOfCall does
-        return self._read_at(block, _bal(token, holder), 0)
+    def balances_at(
+        self, reads: Sequence[tuple[Address, Address, int]]
+    ) -> list[TokenAmount | None]:
+        for _, _, block in reads:
+            self._check_sealed(block)
+        # A read of an unknown token reverts, as a bundle's BalanceOfCall does.
+        return [self._read_at(block, _bal(token, holder), 0) if token in self._tokens else None
+                for token, holder, block in reads]
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         self._require_pool(pool)
@@ -699,20 +703,15 @@ class MockChain(ChainView):
     # ------------------------------------------------------------------
     # simulation
 
-    def simulate_bundle(
+    def simulate_bundles(
         self,
         block: int,
-        calls: Sequence[Call],
-        balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
-    ) -> list[CallOutcome]:
+        items: Sequence[tuple[Sequence[Call], BalanceOverrides | None]],
+    ) -> list[list[CallOutcome] | Exception]:
+        """Each bundle's outcomes, from the memo of the block's quiet
+        stretch, whose scope is worked out once for the whole batch."""
         global _memo
-        if not calls:
-            raise EmptyBundle("bundle must contain at least one call")
         self._check_sealed(block)
-        overrides = tuple((balance_overrides or {}).items())
-        for (token, _), amount in overrides:
-            self._require_token(token)
-            check_amount(amount)
         bounds = self._bounds
         i = bisect_right(bounds, block)
         scope = (
@@ -723,6 +722,25 @@ class MockChain(ChainView):
         if memo_scope != scope:
             entries = {}
             _memo = (scope, entries)
+        results: list[list[CallOutcome] | Exception] = []
+        for calls, balance_overrides in items:
+            try:
+                results.append(self._run_bundle(block, calls, balance_overrides, entries))
+            except Exception as exc:  # the bundle's own failure, not the batch's
+                results.append(exc)
+        return results
+
+    def _run_bundle(
+        self, block: int, calls: Sequence[Call], balance_overrides: BalanceOverrides | None,
+        entries: dict,
+    ) -> list[CallOutcome]:
+        """One bundle's outcomes, from `entries` or run on a fork and filed there."""
+        if not calls:
+            raise EmptyBundle("bundle must contain at least one call")
+        overrides = tuple((balance_overrides or {}).items())
+        for (token, _), amount in overrides:
+            self._require_token(token)
+            check_amount(amount)
         # One lookup finds the bundle's outcomes, or files an empty entry to
         # fill in: hashing the calls is the dearest part of a miss. Another
         # thread that finds the entry still empty simulates the bundle too,

@@ -86,10 +86,10 @@ from .simulator import (
     run_many,
 )
 
-# `ingest_block` is the one-watch form of `ingest_window`, which the scan
-# loop calls; it stays importable from here for callers that wrap the
-# pipeline's steps by name, as the benchmark's tracer does. `run` is what
-# a round's lone bundle goes through.
+# `ingest_block` is the one-watch form of `ingest_window`, and `run` the
+# one-bundle form of `run_many`; the scan loop calls neither, and both
+# stay importable from here for callers that wrap the pipeline's steps by
+# name, as the benchmark's tracer does.
 
 # A member of `BundleKind` that each result is compared with, as a module
 # name: on CPython 3.11 reading an enum member through its class takes
@@ -320,29 +320,12 @@ def run_detection_round(
 def _simulate(
     chain: ChainView, plans: list[tuple[int, Plan]], failures: dict[int, Exception]
 ) -> list[tuple[int, Plan, list[SimulationResult]]]:
-    """Every plan's bundles through one `run_many`, or a lone bundle
-    through `run`; each plan whose bundles all ran, with their results. A
-    plan with a failed bundle records that failure in `failures`, and a
-    failed simulation records its own for every plan."""
-    if not plans:
-        return []
-    if len(plans) == 1:  # one pool's plan: its results need no splitting
-        i, items = plans[0]
-        try:
-            results = [run(chain, *items[0])] if len(items) == 1 else run_many(chain, items)
-        except Exception as exc:  # the simulation failed
-            failures[i] = exc
-            return []
-        for result in results:
-            if isinstance(result, Exception):
-                failures[i] = result
-                return []
-        return [(i, items, results)]
-    items = []
-    for _, planned in plans:
-        items += planned
+    """Every plan's bundles through one `run_many`; each plan whose bundles
+    all ran, with their results. A plan with a failed bundle records that
+    failure in `failures`, and a failed simulation records its own for
+    every plan."""
     try:
-        results = run_many(chain, items)
+        results = run_many(chain, [item for _, planned in plans for item in planned])
     except Exception as exc:  # the shared simulation failed: every plan fails
         for i, _ in plans:
             failures[i] = exc

@@ -5,28 +5,28 @@ eth_getLogs (with automatic range splitting when the node refuses large
 result sets), state reads via eth_call at historical blocks, and bundle
 simulation via the node's callMany interface with state overrides funding
 the probe account. callMany is the only simulation path: on a node that
-lacks it, `simulate_bundle` and `simulate_bundles` raise
-`MethodNotSupported` and the pool gets no verdict, since independent
-eth_calls cannot see each other's effects.
+lacks it, every bundle of `simulate_bundles` gets `MethodNotSupported`
+and the pool gets no verdict, since independent eth_calls cannot see
+each other's effects.
 
 Every request goes out inside a JSON-RPC 2.0 batch POST (per `max_batch`
 requests), a lone request as a batch of one, and a transport failure
 raises BackendUnavailable. `balances_at` sends one `eth_call` per read
 and `simulate_bundles` one `eth_callMany` request per bundle, each in one
-POST. `get_window` sends two: first one `eth_getLogs` over every pool
+POST; `balance_of` and `simulate_bundle` are the contract's views of
+them. `get_window` sends two: first one `eth_getLogs` over every pool
 address with either swap signature, one over every token with Transfer
 or Approval (an address list and a topic OR-list), and every pool's
 reserves read; then the senders of the window's transfers, each
 transaction looked up once, and the balance reads of any pair whose
 getReserves failed. An oversized log answer is split by block range,
 then by address list, then by topic list, and the halves are sent
-together. The single forms are views of the batched ones: `get_swaps`,
-`get_transfers`, `get_approvals` and `get_reserves` read a window of
-their own, `balance_of` is a `balances_at` of one read and
-`simulate_bundle` a `simulate_bundles` of one bundle. `get_pool_created`
-sends both factories' log queries in one POST, and `pool_info` of a pool
-not yet known reads the head, then its token0, token1 and fee in one
-POST. Each distinct bundle call is encoded once per view and memoised.
+together. `get_swaps`, `get_transfers`, `get_approvals` and
+`get_reserves` read a window of their own. `get_pool_created` sends one
+`eth_getLogs` over every configured factory with either creation
+signature, and `pool_info` of a pool not yet known reads its token0,
+token1 and fee at the latest block in one POST. Each distinct bundle
+call is encoded once per view and memoised.
 
 Pinned callMany request shape (positional), one bundle per request:
 
@@ -96,6 +96,7 @@ _Tx = tuple[tuple[str, str], ...]  # one transaction's (field, value) pairs
 _LogQuery = tuple[tuple[Address, ...], tuple[str, ...], tuple[int, int]]
 SWAP_TOPICS = (abi.SIG_V2_SWAP.topic0_hex, abi.SIG_V3_SWAP.topic0_hex)
 TOKEN_TOPICS = (abi.SIG_TRANSFER.topic0_hex, abi.SIG_APPROVAL.topic0_hex)
+CREATION_TOPICS = (abi.SIG_PAIR_CREATED.topic0_hex, abi.SIG_POOL_CREATED.topic0_hex)
 
 
 @dataclass
@@ -340,11 +341,9 @@ class RpcChainView(ChainView):
     # chainview queries
 
     def get_pool_created(self, block_range: tuple[int, int]) -> list[PoolInfo]:
-        span = check_range(block_range)
-        logs = self._query_logs([
-            ((self.factories[0],), (abi.SIG_PAIR_CREATED.topic0_hex,), span),
-            ((self.factories[-1],), (abi.SIG_POOL_CREATED.topic0_hex,), span),
-        ])
+        logs = self._query_logs(
+            [(tuple(self.factories), CREATION_TOPICS, check_range(block_range))]
+        )
         pools = self._decode_each(logs, self.decode_pool_created)
         with self._lock:
             self._pool_cache.update((info.pool, info) for info in pools)
@@ -355,9 +354,10 @@ class RpcChainView(ChainView):
             cached = self._pool_cache.get(pool)
         if cached:
             return cached
-        head = self.head()
+        # A pool's tokens and fee never change once it is deployed, so the
+        # latest state answers for every block.
         token0, token1, fee = self._batch([
-            ("eth_call", _call_params(pool, data, head))
+            ("eth_call", _call_params(pool, data, "latest"))
             for data in (abi.encode_token0(), abi.encode_token1(), abi.encode_fee())
         ])
         try:
@@ -397,9 +397,6 @@ class RpcChainView(ChainView):
 
     def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
         return self.get_window([], [token], block_range).get_approvals(token, block_range)
-
-    def balance_of(self, token: Address, holder: Address, block: int) -> TokenAmount | None:
-        return self.balances_at([(token, holder, block)])[0]
 
     def balances_at(
         self, reads: Sequence[tuple[Address, Address, int]]
@@ -506,7 +503,7 @@ class RpcChainView(ChainView):
         data = abi.encode_quote_exact_input_single(
             token_in, pool.other_token(token_in), pool.fee_num, amount_in
         )
-        [answer] = self._batch([("eth_call", _call_params(self.v3_quoter, data, block))])
+        [answer] = self._batch([("eth_call", _call_params(self.v3_quoter, data, hex(block)))])
         try:
             return abi.dec_uint(_answer_bytes(answer))
         except (RpcError, DecodeError):
@@ -610,24 +607,24 @@ class RpcChainView(ChainView):
         return params, slots
 
     def _bundle_outcomes(self, response, slots: list[tuple[int, int, str]]) -> list[CallOutcome]:
-        """One outcome per call slot from a bundle's `eth_callMany` answer."""
+        """One outcome per call slot from a bundle's `eth_callMany` answer;
+        an error answer is raised, and a malformed one is BackendUnavailable."""
+        if isinstance(response, RpcError):
+            raise response
         last, last_count, _ = slots[-1]
-        results = self._bundle_results(response, last + last_count)
+        expected = last + last_count
+        if not isinstance(response, list) or not response:
+            raise BackendUnavailable(f"unexpected callMany response: {response!r}")
+        results = response[0]
+        if not isinstance(results, list) or len(results) != expected:
+            raise BackendUnavailable(
+                f"callMany returned {len(results) if isinstance(results, list) else '?'}"
+                f" results, expected {expected}"
+            )
         return [
             self._slot_outcome(results[start:start + count], kind)
             for start, count, kind in slots
         ]
-
-    def simulate_bundle(
-        self,
-        block: int,
-        calls: Sequence[Call],
-        balance_overrides: dict[tuple[Address, Address], TokenAmount] | None = None,
-    ) -> list[CallOutcome]:
-        [outcomes] = self.simulate_bundles(block, [(calls, balance_overrides)])
-        if isinstance(outcomes, Exception):
-            raise outcomes
-        return outcomes
 
     def simulate_bundles(
         self,
@@ -637,34 +634,27 @@ class RpcChainView(ChainView):
         """Every bundle as its own `eth_callMany` request, all in one
         batched POST. One request never holds two bundles: the node runs the
         bundles of one request on shared state, so one sell would move the
-        next one's reserves. An error answer to a request takes the place of
-        that bundle's outcomes, as the exception `simulate_bundle` would
-        raise for it: on a node without `eth_callMany`, each is a
+        next one's reserves. A bundle that cannot be built, such as an
+        empty one or one that swaps at an unknown pool, is not sent, and an
+        error answer to a request takes the place of that bundle's
+        outcomes: on a node without `eth_callMany`, each is a
         `MethodNotSupported`. A transport failure raises
         BackendUnavailable."""
-        requests = [self._bundle_request(block, calls, overrides) for calls, overrides in items]
-        responses = self._batch([("eth_callMany", params) for params, _ in requests])
-        outcomes: list[list[CallOutcome] | Exception] = []
-        for (_, slots), response in zip(requests, responses):
+        outcomes: list[list[CallOutcome] | Exception | None] = []
+        sent: list[tuple[int, list, list[tuple[int, int, str]]]] = []  # (position, params, slots)
+        for calls, overrides in items:
             try:
-                if isinstance(response, RpcError):
-                    raise response
-                outcomes.append(self._bundle_outcomes(response, slots))
-            except (RpcError, BackendUnavailable) as exc:
+                sent.append((len(outcomes), *self._bundle_request(block, calls, overrides)))
+                outcomes.append(None)
+            except Exception as exc:  # the bundle's own failure, not the batch's
                 outcomes.append(exc)
+        responses = self._batch([("eth_callMany", params) for _, params, _ in sent])
+        for (position, _, slots), response in zip(sent, responses):
+            try:
+                outcomes[position] = self._bundle_outcomes(response, slots)
+            except (RpcError, BackendUnavailable) as exc:
+                outcomes[position] = exc
         return outcomes
-
-    @staticmethod
-    def _bundle_results(response, expected: int) -> list[dict]:
-        if not isinstance(response, list) or not response:
-            raise BackendUnavailable(f"unexpected callMany response: {response!r}")
-        results = response[0]
-        if not isinstance(results, list) or len(results) != expected:
-            raise BackendUnavailable(
-                f"callMany returned {len(results) if isinstance(results, list) else '?'}"
-                f" results, expected {expected}"
-            )
-        return results
 
     def _slot_outcome(self, chunk: list[dict], kind: str) -> CallOutcome:
         if kind == "swap":
@@ -789,7 +779,7 @@ def _pair_requests(info: PoolInfo, block: int) -> list[tuple[str, list]]:
 def _reserves_requests(info: PoolInfo, block: int) -> list[tuple[str, list]]:
     """A pair's getReserves read; a pool without one is read by balances."""
     if info.dex_version is DexVersion.V2:
-        return [("eth_call", _call_params(info.pool, abi.encode_get_reserves(), block))]
+        return [("eth_call", _call_params(info.pool, abi.encode_get_reserves(), hex(block)))]
     return _pair_requests(info, block)
 
 
@@ -819,12 +809,12 @@ def _answer_bytes(answer) -> bytes:
     return abi.hex_to_bytes(answer)
 
 
-def _call_params(to: Address, data: bytes, block: int) -> list:
-    return [{"to": to.hex, "data": abi.bytes_to_hex(data)}, hex(block)]
+def _call_params(to: Address, data: bytes, block: str) -> list:
+    return [{"to": to.hex, "data": abi.bytes_to_hex(data)}, block]
 
 
 def _balance_params(token: Address, holder: Address, block: int) -> list:
-    return _call_params(token, abi.encode_balance_of(holder), block)
+    return _call_params(token, abi.encode_balance_of(holder), hex(block))
 
 
 def _balance_value(answer) -> TokenAmount | None:

@@ -78,13 +78,25 @@ class EndpointConfig:
             raise ValueError("retries must be in [0, 20]")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        # A misspelt override would otherwise scan with its default.
+        unknown = [key for key in self.extra if key not in EXTRA_KEYS]
+        if unknown:
+            raise ValueError(f"unknown config key: {', '.join(map(repr, unknown))}")
 
     @classmethod
     def from_doc(cls, doc: dict) -> "EndpointConfig":
-        known = {"url", "request_timeout", "max_batch", "retries", "rate_limit"}
-        kwargs = {k: doc[k] for k in known if k in doc}
-        extra = {k: v for k, v in doc.items() if k not in known}
+        kwargs = {k: doc[k] for k in ENDPOINT_KEYS if k in doc}
+        extra = {k: v for k, v in doc.items() if k not in ENDPOINT_KEYS}
         return cls(extra=extra, **kwargs)
+
+
+# Every key a backend config document may hold: the endpoint's fields, and what
+# `extra` carries (the view's contract overrides and the scan's base tokens).
+ENDPOINT_KEYS = ("url", "request_timeout", "max_batch", "retries", "rate_limit")
+EXTRA_KEYS = frozenset({
+    "v2_router", "v3_router", "v3_quoter", "factories", "balance_slots",
+    "default_balance_slot", "base_tokens",
+})
 
 
 def load_backend_config(path: str | Path) -> dict:

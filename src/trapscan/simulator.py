@@ -11,19 +11,20 @@ shape ends in the swap of interest between two reads of the actor's
 balance of its output token, whose change the analyzer compares against
 the estimator's prediction. Builders take the pool's reserves at the
 bundle's block, as the monitor read them, and the bundle carries them to
-`run`, which prices the swap from them: building and pricing a bundle
+`run_many`, which prices the swap from them: building and pricing a bundle
 read nothing from the chain.
 
-`run` hands the bundle's call tuple to the backend as it is, and packages
-the evidence as plain values: the two balance reads, the third-last and
-last outcomes (None where a read reverted), and the estimate. `run_many`
-does the same for several bundles of one block through one
-`simulate_bundles` call, which the RPC backend sends as one POST. A
+`run_many` hands each bundle's call tuple to the backend as it is,
+through one `simulate_bundles` call for several bundles of one block,
+which the RPC backend sends as one POST, and packages the evidence as
+plain values: the two balance reads, the third-last and last outcomes
+(None where a read reverted), and the estimate. `run` is `run_many` of
+one bundle, so a lone bundle is estimated and packaged the same way. A
 cohort's rounds run every pool's sells and buy probe through one
 `run_many`, and every round trip, sized from its probe's result, through
-one more; a lone bundle, as a one-pool round trip is, goes through
-`run`. The mock chain answers most of them from its memo, so the
-packaging builds no per-result snapshot or block object.
+one more, however few pools or bundles take part. The mock chain
+answers most of them from its memo, so the packaging builds no
+per-result snapshot or block object.
 """
 
 from __future__ import annotations
@@ -275,23 +276,23 @@ def run(
     bundle: Bundle,
     balance_overrides: BalanceOverrides | None = None,
 ) -> SimulationResult:
-    """Execute the bundle on a private fork and package the evidence.
-
-    The estimate is the backend's quote when it gives one, otherwise the
-    constant-product output from the reserves the bundle was built with.
-    """
-    estimate = _estimate_for(chain, bundle)
-    outcomes = chain.simulate_bundle(bundle.block, bundle.calls, balance_overrides)
-    return _package(bundle, outcomes, estimate)
+    """`run_many` of one bundle: execute it on a private fork and package
+    the evidence. A failed simulation is raised."""
+    [result] = run_many(chain, [(bundle, balance_overrides)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_many(
     chain: ChainView, items: Sequence[tuple[Bundle, BalanceOverrides | None]]
 ) -> list[SimulationResult | Exception]:
-    """`run` of each `(bundle, balance_overrides)`, in order, through one
-    `simulate_bundles` call at the first bundle's block: the bundles must
-    all be of that block, as a round's are. A bundle whose simulation
-    failed gets the backend's exception in place of its result."""
+    """Each `(bundle, balance_overrides)` run on its own fork, in order,
+    through one `simulate_bundles` call at the first bundle's block (the
+    bundles must all be of that block, as a round's are), and packaged
+    with its estimate: the backend's quote if it gives one, else the
+    constant-product output from the bundle's reserves. A bundle whose
+    simulation failed gets the backend's exception in place of its result."""
     if not items:
         return []
     answers = chain.simulate_bundles(

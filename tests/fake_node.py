@@ -251,7 +251,7 @@ class FakeNode:
     # calls
 
     def _eth_call(self, tx: dict, block_hex: str) -> str:
-        block = int(block_hex, 16)
+        block = self.chain.head() if block_hex == "latest" else int(block_hex, 16)
         to = Address.from_hex(tx["to"])
         data = abi.hex_to_bytes(tx.get("data", "0x"))
         selector, args = data[:4], data[4:]

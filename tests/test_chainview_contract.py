@@ -328,6 +328,25 @@ class TestSimulation:
         with pytest.raises(EmptyBundle):
             chain.simulate_bundle(chain.head(), [])
 
+    def test_a_bundle_that_cannot_run_fails_alone(self, live_world):
+        """An empty bundle in a batch gets its own EmptyBundle; the other
+        bundle's outcomes equal its lone simulation."""
+        trace, chain = live_world
+        probe = Address.derive("contract-probe")
+        head = chain.head()
+        calls = [
+            SwapExactInCall(
+                caller=probe, pool=trace.pool.pool, token_in=trace.base_token,
+                token_out=trace.trap_token, amount_in=10**6, recipient=probe,
+            ),
+            BalanceOfCall(caller=probe, token=trace.trap_token, holder=probe),
+        ]
+        funding = {(trace.base_token, probe): 10**12}
+        alone = chain.simulate_bundle(head, calls, funding)
+        good, empty = chain.simulate_bundles(head, [(calls, funding), ([], None)])
+        assert good == alone and alone[1].return_value > 0
+        assert isinstance(empty, EmptyBundle)
+
 
 class TestLogVisibility:
     def test_silent_drain_invisible_to_logs(self, backend_factory):

@@ -245,7 +245,12 @@ class TestScan:
         ({"url": "http://node.invalid", "retries": 99}, [], "retries must be in [0, 20]"),
         ({"url": "http://node.invalid", "base_tokens": ["0xzz"]}, [], "0xzz"),
         ({"url": "http://node.invalid"}, ["--pools", "0x12,0x34"], "--pools"),
-    ], ids=["missing-config", "config-not-json", "bad-field", "bad-base-token", "bad-pool"])
+        # A misspelt override would otherwise scan with its default.
+        ({"url": "fake://node", "v2router": "0x" + "22" * 20}, [],
+         "unknown config key: 'v2router'"),
+        ({"url": "fake://node", "balance_slot": 3}, [], "unknown config key: 'balance_slot'"),
+    ], ids=["missing-config", "config-not-json", "bad-field", "bad-base-token", "bad-pool",
+            "unknown-key", "unknown-slot-key"])
     def test_bad_live_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
                                              config, extra, message):
         monkeypatch.delenv("TRAPSCAN_RPC_URL", raising=False)

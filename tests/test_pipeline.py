@@ -169,16 +169,19 @@ class TestUnreadBundleBalance:
         delivery trap: each such result is a `balance unread` skip, a sell
         still counts toward CannotSell, and no round trip is built."""
         trace = run_simple(behavior)
-        real_simulate = trace.chain.simulate_bundle
+        real_simulate = trace.chain.simulate_bundles
         bundle_sizes = set()
 
-        def last_read_reverts(block, calls, balance_overrides=None):
-            bundle_sizes.add(len(calls))
-            outcomes = list(real_simulate(block, calls, balance_overrides))
-            outcomes[-1] = CallOutcome(status=CallStatus.REVERT, revert_reason="node error")
-            return outcomes
+        def last_read_reverts(block, items):
+            bundle_sizes.update(len(calls) for calls, _ in items)
+            answers = []
+            for outcomes in real_simulate(block, items):
+                outcomes = list(outcomes)
+                outcomes[-1] = CallOutcome(status=CallStatus.REVERT, revert_reason="node error")
+                answers.append(outcomes)
+            return answers
 
-        monkeypatch.setattr(trace.chain, "simulate_bundle", last_read_reverts)
+        monkeypatch.setattr(trace.chain, "simulate_bundles", last_read_reverts)
         state = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
         verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1, trace.final_block,
                             ScanSettings(), state)
@@ -714,6 +717,33 @@ class TestCohortScan:
         (one_pool, one_pool_calls), (paired, paired_calls) = scan(1), scan(8)
         assert paired == one_pool
         assert paired_calls < one_pool_calls
+
+    @pytest.mark.parametrize("backend", ["mock", "rpc"])
+    @pytest.mark.parametrize("cohort", [1, 12])
+    def test_scans_call_no_single_form(self, world, backend, cohort, monkeypatch):
+        """A scan reads balances and simulates bundles only through the
+        batched forms: with the backend class's `balance_of` and
+        `simulate_bundle` raising, it gives the same lines, in cohorts of
+        one pool or of all twelve."""
+        chain, targets = world
+        monkeypatch.setattr(pipeline, "COHORT_SIZE", cohort)
+        settings = ScanSettings(interval=3)
+
+        def scan():
+            view = chain if backend == "mock" else _rpc_view(chain)
+            lines, summary = scan_pools_resumable(view, targets, 1, chain.head(), settings)
+            assert summary.failures == 0
+            return lines
+
+        expected = scan()
+
+        def single_form(*args, **kwargs):
+            raise AssertionError("a scan called a single form")
+
+        cls = MockChain if backend == "mock" else RpcChainView
+        monkeypatch.setattr(cls, "balance_of", single_form)
+        monkeypatch.setattr(cls, "simulate_bundle", single_form)
+        assert scan() == expected
 
     @pytest.mark.parametrize("cap, workers, sizes", [
         (12, 1, [12]), (12, 2, [6, 6]), (12, 5, [3, 3, 3, 3]), (5, 1, [2, 5, 5]),

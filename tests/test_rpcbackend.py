@@ -36,7 +36,7 @@ from trapscan.rpcbackend import (
     load_backend_config,
     selector,
 )
-from trapscan.chainview import BackendUnavailable
+from trapscan.chainview import BackendUnavailable, UnknownPool
 from trapscan.rpcbackend import abi, backend as backend_module, keccak
 from trapscan.rpcbackend.abi import DecodeError
 from trapscan.rpcbackend.backend import _RawLog
@@ -700,6 +700,23 @@ class TestSimulateBundle:
         assert len(results) == 2
         assert all(isinstance(result, MethodNotSupported) for result in results)
 
+    def test_a_bundle_at_an_unknown_pool_fails_alone(self, backend):
+        """A bundle whose request cannot be built is not sent: it gets its
+        own exception, and the other bundles of the batch are answered."""
+        trace, node, rpc = backend
+        head = trace.chain.head()
+        probe = Address.derive("probe")
+        good = (self._calls(trace, probe), {(trace.base_token, probe): 10**12})
+        stray = [SwapExactInCall(
+            caller=probe, pool=Address.derive("no-such-pool"), token_in=trace.base_token,
+            token_out=trace.trap_token, amount_in=10**6, recipient=probe,
+        )]
+        alone = rpc.simulate_bundle(head, *good)
+        node.requests.clear()
+        first, second = rpc.simulate_bundles(head, [good, (stray, None)])
+        assert first == alone and isinstance(second, UnknownPool)
+        assert node.requests.count_method("eth_callMany") == 1
+
     def test_mock_batches_as_single_bundles(self, backend):
         trace, _, _ = backend
         head = trace.chain.head()
@@ -780,24 +797,40 @@ class TestCallMemo:
 
 class TestBackendQueries:
     def test_pool_info_via_calls(self, backend):
-        """A pool not yet known costs two POSTs: the head, then its token0,
-        token1 and fee reads together; a known one costs none."""
+        """A pool not yet known costs one POST, its token0, token1 and fee
+        reads together at the latest block; a known one costs none."""
         trace, node, rpc = backend
         info = rpc.pool_info(trace.pool.pool)
         assert info.token_x == trace.base_token
         assert info.token_y == trace.trap_token
         assert info.dex_version is DexVersion.V2
-        assert node.posts == 2 and len(node.requests) == 4
-        assert rpc.pool_info(trace.pool.pool) is info and node.posts == 2
+        assert node.posts == 1 and len(node.requests) == 3
+        assert {params[1] for _, params in node.requests} == {"latest"}
+        assert rpc.pool_info(trace.pool.pool) is info and node.posts == 1
 
     def test_pool_discovery_is_one_post(self, backend):
-        """Both factory log queries go out together, and discovery fills the
-        metadata cache."""
+        """One log query over both factories and both creation signatures,
+        and discovery fills the metadata cache."""
         trace, node, rpc = backend
         pools = rpc.get_pool_created((0, trace.chain.head()))
         assert [info.pool for info in pools] == [trace.pool.pool]
-        assert node.posts == 1 and node.requests.count_method("eth_getLogs") == 2
+        assert node.posts == 1 and node.requests.count_method("eth_getLogs") == 1
         assert rpc.pool_info(trace.pool.pool) == pools[0] and node.posts == 1
+
+    def test_pool_discovery_queries_every_factory(self, backend):
+        """A factory that is neither first nor last in the config is still
+        queried, for either creation signature."""
+        trace, node, _ = backend
+        others = [Address.derive("factory-a").hex, Address.derive("factory-b").hex]
+        config = EndpointConfig(url="fake://", retries=1,
+                                extra={"factories": [others[0], node.factory.hex, others[1]]})
+        rpc = RpcChainView(config, transport=node)
+        pools = rpc.get_pool_created((0, trace.chain.head()))
+        assert [info.pool for info in pools] == [trace.pool.pool]
+        [(_, [flt])] = node.requests
+        assert flt["address"] == [others[0], node.factory.hex, others[1]]
+        assert flt["topics"] == [[abi.SIG_PAIR_CREATED.topic0_hex,
+                                  abi.SIG_POOL_CREATED.topic0_hex]]
 
     def test_every_payload_is_a_batch(self, tmp_path, monkeypatch):
         """Over discovery, pool metadata, the single-form queries, a cohort
@@ -1062,6 +1095,14 @@ class TestConfig:
         assert V2_ROUTER.hex == "0x7a250d5630b4cf539739df2c5dacb4c659f2488d"
         assert V3_ROUTER.hex == "0x68b3465833fb72a70ecdf485e0e4c7bd8665fc45"
         assert V3_QUOTER.hex == "0xb27308f9f90d607463bb33ea1bebb41c27ce5ab6"
+
+    def test_unknown_extra_key_rejected(self):
+        """Built directly or from a document, a config with a key the view
+        does not read is rejected, naming the key."""
+        with pytest.raises(ValueError, match="unknown config key: 'v2router'"):
+            EndpointConfig(url="x", extra={"v2router": "0x" + "22" * 20})
+        with pytest.raises(ValueError, match="unknown config key: 'balance_slot'"):
+            EndpointConfig.from_doc({"url": "x", "balance_slot": 3})
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

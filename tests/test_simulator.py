@@ -280,7 +280,8 @@ class TestRun:
             roundtrip.calls: [ok, revert, ok, ok],
             probe_bundle.calls: [revert, ok, ok],
         }
-        monkeypatch.setattr(t.chain, "simulate_bundle", lambda block, calls, _: answers[calls])
+        monkeypatch.setattr(t.chain, "simulate_bundles",
+                            lambda block, items: [answers[calls] for calls, _ in items])
 
         result = run(t.chain, sell)
         assert (result.pre_balance, result.post_balance) == (50, None)
