@@ -14,6 +14,19 @@ transfers). A backend implements only the batched reads and
 simulations: `balance_of` and `simulate_bundle` are defined here, once,
 as a batch of one, so each backend has one path for each.
 
+The per-bundle records, `BalanceOfCall`, `SwapExactInCall` and
+`CallOutcome` here and `Bundle` and `SimulationResult` in the simulator,
+are built once and never mutated. They are plain slots dataclasses, not
+frozen ones, because building them is the per-bundle cost: on CPython
+3.11 a frozen dataclass sets each field through `object.__setattr__`,
+0.9-1.4 us per record against 0.3-0.6 us without `frozen`, and a scan
+builds several per simulated bundle. The two call types hash and compare
+by value (`unsafe_hash`), since the mock chain's bundle memo and the RPC
+backend's call memo key on them, and the mock's memo shares outcome
+objects between bundles. `tests/test_records.py` patches a write-once
+`__setattr__` onto all five and scans the pinned corpus on both backends,
+so an assignment after construction fails there.
+
 The seam carries only what a detector can observe. A balance read is a
 plain `TokenAmount`, or None when the read reverted, so every caller has
 to decide what a missing read means. An event record is one log the
@@ -123,19 +136,27 @@ class LiquidityEvent:
             raise ValueError("liquidity event must move at least one token")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BalanceOfCall:
+    """A read of `holder`'s balance of `token`, sent by `caller`.
+
+    Built once per bundle and never mutated (see the module docstring);
+    it hashes and compares by value because bundle memos key on it.
+    """
+
     caller: Address
     token: Address
     holder: Address
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SwapExactInCall:
     """Exact-input swap routed for `caller`, output sent to `recipient`.
 
     Router-style approval is part of this call slot: backends that need a
-    separate approve transaction fold it into the same outcome.
+    separate approve transaction fold it into the same outcome. Built once
+    per bundle and never mutated (see the module docstring); it hashes and
+    compares by value because bundle memos key on it.
     """
 
     caller: Address
@@ -163,7 +184,7 @@ class CallStatus(Enum):
 _SUCCESS, _REVERT = CallStatus.SUCCESS, CallStatus.REVERT
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CallOutcome:
     """Result of one bundle call: its status, and the revert reason or the
     value it returned.
@@ -172,6 +193,8 @@ class CallOutcome:
     Every outcome comes from a bundle whose calls ran in order on one fork;
     a backend that cannot do that raises instead. Event records are never
     reported here: what a bundle did shows in its calls' return values.
+    Never mutated once built: the mock chain hands one outcome to every
+    bundle it answers from its memo (see the module docstring).
     """
 
     status: CallStatus

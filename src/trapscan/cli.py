@@ -247,7 +247,10 @@ def _scan_live(args) -> int:
 
     try:
         if pool_addrs is not None:
-            pools = [chain.pool_info(p) for p in pool_addrs]
+            pools = chain.pool_infos(pool_addrs)
+            for info in pools:
+                if isinstance(info, Exception):
+                    raise info
         else:
             pools = chain.get_pool_created((args.from_block, args.to_block))
     except Exception as exc:

@@ -24,9 +24,10 @@ then by address list, then by topic list, and the halves are sent
 together. `get_swaps`, `get_transfers`, `get_approvals` and
 `get_reserves` read a window of their own. `get_pool_created` sends one
 `eth_getLogs` over every configured factory with either creation
-signature, and `pool_info` of a pool not yet known reads its token0,
-token1 and fee at the latest block in one POST. Each distinct bundle
-call is encoded once per view and memoised.
+signature, and `pool_infos` reads the token0, token1 and fee of every
+pool not yet known at the latest block in one POST; `pool_info` is its
+one-pool view. Each distinct bundle call is encoded once per view and
+memoised.
 
 Pinned callMany request shape (positional), one bundle per request:
 
@@ -350,32 +351,36 @@ class RpcChainView(ChainView):
         return pools
 
     def pool_info(self, pool: Address) -> PoolInfo:
-        with self._lock:
-            cached = self._pool_cache.get(pool)
-        if cached:
-            return cached
-        # A pool's tokens and fee never change once it is deployed, so the
-        # latest state answers for every block.
-        token0, token1, fee = self._batch([
-            ("eth_call", _call_params(pool, data, "latest"))
-            for data in (abi.encode_token0(), abi.encode_token1(), abi.encode_fee())
-        ])
-        try:
-            t0 = abi.dec_address(_answer_bytes(token0))
-            t1 = abi.dec_address(_answer_bytes(token1))
-        except (RpcError, DecodeError) as exc:
-            raise UnknownPool(f"{pool} does not answer token0/token1: {exc}") from exc
-        version, fee_num, fee_den = DexVersion.V2, 3, 1000
-        try:
-            fee_ppm = abi.dec_uint(_answer_bytes(fee))
-            version, fee_num, fee_den = DexVersion.V3, fee_ppm, 1_000_000
-        except (RpcError, DecodeError):
-            pass
-        info = PoolInfo(pool=pool, token_x=t0, token_y=t1,
-                        dex_version=version, fee_num=fee_num, fee_den=fee_den)
-        with self._lock:
-            self._pool_cache[pool] = info
+        """`pool_infos` of one pool; UnknownPool if it has no metadata."""
+        [info] = self.pool_infos([pool])
+        if isinstance(info, UnknownPool):
+            raise info
         return info
+
+    def pool_infos(self, pools: Sequence[Address]) -> list[PoolInfo | UnknownPool]:
+        """The metadata of each pool, in order, or an UnknownPool for a
+        pool that does not answer token0/token1. The token0, token1 and fee
+        of every pool not yet known are read together in one batched POST
+        (split by `max_batch`), at the latest block: a pool's tokens and
+        fee never change once it is deployed, so the latest state answers
+        for every block."""
+        with self._lock:
+            known = {pool: self._pool_cache[pool] for pool in pools if pool in self._pool_cache}
+        unknown = [pool for pool in dict.fromkeys(pools) if pool not in known]
+        if unknown:
+            replies = self._batch([
+                ("eth_call", _call_params(pool, data, "latest"))
+                for pool in unknown
+                for data in (abi.encode_token0(), abi.encode_token1(), abi.encode_fee())
+            ])
+            found = {pool: _pool_metadata(pool, *replies[3 * i:3 * i + 3])
+                     for i, pool in enumerate(unknown)}
+            with self._lock:
+                self._pool_cache.update(
+                    (pool, info) for pool, info in found.items() if isinstance(info, PoolInfo)
+                )
+            known.update(found)
+        return [known[pool] for pool in pools]
 
     def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
         return self.get_window([pool], [], block_range).get_swaps(pool, block_range)
@@ -418,7 +423,8 @@ class RpcChainView(ChainView):
         block_range: tuple[int, int],
     ) -> Window:
         """Every answer of the window, fetched in two POSTs (see the module
-        docstring) besides the metadata reads of a pool not yet known. A
+        docstring) besides one `pool_infos` POST for the pools not yet
+        known, each of which that has no metadata fails alone. A
         transport failure raises BackendUnavailable. An error answer fails
         only what it answers: a failed log query its addresses, and a
         failed sender lookup the transfers of each token that logged the
@@ -427,11 +433,12 @@ class RpcChainView(ChainView):
         lo, hi = check_range(block_range)
         answers: dict[tuple[str, Address], object] = {}
         infos: list[PoolInfo] = []
-        for pool in dict.fromkeys(pools):
-            try:
-                infos.append(self.pool_info(pool))
-            except UnknownPool as exc:
-                answers["swaps", pool] = answers["reserves", pool] = exc
+        pools = list(dict.fromkeys(pools))
+        for pool, info in zip(pools, self.pool_infos(pools)):
+            if isinstance(info, UnknownPool):
+                answers["swaps", pool] = answers["reserves", pool] = info
+            else:
+                infos.append(info)
         tokens = list(dict.fromkeys(tokens))
         queries: list[_LogQuery] = []
         if infos:
@@ -768,6 +775,22 @@ def _senders(hashes: list[bytes], results: list) -> tuple[dict[bytes, Address], 
             except ValueError:
                 pass
     return senders, failed
+
+
+def _pool_metadata(pool: Address, token0, token1, fee) -> PoolInfo | UnknownPool:
+    """A pool's metadata from the answers to its token0, token1 and fee
+    reads; a pool without a fee read is a V2 pair."""
+    try:
+        t0 = abi.dec_address(_answer_bytes(token0))
+        t1 = abi.dec_address(_answer_bytes(token1))
+    except (RpcError, DecodeError) as exc:
+        return UnknownPool(f"{pool} does not answer token0/token1: {exc}")
+    try:
+        fee_ppm = abi.dec_uint(_answer_bytes(fee))
+    except (RpcError, DecodeError):
+        return PoolInfo(pool=pool, token_x=t0, token_y=t1)
+    return PoolInfo(pool=pool, token_x=t0, token_y=t1, dex_version=DexVersion.V3,
+                    fee_num=fee_ppm, fee_den=1_000_000)
 
 
 def _pair_requests(info: PoolInfo, block: int) -> list[tuple[str, list]]:

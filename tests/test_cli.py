@@ -141,6 +141,22 @@ class TestGenCorpus:
             assert "expected_traps" in doc
 
 
+@pytest.fixture
+def no_transport(monkeypatch):
+    """Every `RpcChainView` the CLI builds gets a transport that fails the
+    test if it is called at all, so a usage error must be found before any
+    request goes out."""
+    import trapscan.rpcbackend as rpcbackend
+
+    real_cls = rpcbackend.RpcChainView
+
+    def refuse(payload):
+        pytest.fail(f"a usage error sent a request: {payload!r}")
+
+    monkeypatch.setattr(rpcbackend, "RpcChainView",
+                        lambda config: real_cls(config, transport=refuse))
+
+
 class TestScan:
     def test_sim_scan_summary_and_schema(self, small_corpus, tmp_path):
         out_path = tmp_path / "verdicts.jsonl"
@@ -251,7 +267,7 @@ class TestScan:
         ({"url": "fake://node", "balance_slot": 3}, [], "unknown config key: 'balance_slot'"),
     ], ids=["missing-config", "config-not-json", "bad-field", "bad-base-token", "bad-pool",
             "unknown-key", "unknown-slot-key"])
-    def test_bad_live_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+    def test_bad_live_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch, no_transport,
                                              config, extra, message):
         monkeypatch.delenv("TRAPSCAN_RPC_URL", raising=False)
         path = tmp_path / "backend.json"
@@ -338,7 +354,45 @@ class TestScan:
         assert out.read_text() == ""
         assert read_checkpoint(tmp_path / "ck.jsonl") == {}  # a rerun scans it
 
-    def test_inverted_range_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("stray", [False, True], ids=["five-pools", "with-a-stray"])
+    def test_pool_list_metadata_is_one_post(self, tmp_path, monkeypatch, capsys, stray):
+        """`--pools` resolves every entry's metadata in one POST; an entry
+        that is no pool ends the run before any pool is scanned."""
+        import trapscan.rpcbackend as rpcbackend
+        from fake_node import FakeNode
+        from test_pipeline import cohort_chain
+        from trapscan.core import Address
+
+        chain, targets = cohort_chain(pools=5)
+        node = FakeNode(chain=chain)
+        payloads = []
+
+        def transport(payload):
+            payloads.append(payload)
+            return node(payload)
+
+        real_cls = rpcbackend.RpcChainView
+        monkeypatch.setattr(rpcbackend, "RpcChainView",
+                            lambda config: real_cls(config, transport=transport))
+        entries = [info.pool.hex for info, _ in targets]
+        if stray:
+            entries.insert(2, Address.derive("not-a-pool").hex)
+        pools = tmp_path / "pools.txt"
+        pools.write_text("\n".join(entries) + "\n")
+        out = tmp_path / "verdicts.jsonl"
+        code = main(["scan", "--mode", "live", "--rpc-url", "http://replay.invalid",
+                     "--from-block", "1", "--to-block", str(chain.head()),
+                     "--pools", str(pools), "--out", str(out)])
+        metadata = [payload for payload in payloads
+                    if all(item["params"][-1] == "latest" for item in payload)]
+        assert len(metadata) == 1 and len(metadata[0]) == 3 * len(entries)
+        if stray:
+            assert code == 1 and len(payloads) == 1 and not out.exists()
+            assert capsys.readouterr().err.startswith("error: pool discovery failed: ")
+        else:
+            assert code == 0 and len(out.read_text().splitlines()) == 2 * len(entries)
+
+    def test_inverted_range_is_a_usage_error(self, capsys, no_transport):
         code = main(["scan", "--mode", "live", "--rpc-url", "http://node.invalid",
                      "--from-block", "16", "--to-block", "1"])
         assert code == 2
@@ -351,7 +405,7 @@ class TestScan:
          "--from-block and --to-block are required"),
         (["--mode", "sim"], "--scenario is required"),
     ])
-    def test_missing_mode_flag_is_a_usage_error(self, capsys, argv, message):
+    def test_missing_mode_flag_is_a_usage_error(self, capsys, no_transport, argv, message):
         assert main(["scan", *argv]) == 2
         assert message in capsys.readouterr().err
 

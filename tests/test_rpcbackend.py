@@ -808,6 +808,39 @@ class TestBackendQueries:
         assert {params[1] for _, params in node.requests} == {"latest"}
         assert rpc.pool_info(trace.pool.pool) is info and node.posts == 1
 
+    @pytest.mark.parametrize("max_batch, posts", [(100, 1), (4, 5)])
+    def test_unknown_pools_cost_one_metadata_post(self, max_batch, posts):
+        """A window over five pools not yet known, and one address that is
+        no pool, reads all six pools' token0, token1 and fee in one POST
+        (split by `max_batch`); the address that is no pool fails alone,
+        and known pools cost no more reads."""
+        from test_pipeline import cohort_chain
+
+        chain, targets = cohort_chain(pools=5)
+        node = FakeNode(chain=chain)
+        payloads = []
+
+        def transport(payload):
+            payloads.append(payload)
+            return node(payload)
+
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0, max_batch=max_batch),
+                           transport=transport)
+        pools = [info.pool for info, _ in targets]
+        stray = Address.derive("not-a-pool")
+        span = (1, chain.head())
+        window = rpc.get_window([*pools, stray], [], span)
+        metadata = [payload for payload in payloads
+                    if all(item["params"][-1] == "latest" for item in payload)]
+        assert len(metadata) == posts and sum(map(len, metadata)) == 3 * 6
+        for pool in pools:
+            assert window.get_swaps(pool, span) == chain.get_swaps(pool, span)
+        with pytest.raises(UnknownPool):
+            window.get_swaps(stray, span)
+        sent = len(payloads)
+        assert rpc.pool_infos(pools) == [info for info, _ in targets]
+        assert len(payloads) == sent
+
     def test_pool_discovery_is_one_post(self, backend):
         """One log query over both factories and both creation signatures,
         and discovery fills the metadata cache."""
