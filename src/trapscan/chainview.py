@@ -11,8 +11,9 @@ last block; `balances_at` reads many balances, and `simulate_bundles`
 runs many bundles. A backend may answer each in one round trip (the
 logs and reserves of a window in one, plus one for the senders of its
 transfers). A backend implements only the batched reads and
-simulations: `balance_of` and `simulate_bundle` are defined here, once,
-as a batch of one, so each backend has one path for each.
+simulations: `balance_of`, `simulate_bundle` and `quote_exact_in` are
+defined here, once, as a batch of one, so each backend has one path for
+each.
 
 The per-bundle records, `BalanceOfCall`, `SwapExactInCall` and
 `CallOutcome` here and `Bundle` and `SimulationResult` in the simulator,
@@ -20,12 +21,19 @@ are built once and never mutated. They are plain slots dataclasses, not
 frozen ones, because building them is the per-bundle cost: on CPython
 3.11 a frozen dataclass sets each field through `object.__setattr__`,
 0.9-1.4 us per record against 0.3-0.6 us without `frozen`, and a scan
-builds several per simulated bundle. The two call types hash and compare
-by value (`unsafe_hash`), since the mock chain's bundle memo and the RPC
-backend's call memo key on them, and the mock's memo shares outcome
-objects between bundles. `tests/test_records.py` patches a write-once
-`__setattr__` onto all five and scans the pinned corpus on both backends,
-so an assignment after construction fails there.
+builds several per simulated bundle. The two call types compare by
+value, since the mock chain's bundle memo and the RPC backend's call memo
+key on them, and the mock's memo shares outcome objects between bundles.
+Each hashes its fields once, in `__post_init__`, into a field that
+`__hash__` returns: a scan looks a call up in a memo every time a bundle
+holding it is simulated, and the pipeline hands a subject's calls to
+every round whose amounts match the last (see the `simulator` module
+docstring), so one call is looked up many times. A dataclass's generated
+`__hash__` would rebuild and hash the field tuple in Python on each
+lookup. `dataclasses.replace` builds a new call, which hashes its own
+fields. `tests/test_records.py` patches a write-once `__setattr__` onto
+all five and scans the pinned corpus on both backends, so an assignment
+after construction fails there.
 
 The seam carries only what a detector can observe. A balance read is a
 plain `TokenAmount`, or None when the read reverted, so every caller has
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
 
@@ -136,27 +144,36 @@ class LiquidityEvent:
             raise ValueError("liquidity event must move at least one token")
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class BalanceOfCall:
     """A read of `holder`'s balance of `token`, sent by `caller`.
 
     Built once per bundle and never mutated (see the module docstring);
-    it hashes and compares by value because bundle memos key on it.
+    it compares by value, and hashes by the value hashed once at
+    construction, because bundle memos key on it.
     """
 
     caller: Address
     token: Address
     holder: Address
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((self.caller, self.token, self.holder))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class SwapExactInCall:
     """Exact-input swap routed for `caller`, output sent to `recipient`.
 
     Router-style approval is part of this call slot: backends that need a
     separate approve transaction fold it into the same outcome. Built once
-    per bundle and never mutated (see the module docstring); it hashes and
-    compares by value because bundle memos key on it.
+    per bundle and never mutated (see the module docstring); it compares
+    by value, and hashes by the value hashed once at construction,
+    because bundle memos key on it.
     """
 
     caller: Address
@@ -166,6 +183,16 @@ class SwapExactInCall:
     amount_in: TokenAmount
     recipient: Address
     min_out: TokenAmount = 0
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._hash = hash((
+            self.caller, self.pool, self.token_in, self.token_out, self.amount_in,
+            self.recipient, self.min_out,
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Call = BalanceOfCall | SwapExactInCall
@@ -336,12 +363,21 @@ class ChainView(ABC):
     def pool_info(self, pool: Address) -> PoolInfo:
         """Metadata for a known pool; UnknownPool if there is none."""
 
+    def quotes_exact_in(
+        self, items: Sequence[tuple[PoolInfo, Address, TokenAmount]], block: int
+    ) -> list[TokenAmount | None]:
+        """For each `(pool, token_in, amount_in)`, in order, the backend's
+        estimate of the swap's output at `block`, or None to use the local
+        formula.
+
+        Live backends answer this for pool styles whose pricing the local
+        constant-product formula does not model, all in one round trip; by
+        default every answer is None.
+        """
+        return [None] * len(items)
+
     def quote_exact_in(
         self, pool: PoolInfo, token_in: Address, amount_in: TokenAmount, block: int
     ) -> TokenAmount | None:
-        """Backend-provided swap output estimate, or None to use the local formula.
-
-        Live backends answer this for pool styles whose pricing the local
-        constant-product formula does not model.
-        """
-        return None
+        """`quotes_exact_in` of one swap."""
+        return self.quotes_exact_in([(pool, token_in, amount_in)], block)[0]

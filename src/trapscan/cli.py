@@ -36,7 +36,10 @@ EXIT_SCHEMA = 2
 
 
 def _parse_threshold(text: str) -> Fraction:
-    frac = Fraction(text)
+    try:
+        frac = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"threshold has a zero denominator: {text}") from None
     if not (0 < frac < 1):
         raise argparse.ArgumentTypeError(f"threshold must be in (0,1): {text}")
     return frac
@@ -278,12 +281,14 @@ def _scan_live(args) -> int:
 
 
 def _parse_pool_list(spec: str) -> list[Address]:
+    """The pool addresses of a file or a comma-separated list, in order,
+    each once: a repeat, in whatever hex case, is dropped."""
     path = Path(spec)
     if path.exists():
         entries = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
     else:
         entries = [p.strip() for p in spec.split(",") if p.strip()]
-    return [Address.from_hex(e) for e in entries]
+    return list(dict.fromkeys(Address.from_hex(e) for e in entries))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,14 +28,18 @@ results in plan order, and then simulates every pool's round trip, whose
 sell is what its probe received, through one more. On the RPC backend a
 window of a cohort thus costs at most five POSTs, whatever its size: two
 for the fetch, one for the balances, one for the sells and probes, and
-one for the round trips. `scan_pool` scans one pool as a cohort of one.
+one for the round trips, plus one quote POST after each of the last two
+when a V3 pool takes part. `scan_pool` scans one pool as a cohort of
+one.
 
 The scan state holds one round's window and no history. The watch keeps
 only the window's evidence, which the round reads whole, with no
 bisection; each sell result is folded into its subject's running
-CannotSell revert streak and then dropped; and only the first finding
-per (trap, subject) is kept (see `PoolScanState`). So a round late in a
-long scan costs what an early one does.
+CannotSell revert streak and then dropped; only the first finding per
+(trap, subject) is kept; and only the last bundle built for each
+subject stands, for the next round to reuse its calls while the amounts
+hold (see `PoolScanState`). So a round late in a long scan costs what
+an early one does.
 
 Findings accumulate into one verdict per pool. A pool whose scan raises
 fails alone: the cohort drops it and goes on, and a failure of a request
@@ -138,17 +142,29 @@ class PoolScanState:
     not folded again, so no streak grows however long the scan runs.
     `findings` keeps the first finding per (trap, subject); rounds add
     them in block order, so that is the earliest. `probe` is the pool's
-    funded synthetic account, derived once.
+    funded synthetic account, derived once, and `funding` the balance
+    override that funds it in every probe and round trip.
+
+    The standing bundles are the last bundle built for each subject: a
+    sell per buyer in `sells`, and the probe account's `buy_probe` and
+    `roundtrip`. Each round hands them back to their builders, which
+    reuse their calls while the amounts hold (see `plan_round`). That is
+    at most `len(watch.buyers) + 2` bundles, however long the scan runs.
     """
 
     watch: PoolWatch
     findings: dict[tuple[TrapType, Address], Finding] = field(default_factory=dict)
     revert_streaks: dict[Address, list[int]] = field(default_factory=dict)
     skipped_rounds: list[dict] = field(default_factory=list)
+    sells: dict[Address, Bundle] = field(default_factory=dict)
+    buy_probe: Bundle | None = None
+    roundtrip: Bundle | None = None
     probe: Address = field(init=False)
+    funding: BalanceOverrides = field(init=False)
 
     def __post_init__(self) -> None:
         self.probe = probe_account_for(self.watch.pool)
+        self.funding = {(self.watch.base_token, self.probe): PROBE_FUNDING}
 
     def add_finding(self, finding: Finding | None) -> None:
         if finding is not None:
@@ -203,20 +219,26 @@ Plan = list[tuple[Bundle, BalanceOverrides | None]]
 def plan_round(state: PoolScanState, block: int) -> Plan:
     """The bundles of a round at `block`, in the order `run_detection_round`
     judges them: a sell for each buyer whose balance read at the block is
-    positive, in buyer order, then the funded buy probe. Pure: it reads
-    the watch and nothing from the chain. The watch must be liquid."""
+    positive, in buyer order, then the funded buy probe. It reads the
+    watch and nothing from the chain. Each bundle is built from the
+    subject's standing bundle, whose calls it reuses when the amounts
+    held since it was built, and becomes the new standing bundle (see
+    `PoolScanState`). The watch must be liquid."""
     watch = state.watch
     reserves, pool, trap = watch.reserves, watch.pool, watch.trap_token
-    items: Plan = [
-        (build_sell_bundle(reserves, buyer, pool, trap, held, block), None)
-        for buyer, ledger in watch.buyers.items()
-        if (held := ledger.snapshots[-1][1])  # read at this block; None or 0 sells nothing
-    ]
-    probe = build_buy_probe(reserves, state.probe, pool, trap, _probe_size(watch), block)
-    items.append((probe, {(watch.base_token, state.probe): PROBE_FUNDING}))
+    sells = state.sells
+    items: Plan = []
+    for buyer, ledger in watch.buyers.items():
+        held = ledger.snapshots[-1][1]  # read at this block; None or 0 sells nothing
+        if held:
+            sell = build_sell_bundle(reserves, buyer, pool, trap, held, block, sells.get(buyer))
+            sells[buyer] = sell
+            items.append((sell, None))
+    state.buy_probe = build_buy_probe(
+        reserves, state.probe, pool, trap, _probe_size(watch), block, state.buy_probe
+    )
+    items.append((state.buy_probe, state.funding))
     return items
-
-
 
 
 def _start_round(state: PoolScanState, block: int, settings: ScanSettings) -> Plan | None:
@@ -246,7 +268,8 @@ def _judge_round(
     buyer's reconciliation, then the probe. Every buyer is reconciled; a
     buyer whose balance read at the block reverted gets no sell, and the
     skip is recorded. Returns the round trip to simulate, whose sell is
-    what the probe received, or None when the probe gave nothing to sell."""
+    what the probe received, built from the standing round trip and
+    standing in its place, or None when the probe gave nothing to sell."""
     watch = state.watch
     outcomes = iter(results)
     for buyer, ledger in watch.buyers.items():
@@ -266,10 +289,11 @@ def _judge_round(
     try:
         roundtrip = build_buy_sell_bundle(
             watch.reserves, state.probe, watch.pool, watch.trap_token,
-            probe_bundle.calls[-2].amount_in, probe_result, block,
+            probe_bundle.calls[-2].amount_in, probe_result, block, state.roundtrip,
         )
     except ProbeFailed:
         return None
+    state.roundtrip = roundtrip
     return [(roundtrip, overrides)]
 
 

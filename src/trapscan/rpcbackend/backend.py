@@ -11,13 +11,14 @@ each other's effects.
 
 Every request goes out inside a JSON-RPC 2.0 batch POST (per `max_batch`
 requests), a lone request as a batch of one, and a transport failure
-raises BackendUnavailable. `balances_at` sends one `eth_call` per read
-and `simulate_bundles` one `eth_callMany` request per bundle, each in one
-POST; `balance_of` and `simulate_bundle` are the contract's views of
-them. `get_window` sends two: first one `eth_getLogs` over every pool
-address with either swap signature, one over every token with Transfer
-or Approval (an address list and a topic OR-list), and every pool's
-reserves read; then the senders of the window's transfers, each
+raises BackendUnavailable. `balances_at` sends one `eth_call` per read,
+`simulate_bundles` one `eth_callMany` request per bundle and
+`quotes_exact_in` one quoter `eth_call` per V3 swap, each in one POST;
+`balance_of`, `simulate_bundle` and `quote_exact_in` are the contract's
+views of them. `get_window` sends two: first one `eth_getLogs` over
+every pool address with either swap signature, one over every token with
+Transfer or Approval (an address list and a topic OR-list), and every
+pool's reserves read; then the senders of the window's transfers, each
 transaction looked up once, and the balance reads of any pair whose
 getReserves failed. An oversized log answer is split by block range,
 then by address list, then by topic list, and the halves are sent
@@ -502,19 +503,30 @@ class RpcChainView(ChainView):
             position += 2
         return _FetchedWindow((lo, hi), answers)
 
-    def quote_exact_in(
-        self, pool: PoolInfo, token_in: Address, amount_in: TokenAmount, block: int
-    ) -> TokenAmount | None:
-        if pool.dex_version is not DexVersion.V3:
-            return None
-        data = abi.encode_quote_exact_input_single(
-            token_in, pool.other_token(token_in), pool.fee_num, amount_in
-        )
-        [answer] = self._batch([("eth_call", _call_params(self.v3_quoter, data, hex(block)))])
-        try:
-            return abi.dec_uint(_answer_bytes(answer))
-        except (RpcError, DecodeError):
-            return None
+    def quotes_exact_in(
+        self, items: Sequence[tuple[PoolInfo, Address, TokenAmount]], block: int
+    ) -> list[TokenAmount | None]:
+        """The quoter's answer for each V3 item, all read in one POST. A
+        V2 item sends no request and gets None, as does a V3 item whose
+        answer is an error or cannot be decoded."""
+        quotes: list[TokenAmount | None] = [None] * len(items)
+        v3 = [i for i, (pool, _, _) in enumerate(items) if pool.dex_version is DexVersion.V3]
+        if not v3:
+            return quotes
+        at = hex(block)
+        requests = []
+        for i in v3:
+            pool, token_in, amount_in = items[i]
+            data = abi.encode_quote_exact_input_single(
+                token_in, pool.other_token(token_in), pool.fee_num, amount_in
+            )
+            requests.append(("eth_call", _call_params(self.v3_quoter, data, at)))
+        for i, answer in zip(v3, self._batch(requests)):
+            try:
+                quotes[i] = abi.dec_uint(_answer_bytes(answer))
+            except (RpcError, DecodeError):
+                pass
+        return quotes
 
     # ------------------------------------------------------------------
     # simulation

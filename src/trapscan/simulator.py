@@ -16,25 +16,40 @@ read nothing from the chain.
 
 `run_many` hands each bundle's call tuple to the backend as it is,
 through one `simulate_bundles` call for several bundles of one block,
-which the RPC backend sends as one POST, and packages the evidence as
-plain values: the two balance reads, the third-last and last outcomes
-(None where a read reverted), and the estimate. `run` is `run_many` of
-one bundle, so a lone bundle is estimated and packaged the same way. A
-cohort's rounds run every pool's sells and buy probe through one
-`run_many`, and every round trip, sized from its probe's result, through
-one more, however few pools or bundles take part. The mock chain
-answers most of them from its memo, so the packaging builds no
+which the RPC backend sends as one POST. It asks for the quotes of every
+bundle that ran through one `quotes_exact_in` call, which costs the RPC
+backend one more POST only when a V3 pool takes part, and packages the
+evidence as plain values: the two balance reads, the third-last and
+last outcomes (None where a read reverted), and the estimate. `run` is
+`run_many` of one bundle, so a lone bundle is estimated and packaged the
+same way. A cohort's rounds run every pool's sells and buy probe through
+one `run_many`, and every round trip, sized from its probe's result,
+through one more, however few pools or bundles take part. The mock
+chain answers most of them from its memo, so the packaging builds no
 per-result snapshot or block object.
+
+A scan builds the same calls round after round: a buyer's sell is of
+its whole balance, which seldom moves, and the probe spends a fixed
+share of a reserve. So each builder takes `previous`, the last bundle
+it built for the same subject, and reuses its call tuple when it holds
+exactly the calls the builder would make: the same actor, pool, token
+pair and swap amount, checked field by field, and for a round trip the
+same lead buy. A round trip whose buy amount held but whose sell did
+not still reuses its buy call. Every bundle is new, with its own block
+and reserves, so pricing and evidence never come from an earlier round.
+A reused tuple is the same object, so the backends' memos find it by
+identity, and its calls' hashes were computed when they were built.
 
 `Bundle` and `SimulationResult`, like the calls and outcomes they hold,
 are built once and never mutated, but are not frozen: building the
 records is most of a bundle's cost when the mock answers it from its
 memo, and a frozen slots dataclass pays 0.9-1.4 us per record for
 setting its fields through `object.__setattr__`, against 0.3-0.6 us for
-a plain one (CPython 3.11), so `build_sell_bundle` takes about 2 us, not
-4. Nothing hashes them. The write-once test in `tests/test_records.py`
-enforces that none is assigned to after construction; see the
-`chainview` module docstring.
+a plain one (CPython 3.11). `build_sell_bundle` takes about 2.4 us when
+it builds its calls and 1.2 us when it reuses those of `previous`.
+Nothing hashes a bundle or a result. The write-once test in
+`tests/test_records.py` enforces that none is assigned to after
+construction; see the `chainview` module docstring.
 """
 
 from __future__ import annotations
@@ -172,14 +187,30 @@ def pool_sides(pool: PoolInfo, trap_token: Address) -> tuple[Address, Address]:
     return trap_token, pool.other_token(trap_token)
 
 
+def _holds(
+    swap: SwapExactInCall, actor: Address, pool: PoolInfo, token_in: Address,
+    token_out: Address, amount: TokenAmount,
+) -> bool:
+    """Whether `swap` is the swap a builder would make of these values."""
+    return (
+        swap.amount_in == amount and swap.caller == actor and swap.pool == pool.pool
+        and swap.token_in == token_in and swap.token_out == token_out
+    )
+
+
 def _bundle(
     kind: BundleKind, reserves: tuple[TokenAmount, TokenAmount], actor: Address,
     pool: PoolInfo, block: int, token_in: Address, token_out: Address,
-    amount: TokenAmount, lead: tuple[Call, ...] = (),
+    amount: TokenAmount, previous: Bundle | None, lead: tuple[Call, ...] = (),
 ) -> Bundle:
     """The one bundle layout: `lead`, then a swap of `amount` of
     `token_in` for `token_out` between two reads of the actor's
-    `token_out` balance."""
+    `token_out` balance. The calls of `previous`, a bundle of this layout,
+    are reused when they are the ones this would build."""
+    if previous is not None:
+        calls = previous.calls
+        if calls[:-3] == lead and _holds(calls[-2], actor, pool, token_in, token_out, amount):
+            return Bundle(kind, actor, pool, calls, block, reserves)
     read = BalanceOfCall(caller=actor, token=token_out, holder=actor)
     swap = SwapExactInCall(
         caller=actor, pool=pool.pool, token_in=token_in, token_out=token_out,
@@ -195,6 +226,7 @@ def build_sell_bundle(
     trap_token: Address,
     amount: TokenAmount,
     block: int,
+    previous: Bundle | None = None,
 ) -> Bundle:
     """Sell bundle for a tracked buyer: can they cash out what they hold?
 
@@ -202,13 +234,14 @@ def build_sell_bundle(
     the monitor read it at the round's block, and is priced from
     `reserves`, the pool's reserves at `block`, so building the bundle
     reads nothing from the chain. An amount of 0 raises ZeroBalance, and
-    an empty reserve NoLiquidity.
+    an empty reserve NoLiquidity. `previous` is the last sell built for
+    this buyer, if any (see the module docstring).
     """
     trap, base = pool_sides(pool, trap_token)
     _require_liquidity(reserves, pool, block)
     if amount == 0:
         raise ZeroBalance(f"buyer {buyer} holds nothing to sell at block {block}")
-    return _bundle(_SELL, reserves, buyer, pool, block, trap, base, amount)
+    return _bundle(_SELL, reserves, buyer, pool, block, trap, base, amount, previous)
 
 
 def build_buy_probe(
@@ -218,18 +251,20 @@ def build_buy_probe(
     trap_token: Address,
     buy_amount: TokenAmount,
     block: int,
+    previous: Bundle | None = None,
 ) -> Bundle:
     """Buy probe with a funded synthetic account: does buying deliver?
 
     `reserves` are the pool's reserves at `block`; an empty one raises
-    NoLiquidity.
+    NoLiquidity. `previous` is the last probe built for this account, if
+    any (see the module docstring).
     """
     trap, base = pool_sides(pool, trap_token)
     _require_liquidity(reserves, pool, block)
     check_amount(buy_amount, "buy_amount")
     if buy_amount == 0:
         raise ValueError("buy_amount must be positive")
-    return _bundle(_BUY_PROBE, reserves, account, pool, block, base, trap, buy_amount)
+    return _bundle(_BUY_PROBE, reserves, account, pool, block, base, trap, buy_amount, previous)
 
 
 def build_buy_sell_bundle(
@@ -240,11 +275,15 @@ def build_buy_sell_bundle(
     buy_amount: TokenAmount,
     probe_result: SimulationResult,
     block: int,
+    previous: Bundle | None = None,
 ) -> Bundle:
     """Buy-then-sell round trip; the sell amount is exactly what the probe
     observed arriving, not what any log claimed, so a probe whose balance
     read reverted raises ProbeFailed. `reserves` are the pool's reserves
-    at `block`; an empty one raises NoLiquidity."""
+    at `block`; an empty one raises NoLiquidity. `previous` is the last
+    round trip built for this account, if any, whose buy is reused when
+    its amount holds, even if the sell's does not (see the module
+    docstring)."""
     trap, base = pool_sides(pool, trap_token)
     if probe_result.bundle.kind is not _BUY_PROBE:
         raise ProbeFailed("need a buy-probe result to size the sell")
@@ -256,28 +295,28 @@ def build_buy_sell_bundle(
     if received <= 0:
         raise ProbeFailed("buy probe delivered nothing")
     _require_liquidity(reserves, pool, block)
-    buy = SwapExactInCall(
-        caller=account, pool=pool.pool, token_in=base, token_out=trap,
-        amount_in=buy_amount, recipient=account,
-    )
+    if previous is not None and _holds(previous.calls[0], account, pool, base, trap, buy_amount):
+        buy = previous.calls[0]
+    else:
+        buy = SwapExactInCall(
+            caller=account, pool=pool.pool, token_in=base, token_out=trap,
+            amount_in=buy_amount, recipient=account,
+        )
     return _bundle(
-        _BUY_SELL, reserves, account, pool, block, trap, base, received, lead=(buy,)
+        _BUY_SELL, reserves, account, pool, block, trap, base, received, previous, lead=(buy,)
     )
 
 
-def _estimate_for(chain: ChainView, bundle: Bundle) -> TokenAmount:
+def _estimate_for(bundle: Bundle, quoted: TokenAmount | None) -> TokenAmount:
     """Expected output of the bundle's swap of interest under its block
-    state.
-
-    The backend may supply its own quote (live V3-style pools); otherwise
-    the local constant-product formula prices it from the reserves the
-    bundle carries.
+    state: `quoted`, the backend's own quote (live V3-style pools), if it
+    gave one, else the local constant-product formula's output from the
+    reserves the bundle carries.
     """
-    swap = bundle.calls[-2]
-    pool = bundle.pool
-    quoted = chain.quote_exact_in(pool, swap.token_in, swap.amount_in, bundle.block)
     if quoted is not None:
         return quoted
+    swap = bundle.calls[-2]
+    pool = bundle.pool
     rx, ry = bundle.reserves
     reserve_in, reserve_out = (rx, ry) if swap.token_in == pool.token_x else (ry, rx)
     return estimate_output(reserve_in, reserve_out, swap.amount_in, pool.fee_num, pool.fee_den)
@@ -302,17 +341,25 @@ def run_many(
     """Each `(bundle, balance_overrides)` run on its own fork, in order,
     through one `simulate_bundles` call at the first bundle's block (the
     bundles must all be of that block, as a round's are), and packaged
-    with its estimate: the backend's quote if it gives one, else the
+    with its estimate: the backend's quote if it gives one, asked for
+    every bundle that ran through one `quotes_exact_in` call, else the
     constant-product output from the bundle's reserves. A bundle whose
     simulation failed gets the backend's exception in place of its result."""
     if not items:
         return []
+    block = items[0][0].block
     answers = chain.simulate_bundles(
-        items[0][0].block, [(bundle.calls, overrides) for bundle, overrides in items]
+        block, [(bundle.calls, overrides) for bundle, overrides in items]
     )
+    swaps = []
+    for (bundle, _), outcomes in zip(items, answers):
+        if not isinstance(outcomes, Exception):
+            swap = bundle.calls[-2]
+            swaps.append((bundle.pool, swap.token_in, swap.amount_in))
+    quotes = iter(chain.quotes_exact_in(swaps, block))
     return [
         outcomes if isinstance(outcomes, Exception)
-        else _package(bundle, outcomes, _estimate_for(chain, bundle))
+        else _package(bundle, outcomes, _estimate_for(bundle, next(quotes)))
         for (bundle, _), outcomes in zip(items, answers)
     ]
 

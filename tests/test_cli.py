@@ -392,6 +392,41 @@ class TestScan:
         else:
             assert code == 0 and len(out.read_text().splitlines()) == 2 * len(entries)
 
+    def test_repeated_pool_entries_are_scanned_once(self, tmp_path, monkeypatch, capsys):
+        """`--pools A,A',B`, with A' the same address as A in upper-case
+        hex, prints the verdict lines and the total of `--pools A,B`."""
+        import trapscan.rpcbackend as rpcbackend
+        from fake_node import FakeNode
+        from test_pipeline import cohort_chain
+
+        chain, targets = cohort_chain(pools=2)
+        node = FakeNode(chain=chain)
+        real_cls = rpcbackend.RpcChainView
+        monkeypatch.setattr(rpcbackend, "RpcChainView",
+                            lambda config: real_cls(config, transport=node))
+        a, b = (info.pool.hex for info, _ in targets)
+
+        def scan(pools):
+            out = tmp_path / "verdicts.jsonl"
+            code = main(["scan", "--mode", "live", "--rpc-url", "http://replay.invalid",
+                         "--from-block", "1", "--to-block", str(chain.head()),
+                         "--pools", pools, "--out", str(out)])
+            total = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("Total")]
+            return code, out.read_text(), total
+
+        twice = scan(f"{a},0x{a[2:].upper()},{b}")
+        once = scan(f"{a},{b}")
+        assert twice == once and once[0] == 0 and len(once[1].splitlines()) == 4
+
+    @pytest.mark.parametrize("command", [["simulate", "x"], ["scan", "--mode", "sim"]],
+                             ids=["simulate", "scan"])
+    def test_zero_denominator_threshold_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--threshold", "1/0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trapscan") and "argument --threshold:" in err
+
     def test_inverted_range_is_a_usage_error(self, capsys, no_transport):
         code = main(["scan", "--mode", "live", "--rpc-url", "http://node.invalid",
                      "--from-block", "16", "--to-block", "1"])

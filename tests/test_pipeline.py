@@ -2,6 +2,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from conftest import run_simple
 from fake_node import FakeNode
@@ -12,7 +15,7 @@ from trapscan.analyzer import (
     verdict_to_json_line,
 )
 from trapscan.chainview import BackendUnavailable, CallOutcome, CallStatus, ChainView
-from trapscan.core import Address, TrapType
+from trapscan.core import Address, PoolInfo, TrapType
 from trapscan.corpus import TRAP_FAMILIES, generate_scenario
 from trapscan.mockchain import (
     DelayedSellTax,
@@ -33,7 +36,7 @@ from trapscan.mockchain import (
     run_attack_script,
     wash_and_drain_script,
 )
-from trapscan.monitor import PoolWatch
+from trapscan.monitor import BuyerLedger, PoolWatch
 from trapscan.pipeline import (
     PoolScanState,
     ScanSettings,
@@ -44,7 +47,13 @@ from trapscan.pipeline import (
     scan_pools_resumable,
 )
 from trapscan.rpcbackend import EndpointConfig, RpcChainView
-from trapscan.simulator import SimulationResult
+from trapscan.simulator import (
+    Bundle,
+    SimulationResult,
+    build_buy_probe,
+    build_buy_sell_bundle,
+    build_sell_bundle,
+)
 
 CREATOR = derive_actors(42, 0).creator
 VICTIM0 = derive_actors(42, 1).victims[0]
@@ -268,6 +277,94 @@ def _held_values(obj):
             yield from _held_values(value)
 
 
+STANDING_POOL = PoolInfo(pool=Address.derive("standing:pool"),
+                         token_x=Address.derive("standing:base"),
+                         token_y=Address.derive("standing:trap"))
+STANDING_BUYERS = [Address.derive(f"standing:buyer:{i}") for i in range(3)]
+_OK = CallStatus.SUCCESS
+
+
+def _sim_result(bundle, pre, post, reverted=False):
+    """A result of `bundle` whose reads around its swap gave `pre` and
+    `post` (None where one reverted), and whose swap did or did not
+    revert; the estimate is 50."""
+    def read(value):
+        return CallOutcome(CallStatus.REVERT, "read") if value is None else CallOutcome(
+            _OK, None, value)
+
+    swap = CallOutcome(CallStatus.REVERT, "swap") if reverted else CallOutcome(_OK, None, 50)
+    lead = tuple(CallOutcome(_OK, None, 1) for _ in bundle.calls[:-3])
+    return SimulationResult(bundle, (*lead, read(pre), swap, read(post)), pre, post, 50)
+
+
+class TestStandingBundles:
+    """A round reuses a subject's calls while its amounts hold, and every
+    bundle it plans is the one a fresh build would give."""
+
+    # One round: each buyer's balance read at the block (None where it
+    # reverted), the pool's reserves (the first is the base token's, which
+    # sizes the probe), what the probe's buy delivered (None where its
+    # read reverted) and whether that buy reverted.
+    ROUND = st.tuples(
+        st.lists(st.sampled_from([None, 0, 5, 6]), min_size=3, max_size=3),
+        st.sampled_from([(10**6, 10**6), (10**6, 3 * 10**6), (2 * 10**6, 10**6)]),
+        st.sampled_from([None, 0, 40, 41]),
+        st.booleans(),
+    )
+
+    @given(rounds=st.lists(ROUND, min_size=1, max_size=10))
+    @hypothesis_settings(max_examples=200, deadline=None)
+    def test_planned_bundles_equal_fresh_ones(self, rounds):
+        pool, base, trap = STANDING_POOL, STANDING_POOL.token_x, STANDING_POOL.token_y
+        watch = PoolWatch.create(pool, trap)
+        watch.buyers = {b: BuyerLedger(buyer=b, pool=pool.pool, trap_token=trap)
+                        for b in STANDING_BUYERS}
+        state = PoolScanState(watch=watch)
+        for block, (held, reserves, received, reverted) in enumerate(rounds, start=1):
+            watch.reserves = reserves
+            for ledger, amount in zip(watch.buyers.values(), held):
+                ledger.snapshots = [(block, amount)]
+            sells_before, probe_before = dict(state.sells), state.buy_probe
+            trip_before = state.roundtrip
+
+            planned = pipeline.plan_round(state, block)
+            sellers = [b for b, amount in zip(STANDING_BUYERS, held) if amount]
+            buy_amount = reserves[0] // 1000
+            fresh = [build_sell_bundle(reserves, b, pool, trap, amount, block)
+                     for b, amount in zip(STANDING_BUYERS, held) if amount]
+            fresh.append(build_buy_probe(reserves, state.probe, pool, trap, buy_amount, block))
+            assert [bundle for bundle, _ in planned] == fresh
+            assert planned[-1][1] == {(base, state.probe): pipeline.PROBE_FUNDING}
+            for (bundle, _), was in zip(planned, [*map(sells_before.get, sellers), probe_before]):
+                held_amount = was is not None and (
+                    was.calls[-2].amount_in == bundle.calls[-2].amount_in
+                )
+                assert (was is not None and bundle.calls is was.calls) == held_amount
+
+            probe = planned[-1][0]
+            results = [_sim_result(bundle, 0, 50) for bundle, _ in planned[:-1]]
+            probe_result = _sim_result(probe, 0, received, reverted)
+            trip = pipeline._judge_round(state, block, ScanSettings(), planned,
+                                         [*results, probe_result])
+            if reverted or not received:
+                assert trip is None
+            else:
+                [(roundtrip, overrides)] = trip
+                assert overrides is planned[-1][1]
+                assert roundtrip == build_buy_sell_bundle(
+                    reserves, state.probe, pool, trap, buy_amount, probe_result, block
+                )
+                same_buy = trip_before is not None and (
+                    trip_before.calls[0].amount_in == buy_amount
+                )
+                same_sell = same_buy and trip_before.calls[-2].amount_in == received
+                reused = trip_before is not None and roundtrip.calls is trip_before.calls
+                assert reused == same_sell
+                if same_buy:
+                    assert roundtrip.calls[0] is trip_before.calls[0]
+            assert len(state.sells) <= len(watch.buyers)
+
+
 class TestBoundedState:
     @pytest.mark.parametrize("behavior", [Honest(Fraction(0)), ListGate(mode=GateMode.ALLOW)],
                              ids=["honest", "list_gate_allow"])
@@ -295,6 +392,9 @@ class TestBoundedState:
             assert len(state.watch.buyers) == 3
             held = [value for name, value in vars(state).items() if name != "watch"]
             assert not any(isinstance(v, SimulationResult) for v in _held_values(held))
+            # The standing bundles: one sell per buyer, the probe, the round trip.
+            standing = [v for v in _held_values(held) if isinstance(v, Bundle)]
+            assert 0 < len(standing) <= len(state.watch.buyers) + 2
             assert all(len(s) <= MIN_REVERT_BLOCKS for s in state.revert_streaks.values())
             # No round skipped a buyer: each buyer's windows run without a
             # hole from the block it was first seen to the end of the scan.

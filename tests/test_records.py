@@ -81,6 +81,23 @@ def test_calls_hash_by_value():
     assert replace(swap, amount_in=6) != swap
 
 
+def test_a_call_hashes_like_a_fresh_equal_call(write_once):
+    """The hash each call computes once, at construction, is the hash of
+    a fresh equal call, also for a copy made with `replace`; and the
+    field that holds it is written only then."""
+    read, swap, *_ = _samples()
+    again_read, again_swap, *_ = _samples()
+    assert hash(read) == hash(again_read) and hash(swap) == hash(again_swap)
+    six = replace(swap, amount_in=6)
+    fresh = SwapExactInCall(caller=swap.caller, pool=swap.pool, token_in=swap.token_in,
+                            token_out=swap.token_out, amount_in=6, recipient=swap.recipient)
+    assert six == fresh and hash(six) == hash(fresh)
+    for call in (read, swap, six):
+        assert "_hash" in {field.name for field in fields(call)}
+        with pytest.raises(AttributeError, match="after construction"):
+            call._hash = 0
+
+
 def _rpc(trace):
     return RpcChainView(EndpointConfig(url="fake://node", retries=1),
                         transport=FakeNode(chain=trace.chain))

@@ -14,7 +14,7 @@ from conftest import run_simple
 from fake_node import FakeNode
 from trapscan import pipeline
 from trapscan.chainview import BalanceOfCall, SwapExactInCall
-from trapscan.core import Address, DexVersion
+from trapscan.core import Address, DexVersion, PoolInfo
 from trapscan.mockchain import Honest, Wait, run_attack_script, wash_and_drain_script
 from trapscan.monitor import PoolWatch
 from trapscan.pipeline import (
@@ -807,6 +807,40 @@ class TestBackendQueries:
         assert node.posts == 1 and len(node.requests) == 3
         assert {params[1] for _, params in node.requests} == {"latest"}
         assert rpc.pool_info(trace.pool.pool) is info and node.posts == 1
+
+    def test_quotes_are_one_post_of_the_v3_items(self):
+        """Three V3 and two V2 quotes cost one POST of three quoter
+        `eth_call`s at the block; each answer lands at its own item, in
+        order, and a V2 item or an error answer gets None."""
+        payloads = []
+
+        def transport(payload):
+            payloads.append(payload)
+            return [
+                {"jsonrpc": "2.0", "id": item["id"], "error": {"code": 3, "message": "revert"}}
+                if k == 1 else
+                {"jsonrpc": "2.0", "id": item["id"],
+                 "result": abi.bytes_to_hex(abi.enc_uint(1000 + k))}
+                for k, item in enumerate(payload)
+            ]
+
+        rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
+        a, b = Address.derive("quote-a"), Address.derive("quote-b")
+        v2 = PoolInfo(pool=Address.derive("quote-v2"), token_x=a, token_y=b)
+        v3 = PoolInfo(pool=Address.derive("quote-v3"), token_x=a, token_y=b,
+                      dex_version=DexVersion.V3, fee_num=3000, fee_den=10**6)
+        items = [(v3, a, 10), (v2, a, 11), (v3, b, 12), (v2, b, 13), (v3, a, 14)]
+        assert rpc.quotes_exact_in(items, 7) == [1000, None, None, None, 1002]
+        [post] = payloads
+        assert [item["method"] for item in post] == ["eth_call"] * 3
+        assert [item["params"] for item in post] == [
+            [{"to": rpc.v3_quoter.hex,
+              "data": abi.bytes_to_hex(abi.encode_quote_exact_input_single(
+                  token_in, v3.other_token(token_in), 3000, amount))}, hex(7)]
+            for token_in, amount in ((a, 10), (b, 12), (a, 14))
+        ]
+        assert rpc.quotes_exact_in([(v2, a, 11)], 7) == [None] and len(payloads) == 1
+        assert rpc.quote_exact_in(v3, a, 10, 7) == 1000 and len(payloads) == 2
 
     @pytest.mark.parametrize("max_batch, posts", [(100, 1), (4, 5)])
     def test_unknown_pools_cost_one_metadata_post(self, max_batch, posts):

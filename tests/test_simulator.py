@@ -20,6 +20,7 @@ from trapscan.simulator import (
     build_sell_bundle,
     estimate_output,
     run,
+    run_many,
 )
 
 OWNER = Address.derive("owner")
@@ -298,6 +299,41 @@ class TestRun:
             build_buy_sell_bundle(
                 reserves, probe, t.pool, t.trap_token, 10**5, unread_probe, head
             )
+
+    def test_one_quote_call_per_run_many(self, honest_world, monkeypatch):
+        """`run_many` asks for the quotes of every bundle that ran in one
+        `quotes_exact_in` call, in order, and prices each bundle from its
+        own answer, or by the local formula where that is None."""
+        t = honest_world
+        head = t.chain.head()
+        reserves = reserves_at(t, head)
+        victim, probe = t.actors.victims[0], Address.derive("probe")
+        held = t.chain.balance_of(t.trap_token, victim, head)
+        sell = build_sell_bundle(reserves, victim, t.pool, t.trap_token, held, head)
+        small = build_sell_bundle(reserves, victim, t.pool, t.trap_token, held // 2, head)
+        buy = build_buy_probe(reserves, probe, t.pool, t.trap_token, 10**5, head)
+        empty = replace(sell, calls=())  # its simulation fails
+        asked = []
+
+        def quotes(items, block):
+            asked.append((list(items), block))
+            return [7, None, 9]
+
+        monkeypatch.setattr(t.chain, "quotes_exact_in", quotes)
+        results = run_many(t.chain, [
+            (sell, None), (empty, None), (small, None), (buy, {(t.base_token, probe): 10**12}),
+        ])
+        [(items, block)] = asked
+        assert block == head
+        assert items == [(b.pool, b.calls[-2].token_in, b.calls[-2].amount_in)
+                         for b in (sell, small, buy)]
+        assert isinstance(results[1], Exception)
+        assert [results[0].estimate, results[3].estimate] == [7, 9]
+        rx, ry = reserves
+        in_x = t.trap_token == t.pool.token_x
+        assert results[2].estimate == estimate_output(
+            rx if in_x else ry, ry if in_x else rx, held // 2
+        )
 
     def test_gated_seller_reverts_cleanly(self):
         trace = run_simple(ListGate(mode=GateMode.ALLOW, members=frozenset()))
