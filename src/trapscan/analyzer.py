@@ -70,7 +70,11 @@ class PoolVerdict:
         return bool(self.traps)
 
 
-def _threshold_parts(threshold: Fraction) -> tuple[int, int]:
+def threshold_parts(threshold: Fraction) -> tuple[int, int]:
+    """The threshold's (numerator, denominator); ValueError unless it lies
+    in (0, 1). Each predicate that compares against a threshold takes it
+    as a Fraction or as these parts: a scan splits its threshold once
+    (`ScanSettings.threshold_parts`), not on every check."""
     # A Fraction keeps its denominator positive, so 0 < threshold < 1 is
     # 0 < num < den: two int comparisons instead of two Fraction ones.
     num, den = threshold.numerator, threshold.denominator
@@ -79,8 +83,12 @@ def _threshold_parts(threshold: Fraction) -> tuple[int, int]:
     return num, den
 
 
+# A threshold as a predicate takes it: a Fraction, or its `threshold_parts`.
+Threshold = Fraction | tuple[int, int]
+
+
 def check_invalid_buy(
-    result: SimulationResult, threshold: Fraction = DEFAULT_THRESHOLD
+    result: SimulationResult, threshold: Threshold = DEFAULT_THRESHOLD
 ) -> Finding | None:
     """Buy delivered at most `threshold` of the estimated output.
 
@@ -92,14 +100,14 @@ def check_invalid_buy(
 
 
 def _check_delivery(
-    result: SimulationResult, threshold: Fraction, trap: TrapType, kind: str
+    result: SimulationResult, threshold: Threshold, trap: TrapType, kind: str
 ) -> Finding | None:
     """Flag a swap of interest that went through but moved the actor's
     balance by at most `threshold` of the estimate. A balance read that
     reverted leaves nothing to compare, so it gives no finding."""
     if result.swap_outcome.reverted:
         return None
-    num, den = _threshold_parts(threshold)
+    num, den = threshold if type(threshold) is tuple else threshold_parts(threshold)
     if result.estimate == 0:
         return None  # skipped: estimate has no integer resolution
     delta = result.balance_delta
@@ -124,7 +132,7 @@ def _check_delivery(
 
 
 def check_unauthorized_transfer(
-    ledger: BuyerLedger, threshold: Fraction = DEFAULT_THRESHOLD
+    ledger: BuyerLedger, threshold: Threshold = DEFAULT_THRESHOLD
 ) -> Finding | None:
     """Token left the buyer without the buyer's doing, over the ledger's
     window: from its first balance's block (exclusive) to its last one's.
@@ -140,7 +148,7 @@ def check_unauthorized_transfer(
     that reverted at either edge of the window leaves nothing to compare,
     so this case is skipped.
     """
-    num, den = _threshold_parts(threshold)
+    num, den = threshold if type(threshold) is tuple else threshold_parts(threshold)
     (from_block, start), (to_block, end) = ledger.snapshots[0], ledger.snapshots[-1]
 
     for t in ledger.transfers:
@@ -255,7 +263,7 @@ def check_cannot_sell(
 
 
 def check_invalid_sell(
-    result: SimulationResult, threshold: Fraction = DEFAULT_THRESHOLD
+    result: SimulationResult, threshold: Threshold = DEFAULT_THRESHOLD
 ) -> Finding | None:
     """Sell executed but returned at most `threshold` of the estimate.
 

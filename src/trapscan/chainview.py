@@ -22,13 +22,15 @@ frozen ones, because building them is the per-bundle cost: on CPython
 3.11 a frozen dataclass sets each field through `object.__setattr__`,
 0.9-1.4 us per record against 0.3-0.6 us without `frozen`, and a scan
 builds several per simulated bundle. The two call types compare by
-value, since the mock chain's bundle memo and the RPC backend's call memo
-key on them, and the mock's memo shares outcome objects between bundles.
+value, since the mock chain's bundle memo and the RPC backend's template
+memo key on tuples of them, and the mock's memo shares outcome objects
+between bundles.
 Each hashes its fields once, in `__post_init__`, into a field that
-`__hash__` returns: a scan looks a call up in a memo every time a bundle
-holding it is simulated, and the pipeline hands a subject's calls to
-every round whose amounts match the last (see the `simulator` module
-docstring), so one call is looked up many times. A dataclass's generated
+`__hash__` returns: the RPC backend's memo hashes every call of each
+bundle it looks up, and the mock's memo those of each bundle it does not
+find by identity, and the pipeline hands a subject's calls to every
+round whose amounts match the last (see the `simulator` module
+docstring), so one call is hashed many times. A dataclass's generated
 `__hash__` would rebuild and hash the field tuple in Python on each
 lookup. `dataclasses.replace` builds a new call, which hashes its own
 fields. `tests/test_records.py` patches a write-once `__setattr__` onto

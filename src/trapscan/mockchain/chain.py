@@ -30,6 +30,9 @@ that reads the block number must register its switch blocks in
 `deploy_token`, or that reuse is unsound. The registries are not kept by
 block, so `deploy_token` and `create_pool` bump a version that ends every
 stretch. The memo holds one stretch of one chain at a time, process-wide.
+A scan hands a subject's call tuple back round after round while its
+amounts hold, so the memo first looks for the very tuple that ran, by
+identity, which hashes no call and checks no balance override again.
 """
 
 from __future__ import annotations
@@ -170,10 +173,15 @@ def _window(records: list, lo: int, hi: int) -> list:
 _chain_serials = itertools.count()
 
 # Bundle outcomes of one quiet stretch: (scope, {(calls, overrides):
-# outcomes}). A move to another scope swaps the whole pair in one
-# assignment, so a thread never reads entries of a scope it did not look
-# up, and no chain or stretch keeps entries after another one is used.
-_memo: tuple[tuple, dict] = ((), {})
+# outcomes}, {id(calls): (calls, overrides, outcomes)}), the second the
+# same entries found by the identity of the call tuple that ran each. An
+# equal tuple that is another object finds its entry by value and adds
+# none, so the second holds no more entries than the first; an entry
+# holds its tuple, so the id is not reused while it is filed. A move to
+# another scope swaps the whole triple in one assignment, so a thread
+# never reads entries of a scope it did not look up, and no chain or
+# stretch keeps entries after another one is used.
+_memo: tuple[tuple, dict, dict] = ((), {}, {})
 
 # Enum members that per-bundle code compares or passes, as module names:
 # on CPython 3.11 reading a member through its class takes about 15
@@ -718,34 +726,49 @@ class MockChain(ChainView):
             self._serial, self._version,
             bounds[i - 1] if i else None, bounds[i] if i < len(bounds) else None,
         )
-        memo_scope, entries = _memo
+        memo_scope, entries, seen = _memo
         if memo_scope != scope:
-            entries = {}
-            _memo = (scope, entries)
+            entries, seen = {}, {}
+            _memo = (scope, entries, seen)
         results: list[list[CallOutcome] | Exception] = []
         for calls, balance_overrides in items:
             try:
-                results.append(self._run_bundle(block, calls, balance_overrides, entries))
+                results.append(self._run_bundle(block, calls, balance_overrides, entries, seen))
             except Exception as exc:  # the bundle's own failure, not the batch's
                 results.append(exc)
         return results
 
     def _run_bundle(
         self, block: int, calls: Sequence[Call], balance_overrides: BalanceOverrides | None,
-        entries: dict,
+        entries: dict, seen: dict,
     ) -> list[CallOutcome]:
-        """One bundle's outcomes, from `entries` or run on a fork and filed there."""
+        """One bundle's outcomes, from the memo (see `_memo`) or run on a
+        fork and filed there. A call tuple that ran in the stretch is
+        found by identity, and its overrides are not checked again: they
+        passed before the entry was filed. An amount that is not an int,
+        such as True, can equal a checked one, so it is checked first."""
         if not calls:
             raise EmptyBundle("bundle must contain at least one call")
-        overrides = tuple((balance_overrides or {}).items())
+        calls = calls if type(calls) is tuple else tuple(calls)
+        overrides: tuple = ()
+        if balance_overrides:
+            overrides = tuple(balance_overrides.items())
+            for amount in balance_overrides.values():
+                if type(amount) is not int:
+                    check_amount(amount)
+        # Comparing the overrides compares their keys and amounts by
+        # identity first, so a hit here hashes nothing.
+        hit = seen.get(id(calls))
+        if hit is not None and hit[1] == overrides:
+            return list(hit[2])
         for (token, _), amount in overrides:
             self._require_token(token)
             check_amount(amount)
-        # One lookup finds the bundle's outcomes, or files an empty entry to
-        # fill in: hashing the calls is the dearest part of a miss. Another
-        # thread that finds the entry still empty simulates the bundle too,
-        # and fills in the same outcomes.
-        filed = entries.setdefault((tuple(calls), overrides), [])
+        # One lookup finds the bundle's outcomes by value, or files an empty
+        # entry to fill in: hashing the calls is the dearest part of a
+        # miss. Another thread that finds the entry still empty simulates
+        # the bundle too, and fills in the same outcomes.
+        filed = entries.setdefault((calls, overrides), [])
         if filed:
             return list(filed)
 
@@ -765,6 +788,7 @@ class MockChain(ChainView):
             else:
                 outcomes.append(CallOutcome(_SUCCESS, None, value))
         filed[:] = outcomes
+        seen[id(calls)] = (calls, overrides, filed)
         return outcomes
 
     def _exec_call(self, call: Call, ov: _Overlay) -> TokenAmount | None:

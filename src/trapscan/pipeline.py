@@ -73,6 +73,7 @@ from .analyzer import (
     check_invalid_sell,
     check_unauthorized_transfer,
     classify_pool,
+    threshold_parts,
     verdict_to_json_line,
 )
 from .chainview import BalanceOverrides, ChainView, check_range
@@ -117,17 +118,19 @@ PROBE_DEN = 1000
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Knobs for one scan run."""
+    """Knobs for one scan run. `threshold_parts` is the threshold split
+    once, as every predicate check of the scan takes it."""
 
     interval: int = 1  # blocks between detection rounds
     threshold: Fraction = DEFAULT_THRESHOLD
     workers: int = 1
+    threshold_parts: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ValueError("interval must be >= 1")
-        if not (0 < self.threshold < 1):
-            raise ValueError("threshold must be in (0, 1)")
+        # ValueError unless the threshold lies in (0, 1)
+        object.__setattr__(self, "threshold_parts", threshold_parts(self.threshold))
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -204,9 +207,9 @@ def _judge(state: PoolScanState, result: SimulationResult, settings: ScanSetting
             {"block": bundle.block, "reason": "balance unread", "subject": bundle.actor.hex}
         )
     if bundle.kind is _BUY_PROBE:
-        state.add_finding(check_invalid_buy(result, settings.threshold))
+        state.add_finding(check_invalid_buy(result, settings.threshold_parts))
     else:
-        state.add_finding(check_invalid_sell(result, settings.threshold))
+        state.add_finding(check_invalid_sell(result, settings.threshold_parts))
         state.fold_sell(result)
     return True
 
@@ -225,17 +228,20 @@ def plan_round(state: PoolScanState, block: int) -> Plan:
     held since it was built, and becomes the new standing bundle (see
     `PoolScanState`). The watch must be liquid."""
     watch = state.watch
-    reserves, pool, trap = watch.reserves, watch.pool, watch.trap_token
+    reserves, pool, trap, base = watch.reserves, watch.pool, watch.trap_token, watch.base_token
     sells = state.sells
     items: Plan = []
     for buyer, ledger in watch.buyers.items():
         held = ledger.snapshots[-1][1]  # read at this block; None or 0 sells nothing
         if held:
-            sell = build_sell_bundle(reserves, buyer, pool, trap, held, block, sells.get(buyer))
+            sell = build_sell_bundle(
+                reserves, buyer, pool, trap, held, block, sells.get(buyer), base_token=base
+            )
             sells[buyer] = sell
             items.append((sell, None))
     state.buy_probe = build_buy_probe(
-        reserves, state.probe, pool, trap, _probe_size(watch), block, state.buy_probe
+        reserves, state.probe, pool, trap, _probe_size(watch), block, state.buy_probe,
+        base_token=base,
     )
     items.append((state.buy_probe, state.funding))
     return items
@@ -252,7 +258,7 @@ def _start_round(state: PoolScanState, block: int, settings: ScanSettings) -> Pl
     if not watch.liquid:
         state.skipped_rounds.append({"block": block, "reason": "no liquidity"})
         for ledger in watch.buyers.values():
-            state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
+            state.add_finding(check_unauthorized_transfer(ledger, settings.threshold_parts))
         return None
     return plan_round(state, block)
 
@@ -280,7 +286,7 @@ def _judge_round(
             )
         elif held > 0:
             _judge(state, next(outcomes), settings)
-        state.add_finding(check_unauthorized_transfer(ledger, settings.threshold))
+        state.add_finding(check_unauthorized_transfer(ledger, settings.threshold_parts))
 
     probe_result = next(outcomes)
     if not _judge(state, probe_result, settings):
@@ -290,6 +296,7 @@ def _judge_round(
         roundtrip = build_buy_sell_bundle(
             watch.reserves, state.probe, watch.pool, watch.trap_token,
             probe_bundle.calls[-2].amount_in, probe_result, block, state.roundtrip,
+            base_token=watch.base_token,
         )
     except ProbeFailed:
         return None

@@ -27,8 +27,18 @@ together. `get_swaps`, `get_transfers`, `get_approvals` and
 `eth_getLogs` over every configured factory with either creation
 signature, and `pool_infos` reads the token0, token1 and fee of every
 pool not yet known at the latest block in one POST; `pool_info` is its
-one-pool view. Each distinct bundle call is encoded once per view and
-memoised.
+one-pool view.
+
+A scan sends the same bundles round after round, and the pipeline hands
+each subject's call tuple back while its amounts hold. So each distinct
+call tuple is encoded once per view into a template (see `_Template`):
+its transactions, its slot layout and its senders. A request copies the
+template's transaction dicts and adds the block and the funding
+overrides. Each answer is decoded in one pass over its items: a
+well-formed balance word or `uint256[]` swap return is read straight
+from its hex, and any other item goes to the validating decoder
+(`_slot_outcome`). A balance read's calldata is likewise encoded once
+per (token, holder).
 
 Pinned callMany request shape (positional), one bundle per request:
 
@@ -42,6 +52,7 @@ bundle.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -90,9 +101,17 @@ GAS_LIMIT = 1_500_000
 ETH_FUNDING = 10**21
 _ETH_FUNDING_HEX = hex(ETH_FUNDING)
 DEFAULT_BALANCE_SLOT = 3  # canonical wrapped-native token layout
-CALL_CACHE_SIZE = 4096  # encoded bundle calls memoised per view
+# Bundle templates, and balance reads' calldata, memoised per view.
+CALL_CACHE_SIZE = 4096
 
-_Tx = tuple[tuple[str, str], ...]  # one transaction's (field, value) pairs
+# What `_bundle_outcomes` reads straight from the hex: a balance word, and
+# a uint256[] return at offset 32 (a length word, then the elements).
+_WORD = re.compile(r"0x[0-9a-fA-F]{64}")
+_UINT_ARRAY = re.compile(r"0x0{62}20(?:[0-9a-fA-F]{64})+")
+# As a module name: on CPython 3.11 reading an enum member through its
+# class takes about 15 times as long as reading a global.
+_SUCCESS = CallStatus.SUCCESS
+
 # A log query: the addresses and the topic-0 alternatives it matches (an
 # empty tuple matches any) over an inclusive block range.
 _LogQuery = tuple[tuple[Address, ...], tuple[str, ...], tuple[int, int]]
@@ -133,6 +152,20 @@ class _RawLog:
 _log_order = attrgetter("order")
 
 
+@dataclass(slots=True)
+class _Template:
+    """One call tuple's `eth_callMany` request, encoded once. A swap slot
+    carries a router approval first; its answer is folded into the
+    slot's outcome. The transaction dicts are never sent or changed:
+    every request sends copies."""
+
+    txs: tuple[dict[str, str], ...]
+    # (index of the answer item that gives the slot's value, is a swap)
+    # per call: a swap's approval answers at the index before.
+    slots: tuple[tuple[int, bool], ...]
+    senders: tuple[str, ...]  # the callers, in call order, each once
+
+
 class RpcChainView(ChainView):
     """chainview backend over JSON-RPC; safe for concurrent callers."""
 
@@ -155,9 +188,10 @@ class RpcChainView(ChainView):
         self._pool_cache: dict[Address, PoolInfo] = {}
         self._lock = threading.Lock()
         self.decode_skipped = 0
-        # Tail rounds send the same calls again and again, so each distinct
-        # call is encoded once per view (see `_encoded_call`).
-        self._call_memo: dict[Call, tuple[tuple[_Tx, ...], str]] = {}
+        # Tail rounds send the same bundles and balance reads again and
+        # again, so each is encoded once per view (see `_template`).
+        self._templates: dict[tuple[Call, ...], _Template] = {}
+        self._balance_calls: dict[tuple[Address, Address], tuple[str, str]] = {}
 
     # ------------------------------------------------------------------
     # plumbing
@@ -409,10 +443,15 @@ class RpcChainView(ChainView):
     ) -> list[TokenAmount | None]:
         """Every read as one `eth_call` in one batched POST; a read the node
         answers with an error or an undecodable payload is None."""
-        results = self._batch(
-            [("eth_call", _balance_params(token, holder, block)) for token, holder, block in reads]
-        )
-        return [_balance_value(raw) for raw in results]
+        requests = []
+        memo = self._balance_calls
+        for token, holder, block in reads:
+            encoded = memo.get((token, holder))
+            if encoded is None:
+                encoded = token.hex, abi.bytes_to_hex(abi.encode_balance_of(holder))
+                self._remember(memo, (token, holder), encoded)
+            requests.append(("eth_call", [{"to": encoded[0], "data": encoded[1]}, hex(block)]))
+        return [_balance_value(raw) for raw in self._batch(requests)]
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
         return self.get_window([pool], [], (block, block)).get_reserves(pool, block)
@@ -534,62 +573,73 @@ class RpcChainView(ChainView):
     def _router_for(self, info: PoolInfo) -> Address:
         return self.v2_router if info.dex_version is DexVersion.V2 else self.v3_router
 
-    def _encoded_call(self, call: Call) -> tuple[tuple[_Tx, ...], str]:
-        """`_compile_call` of the call, memoised. A lookup is one atomic
-        dict read; a miss encodes outside the lock and stores under it,
-        dropping the oldest entry once `CALL_CACHE_SIZE` are held."""
-        encoded = self._call_memo.get(call)
-        if encoded is None:
-            encoded = self._compile_call(call)
-            with self._lock:
-                if len(self._call_memo) >= CALL_CACHE_SIZE:
-                    del self._call_memo[next(iter(self._call_memo))]
-                self._call_memo[call] = encoded
-        return encoded
+    def _remember(self, memo: dict, key, value) -> None:
+        """File `value` in one of the view's memos under the lock, dropping
+        the oldest entry once `CALL_CACHE_SIZE` are held. A lookup is one
+        atomic dict read, outside the lock."""
+        with self._lock:
+            if len(memo) >= CALL_CACHE_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = value
 
-    def _compile_call(self, call: Call) -> tuple[tuple[_Tx, ...], str]:
-        """Transactions for one call slot, each as its (field, value)
-        pairs, and the slot's kind. Swap slots carry a router approval
-        first; its result is folded into the slot's outcome. The result
-        is immutable, since `_encoded_call` memoises it: every request
-        builds its own dicts from it."""
-        if isinstance(call, BalanceOfCall):
-            read_tx = (
-                ("from", call.caller.hex),
-                ("to", call.token.hex),
-                ("data", abi.bytes_to_hex(abi.encode_balance_of(call.holder))),
-            )
-            return (read_tx,), "balance"
-        if isinstance(call, SwapExactInCall):
-            info = self.pool_info(call.pool)
-            router = self._router_for(info)
-            approve_tx = (
-                ("from", call.caller.hex),
-                ("to", call.token_in.hex),
-                ("gas", hex(GAS_LIMIT)),
-                ("data", abi.bytes_to_hex(abi.encode_approve(router, call.amount_in))),
-            )
-            swap_tx = (
-                ("from", call.caller.hex),
-                ("to", router.hex),
-                ("gas", hex(GAS_LIMIT)),
-                ("data", abi.bytes_to_hex(
-                    abi.encode_swap_exact_tokens(
-                        call.amount_in, call.min_out,
-                        [call.token_in, call.token_out],
-                        call.recipient, DEADLINE,
-                    )
-                )),
-            )
-            return (approve_tx, swap_tx), "swap"
-        raise ValueError(f"unsupported call: {call!r}")
+    def _template(self, calls: Sequence[Call]) -> _Template:
+        """The template of the call tuple, memoised: a miss encodes it
+        outside the lock and files it (see `_remember`)."""
+        key = calls if type(calls) is tuple else tuple(calls)
+        template = self._templates.get(key)
+        if template is None:
+            template = self._compile(key)
+            self._remember(self._templates, key, template)
+        return template
 
-    def _state_overrides(
-        self, balance_overrides: dict[tuple[Address, Address], TokenAmount] | None,
-        senders: set[Address],
-    ) -> dict:
+    def _compile(self, calls: tuple[Call, ...]) -> _Template:
+        if not calls:
+            raise EmptyBundle("bundle must contain at least one call")
+        txs: list[dict[str, str]] = []
+        slots: list[tuple[int, bool]] = []
+        for call in calls:
+            if isinstance(call, BalanceOfCall):
+                slots.append((len(txs), False))
+                txs.append({
+                    "from": call.caller.hex,
+                    "to": call.token.hex,
+                    "data": abi.bytes_to_hex(abi.encode_balance_of(call.holder)),
+                })
+            elif isinstance(call, SwapExactInCall):
+                router = self._router_for(self.pool_info(call.pool))
+                txs.append({
+                    "from": call.caller.hex,
+                    "to": call.token_in.hex,
+                    "gas": hex(GAS_LIMIT),
+                    "data": abi.bytes_to_hex(abi.encode_approve(router, call.amount_in)),
+                })
+                slots.append((len(txs), True))
+                txs.append({
+                    "from": call.caller.hex,
+                    "to": router.hex,
+                    "gas": hex(GAS_LIMIT),
+                    "data": abi.bytes_to_hex(
+                        abi.encode_swap_exact_tokens(
+                            call.amount_in, call.min_out,
+                            [call.token_in, call.token_out],
+                            call.recipient, DEADLINE,
+                        )
+                    ),
+                })
+            else:
+                raise ValueError(f"unsupported call: {call!r}")
+        senders = tuple(dict.fromkeys(call.caller.hex for call in calls))
+        return _Template(tuple(txs), tuple(slots), senders)
+
+    def _bundle_request(
+        self, block_hex: str, template: _Template, balance_overrides: BalanceOverrides | None,
+    ) -> list:
+        """The params of one bundle's `eth_callMany`, in the pinned shape
+        of the module docstring: the template's transactions, each its
+        own dict, at the block, with every sender funded with ether and
+        each balance override written to its token's balance slot."""
         overrides: dict[str, dict] = {
-            sender.hex: {"balance": _ETH_FUNDING_HEX} for sender in senders
+            sender: {"balance": _ETH_FUNDING_HEX} for sender in template.senders
         }
         if balance_overrides:
             for (token, holder), amount in balance_overrides.items():
@@ -599,50 +649,10 @@ class RpcChainView(ChainView):
                 entry.setdefault("stateDiff", {})[abi.bytes_to_hex(slot)] = (
                     abi.bytes_to_hex(abi.enc_uint(amount))
                 )
-        return overrides
-
-    def _bundle_request(
-        self,
-        block: int,
-        calls: Sequence[Call],
-        balance_overrides: BalanceOverrides | None,
-    ) -> tuple[list, list[tuple[int, int, str]]]:
-        """The params of one bundle's `eth_callMany` (the pinned shape in
-        the module docstring), and its slot layout: (first transaction
-        index, transaction count, kind) per call, for `_bundle_outcomes`."""
-        if not calls:
-            raise EmptyBundle("bundle must contain at least one call")
-        txs: list[dict] = []
-        slots: list[tuple[int, int, str]] = []
-        for call in calls:
-            call_txs, kind = self._encoded_call(call)
-            slots.append((len(txs), len(call_txs), kind))
-            txs += map(dict, call_txs)
-        params = [
-            [{"transactions": txs, "blockOverride": {}}],
-            {"blockNumber": hex(block), "transactionIndex": -1},
-            self._state_overrides(balance_overrides, {call.caller for call in calls}),
-        ]
-        return params, slots
-
-    def _bundle_outcomes(self, response, slots: list[tuple[int, int, str]]) -> list[CallOutcome]:
-        """One outcome per call slot from a bundle's `eth_callMany` answer;
-        an error answer is raised, and a malformed one is BackendUnavailable."""
-        if isinstance(response, RpcError):
-            raise response
-        last, last_count, _ = slots[-1]
-        expected = last + last_count
-        if not isinstance(response, list) or not response:
-            raise BackendUnavailable(f"unexpected callMany response: {response!r}")
-        results = response[0]
-        if not isinstance(results, list) or len(results) != expected:
-            raise BackendUnavailable(
-                f"callMany returned {len(results) if isinstance(results, list) else '?'}"
-                f" results, expected {expected}"
-            )
         return [
-            self._slot_outcome(results[start:start + count], kind)
-            for start, count, kind in slots
+            [{"transactions": list(map(dict.copy, template.txs)), "blockOverride": {}}],
+            {"blockNumber": block_hex, "transactionIndex": -1},
+            overrides,
         ]
 
     def simulate_bundles(
@@ -659,43 +669,91 @@ class RpcChainView(ChainView):
         outcomes: on a node without `eth_callMany`, each is a
         `MethodNotSupported`. A transport failure raises
         BackendUnavailable."""
+        block_hex = hex(block)
         outcomes: list[list[CallOutcome] | Exception | None] = []
-        sent: list[tuple[int, list, list[tuple[int, int, str]]]] = []  # (position, params, slots)
+        sent: list[tuple[int, _Template]] = []  # (position, template)
+        requests: list[tuple[str, list]] = []
         for calls, overrides in items:
             try:
-                sent.append((len(outcomes), *self._bundle_request(block, calls, overrides)))
-                outcomes.append(None)
+                template = self._template(calls)
+                requests.append(
+                    ("eth_callMany", self._bundle_request(block_hex, template, overrides))
+                )
             except Exception as exc:  # the bundle's own failure, not the batch's
                 outcomes.append(exc)
-        responses = self._batch([("eth_callMany", params) for _, params, _ in sent])
-        for (position, _, slots), response in zip(sent, responses):
+            else:
+                sent.append((len(outcomes), template))
+                outcomes.append(None)
+        for (position, template), response in zip(sent, self._batch(requests)):
             try:
-                outcomes[position] = self._bundle_outcomes(response, slots)
+                outcomes[position] = _bundle_outcomes(response, template)
             except (RpcError, BackendUnavailable) as exc:
                 outcomes[position] = exc
         return outcomes
 
-    def _slot_outcome(self, chunk: list[dict], kind: str) -> CallOutcome:
-        if kind == "swap":
-            approve, swap = chunk
-            if "error" in approve:
-                return _revert(f"approve failed: {_error_text(approve['error'])}")
-            item = swap
-        else:
-            item = chunk[0]
-        if "error" in item:
-            return _revert(_error_text(item["error"]))
-        value = item.get("value", "0x")
-        if kind == "balance":
-            balance = _balance_value(value)
-            if balance is None:
-                return _revert(f"bad balance payload: {value!r}")
-            return _success(balance)
-        try:
-            amounts = abi.decode_uint_array(abi.hex_to_bytes(value))
-            return _success(amounts[-1] if amounts else 0)
-        except DecodeError:
-            return _revert(f"bad swap payload: {value!r}")
+
+def _bundle_outcomes(response, template: _Template) -> list[CallOutcome]:
+    """One outcome per call slot from a bundle's `eth_callMany` answer, in
+    one pass over its items; an error answer is raised, and a malformed
+    one is BackendUnavailable. A slot whose items carry no error and
+    whose value is a well-formed balance word, or a uint256[] at offset
+    32 of exactly its length, is read straight from the hex; every other
+    slot gets `_slot_outcome`'s answer, which is the same for those."""
+    if isinstance(response, RpcError):
+        raise response
+    if not isinstance(response, list) or not response:
+        raise BackendUnavailable(f"unexpected callMany response: {response!r}")
+    results = response[0]
+    expected = len(template.txs)
+    if not isinstance(results, list) or len(results) != expected:
+        raise BackendUnavailable(
+            f"callMany returned {len(results) if isinstance(results, list) else '?'}"
+            f" results, expected {expected}"
+        )
+    outcomes: list[CallOutcome] = []
+    for at, swap in template.slots:
+        item = results[at]
+        value = item.get("value") if type(item) is dict and "error" not in item else None
+        if type(value) is str:
+            if not swap:
+                if _WORD.fullmatch(value):
+                    outcomes.append(CallOutcome(_SUCCESS, None, int(value, 16)))
+                    continue
+            elif _UINT_ARRAY.fullmatch(value):
+                approve = results[at - 1]
+                length = int(value[66:130], 16)
+                if (type(approve) is dict and "error" not in approve
+                        and len(value) == 130 + 64 * length):
+                    outcomes.append(
+                        CallOutcome(_SUCCESS, None, int(value[-64:], 16) if length else 0)
+                    )
+                    continue
+        outcomes.append(_slot_outcome(results[at - swap:at + 1], swap))
+    return outcomes
+
+
+def _slot_outcome(chunk: list, swap: bool) -> CallOutcome:
+    """One call slot's outcome from its answer items, validated step by
+    step: a swap slot's are its approval's and its swap's."""
+    if swap:
+        approve, item = chunk
+        if "error" in approve:
+            return _revert(f"approve failed: {_error_text(approve['error'])}")
+    else:
+        item = chunk[0]
+    if "error" in item:
+        return _revert(_error_text(item["error"]))
+    value = item.get("value", "0x")
+    if not swap:
+        balance = _balance_value(value)
+        if balance is None:
+            return _revert(f"bad balance payload: {value!r}")
+        return _success(balance)
+    try:
+        amounts = abi.decode_uint_array(abi.hex_to_bytes(value))
+        return _success(amounts[-1] if amounts else 0)
+    except DecodeError:
+        return _revert(f"bad swap payload: {value!r}")
 
 
 class _FetchedWindow:

@@ -154,12 +154,6 @@ class JsonRpcClient:
         self._id_lock = threading.Lock()
         self._next_id = 1
 
-    def _take_id(self) -> int:
-        with self._id_lock:
-            rid = self._next_id
-            self._next_id += 1
-            return rid
-
     def _send(self, payload: Any) -> Any:
         last_exc: Exception | None = None
         for attempt in range(self.config.retries + 1):
@@ -182,14 +176,16 @@ class JsonRpcClient:
         results: list[Any] = []
         for start in range(0, len(requests_), self.config.max_batch):
             chunk = requests_[start:start + self.config.max_batch]
-            payload = []
-            ids = []
-            for method, params in chunk:
-                rid = self._take_id()
-                ids.append(rid)
-                payload.append(
-                    {"jsonrpc": "2.0", "id": rid, "method": method, "params": params}
-                )
+            # A chunk's ids are reserved together: one POST's ids are
+            # consecutive, and no two requests of the client share one.
+            with self._id_lock:
+                first = self._next_id
+                self._next_id = first + len(chunk)
+            ids = range(first, first + len(chunk))
+            payload = [
+                {"jsonrpc": "2.0", "id": rid, "method": method, "params": params}
+                for rid, (method, params) in zip(ids, chunk)
+            ]
             response = self._send(payload)
             if not isinstance(response, list):
                 raise TransportError(f"batch response is not a list: {response!r}")

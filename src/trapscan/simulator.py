@@ -37,8 +37,12 @@ pair and swap amount, checked field by field, and for a round trip the
 same lead buy. A round trip whose buy amount held but whose sell did
 not still reuses its buy call. Every bundle is new, with its own block
 and reserves, so pricing and evidence never come from an earlier round.
-A reused tuple is the same object, so the backends' memos find it by
-identity, and its calls' hashes were computed when they were built.
+A reused tuple is the same object, so the mock chain's memo finds it by
+identity, hashing no call, and the RPC backend's template memo finds it
+in one dict read that compares no call, the key being the same object;
+its calls' hashes were computed when they were built. A scan also passes
+each builder `base_token`, the orientation its `PoolWatch` holds, so no
+builder re-derives it from the pool (see `pool_sides`).
 
 `Bundle` and `SimulationResult`, like the calls and outcomes they hold,
 are built once and never mutated, but are not frozen: building the
@@ -181,7 +185,9 @@ def _require_liquidity(
 
 
 def pool_sides(pool: PoolInfo, trap_token: Address) -> tuple[Address, Address]:
-    """(trap_token, base_token) orientation for a pool."""
+    """(trap_token, base_token) orientation for a pool. A builder whose
+    caller passes `base_token`, the orientation it holds, as a scan's
+    `PoolWatch` does, takes it as it is instead."""
     if not pool.has_token(trap_token):
         raise ValueError(f"{trap_token} is not a token of pool {pool.pool}")
     return trap_token, pool.other_token(trap_token)
@@ -227,6 +233,8 @@ def build_sell_bundle(
     amount: TokenAmount,
     block: int,
     previous: Bundle | None = None,
+    *,
+    base_token: Address | None = None,
 ) -> Bundle:
     """Sell bundle for a tracked buyer: can they cash out what they hold?
 
@@ -237,7 +245,7 @@ def build_sell_bundle(
     an empty reserve NoLiquidity. `previous` is the last sell built for
     this buyer, if any (see the module docstring).
     """
-    trap, base = pool_sides(pool, trap_token)
+    trap, base = pool_sides(pool, trap_token) if base_token is None else (trap_token, base_token)
     _require_liquidity(reserves, pool, block)
     if amount == 0:
         raise ZeroBalance(f"buyer {buyer} holds nothing to sell at block {block}")
@@ -252,6 +260,8 @@ def build_buy_probe(
     buy_amount: TokenAmount,
     block: int,
     previous: Bundle | None = None,
+    *,
+    base_token: Address | None = None,
 ) -> Bundle:
     """Buy probe with a funded synthetic account: does buying deliver?
 
@@ -259,7 +269,7 @@ def build_buy_probe(
     NoLiquidity. `previous` is the last probe built for this account, if
     any (see the module docstring).
     """
-    trap, base = pool_sides(pool, trap_token)
+    trap, base = pool_sides(pool, trap_token) if base_token is None else (trap_token, base_token)
     _require_liquidity(reserves, pool, block)
     check_amount(buy_amount, "buy_amount")
     if buy_amount == 0:
@@ -276,6 +286,8 @@ def build_buy_sell_bundle(
     probe_result: SimulationResult,
     block: int,
     previous: Bundle | None = None,
+    *,
+    base_token: Address | None = None,
 ) -> Bundle:
     """Buy-then-sell round trip; the sell amount is exactly what the probe
     observed arriving, not what any log claimed, so a probe whose balance
@@ -284,7 +296,7 @@ def build_buy_sell_bundle(
     round trip built for this account, if any, whose buy is reused when
     its amount holds, even if the sell's does not (see the module
     docstring)."""
-    trap, base = pool_sides(pool, trap_token)
+    trap, base = pool_sides(pool, trap_token) if base_token is None else (trap_token, base_token)
     if probe_result.bundle.kind is not _BUY_PROBE:
         raise ProbeFailed("need a buy-probe result to size the sell")
     if probe_result.swap_outcome.reverted:

@@ -430,6 +430,34 @@ class TestThresholdParameter:
         assert check_invalid_buy(res, Fraction(1, 2)) is not None
         assert check_invalid_buy(res, Fraction(1, 5)) is None
 
+    def test_threshold_parts_judge_like_the_threshold(self):
+        """A predicate given a threshold's parts finds what it finds given
+        the threshold; a scan splits its threshold once, when its settings
+        are made, and re-derives no pool orientation."""
+        for threshold in (Fraction(1, 2), Fraction(1, 5), Fraction(3, 4)):
+            parts = (threshold.numerator, threshold.denominator)
+            assert ScanSettings(threshold=threshold).threshold_parts == parts
+            for got in (20, 45, 80):
+                for kind, check in ((BundleKind.BUY_PROBE, check_invalid_buy),
+                                    (BundleKind.SELL, check_invalid_sell)):
+                    res = fake_result(kind, 0, got, 90)
+                    assert check(res, parts) == check(res, threshold)
+
+    def test_a_scan_splits_its_threshold_once(self, monkeypatch):
+        from trapscan import analyzer, simulator
+
+        trace = run_simple(Honest(Fraction(30, 100)), victims=2)
+        settings = ScanSettings(threshold=Fraction(3, 4))
+        expected = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
+                             trace.final_block, settings)
+        split, sided = [], []
+        monkeypatch.setattr(analyzer, "threshold_parts", lambda t: split.append(t))
+        monkeypatch.setattr(simulator, "pool_sides", lambda *a: sided.append(a))
+        verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
+                            trace.final_block, settings)
+        assert split == [] and sided == []
+        assert verdict == expected and verdict.findings
+
     def test_end_to_end_with_custom_threshold(self):
         trace = run_simple(Honest(Fraction(30, 100)))
         settings = ScanSettings(threshold=Fraction(3, 4))

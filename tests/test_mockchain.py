@@ -735,6 +735,43 @@ class TestBundleReuse:
         with pytest.raises(TypeError):
             chain.simulate_bundle(head, sell, {(trap, PROBE): True})
 
+    def test_a_hit_on_the_same_tuple_hashes_no_call(self, monkeypatch):
+        """A call tuple run before in the stretch is found by identity: no
+        call is hashed and no override is checked again."""
+        chain, base, trap, pool, sell, funded = delayed_world()
+        calls = (BalanceOfCall(caller=PROBE, token=trap, holder=PROBE), *sell)
+        first = chain.simulate_bundle(chain.head(), calls, funded)
+        hashed, checked = [], []
+        for cls in (BalanceOfCall, SwapExactInCall):
+            monkeypatch.setattr(cls, "__hash__", lambda call: hashed.append(call) or call._hash)
+        real_require = MockChain._require_token
+        monkeypatch.setattr(MockChain, "_require_token",
+                            lambda chain, token: checked.append(token) or real_require(chain, token))
+        assert chain.simulate_bundle(chain.head(), calls, dict(funded)) == first
+        assert hashed == [] and checked == []
+        # an equal tuple that is another object is found by value
+        again = tuple(calls)[:1] + tuple(sell)
+        assert again is not calls
+        assert chain.simulate_bundle(chain.head(), again, funded) == first
+        assert len(hashed) == len(calls) and checked == [trap]
+
+    def test_a_bad_override_raises_every_time(self):
+        """An entry is filed only once its overrides passed, so a bundle
+        with a bad override raises on each try, however often its calls
+        ran with good ones."""
+        chain, base, trap, pool, sell, funded = delayed_world()
+        calls, head = tuple(sell), chain.head()
+        good = chain.simulate_bundle(head, calls, {(trap, PROBE): 1})
+        bad = [({(Address.derive("nope"), PROBE): 1}, UnknownToken),
+               ({(trap, PROBE): -1}, AmountRangeError),
+               ({(trap, PROBE): True}, TypeError),
+               ({(trap, PROBE): 1.0}, TypeError)]
+        for _ in range(2):
+            for overrides, error in bad:
+                with pytest.raises(error):
+                    chain.simulate_bundle(head, calls, overrides)
+        assert chain.simulate_bundle(head, calls, {(trap, PROBE): 1}) == good
+
     def test_registry_change_ends_reuse(self):
         chain, base, trap, pool, sell, funded = delayed_world()
         later_token = memo_token(chain._token_counter + 1)

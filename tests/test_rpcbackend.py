@@ -583,6 +583,34 @@ class TestClientRetry:
             client.call_batch([("eth_blockNumber", []), ("eth_blockNumber", [])])
 
 
+class TestRequestIds:
+    def test_ids_unique_and_consecutive_within_a_post_under_threads(self):
+        """Threads sharing one client: every POST's ids are consecutive
+        and increasing, and no id is used twice."""
+        posts = []
+
+        def transport(payload):
+            posts.append([item["id"] for item in payload])
+            return [{"jsonrpc": "2.0", "id": item["id"], "result": "0x1"} for item in payload]
+
+        client = JsonRpcClient(EndpointConfig(url="fake://", max_batch=7), transport)
+
+        def send(n):
+            return client.call_batch([("eth_blockNumber", [])] * n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool_exec:
+                answers = list(pool_exec.map(send, [1 + i % 20 for i in range(200)], timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(a) for a in answers] == [1 + i % 20 for i in range(200)]
+        assert all(ids == list(range(ids[0], ids[0] + len(ids))) for ids in posts)
+        sent = [rid for ids in posts for rid in ids]
+        assert len(set(sent)) == len(sent) == sum(1 + i % 20 for i in range(200))
+
+
 class TestSimulateBundle:
     def _calls(self, trace, probe):
         return [
@@ -729,69 +757,80 @@ class TestSimulateBundle:
 
 
 class TestCallMemo:
-    def test_each_distinct_call_encoded_once_per_view(self, monkeypatch):
+    """A view encodes each distinct call tuple once into a template, and
+    each balance read's calldata once, in memos bounded by
+    `CALL_CACHE_SIZE`; every request still gets its own dicts."""
+
+    def test_each_distinct_call_tuple_encoded_once_per_view(self, monkeypatch):
         trace = run_simple(Honest(Fraction(0)), victims=2, extra=(Wait(80),))
         compiled, sent = Counter(), Counter()
-        real_compile = RpcChainView._compile_call
-        real_encoded = RpcChainView._encoded_call
+        real_compile = RpcChainView._compile
+        real_template = RpcChainView._template
 
-        def counting_compile(self, call):
-            compiled[call] += 1
-            return real_compile(self, call)
+        def counting_compile(self, calls):
+            compiled[calls] += 1
+            return real_compile(self, calls)
 
-        def counting_encoded(self, call):
-            sent[call] += 1
-            return real_encoded(self, call)
+        def counting_template(self, calls):
+            sent[tuple(calls)] += 1
+            return real_template(self, calls)
 
-        monkeypatch.setattr(RpcChainView, "_compile_call", counting_compile)
-        monkeypatch.setattr(RpcChainView, "_encoded_call", counting_encoded)
+        monkeypatch.setattr(RpcChainView, "_compile", counting_compile)
+        monkeypatch.setattr(RpcChainView, "_template", counting_template)
         args = (trace.pool, trace.trap_token, 1, trace.final_block, ScanSettings(interval=10))
         node = FakeNode(chain=trace.chain)
         scan_pool(RpcChainView(EndpointConfig(url="fake://"), transport=node), *args)
         assert compiled == Counter(set(sent))
-        assert sum(sent.values()) > 2 * len(sent)  # tail rounds resend their calls
+        assert sum(sent.values()) > 2 * len(sent)  # tail rounds resend their bundles
         # the memo belongs to its view: a second view encodes again
         scan_pool(RpcChainView(EndpointConfig(url="fake://"), transport=node), *args)
         assert set(compiled.values()) == {2}
 
     def test_memo_is_bounded_and_requests_get_their_own_dicts(self, backend, monkeypatch):
-        trace, _, rpc = backend
+        trace, node, rpc = backend
         monkeypatch.setattr(backend_module, "CALL_CACHE_SIZE", 2)
         probes = [Address.derive(f"probe-{i}") for i in range(3)]
-        calls = [BalanceOfCall(caller=p, token=trace.trap_token, holder=p) for p in probes]
-        params = [rpc._bundle_request(1, [call], None)[0] for call in calls + calls[:1]]
-        assert len(rpc._call_memo) == 2
-        first, again = params[0][0][0]["transactions"][0], params[-1][0][0]["transactions"][0]
+        bundles = [(BalanceOfCall(caller=p, token=trace.trap_token, holder=p),) for p in probes]
+        for calls in bundles + bundles[:1]:
+            rpc.simulate_bundles(1, [(calls, None)])
+        assert len(rpc._templates) == 2
+        sent = [p[0][0]["transactions"] for m, p in node.requests if m == "eth_callMany"]
+        first, again = sent[0][0], sent[-1][0]
         assert first == again and first is not again
+        assert all(tx is not kept for tx in first for kept in rpc._template(bundles[0]).txs)
+        rpc.balances_at([(trace.trap_token, p, 1) for p in probes + probes[:1]])
+        assert len(rpc._balance_calls) == 2
+        reads = [p for m, p in node.requests if m == "eth_call"][-4:]
+        assert reads[0] == reads[-1] and reads[0][0] is not reads[-1][0]
 
     def test_memo_under_threads(self, backend, monkeypatch):
-        """Threads sharing one view, with the memo smaller than the calls
-        they send, each get their own call's encoding, and the memo never
-        grows past its bound."""
+        """Threads sharing one view, with the memo smaller than the call
+        tuples they send, each get their own tuple's template, and the
+        memo never grows past its bound."""
         trace, _, rpc = backend
         monkeypatch.setattr(backend_module, "CALL_CACHE_SIZE", 8)
-        calls = [
-            SwapExactInCall(caller=Address.derive(f"caller-{i % 24}"), pool=trace.pool.pool,
-                            token_in=trace.base_token, token_out=trace.trap_token,
-                            amount_in=10**6 + i % 24, recipient=OWNER)
+        bundles = [
+            (SwapExactInCall(caller=Address.derive(f"caller-{i % 24}"), pool=trace.pool.pool,
+                             token_in=trace.base_token, token_out=trace.trap_token,
+                             amount_in=10**6 + i % 24, recipient=OWNER),)
             for i in range(600)
         ]
-        expected = {call: rpc._compile_call(call) for call in set(calls)}
+        expected = {calls: rpc._compile(calls) for calls in set(bundles)}
         sizes = []
 
-        def encode(call):
-            got = rpc._encoded_call(call)
-            sizes.append(len(rpc._call_memo))
-            return got == expected[call]
+        def encode(calls):
+            got = rpc._template(calls)
+            sizes.append(len(rpc._templates))
+            return got == expected[calls]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool_exec:
-                agreed = list(pool_exec.map(encode, calls, timeout=60))
+                agreed = list(pool_exec.map(encode, bundles, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert len(agreed) == len(calls) and all(agreed)
+        assert len(agreed) == len(bundles) and all(agreed)
         assert max(sizes) <= 8
 
 
