@@ -42,12 +42,14 @@ hold (see `PoolScanState`). So a round late in a long scan costs what
 an early one does.
 
 Findings accumulate into one verdict per pool. A pool whose scan raises
-fails alone: the cohort drops it and goes on, and a failure of a request
-the cohort shares fails the cohort's unfinished pools. A multi-pool scan
-chunks its targets into cohorts of up to `COHORT_SIZE` and maps them
-onto one executor, `_scan_each`: in the calling thread when
-`workers <= 1`, otherwise on one thread pool. It yields each cohort's
-verdicts, or the exceptions their scans raised, in target order.
+fails alone: the exception is recorded once, as its state's `error`,
+where it is caught, and the cohort drops the pool after that step and
+goes on. A failure of a request the cohort shares fails the cohort's
+unfinished pools. A multi-pool scan chunks its targets into cohorts of
+up to `COHORT_SIZE` and maps them onto one executor, `_scan_each`: in
+the calling thread when `workers <= 1`, otherwise on one thread pool.
+It yields each cohort's verdicts, or the exceptions their scans raised,
+in target order.
 `scan_pools` and `scan_pools_resumable` both consume it, so a failing
 pool is counted in `ScanSummary.failures` and never stops the scan,
 whatever the worker count.
@@ -153,6 +155,9 @@ class PoolScanState:
     `roundtrip`. Each round hands them back to their builders, which
     reuse their calls while the amounts hold (see `plan_round`). That is
     at most `len(watch.buyers) + 2` bundles, however long the scan runs.
+
+    `error` is the exception that failed the pool's scan, recorded where
+    it happened; a state with one is never advanced again.
     """
 
     watch: PoolWatch
@@ -162,6 +167,7 @@ class PoolScanState:
     sells: dict[Address, Bundle] = field(default_factory=dict)
     buy_probe: Bundle | None = None
     roundtrip: Bundle | None = None
+    error: Exception | None = None
     probe: Address = field(init=False)
     funding: BalanceOverrides = field(init=False)
 
@@ -309,7 +315,7 @@ def run_detection_round(
     states: Sequence[PoolScanState],
     block: int,
     settings: ScanSettings,
-) -> dict[int, Exception]:
+) -> bool:
     """One detection round at a sealed block, the last one every watch has
     ingested, for each state of a cohort, in three steps: start every
     round (`_start_round`), simulate all their sells and probes through
@@ -317,61 +323,63 @@ def run_detection_round(
     simulate all their round trips through one more and judge those. So a
     round costs two simulation calls however many pools take part.
 
-    Returns the exception that failed each round that failed, by its
-    state's index; the other rounds go on. A bundle that failed fails its
-    own pool's round, and a failed `run_many` every round that had a
-    bundle in it."""
-    failures: dict[int, Exception] = {}
-    plans: list[tuple[int, Plan]] = []
-    for i, state in enumerate(states):
+    The exception that failed a round is recorded as its state's `error`;
+    the other rounds go on. A bundle that failed fails its own pool's
+    round, and a failed `run_many` every round that had a bundle in it.
+    Returns whether any round failed."""
+    failed = False
+    plans: list[tuple[PoolScanState, Plan]] = []
+    for state in states:
         try:
             planned = _start_round(state, block, settings)
         except Exception as exc:  # this pool's own round failed
-            failures[i] = exc
+            state.error, failed = exc, True
             continue
         if planned:
-            plans.append((i, planned))
-    trips: list[tuple[int, Plan]] = []
-    for i, planned, results in _simulate(chain, plans, failures):
+            plans.append((state, planned))
+    ran = _simulate(chain, plans)
+    trips: list[tuple[PoolScanState, Plan]] = []
+    for state, planned, results in ran:
         try:
-            trip = _judge_round(states[i], block, settings, planned, results)
+            trip = _judge_round(state, block, settings, planned, results)
         except Exception as exc:  # this pool's own round failed
-            failures[i] = exc
+            state.error, failed = exc, True
             continue
         if trip:
-            trips.append((i, trip))
-    for i, _, (result,) in _simulate(chain, trips, failures):
+            trips.append((state, trip))
+    ran_trips = _simulate(chain, trips)
+    for state, _, (result,) in ran_trips:
         try:
-            _judge(states[i], result, settings)
+            _judge(state, result, settings)
         except Exception as exc:  # this pool's own round failed
-            failures[i] = exc
-    return failures
+            state.error, failed = exc, True
+    return failed or len(ran) < len(plans) or len(ran_trips) < len(trips)
 
 
 def _simulate(
-    chain: ChainView, plans: list[tuple[int, Plan]], failures: dict[int, Exception]
-) -> list[tuple[int, Plan, list[SimulationResult]]]:
+    chain: ChainView, plans: list[tuple[PoolScanState, Plan]]
+) -> list[tuple[PoolScanState, Plan, list[SimulationResult]]]:
     """Every plan's bundles through one `run_many`; each plan whose bundles
     all ran, with their results. A plan with a failed bundle records that
-    failure in `failures`, and a failed simulation records its own for
-    every plan."""
+    failure as its state's `error`, and a failed simulation records its
+    own for every plan."""
     try:
         results = run_many(chain, [item for _, planned in plans for item in planned])
     except Exception as exc:  # the shared simulation failed: every plan fails
-        for i, _ in plans:
-            failures[i] = exc
+        for state, _ in plans:
+            state.error = exc
         return []
     done = []
     position = 0
-    for i, planned in plans:
+    for state, planned in plans:
         got = results[position:position + len(planned)]
         position += len(planned)
         for result in got:
             if isinstance(result, Exception):
-                failures[i] = result
+                state.error = result
                 break
         else:
-            done.append((i, planned, got))
+            done.append((state, planned, got))
     return done
 
 
@@ -416,45 +424,43 @@ def scan_cohort(
     """Scan each state's pool orientation over one inclusive block range,
     in lockstep: every window is ingested for all of them at once, and
     each round runs for all of them at once. The states must have
-    ingested the same blocks. Returns, per state, its verdict, or the
-    exception that failed its scan; a failed pool is dropped and the
-    others go on. A range that is not one raises ValueError."""
+    ingested the same blocks. Returns, per state, its verdict, or its
+    `error`: what failed its scan. A failed state is dropped and the
+    others go on; one whose `error` is set on entry is never advanced. A
+    range that is not one raises ValueError."""
     check_range((from_block, to_block))
-    failed: dict[int, Exception] = {}  # id of a failed state -> what failed it
-    cohort = list(states)
-    watches = [state.watch for state in cohort]
-    start = from_block if watches[0].last_ingested is None else watches[0].last_ingested + 1
+    cohort, watches = _unfailed(states)
+    last = watches[0].last_ingested if watches else None
+    start = from_block if last is None else last + 1
     for block in _round_blocks(start, from_block, to_block, settings.interval):
-        failures = ingest_window(watches, chain, block, start)
-        if failures:
-            cohort, watches = _survivors(cohort, failures, failed)
-        failures = run_detection_round(chain, cohort, block, settings)
-        if failures:
-            cohort, watches = _survivors(cohort, failures, failed)
         if not cohort:
             break
+        failures = ingest_window(watches, chain, block, start)
+        if failures:
+            for i, error in failures.items():
+                cohort[i].error = error
+            cohort, watches = _unfailed(cohort)
+        if run_detection_round(chain, cohort, block, settings):
+            cohort, watches = _unfailed(cohort)
         start = block + 1
     results: list[PoolVerdict | Exception] = []
     for state in states:
-        result = failed.get(id(state))
-        if result is None:
+        if state.error is None:
             try:
-                result = classify_pool(state.watch, state.findings.values(), (from_block, to_block))
+                results.append(
+                    classify_pool(state.watch, state.findings.values(), (from_block, to_block))
+                )
+                continue
             except Exception as exc:  # this pool's own verdict failed
-                result = exc
-        results.append(result)
+                state.error = exc
+        results.append(state.error)
     return results
 
 
-def _survivors(
-    cohort: list[PoolScanState], failures: dict[int, Exception], failed: dict[int, Exception]
-) -> tuple[list[PoolScanState], list[PoolWatch]]:
-    """The members of the cohort whose step did not fail, and their
-    watches; each failure is recorded in `failed` by its member's id."""
-    for i, error in failures.items():
-        failed[id(cohort[i])] = error
-    survivors = [state for i, state in enumerate(cohort) if i not in failures]
-    return survivors, [state.watch for state in survivors]
+def _unfailed(states: Sequence[PoolScanState]) -> tuple[list[PoolScanState], list[PoolWatch]]:
+    """The states with no `error`, and their watches."""
+    cohort = [state for state in states if state.error is None]
+    return cohort, [state.watch for state in cohort]
 
 
 @dataclass

@@ -15,14 +15,15 @@ raises BackendUnavailable. `balances_at` sends one `eth_call` per read,
 `simulate_bundles` one `eth_callMany` request per bundle and
 `quotes_exact_in` one quoter `eth_call` per V3 swap, each in one POST;
 `balance_of`, `simulate_bundle` and `quote_exact_in` are the contract's
-views of them. `get_window` sends two: first one `eth_getLogs` over
-every pool address with either swap signature, one over every token with
-Transfer or Approval (an address list and a topic OR-list), and every
-pool's reserves read; then the senders of the window's transfers, each
-transaction looked up once, and the balance reads of any pair whose
-getReserves failed. An oversized log answer is split by block range,
-then by address list, then by topic list, and the halves are sent
-together. `get_swaps`, `get_transfers`, `get_approvals` and
+views of them. `get_window` sends at most two: first one `eth_getLogs`
+over every pool address with either swap signature, one over every token
+with Transfer or Approval (an address list and a topic OR-list), and
+every pool's reserves read; then, when the window logged transfers, the
+senders of their transactions, each looked up once. A pair whose
+getReserves read fails is unknown at the block, as it is on the mock
+chain. An oversized log answer is split by block range, then by address
+list, then by topic list, and the halves are sent together.
+`get_swaps`, `get_transfers`, `get_approvals` and
 `get_reserves` read a window of their own. `get_pool_created` sends one
 `eth_getLogs` over every configured factory with either creation
 signature, and `pool_infos` reads the token0, token1 and fee of every
@@ -462,9 +463,9 @@ class RpcChainView(ChainView):
         tokens: Sequence[Address],
         block_range: tuple[int, int],
     ) -> Window:
-        """Every answer of the window, fetched in two POSTs (see the module
-        docstring) besides one `pool_infos` POST for the pools not yet
-        known, each of which that has no metadata fails alone. A
+        """Every answer of the window, fetched in at most two POSTs (see the
+        module docstring) besides one `pool_infos` POST for the pools not
+        yet known, each of which that has no metadata fails alone. A
         transport failure raises BackendUnavailable. An error answer fails
         only what it answers: a failed log query its addresses, and a
         failed sender lookup the transfers of each token that logged the
@@ -508,38 +509,23 @@ class RpcChainView(ChainView):
                         self.decode_approval,
                     )
 
-        fallback: list[PoolInfo] = []
         position = len(queries)
         for info, requests in zip(infos, reads):
-            reserves = _reserves_value(info, replies[position:position + len(requests)])
+            answers["reserves", info.pool] = _reserves_value(
+                info, replies[position:position + len(requests)]
+            ) or UnknownPool(f"cannot read reserves of {info.pool} at block {hi}")
             position += len(requests)
-            if reserves is None and info.dex_version is DexVersion.V2:
-                fallback.append(info)
-            else:
-                answers["reserves", info.pool] = reserves or UnknownPool(
-                    f"cannot read reserves of {info.pool} at block {hi}"
-                )
 
         hashes = list(dict.fromkeys(
             log.tx_hash for logged in transfer_logs.values() for log in logged
         ))
-        requests = _sender_requests(hashes)
-        for info in fallback:
-            requests += _pair_requests(info, hi)
-        replies = self._batch(requests) if requests else []
-        senders, failed = _senders(hashes, replies)
+        senders, failed = _senders(hashes, self._batch(_sender_requests(hashes)))
         for token, logged in transfer_logs.items():
             answers["transfers", token] = BackendUnavailable(
                 f"transaction sender lookup failed for a transfer of {token}"
             ) if any(log.tx_hash in failed for log in logged) else self._decode_each(
                 logged, lambda log: self.decode_transfer(log, senders.get(log.tx_hash))
             )
-        position = len(hashes)
-        for info in fallback:
-            answers["reserves", info.pool] = _balance_pair(
-                replies[position:position + 2]
-            ) or UnknownPool(f"cannot read reserves of {info.pool} at block {hi}")
-            position += 2
         return _FetchedWindow((lo, hi), answers)
 
     def quotes_exact_in(
@@ -734,7 +720,10 @@ def _bundle_outcomes(response, template: _Template) -> list[CallOutcome]:
 
 def _slot_outcome(chunk: list, swap: bool) -> CallOutcome:
     """One call slot's outcome from its answer items, validated step by
-    step: a swap slot's are its approval's and its swap's."""
+    step: a swap slot's are its approval's and its swap's. An item that is
+    not an object is BackendUnavailable."""
+    if not all(isinstance(item, dict) for item in chunk):
+        raise BackendUnavailable(f"malformed callMany answer item: {chunk!r}")
     if swap:
         approve, item = chunk
         if "error" in approve:
@@ -863,36 +852,27 @@ def _pool_metadata(pool: Address, token0, token1, fee) -> PoolInfo | UnknownPool
                     fee_num=fee_ppm, fee_den=1_000_000)
 
 
-def _pair_requests(info: PoolInfo, block: int) -> list[tuple[str, list]]:
-    """Reads of the pool's balance of each of its tokens."""
-    return [("eth_call", _balance_params(token, info.pool, block))
+def _reserves_requests(info: PoolInfo, block: int) -> list[tuple[str, list]]:
+    """A pair's getReserves read; a pool without one is read by its
+    balance of each of its tokens."""
+    if info.dex_version is DexVersion.V2:
+        return [("eth_call", _call_params(info.pool, abi.encode_get_reserves(), hex(block)))]
+    return [("eth_call", _call_params(token, abi.encode_balance_of(info.pool), hex(block)))
             for token in (info.token_x, info.token_y)]
 
 
-def _reserves_requests(info: PoolInfo, block: int) -> list[tuple[str, list]]:
-    """A pair's getReserves read; a pool without one is read by balances."""
-    if info.dex_version is DexVersion.V2:
-        return [("eth_call", _call_params(info.pool, abi.encode_get_reserves(), hex(block)))]
-    return _pair_requests(info, block)
-
-
 def _reserves_value(info: PoolInfo, answers: list) -> tuple[TokenAmount, TokenAmount] | None:
-    """The reserves from the answers to `_reserves_requests`, or None."""
+    """The reserves from the answers to `_reserves_requests`, or None if
+    a read failed."""
     if info.dex_version is not DexVersion.V2:
-        return _balance_pair(answers)
+        x, y = map(_balance_value, answers)
+        return None if x is None or y is None else (x, y)
     [answer] = answers
     try:
         raw = _answer_bytes(answer)
         return abi.dec_uint(raw, 0), abi.dec_uint(raw, 1)
     except (RpcError, DecodeError):
         return None
-
-
-def _balance_pair(answers: list) -> tuple[TokenAmount, TokenAmount] | None:
-    """Both balances from the answers to `_pair_requests`, or None if
-    either read failed."""
-    x, y = map(_balance_value, answers)
-    return None if x is None or y is None else (x, y)
 
 
 def _answer_bytes(answer) -> bytes:
@@ -904,10 +884,6 @@ def _answer_bytes(answer) -> bytes:
 
 def _call_params(to: Address, data: bytes, block: str) -> list:
     return [{"to": to.hex, "data": abi.bytes_to_hex(data)}, block]
-
-
-def _balance_params(token: Address, holder: Address, block: int) -> list:
-    return _call_params(token, abi.encode_balance_of(holder), hex(block))
 
 
 def _balance_value(answer) -> TokenAmount | None:

@@ -60,6 +60,17 @@ def classify_error(code: int, message: str, data: Any = None) -> RpcError:
     return RpcError(code, message, data)
 
 
+def _item_error(err: Any) -> RpcError:
+    """The error of a response item's `error` member. A member that is not
+    an object, or whose code is not an int, is an error of code -32000
+    with the raw member as its message; an object without a code keeps
+    its message."""
+    code = err.get("code", -32000) if isinstance(err, dict) else None
+    if type(code) is not int:
+        return classify_error(-32000, str(err))
+    return classify_error(code, str(err.get("message", "")), err.get("data"))
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """Connection parameters for one JSON-RPC endpoint."""
@@ -108,20 +119,22 @@ def load_backend_config(path: str | Path) -> dict:
 
 
 class _RateGate:
-    """Simple minimum-interval gate shared across threads."""
+    """Minimum-interval gate shared across threads, charged per request: a
+    POST waits until the requests sent before it have had their share of
+    the rate, and charges its own request count."""
 
     def __init__(self, per_second: float):
         self._interval = 1.0 / per_second if per_second > 0 else 0.0
         self._lock = threading.Lock()
         self._next_at = 0.0
 
-    def wait(self) -> None:
+    def wait(self, requests: int) -> None:
         if not self._interval:
             return
         with self._lock:
             now = time.monotonic()
             delay = self._next_at - now
-            self._next_at = max(now, self._next_at) + self._interval
+            self._next_at = max(now, self._next_at) + self._interval * requests
         if delay > 0:
             time.sleep(delay)
 
@@ -157,7 +170,7 @@ class JsonRpcClient:
     def _send(self, payload: Any) -> Any:
         last_exc: Exception | None = None
         for attempt in range(self.config.retries + 1):
-            self._gate.wait()
+            self._gate.wait(len(payload))
             try:
                 return self._transport(payload)
             except (OSError, ValueError) as exc:  # requests' errors are OSErrors
@@ -198,10 +211,7 @@ class JsonRpcClient:
                 if item is None:
                     results.append(RpcError(-32000, f"missing response for id {rid}"))
                 elif item.get("error") is not None:
-                    err = item["error"]
-                    results.append(classify_error(
-                        int(err.get("code", -32000)), str(err.get("message", "")), err.get("data")
-                    ))
+                    results.append(_item_error(item["error"]))
                 else:
                     results.append(item.get("result"))
         return results

@@ -151,6 +151,16 @@ class TestQueries:
         trace, chain = drain_world
         assert chain.get_reserves(trace.pool.pool, chain.head()) == (0, 0)
 
+    def test_reserves_before_creation_unknown(self, drain_world):
+        """Before its pair exists a pool has no reserves: both backends
+        raise UnknownPool, neither answers (0, 0)."""
+        trace, chain = drain_world
+        created = next(b for b in range(chain.head() + 1) if chain.get_pool_created((0, b)))
+        assert created > 0
+        for block in range(created):
+            with pytest.raises(UnknownPool):
+                chain.get_reserves(trace.pool.pool, block)
+
     def test_unknown_pool_rejected(self, drain_world):
         _, chain = drain_world
         with pytest.raises(UnknownPool):

@@ -798,6 +798,38 @@ class TestCohortScan:
                      and params[0]["fromBlock"] == params[0]["toBlock"]]
         assert any(isinstance(flt["address"], str) for flt in one_block)
 
+    def test_a_failed_state_is_never_advanced(self, world, monkeypatch):
+        """A state whose `error` is set on entry is returned as failed and
+        never advanced: no window asks for its pool, and its watch and
+        standing bundles stay as they were, while the others get their
+        one-pool verdicts. A cohort of failed states asks for nothing."""
+        chain, targets = world
+        asked = []
+        real_get_window = MockChain.get_window
+
+        def recording_get_window(view, pools, tokens, block_range):
+            asked.extend(pools)
+            return real_get_window(view, pools, tokens, block_range)
+
+        monkeypatch.setattr(MockChain, "get_window", recording_get_window)
+        settings = ScanSettings(interval=3)
+        states = [PoolScanState(watch=PoolWatch.create(*target)) for target in targets[:3]]
+        error = states[1].error = RuntimeError("failed before")
+        results = pipeline.scan_cohort(chain, states, 1, chain.head(), settings)
+        assert results[1] is error and states[1].error is error
+        failed = states[1]
+        assert failed.watch.last_ingested is None and not failed.watch.buyers
+        assert (failed.findings, failed.skipped_rounds) == ({}, [])
+        assert (failed.sells, failed.buy_probe, failed.roundtrip) == ({}, None, None)
+        assert asked and targets[1][0].pool not in asked
+        for target, result in zip(targets[::2], results[::2]):
+            expected = scan_pool(chain, *target, 1, chain.head(), settings)
+            assert verdict_to_json_line(result) == verdict_to_json_line(expected)
+
+        asked.clear()
+        assert pipeline.scan_cohort(chain, [failed], 1, chain.head(), settings) == [error]
+        assert asked == []
+
     def test_both_orientations_of_a_pool_share_a_cohort(self, world, monkeypatch):
         """A pool watched from both sides is queried and read once per
         window for both watches, which still get the one-pool lines."""

@@ -37,8 +37,9 @@ from trapscan.rpcbackend import (
     selector,
 )
 from trapscan.chainview import BackendUnavailable, UnknownPool
-from trapscan.rpcbackend import abi, backend as backend_module, keccak
+from trapscan.rpcbackend import abi, backend as backend_module, client as client_module, keccak
 from trapscan.rpcbackend.abi import DecodeError
+from trapscan.rpcbackend.client import NodeLimitError, RpcError
 from trapscan.rpcbackend.backend import _RawLog
 
 OWNER = Address.derive("owner")
@@ -582,6 +583,71 @@ class TestClientRetry:
         with pytest.raises(TransportError):
             client.call_batch([("eth_blockNumber", []), ("eth_blockNumber", [])])
 
+    @pytest.mark.parametrize("member, message", [
+        ("boom", "boom"),
+        ({"code": "x"}, "{'code': 'x'}"),
+        (["nested"], "['nested']"),
+    ])
+    def test_malformed_error_member_is_that_items_rpc_error(self, member, message):
+        """An `error` member that is not an object with an int code fails
+        only its own item, as an RpcError of code -32000."""
+        def transport(payload):
+            first, second = payload
+            return [{"jsonrpc": "2.0", "id": first["id"], "error": member},
+                    {"jsonrpc": "2.0", "id": second["id"], "result": "0x1"}]
+
+        client = JsonRpcClient(EndpointConfig(url="fake://", retries=0), transport=transport)
+        error, answer = client.call_batch([("eth_blockNumber", []), ("eth_blockNumber", [])])
+        assert type(error) is RpcError
+        assert (error.code, error.message) == (-32000, message)
+        assert answer == "0x1"
+
+    def test_error_object_without_a_code_keeps_its_message(self):
+        def transport(payload):
+            return [{"jsonrpc": "2.0", "id": item["id"],
+                     "error": {"message": "query returned more than 10000 results"}}
+                    for item in payload]
+
+        client = JsonRpcClient(EndpointConfig(url="fake://", retries=0), transport=transport)
+        [error] = client.call_batch([("eth_getLogs", [{}])])
+        assert isinstance(error, NodeLimitError)
+        assert (error.code, error.message) == (-32000, "query returned more than 10000 results")
+
+
+class TestRateLimit:
+    def test_each_post_is_charged_its_request_count(self, monkeypatch):
+        """At 10 requests/second, a POST of 50 requests holds the next one
+        back 5 seconds, and that one's 50 the POST after it."""
+        clock, slept = [100.0], []
+
+        def sleep(seconds):
+            slept.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr(client_module.time, "monotonic", lambda: clock[0])
+        monkeypatch.setattr(client_module.time, "sleep", sleep)
+        sizes = []
+
+        def transport(payload):
+            sizes.append(len(payload))
+            return [{"jsonrpc": "2.0", "id": item["id"], "result": "0x1"} for item in payload]
+
+        client = JsonRpcClient(
+            EndpointConfig(url="fake://", retries=0, max_batch=50, rate_limit=10), transport
+        )
+        client.call_batch([("eth_blockNumber", [])] * 150)
+        assert sizes == [50, 50, 50]
+        assert slept == [pytest.approx(5.0)] * 2
+
+    def test_zero_disables_the_gate(self, monkeypatch):
+        monkeypatch.setattr(client_module.time, "sleep", pytest.fail)
+        client = JsonRpcClient(
+            EndpointConfig(url="fake://", retries=0, max_batch=2),
+            lambda payload: [{"jsonrpc": "2.0", "id": item["id"], "result": "0x1"}
+                             for item in payload],
+        )
+        assert client.call_batch([("eth_blockNumber", [])] * 5) == ["0x1"] * 5
+
 
 class TestRequestIds:
     def test_ids_unique_and_consecutive_within_a_post_under_threads(self):
@@ -1107,10 +1173,11 @@ class TestCohortScanCost:
         cohort_windows = windows * -(-len(targets) // cohort)
         assert node.requests.count_method("eth_getLogs") <= 2 * cohort_windows
         assert node.posts <= 5 * cohort_windows
-        # Windows before a pair existed read its token balances too.
+        # Windows before a pair existed read none of its balances: its
+        # failed getReserves leaves it unknown at the block.
         pairs = {info.pool.hex[2:] for info, _ in targets}
         balance_of = abi.bytes_to_hex(abi.SEL_BALANCE_OF)
-        assert any(
+        assert not any(
             method == "eth_call" and params[0]["data"].startswith(balance_of)
             and params[0]["data"][-40:] in pairs
             for method, params in node.requests
