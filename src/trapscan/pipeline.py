@@ -35,11 +35,13 @@ one.
 The scan state holds one round's window and no history. The watch keeps
 only the window's evidence, which the round reads whole, with no
 bisection; each sell result is folded into its subject's running
-CannotSell revert streak and then dropped; only the first finding per
-(trap, subject) is kept; and only the last bundle built for each
-subject stands, for the next round to reuse its calls while the amounts
-hold (see `PoolScanState`). So a round late in a long scan costs what
-an early one does.
+CannotSell revert streak; only the first finding per (trap, subject) is
+kept; and only the last result of each subject stands, for the next
+round to reuse its bundle's calls while the amounts hold, and, while
+it is settled, to get it back from `run_many` in place of a result
+that would repeat it (see `PoolScanState`). Such a result is not judged
+again. Every bundle is still simulated every round. So a round late in
+a long scan costs what an early one does, and a quiet round less.
 
 Findings accumulate into one verdict per pool. A pool whose scan raises
 fails alone: the exception is recorded once, as its state's `error`,
@@ -78,7 +80,7 @@ from .analyzer import (
     threshold_parts,
     verdict_to_json_line,
 )
-from .chainview import BalanceOverrides, ChainView, check_range
+from .chainview import BalanceOverrides, Call, ChainView, check_range
 from .core import Address, PoolInfo, TrapType
 from .monitor import PoolWatch, ingest_block, ingest_window
 from .simulator import (
@@ -98,10 +100,10 @@ from .simulator import (
 # stay importable from here for callers that wrap the pipeline's steps by
 # name, as the benchmark's tracer does.
 
-# A member of `BundleKind` that each result is compared with, as a module
-# name: on CPython 3.11 reading an enum member through its class takes
+# Members of `BundleKind` that each result is compared with, as module
+# names: on CPython 3.11 reading an enum member through its class takes
 # about 15 times as long as reading a global.
-_BUY_PROBE = BundleKind.BUY_PROBE
+_SELL, _BUY_PROBE = BundleKind.SELL, BundleKind.BUY_PROBE
 
 PROBE_FUNDING = 10**30
 # Pools a multi-pool scan runs in one cohort, at most. The benchmark's
@@ -137,12 +139,35 @@ class ScanSettings:
             raise ValueError("workers must be >= 1")
 
 
+@dataclass(slots=True)
+class StandingResult:
+    """A subject's last simulated result, and the threshold parts it is
+    settled under, or None. A result is settled when judging it again
+    would change nothing: its estimate is not 0 and both its balance
+    reads went through, so it records no skip, and it is the probe's, or
+    its sell went through, or its subject's CannotSell streak is
+    complete. Built once per judged result and never mutated."""
+
+    result: SimulationResult
+    settled_under: tuple[int, int] | None
+
+    @property
+    def bundle(self) -> Bundle:
+        return self.result.bundle
+
+    @property
+    def calls(self) -> tuple[Call, ...]:
+        """The calls the subject's next bundle reuses while its amounts hold."""
+        return self.result.bundle.calls
+
+
 @dataclass
 class PoolScanState:
     """Mutable per-pool scan progress; owned by a single worker.
 
-    Simulation results are not kept. Each subject's sell results are
-    folded into its CannotSell revert streak as they arrive. A streak of
+    Only each subject's last simulation result is kept (see below). Each
+    subject's sell results are folded into its CannotSell revert streak
+    as they arrive. A streak of
     `MIN_REVERT_BLOCKS` blocks has produced the subject's finding and is
     not folded again, so no streak grows however long the scan runs.
     `findings` keeps the first finding per (trap, subject); rounds add
@@ -150,11 +175,13 @@ class PoolScanState:
     funded synthetic account, derived once, and `funding` the balance
     override that funds it in every probe and round trip.
 
-    The standing bundles are the last bundle built for each subject: a
-    sell per buyer in `sells`, and the probe account's `buy_probe` and
-    `roundtrip`. Each round hands them back to their builders, which
-    reuse their calls while the amounts hold (see `plan_round`). That is
-    at most `len(watch.buyers) + 2` bundles, however long the scan runs.
+    The standing results are each subject's last simulated result, as a
+    `StandingResult`: a sell per buyer in `sells`, and the probe
+    account's `buy_probe` and `roundtrip`. Each round hands their bundles
+    back to the builders, which reuse their calls while the amounts hold
+    (see `plan_round`), and a settled one to `run_many`, which returns it
+    in place of a result that would repeat it (see `_judge`). That is at
+    most `len(watch.buyers) + 2` records, however long the scan runs.
 
     `error` is the exception that failed the pool's scan, recorded where
     it happened; a state with one is never advanced again.
@@ -164,9 +191,9 @@ class PoolScanState:
     findings: dict[tuple[TrapType, Address], Finding] = field(default_factory=dict)
     revert_streaks: dict[Address, list[int]] = field(default_factory=dict)
     skipped_rounds: list[dict] = field(default_factory=list)
-    sells: dict[Address, Bundle] = field(default_factory=dict)
-    buy_probe: Bundle | None = None
-    roundtrip: Bundle | None = None
+    sells: dict[Address, StandingResult] = field(default_factory=dict)
+    buy_probe: StandingResult | None = None
+    roundtrip: StandingResult | None = None
     error: Exception | None = None
     probe: Address = field(init=False)
     funding: BalanceOverrides = field(init=False)
@@ -179,11 +206,14 @@ class PoolScanState:
         if finding is not None:
             self.findings.setdefault((finding.trap, finding.subject), finding)
 
-    def fold_sell(self, result: SimulationResult) -> None:
-        """Fold a subject's newest sell result into its revert streak."""
+    def fold_sell(self, result: SimulationResult) -> bool:
+        """Fold a subject's newest sell result into its revert streak.
+        Returns whether folding it again would leave the streak as it is:
+        its sell went through, or the streak is complete."""
         streak = self.revert_streaks.setdefault(result.bundle.actor, [])
         if len(streak) < MIN_REVERT_BLOCKS:
             self.add_finding(check_cannot_sell(result, streak))
+        return not result.sell_reverted or len(streak) >= MIN_REVERT_BLOCKS
 
 
 def probe_account_for(pool: PoolInfo) -> Address:
@@ -196,28 +226,71 @@ def _probe_size(watch: PoolWatch) -> int:
     return max(1, (base_reserve * PROBE_NUM) // PROBE_DEN)
 
 
+def _standing(state: PoolScanState, bundle: Bundle) -> StandingResult | None:
+    """The standing result of the bundle's subject, if it has one."""
+    kind = bundle.kind
+    if kind is _SELL:
+        return state.sells.get(bundle.actor)
+    return state.buy_probe if kind is _BUY_PROBE else state.roundtrip
+
+
 def _judge(state: PoolScanState, result: SimulationResult, settings: ScanSettings) -> bool:
     """Record the skip of a result with no estimate, or judge it: the
     probe by `check_invalid_buy`, a sell by `check_invalid_sell` and then
     its subject's revert streak. A result with an unread balance is also
     recorded as a `balance unread` skip: it gives no delivery finding, but
-    its sell still counts in the streak. Returns whether it was judged."""
+    its sell still counts in the streak. Returns whether it was judged.
+
+    A result that is its subject's settled standing result, which
+    `run_many` returned again, was judged when it first stood: it is not
+    judged again, and records nothing. Any other result becomes its
+    subject's standing result, settled or not (see `StandingResult`)."""
     bundle = result.bundle
+    kind = bundle.kind
+    standing = _standing(state, bundle)
+    if standing is not None and standing.result is result:
+        return True
+    settled = False
     if result.estimate == 0:
         state.skipped_rounds.append(
             {"block": bundle.block, "reason": "estimate=0", "subject": bundle.actor.hex}
         )
-        return False
-    if result.balance_delta is None:
-        state.skipped_rounds.append(
-            {"block": bundle.block, "reason": "balance unread", "subject": bundle.actor.hex}
-        )
-    if bundle.kind is _BUY_PROBE:
-        state.add_finding(check_invalid_buy(result, settings.threshold_parts))
     else:
-        state.add_finding(check_invalid_sell(result, settings.threshold_parts))
-        state.fold_sell(result)
-    return True
+        settled = result.balance_delta is not None
+        if not settled:
+            state.skipped_rounds.append(
+                {"block": bundle.block, "reason": "balance unread", "subject": bundle.actor.hex}
+            )
+        if kind is _BUY_PROBE:
+            state.add_finding(check_invalid_buy(result, settings.threshold_parts))
+        else:
+            state.add_finding(check_invalid_sell(result, settings.threshold_parts))
+            settled = state.fold_sell(result) and settled
+    standing = StandingResult(result, settings.threshold_parts if settled else None)
+    if kind is _SELL:
+        state.sells[bundle.actor] = standing
+    elif kind is _BUY_PROBE:
+        state.buy_probe = standing
+    else:
+        state.roundtrip = standing
+    return result.estimate != 0
+
+
+def _previous(standing: StandingResult | None) -> Bundle | None:
+    """The bundle whose calls a subject's next bundle reuses while its
+    amounts hold: its standing result's."""
+    return None if standing is None else standing.bundle
+
+
+def _settled(
+    state: PoolScanState, bundle: Bundle, parts: tuple[int, int]
+) -> SimulationResult | None:
+    """The settled result of the bundle's subject under the threshold
+    `parts`, or None."""
+    standing = _standing(state, bundle)
+    if standing is None or standing.settled_under != parts:
+        return None
+    return standing.result
 
 
 # Bundles to simulate at one block, each with the balances its fork is
@@ -230,9 +303,9 @@ def plan_round(state: PoolScanState, block: int) -> Plan:
     judges them: a sell for each buyer whose balance read at the block is
     positive, in buyer order, then the funded buy probe. It reads the
     watch and nothing from the chain. Each bundle is built from the
-    subject's standing bundle, whose calls it reuses when the amounts
-    held since it was built, and becomes the new standing bundle (see
-    `PoolScanState`). The watch must be liquid."""
+    bundle of the subject's standing result, whose calls it reuses when
+    the amounts held since it was built (see `PoolScanState`). The watch
+    must be liquid."""
     watch = state.watch
     reserves, pool, trap, base = watch.reserves, watch.pool, watch.trap_token, watch.base_token
     sells = state.sells
@@ -241,15 +314,15 @@ def plan_round(state: PoolScanState, block: int) -> Plan:
         held = ledger.snapshots[-1][1]  # read at this block; None or 0 sells nothing
         if held:
             sell = build_sell_bundle(
-                reserves, buyer, pool, trap, held, block, sells.get(buyer), base_token=base
+                reserves, buyer, pool, trap, held, block, _previous(sells.get(buyer)),
+                base_token=base,
             )
-            sells[buyer] = sell
             items.append((sell, None))
-    state.buy_probe = build_buy_probe(
-        reserves, state.probe, pool, trap, _probe_size(watch), block, state.buy_probe,
-        base_token=base,
+    probe = build_buy_probe(
+        reserves, state.probe, pool, trap, _probe_size(watch), block,
+        _previous(state.buy_probe), base_token=base,
     )
-    items.append((state.buy_probe, state.funding))
+    items.append((probe, state.funding))
     return items
 
 
@@ -280,8 +353,8 @@ def _judge_round(
     buyer's reconciliation, then the probe. Every buyer is reconciled; a
     buyer whose balance read at the block reverted gets no sell, and the
     skip is recorded. Returns the round trip to simulate, whose sell is
-    what the probe received, built from the standing round trip and
-    standing in its place, or None when the probe gave nothing to sell."""
+    what the probe received, built from the standing round trip, or None
+    when the probe gave nothing to sell."""
     watch = state.watch
     outcomes = iter(results)
     for buyer, ledger in watch.buyers.items():
@@ -301,12 +374,11 @@ def _judge_round(
     try:
         roundtrip = build_buy_sell_bundle(
             watch.reserves, state.probe, watch.pool, watch.trap_token,
-            probe_bundle.calls[-2].amount_in, probe_result, block, state.roundtrip,
-            base_token=watch.base_token,
+            probe_bundle.calls[-2].amount_in, probe_result, block,
+            _previous(state.roundtrip), base_token=watch.base_token,
         )
     except ProbeFailed:
         return None
-    state.roundtrip = roundtrip
     return [(roundtrip, overrides)]
 
 
@@ -337,7 +409,8 @@ def run_detection_round(
             continue
         if planned:
             plans.append((state, planned))
-    ran = _simulate(chain, plans)
+    parts = settings.threshold_parts
+    ran = _simulate(chain, plans, parts)
     trips: list[tuple[PoolScanState, Plan]] = []
     for state, planned, results in ran:
         try:
@@ -347,7 +420,7 @@ def run_detection_round(
             continue
         if trip:
             trips.append((state, trip))
-    ran_trips = _simulate(chain, trips)
+    ran_trips = _simulate(chain, trips, parts)
     for state, _, (result,) in ran_trips:
         try:
             _judge(state, result, settings)
@@ -357,14 +430,19 @@ def run_detection_round(
 
 
 def _simulate(
-    chain: ChainView, plans: list[tuple[PoolScanState, Plan]]
+    chain: ChainView, plans: list[tuple[PoolScanState, Plan]], parts: tuple[int, int]
 ) -> list[tuple[PoolScanState, Plan, list[SimulationResult]]]:
-    """Every plan's bundles through one `run_many`; each plan whose bundles
+    """Every plan's bundles through one `run_many`, each with its subject's
+    result settled under the threshold `parts`; each plan whose bundles
     all ran, with their results. A plan with a failed bundle records that
     failure as its state's `error`, and a failed simulation records its
     own for every plan."""
     try:
-        results = run_many(chain, [item for _, planned in plans for item in planned])
+        results = run_many(
+            chain,
+            [item for _, planned in plans for item in planned],
+            [_settled(state, bundle, parts) for state, planned in plans for bundle, _ in planned],
+        )
     except Exception as exc:  # the shared simulation failed: every plan fails
         for state, _ in plans:
             state.error = exc

@@ -38,7 +38,10 @@ template's transaction dicts and adds the block and the funding
 overrides. Each answer is decoded in one pass over its items: a
 well-formed balance word or `uint256[]` swap return is read straight
 from its hex, and any other item goes to the validating decoder
-(`_slot_outcome`). A balance read's calldata is likewise encoded once
+(`_slot_outcome`). A template also keeps its last answer whose every
+item was read straight from the hex, with its outcomes, and an equal
+answer gets those outcomes again, undecoded; like the template, it
+belongs to its view. A balance read's calldata is likewise encoded once
 per (token, holder).
 
 Pinned callMany request shape (positional), one bundle per request:
@@ -158,13 +161,19 @@ class _Template:
     """One call tuple's `eth_callMany` request, encoded once. A swap slot
     carries a router approval first; its answer is folded into the
     slot's outcome. The transaction dicts are never sent or changed:
-    every request sends copies."""
+    every request sends copies.
+
+    `last` is the template's last plain answer, one whose every slot was
+    read straight from the hex, with its outcomes: an equal answer has
+    the same outcomes (see `_bundle_outcomes`). It is replaced whole, so
+    a concurrent reader sees an answer with its own outcomes."""
 
     txs: tuple[dict[str, str], ...]
     # (index of the answer item that gives the slot's value, is a swap)
     # per call: a swap's approval answers at the index before.
     slots: tuple[tuple[int, bool], ...]
     senders: tuple[str, ...]  # the callers, in call order, each once
+    last: tuple[list, tuple[CallOutcome, ...]] | None = None
 
 
 class RpcChainView(ChainView):
@@ -684,12 +693,21 @@ def _bundle_outcomes(response, template: _Template) -> list[CallOutcome]:
     one is BackendUnavailable. A slot whose items carry no error and
     whose value is a well-formed balance word, or a uint256[] at offset
     32 of exactly its length, is read straight from the hex; every other
-    slot gets `_slot_outcome`'s answer, which is the same for those."""
+    slot gets `_slot_outcome`'s answer, which is the same for those.
+
+    An answer equal to the template's `last` gets its outcomes again,
+    undecoded. Only a plain answer, every slot read straight from the
+    hex, is kept: its values are strings, so an equal answer holds the
+    same strings. An error item is not kept, since equal error objects
+    can word their revert reasons apart (a `message` of 1 and of True)."""
     if isinstance(response, RpcError):
         raise response
     if not isinstance(response, list) or not response:
         raise BackendUnavailable(f"unexpected callMany response: {response!r}")
     results = response[0]
+    last = template.last
+    if last is not None and results == last[0]:
+        return list(last[1])
     expected = len(template.txs)
     if not isinstance(results, list) or len(results) != expected:
         raise BackendUnavailable(
@@ -697,6 +715,7 @@ def _bundle_outcomes(response, template: _Template) -> list[CallOutcome]:
             f" results, expected {expected}"
         )
     outcomes: list[CallOutcome] = []
+    plain = True
     for at, swap in template.slots:
         item = results[at]
         value = item.get("value") if type(item) is dict and "error" not in item else None
@@ -715,6 +734,9 @@ def _bundle_outcomes(response, template: _Template) -> list[CallOutcome]:
                     )
                     continue
         outcomes.append(_slot_outcome(results[at - swap:at + 1], swap))
+        plain = False
+    if plain:
+        template.last = (results, tuple(outcomes))
     return outcomes
 
 

@@ -36,13 +36,25 @@ exactly the calls the builder would make: the same actor, pool, token
 pair and swap amount, checked field by field, and for a round trip the
 same lead buy. A round trip whose buy amount held but whose sell did
 not still reuses its buy call. Every bundle is new, with its own block
-and reserves, so pricing and evidence never come from an earlier round.
+and reserves, and is simulated in its own round.
 A reused tuple is the same object, so the mock chain's memo finds it by
 identity, hashing no call, and the RPC backend's template memo finds it
 in one dict read that compares no call, the key being the same object;
 its calls' hashes were computed when they were built. A scan also passes
 each builder `base_token`, the orientation its `PoolWatch` holds, so no
 builder re-derives it from the pool (see `pool_sides`).
+
+Most of a scan's rounds also repeat their subjects' answers, so
+`run_many` takes each item's settled result, or None: the last result
+of the item's subject, which the pipeline judged and which judging
+again would not change (see `pipeline.StandingResult`). An item whose
+bundle has the settled result's call tuple, as the same object, and
+whose backend answer repeats it (equal outcomes, and no quote with
+equal reserves, or a quote equal to its estimate) gets that very result
+back, neither packaged nor estimated. The pipeline does not judge it
+again, so its evidence stays that of its own round: a result is never
+judged at a block other than its own. Any other answer is packaged
+into a new result.
 
 `Bundle` and `SimulationResult`, like the calls and outcomes they hold,
 are built once and never mutated, but are not frozen: building the
@@ -61,6 +73,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .chainview import (
     BalanceOfCall,
@@ -70,7 +83,7 @@ from .chainview import (
     ChainView,
     SwapExactInCall,
 )
-from .core import Address, PoolInfo, TokenAmount, check_amount
+from .core import Address, DexVersion, PoolInfo, TokenAmount, check_amount
 
 
 class SimulatorError(Exception):
@@ -125,6 +138,7 @@ class BundleKind(Enum):
 # on CPython 3.11 reading a member through its class takes about 15
 # times as long as reading a global.
 _SELL, _BUY_PROBE, _BUY_SELL = BundleKind.SELL, BundleKind.BUY_PROBE, BundleKind.BUY_SELL
+_V2 = DexVersion.V2
 
 
 @dataclass(slots=True)
@@ -348,7 +362,9 @@ def run(
 
 
 def run_many(
-    chain: ChainView, items: Sequence[tuple[Bundle, BalanceOverrides | None]]
+    chain: ChainView,
+    items: Sequence[tuple[Bundle, BalanceOverrides | None]],
+    settled: Sequence[SimulationResult | None] | None = None,
 ) -> list[SimulationResult | Exception]:
     """Each `(bundle, balance_overrides)` run on its own fork, in order,
     through one `simulate_bundles` call at the first bundle's block (the
@@ -356,7 +372,11 @@ def run_many(
     with its estimate: the backend's quote if it gives one, asked for
     every bundle that ran through one `quotes_exact_in` call, else the
     constant-product output from the bundle's reserves. A bundle whose
-    simulation failed gets the backend's exception in place of its result."""
+    simulation failed gets the backend's exception in place of its result.
+
+    `settled` holds, per item, the settled result of its subject, or
+    None (see the module docstring). An item whose bundle repeats its
+    settled result gets that very result back, unpackaged (`_repeats`)."""
     if not items:
         return []
     block = items[0][0].block
@@ -369,11 +389,38 @@ def run_many(
             swap = bundle.calls[-2]
             swaps.append((bundle.pool, swap.token_in, swap.amount_in))
     quotes = iter(chain.quotes_exact_in(swaps, block))
-    return [
-        outcomes if isinstance(outcomes, Exception)
-        else _package(bundle, outcomes, _estimate_for(bundle, next(quotes)))
-        for (bundle, _), outcomes in zip(items, answers)
-    ]
+    results: list[SimulationResult | Exception] = []
+    for (bundle, _), outcomes, was in zip(items, answers, settled or repeat(None)):
+        if isinstance(outcomes, Exception):
+            results.append(outcomes)
+            continue
+        quoted = next(quotes)
+        if was is not None and _repeats(bundle, outcomes, quoted, was):
+            results.append(was)
+        else:
+            results.append(_package(bundle, outcomes, _estimate_for(bundle, quoted)))
+    return results
+
+
+def _repeats(
+    bundle: Bundle, outcomes: Sequence[CallOutcome], quoted: TokenAmount | None,
+    was: SimulationResult,
+) -> bool:
+    """Whether `bundle`, answered with `outcomes` and `quoted`, would be
+    packaged into a result that `was` stands for: the same call tuple, as
+    the same object, equal outcomes and the same estimate. A quote is
+    compared with `was`'s estimate. Without one, equal reserves give the
+    formula's estimate again, which is `was`'s unless `was` was quoted;
+    only a V3 pool is ever quoted (see `ChainView.quotes_exact_in`), so
+    for one the formula's output is worked out and compared."""
+    old = was.bundle
+    if bundle.calls is not old.calls or was.outcomes != tuple(outcomes):
+        return False
+    if quoted is not None:
+        return quoted == was.estimate
+    return bundle.reserves == old.reserves and (
+        bundle.pool.dex_version is _V2 or _estimate_for(bundle, None) == was.estimate
+    )
 
 
 def _package(

@@ -41,6 +41,7 @@ from trapscan.pipeline import (
     PoolScanState,
     ScanSettings,
     ScanSummary,
+    StandingResult,
     read_checkpoint,
     scan_pool,
     scan_pools,
@@ -362,6 +363,8 @@ class TestStandingBundles:
                 assert reused == same_sell
                 if same_buy:
                     assert roundtrip.calls[0] is trip_before.calls[0]
+                # A round trip stands once its result is judged.
+                pipeline._judge(state, _sim_result(roundtrip, 0, 50), ScanSettings())
             assert len(state.sells) <= len(watch.buyers)
 
 
@@ -391,10 +394,11 @@ class TestBoundedState:
             assert verdict.traps == trace.ground_truth
             assert len(state.watch.buyers) == 3
             held = [value for name, value in vars(state).items() if name != "watch"]
-            assert not any(isinstance(v, SimulationResult) for v in _held_values(held))
-            # The standing bundles: one sell per buyer, the probe, the round trip.
-            standing = [v for v in _held_values(held) if isinstance(v, Bundle)]
+            # The standing results: one sell per buyer, the probe, the round
+            # trip. No other result or bundle is held.
+            standing = [v for v in _held_values(held) if isinstance(v, StandingResult)]
             assert 0 < len(standing) <= len(state.watch.buyers) + 2
+            assert not any(isinstance(v, (SimulationResult, Bundle)) for v in _held_values(held))
             assert all(len(s) <= MIN_REVERT_BLOCKS for s in state.revert_streaks.values())
             # No round skipped a buyer: each buyer's windows run without a
             # hole from the block it was first seen to the end of the scan.

@@ -8,23 +8,34 @@ docstring). Their immutability is checked here instead: a write-once
 generated `__init__` passes and any later assignment raises. With the
 guard on, the corpus that `test_sim_verdicts.py` pins is scanned on the
 mock chain and through the RPC backend over the fake node, and every
-verdict must have its pinned digest. The mock chain's bundle memo hands
+verdict must have its pinned digest. A 300-block quiet scan, most of
+whose results `run_many` returns again, is scanned the same way, and the
+two backends must agree on its verdict. The mock chain's bundle memo hands
 one outcome object to every bundle it answers, and both backends' memos
 key on calls, so a record changed after construction would show up in a
 later bundle's verdict.
 """
 
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 
+from conftest import run_simple
 from fake_node import FakeNode
 from test_sim_verdicts import INTERVALS, PINNED, digest
 from trapscan.analyzer import verdict_to_json_line
 from trapscan.chainview import BalanceOfCall, CallOutcome, CallStatus, SwapExactInCall
 from trapscan.core import Address, PoolInfo
 from trapscan.corpus import gen_corpus
-from trapscan.mockchain import load_scenario, run_attack_script
+from trapscan.mockchain import (
+    DelayedSellTax,
+    Honest,
+    SwitchTrigger,
+    Wait,
+    load_scenario,
+    run_attack_script,
+)
 from trapscan.pipeline import ScanSettings, scan_pool
 from trapscan.rpcbackend import EndpointConfig, RpcChainView
 from trapscan.simulator import Bundle, BundleKind, SimulationResult
@@ -123,3 +134,22 @@ def test_pinned_verdicts_with_the_guard_on(tmp_path, write_once, backend):
             if digest(_line(verdict)) != pinned:
                 moved.append((path.name, interval))
     assert moved == []
+
+
+@pytest.mark.parametrize("behavior", [
+    Honest(Fraction(0)), DelayedSellTax(Fraction(9, 10), trigger=SwitchTrigger.at_block(250)),
+], ids=["honest", "delayed_sell_tax"])
+def test_a_long_quiet_scan_with_the_guard_on(write_once, behavior):
+    """A 300-block scan whose rounds mostly repeat the last, so `run_many`
+    returns nearly every result again, runs under the guard on both
+    backends, and they agree on its verdict at intervals 1 and 7."""
+    trace = run_simple(behavior, victims=2, extra=(Wait(300),))
+    assert trace.final_block > 300
+    for interval in (1, 7):
+        lines = []
+        for chain in (trace.chain, _rpc(trace)):
+            verdict = scan_pool(chain, trace.pool, trace.trap_token, 1, trace.final_block,
+                                ScanSettings(interval=interval))
+            assert verdict.traps == trace.ground_truth
+            lines.append(_line(verdict))
+        assert lines[0] == lines[1]

@@ -13,6 +13,7 @@ the corpus whose sim verdicts `test_sim_verdicts.py` pins, at intervals
 Re-record it only for a change that is meant to alter the requests.
 """
 
+import copy
 import hashlib
 import json
 from fractions import Fraction
@@ -111,13 +112,14 @@ def reference_outcomes(results: list) -> list[CallOutcome]:
 
 class Canned:
     """A view over the fake node whose every `eth_callMany` is answered
-    with `result` instead of the node's answer."""
+    with `result` instead of the node's answer, or with the error object
+    `error` when one is set."""
 
     def __init__(self):
         self.trace = run_simple(Honest(Fraction(0)))
         self.node = FakeNode(chain=self.trace.chain)
         self.rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=self)
-        self.result = None
+        self.result = self.error = None
         self.calls = (
             BalanceOfCall(caller=PROBE, token=self.trace.base_token, holder=PROBE),
             SwapExactInCall(
@@ -131,12 +133,16 @@ class Canned:
         response = self.node(payload)
         for request, answer in zip(payload, response):
             if request["method"] == "eth_callMany":
-                answer["result"] = self.result
+                if self.error is None:
+                    answer["result"] = self.result
+                else:
+                    del answer["result"]
+                    answer["error"] = self.error
         return response
 
-    def outcomes(self, result):
+    def outcomes(self, result, error=None):
         """The bundle's outcomes, or the exception that took their place."""
-        self.result = result
+        self.result, self.error = result, error
         [answer] = self.rpc.simulate_bundles(self.trace.chain.head(), [(self.calls, None)])
         return answer
 
@@ -243,31 +249,89 @@ class TestCallManyAnswers:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_answers_decode_like_the_reference(self, canned, data):
-        hex_text = st.text(alphabet="0123456789abcdefABCDEF_ ", max_size=200)
-        words = st.lists(st.integers(0, 2**256 - 1), max_size=4)
-        value = st.one_of(
-            st.integers(0, 2**256 - 1).map(lambda n: "0x" + word(n)),
-            words.map(lambda amounts: swap_return(*amounts)),
-            st.builds(lambda offset, amounts: swap_return(*amounts, offset=offset),
-                      st.integers(0, 200), words),
-            hex_text.map(lambda body: "0x" + body),
-            st.text(max_size=80),
-            st.none(),
-            st.integers(),
-        )
-        error = st.one_of(
-            st.builds(lambda m: {"code": 3, "message": m}, st.text(max_size=20)),
-            st.builds(lambda d: {"data": d}, st.text(max_size=20)),
-            st.text(max_size=20),
-            st.just({}),
-        )
-        item = st.one_of(
-            st.builds(lambda v: {"value": v}, value),
-            st.builds(lambda e: {"error": e}, error),
-            st.just({}),
-        )
-        results = data.draw(st.lists(item, min_size=4, max_size=4))
+        results = data.draw(RESULTS)
         assert canned.outcomes([results]) == reference_outcomes(results)
+
+
+_HEX_TEXT = st.text(alphabet="0123456789abcdefABCDEF_ ", max_size=200)
+_WORDS = st.lists(st.integers(0, 2**256 - 1), max_size=4)
+_VALUE = st.one_of(
+    st.integers(0, 2**256 - 1).map(lambda n: "0x" + word(n)),
+    _WORDS.map(lambda amounts: swap_return(*amounts)),
+    st.builds(lambda offset, amounts: swap_return(*amounts, offset=offset),
+              st.integers(0, 200), _WORDS),
+    _HEX_TEXT.map(lambda body: "0x" + body),
+    st.text(max_size=80),
+    st.none(),
+    st.integers(),
+)
+_ERROR = st.one_of(
+    st.builds(lambda m: {"code": 3, "message": m}, st.text(max_size=20)),
+    st.builds(lambda d: {"data": d}, st.text(max_size=20)),
+    st.text(max_size=20),
+    st.just({}),
+)
+_ITEM = st.one_of(
+    st.builds(lambda v: {"value": v}, _VALUE),
+    st.builds(lambda e: {"error": e}, _ERROR),
+    st.just({}),
+)
+# The result items of one answer to `Canned.calls`.
+RESULTS = st.lists(_ITEM, min_size=4, max_size=4)
+WELL_FORMED = [{"value": "0x" + word(7)}, {"value": "0x" + word(1)},
+               {"value": swap_return(0, 5)}, {"value": "0x" + word(9)}]
+
+
+class TestRepeatedAnswers:
+    """A template keeps its last answer whose every slot was read straight
+    from the hex, and an equal answer gets its outcomes again."""
+
+    def test_a_repeat_gets_the_kept_outcomes(self, canned):
+        first = canned.outcomes([WELL_FORMED])
+        again = canned.outcomes([copy.deepcopy(WELL_FORMED)])
+        assert again == first == [success(7), success(5), success(9)]
+        assert all(a is b for a, b in zip(again, first))
+        assert again is not first
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_answers_after_answers_decode_like_the_reference(self, canned, data):
+        """Each of a run of answers, some repeating the one before, decodes
+        as the reference does."""
+        results = data.draw(RESULTS)
+        for _ in range(3):
+            assert canned.outcomes([results]) == reference_outcomes(results)
+            if not data.draw(st.booleans()):
+                results = data.draw(RESULTS)
+            results = copy.deepcopy(results)
+
+    @pytest.mark.parametrize("first, then, expected", [
+        ({"error": {"message": 1}}, {"error": {"message": True}}, revert("True")),
+        ({"value": 5}, {"value": 5.0}, revert("bad balance payload: 5.0")),
+        ({"error": {"code": 3, "data": ""}}, {"error": {"data": "", "code": 3}},
+         revert("{'data': '', 'code': 3}")),
+    ])
+    def test_equal_answers_that_decode_apart_are_decoded(self, canned, first, then, expected):
+        """Answers equal as JSON values can still word a revert apart; one
+        whose slot is not read straight from the hex is never kept."""
+        assert first == then
+        canned.outcomes([[first, *WELL_FORMED[1:]]])
+        assert canned.outcomes([[then, *WELL_FORMED[1:]]])[0] == expected
+
+    def test_error_and_malformed_answers_are_never_kept(self, canned):
+        good = canned.outcomes([WELL_FORMED])
+        got = canned.outcomes(None, error={"code": -32000, "message": "boom"})
+        assert isinstance(got, RpcError)
+        again = canned.outcomes([copy.deepcopy(WELL_FORMED)])
+        assert again == good and all(a is b for a, b in zip(again, good))
+        for _ in range(2):
+            got = canned.outcomes([WELL_FORMED[:3]])
+            assert isinstance(got, BackendUnavailable)
+            assert str(got) == "callMany returned 3 results, expected 4"
+        reverting = [*WELL_FORMED[:2], {"error": {"message": "tax"}}, WELL_FORMED[3]]
+        for _ in range(2):
+            assert canned.outcomes([reverting]) == reference_outcomes(reverting)
+        assert canned.outcomes([WELL_FORMED]) == good
 
 
 # ----------------------------------------------------------------------
