@@ -33,7 +33,7 @@ def main():
             trace = run_attack_script(scenario.script, scenario.seed)
             verdict = scan_pool(trace.chain, trace.pool, trace.trap_token,
                                 1, trace.final_block)
-            summary.add(verdict)
+            summary.count(trap.value for trap in verdict.traps)
             if verdict.traps == set(trace.ground_truth):
                 matches += 1
 

@@ -11,9 +11,8 @@ last block; `balances_at` reads many balances, and `simulate_bundles`
 runs many bundles. A backend may answer each in one round trip (the
 logs and reserves of a window in one, plus one for the senders of its
 transfers). A backend implements only the batched reads and
-simulations: `balance_of`, `simulate_bundle` and `quote_exact_in` are
-defined here, once, as a batch of one, so each backend has one path for
-each.
+simulations: `balance_of` and `simulate_bundle` are defined here, once,
+as a batch of one, so each backend has one path for each.
 
 The per-bundle records, `BalanceOfCall`, `SwapExactInCall` and
 `CallOutcome` here and `Bundle` and `SimulationResult` in the simulator,
@@ -39,7 +38,9 @@ after construction fails there.
 
 The seam carries only what a detector can observe. A balance read is a
 plain `TokenAmount`, or None when the read reverted, so every caller has
-to decide what a missing read means. An event record is one log the
+to decide what a missing read means. A simulated swap reports only
+whether it went through: no predicate reads its return, and the
+fee-on-transfer router functions return nothing. An event record is one log the
 chain emitted, with the number of the block that holds it; a balance
 movement that emitted no event has no record.
 """
@@ -215,13 +216,13 @@ _SUCCESS, _REVERT = CallStatus.SUCCESS, CallStatus.REVERT
 
 @dataclass(slots=True)
 class CallOutcome:
-    """Result of one bundle call: its status, and the revert reason or the
-    value it returned.
+    """Result of one bundle call: its status, and the revert reason or, for
+    a balance read, the balance it read. A swap carries no value.
 
     A reverted call leaves no state change behind for the calls after it.
     Every outcome comes from a bundle whose calls ran in order on one fork;
     a backend that cannot do that raises instead. Event records are never
-    reported here: what a bundle did shows in its calls' return values.
+    reported here: what a bundle did shows in its balance reads.
     Never mutated once built: the mock chain hands one outcome to every
     bundle it answers from its memo (see the module docstring).
     """
@@ -378,8 +379,3 @@ class ChainView(ABC):
         """
         return [None] * len(items)
 
-    def quote_exact_in(
-        self, pool: PoolInfo, token_in: Address, amount_in: TokenAmount, block: int
-    ) -> TokenAmount | None:
-        """`quotes_exact_in` of one swap."""
-        return self.quotes_exact_in([(pool, token_in, amount_in)], block)[0]

@@ -220,7 +220,7 @@ def _scan_sim(args) -> int:
             summary.failures += 1
             continue
         lines.append(verdict_to_json_line(verdict))
-        summary.add(verdict)
+        summary.count(trap.value for trap in verdict.traps)
     return _report(lines, summary, args)
 
 

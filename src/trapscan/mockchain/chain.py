@@ -792,6 +792,8 @@ class MockChain(ChainView):
         return outcomes
 
     def _exec_call(self, call: Call, ov: _Overlay) -> TokenAmount | None:
+        """Run a bundle call on the fork: a balance read gives the balance,
+        and a swap no value, only that it went through (see `CallOutcome`)."""
         if isinstance(call, BalanceOfCall):
             if call.token not in self._tokens:
                 raise _Revert(f"unknown token: {call.token}")
@@ -803,5 +805,5 @@ class MockChain(ChainView):
             )
             if out < call.min_out:
                 raise _Revert("swap: insufficient output")
-            return out
+            return None
         raise _Revert(f"unsupported call: {call!r}")

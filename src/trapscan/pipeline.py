@@ -551,22 +551,14 @@ class ScanSummary:
     per_trap: dict[str, int] = field(default_factory=dict)
     failures: int = 0
 
-    def add(self, verdict: PoolVerdict) -> None:
+    def count(self, traps: Iterable[str]) -> None:
+        """Count one scanned pool by the names of its traps (`TrapType`
+        values, as a verdict line lists them), none for a clean pool."""
+        names = tuple(traps)
         self.scanned += 1
-        if verdict.is_flagged:
-            self.flagged += 1
-        for trap in verdict.traps:
-            self.per_trap[trap.value] = self.per_trap.get(trap.value, 0) + 1
-
-    def add_line(self, line: str) -> None:
-        """Count an already-serialized verdict (checkpoint resume path)."""
-        obj = json.loads(line)
-        self.scanned += 1
-        traps = obj.get("traps", [])
-        if traps:
-            self.flagged += 1
-        for trap in traps:
-            self.per_trap[trap] = self.per_trap.get(trap, 0) + 1
+        self.flagged += bool(names)
+        for name in names:
+            self.per_trap[name] = self.per_trap.get(name, 0) + 1
 
     def total_line(self) -> str:
         return f"{self.flagged}/{self.scanned}"
@@ -643,7 +635,7 @@ def scan_pools(
                 summary.failures += 1
                 continue
             verdicts.append(result)
-            summary.add(result)
+            summary.count(trap.value for trap in result.traps)
     return verdicts, summary
 
 
@@ -737,7 +729,7 @@ def scan_pools_resumable(
     lines: list[str | None] = [done.get(key) for key in keys]
     for line in lines:
         if line is not None:
-            summary.add_line(line)
+            summary.count(json.loads(line).get("traps", ()))
     pending = [idx for idx, line in enumerate(lines) if line is None]
     for cohort in _scan_each(chain, targets, pending, from_block, to_block, settings):
         records: list[tuple[str, str]] = []
@@ -747,7 +739,7 @@ def scan_pools_resumable(
                 continue
             line = verdict_to_json_line(result)
             lines[idx] = line
-            summary.add(result)
+            summary.count(trap.value for trap in result.traps)
             records.append((keys[idx], line))
         if checkpoint_path and records:
             write_checkpoint(checkpoint_path, records)

@@ -205,16 +205,6 @@ def encode_quote_exact_input_single(
     )
 
 
-def decode_uint_array(data: bytes) -> list[int]:
-    """ABI-decode a single dynamic uint256[] return value."""
-    offset = dec_uint(data, 0)
-    if offset % 32:
-        raise DecodeError("misaligned array offset")
-    base = offset // 32
-    length = dec_uint(data, base)
-    return [dec_uint(data, base + 1 + i) for i in range(length)]
-
-
 # Probe accounts are few and reused every round, so the memo stays small;
 # the bound keeps it flat however many pools a scan covers.
 BALANCE_SLOT_CACHE_SIZE = 4096

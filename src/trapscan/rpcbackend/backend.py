@@ -14,8 +14,8 @@ requests), a lone request as a batch of one, and a transport failure
 raises BackendUnavailable. `balances_at` sends one `eth_call` per read,
 `simulate_bundles` one `eth_callMany` request per bundle and
 `quotes_exact_in` one quoter `eth_call` per V3 swap, each in one POST;
-`balance_of`, `simulate_bundle` and `quote_exact_in` are the contract's
-views of them. `get_window` sends at most two: first one `eth_getLogs`
+`balance_of` and `simulate_bundle` are the contract's views of the
+first two. `get_window` sends at most two: first one `eth_getLogs`
 over every pool address with either swap signature, one over every token
 with Transfer or Approval (an address list and a topic OR-list), and
 every pool's reserves read; then, when the window logged transfers, the
@@ -35,14 +35,14 @@ each subject's call tuple back while its amounts hold. So each distinct
 call tuple is encoded once per view into a template (see `_Template`):
 its transactions, its slot layout and its senders. A request copies the
 template's transaction dicts and adds the block and the funding
-overrides. Each answer is decoded in one pass over its items: a
-well-formed balance word or `uint256[]` swap return is read straight
-from its hex, and any other item goes to the validating decoder
-(`_slot_outcome`). A template also keeps its last answer whose every
-item was read straight from the hex, with its outcomes, and an equal
-answer gets those outcomes again, undecoded; like the template, it
-belongs to its view. A balance read's calldata is likewise encoded once
-per (token, holder).
+overrides. One function decodes each answer (`_bundle_outcomes`): a
+balance slot gets the word its item holds, and a swap slot only
+whether its approval and its swap went through, since no predicate
+reads what a swap returns. A template also keeps its last answer whose
+outcomes were read from strings alone, with those outcomes, and an
+equal answer gets them again, undecoded; like the template, it belongs
+to its view. A balance read's calldata is likewise encoded once per
+(token, holder).
 
 Pinned callMany request shape (positional), one bundle per request:
 
@@ -56,7 +56,6 @@ bundle.
 
 from __future__ import annotations
 
-import re
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -108,10 +107,6 @@ DEFAULT_BALANCE_SLOT = 3  # canonical wrapped-native token layout
 # Bundle templates, and balance reads' calldata, memoised per view.
 CALL_CACHE_SIZE = 4096
 
-# What `_bundle_outcomes` reads straight from the hex: a balance word, and
-# a uint256[] return at offset 32 (a length word, then the elements).
-_WORD = re.compile(r"0x[0-9a-fA-F]{64}")
-_UINT_ARRAY = re.compile(r"0x0{62}20(?:[0-9a-fA-F]{64})+")
 # As a module name: on CPython 3.11 reading an enum member through its
 # class takes about 15 times as long as reading a global.
 _SUCCESS = CallStatus.SUCCESS
@@ -163,13 +158,14 @@ class _Template:
     slot's outcome. The transaction dicts are never sent or changed:
     every request sends copies.
 
-    `last` is the template's last plain answer, one whose every slot was
-    read straight from the hex, with its outcomes: an equal answer has
-    the same outcomes (see `_bundle_outcomes`). It is replaced whole, so
-    a concurrent reader sees an answer with its own outcomes."""
+    `last` is the template's last answer whose outcomes were read from
+    strings alone, with those outcomes: an equal answer has the same
+    outcomes (see `_bundle_outcomes`). A reverted sell is kept like a
+    success. It is replaced whole, so a concurrent reader sees an answer
+    with its own outcomes."""
 
     txs: tuple[dict[str, str], ...]
-    # (index of the answer item that gives the slot's value, is a swap)
+    # (index of the answer item that gives the slot's outcome, is a swap)
     # per call: a swap's approval answers at the index before.
     slots: tuple[tuple[int, bool], ...]
     senders: tuple[str, ...]  # the callers, in call order, each once
@@ -688,18 +684,24 @@ class RpcChainView(ChainView):
 
 
 def _bundle_outcomes(response, template: _Template) -> list[CallOutcome]:
-    """One outcome per call slot from a bundle's `eth_callMany` answer, in
-    one pass over its items; an error answer is raised, and a malformed
-    one is BackendUnavailable. A slot whose items carry no error and
-    whose value is a well-formed balance word, or a uint256[] at offset
-    32 of exactly its length, is read straight from the hex; every other
-    slot gets `_slot_outcome`'s answer, which is the same for those.
+    """One outcome per call slot from a bundle's `eth_callMany` answer; an
+    error answer is raised, and a malformed one, or an answer item that is
+    not an object, is BackendUnavailable.
+
+    An error item reverts its slot with its text, a swap slot's approval
+    as "approve failed: <text>". A balance slot is otherwise the word its
+    `value` holds, or a "bad balance payload" revert. A swap slot is
+    otherwise a success with no value, whatever data it returned: no
+    predicate reads a swap's return, which the fee-on-transfer router
+    functions leave empty.
 
     An answer equal to the template's `last` gets its outcomes again,
-    undecoded. Only a plain answer, every slot read straight from the
-    hex, is kept: its values are strings, so an equal answer holds the
-    same strings. An error item is not kept, since equal error objects
-    can word their revert reasons apart (a `message` of 1 and of True)."""
+    undecoded. An answer is kept when its outcomes were read from strings
+    alone: every balance `value` a string, and every error text the error
+    itself, its `message` or its `data` as a string. An equal answer then
+    holds the same strings. Equal error objects whose text comes from
+    anything else can word it apart (a `message` of 1 and of True), so
+    they are decoded each time."""
     if isinstance(response, RpcError):
         raise response
     if not isinstance(response, list) or not response:
@@ -715,56 +717,32 @@ def _bundle_outcomes(response, template: _Template) -> list[CallOutcome]:
             f" results, expected {expected}"
         )
     outcomes: list[CallOutcome] = []
-    plain = True
+    keep = True
     for at, swap in template.slots:
-        item = results[at]
-        value = item.get("value") if type(item) is dict and "error" not in item else None
-        if type(value) is str:
-            if not swap:
-                if _WORD.fullmatch(value):
-                    outcomes.append(CallOutcome(_SUCCESS, None, int(value, 16)))
-                    continue
-            elif _UINT_ARRAY.fullmatch(value):
-                approve = results[at - 1]
-                length = int(value[66:130], 16)
-                if (type(approve) is dict and "error" not in approve
-                        and len(value) == 130 + 64 * length):
-                    outcomes.append(
-                        CallOutcome(_SUCCESS, None, int(value[-64:], 16) if length else 0)
-                    )
-                    continue
-        outcomes.append(_slot_outcome(results[at - swap:at + 1], swap))
-        plain = False
-    if plain:
+        chunk = results[at - swap:at + 1]  # a swap's approval answers first
+        if not all(isinstance(item, dict) for item in chunk):
+            raise BackendUnavailable(f"malformed callMany answer item: {chunk!r}")
+        item = chunk[-1]
+        if swap and "error" in chunk[0]:
+            text, read = _error_text(chunk[0]["error"])
+            outcome = _revert(f"approve failed: {text}")
+        elif "error" in item:
+            text, read = _error_text(item["error"])
+            outcome = _revert(text)
+        elif swap:
+            outcome, read = CallOutcome(_SUCCESS), True
+        else:
+            value = item.get("value", "0x")
+            balance, read = _balance_value(value), type(value) is str
+            outcome = (
+                _revert(f"bad balance payload: {value!r}") if balance is None
+                else CallOutcome(_SUCCESS, None, balance)
+            )
+        outcomes.append(outcome)
+        keep = keep and read
+    if keep:
         template.last = (results, tuple(outcomes))
     return outcomes
-
-
-def _slot_outcome(chunk: list, swap: bool) -> CallOutcome:
-    """One call slot's outcome from its answer items, validated step by
-    step: a swap slot's are its approval's and its swap's. An item that is
-    not an object is BackendUnavailable."""
-    if not all(isinstance(item, dict) for item in chunk):
-        raise BackendUnavailable(f"malformed callMany answer item: {chunk!r}")
-    if swap:
-        approve, item = chunk
-        if "error" in approve:
-            return _revert(f"approve failed: {_error_text(approve['error'])}")
-    else:
-        item = chunk[0]
-    if "error" in item:
-        return _revert(_error_text(item["error"]))
-    value = item.get("value", "0x")
-    if not swap:
-        balance = _balance_value(value)
-        if balance is None:
-            return _revert(f"bad balance payload: {value!r}")
-        return _success(balance)
-    try:
-        amounts = abi.decode_uint_array(abi.hex_to_bytes(value))
-        return _success(amounts[-1] if amounts else 0)
-    except DecodeError:
-        return _revert(f"bad swap payload: {value!r}")
 
 
 class _FetchedWindow:
@@ -933,11 +911,9 @@ def _revert(reason: str) -> CallOutcome:
     return CallOutcome(status=CallStatus.REVERT, revert_reason=reason)
 
 
-def _success(value) -> CallOutcome:
-    return CallOutcome(status=CallStatus.SUCCESS, return_value=value)
-
-
-def _error_text(err) -> str:
+def _error_text(err) -> tuple[str, bool]:
+    """An error item's revert text, and whether it was read from a string:
+    the error itself, its `message` or its `data`, else the object."""
     if isinstance(err, dict):
-        return str(err.get("message") or err.get("data") or err)
-    return str(err)
+        err = err.get("message") or err.get("data") or err
+    return str(err), type(err) is str

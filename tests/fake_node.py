@@ -325,10 +325,9 @@ class FakeNode:
             if kind == "balance":
                 results.append({"value": _uint_hex(outcome.return_value or 0)})
             elif kind == "swap":
-                # canonical uint256[] return: offset, length, elements
-                arr = enc_uint(32) + enc_uint(2) + enc_uint(0) + enc_uint(
-                    outcome.return_value or 0
-                )
+                # the router's uint256[] return (offset, length, amounts);
+                # the mock reports no swap amount and the backend reads none
+                arr = enc_uint(32) + enc_uint(2) + enc_uint(0) + enc_uint(0)
                 results.append({"value": abi.bytes_to_hex(arr)})
             else:
                 results.append({"value": _uint_hex(1)})

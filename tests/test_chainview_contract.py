@@ -48,6 +48,7 @@ def _rpc_backend(trace):
 
 
 BACKENDS = {"mock": _mock_backend, "rpc-replay": _rpc_backend}
+UNMEETABLE = 10**30  # a min_out no swap here can deliver
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -238,21 +239,25 @@ class TestSimulation:
             caller=victim, pool=trace.pool.pool, token_in=trace.trap_token,
             token_out=trace.base_token, amount_in=held, recipient=victim,
         )
-        (alone,) = chain.simulate_bundle(head, [sell])
-        assert alone.ok
+        read_base = BalanceOfCall(caller=victim, token=trace.base_token, holder=victim)
+        before, swapped, after = chain.simulate_bundle(head, [read_base, sell, read_base])
+        assert swapped.ok and after.return_value > before.return_value
         calls = [
             # Its transfers run before the min_out check reverts the call.
-            replace(sell, min_out=alone.return_value + 1),
+            replace(sell, min_out=UNMEETABLE),
             BalanceOfCall(caller=victim, token=trace.trap_token, holder=victim),
-            BalanceOfCall(caller=victim, token=trace.base_token, holder=victim),
+            read_base,
             sell,
+            read_base,
         ]
         outcomes = chain.simulate_bundle(head, calls)
         assert outcomes[0].reverted
         assert outcomes[1].return_value == held
         assert outcomes[2].return_value == chain.balance_of(trace.base_token, victim, head)
         assert outcomes[3].ok
-        assert outcomes[3].return_value == alone.return_value  # reserves unmoved
+        # The sell pays what it pays alone: the reserves are unmoved.
+        assert (outcomes[4].return_value - outcomes[2].return_value
+                == after.return_value - before.return_value)
 
     def test_revert_isolates_single_call(self, backend_factory):
         trace = run_simple(ListGate(mode=GateMode.ALLOW, members=frozenset()))

@@ -703,22 +703,24 @@ class TestBundleReuse:
     def test_identical_bundle_runs_once_per_quiet_stretch(self):
         switch = 5
         chain, base, trap, pool, sell, funded = delayed_world(switch)
+        # The trailing read shows what the sell paid; each run is two calls.
+        sell = [*sell, BalanceOfCall(caller=PROBE, token=base, holder=PROBE)]
         runs = count_engine_runs(chain)
         untaxed = chain.simulate_bundle(switch - 2, sell, funded)
-        assert len(runs) == 1
+        assert len(runs) == 2
         again = chain.simulate_bundle(switch - 1, sell, funded)
-        assert again == untaxed and again is not untaxed and len(runs) == 1
+        assert again == untaxed and again is not untaxed and len(runs) == 2
         again.clear()  # a reused result is a fresh list
         assert chain.simulate_bundle(switch - 2, sell, funded) == untaxed
         taxed = chain.simulate_bundle(switch, sell, funded)
-        assert len(runs) == 2 and taxed[0].return_value < untaxed[0].return_value
-        assert chain.simulate_bundle(switch + 1, sell, funded) == taxed and len(runs) == 2
+        assert len(runs) == 4 and taxed[1].return_value < untaxed[1].return_value
+        assert chain.simulate_bundle(switch + 1, sell, funded) == taxed and len(runs) == 4
         chain.simulate_bundle(switch + 1, sell, {(trap, PROBE): 10**5})
-        assert len(runs) == 3  # other overrides: another bundle
+        assert len(runs) == 6  # other overrides: another bundle
         assert chain.token_transfer(base, OWNER, ALICE, 1).ok  # a write ends the stretch
         chain.advance_block()
         assert chain.simulate_bundle(chain.head(), sell, funded) == taxed
-        assert len(runs) == 4
+        assert len(runs) == 8
 
     def test_every_call_is_validated(self):
         chain, base, trap, pool, sell, funded = delayed_world()
@@ -784,6 +786,7 @@ class TestBundleReuse:
 
     def test_threads_in_two_stretches_get_their_own_outcomes(self):
         chain, base, trap, pool, sell, funded = delayed_world()
+        sell = [*sell, BalanceOfCall(caller=PROBE, token=base, holder=PROBE)]
         blocks = (4, 6)  # before and after the switch at block 5
         expected = {b: memo_free(chain, b, sell, funded) for b in blocks}
         assert expected[4] != expected[6]

@@ -475,7 +475,8 @@ class TestMultiPool:
         summary = ScanSummary()
         traces = self._targets(n_trap=2, n_honest=1)
         for t in traces:
-            summary.add(scan_pool(t.chain, t.pool, t.trap_token, 1, t.final_block))
+            verdict = scan_pool(t.chain, t.pool, t.trap_token, 1, t.final_block)
+            summary.count(trap.value for trap in verdict.traps)
         assert summary.total_line() == "2/3"
         assert summary.per_trap == {"InvalidSell": 2}
         table = summary.table()

@@ -1,11 +1,14 @@
 """The RPC backend's `eth_callMany` traffic, pinned on the wire.
 
 `TestCallManyAnswers` pins the outcome each answer to a bundle decodes
-to: error items, balance words and `uint256[]` swap returns, well formed
-or not, and answers of the wrong shape. A hypothesis test compares
-random answers against `reference_slot_outcome`, a copy of the
-validating decoder kept here, so a faster decoder must agree with it
-answer for answer.
+to: error items, balance words well formed or not, swap slots (a
+success with no value, whatever data the swap returned), and answers of
+the wrong shape. A hypothesis test compares random answers against
+`reference_slot_outcome`, the decoding rule spelled out slot by slot,
+and `TestRepeatedAnswers` checks that an answer served from a
+template's kept answer decodes the same. `TestEmptySwapReturns` scans
+an honest taxed pool whose node returns no swap data, as the
+fee-on-transfer router functions do.
 
 `TestRequestStream` pins every request the backend sends while it scans
 the corpus whose sim verdicts `test_sim_verdicts.py` pins, at intervals
@@ -36,6 +39,7 @@ from trapscan.corpus import gen_corpus
 from trapscan.mockchain import Honest, load_scenario, run_attack_script
 from trapscan.pipeline import ScanSettings, scan_pool
 from trapscan.rpcbackend import EndpointConfig, RpcChainView, abi
+from trapscan.rpcbackend import backend as rpc_backend
 from trapscan.rpcbackend.abi import DecodeError
 from trapscan.rpcbackend.client import RpcError
 
@@ -59,8 +63,8 @@ def revert(reason):
 
 
 # ----------------------------------------------------------------------
-# A copy of the validating decoder: one call slot's outcome from its
-# answer items (the approve and the swap of a swap slot).
+# The decoding rule, slot by slot: one call slot's outcome from its answer
+# items (the approve and the swap of a swap slot).
 
 
 def reference_error_text(err) -> str:
@@ -88,17 +92,13 @@ def reference_slot_outcome(chunk: list, kind: str) -> CallOutcome:
         item = chunk[0]
     if "error" in item:
         return revert(reference_error_text(item["error"]))
+    if kind == "swap":
+        return success(None)  # whatever the swap returned
     value = item.get("value", "0x")
-    if kind == "balance":
-        balance = reference_balance_value(value)
-        if balance is None:
-            return revert(f"bad balance payload: {value!r}")
-        return success(balance)
-    try:
-        amounts = abi.decode_uint_array(abi.hex_to_bytes(value))
-        return success(amounts[-1] if amounts else 0)
-    except DecodeError:
-        return revert(f"bad swap payload: {value!r}")
+    balance = reference_balance_value(value)
+    if balance is None:
+        return revert(f"bad balance payload: {value!r}")
+    return success(balance)
 
 
 def reference_outcomes(results: list) -> list[CallOutcome]:
@@ -163,7 +163,7 @@ def canned():
 
 class TestCallManyAnswers:
     def test_well_formed_answer(self, canned):
-        assert canned.slots() == [success(7), success(5), success(9)]
+        assert canned.slots() == [success(7), success(None), success(9)]
 
     def test_error_item(self, canned):
         got = canned.slots(swap={"error": {"code": 3, "message": "execution reverted: tax"}})
@@ -198,16 +198,24 @@ class TestCallManyAnswers:
         assert canned.slots(first={"id": 1})[0] == revert("bad balance payload: '0x'")
 
     @pytest.mark.parametrize("value, expected", [
-        ("0x", revert("bad swap payload: '0x'")),
-        ("0x" + word(64) + word(0xdead) + word(1) + word(3), success(3)),  # a gap before the length
-        (swap_return(3, 4, offset=33), revert(f"bad swap payload: {swap_return(3, 4, offset=33)!r}")),
-        (swap_return(3, 4)[:-64], revert(f"bad swap payload: {swap_return(3, 4)[:-64]!r}")),
-        (swap_return(), success(0)),  # an empty array
-        (swap_return(3, 4) + word(8), success(4)),  # trailing words are ignored
-        (swap_return(3, 4).upper().replace("0X", "0x"), success(4)),
+        ("0x", success(None)),  # the fee-on-transfer router functions return nothing
+        ("0x" + word(64) + word(0xdead) + word(1) + word(3), success(None)),  # a gap
+        (swap_return(3, 4, offset=33), success(None)),  # a misaligned offset
+        (swap_return(3, 4)[:-64], success(None)),  # shorter than its length
+        (swap_return(), success(None)),  # an empty array
+        (swap_return(3, 4) + word(8), success(None)),  # trailing words
+        (swap_return(3, 4).upper().replace("0X", "0x"), success(None)),
+        ("0xzz", success(None)),
+        (5, success(None)),
+        (None, success(None)),
     ])
     def test_swap_value(self, canned, value, expected):
+        """A swap that went through is a success with no value, whatever
+        data it returned."""
         assert canned.slots(swap={"value": value})[1] == expected
+
+    def test_swap_without_a_value(self, canned):
+        assert canned.slots(swap={"id": 1})[1] == success(None)
 
     def test_wrong_result_count(self, canned):
         got = canned.outcomes([[{"value": "0x" + word(1)}] * 3])
@@ -282,14 +290,23 @@ WELL_FORMED = [{"value": "0x" + word(7)}, {"value": "0x" + word(1)},
                {"value": swap_return(0, 5)}, {"value": "0x" + word(9)}]
 
 
+def count_error_texts(monkeypatch) -> list:
+    """Spy on the backend's error-text decoder; returns the list of the
+    error objects it was given."""
+    seen = []
+    decode = rpc_backend._error_text
+    monkeypatch.setattr(rpc_backend, "_error_text", lambda err: seen.append(err) or decode(err))
+    return seen
+
+
 class TestRepeatedAnswers:
-    """A template keeps its last answer whose every slot was read straight
-    from the hex, and an equal answer gets its outcomes again."""
+    """A template keeps its last answer whose outcomes were read from
+    strings alone, and an equal answer gets its outcomes again."""
 
     def test_a_repeat_gets_the_kept_outcomes(self, canned):
         first = canned.outcomes([WELL_FORMED])
         again = canned.outcomes([copy.deepcopy(WELL_FORMED)])
-        assert again == first == [success(7), success(5), success(9)]
+        assert again == first == [success(7), success(None), success(9)]
         assert all(a is b for a, b in zip(again, first))
         assert again is not first
 
@@ -318,6 +335,41 @@ class TestRepeatedAnswers:
         canned.outcomes([[first, *WELL_FORMED[1:]]])
         assert canned.outcomes([[then, *WELL_FORMED[1:]]])[0] == expected
 
+    def test_a_repeated_reverted_sell_is_decoded_once(self, canned, monkeypatch):
+        """An error item whose text is a string is kept like a balance
+        word: a reverted sell that repeats is served from the kept answer."""
+        texts = count_error_texts(monkeypatch)
+        canned.outcomes([WELL_FORMED])
+        reverting = [*WELL_FORMED[:2], {"error": {"code": 3, "message": "execution reverted: tax"}},
+                     WELL_FORMED[3]]
+        first = canned.outcomes([reverting])
+        again = canned.outcomes([copy.deepcopy(reverting)])
+        assert again == first == [success(7), revert("execution reverted: tax"), success(9)]
+        assert all(a is b for a, b in zip(again, first))
+        assert len(texts) == 1
+
+    def test_a_text_from_a_non_string_is_decoded_each_time(self, canned, monkeypatch):
+        """`{"message": 1}` and `{"message": True}` are equal but word their
+        revert apart, so neither answer is kept."""
+        texts = count_error_texts(monkeypatch)
+        canned.outcomes([WELL_FORMED])
+        got = [canned.outcomes([[{"error": {"message": message}}, *WELL_FORMED[1:]]])[0]
+               for message in (1, True, 1)]
+        assert got == [revert("1"), revert("True"), revert("1")]
+        assert len(texts) == 3
+
+    @pytest.mark.parametrize("at", range(4))
+    def test_a_non_object_item_after_a_kept_answer_fails(self, canned, at):
+        """An item that is not an object is never equal to a kept one, so
+        its answer is decoded and fails, a swap's items too."""
+        kept = canned.outcomes([WELL_FORMED])
+        assert canned.outcomes([copy.deepcopy(WELL_FORMED)])[0] is kept[0]
+        results = copy.deepcopy(WELL_FORMED)
+        results[at] = results[at]["value"]
+        got = canned.outcomes([results])
+        assert isinstance(got, BackendUnavailable)
+        assert str(got).startswith("malformed callMany answer item: ")
+
     def test_error_and_malformed_answers_are_never_kept(self, canned):
         good = canned.outcomes([WELL_FORMED])
         got = canned.outcomes(None, error={"code": -32000, "message": "boom"})
@@ -332,6 +384,35 @@ class TestRepeatedAnswers:
         for _ in range(2):
             assert canned.outcomes([reverting]) == reference_outcomes(reverting)
         assert canned.outcomes([WELL_FORMED]) == good
+
+
+class TestEmptySwapReturns:
+    def test_an_honest_taxed_pool_whose_swaps_return_nothing_is_clean(self):
+        """The fee-on-transfer router functions return no data. A swap
+        that went through is a success whatever it returned, so an honest
+        pool taxed 10% whose node answers every swap with "0x" gets no
+        finding."""
+        trace = run_simple(Honest(Fraction(10, 100)), victims=2)
+        node = FakeNode(chain=trace.chain)
+        swap_selector = abi.bytes_to_hex(abi.SEL_SWAP_EXACT_TOKENS)
+        blanked = []
+
+        def transport(payload):
+            response = node(payload)
+            for request, answer in zip(payload, response):
+                if request["method"] != "eth_callMany" or "result" not in answer:
+                    continue
+                txs = request["params"][0][0]["transactions"]
+                for tx, item in zip(txs, answer["result"][0]):
+                    if tx["data"].startswith(swap_selector) and "value" in item:
+                        item["value"] = "0x"
+                        blanked.append(item)
+            return response
+
+        rpc = RpcChainView(EndpointConfig(url="fake://"), transport=transport)
+        verdict = scan_pool(rpc, trace.pool, trace.trap_token, 1, trace.final_block)
+        assert blanked
+        assert verdict.findings == []
 
 
 # ----------------------------------------------------------------------

@@ -709,11 +709,14 @@ class TestSimulateBundle:
     def test_outcomes_chain_state(self, backend):
         trace, _, rpc = backend
         probe = Address.derive("probe")
-        outcomes = rpc.simulate_bundle(trace.chain.head(), self._calls(trace, probe),
+        calls = [*self._calls(trace, probe),
+                 BalanceOfCall(caller=probe, token=trace.base_token, holder=probe)]
+        outcomes = rpc.simulate_bundle(trace.chain.head(), calls,
                                        {(trace.base_token, probe): 10**12})
         assert outcomes[0].return_value == 10**12
-        assert outcomes[1].ok and outcomes[1].return_value > 0
-        assert outcomes[2].return_value == outcomes[1].return_value
+        assert outcomes[1].ok and outcomes[1].return_value is None
+        assert outcomes[2].return_value > 0  # the probe held none before its buy
+        assert outcomes[3].return_value == 10**12 - 10**6  # the buy's amount in left
 
     def test_revert_reason_preserved(self, backend):
         trace, _, rpc = backend
@@ -945,7 +948,7 @@ class TestBackendQueries:
             for token_in, amount in ((a, 10), (b, 12), (a, 14))
         ]
         assert rpc.quotes_exact_in([(v2, a, 11)], 7) == [None] and len(payloads) == 1
-        assert rpc.quote_exact_in(v3, a, 10, 7) == 1000 and len(payloads) == 2
+        assert rpc.quotes_exact_in([(v3, a, 10)], 7) == [1000] and len(payloads) == 2
 
     @pytest.mark.parametrize("max_batch, posts", [(100, 1), (4, 5)])
     def test_unknown_pools_cost_one_metadata_post(self, max_batch, posts):
@@ -1034,7 +1037,7 @@ class TestBackendQueries:
         fresh.get_reserves(pool, head)
         fresh.get_liquidity_events(pool, (1, head))
         v3_style = replace(targets[0][0], dex_version=DexVersion.V3, fee_num=3000, fee_den=10**6)
-        assert fresh.quote_exact_in(v3_style, trap, 10**6, head) is None  # the node has no quoter
+        assert fresh.quotes_exact_in([(v3_style, trap, 10**6)], head) == [None]  # no quoter
         fresh.simulate_bundle(head, [BalanceOfCall(caller=probe, token=trap, holder=probe)])
 
         monkeypatch.setattr(pipeline, "COHORT_SIZE", 3)
