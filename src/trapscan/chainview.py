@@ -40,9 +40,9 @@ The seam carries only what a detector can observe. A balance read is a
 plain `TokenAmount`, or None when the read reverted, so every caller has
 to decide what a missing read means. A simulated swap reports only
 whether it went through: no predicate reads its return, and the
-fee-on-transfer router functions return nothing. An event record is one log the
-chain emitted, with the number of the block that holds it; a balance
-movement that emitted no event has no record.
+fee-on-transfer router functions return nothing. An event record is one
+log the chain emitted, with the number of the block that holds it; a
+balance movement that emitted no event has no record.
 """
 
 from __future__ import annotations
