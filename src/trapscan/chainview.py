@@ -7,12 +7,16 @@ exist: the in-memory mock chain and the live JSON-RPC backend.
 
 A scan asks for many pools at once. `get_window` gives the logs of a
 block range for many pools and tokens, and the pools' reserves at its
-last block; `balances_at` reads many balances, and `simulate_bundles`
-runs many bundles. A backend may answer each in one round trip (the
-logs and reserves of a window in one, plus one for the senders of its
-transfers). A backend implements only the batched reads and
-simulations: `balance_of` and `simulate_bundle` are defined here, once,
-as a batch of one, so each backend has one path for each.
+last block; `pool_infos` reads many pools' metadata, `balances_at` many
+balances, and `simulate_bundles` runs many bundles. A backend may answer
+each in one round trip (the logs and reserves of a window in one, plus
+one for the senders of its transfers). A backend implements only what a
+scan calls: `head`, `get_pool_created` and those four batched reads and
+simulations. Every single-query form (`pool_info`, `get_swaps`,
+`get_transfers`, `get_approvals`, `get_reserves`, `balance_of` and
+`simulate_bundle`) is defined here, once, as a window or batch of one,
+so each backend has one path for each. A window is always a `Window`,
+every answer fetched when it is built.
 
 The per-bundle records, `BalanceOfCall`, `SwapExactInCall` and
 `CallOutcome` here and `Bundle` and `SimulationResult` in the simulator,
@@ -51,7 +55,6 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol
 
 from .core import Address, PoolInfo, TokenAmount
 
@@ -247,25 +250,53 @@ def check_range(block_range: tuple[int, int]) -> tuple[int, int]:
     return block_range
 
 
-class Window(Protocol):
+class Window:
     """What a scan reads of one inclusive block range for some pools and
     tokens: `get_swaps` of each pool and `get_transfers` and
     `get_approvals` of each token over the range, and `get_reserves` of
-    each pool at its last block. Each answers, or raises, as the chain's
-    own method of that name would. A `ChainView` is the window of any
-    range."""
+    each pool at its last block. It answers its own range only.
 
-    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]: ...
+    `answers` holds, by (kind, address), what each query got, fetched when
+    the window is built: records, reserves, or an exception, raised when
+    asked for as a `fresh_error`, since the frames of its traceback hold
+    the window."""
 
-    def get_transfers(
-        self, token: Address, block_range: tuple[int, int]
-    ) -> list[TransferRecord]: ...
+    __slots__ = ("block_range", "answers")
 
-    def get_approvals(
-        self, token: Address, block_range: tuple[int, int]
-    ) -> list[ApproveRecord]: ...
+    def __init__(self, block_range: tuple[int, int], answers: dict[tuple[str, Address], object]):
+        self.block_range = block_range
+        self.answers = answers
 
-    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]: ...
+    def _answer(self, kind: str, address: Address, block_range: tuple[int, int]):
+        if block_range != self.block_range:
+            raise ValueError(f"window {self.block_range} asked for {block_range}")
+        answer = self.answers[kind, address]
+        if isinstance(answer, Exception):
+            raise fresh_error(answer)
+        return answer
+
+    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
+        return self._answer("swaps", pool, block_range)
+
+    def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
+        return self._answer("transfers", token, block_range)
+
+    def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
+        return self._answer("approvals", token, block_range)
+
+    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
+        return self._answer("reserves", pool, (self.block_range[0], block))
+
+
+def fresh_error(exc: Exception) -> Exception:
+    """A new exception of `exc`'s type with its args and attributes, to
+    raise in place of a stored one, which would keep a traceback whose
+    frames hold what stores it: a cycle that only the cyclic garbage
+    collector frees. It is built without calling the constructor, whose
+    signature may differ from the args (an RPC error's does)."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(vars(exc))
+    return copy
 
 
 class ChainView(ABC):
@@ -285,8 +316,16 @@ class ChainView(ABC):
         """Pools whose creation event falls in the inclusive range, in block order."""
 
     @abstractmethod
-    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
-        """Complete, block-ordered swap records for the pool in range."""
+    def pool_infos(self, pools: Sequence[Address]) -> list[PoolInfo | UnknownPool]:
+        """The metadata of each pool, in order, or an UnknownPool for one
+        that has none."""
+
+    def pool_info(self, pool: Address) -> PoolInfo:
+        """`pool_infos` of one pool; its UnknownPool is raised."""
+        [info] = self.pool_infos([pool])
+        if isinstance(info, UnknownPool):
+            raise info
+        return info
 
     @abstractmethod
     def get_liquidity_events(
@@ -295,31 +334,31 @@ class ChainView(ABC):
         """Liquidity adds/removes for the pool in range, in block order."""
 
     @abstractmethod
-    def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
-        """The token's Transfer events in range, in block order.
-
-        Balance changes without an event are invisible here by design;
-        finding them from balance reads is the analyzer's job.
-        """
-
-    @abstractmethod
-    def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
-        """Logged approvals of the token in range."""
-
-    @abstractmethod
-    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
-        """(reserve of token_x, reserve of token_y) at the sealed block state."""
-
     def get_window(
         self,
         pools: Sequence[Address],
         tokens: Sequence[Address],
         block_range: tuple[int, int],
     ) -> Window:
-        """The `Window` of `block_range` for `pools` and `tokens`. A backend
-        may fetch every answer up front; by default the chain is its own
-        window, answering each query as it is asked."""
-        return self
+        """The `Window` of the inclusive `block_range` for `pools` and
+        `tokens`. Its records are complete, in block order, and of sealed
+        blocks only; a balance change without an event has none, by
+        design (finding it from balance reads is the analyzer's job). Its
+        reserves are (token_x's, token_y's) at the range's last block,
+        where a pool that does not exist yet is unknown (UnknownPool)."""
+
+    # The single-query forms, each a window of one pool or token.
+    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
+        return self.get_window([pool], [], block_range).get_swaps(pool, block_range)
+
+    def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
+        return self.get_window([], [token], block_range).get_transfers(token, block_range)
+
+    def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
+        return self.get_window([], [token], block_range).get_approvals(token, block_range)
+
+    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
+        return self.get_window([pool], [], (block, block)).get_reserves(pool, block)
 
     @abstractmethod
     def balances_at(
@@ -362,10 +401,6 @@ class ChainView(ABC):
             raise outcomes
         return outcomes
 
-    @abstractmethod
-    def pool_info(self, pool: Address) -> PoolInfo:
-        """Metadata for a known pool; UnknownPool if there is none."""
-
     def quotes_exact_in(
         self, items: Sequence[tuple[PoolInfo, Address, TokenAmount]], block: int
     ) -> list[TokenAmount | None]:
@@ -378,4 +413,3 @@ class ChainView(ABC):
         default every answer is None.
         """
         return [None] * len(items)
-

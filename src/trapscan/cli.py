@@ -259,6 +259,14 @@ def _scan_live(args) -> int:
     except Exception as exc:
         print(f"error: pool discovery failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    # A round past the head would read no state and pass as a clean skip.
+    try:
+        head = chain.head()
+    except Exception as exc:
+        print(f"error: cannot read the node's head: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    if args.to_block > head:
+        return _usage_error(f"--to-block {args.to_block} is past the node's head, block {head}")
 
     if args.sample is not None and pools:
         rng = random.Random(args.seed)

@@ -5,7 +5,9 @@ or a `(field, address)` pair such as a pool's reserves; it holds the
 values it took and the blocks that wrote them. Transactions write at the
 pending block (head + 1), a sealed read bisects the key's history, and
 `advance_block` only moves the head, so sealing costs nothing and a
-sealed block never changes.
+sealed block never changes. Every read is of sealed blocks: `get_window`
+reads the record stores and the history over a sealed range and refuses
+any other, so a record filed at the pending block shows in no read.
 
 Every execution runs on an `_Overlay` that buffers its writes over a
 read function. A public transaction gets its own overlay over the pending
@@ -62,6 +64,7 @@ from ..chainview import (
     TransferRecord,
     UnknownPool,
     UnknownToken,
+    Window,
     check_range,
 )
 from ..core import (
@@ -666,27 +669,12 @@ class MockChain(ChainView):
         lo, hi = check_range(block_range)
         return [info for blk, info in self._pool_created if lo <= blk <= hi]
 
-    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
-        lo, hi = check_range(block_range)
-        self._require_pool(pool)
-        return _window(self._swaps[pool], lo, hi)
-
     def get_liquidity_events(
         self, pool: Address, block_range: tuple[int, int]
     ) -> list[LiquidityEvent]:
         lo, hi = check_range(block_range)
         self._require_pool(pool)
         return _window(self._liquidity[pool], lo, hi)
-
-    def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
-        lo, hi = check_range(block_range)
-        self._require_token(token)
-        return _window(self._transfers[token], lo, hi)
-
-    def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
-        lo, hi = check_range(block_range)
-        self._require_token(token)
-        return _window(self._approvals[token], lo, hi)
 
     def balances_at(
         self, reads: Sequence[tuple[Address, Address, int]]
@@ -697,16 +685,37 @@ class MockChain(ChainView):
         return [self._read_at(block, _bal(token, holder), 0) if token in self._tokens else None
                 for token, holder, block in reads]
 
-    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
-        self._require_pool(pool)
-        self._check_sealed(block)
-        reserves = self._read_at(block, _key("reserves", pool), None)
-        if reserves is None:
-            raise UnknownPool(f"pool {pool} does not exist at block {block}")
-        return reserves
+    def get_window(
+        self,
+        pools: Sequence[Address],
+        tokens: Sequence[Address],
+        block_range: tuple[int, int],
+    ) -> Window:
+        """The window of a sealed range (else BlockOutOfRange). An unknown
+        pool or token fails its own answers, and a pool created after the
+        range's last block has no reserves there."""
+        lo, hi = check_range(block_range)
+        self._check_sealed(hi)
+        answers: dict[tuple[str, Address], object] = {}
+        for pool in pools:
+            if pool not in self._pools:
+                answers["swaps", pool] = answers["reserves", pool] = UnknownPool(
+                    f"unknown pool: {pool}")
+                continue
+            answers["swaps", pool] = _window(self._swaps[pool], lo, hi)
+            answers["reserves", pool] = self._read_at(hi, _key("reserves", pool), None) or (
+                UnknownPool(f"pool {pool} does not exist at block {hi}"))
+        for token in tokens:
+            if token not in self._tokens:
+                answers["transfers", token] = answers["approvals", token] = UnknownToken(
+                    f"unknown token: {token}")
+                continue
+            answers["transfers", token] = _window(self._transfers[token], lo, hi)
+            answers["approvals", token] = _window(self._approvals[token], lo, hi)
+        return Window((lo, hi), answers)
 
-    def pool_info(self, pool: Address) -> PoolInfo:
-        return self._require_pool(pool)
+    def pool_infos(self, pools: Sequence[Address]) -> list[PoolInfo | UnknownPool]:
+        return [self._pools.get(pool) or UnknownPool(f"unknown pool: {pool}") for pool in pools]
 
     # ------------------------------------------------------------------
     # simulation

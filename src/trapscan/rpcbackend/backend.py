@@ -22,13 +22,12 @@ every pool's reserves read; then, when the window logged transfers, the
 senders of their transactions, each looked up once. A pair whose
 getReserves read fails is unknown at the block, as it is on the mock
 chain. An oversized log answer is split by block range, then by address
-list, then by topic list, and the halves are sent together.
-`get_swaps`, `get_transfers`, `get_approvals` and
-`get_reserves` read a window of their own. `get_pool_created` sends one
-`eth_getLogs` over every configured factory with either creation
-signature, and `pool_infos` reads the token0, token1 and fee of every
-pool not yet known at the latest block in one POST; `pool_info` is its
-one-pool view.
+list, then by topic list, and the halves are sent together. The
+contract's single-query forms (`get_swaps`, `get_reserves` and the rest)
+are windows of one. `get_pool_created` sends one `eth_getLogs` over
+every configured factory with either creation signature, and
+`pool_infos` reads the token0, token1 and fee of every pool not yet
+known at the latest block in one POST.
 
 A scan sends the same bundles round after round, and the pipeline hands
 each subject's call tuple back while its amounts hold. So each distinct
@@ -80,6 +79,7 @@ from ..chainview import (
     TransferRecord,
     UnknownPool,
     check_range,
+    fresh_error,
 )
 from ..core import Address, DexVersion, PoolInfo, TokenAmount
 from . import abi
@@ -391,13 +391,6 @@ class RpcChainView(ChainView):
             self._pool_cache.update((info.pool, info) for info in pools)
         return pools
 
-    def pool_info(self, pool: Address) -> PoolInfo:
-        """`pool_infos` of one pool; UnknownPool if it has no metadata."""
-        [info] = self.pool_infos([pool])
-        if isinstance(info, UnknownPool):
-            raise info
-        return info
-
     def pool_infos(self, pools: Sequence[Address]) -> list[PoolInfo | UnknownPool]:
         """The metadata of each pool, in order, or an UnknownPool for a
         pool that does not answer token0/token1. The token0, token1 and fee
@@ -423,9 +416,6 @@ class RpcChainView(ChainView):
             known.update(found)
         return [known[pool] for pool in pools]
 
-    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
-        return self.get_window([pool], [], block_range).get_swaps(pool, block_range)
-
     def get_liquidity_events(
         self, pool: Address, block_range: tuple[int, int]
     ) -> list[LiquidityEvent]:
@@ -437,12 +427,6 @@ class RpcChainView(ChainView):
         span = check_range(block_range)
         logs = self._query_logs([((pool,), (sig.topic0_hex,), span) for sig in sigs])
         return self._decode_each(logs, partial(self.decode_liquidity, info=info))
-
-    def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
-        return self.get_window([], [token], block_range).get_transfers(token, block_range)
-
-    def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
-        return self.get_window([], [token], block_range).get_approvals(token, block_range)
 
     def balances_at(
         self, reads: Sequence[tuple[Address, Address, int]]
@@ -459,9 +443,6 @@ class RpcChainView(ChainView):
             requests.append(("eth_call", [{"to": encoded[0], "data": encoded[1]}, hex(block)]))
         return [_balance_value(raw) for raw in self._batch(requests)]
 
-    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
-        return self.get_window([pool], [], (block, block)).get_reserves(pool, block)
-
     def get_window(
         self,
         pools: Sequence[Address],
@@ -475,7 +456,7 @@ class RpcChainView(ChainView):
         only what it answers: a failed log query its addresses, and a
         failed sender lookup the transfers of each token that logged the
         transaction; a reserves read that fails leaves the pool unknown at
-        the block, as `get_reserves` does."""
+        the block."""
         lo, hi = check_range(block_range)
         answers: dict[tuple[str, Address], object] = {}
         infos: list[PoolInfo] = []
@@ -531,7 +512,7 @@ class RpcChainView(ChainView):
             ) if any(log.tx_hash in failed for log in logged) else self._decode_each(
                 logged, lambda log: self.decode_transfer(log, senders.get(log.tx_hash))
             )
-        return _FetchedWindow((lo, hi), answers)
+        return Window((lo, hi), answers)
 
     def quotes_exact_in(
         self, items: Sequence[tuple[PoolInfo, Address, TokenAmount]], block: int
@@ -745,42 +726,6 @@ def _bundle_outcomes(response, template: _Template) -> list[CallOutcome]:
     return outcomes
 
 
-class _FetchedWindow:
-    """A `Window` whose answers were all fetched up front, keyed by (kind,
-    address): records, or the exception the query got, raised when asked
-    for. It answers its own range only."""
-
-    __slots__ = ("block_range", "answers")
-
-    def __init__(self, block_range: tuple[int, int], answers: dict[tuple[str, Address], object]):
-        self.block_range = block_range
-        self.answers = answers
-
-    def _answer(self, kind: str, address: Address, block_range: tuple[int, int]):
-        if block_range != self.block_range:
-            raise ValueError(f"window {self.block_range} asked for {block_range}")
-        answer = self.answers[kind, address]
-        if isinstance(answer, Exception):
-            raise answer
-        return answer
-
-    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
-        return self._answer("swaps", pool, block_range)
-
-    def get_transfers(
-        self, token: Address, block_range: tuple[int, int]
-    ) -> list[TransferRecord]:
-        return self._answer("transfers", token, block_range)
-
-    def get_approvals(
-        self, token: Address, block_range: tuple[int, int]
-    ) -> list[ApproveRecord]:
-        return self._answer("approvals", token, block_range)
-
-    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
-        return self._answer("reserves", pool, (self.block_range[0], block))
-
-
 def _log_request(query: _LogQuery) -> tuple[str, list]:
     addresses, topics, (lo, hi) = query
     flt: dict = {"fromBlock": hex(lo), "toBlock": hex(hi)}
@@ -876,9 +821,10 @@ def _reserves_value(info: PoolInfo, answers: list) -> tuple[TokenAmount, TokenAm
 
 
 def _answer_bytes(answer) -> bytes:
-    """An `eth_call` answer's data; an error answer is raised."""
+    """An `eth_call` answer's data; an error answer is raised, as a
+    `fresh_error`, since the batch's answers outlive the raise."""
     if isinstance(answer, Exception):
-        raise answer
+        raise fresh_error(answer)
     return abi.hex_to_bytes(answer)
 
 

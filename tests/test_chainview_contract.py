@@ -4,9 +4,11 @@ Runs twice: once against the mock chain directly, once against the RPC
 backend driven by the in-process fake node (scripted replay, no network).
 """
 
+import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,14 +16,18 @@ from conftest import run_simple
 from fake_node import FakeNode
 from trapscan.chainview import (
     BalanceOfCall,
+    BlockOutOfRange,
     CallStatus,
+    ChainView,
     EmptyBundle,
     SwapExactInCall,
     UnknownPool,
+    Window,
 )
 from trapscan.core import Address
 from trapscan.corpus import gen_corpus
 from trapscan.mockchain import (
+    MockChain,
     Drain,
     GateMode,
     Honest,
@@ -34,7 +40,7 @@ from trapscan.mockchain import (
     run_attack_script,
     wash_and_drain_script,
 )
-from trapscan.pipeline import ScanSettings, scan_pool
+from trapscan.pipeline import ScanSettings, scan_pool, scan_pools
 from trapscan.rpcbackend import EndpointConfig, RpcChainView
 
 
@@ -166,6 +172,32 @@ class TestQueries:
         _, chain = drain_world
         with pytest.raises(UnknownPool):
             chain.get_reserves(Address.derive("missing-pool"), chain.head())
+
+    def test_nothing_read_past_the_head(self, backend_factory):
+        """A swap sent at the pending block is in no read: the mock refuses
+        a range past its head, and the node has logged nothing there."""
+        owner, buyer = Address.derive("owner"), Address.derive("buyer")
+        mock = MockChain()
+        base = mock.deploy_token(Honest(Fraction(0)), 10**24, owner)
+        trap = mock.deploy_token(Honest(Fraction(0)), 10**24, owner)
+        assert mock.token_transfer(base, owner, buyer, 10**8).ok
+        pool = mock.create_pool(base, trap)
+        assert mock.add_liquidity(pool, owner, 10**9, 10**9).ok
+        mock.advance_block(5)
+        assert mock.swap(pool, buyer, base, 10**6, buyer).ok  # at pending block 6
+        chain = backend_factory(SimpleNamespace(chain=mock))
+        head = chain.head()
+
+        def past_head(read):
+            try:
+                return [record.block for record in read((0, head + 1)) if record.block > head]
+            except BlockOutOfRange:
+                return []
+
+        assert head == 5
+        assert past_head(lambda span: chain.get_swaps(pool, span)) == []
+        assert past_head(lambda span: chain.get_transfers(trap, span)) == []
+        assert [r.block for r in chain.get_transfers(base, (0, head))] == [1, 1, 1]
 
 
 class TestSimulation:
@@ -481,3 +513,36 @@ class TestPinnedCorpusAgreement:
                     disagree.append((path.name, interval))
         assert len(paths) == 24
         assert disagree == []
+
+
+class TestSurface:
+    def test_backends_implement_only_what_a_scan_calls(self):
+        """Each single-query form is defined once, on `ChainView`, as a
+        window or batch of one: no backend grows a second path."""
+        assert ChainView.__abstractmethods__ == {
+            "head", "get_pool_created", "pool_infos", "get_window", "balances_at",
+            "simulate_bundles", "get_liquidity_events",
+        }
+        singles = {"pool_info", "get_swaps", "get_transfers", "get_approvals", "get_reserves",
+                   "balance_of", "simulate_bundle"}
+        for cls in (MockChain, RpcChainView):
+            assert singles.isdisjoint(vars(cls)), cls
+
+    def test_a_scan_leaves_no_window_alive(self, backend_factory):
+        """A window raises a new exception for a failed answer, so no
+        traceback leads back to it: with the cyclic collector off, a scan
+        whose rounds start before its pools exist frees every window."""
+        from test_pipeline import cohort_chain
+
+        chain, targets = cohort_chain(pools=6)
+        view = backend_factory(SimpleNamespace(chain=chain))
+        gc.collect()
+        gc.disable()
+        try:
+            verdicts, summary = scan_pools(view, targets, 1, chain.head(),
+                                           ScanSettings(interval=10))
+            alive = sum(isinstance(obj, Window) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert summary.failures == 0 and len(verdicts) == len(targets)
+        assert alive == 0

@@ -286,9 +286,11 @@ class TestScan:
         assert main([*argv, str(missing)]) == 2
         assert capsys.readouterr().err == f"error: no such scenario file: {missing}\n"
 
-    def _live_scan(self, tmp_path, monkeypatch, wrap_node=lambda node: node, from_block=1):
+    def _live_scan(self, tmp_path, monkeypatch, wrap_node=lambda node: node, from_block=1,
+                   past_head=0):
         """Run `trapscan scan --mode live` in-process against the replay
-        node, seen through `wrap_node`; returns the exit code and out path."""
+        node, seen through `wrap_node`, to `past_head` blocks after the
+        node's head; returns the exit code and out path."""
         import trapscan.rpcbackend as rpcbackend
         from fake_node import FakeNode
         from trapscan.mockchain import run_attack_script, wash_and_drain_script
@@ -310,7 +312,7 @@ class TestScan:
         out = tmp_path / "verdicts.jsonl"
         code = main([
             "scan", "--mode", "live", "--config", str(config),
-            "--from-block", str(from_block), "--to-block", str(trace.final_block),
+            "--from-block", str(from_block), "--to-block", str(trace.final_block + past_head),
             "--checkpoint", str(tmp_path / "ck.jsonl"), "--out", str(out),
         ])
         return code, out
@@ -325,6 +327,15 @@ class TestScan:
         obj = json.loads(out.read_text().splitlines()[0])
         assert obj["traps"] == ["UnauthorizedTransfer"]
         assert validate_verdict_obj(obj) == []
+
+    def test_live_scan_past_the_head_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        """A `--to-block` past the node's head exits 2 naming the head, and
+        scans nothing: its rounds would read no state and pass as skips."""
+        code, out = self._live_scan(tmp_path, monkeypatch, past_head=5)
+        captured = capsys.readouterr()
+        assert code == 2 and not out.exists() and captured.out == ""
+        head = int(captured.err.rsplit("block ", 1)[1])
+        assert captured.err == f"error: --to-block {head + 5} is past the node's head, block {head}\n"
 
     @pytest.mark.parametrize("code, message", [
         (-32000, "internal error"),
@@ -384,7 +395,7 @@ class TestScan:
                      "--from-block", "1", "--to-block", str(chain.head()),
                      "--pools", str(pools), "--out", str(out)])
         metadata = [payload for payload in payloads
-                    if all(item["params"][-1] == "latest" for item in payload)]
+                    if all(item["params"][-1:] == ["latest"] for item in payload)]
         assert len(metadata) == 1 and len(metadata[0]) == 3 * len(entries)
         if stray:
             assert code == 1 and len(payloads) == 1 and not out.exists()

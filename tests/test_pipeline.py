@@ -14,7 +14,7 @@ from trapscan.analyzer import (
     check_unauthorized_transfer,
     verdict_to_json_line,
 )
-from trapscan.chainview import BackendUnavailable, CallOutcome, CallStatus, ChainView
+from trapscan.chainview import BackendUnavailable, CallOutcome, CallStatus
 from trapscan.core import Address, PoolInfo, TrapType
 from trapscan.corpus import TRAP_FAMILIES, generate_scenario
 from trapscan.mockchain import (
@@ -232,22 +232,23 @@ class TestOneReservesReadPerRound:
     @pytest.mark.parametrize("family", ["honest", *TRAP_FAMILIES])
     def test_mock_reads_reserves_once_per_round(self, monkeypatch, family, interval):
         """Ingestion reads the reserves at each round's block, and nothing
-        else in the round reads them again."""
+        else in the round reads them again. Every reserves read is a
+        window's, at its last block, so each window of the pool counts one."""
         scenario = parse_scenario(generate_scenario(family, seed=3, index=1))
         trace = run_attack_script(scenario.script, scenario.seed)
         reads, rounds = [], []
-        real_get_reserves = MockChain.get_reserves
+        real_get_window = MockChain.get_window
         real_round = pipeline.run_detection_round
 
-        def counting_get_reserves(chain, pool, block):
-            reads.append(block)
-            return real_get_reserves(chain, pool, block)
+        def counting_get_window(chain, pools, tokens, block_range):
+            reads.extend(block_range[1] for pool in pools if pool == trace.pool.pool)
+            return real_get_window(chain, pools, tokens, block_range)
 
         def counting_round(chain, state, block, settings):
             rounds.append(block)
             return real_round(chain, state, block, settings)
 
-        monkeypatch.setattr(MockChain, "get_reserves", counting_get_reserves)
+        monkeypatch.setattr(MockChain, "get_window", counting_get_window)
         monkeypatch.setattr(pipeline, "run_detection_round", counting_round)
         verdict = scan_pool(trace.chain, trace.pool, trace.trap_token, 1,
                             trace.final_block, ScanSettings(interval=interval))
@@ -627,18 +628,18 @@ def cohort_chain(pools=12):
 
 
 class FailingView:
-    """Delegates to a chain but raises on every swap query for one pool."""
+    """Delegates to a chain, but the swaps of one pool in every window it
+    serves raise."""
 
     def __init__(self, chain, bad_pool):
         self._chain = chain
         self._bad_pool = bad_pool
 
-    def get_swaps(self, pool, block_range):
-        if pool == self._bad_pool:
-            raise RuntimeError("node fell over")
-        return self._chain.get_swaps(pool, block_range)
-
-    get_window = ChainView.get_window  # the view is its own window: its get_swaps is asked
+    def get_window(self, pools, tokens, block_range):
+        window = self._chain.get_window(pools, tokens, block_range)
+        if self._bad_pool in pools:
+            window.answers["swaps", self._bad_pool] = RuntimeError("node fell over")
+        return window
 
     def __getattr__(self, name):
         return getattr(self._chain, name)
