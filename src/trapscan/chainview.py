@@ -324,7 +324,7 @@ class ChainView(ABC):
         """`pool_infos` of one pool; its UnknownPool is raised."""
         [info] = self.pool_infos([pool])
         if isinstance(info, UnknownPool):
-            raise info
+            raise fresh_error(info)
         return info
 
     @abstractmethod

@@ -214,7 +214,7 @@ class RpcChainView(ChainView):
         logs: list[_RawLog] = []
         for found, failed in self._logs(queries, self._batch([_log_request(q) for q in queries])):
             if failed:
-                raise next(iter(failed.values()))
+                raise fresh_error(next(iter(failed.values())))
             logs += found
         return sorted(logs, key=_log_order)
 

@@ -27,11 +27,11 @@ from trapscan.chainview import (
 from trapscan.core import Address
 from trapscan.corpus import gen_corpus
 from trapscan.mockchain import (
-    MockChain,
     Drain,
     GateMode,
     Honest,
     ListGate,
+    MockChain,
     OwnerDrain,
     HiddenTax,
     Wait,

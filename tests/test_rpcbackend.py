@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -265,6 +267,30 @@ class TestFetchLogs:
     def test_empty_range(self, backend):
         trace, _, rpc = backend
         assert rpc.get_transfers(trace.trap_token, (0, 0)) == []
+
+    def test_a_refused_query_leaves_no_cycle(self, backend):
+        """The node's refusal, kept with the batch's answers, is raised as
+        a new exception: with the cyclic collector off, no traceback of
+        the failed call outlives it."""
+        trace, _, _ = backend
+        refusing = RpcChainView(EndpointConfig(url="fake://", retries=1),
+                                transport=FakeNode(chain=trace.chain, log_limit=0))
+
+        def tracebacks():
+            return sum(isinstance(obj, types.TracebackType) for obj in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = tracebacks()
+            try:
+                refusing.get_pool_created((0, trace.chain.head()))
+            except NodeLimitError:
+                pass
+            after = tracebacks()
+        finally:
+            gc.enable()
+        assert after == before
 
 
 class TestFakeNodeFilters:
