@@ -10,7 +10,9 @@ block range for many pools and tokens, and the pools' reserves at its
 last block; `pool_infos` reads many pools' metadata, `balances_at` many
 balances, and `simulate_bundles` runs many bundles. A backend may answer
 each in one round trip (the logs and reserves of a window in one, plus
-one for the senders of its transfers). A backend implements only what a
+one for the senders of its transfers). A scan resolves each pool's
+metadata once, when it finds the pool, and hands the `PoolInfo` to every
+window, so a window reads no metadata. A backend implements only what a
 scan calls: `head`, `get_pool_created` and those four batched reads and
 simulations. Every single-query form (`pool_info`, `get_swaps`,
 `get_transfers`, `get_approvals`, `get_reserves`, `balance_of` and
@@ -252,40 +254,36 @@ def check_range(block_range: tuple[int, int]) -> tuple[int, int]:
 
 class Window:
     """What a scan reads of one inclusive block range for some pools and
-    tokens: `get_swaps` of each pool and `get_transfers` and
-    `get_approvals` of each token over the range, and `get_reserves` of
-    each pool at its last block. It answers its own range only.
+    tokens: the swaps of each pool and the transfers and approvals of each
+    token over the range, and each pool's reserves at its last block.
 
     `answers` holds, by (kind, address), what each query got, fetched when
     the window is built: records, reserves, or an exception, raised when
     asked for as a `fresh_error`, since the frames of its traceback hold
     the window."""
 
-    __slots__ = ("block_range", "answers")
+    __slots__ = ("answers",)
 
-    def __init__(self, block_range: tuple[int, int], answers: dict[tuple[str, Address], object]):
-        self.block_range = block_range
+    def __init__(self, answers: dict[tuple[str, Address], object]):
         self.answers = answers
 
-    def _answer(self, kind: str, address: Address, block_range: tuple[int, int]):
-        if block_range != self.block_range:
-            raise ValueError(f"window {self.block_range} asked for {block_range}")
+    def _answer(self, kind: str, address: Address):
         answer = self.answers[kind, address]
         if isinstance(answer, Exception):
             raise fresh_error(answer)
         return answer
 
-    def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
-        return self._answer("swaps", pool, block_range)
+    def swaps(self, pool: Address) -> list[SwapRecord]:
+        return self._answer("swaps", pool)
 
-    def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
-        return self._answer("transfers", token, block_range)
+    def transfers(self, token: Address) -> list[TransferRecord]:
+        return self._answer("transfers", token)
 
-    def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
-        return self._answer("approvals", token, block_range)
+    def approvals(self, token: Address) -> list[ApproveRecord]:
+        return self._answer("approvals", token)
 
-    def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
-        return self._answer("reserves", pool, (self.block_range[0], block))
+    def reserves(self, pool: Address) -> tuple[TokenAmount, TokenAmount]:
+        return self._answer("reserves", pool)
 
 
 def fresh_error(exc: Exception) -> Exception:
@@ -336,29 +334,30 @@ class ChainView(ABC):
     @abstractmethod
     def get_window(
         self,
-        pools: Sequence[Address],
+        pools: Sequence[PoolInfo],
         tokens: Sequence[Address],
         block_range: tuple[int, int],
     ) -> Window:
-        """The `Window` of the inclusive `block_range` for `pools` and
-        `tokens`. Its records are complete, in block order, and of sealed
-        blocks only; a balance change without an event has none, by
-        design (finding it from balance reads is the analyzer's job). Its
-        reserves are (token_x's, token_y's) at the range's last block,
-        where a pool that does not exist yet is unknown (UnknownPool)."""
+        """The `Window` of the inclusive `block_range` for `pools`, given
+        by their metadata, and `tokens`; it answers by address. Its
+        records are complete, in block order, and of sealed blocks only; a
+        balance change without an event has none, by design (finding it
+        from balance reads is the analyzer's job). Its reserves are
+        (token_x's, token_y's) at the range's last block, where a pool
+        that does not exist yet is unknown (UnknownPool)."""
 
     # The single-query forms, each a window of one pool or token.
     def get_swaps(self, pool: Address, block_range: tuple[int, int]) -> list[SwapRecord]:
-        return self.get_window([pool], [], block_range).get_swaps(pool, block_range)
+        return self.get_window([self.pool_info(pool)], [], block_range).swaps(pool)
 
     def get_transfers(self, token: Address, block_range: tuple[int, int]) -> list[TransferRecord]:
-        return self.get_window([], [token], block_range).get_transfers(token, block_range)
+        return self.get_window([], [token], block_range).transfers(token)
 
     def get_approvals(self, token: Address, block_range: tuple[int, int]) -> list[ApproveRecord]:
-        return self.get_window([], [token], block_range).get_approvals(token, block_range)
+        return self.get_window([], [token], block_range).approvals(token)
 
     def get_reserves(self, pool: Address, block: int) -> tuple[TokenAmount, TokenAmount]:
-        return self.get_window([pool], [], (block, block)).get_reserves(pool, block)
+        return self.get_window([self.pool_info(pool)], [], (block, block)).reserves(pool)
 
     @abstractmethod
     def balances_at(
@@ -398,7 +397,7 @@ class ChainView(ABC):
         """`simulate_bundles` of one bundle; its failure is raised."""
         [outcomes] = self.simulate_bundles(block, [(calls, balance_overrides)])
         if isinstance(outcomes, Exception):
-            raise outcomes
+            raise fresh_error(outcomes)
         return outcomes
 
     def quotes_exact_in(

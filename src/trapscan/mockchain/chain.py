@@ -687,7 +687,7 @@ class MockChain(ChainView):
 
     def get_window(
         self,
-        pools: Sequence[Address],
+        pools: Sequence[PoolInfo],
         tokens: Sequence[Address],
         block_range: tuple[int, int],
     ) -> Window:
@@ -697,7 +697,8 @@ class MockChain(ChainView):
         lo, hi = check_range(block_range)
         self._check_sealed(hi)
         answers: dict[tuple[str, Address], object] = {}
-        for pool in pools:
+        for info in pools:
+            pool = info.pool
             if pool not in self._pools:
                 answers["swaps", pool] = answers["reserves", pool] = UnknownPool(
                     f"unknown pool: {pool}")
@@ -712,7 +713,7 @@ class MockChain(ChainView):
                 continue
             answers["transfers", token] = _window(self._transfers[token], lo, hi)
             answers["approvals", token] = _window(self._approvals[token], lo, hi)
-        return Window((lo, hi), answers)
+        return Window(answers)
 
     def pool_infos(self, pools: Sequence[Address]) -> list[PoolInfo | UnknownPool]:
         return [self._pools.get(pool) or UnknownPool(f"unknown pool: {pool}") for pool in pools]
@@ -744,7 +745,7 @@ class MockChain(ChainView):
             try:
                 results.append(self._run_bundle(block, calls, balance_overrides, entries, seen))
             except Exception as exc:  # the bundle's own failure, not the batch's
-                results.append(exc)
+                results.append(exc.with_traceback(None))
         return results
 
     def _run_bundle(

@@ -13,7 +13,8 @@ simulates.
 
 `ingest_window` advances a cohort of watches over one window together,
 in three steps: fetch the window's logs and reserves for every watch
-through one `get_window`, fold each watch's share into it, then read
+through one `get_window`, handed each watch's `PoolInfo` so that no
+window reads pool metadata, fold each watch's share into it, then read
 every balance the cohort needs through one `balances_at`. The RPC
 backend sends the fetch as two POSTs and the reads as one, whatever the
 cohort's size. Detection logic consumes these ledgers, never the chain
@@ -32,6 +33,7 @@ from .chainview import (
     UnknownPool,
     UnknownToken,
     Window,
+    fresh_error,
 )
 from .core import Address, PoolInfo, TokenAmount
 
@@ -112,7 +114,7 @@ def ingest_block(
     returns `watch`, or raises what failed it (see `ingest_window`)."""
     failures = ingest_window([watch], chain, block, start)
     if failures:
-        raise failures[0]
+        raise fresh_error(failures[0])
     return watch
 
 
@@ -129,15 +131,16 @@ def ingest_window(
     `last_ingested`, or to `block` if it has ingested nothing. A watch
     whose window would not start right after its `last_ingested`, or an
     empty window, fails with `IngestGap`. Returns the exception that
-    failed each watch that failed, by its index in `watches`; a failed
-    watch is left part-way and must not be advanced again, while the
-    others go on.
+    failed each watch that failed, by its index in `watches`, without its
+    traceback, whose frames would hold the returned dict; a failed watch
+    is left part-way and must not be advanced again, while the others go
+    on.
     """
     failures: dict[int, Exception] = {}
     last = watches[0].last_ingested
     lo = start if start is not None else (block if last is None else last + 1)
     live: list[int] = []
-    pools: list[Address] = []
+    pools: list[PoolInfo] = []
     tokens: list[Address] = []
     for i, watch in enumerate(watches):
         last = watch.last_ingested
@@ -145,14 +148,14 @@ def ingest_window(
             failures[i] = IngestGap(f"window [{lo}, {block}] does not follow block {last}")
             continue
         live.append(i)
-        pools.append(watch.pool.pool)
+        pools.append(watch.pool)
         tokens.append(watch.trap_token)
     if not live:
         return failures
-    span = (lo, block)
     try:
-        window = chain.get_window(pools, tokens, span)
+        window = chain.get_window(pools, tokens, (lo, block))
     except Exception as exc:  # the cohort's shared fetch: every watch fails
+        exc = exc.with_traceback(None)
         for i in live:
             failures[i] = exc
         return failures
@@ -167,9 +170,9 @@ def ingest_window(
     for i in live:
         watch = watches[i]
         try:
-            first_seen = _fold(watch, window, span)
+            first_seen = _fold(watch, window, lo, block)
         except Exception as exc:  # this watch's own answers failed it
-            failures[i] = exc
+            failures[i] = exc.with_traceback(None)
             continue
         if first_seen is None or not watch.buyers:
             watch.last_ingested = block
@@ -188,6 +191,7 @@ def ingest_window(
     try:
         balances = chain.balances_at(reads)
     except Exception as exc:  # the shared read: every watch that asked fails
+        exc = exc.with_traceback(None)
         for i in asking:
             failures[i] = exc
         return failures
@@ -198,19 +202,17 @@ def ingest_window(
     return failures
 
 
-def _fold(watch: PoolWatch, window: Window, span: tuple[int, int]) -> dict[Address, int] | None:
-    """Fold the watch's share of the window `span` = [lo, block] into it:
-    its swaps,
+def _fold(watch: PoolWatch, window: Window, lo: int, block: int) -> dict[Address, int] | None:
+    """Fold the watch's share of the window [lo, block] into it: its swaps,
     its trap token's transfers and approvals, and its reserves. Returns
     the block each new buyer was first seen at, or None when the pool is
     unknown in the window (it has no reserves then, and nothing to read)."""
-    lo, block = span
     for ledger in watch.buyers.values():
         del ledger.snapshots[:-1]
         ledger.buys.clear()
         ledger.transfers.clear()
     try:
-        swaps = window.get_swaps(watch.pool.pool, span)
+        swaps = window.swaps(watch.pool.pool)
     except UnknownPool:
         # Scan range may start before the pool (or its tokens) exist.
         watch.reserves = (0, 0)
@@ -236,8 +238,8 @@ def _fold(watch: PoolWatch, window: Window, span: tuple[int, int]) -> dict[Addre
     buyer_set = set(watch.buyers)
     if buyer_set:
         try:
-            transfers = window.get_transfers(watch.trap_token, span)
-            approvals = window.get_approvals(watch.trap_token, span)
+            transfers = window.transfers(watch.trap_token)
+            approvals = window.approvals(watch.trap_token)
         except UnknownToken:
             transfers, approvals = [], []
         for rec in transfers:
@@ -252,7 +254,7 @@ def _fold(watch: PoolWatch, window: Window, span: tuple[int, int]) -> dict[Addre
                 approved[rec.spender] = approved.get(rec.spender, 0) + rec.value
 
     try:
-        watch.reserves = window.get_reserves(watch.pool.pool, block)
+        watch.reserves = window.reserves(watch.pool.pool)
     except UnknownPool:
         watch.reserves = (0, 0)
     return first_seen

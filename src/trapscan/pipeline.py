@@ -80,7 +80,7 @@ from .analyzer import (
     threshold_parts,
     verdict_to_json_line,
 )
-from .chainview import BalanceOverrides, Call, ChainView, check_range
+from .chainview import BalanceOverrides, Call, ChainView, check_range, fresh_error
 from .core import Address, PoolInfo, TrapType
 from .monitor import PoolWatch, ingest_block, ingest_window
 from .simulator import (
@@ -184,7 +184,8 @@ class PoolScanState:
     most `len(watch.buyers) + 2` records, however long the scan runs.
 
     `error` is the exception that failed the pool's scan, recorded where
-    it happened; a state with one is never advanced again.
+    it happened without its traceback, whose frames would hold what
+    records it; a state with one is never advanced again.
     """
 
     watch: PoolWatch
@@ -405,7 +406,7 @@ def run_detection_round(
         try:
             planned = _start_round(state, block, settings)
         except Exception as exc:  # this pool's own round failed
-            state.error, failed = exc, True
+            state.error, failed = exc.with_traceback(None), True
             continue
         if planned:
             plans.append((state, planned))
@@ -416,7 +417,7 @@ def run_detection_round(
         try:
             trip = _judge_round(state, block, settings, planned, results)
         except Exception as exc:  # this pool's own round failed
-            state.error, failed = exc, True
+            state.error, failed = exc.with_traceback(None), True
             continue
         if trip:
             trips.append((state, trip))
@@ -425,7 +426,7 @@ def run_detection_round(
         try:
             _judge(state, result, settings)
         except Exception as exc:  # this pool's own round failed
-            state.error, failed = exc, True
+            state.error, failed = exc.with_traceback(None), True
     return failed or len(ran) < len(plans) or len(ran_trips) < len(trips)
 
 
@@ -444,6 +445,7 @@ def _simulate(
             [_settled(state, bundle, parts) for state, planned in plans for bundle, _ in planned],
         )
     except Exception as exc:  # the shared simulation failed: every plan fails
+        exc = exc.with_traceback(None)
         for state, _ in plans:
             state.error = exc
         return []
@@ -488,7 +490,7 @@ def scan_pool(
         state = PoolScanState(watch=PoolWatch.create(pool, trap_token))
     [result] = scan_cohort(chain, [state], from_block, to_block, settings or ScanSettings())
     if isinstance(result, Exception):
-        raise result
+        raise fresh_error(result)
     return result
 
 
@@ -530,7 +532,7 @@ def scan_cohort(
                 )
                 continue
             except Exception as exc:  # this pool's own verdict failed
-                state.error = exc
+                state.error = exc.with_traceback(None)
         results.append(state.error)
     return results
 
@@ -597,14 +599,14 @@ def _scan_each(
             try:
                 states[idx] = PoolScanState(watch=PoolWatch.create(*targets[idx]))
             except Exception as exc:  # a target that is no pool orientation
-                done[idx] = exc
+                done[idx] = exc.with_traceback(None)
         try:
             verdicts = (
                 scan_cohort(chain, list(states.values()), from_block, to_block, settings)
                 if states else []
             )
         except Exception as exc:  # the cohort's own failure: each of its pools fails
-            verdicts = [exc] * len(states)
+            verdicts = [exc.with_traceback(None)] * len(states)
         done.update(zip(states, verdicts))
         return [(idx, done[idx]) for idx in cohort]
 

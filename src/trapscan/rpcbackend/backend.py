@@ -19,15 +19,17 @@ first two. `get_window` sends at most two: first one `eth_getLogs`
 over every pool address with either swap signature, one over every token
 with Transfer or Approval (an address list and a topic OR-list), and
 every pool's reserves read; then, when the window logged transfers, the
-senders of their transactions, each looked up once. A pair whose
-getReserves read fails is unknown at the block, as it is on the mock
-chain. An oversized log answer is split by block range, then by address
-list, then by topic list, and the halves are sent together. The
-contract's single-query forms (`get_swaps`, `get_reserves` and the rest)
-are windows of one. `get_pool_created` sends one `eth_getLogs` over
-every configured factory with either creation signature, and
-`pool_infos` reads the token0, token1 and fee of every pool not yet
-known at the latest block in one POST.
+senders of their transactions, each looked up once. It is handed each
+pool's metadata and reads none. A pair whose getReserves read fails is
+unknown at the block, as it is on the mock chain. An oversized log
+answer is split by block range, then by address list, then by topic
+list, and the halves are sent together. The contract's single-query
+forms (`get_swaps`, `get_reserves` and the rest) are windows of one.
+`get_pool_created` sends one `eth_getLogs` over every configured factory
+with either creation signature, and `pool_infos` reads the token0,
+token1 and fee of every pool not yet known at the latest block in one
+POST. Every `PoolInfo` the view finds or is handed is kept, so a swap
+bundle finds its pool's router without a metadata read.
 
 A scan sends the same bundles round after round, and the pipeline hands
 each subject's call tuple back while its amounts hold. So each distinct
@@ -40,8 +42,7 @@ whether its approval and its swap went through, since no predicate
 reads what a swap returns. A template also keeps its last answer whose
 outcomes were read from strings alone, with those outcomes, and an
 equal answer gets them again, undecoded; like the template, it belongs
-to its view. A balance read's calldata is likewise encoded once per
-(token, holder).
+to its view.
 
 Pinned callMany request shape (positional), one bundle per request:
 
@@ -104,7 +105,7 @@ GAS_LIMIT = 1_500_000
 ETH_FUNDING = 10**21
 _ETH_FUNDING_HEX = hex(ETH_FUNDING)
 DEFAULT_BALANCE_SLOT = 3  # canonical wrapped-native token layout
-# Bundle templates, and balance reads' calldata, memoised per view.
+# Bundle templates memoised per view.
 CALL_CACHE_SIZE = 4096
 
 # As a module name: on CPython 3.11 reading an enum member through its
@@ -194,10 +195,9 @@ class RpcChainView(ChainView):
         self._pool_cache: dict[Address, PoolInfo] = {}
         self._lock = threading.Lock()
         self.decode_skipped = 0
-        # Tail rounds send the same bundles and balance reads again and
-        # again, so each is encoded once per view (see `_template`).
+        # Tail rounds send the same bundles again and again, so each is
+        # encoded once per view (see `_template`).
         self._templates: dict[tuple[Call, ...], _Template] = {}
-        self._balance_calls: dict[tuple[Address, Address], tuple[str, str]] = {}
 
     # ------------------------------------------------------------------
     # plumbing
@@ -433,25 +433,20 @@ class RpcChainView(ChainView):
     ) -> list[TokenAmount | None]:
         """Every read as one `eth_call` in one batched POST; a read the node
         answers with an error or an undecodable payload is None."""
-        requests = []
-        memo = self._balance_calls
-        for token, holder, block in reads:
-            encoded = memo.get((token, holder))
-            if encoded is None:
-                encoded = token.hex, abi.bytes_to_hex(abi.encode_balance_of(holder))
-                self._remember(memo, (token, holder), encoded)
-            requests.append(("eth_call", [{"to": encoded[0], "data": encoded[1]}, hex(block)]))
+        requests = [
+            ("eth_call", _call_params(token, abi.encode_balance_of(holder), hex(block)))
+            for token, holder, block in reads
+        ]
         return [_balance_value(raw) for raw in self._batch(requests)]
 
     def get_window(
         self,
-        pools: Sequence[Address],
+        pools: Sequence[PoolInfo],
         tokens: Sequence[Address],
         block_range: tuple[int, int],
     ) -> Window:
         """Every answer of the window, fetched in at most two POSTs (see the
-        module docstring) besides one `pool_infos` POST for the pools not
-        yet known, each of which that has no metadata fails alone. A
+        module docstring); the pools' metadata is filed for `_compile`. A
         transport failure raises BackendUnavailable. An error answer fails
         only what it answers: a failed log query its addresses, and a
         failed sender lookup the transfers of each token that logged the
@@ -459,20 +454,16 @@ class RpcChainView(ChainView):
         the block."""
         lo, hi = check_range(block_range)
         answers: dict[tuple[str, Address], object] = {}
-        infos: list[PoolInfo] = []
-        pools = list(dict.fromkeys(pools))
-        for pool, info in zip(pools, self.pool_infos(pools)):
-            if isinstance(info, UnknownPool):
-                answers["swaps", pool] = answers["reserves", pool] = info
-            else:
-                infos.append(info)
+        infos = {info.pool: info for info in pools}
+        with self._lock:
+            self._pool_cache.update(infos)
         tokens = list(dict.fromkeys(tokens))
         queries: list[_LogQuery] = []
         if infos:
-            queries.append((tuple(info.pool for info in infos), SWAP_TOPICS, (lo, hi)))
+            queries.append((tuple(infos), SWAP_TOPICS, (lo, hi)))
         if tokens:
             queries.append((tuple(tokens), TOKEN_TOPICS, (lo, hi)))
-        reads = [_reserves_requests(info, hi) for info in infos]
+        reads = [_reserves_requests(info, hi) for info in infos.values()]
         replies = self._batch([*map(_log_request, queries), *(r for req in reads for r in req)])
 
         transfer_logs: dict[Address, list[_RawLog]] = {}
@@ -482,7 +473,7 @@ class RpcChainView(ChainView):
                 logged = grouped.get(address, [])
                 if query[1] == SWAP_TOPICS:
                     answers["swaps", address] = failed.get(address) or self._decode_each(
-                        logged, partial(self.decode_swap, info=self.pool_info(address))
+                        logged, partial(self.decode_swap, info=infos[address])
                     )
                 elif address in failed:
                     answers["transfers", address] = answers["approvals", address] = failed[address]
@@ -496,7 +487,7 @@ class RpcChainView(ChainView):
                     )
 
         position = len(queries)
-        for info, requests in zip(infos, reads):
+        for info, requests in zip(infos.values(), reads):
             answers["reserves", info.pool] = _reserves_value(
                 info, replies[position:position + len(requests)]
             ) or UnknownPool(f"cannot read reserves of {info.pool} at block {hi}")
@@ -512,7 +503,7 @@ class RpcChainView(ChainView):
             ) if any(log.tx_hash in failed for log in logged) else self._decode_each(
                 logged, lambda log: self.decode_transfer(log, senders.get(log.tx_hash))
             )
-        return Window((lo, hi), answers)
+        return Window(answers)
 
     def quotes_exact_in(
         self, items: Sequence[tuple[PoolInfo, Address, TokenAmount]], block: int
@@ -545,23 +536,20 @@ class RpcChainView(ChainView):
     def _router_for(self, info: PoolInfo) -> Address:
         return self.v2_router if info.dex_version is DexVersion.V2 else self.v3_router
 
-    def _remember(self, memo: dict, key, value) -> None:
-        """File `value` in one of the view's memos under the lock, dropping
-        the oldest entry once `CALL_CACHE_SIZE` are held. A lookup is one
-        atomic dict read, outside the lock."""
-        with self._lock:
-            if len(memo) >= CALL_CACHE_SIZE:
-                del memo[next(iter(memo))]
-            memo[key] = value
-
     def _template(self, calls: Sequence[Call]) -> _Template:
-        """The template of the call tuple, memoised: a miss encodes it
-        outside the lock and files it (see `_remember`)."""
+        """The template of the call tuple, memoised: a lookup is one atomic
+        dict read, outside the lock, and a miss encodes it outside the lock
+        and files it under the lock, dropping the oldest template once
+        `CALL_CACHE_SIZE` are held."""
         key = calls if type(calls) is tuple else tuple(calls)
-        template = self._templates.get(key)
+        memo = self._templates
+        template = memo.get(key)
         if template is None:
             template = self._compile(key)
-            self._remember(self._templates, key, template)
+            with self._lock:
+                if len(memo) >= CALL_CACHE_SIZE:
+                    del memo[next(iter(memo))]
+                memo[key] = template
         return template
 
     def _compile(self, calls: tuple[Call, ...]) -> _Template:
@@ -652,7 +640,7 @@ class RpcChainView(ChainView):
                     ("eth_callMany", self._bundle_request(block_hex, template, overrides))
                 )
             except Exception as exc:  # the bundle's own failure, not the batch's
-                outcomes.append(exc)
+                outcomes.append(exc.with_traceback(None))
             else:
                 sent.append((len(outcomes), template))
                 outcomes.append(None)
@@ -660,7 +648,7 @@ class RpcChainView(ChainView):
             try:
                 outcomes[position] = _bundle_outcomes(response, template)
             except (RpcError, BackendUnavailable) as exc:
-                outcomes[position] = exc
+                outcomes[position] = exc.with_traceback(None)
         return outcomes
 
 

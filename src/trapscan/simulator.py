@@ -82,6 +82,7 @@ from .chainview import (
     CallOutcome,
     ChainView,
     SwapExactInCall,
+    fresh_error,
 )
 from .core import Address, DexVersion, PoolInfo, TokenAmount, check_amount
 
@@ -357,7 +358,7 @@ def run(
     the evidence. A failed simulation is raised."""
     [result] = run_many(chain, [(bundle, balance_overrides)])
     if isinstance(result, Exception):
-        raise result
+        raise fresh_error(result)
     return result
 
 

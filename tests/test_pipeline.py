@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from trapscan.analyzer import (
     check_unauthorized_transfer,
     verdict_to_json_line,
 )
-from trapscan.chainview import BackendUnavailable, CallOutcome, CallStatus
+from trapscan.chainview import BackendUnavailable, CallOutcome, CallStatus, EmptyBundle
 from trapscan.core import Address, PoolInfo, TrapType
 from trapscan.corpus import TRAP_FAMILIES, generate_scenario
 from trapscan.mockchain import (
@@ -241,7 +242,7 @@ class TestOneReservesReadPerRound:
         real_round = pipeline.run_detection_round
 
         def counting_get_window(chain, pools, tokens, block_range):
-            reads.extend(block_range[1] for pool in pools if pool == trace.pool.pool)
+            reads.extend(block_range[1] for info in pools if info.pool == trace.pool.pool)
             return real_get_window(chain, pools, tokens, block_range)
 
         def counting_round(chain, state, block, settings):
@@ -637,7 +638,7 @@ class FailingView:
 
     def get_window(self, pools, tokens, block_range):
         window = self._chain.get_window(pools, tokens, block_range)
-        if self._bad_pool in pools:
+        if any(info.pool == self._bad_pool for info in pools):
             window.answers["swaps", self._bad_pool] = RuntimeError("node fell over")
         return window
 
@@ -671,6 +672,53 @@ class TestFailureParity:
         assert read_checkpoint(path) == {
             f"{p.pool.hex}:{t.hex}": line for (p, t), line in zip(kept, lines)
         }
+
+
+class TestStoredFailuresHoldNoFrames:
+    """A failure kept as a value is kept without its traceback, whose
+    frames would hold what keeps it: with the cyclic collector off, a scan
+    with a failing pool or with bundles the node cannot simulate, and a
+    batch with an empty bundle, leave nothing for the collector to free."""
+
+    @staticmethod
+    def garbage_after(work):
+        gc.collect()
+        gc.disable()
+        try:
+            work()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("backend", ["mock", "rpc"])
+    def test_a_failing_pool(self, backend):
+        chain, targets = three_pool_chain()
+        view = FailingView(chain if backend == "mock" else _rpc_view(chain), targets[1][0].pool)
+
+        def scan():
+            _, summary = scan_pools(view, targets, 1, chain.head())
+            assert (summary.scanned, summary.failures) == (2, 1)
+
+        assert self.garbage_after(scan) == 0
+
+    def test_bundles_the_node_cannot_simulate(self):
+        chain, targets = three_pool_chain()
+        view = _rpc_view(chain, support_call_many=False)
+
+        def scan():
+            _, summary = scan_pools(view, targets, 1, chain.head())
+            assert (summary.scanned, summary.failures) == (0, 3)
+
+        assert self.garbage_after(scan) == 0
+
+    def test_an_empty_bundle(self):
+        chain, _ = three_pool_chain()
+
+        def simulate():
+            [failed] = chain.simulate_bundles(chain.head(), [((), None)])
+            assert isinstance(failed, EmptyBundle)
+
+        assert self.garbage_after(simulate) == 0
 
 
 class TestCrashSafeResume:
@@ -772,6 +820,38 @@ class TestCohortScan:
     def world(self):
         return cohort_chain()
 
+    def test_a_scan_handed_pool_infos_reads_no_pool_metadata(self, world, monkeypatch):
+        """Every window is handed its pools' `PoolInfo`s, so a scan of pools
+        the view has never seen sends no token0, token1 or fee read, and
+        `get_window` never looks a pool up."""
+        chain, targets = world
+        inside, looked_up = [], []
+        real_get_window, real_pool_infos = RpcChainView.get_window, RpcChainView.pool_infos
+
+        def get_window(view, *args):
+            inside.append(True)
+            try:
+                return real_get_window(view, *args)
+            finally:
+                inside.pop()
+
+        def pool_infos(view, pools):
+            if inside:
+                looked_up.extend(pools)
+            return real_pool_infos(view, pools)
+
+        monkeypatch.setattr(RpcChainView, "get_window", get_window)
+        monkeypatch.setattr(RpcChainView, "pool_infos", pool_infos)
+        node = _SealedChainNode(chain=chain)
+        view = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=node)
+        lines, summary = scan_pools_resumable(
+            view, targets, 1, chain.head(), ScanSettings(interval=3)
+        )
+        assert summary.failures == 0 and len(lines) == len(targets)
+        assert looked_up == []
+        assert [params for method, params in node.requests
+                if method == "eth_call" and params[-1] == "latest"] == []
+
     @pytest.mark.parametrize("interval", [1, 3, 10])
     def test_cohorts_give_the_one_pool_lines(self, world, interval, monkeypatch):
         """Whatever the cohort size, every verdict line is byte-identical to
@@ -814,7 +894,7 @@ class TestCohortScan:
         real_get_window = MockChain.get_window
 
         def recording_get_window(view, pools, tokens, block_range):
-            asked.extend(pools)
+            asked.extend(info.pool for info in pools)
             return real_get_window(view, pools, tokens, block_range)
 
         monkeypatch.setattr(MockChain, "get_window", recording_get_window)

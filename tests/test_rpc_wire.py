@@ -12,13 +12,16 @@ fee-on-transfer router functions do.
 
 `TestRequestStream` pins every request the backend sends while it scans
 the corpus whose sim verdicts `test_sim_verdicts.py` pins, at intervals
-1, 3 and 7: methods, params and POST counts, hashed into one digest.
-Re-record it only for a change that is meant to alter the requests.
+1, 3 and 7: methods, params and POST counts, hashed into one digest,
+beside the POST count and the request count of each method, which show
+what a re-pin moved. Re-record it only for a change that is meant to
+alter the requests.
 """
 
 import copy
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -419,12 +422,18 @@ class TestEmptySwapReturns:
 # the request stream
 
 # sha256 of every request (method and params, ids left out) and every
-# scan's POST count, over the pinned corpus at intervals 1, 3 and 7
-REQUESTS_PINNED = "3c268e5fa73b6b1c"
+# scan's POST count, over the pinned corpus at intervals 1, 3 and 7; the
+# POSTs and the requests of each method (4,028 in all) are pinned beside it
+REQUESTS_PINNED = "d4c669f20717137b"
+POSTS_PINNED = 1806
+METHODS_PINNED = {
+    "eth_call": 1296, "eth_getLogs": 980, "eth_getTransactionByHash": 504, "eth_callMany": 1248,
+}
 
 
-def request_digest(root) -> tuple[str, int]:
-    digest, sent = hashlib.sha256(), 0
+def request_digest(root) -> tuple[str, int, dict[str, int]]:
+    """The digest, the POST count and the request count of each method."""
+    digest, posts, methods = hashlib.sha256(), 0, Counter()
     for path in gen_corpus(24, 7, root):
         scenario = load_scenario(path)
         trace = run_attack_script(scenario.script, scenario.seed)
@@ -436,10 +445,11 @@ def request_digest(root) -> tuple[str, int]:
             for request in node.requests:
                 digest.update(json.dumps(request, separators=(",", ":")).encode())
             digest.update(f"posts {node.posts};".encode())
-            sent += len(node.requests)
-    return digest.hexdigest()[:16], sent
+            posts += node.posts
+            methods.update(method for method, _ in node.requests)
+    return digest.hexdigest()[:16], posts, dict(methods)
 
 
 class TestRequestStream:
     def test_requests_over_the_pinned_corpus(self, tmp_path):
-        assert request_digest(tmp_path) == (REQUESTS_PINNED, 4244)
+        assert request_digest(tmp_path) == (REQUESTS_PINNED, POSTS_PINNED, METHODS_PINNED)

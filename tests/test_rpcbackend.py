@@ -474,12 +474,11 @@ class TestWindowSenders:
         rpc = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=transport)
         window = rpc.get_window([], [a, b, c], (100, 100))
         assert sorted(looked_up) == [shared, bad]
-        span = (100, 100)
-        assert [(r.value, r.tx_sender) for r in window.get_transfers(a, span)] == [(1, sender)]
-        assert [(r.value, r.tx_sender) for r in window.get_transfers(b, span)] == [(2, sender)]
+        assert [(r.value, r.tx_sender) for r in window.transfers(a)] == [(1, sender)]
+        assert [(r.value, r.tx_sender) for r in window.transfers(b)] == [(2, sender)]
         with pytest.raises(BackendUnavailable):
-            window.get_transfers(c, span)
-        assert window.get_approvals(c, span) == []
+            window.transfers(c)
+        assert window.approvals(c) == []
 
 
 class Recorder:
@@ -852,9 +851,9 @@ class TestSimulateBundle:
 
 
 class TestCallMemo:
-    """A view encodes each distinct call tuple once into a template, and
-    each balance read's calldata once, in memos bounded by
-    `CALL_CACHE_SIZE`; every request still gets its own dicts."""
+    """A view encodes each distinct call tuple once into a template, in a
+    memo bounded by `CALL_CACHE_SIZE`; every request still gets its own
+    dicts."""
 
     def test_each_distinct_call_tuple_encoded_once_per_view(self, monkeypatch):
         trace = run_simple(Honest(Fraction(0)), victims=2, extra=(Wait(80),))
@@ -894,7 +893,6 @@ class TestCallMemo:
         assert first == again and first is not again
         assert all(tx is not kept for tx in first for kept in rpc._template(bundles[0]).txs)
         rpc.balances_at([(trace.trap_token, p, 1) for p in probes + probes[:1]])
-        assert len(rpc._balance_calls) == 2
         reads = [p for m, p in node.requests if m == "eth_call"][-4:]
         assert reads[0] == reads[-1] and reads[0][0] is not reads[-1][0]
 
@@ -978,10 +976,11 @@ class TestBackendQueries:
 
     @pytest.mark.parametrize("max_batch, posts", [(100, 1), (4, 5)])
     def test_unknown_pools_cost_one_metadata_post(self, max_batch, posts):
-        """A window over five pools not yet known, and one address that is
+        """`pool_infos` of five pools not yet known, and one address that is
         no pool, reads all six pools' token0, token1 and fee in one POST
         (split by `max_batch`); the address that is no pool fails alone,
-        and known pools cost no more reads."""
+        and known pools cost no more reads, nor does a window over them,
+        which decodes their swaps with the metadata it is handed."""
         from test_pipeline import cohort_chain
 
         chain, targets = cohort_chain(pools=5)
@@ -997,17 +996,18 @@ class TestBackendQueries:
         pools = [info.pool for info, _ in targets]
         stray = Address.derive("not-a-pool")
         span = (1, chain.head())
-        window = rpc.get_window([*pools, stray], [], span)
+        *infos, unknown = rpc.pool_infos([*pools, stray])
         metadata = [payload for payload in payloads
                     if all(item["params"][-1] == "latest" for item in payload)]
         assert len(metadata) == posts and sum(map(len, metadata)) == 3 * 6
-        for pool in pools:
-            assert window.get_swaps(pool, span) == chain.get_swaps(pool, span)
-        with pytest.raises(UnknownPool):
-            window.get_swaps(stray, span)
+        assert infos == [info for info, _ in targets]
+        assert isinstance(unknown, UnknownPool)
         sent = len(payloads)
-        assert rpc.pool_infos(pools) == [info for info, _ in targets]
-        assert len(payloads) == sent
+        assert rpc.pool_infos(pools) == infos
+        window = rpc.get_window(infos, [], span)
+        for pool in pools:
+            assert window.swaps(pool) == chain.get_swaps(pool, span)
+        assert not any(item["params"][-1] == "latest" for item in sum(payloads[sent:], []))
 
     def test_pool_discovery_is_one_post(self, backend):
         """One log query over both factories and both creation signatures,
