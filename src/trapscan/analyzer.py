@@ -214,8 +214,6 @@ def _amounts_agree(delta: int, expected: int, num: int, den: int) -> bool:
     """
     if delta == 0 and expected == 0:
         return True
-    if delta == 0 or expected == 0:
-        return False
     if (delta > 0) != (expected > 0):
         return False
     mag_d, mag_e = abs(delta), abs(expected)

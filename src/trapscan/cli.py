@@ -5,8 +5,14 @@
     trapscan scan --mode sim --scenario corpus/ [...]
     trapscan scan --mode live --rpc-url URL --from-block A --to-block B [...]
 
+`simulate` and `scan --mode sim` run one scenario loop: a scenario whose
+scan raises is warned about, counted in `failed: N` and skipped, and the
+other scenarios are still scanned and reported. A file that cannot be
+read, is not JSON or is not a scenario ends either command with one
+`error:` line.
+
 Exit codes: 0 success (simulate: all verdicts match ground truth),
-1 runtime failure, mismatch, or (scan) any pool whose scan failed,
+1 runtime failure, a mismatch (simulate), or any pool whose scan failed,
 2 malformed input file, or a bad or missing command-line value (usage error).
 
 Environment: TRAPSCAN_RPC_URL overrides the endpoint, TRAPSCAN_CHECKPOINT
@@ -26,7 +32,7 @@ from pathlib import Path
 from .analyzer import verdict_to_json_line, verdict_to_json_obj
 from .core import Address
 from .corpus import gen_corpus
-from .mockchain.scenario_io import ScenarioFormatError, load_scenario
+from .mockchain.scenario_io import load_scenario
 from .mockchain.scripts import run_attack_script
 from .pipeline import ScanSettings, ScanSummary, scan_pool, scan_pools_resumable
 
@@ -69,39 +75,51 @@ def _settings_from_args(args) -> ScanSettings:
     )
 
 
-def _scenario_paths(source: Path) -> list[Path]:
+class _BadScenario(Exception):
+    """A scenario path that does not exist, or a file that cannot be read,
+    is not JSON or is not a scenario: a usage error."""
+
+
+def _scan_scenarios(args, summary: ScanSummary):
+    """The one scenario loop of `simulate` and `scan --mode sim`: for each
+    scenario file of `args.scenario` (a file, or a directory's `*.json`
+    in name order, sampled by `--sample` where given), load the scenario,
+    replay its script on a fresh mock chain and scan its pool over the
+    whole replay. Yields (path, scenario, trace, verdict) for each scan
+    that went through. A scenario whose replay or scan raises is warned
+    about, counted in `summary.failures` and skipped; a path that does
+    not exist, or a file that cannot be read or loaded, raises
+    `_BadScenario`."""
+    source = Path(args.scenario)
     if source.is_dir():
-        return sorted(source.glob("*.json"))  # empty is a valid zero-pool scan
-    if not source.exists():
-        raise FileNotFoundError(f"no such scenario file: {source}")
-    return [source]
-
-
-def _run_scenario(path: Path, settings: ScanSettings):
-    """Load a scenario, replay its script on a fresh mock chain and scan its
-    pool over the whole replay; returns (scenario, trace, verdict)."""
-    scenario = load_scenario(path)
-    trace = run_attack_script(scenario.script, scenario.seed)
-    verdict = scan_pool(
-        trace.chain, trace.pool, trace.trap_token, 1, trace.final_block, settings
-    )
-    return scenario, trace, verdict
-
-
-def _simulate_one(path: Path, settings: ScanSettings) -> tuple[dict, bool]:
-    scenario, trace, verdict = _run_scenario(path, settings)
-    truth = sorted(t.value for t in trace.ground_truth)
-    got = sorted(t.value for t in verdict.traps)
-    match = truth == got
-    report = verdict_to_json_obj(verdict)
-    report["scenario"] = path.name
-    report["ground_truth"] = truth
-    report["match"] = match
-    if scenario.expected_traps is not None:
-        embedded = sorted(t.value for t in scenario.expected_traps)
-        if embedded != truth:
-            report["label_mismatch"] = embedded
-    return report, match
+        paths = sorted(source.glob("*.json"))  # empty is a valid zero-pool scan
+    elif source.exists():
+        paths = [source]
+    else:
+        raise _BadScenario(f"no such scenario file: {source}")
+    if getattr(args, "sample", None) is not None:
+        rng = random.Random(args.seed)
+        paths = sorted(rng.sample(paths, min(args.sample, len(paths))))
+    settings = _settings_from_args(args)
+    for path in paths:
+        try:
+            scenario = load_scenario(path)
+        except json.JSONDecodeError as exc:
+            raise _BadScenario(
+                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from None
+        except (OSError, ValueError) as exc:  # unreadable, or no scenario
+            raise _BadScenario(f"{path}: {exc}") from None
+        try:
+            trace = run_attack_script(scenario.script, scenario.seed)
+            verdict = scan_pool(
+                trace.chain, trace.pool, trace.trap_token, 1, trace.final_block, settings
+            )
+        except Exception as exc:
+            print(f"warning: {path}: scan failed: {exc}", file=sys.stderr)
+            summary.failures += 1
+            continue
+        yield path, scenario, trace, verdict
 
 
 def _usage_error(message: str) -> int:
@@ -109,42 +127,41 @@ def _usage_error(message: str) -> int:
     return EXIT_SCHEMA
 
 
+def _failed_exit(summary: ScanSummary, ok: bool) -> int:
+    """Print the count of failed pools, if any; exit 1 on a failure or
+    when not `ok`."""
+    if summary.failures:
+        print(f"failed: {summary.failures}", file=sys.stderr)
+    return EXIT_OK if ok and not summary.failures else EXIT_RUNTIME
+
+
 def cmd_simulate(args) -> int:
-    settings = _settings_from_args(args)
+    summary = ScanSummary()
+    lines: list[str] = []
+    matched = 0
     try:
-        paths = _scenario_paths(Path(args.scenario))
-    except FileNotFoundError as exc:
+        for path, scenario, trace, verdict in _scan_scenarios(args, summary):
+            truth = sorted(t.value for t in trace.ground_truth)
+            report = verdict_to_json_obj(verdict)
+            report["scenario"] = path.name
+            report["ground_truth"] = truth
+            report["match"] = truth == sorted(t.value for t in verdict.traps)
+            if scenario.expected_traps is not None:
+                embedded = sorted(t.value for t in scenario.expected_traps)
+                if embedded != truth:
+                    report["label_mismatch"] = embedded
+            matched += report["match"]
+            lines.append(json.dumps(report, separators=(",", ":")))
+    except _BadScenario as exc:
         return _usage_error(str(exc))
 
-    reports: list[dict] = []
-    all_match = True
-    for path in paths:
-        try:
-            report, match = _simulate_one(path, settings)
-        except json.JSONDecodeError as exc:
-            print(
-                f"error: {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-                file=sys.stderr,
-            )
-            return EXIT_SCHEMA
-        except ScenarioFormatError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
-        except Exception as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        reports.append(report)
-        all_match = all_match and match
-
-    lines = [json.dumps(r, separators=(",", ":")) for r in reports]
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n")
     else:
         for line in lines:
             print(line)
-    matched = sum(1 for r in reports if r["match"])
-    print(f"ground-truth match: {matched}/{len(reports)}", file=sys.stderr)
-    return EXIT_OK if all_match else EXIT_RUNTIME
+    print(f"ground-truth match: {matched}/{len(lines)}", file=sys.stderr)
+    return _failed_exit(summary, matched == len(lines))
 
 
 def cmd_gen_corpus(args) -> int:
@@ -180,10 +197,7 @@ def _report(lines: list[str], summary: ScanSummary, args) -> int:
     """Emit the verdicts and the summary table; exit 1 if any pool failed."""
     _emit_verdicts(lines, args)
     print(summary.table())
-    if summary.failures:
-        print(f"failed: {summary.failures}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _failed_exit(summary, True)
 
 
 def cmd_scan(args) -> int:
@@ -198,29 +212,14 @@ def _scan_sim(args) -> int:
     for flag in ("workers", "checkpoint"):
         if getattr(args, flag) is not None:
             return _usage_error(f"--{flag} applies to live scans only")
-    settings = _settings_from_args(args)
-    try:
-        paths = _scenario_paths(Path(args.scenario))
-    except FileNotFoundError as exc:
-        return _usage_error(str(exc))
-    if args.sample is not None:
-        rng = random.Random(args.seed)
-        paths = sorted(rng.sample(paths, min(args.sample, len(paths))))
-
     summary = ScanSummary()
     lines: list[str] = []
-    for path in paths:
-        try:
-            _, _, verdict = _run_scenario(path, settings)
-        except (json.JSONDecodeError, ScenarioFormatError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
-        except Exception as exc:
-            print(f"warning: {path}: scan failed: {exc}", file=sys.stderr)
-            summary.failures += 1
-            continue
-        lines.append(verdict_to_json_line(verdict))
-        summary.count(trap.value for trap in verdict.traps)
+    try:
+        for *_, verdict in _scan_scenarios(args, summary):
+            lines.append(verdict_to_json_line(verdict))
+            summary.count(trap.value for trap in verdict.traps)
+    except _BadScenario as exc:
+        return _usage_error(str(exc))
     return _report(lines, summary, args)
 
 

@@ -45,16 +45,17 @@ a long scan costs what an early one does, and a quiet round less.
 
 Findings accumulate into one verdict per pool. A pool whose scan raises
 fails alone: the exception is recorded once, as its state's `error`,
-where it is caught, and the cohort drops the pool after that step and
-goes on. A failure of a request the cohort shares fails the cohort's
-unfinished pools. A multi-pool scan chunks its targets into cohorts of
-up to `COHORT_SIZE` and maps them onto one executor, `_scan_each`: in
-the calling thread when `workers <= 1`, otherwise on one thread pool.
-It yields each cohort's verdicts, or the exceptions their scans raised,
-in target order.
-`scan_pools` and `scan_pools_resumable` both consume it, so a failing
-pool is counted in `ScanSummary.failures` and never stops the scan,
-whatever the worker count.
+where it is caught. That is the one failure signal: before each step
+the cohort drops every state with an `error`, and goes on with the
+rest. A failure of a request the cohort shares fails the cohort's
+unfinished pools. A multi-pool scan cuts its targets into cohorts of
+`COHORT_SIZE`, the last holding what is left, and maps them onto one
+executor, `_scan_each`: in the calling thread when `workers <= 1`,
+otherwise on one thread pool, whose workers take whole cohorts. It
+yields each cohort's verdicts, or the exceptions their scans raised, in
+target order. `scan_pools` and `scan_pools_resumable` both consume it,
+so a failing pool is counted in `ScanSummary.failures` and never stops
+the scan, and a pool costs the same requests whatever the worker count.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ PROBE_FUNDING = 10**30
 # 0.57 MiB of traced allocations, against 0.32 MiB one pool at a time;
 # no measured workload holds more pools to show that a larger cohort
 # pays. A cohort's verdicts are checkpointed together, so a crash loses
-# at most one cohort's work. A scan of fewer than `COHORT_SIZE` pools per
-# worker runs in smaller cohorts, so that the workers share them.
+# at most one cohort's work. Workers never split a cohort: cutting the
+# live-replay pools into a worker's share multiplied their 124 POSTs to
+# 232, 444 and 1,296 at 2, 4 and 12 workers.
 COHORT_SIZE = 12
 # Buy probes spend PROBE_NUM/PROBE_DEN of the pool's base-token reserve.
 PROBE_NUM = 1
@@ -388,7 +390,7 @@ def run_detection_round(
     states: Sequence[PoolScanState],
     block: int,
     settings: ScanSettings,
-) -> bool:
+) -> None:
     """One detection round at a sealed block, the last one every watch has
     ingested, for each state of a cohort, in three steps: start every
     round (`_start_round`), simulate all their sells and probes through
@@ -396,38 +398,34 @@ def run_detection_round(
     simulate all their round trips through one more and judge those. So a
     round costs two simulation calls however many pools take part.
 
-    The exception that failed a round is recorded as its state's `error`;
-    the other rounds go on. A bundle that failed fails its own pool's
-    round, and a failed `run_many` every round that had a bundle in it.
-    Returns whether any round failed."""
-    failed = False
+    The exception that failed a round is recorded as its state's `error`,
+    which the caller reads to drop the pool; the other rounds go on. A
+    bundle that failed fails its own pool's round, and a failed
+    `run_many` every round that had a bundle in it."""
     plans: list[tuple[PoolScanState, Plan]] = []
     for state in states:
         try:
             planned = _start_round(state, block, settings)
         except Exception as exc:  # this pool's own round failed
-            state.error, failed = exc.with_traceback(None), True
+            state.error = exc.with_traceback(None)
             continue
         if planned:
             plans.append((state, planned))
     parts = settings.threshold_parts
-    ran = _simulate(chain, plans, parts)
     trips: list[tuple[PoolScanState, Plan]] = []
-    for state, planned, results in ran:
+    for state, planned, results in _simulate(chain, plans, parts):
         try:
             trip = _judge_round(state, block, settings, planned, results)
         except Exception as exc:  # this pool's own round failed
-            state.error, failed = exc.with_traceback(None), True
+            state.error = exc.with_traceback(None)
             continue
         if trip:
             trips.append((state, trip))
-    ran_trips = _simulate(chain, trips, parts)
-    for state, _, (result,) in ran_trips:
+    for state, _, (result,) in _simulate(chain, trips, parts):
         try:
             _judge(state, result, settings)
         except Exception as exc:  # this pool's own round failed
-            state.error, failed = exc.with_traceback(None), True
-    return failed or len(ran) < len(plans) or len(ran_trips) < len(trips)
+            state.error = exc.with_traceback(None)
 
 
 def _simulate(
@@ -505,23 +503,23 @@ def scan_cohort(
     in lockstep: every window is ingested for all of them at once, and
     each round runs for all of them at once. The states must have
     ingested the same blocks. Returns, per state, its verdict, or its
-    `error`: what failed its scan. A failed state is dropped and the
-    others go on; one whose `error` is set on entry is never advanced. A
-    range that is not one raises ValueError."""
+    `error`: what failed its scan. Before each step, ingestion and round,
+    the states with an `error` are dropped, so a failed state is never
+    advanced again, nor one whose `error` is set on entry, while the
+    others go on. A range that is not one raises ValueError."""
     check_range((from_block, to_block))
-    cohort, watches = _unfailed(states)
-    last = watches[0].last_ingested if watches else None
+    cohort = [state for state in states if state.error is None]
+    last = cohort[0].watch.last_ingested if cohort else None
     start = from_block if last is None else last + 1
     for block in _round_blocks(start, from_block, to_block, settings.interval):
         if not cohort:
             break
-        failures = ingest_window(watches, chain, block, start)
-        if failures:
-            for i, error in failures.items():
-                cohort[i].error = error
-            cohort, watches = _unfailed(cohort)
-        if run_detection_round(chain, cohort, block, settings):
-            cohort, watches = _unfailed(cohort)
+        watches = [state.watch for state in cohort]
+        for i, error in ingest_window(watches, chain, block, start).items():
+            cohort[i].error = error
+        cohort = [state for state in cohort if state.error is None]
+        run_detection_round(chain, cohort, block, settings)
+        cohort = [state for state in cohort if state.error is None]
         start = block + 1
     results: list[PoolVerdict | Exception] = []
     for state in states:
@@ -535,12 +533,6 @@ def scan_cohort(
                 state.error = exc.with_traceback(None)
         results.append(state.error)
     return results
-
-
-def _unfailed(states: Sequence[PoolScanState]) -> tuple[list[PoolScanState], list[PoolWatch]]:
-    """The states with no `error`, and their watches."""
-    cohort = [state for state in states if state.error is None]
-    return cohort, [state.watch for state in cohort]
 
 
 @dataclass
@@ -585,12 +577,13 @@ def _scan_each(
     settings: ScanSettings,
 ) -> Iterator[list[tuple[int, PoolVerdict | Exception]]]:
     """Scan `targets[i]` for each i in `indices`, in cohorts of
-    consecutive indices: up to `COHORT_SIZE`, and at most a worker's
-    share of the indices. Yields each cohort's `(i, verdict)`, or
-    `(i, exception)` when that pool's scan raised, in `indices` order."""
+    `COHORT_SIZE` consecutive indices, the last one holding what is left.
+    Workers take whole cohorts: a cohort is never cut to give an idle
+    worker a share, which would multiply its POSTs. Yields each cohort's
+    `(i, verdict)`, or `(i, exception)` when that pool's scan raised, in
+    `indices` order."""
     order = list(indices)
-    size = max(1, min(COHORT_SIZE, -(-len(order) // settings.workers)))
-    cohorts = [order[k:k + size] for k in range(0, len(order), size)]
+    cohorts = [order[k:k + COHORT_SIZE] for k in range(0, len(order), COHORT_SIZE)]
 
     def attempt(cohort: list[int]) -> list[tuple[int, PoolVerdict | Exception]]:
         done: dict[int, PoolVerdict | Exception] = {}

@@ -83,8 +83,12 @@ class EndpointConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.request_timeout <= 0:
+        # Written so that NaN fails them: a NaN or negative rate limit would
+        # turn rate limiting off.
+        if not self.request_timeout > 0:
             raise ValueError("request_timeout must be positive")
+        if not self.rate_limit >= 0:
+            raise ValueError("rate_limit must be >= 0")
         if self.retries < 0 or self.retries > 20:
             raise ValueError("retries must be in [0, 20]")
         if self.max_batch < 1:

@@ -287,6 +287,19 @@ class TestUnauthorizedTransfer:
         assert finding.evidence["kind"] == "unauthorized_transfer_mismatch"
         assert finding.evidence["direction"] == "silent_movement"
 
+    def test_opposite_movement_of_equal_size_is_overstated_logs(self):
+        """A balance that fell 100 against a logged +100: the signs conflict
+        and neither side is larger, so the logs overstate it."""
+        ledger = make_ledger(
+            [(10, 500), (11, 400)],
+            transfers=[xfer(11, SPENDER, BUYER, 100, SPENDER)],
+        )
+        finding = check_unauthorized_transfer(ledger)
+        assert finding is not None
+        assert finding.evidence["balance_delta"] == "-100"
+        assert finding.evidence["logged_sum"] == "100"
+        assert finding.evidence["direction"] == "overstated_logs"
+
     def test_overstated_logs_mismatch(self):
         ledger = make_ledger(
             [(10, 1000), (11, 990)],
@@ -343,6 +356,13 @@ class TestAmountsAgree:
             (-1000, -500, False),  # exactly the threshold ratio fires
             (100, -100, False),
             (1000, 900, True),
+            (1, 0, False),
+            (-1, 0, False),
+            (0, 1, False),
+            (0, -1, False),
+            (1, 1, True),
+            (-1, -1, True),
+            (1, -1, False),
         ],
     )
     def test_cases(self, delta, expected, agree):
@@ -377,6 +397,13 @@ class TestClassifyAndExport:
         obj = json.loads(verdict_to_json_line(verdict))
         assert validate_verdict_obj(obj) == []
 
+    @pytest.mark.parametrize("scanned_range", [[1, 2, 3], [1], "1-2"])
+    def test_schema_validator_rejects_a_range_that_is_no_pair(self, scanned_range):
+        f = check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 9, 90))
+        obj = json.loads(verdict_to_json_line(classify_pool(self._watch(), [f], (1, 10))))
+        obj["scanned_range"] = scanned_range
+        assert validate_verdict_obj(obj) == ["scanned_range must be [from, to]"]
+
     def test_schema_validator_catches_problems(self):
         assert validate_verdict_obj({"schema": "nope"}) != []
         assert any("unknown trap" in p for p in validate_verdict_obj(
@@ -409,6 +436,27 @@ class TestRecompute:
             evidence={**f.evidence, "post_balance": "89"},
         )
         assert recompute_finding(tampered) is False
+
+    @staticmethod
+    def _with(finding, **evidence):
+        return replace(finding, evidence={**finding.evidence, **evidence})
+
+    def test_a_delivery_at_its_bound_holds_and_one_unit_above_fails(self):
+        """Half of an estimate of 90 is 45: a delivery of 45 is a finding,
+        one of 46 is not."""
+        f = check_invalid_buy(fake_result(BundleKind.BUY_PROBE, 0, 45, 90))
+        assert f is not None and recompute_finding(f) is True
+        assert recompute_finding(self._with(f, post_balance="46")) is False
+
+    def test_a_logged_transfer_fails_when_the_buyer_sent_it_or_it_was_approved(self):
+        drainer = Address.derive("drainer")
+        f = check_unauthorized_transfer(make_ledger(
+            [(10, 500), (11, 0)], transfers=[xfer(11, BUYER, ZERO_ADDRESS, 500, drainer)],
+        ))
+        assert f.evidence["kind"] == "unauthorized_transfer_logged"
+        assert recompute_finding(self._with(f, approved_to_spender="499")) is True
+        assert recompute_finding(self._with(f, tx_sender=BUYER.hex)) is False
+        assert recompute_finding(self._with(f, approved_to_spender="500")) is False
 
 
 class TestThresholdParameter:

@@ -106,6 +106,62 @@ class TestSimulate:
                 err = capsys.readouterr().err
                 assert (code, where in err) == (2, True), (argv[0], where, err)
 
+    @pytest.mark.parametrize("argv", [["simulate"], ["scan", "--mode", "sim", "--scenario"]],
+                             ids=["simulate", "scan"])
+    def test_malformed_json_names_its_position_in_both_commands(self, tmp_path, capsys, argv):
+        path = tmp_path / "broken.json"
+        path.write_text('{"schema": "trapscan-scenario/1",\n  "seed": }\n')
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: invalid JSON at line 2, column 11: Expecting value\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["scan", "--mode", "sim", "--scenario"]],
+                             ids=["simulate", "scan"])
+    def test_an_unreadable_scenario_file_is_a_usage_error(self, tmp_path, capsys, argv):
+        (tmp_path / "a.json").mkdir()  # matched by the directory's *.json, but no file
+        assert main([*argv, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {tmp_path / 'a.json'}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["scan", "--mode", "sim", "--scenario"]],
+                             ids=["simulate", "scan"])
+    def test_a_failed_scan_is_counted_and_skipped(self, tmp_path, capsys, monkeypatch, argv):
+        """Of six scenarios, the second one's scan raises: both commands warn
+        about it, report the other five, print `failed: 1` and exit 1."""
+        from trapscan import cli
+
+        corpus = tmp_path / "corpus"
+        gen_corpus(6, seed=3, out_dir=corpus)
+        second = sorted(corpus.glob("*.json"))[1]
+        scans = []
+        real_scan_pool = cli.scan_pool
+
+        def failing_second(*args):
+            scans.append(args)
+            if len(scans) == 2:
+                raise RuntimeError("node fell over")
+            return real_scan_pool(*args)
+
+        monkeypatch.setattr(cli, "scan_pool", failing_second)
+        assert main([*argv, str(corpus)]) == 1
+        captured = capsys.readouterr()
+        assert len(scans) == 6
+        err = captured.err.splitlines()
+        assert f"warning: {second}: scan failed: node fell over" in err
+        assert err[-1] == "failed: 1"
+        if argv[0] == "simulate":
+            reports = [json.loads(line) for line in captured.out.splitlines()]
+            assert len(reports) == 5 and second.name not in {r["scenario"] for r in reports}
+            assert "ground-truth match: 5/5" in err
+        else:
+            assert len(captured.out.splitlines()) == 5 + 7  # verdicts, then the table
+            assert "/5" in captured.out.splitlines()[-1]
+
     def test_missing_file_exits_2(self, tmp_path):
         proc = run_cli("simulate", str(tmp_path / "nope.json"))
         assert proc.returncode == 2
@@ -265,8 +321,14 @@ class TestScan:
         ({"url": "fake://node", "v2router": "0x" + "22" * 20}, [],
          "unknown config key: 'v2router'"),
         ({"url": "fake://node", "balance_slot": 3}, [], "unknown config key: 'balance_slot'"),
+        # A negative or NaN rate limit would turn rate limiting off.
+        ({"url": "fake://node", "rate_limit": -5}, [], "rate_limit must be >= 0"),
+        ('{"url": "fake://node", "rate_limit": NaN}', [], "rate_limit must be >= 0"),
+        ('{"url": "fake://node", "request_timeout": NaN}', [],
+         "request_timeout must be positive"),
     ], ids=["missing-config", "config-not-json", "bad-field", "bad-base-token", "bad-pool",
-            "unknown-key", "unknown-slot-key"])
+            "unknown-key", "unknown-slot-key", "negative-rate-limit", "nan-rate-limit",
+            "nan-timeout"])
     def test_bad_live_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch, no_transport,
                                              config, extra, message):
         monkeypatch.delenv("TRAPSCAN_RPC_URL", raising=False)

@@ -16,7 +16,7 @@ from trapscan.chainview import (
     UnknownPool,
     UnknownToken,
 )
-from trapscan.core import Address
+from trapscan.core import Address, PoolInfo
 from trapscan.mockchain import Honest, MockChain, run_attack_script, wash_and_drain_script
 from trapscan.monitor import IngestGap, PoolWatch, ingest_block, pick_orientations
 
@@ -141,6 +141,15 @@ class TestOrientations:
     def test_base_side_known(self, drain_trace):
         pairs = pick_orientations(drain_trace.pool, {drain_trace.base_token})
         assert pairs == [(drain_trace.trap_token, drain_trace.base_token)]
+
+    @pytest.mark.parametrize("base_side", ["token_x", "token_y"])
+    def test_a_known_base_on_either_side_is_watched_one_way(self, base_side):
+        pool = PoolInfo(pool=Address.derive("orient:pool"), token_x=Address.derive("orient:x"),
+                        token_y=Address.derive("orient:y"))
+        base = getattr(pool, base_side)
+        trap = pool.token_y if base == pool.token_x else pool.token_x
+        assert pick_orientations(pool, {base}) == [(trap, base)]
+        assert len(pick_orientations(pool, {pool.token_x, pool.token_y})) == 2
 
     def test_unknown_pair_scans_both(self, drain_trace):
         pairs = pick_orientations(drain_trace.pool, set())

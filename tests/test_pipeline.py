@@ -51,6 +51,7 @@ from trapscan.pipeline import (
 from trapscan.rpcbackend import EndpointConfig, RpcChainView
 from trapscan.simulator import (
     Bundle,
+    BundleKind,
     SimulationResult,
     build_buy_probe,
     build_buy_sell_bundle,
@@ -485,6 +486,131 @@ class TestMultiPool:
         assert "2/3" in table and "InvalidSell" in table
 
 
+class TestSummaryTable:
+    @pytest.mark.parametrize("counted, table", [
+        ([("InvalidBuy", "InvalidSell"), ("CannotSell",), ("UnauthorizedTransfer",),
+          ("InvalidSell",), (), ("InvalidBuy", "UnauthorizedTransfer", "CannotSell",
+                                 "InvalidSell")],
+         "Types of Trap             Num of Pool\n"
+         "-------------------------------------\n"
+         "(1) InvalidBuy            2\n"
+         "(2) UnauthorizedTransfer  2\n"
+         "(3) CannotSell            2\n"
+         "(4) InvalidSell           3\n"
+         "Total                     5/6"),
+        ([],
+         "Types of Trap             Num of Pool\n"
+         "-------------------------------------\n"
+         "(1) InvalidBuy            0\n"
+         "(2) UnauthorizedTransfer  0\n"
+         "(3) CannotSell            0\n"
+         "(4) InvalidSell           0\n"
+         "Total                     0/0"),
+    ], ids=["every-trap", "empty"])
+    def test_the_papers_table(self, counted, table):
+        summary = ScanSummary()
+        for traps in counted:
+            summary.count(traps)
+        assert summary.table() == table
+
+
+class _DeliveringChain:
+    """A chain on which every bundle goes through, its last read giving
+    `DELIVERED` more than the read before its swap, and which quotes each
+    swap of the base token at `probe_quote` (none when None)."""
+
+    DELIVERED = 10**6
+
+    def __init__(self, base, probe_quote=None):
+        self.base, self.probe_quote = base, probe_quote
+
+    def simulate_bundles(self, block, items):
+        return [
+            [*(CallOutcome(_OK, None, 1) for _ in calls[:-3]), CallOutcome(_OK, None, 0),
+             CallOutcome(_OK, None, 1), CallOutcome(_OK, None, self.DELIVERED)]
+            for calls, _ in items
+        ]
+
+    def quotes_exact_in(self, items, block):
+        return [self.probe_quote if token_in == self.base else None for _, token_in, _ in items]
+
+
+class TestScanLoopEdges:
+    """Edges of the scan loop that a wrong comparison would move."""
+
+    def test_a_one_block_remaining_range_runs_its_round(self, monkeypatch):
+        """A scan of one block, and a resumed scan with one block left, each
+        run a round at that block."""
+        trace = run_simple(Honest(Fraction(0)))
+        last = trace.final_block
+        rounds = []
+        real_round = pipeline.run_detection_round
+
+        def counting_round(chain, states, block, settings):
+            rounds.append(block)
+            return real_round(chain, states, block, settings)
+
+        monkeypatch.setattr(pipeline, "run_detection_round", counting_round)
+        fresh = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        scan_pool(trace.chain, trace.pool, trace.trap_token, last, last, state=fresh)
+        assert rounds == [last] and fresh.watch.last_ingested == last
+        resumed = PoolScanState(watch=PoolWatch.create(trace.pool, trace.trap_token))
+        scan_pool(trace.chain, trace.pool, trace.trap_token, 1, last - 1, state=resumed)
+        rounds.clear()
+        scan_pool(trace.chain, trace.pool, trace.trap_token, 1, last, state=resumed)
+        assert rounds == [last] and resumed.watch.last_ingested == last
+
+    @staticmethod
+    def _round(chain, held=None):
+        """One round at block 5 of a liquid watch of `STANDING_POOL`, whose
+        buyer, if `held` is given, holds `held` there."""
+        watch = PoolWatch.create(STANDING_POOL, STANDING_POOL.token_y)
+        watch.reserves = (10**9, 10**9)
+        buyer = STANDING_BUYERS[0]
+        if held is not None:
+            watch.buyers = {buyer: BuyerLedger(
+                buyer=buyer, pool=STANDING_POOL.pool, trap_token=STANDING_POOL.token_y,
+                snapshots=[(5, held)],
+            )}
+        state = PoolScanState(watch=watch)
+        pipeline.run_detection_round(chain, [state], 5, ScanSettings())
+        assert state.error is None
+        return state
+
+    def test_a_probe_estimated_at_0_gets_no_round_trip(self):
+        """A probe quoted at 0 is skipped and never followed by a round
+        trip, though it delivered; quoted by the formula, it is."""
+        state = self._round(_DeliveringChain(STANDING_POOL.token_x, probe_quote=0))
+        assert state.skipped_rounds == [
+            {"block": 5, "reason": "estimate=0", "subject": state.probe.hex}
+        ]
+        assert state.buy_probe is not None and state.roundtrip is None
+        state = self._round(_DeliveringChain(STANDING_POOL.token_x))
+        assert state.skipped_rounds == [] and state.roundtrip is not None
+
+    @pytest.mark.parametrize("base_reserve, size", [(999, 1), (10**6 - 1, 999), (10**6, 1000)])
+    def test_the_probe_spends_a_thousandth_of_the_base_reserve_and_at_least_1(
+        self, base_reserve, size
+    ):
+        watch = PoolWatch.create(STANDING_POOL, STANDING_POOL.token_y)
+        watch.reserves = (base_reserve, 10**9)
+        probe, funding = pipeline.plan_round(PoolScanState(watch=watch), 5)[-1]
+        assert probe.kind is BundleKind.BUY_PROBE and funding is not None
+        assert probe.calls[-2].amount_in == size
+
+    def test_a_buyer_holding_1_unit_gets_a_sell(self):
+        """A sell of 1 unit is planned and judged as the buyer's, and the
+        probe after it as the probe: the one-unit sell is estimated at 0."""
+        buyer = STANDING_BUYERS[0]
+        state = self._round(_DeliveringChain(STANDING_POOL.token_x), held=1)
+        assert state.sells[buyer].bundle.calls[-2].amount_in == 1
+        assert state.skipped_rounds == [
+            {"block": 5, "reason": "estimate=0", "subject": buyer.hex}
+        ]
+        assert state.buy_probe.bundle.kind is BundleKind.BUY_PROBE
+        assert state.roundtrip is not None
+
+
 class TestResume:
     def test_checkpoint_resume_equals_uninterrupted(self, tmp_path):
         trace_a = run_simple(LimitedSell(Fraction(1, 100)), seed=300)
@@ -916,6 +1042,54 @@ class TestCohortScan:
         assert pipeline.scan_cohort(chain, [failed], 1, chain.head(), settings) == [error]
         assert asked == []
 
+    def test_a_pool_whose_round_raises_is_asked_for_no_later_window(
+        self, world, monkeypatch
+    ):
+        """A pool whose round raises at block 9 carries that failure, and no
+        later window asks for it, while its cohort mates get their
+        one-pool lines."""
+        chain, targets = world
+        bad, failed_at = targets[1][0], 9
+        asked = []
+        real_get_window, real_start = MockChain.get_window, pipeline._start_round
+
+        def recording_get_window(view, pools, tokens, block_range):
+            asked.append((block_range[1], [info.pool for info in pools]))
+            return real_get_window(view, pools, tokens, block_range)
+
+        def failing_start(state, block, settings):
+            if state.watch.pool == bad and block == failed_at:
+                raise RuntimeError("round failed")
+            return real_start(state, block, settings)
+
+        monkeypatch.setattr(MockChain, "get_window", recording_get_window)
+        monkeypatch.setattr(pipeline, "_start_round", failing_start)
+        settings = ScanSettings(interval=3)
+        states = [PoolScanState(watch=PoolWatch.create(*target)) for target in targets[:3]]
+        results = pipeline.scan_cohort(chain, states, 1, chain.head(), settings)
+        assert isinstance(results[1], RuntimeError) and str(results[1]) == "round failed"
+        assert [pools for block, pools in asked if block == failed_at][0][1] == bad.pool
+        later = [pools for block, pools in asked if block > failed_at]
+        assert later and all(len(pools) == 2 and bad.pool not in pools for pools in later)
+        for target, result in zip(targets[::2], results[::2]):
+            expected = scan_pool(chain, *target, 1, chain.head(), settings)
+            assert verdict_to_json_line(result) == verdict_to_json_line(expected)
+
+    def test_a_scan_costs_the_same_posts_at_any_worker_count(self, world):
+        """Twelve pools are one full cohort: at 1, 2, 4 and 12 workers a scan
+        over the node sends the same POSTs and gives the same lines."""
+        chain, targets = world
+        seen = {}
+        for workers in (1, 2, 4, 12):
+            node = _SealedChainNode(chain=chain)
+            view = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=node)
+            lines, summary = scan_pools_resumable(
+                view, targets, 1, chain.head(), ScanSettings(interval=10, workers=workers)
+            )
+            assert summary.failures == 0 and len(lines) == len(targets) == 12
+            seen[workers] = (node.posts, lines)
+        assert all(posts_and_lines == seen[1] for posts_and_lines in seen.values())
+
     def test_both_orientations_of_a_pool_share_a_cohort(self, world, monkeypatch):
         """A pool watched from both sides is queried and read once per
         window for both watches, which still get the one-pool lines."""
@@ -964,11 +1138,12 @@ class TestCohortScan:
         assert scan() == expected
 
     @pytest.mark.parametrize("cap, workers, sizes", [
-        (12, 1, [12]), (12, 2, [6, 6]), (12, 5, [3, 3, 3, 3]), (5, 1, [2, 5, 5]),
+        (12, 1, [12]), (12, 2, [12]), (12, 5, [12]), (5, 1, [2, 5, 5]),
     ])
     def test_cohorts_spread_over_the_workers(self, world, cap, workers, sizes, monkeypatch):
-        """Twelve pools run in cohorts of up to `COHORT_SIZE` pools, each
-        of at most a worker's share of the pools."""
+        """Twelve pools run in cohorts of `COHORT_SIZE` pools, the last one
+        holding what is left, whatever the worker count: workers take
+        whole cohorts and never cut one to share it."""
         chain, targets = world
         seen = []
         real_scan_cohort = pipeline.scan_cohort

@@ -1311,3 +1311,16 @@ class TestConfig:
             EndpointConfig(url="x", request_timeout=0)
         with pytest.raises(ValueError):
             EndpointConfig(url="x", retries=99)
+
+    @pytest.mark.parametrize("field, value, accepted", [
+        ("request_timeout", 0.5, True), ("request_timeout", float("nan"), False),
+        ("rate_limit", 0, True), ("rate_limit", -0.5, False), ("rate_limit", float("nan"), False),
+        ("retries", 0, True), ("retries", 20, True), ("retries", 21, False),
+        ("max_batch", 1, True), ("max_batch", 0, False),
+    ])
+    def test_each_numeric_field_at_its_edge(self, field, value, accepted):
+        if accepted:
+            assert getattr(EndpointConfig(url="x", **{field: value}), field) == value
+        else:
+            with pytest.raises(ValueError, match=field):
+                EndpointConfig(url="x", **{field: value})
