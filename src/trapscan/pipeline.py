@@ -50,12 +50,13 @@ the cohort drops every state with an `error`, and goes on with the
 rest. A failure of a request the cohort shares fails the cohort's
 unfinished pools. A multi-pool scan cuts its targets into cohorts of
 `COHORT_SIZE`, the last holding what is left, and maps them onto one
-executor, `_scan_each`: in the calling thread when `workers <= 1`,
-otherwise on one thread pool, whose workers take whole cohorts. It
-yields each cohort's verdicts, or the exceptions their scans raised, in
-target order. `scan_pools` and `scan_pools_resumable` both consume it,
-so a failing pool is counted in `ScanSummary.failures` and never stops
-the scan, and a pool costs the same requests whatever the worker count.
+executor, `_scan_each`: in the calling thread when `workers <= 1`, so
+that an interrupt stops it at once, otherwise on one thread pool, whose
+workers take whole cohorts. It yields each cohort's verdicts, or the
+exceptions their scans raised, in target order. `scan_pools` and
+`scan_pools_resumable` both consume it, so a failing pool is counted in
+`ScanSummary.failures` and never stops the scan, and a pool costs the
+same requests whatever the worker count.
 """
 
 from __future__ import annotations
@@ -603,6 +604,8 @@ def _scan_each(
         done.update(zip(states, verdicts))
         return [(idx, done[idx]) for idx in cohort]
 
+    # One worker scans in the calling thread, so that an interrupt stops
+    # the scan at once: the pool's shutdown waits for the running cohort.
     if settings.workers <= 1:
         yield from map(attempt, cohorts)
         return

@@ -80,15 +80,34 @@ def test_equivalents_are_keyed_without_line_numbers(tool, tmp_path):
         tool.read_equivalents(listing)
 
 
+def _unknown_entries(tool, listing):
+    """The entries of `listing` that name no mutant the generator makes of
+    today's module, each module read from its path under `src/trapscan`."""
+    equivalents = tool.read_equivalents(listing)
+    keys = {
+        m.key
+        for module in {module for module, *_ in equivalents}
+        for m in tool.mutants((tool.SRC / module).read_text(), module)
+    }
+    return set(equivalents) - keys
+
+
 def test_the_checked_in_list_names_mutants_that_exist(tool):
     """Every entry of `tools/equivalent_mutants.txt` names a mutant the
     generator makes of today's module, so a stale entry shows here."""
-    root = TOOLS.parent
-    equivalents = tool.read_equivalents(TOOLS / "equivalent_mutants.txt")
-    modules = {module for module, *_ in equivalents}
-    keys = {
-        m.key
-        for module in modules
-        for m in tool.mutants((root / "src" / "trapscan" / module).read_text(), module)
-    }
-    assert equivalents and set(equivalents) <= keys
+    listing = TOOLS / "equivalent_mutants.txt"
+    assert tool.read_equivalents(listing) and _unknown_entries(tool, listing) == set()
+
+
+def test_a_nested_module_is_keyed_by_its_path(tool, tmp_path):
+    """A module in a subpackage is keyed by its path under `src/trapscan`,
+    so the package's `__init__.py` files stay apart, and a list entry for
+    it is found."""
+    client = tool.SRC / "rpcbackend" / "client.py"
+    assert tool.module_key(client) == "rpcbackend/client.py"
+    inits = {tool.module_key(path) for path in tool.SRC.rglob("__init__.py")}
+    assert inits == {"__init__.py", "mockchain/__init__.py", "rpcbackend/__init__.py"}
+    mutant = tool.mutants(client.read_text(), tool.module_key(client))[0]
+    listing = tmp_path / "equivalent.txt"
+    listing.write_text(" | ".join(mutant.key) + "\n    a reason\n")
+    assert _unknown_entries(tool, listing) == set()

@@ -1,5 +1,6 @@
 import gc
 import json
+import threading
 from fractions import Fraction
 
 import pytest
@@ -1090,6 +1091,25 @@ class TestCohortScan:
             seen[workers] = (node.posts, lines)
         assert all(posts_and_lines == seen[1] for posts_and_lines in seen.values())
 
+    def test_a_thirteenth_pool_runs_in_a_cohort_of_its_own(self):
+        """Thirteen pools run as one full cohort of twelve and a cohort of
+        one, at one worker or two: a scan of all thirteen sends the POSTs of
+        the first twelve scanned together plus those of the last alone."""
+        chain, targets = cohort_chain(pools=13)
+
+        def posts(pools, workers=1):
+            node = _SealedChainNode(chain=chain)
+            view = RpcChainView(EndpointConfig(url="fake://", retries=0), transport=node)
+            lines, summary = scan_pools_resumable(
+                view, pools, 1, chain.head(), ScanSettings(interval=10, workers=workers)
+            )
+            assert summary.failures == 0 and len(lines) == len(pools)
+            return node.posts
+
+        apart = posts(targets[:12]) + posts(targets[12:])
+        assert posts(targets) == apart
+        assert posts(targets, workers=2) == apart
+
     def test_both_orientations_of_a_pool_share_a_cohort(self, world, monkeypatch):
         """A pool watched from both sides is queried and read once per
         window for both watches, which still get the one-pool lines."""
@@ -1138,25 +1158,30 @@ class TestCohortScan:
         assert scan() == expected
 
     @pytest.mark.parametrize("cap, workers, sizes", [
-        (12, 1, [12]), (12, 2, [12]), (12, 5, [12]), (5, 1, [2, 5, 5]),
+        (12, 1, [12]), (12, 2, [12]), (12, 5, [12]), (5, 1, [2, 5, 5]), (5, None, [2, 5, 5]),
     ])
     def test_cohorts_spread_over_the_workers(self, world, cap, workers, sizes, monkeypatch):
         """Twelve pools run in cohorts of `COHORT_SIZE` pools, the last one
         holding what is left, whatever the worker count: workers take
-        whole cohorts and never cut one to share it."""
+        whole cohorts and never cut one to share it. One worker, the
+        default (`None` here), scans in the calling thread, so that an
+        interrupt stops the scan at once; more scan on a thread pool."""
         chain, targets = world
-        seen = []
+        seen, threads = [], set()
         real_scan_cohort = pipeline.scan_cohort
 
         def recording_scan_cohort(chain, states, *args, **kwargs):
             seen.append(len(states))
+            threads.add(threading.get_ident())
             return real_scan_cohort(chain, states, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "COHORT_SIZE", cap)
         monkeypatch.setattr(pipeline, "scan_cohort", recording_scan_cohort)
-        _, summary = scan_pools(chain, targets, 1, chain.head(), ScanSettings(workers=workers))
+        settings = ScanSettings() if workers is None else ScanSettings(workers=workers)
+        _, summary = scan_pools(chain, targets, 1, chain.head(), settings)
         assert summary.scanned == len(targets)
         assert sorted(seen) == sizes
+        assert (threads == {threading.get_ident()}) == (workers in (None, 1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_shared_post_fails_only_its_cohort(

@@ -1,7 +1,6 @@
 """Mutation runner: which one-token changes to a module its tests miss.
 
     python3 tools/mutants.py src/trapscan/pipeline.py tests/test_pipeline.py [...]
-    python3 tools/mutants.py src/trapscan/pipeline.py --list
 
 For one module it makes four kinds of mutant, one change each:
 
@@ -13,15 +12,17 @@ For one module it makes four kinds of mutant, one change each:
 
 Each mutant runs the given test files with `pytest -x` in a temporary
 copy of the checkout, never in the working tree; a mutant the tests pass
-survives. The tests must first pass on the unmutated copy, or nothing
-runs (exit 2). `tests/test_mutants.py` is never run against a mutant: its
-check of the list reads the listed modules' source lines, which a
-mutant may change. Survivors are printed, those listed in
+survives, and one still running after `TIMEOUT` seconds is killed.
+The tests must first pass on the unmutated copy, or nothing runs (exit
+2). `tests/test_mutants.py` is never run against a mutant: its check of
+the list reads the listed modules' source lines, which a mutant may
+change. Survivors are printed, those listed in
 `tools/equivalent_mutants.txt` apart from the rest, and the exit status
 is 1 when any survivor is not listed. Only the standard library is used.
 
-A mutant is named by module, function, the text of its source line and
-its change, never by line number, so that a list entry outlives edits
+A mutant is named by module (its path under `src/trapscan`, such as
+`rpcbackend/client.py`), function, the text of its source line and its
+change, never by line number, so that a list entry outlives edits
 elsewhere in the module. Where one function can take the same change on
 lines of the same text more than once, the change names its occurrence
 in source order (`0 -> 1 #2`).
@@ -44,8 +45,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "trapscan"
 EQUIVALENTS = ROOT / "tools" / "equivalent_mutants.txt"
 SMALL_INT = range(100)
+TIMEOUT = 300.0  # seconds
 
 _FLIP = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -60,7 +63,7 @@ _SYMBOL = {
 
 
 class Mutant(NamedTuple):
-    module: str  # file name, e.g. "pipeline.py"
+    module: str  # path under src/trapscan, e.g. "rpcbackend/client.py"
     function: str  # qualified name of the enclosing def, or "<module>"
     line: str  # the stripped source line the change is on
     change: str  # e.g. "< -> <=", "and -> or", "drop not", "0 -> 1 #2"
@@ -185,10 +188,16 @@ def read_equivalents(path: Path) -> dict[tuple[str, str, str, str], str]:
     return entries
 
 
-def run(module_path: Path, tests: list[str], timeout: float) -> int:
+def module_key(path: Path) -> str:
+    """The module part of a mutant's key: the path under `src/trapscan`,
+    so that the package's `__init__.py` files stay apart."""
+    return path.resolve().relative_to(SRC).as_posix()
+
+
+def run(module_path: Path, tests: list[str]) -> int:
     module_path = module_path.resolve()
     relative = module_path.relative_to(ROOT)
-    found = mutants(module_path.read_text(), module_path.name)
+    found = mutants(module_path.read_text(), module_key(module_path))
     equivalents = read_equivalents(EQUIVALENTS)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     survivors: list[Mutant] = []
@@ -203,7 +212,7 @@ def run(module_path: Path, tests: list[str], timeout: float) -> int:
             "--ignore", "tests/test_mutants.py", *tests,
         ]
         # A failing or empty baseline would count every mutant as killed.
-        if subprocess.run(command, cwd=checkout, env=env, timeout=timeout,
+        if subprocess.run(command, cwd=checkout, env=env, timeout=TIMEOUT,
                           stdout=subprocess.DEVNULL).returncode != 0:
             print(f"error: the tests do not pass on the unmutated {relative}", file=sys.stderr)
             return 2
@@ -212,7 +221,7 @@ def run(module_path: Path, tests: list[str], timeout: float) -> int:
             start = time.monotonic()
             try:
                 done = subprocess.run(
-                    command, cwd=checkout, env=env, timeout=timeout,
+                    command, cwd=checkout, env=env, timeout=TIMEOUT,
                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 )
                 verdict = "survived" if done.returncode == 0 else "killed"
@@ -241,18 +250,9 @@ def _name(m: Mutant) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", type=Path, help="the module to mutate")
-    parser.add_argument("tests", nargs="*", help="test files to run against each mutant")
-    parser.add_argument("--list", action="store_true", help="print the mutants and run nothing")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a mutant's test run counts as killed")
+    parser.add_argument("tests", nargs="+", help="test files to run against each mutant")
     args = parser.parse_args(argv)
-    if args.list:
-        for m in mutants(args.module.read_text(), args.module.name):
-            print(_name(m))
-        return 0
-    if not args.tests:
-        parser.error("name the test files that cover the module")
-    return run(args.module, args.tests, args.timeout)
+    return run(args.module, args.tests)
 
 
 if __name__ == "__main__":
